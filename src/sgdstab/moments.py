@@ -13,8 +13,13 @@ and the noise-contraction coupling has the closed form
     E[v kron A] = -eta^2 * p * (1/n) sum_i g_i kron H_i.
 
 That coupling is never trusted bare: it is validated against exhaustive
-batch enumeration (or a large Monte-Carlo sample when enumeration is
-infeasible) whenever a stepper is built.
+batch enumeration whenever a stepper is built.  When enumeration is
+infeasible it is checked instead against MC_VALIDATION_SAMPLES seeded
+batches, drawn in chunks by vectorized partial Fisher-Yates, and must
+agree within five standard errors.
+
+One step costs one batched matmul and one GEMM: the sandwich
+sum_i A_i Sigma A_i^T is [A_1 ... A_n] times the stacked Sigma A_i^T.
 
 For step sizes below the mean-square threshold the range-projected
 second moment converges to
@@ -42,16 +47,18 @@ from .linalg import (
     kron,
     kron_sum,
     null_projectors,
-    pinv_psd,
     sym_eig,
     symmetrize,
     unvec,
     vec,
 )
+from .montecarlo import _fisher_yates_batches
 from .stability import variance_threshold
 
 ENUM_CAP = 10_000
 MC_VALIDATION_SAMPLES = 100_000
+# Float entries per Monte-Carlo validation chunk (about 1 MB of temporaries).
+_MC_CHUNK_ENTRY_BUDGET = 131_072
 
 
 @dataclass(frozen=True)
@@ -98,14 +105,16 @@ def cross_term(
     """E[v kron A] as a (d^2, d) matrix: -eta^2 * p * (1/n) sum_i g_i kron H_i.
 
     The closed form is checked against exhaustive batch enumeration when
-    C(n, B) <= enum_cap, otherwise against a seeded Monte-Carlo estimate
-    within five standard errors.  A mismatch raises ConvergenceError.
+    C(n, B) <= enum_cap.  Otherwise mc_samples batches are drawn from
+    stream(seed) by vectorized partial Fisher-Yates, in chunks sized to
+    keep temporaries near 1 MB, and every entry must lie within five
+    standard errors (plus 1e-12) of the sample mean.  A mismatch raises
+    ConvergenceError.
     """
     n, d = inst.n, inst.d
     p = mixing_weight(n, batch)
-    closed = np.zeros((d * d, d))
-    for i in range(n):
-        closed += kron(inst.gradients[i][:, None], inst.hessians[i])
+    # Row a*d + b, column c holds sum_i g_i[a] H_i[b, c].
+    closed = (inst.gradients.T @ inst.hessians.reshape(n, d * d)).reshape(d * d, d)
     closed *= -(eta * eta) * p / n
     if not validate or np.all(inst.gradients == 0.0):
         return closed
@@ -125,17 +134,24 @@ def cross_term(
             raise ConvergenceError(f"cross term disagrees with batch enumeration by {defect:.3e}")
         return closed
     rng = stream(seed)
-    acc = np.zeros((d * d, d))
-    acc_sq = np.zeros((d * d, d))
-    for _ in range(mc_samples):
-        idx = rng.choice(n, size=batch, replace=False)
-        a = eye - (eta / batch) * inst.hessians[idx].sum(axis=0)
-        v = (eta / batch) * inst.gradients[idx].sum(axis=0)
-        sample = kron(v[:, None], a)
-        acc += sample
-        acc_sq += sample * sample
-    mean = acc / mc_samples
-    var = np.maximum(acc_sq / mc_samples - mean * mean, 0.0)
+    flat_h = inst.hessians.reshape(n, d * d)
+    chunk = max(1, _MC_CHUNK_ENTRY_BUDGET // (n + 3 * d * d))
+    acc = np.zeros((d, d * d))
+    acc_sq = np.zeros((d, d * d))
+    for start in range(0, mc_samples, chunk):
+        idx = _fisher_yates_batches(rng, n, batch, min(chunk, mc_samples - start))
+        h_sum = flat_h[idx[:, 0]]
+        g_sum = inst.gradients[idx[:, 0]]
+        for slot in range(1, batch):
+            h_sum += flat_h[idx[:, slot]]
+            g_sum += inst.gradients[idx[:, slot]]
+        a = eye.reshape(-1) - (eta / batch) * h_sum
+        v = (eta / batch) * g_sum
+        # Entry (i*d + j, l) of sample k is v_k[i] * A_k[j, l]; the sums over k are GEMMs.
+        acc += v.T @ a
+        acc_sq += (v * v).T @ (a * a)
+    mean = acc.reshape(d * d, d) / mc_samples
+    var = np.maximum(acc_sq.reshape(d * d, d) / mc_samples - mean * mean, 0.0)
     se = np.sqrt(var / mc_samples)
     defect = np.abs(closed - mean)
     if np.any(defect > 5.0 * se + 1e-12):
@@ -156,22 +172,29 @@ class ExactStepper:
         eta = hp.eta
         self.p = mixing_weight(n, hp.batch)
         self.a_bar = np.eye(d) - eta * inst.mean_hessian()
-        self.a_all = np.eye(d)[None, :, :] - eta * inst.hessians
+        a_all = np.eye(d)[None, :, :] - eta * inst.hessians
+        # [A_1 ... A_n] as one (d, n*d) block, and the A_i^T for the batched matmul.
+        self._a_wide = np.ascontiguousarray(a_all.transpose(1, 0, 2).reshape(d, n * d))
+        self._a_all_t = np.ascontiguousarray(a_all.transpose(0, 2, 1))
         self.sigma_v = eta * eta * self.p * inst.gradient_second_moment()
-        # Validated coupling; exact_step consumes its matrix form below.
-        self.cross = cross_term(inst, eta, hp.batch, validate=validate_cross)
+        if validate_cross:
+            # The coupling is applied in matrix form in step(); its closed
+            # form is only checked here.
+            cross_term(inst, eta, hp.batch)
         self._coupling_scale = eta * eta * self.p / n
 
     def step(self, state: MomentState) -> MomentState:
         inst, p = self.inst, self.p
+        n, d = inst.n, inst.d
         mu = state.mean
         sigma = state.second_moment
         new_mu = self.a_bar @ mu
         new_sigma = (1.0 - p) * (self.a_bar @ sigma @ self.a_bar)
-        sandwich = np.einsum("nij,jk,nlk->il", self.a_all, sigma, self.a_all)
-        new_sigma += (p / inst.n) * sandwich
+        # sum_i A_i Sigma A_i^T = [A_1 ... A_n] @ [Sigma A_1^T; ...; Sigma A_n^T].
+        sandwich = self._a_wide @ (sigma @ self._a_all_t).reshape(n * d, d)
+        new_sigma += (p / n) * sandwich
         # -E[A mu v^T] - E[v mu^T A] in matrix form.
-        hi_mu = np.einsum("nij,j->ni", inst.hessians, mu)
+        hi_mu = inst.hessians @ mu
         coupling = self._coupling_scale * (hi_mu.T @ inst.gradients + inst.gradients.T @ hi_mu)
         new_sigma += coupling + self.sigma_v
         return MomentState(mean=new_mu, second_moment=symmetrize(new_sigma), step=state.step + 1)
@@ -233,12 +256,19 @@ def _limit_system(inst: ProblemInstance, hp: Hyperparams, rel_tol: float):
     kron_self /= n
     dmat = (1.0 - p) * kron(hbar, hbar) + p * kron_self
     m = 2.0 * c - hp.eta * dmat
-    values = sym_eig(m).values
-    if float(values[-1]) < -1e-8 * max(float(values[0]), 0.0):
-        raise ConvergenceError(f"2C - eta*D is not PSD (lambda_min = {values[-1]:.3e})")
+    eig = sym_eig(m)
+    lam_max, lam_min = float(eig.values[0]), float(eig.values[-1])
+    if lam_min < -1e-8 * max(lam_max, 0.0):
+        raise ConvergenceError(f"2C - eta*D is not PSD (lambda_min = {lam_min:.3e})")
+    if lam_min < -rel_tol * lam_max:
+        raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
     _, p_range = null_projectors(hbar, rel_tol=rel_tol)
     sigma_g_perp = p_range @ inst.gradient_second_moment() @ p_range
-    x = hp.eta * p * (pinv_psd(m, rel_tol=rel_tol) @ vec(sigma_g_perp))
+    # pinv(M) b = V (inv * (V^T b)), eigenvalues at or below rel_tol * lam_max dropped.
+    kept = eig.values > rel_tol * max(lam_max, 0.0)
+    inv = np.zeros_like(eig.values)
+    inv[kept] = 1.0 / eig.values[kept]
+    x = hp.eta * p * (eig.vectors @ (inv * (eig.vectors.T @ vec(sigma_g_perp))))
     return x, hbar
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from sgdstab import (
     variance_threshold,
 )
 from sgdstab.linalg import kron, null_projectors
-from sgdstab.moments import ExactStepper, null_walk_second_moment, write_trajectory_csv
-from sgdstab.stability import mean_hessian, sharpness
+from sgdstab.moments import ENUM_CAP, ExactStepper, null_walk_second_moment, write_trajectory_csv
+from sgdstab.stability import brute_force_transition, mean_hessian, sharpness
 
 RNG = np.random.default_rng(31337)
 
@@ -103,6 +104,53 @@ class TestExactStep:
             assert cov_values.min() >= -1e-9 * max(cov_values.max(), 1e-300)
 
 
+def _einsum_step(inst, hp, state):
+    """One step of the recursion with the 3-operand einsum sandwich; reference only."""
+    n, d, eta = inst.n, inst.d, hp.eta
+    p = mixing_weight(n, hp.batch)
+    a_bar = np.eye(d) - eta * inst.mean_hessian()
+    a_all = np.eye(d)[None, :, :] - eta * inst.hessians
+    mu, sigma = state.mean, state.second_moment
+    new_sigma = (1.0 - p) * (a_bar @ sigma @ a_bar)
+    new_sigma += (p / n) * np.einsum("nij,jk,nlk->il", a_all, sigma, a_all)
+    hi_mu = np.einsum("nij,j->ni", inst.hessians, mu)
+    new_sigma += (eta * eta * p / n) * (hi_mu.T @ inst.gradients + inst.gradients.T @ hi_mu)
+    new_sigma += eta * eta * p * inst.gradient_second_moment()
+    return make_state(a_bar @ mu, new_sigma, state.step + 1)
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("d, n, batch", [(24, 16, 2), (8, 256, 4)])
+    def test_matches_einsum_reference_over_50_steps(self, d, n, batch):
+        inst = gen_regular(d, n, d // 2, 1.0, False, 53)
+        hp = Hyperparams(eta=0.3 / sharpness(inst), batch=batch)
+        stepper = ExactStepper(inst, hp, validate_cross=False)
+        rng = np.random.default_rng(d * n)
+        factor = rng.standard_normal((d, d))
+        state = reference = make_state(rng.standard_normal(d), factor @ factor.T / d)
+        for _ in range(50):
+            state = stepper.step(state)
+            reference = _einsum_step(inst, hp, reference)
+            sigma_scale = np.max(np.abs(reference.second_moment))
+            assert np.max(np.abs(state.second_moment - reference.second_moment)) <= 1e-12 * sigma_scale
+            assert np.max(np.abs(state.mean - reference.mean)) <= 1e-12 * np.max(np.abs(reference.mean))
+        assert state.step == 50
+
+    @pytest.mark.parametrize("d, n, batch, seed", [(2, 3, 1, 71), (3, 5, 2, 72), (4, 6, 3, 73), (3, 4, 4, 74)])
+    def test_one_step_matches_brute_force_transition(self, d, n, batch, seed):
+        # Interpolating instances carry no gradient noise, so one step is
+        # exactly vec(Sigma') = Q vec(Sigma) with Q from batch enumeration.
+        inst = gen_interpolating(d, n, d, seed)
+        hp = Hyperparams(eta=0.4 / sharpness(inst), batch=batch)
+        rng = np.random.default_rng(seed)
+        factor = rng.standard_normal((d, d))
+        state = make_state(rng.standard_normal(d), factor @ factor.T)
+        out = ExactStepper(inst, hp).step(state)
+        q = brute_force_transition(inst, hp.eta, batch)
+        vec = lambda m: m.flatten(order="F")
+        np.testing.assert_allclose(vec(out.second_moment), q @ vec(state.second_moment), rtol=0, atol=1e-12)
+
+
 class TestCrossTerm:
     def test_interpolating_is_zero(self):
         inst = gen_interpolating(3, 5, 2, 2)
@@ -139,6 +187,26 @@ class TestCrossTerm:
         monkeypatch.setattr(moments_module, "mixing_weight", lambda n, b: 0.123)
         with pytest.raises(ConvergenceError, match="cross term"):
             moments_module.cross_term(inst, 0.7, 2)
+
+    def test_monte_carlo_detects_injected_formula_error(self, monkeypatch):
+        # enum_cap=0 sends even a tiny instance down the Monte-Carlo branch;
+        # the wrong mixing weight must fall outside five standard errors.
+        inst = gen_regular(2, 3, 2, 1.0, False, 14)
+        import sgdstab.moments as moments_module
+
+        monkeypatch.setattr(moments_module, "mixing_weight", lambda n, b: 0.123)
+        with pytest.raises(ConvergenceError, match="cross term disagrees with Monte-Carlo"):
+            moments_module.cross_term(inst, 0.7, 2, enum_cap=0)
+
+    def test_monte_carlo_validation_passes_at_n256(self):
+        # C(256, 4) exceeds ENUM_CAP, so the default call validates by Monte Carlo.
+        assert math.comb(256, 4) > ENUM_CAP
+        inst = gen_regular(8, 256, 4, 1.0, False, 59)
+        eta = 0.3 / sharpness(inst)
+        got = cross_term(inst, eta, 4)
+        p = mixing_weight(256, 4)
+        ref = sum(kron(inst.gradients[i][:, None], inst.hessians[i]) for i in range(256))
+        np.testing.assert_allclose(got, -(eta**2) * p / 256 * ref, rtol=1e-12, atol=1e-15)
 
 
 class TestNoiseInjection:
