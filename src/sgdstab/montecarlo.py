@@ -4,15 +4,19 @@ Replicates evolve the offset x = theta - theta* under
 
     x <- x - (eta/B) * sum_{i in batch} (H_i x + g_i),
 
-with a fresh uniform size-B batch (without replacement, partial
-Fisher-Yates) each step, or under the mixture process that takes a
-single-sample step with probability p and a full-batch step otherwise.
+with a fresh uniform size-B batch (without replacement) each step, or
+under the mixture process that takes a single-sample step with
+probability p and a full-batch step otherwise.
 
-Every replicate draws from its own counter-based stream derived from the
-run seed, so results are bit-reproducible and independent of chunking.
-Aggregation keeps all replicates; a replicate whose squared norm crosses
-divergence_factor * (1 + initial) is flagged and frozen at its last
-state so the aggregate arrays stay finite.
+Every random draw is a pure function of (seed, domain, replicate, step,
+slot): a splitmix64 hash of those coordinates, evaluated for all
+replicates and steps of a chunk at once.  Batches come from Floyd's
+subset sampler on bounded integers (Lemire's multiply-high with
+rejection, so draws are exactly uniform); mixture coins compare the top
+53 bits of a word with p.  Results are bit-reproducible and independent
+of chunking.  Aggregation keeps all replicates; a replicate whose
+squared norm crosses divergence_factor * (1 + initial) is flagged and
+frozen at its last state so the aggregate arrays stay finite.
 
 Empirical threshold estimation bisects on an instability classifier.
 Crossing a fixed factor alone cannot witness mean-square divergence for
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, MinimumClass, ProblemInstance, StreamPool, classify, stream
+from .instances import Hyperparams, MinimumClass, ProblemInstance, _splitmix64, classify, stream
 from .linalg import null_projectors, sym_eig
 
 _CHUNK_ENTRY_BUDGET = 4_000_000
@@ -102,6 +106,98 @@ def _fisher_yates_batches(rng: np.random.Generator, n: int, batch: int, steps: i
         perm[rows, i] = perm[rows, j]
         perm[rows, j] = tmp
     return perm[:, :batch]
+
+
+# Counter-based draws.  With sm = instances._splitmix64, the word for
+# (seed, domain, replicate r, step t, slot s, attempt a) is
+#
+#     sm(lane ^ (s | a << 32)),  lane = sm(sm(k ^ r) ^ t),  k = sm(seed ^ sm(domain)).
+#
+# The attempt counter only moves for lanes that the bounded map rejects.
+_INDEX_DOMAIN = 1
+_COIN_DOMAIN = 2
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """instances._splitmix64 applied elementwise to a uint64 array."""
+    with np.errstate(over="ignore"):
+        z = x + np.uint64(0x9E3779B97F4A7C15)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def _lane_keys(seed: int, domain: int, replicates: range, steps: int) -> np.ndarray:
+    """(replicates, steps) uint64 lane keys of one draw domain."""
+    k = _splitmix64((int(seed) & _MASK64) ^ _splitmix64(domain))
+    per_replicate = _splitmix64_array(np.arange(replicates.start, replicates.stop, dtype=np.uint64) ^ np.uint64(k))
+    return _splitmix64_array(per_replicate[:, None] ^ np.arange(steps, dtype=np.uint64))
+
+
+def _words(keys: np.ndarray, slot: int, attempt: int = 0) -> np.ndarray:
+    return _splitmix64_array(keys ^ np.uint64(slot | attempt << 32))
+
+
+def _bounded(keys: np.ndarray, slot: int, bound: int) -> np.ndarray:
+    """Uniform integers in [0, bound), bound <= 2**32, one per lane key.
+
+    Lemire's multiply-high on the top 32 bits of each word; a lane whose
+    low product falls below 2**32 mod bound is redrawn from its next
+    attempt counter, so every value is exactly equally likely.
+    """
+    threshold = (1 << 32) % bound
+    flat = keys.reshape(-1)
+    m = (_words(flat, slot) >> np.uint64(32)) * np.uint64(bound)
+    out = (m >> np.uint64(32)).astype(np.int64)
+    redo = np.flatnonzero((m & np.uint64(_MASK32)) < threshold)
+    attempt = 1
+    while redo.size:
+        m = (_words(flat[redo], slot, attempt) >> np.uint64(32)) * np.uint64(bound)
+        ok = (m & np.uint64(_MASK32)) >= threshold
+        out[redo[ok]] = (m[ok] >> np.uint64(32)).astype(np.int64)
+        redo = redo[~ok]
+        attempt += 1
+    return out.reshape(keys.shape)
+
+
+def _batches(seed: int, replicates: range, steps: int, n: int, batch: int) -> np.ndarray:
+    """(replicates, steps, batch) uniform size-`batch` subsets of range(n).
+
+    Floyd's sampler: slot s draws u uniform in [0, top], top = n - batch + s,
+    and takes top instead when u is already in the batch.  At batch 1 this
+    is a single bounded draw on slot 0.
+    """
+    keys = _lane_keys(seed, _INDEX_DOMAIN, replicates, steps)
+    out = np.empty(keys.shape + (batch,), dtype=np.int64)
+    for s in range(batch):
+        top = n - batch + s
+        u = _bounded(keys, s, top + 1)
+        taken = np.zeros(keys.shape, dtype=bool)
+        for prev in range(s):
+            taken |= out[..., prev] == u
+        out[..., s] = np.where(taken, top, u)
+    return out
+
+
+def _coins(seed: int, replicates: range, steps: int, p: float) -> np.ndarray:
+    """(replicates, steps) booleans, each True with probability p."""
+    u = _words(_lane_keys(seed, _COIN_DOMAIN, replicates, steps), 0) >> np.uint64(11)
+    return u.astype(np.float64) * 2.0**-53 < p
+
+
+def _hessian_drift(hessians: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows sum_s H[idx[c, s]] x[c] for idx (chunk, B) and x (chunk, d); one
+    batched matmul per slot, never the (chunk, B, d, d) gather."""
+    xc = x[:, :, None]
+    drift = np.matmul(hessians[idx[:, 0]], xc)
+    for s in range(1, idx.shape[1]):
+        drift += np.matmul(hessians[idx[:, s]], xc)
+    return drift[:, :, 0]
 
 
 class _Accumulator:
@@ -223,31 +319,29 @@ def simulate_sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig) -> Empi
                 return x - eta * (x @ hbar + gbar)
 
             return kernel
-        pool = StreamPool()
-        batches = np.stack(
-            [_fisher_yates_batches(pool.get(cfg.seed, 2 * r + 1), n, b, cfg.steps) for r in replicate_range]
-        )
+        batches = _batches(cfg.seed, replicate_range, cfg.steps, n, b)
 
         def kernel(t, x):
-            idx = batches[:, t, :]
-            h_sum = inst.hessians[idx].sum(axis=1)
-            drift = np.einsum("cij,cj->ci", h_sum, x)
+            idx = batches[:, t]
+            drift = _hessian_drift(inst.hessians, idx, x)
             if not interpolating:
-                drift = drift + inst.gradients[idx].sum(axis=1)
+                drift += inst.gradients[idx].sum(axis=1)
             return x - (eta / b) * drift
 
         return kernel
 
-    return _run(inst, cfg, builder, entries_per_replicate=cfg.steps * b)
+    # Per replicate: the (steps, B) batch indices and one gathered d x d Hessian.
+    return _run(inst, cfg, builder, entries_per_replicate=cfg.steps * b + inst.d**2)
 
 
 def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig) -> EmpiricalMoments:
     """Monte-Carlo moments of the mixture process: one uniform sample with
     probability p, the full batch otherwise.
 
-    The index stream is consumed every step regardless of the branch, so
-    with p = 1 and matched seeds the paths coincide exactly with
-    simulate_sgd at batch size one.
+    The sample index is drawn every step regardless of the branch, with
+    the same key and map as simulate_sgd's batch-one draw, so with p = 1
+    and matched seeds the paths coincide exactly with simulate_sgd at
+    batch size one.  The coin has its own draw domain.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
@@ -257,30 +351,21 @@ def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig
     interpolating = bool(np.all(inst.gradients == 0.0))
 
     def builder(replicate_range):
-        reps = list(replicate_range)
-        pool = StreamPool()
-        idx_all = np.stack([pool.get(cfg.seed, 2 * r + 1).integers(0, n, size=cfg.steps) for r in reps])
-        if p == 0.0:
-            single_all = np.zeros((len(reps), cfg.steps), dtype=bool)
-        elif p == 1.0:
-            single_all = np.ones((len(reps), cfg.steps), dtype=bool)
-        else:
-            single_all = np.stack([pool.get(cfg.seed, 2 * r + 2).random(cfg.steps) < p for r in reps])
+        idx_all = _batches(cfg.seed, replicate_range, cfg.steps, n, 1)
+        single_all = _coins(cfg.seed, replicate_range, cfg.steps, p)
 
         def kernel(t, x):
             idx = idx_all[:, t]
-            single = single_all[:, t]
-            h_sel = inst.hessians[idx]
-            drift_single = np.einsum("cij,cj->ci", h_sel, x)
+            drift_single = _hessian_drift(inst.hessians, idx, x)
             if not interpolating:
-                drift_single = drift_single + inst.gradients[idx]
+                drift_single += inst.gradients[idx].sum(axis=1)
             x_single = x - eta * drift_single
             x_full = x - eta * (x @ hbar + gbar)
-            return np.where(single[:, None], x_single, x_full)
+            return np.where(single_all[:, t, None], x_single, x_full)
 
         return kernel
 
-    return _run(inst, cfg, builder, entries_per_replicate=2 * cfg.steps)
+    return _run(inst, cfg, builder, entries_per_replicate=2 * cfg.steps + inst.d**2)
 
 
 def growth_window(cfg: SimConfig) -> tuple[int, int]:

@@ -1,6 +1,11 @@
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import sgdstab.montecarlo as mc
 from sgdstab import (
     Hyperparams,
     SimConfig,
@@ -14,6 +19,7 @@ from sgdstab import (
     simulate_sgd,
     variance_threshold,
 )
+from sgdstab.instances import _splitmix64
 from sgdstab.linalg import null_projectors
 from sgdstab.montecarlo import growth_window, initial_offset, write_empirical_csv
 from sgdstab.stability import mean_hessian, mixing_weight, sharpness
@@ -45,10 +51,11 @@ class TestBasics:
         full = simulate_sgd(inst, hp, cfg)
         import sgdstab.montecarlo as mc
 
-        monkeypatch.setattr(mc, "_CHUNK_ENTRY_BUDGET", 20 * 7)  # force 7-replicate chunks
+        monkeypatch.setattr(mc, "_CHUNK_ENTRY_BUDGET", 20 * 7)  # force 5-replicate chunks
         chunked = simulate_sgd(inst, hp, cfg)
-        # Streams are per-replicate, so chunking only reorders the final
-        # reduction; results agree to roundoff (bitwise only for equal cfg).
+        # Every draw is a function of (seed, replicate, step, slot), so each
+        # replicate's path is the same in any chunk and chunking only
+        # reorders the final reduction; results agree to roundoff.
         np.testing.assert_allclose(full.mean_sq_perp, chunked.mean_sq_perp, rtol=1e-12)
         np.testing.assert_allclose(full.mean_offset, chunked.mean_offset, rtol=1e-12, atol=1e-15)
         assert full.diverged_count == chunked.diverged_count
@@ -223,3 +230,113 @@ class TestCsvExport:
         lo_b, hi_b = growth_window(cfg_big)
         assert hi_b > hi_s
         assert lo_s >= 2 and hi_s <= 100
+
+
+def _ref_word(seed, domain, r, t, slot, attempt=0):
+    """Pure-Python draw word; the key chain spelled out with instances._splitmix64."""
+    k = _splitmix64((seed & 0xFFFF_FFFF_FFFF_FFFF) ^ _splitmix64(domain))
+    lane = _splitmix64(_splitmix64(k ^ r) ^ t)
+    return _splitmix64(lane ^ (slot | attempt << 32))
+
+
+def _ref_bounded(seed, domain, r, t, slot, bound):
+    attempt = 0
+    while True:
+        m = (_ref_word(seed, domain, r, t, slot, attempt) >> 32) * bound
+        if m & 0xFFFF_FFFF >= (1 << 32) % bound:
+            return m >> 32
+        attempt += 1
+
+
+def _ref_batch(seed, r, t, n, batch):
+    chosen = []
+    for s in range(batch):
+        top = n - batch + s
+        u = _ref_bounded(seed, mc._INDEX_DOMAIN, r, t, s, top + 1)
+        chosen.append(top if u in chosen else u)
+    return chosen
+
+
+class TestStreams:
+    def test_vector_hash_matches_scalar_splitmix(self):
+        x = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789], dtype=np.uint64)
+        assert [int(v) for v in mc._splitmix64_array(x)] == [_splitmix64(int(v)) for v in x]
+
+    def test_draws_match_pure_python_reference(self):
+        batches = mc._batches(31, range(5, 9), 3, 11, 4)
+        coins = mc._coins(31, range(5, 9), 3, 0.4)
+        for i, r in enumerate(range(5, 9)):
+            for t in range(3):
+                assert batches[i, t].tolist() == _ref_batch(31, r, t, 11, 4)
+                u = _ref_word(31, mc._COIN_DOMAIN, r, t, 0) >> 11
+                assert bool(coins[i, t]) == (u * 2.0**-53 < 0.4)
+
+    def test_pinned_draws(self):
+        # A change to the stream changes these values; say so in CHANGES.md.
+        assert mc._batches(2024, range(3), 2, 10, 3).tolist() == [
+            [[4, 3, 2], [7, 0, 6]],
+            [[4, 6, 0], [1, 8, 7]],
+            [[2, 6, 9], [4, 1, 0]],
+        ]
+        assert mc._coins(2024, range(2), 6, 0.5).astype(int).tolist() == [[0, 0, 0, 1, 1, 0], [1, 1, 1, 0, 1, 1]]
+
+    def test_subsets_are_uniform(self):
+        n, batch = 6, 3
+        draws = mc._batches(8, range(20_000), 10, n, batch).reshape(-1, batch)
+        assert np.all((draws >= 0) & (draws < n))
+        ordered = np.sort(draws, axis=1)
+        assert np.all(np.diff(ordered, axis=1) > 0)
+        codes = (1 << ordered).sum(axis=1)
+        subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), batch)]
+        total = draws.shape[0]
+        prob = 1.0 / math.comb(n, batch)
+        se = math.sqrt(prob * (1.0 - prob) / total)
+        counts = np.bincount(codes, minlength=1 << n)
+        assert counts[subsets].sum() == total
+        for code in subsets:
+            assert abs(counts[code] / total - prob) <= 5.0 * se, code
+
+    def test_bounded_rejection_path_stays_in_range(self):
+        bound = 2**31 + 1  # 2**32 mod bound = 2**31 - 1: about half the first words are rejected
+        keys = mc._lane_keys(9, mc._INDEX_DOMAIN, range(400), 5)
+        first = (mc._words(keys, 2) >> np.uint64(32)) * np.uint64(bound)
+        assert np.mean((first & np.uint64(0xFFFF_FFFF)) < (1 << 32) % bound) > 0.4
+        out = mc._bounded(keys, 2, bound)
+        assert np.all((out >= 0) & (out < bound))
+        for r, t in ((0, 0), (17, 3), (399, 4), (123, 1)):
+            assert out[r, t] == _ref_bounded(9, mc._INDEX_DOMAIN, r, t, 2, bound)
+
+    def test_coin_frequency(self):
+        p = 0.3
+        coins = mc._coins(10, range(40_000), 10, p)
+        se = math.sqrt(p * (1.0 - p) / coins.size)
+        assert abs(coins.mean() - p) <= 5.0 * se
+
+    def test_chunked_draws_are_bitwise_equal(self):
+        whole_batches = mc._batches(12, range(50), 9, 7, 3)
+        whole_coins = mc._coins(12, range(50), 9, 0.6)
+        chunks = [range(a, min(a + 7, 50)) for a in range(0, 50, 7)]
+        np.testing.assert_array_equal(whole_batches, np.concatenate([mc._batches(12, c, 9, 7, 3) for c in chunks]))
+        np.testing.assert_array_equal(whole_coins, np.concatenate([mc._coins(12, c, 9, 0.6) for c in chunks]))
+
+    def test_simulations_raise_no_warnings(self):
+        inst = gen_regular(3, 6, 2, 1.0, False, 12)
+        eta = 0.5 / sharpness(inst)
+        cfg = SimConfig(steps=6, replicates=300, seed=2**64 - 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_sgd(inst, Hyperparams(eta=eta, batch=2), cfg)
+            simulate_mixture(inst, eta, 0.4, cfg)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("chunk,n,d,batch", [(8192, 8, 4, 2), (500, 256, 32, 8)])
+    def test_per_slot_drift_matches_gathered_sum(self, chunk, n, d, batch):
+        rng = np.random.default_rng(chunk + n)
+        g = rng.standard_normal((n, d, d))
+        hessians = g + np.transpose(g, (0, 2, 1))
+        x = rng.standard_normal((chunk, d))
+        idx = mc._batches(4, range(chunk), 1, n, batch)[:, 0]
+        old = np.einsum("cij,cj->ci", hessians[idx].sum(axis=1), x)
+        new = mc._hessian_drift(hessians, idx, x)
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
