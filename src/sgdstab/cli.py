@@ -25,6 +25,7 @@ from . import kron_certify, montecarlo, moments, stability
 from .instances import (
     Hyperparams,
     InstanceFormatError,
+    _fmt,
     classify,
     gen_interpolating,
     gen_regular,
@@ -50,10 +51,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _build_parser() -> _Parser:

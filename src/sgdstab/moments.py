@@ -40,12 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, MinimumClass, ProblemInstance, classify, mixing_weight, stream
+from .instances import Hyperparams, MinimumClass, ProblemInstance, _fmt, classify, mixing_weight, stream
 from .linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
     kron,
-    kron_sum,
     null_projectors,
     sym_eig,
     symmetrize,
@@ -53,9 +52,8 @@ from .linalg import (
     vec,
 )
 from .montecarlo import _fisher_yates_batches
-from .stability import variance_threshold
+from .stability import ENUM_CAP, _dense_curvature, variance_threshold
 
-ENUM_CAP = 10_000
 MC_VALIDATION_SAMPLES = 100_000
 # Float entries per Monte-Carlo validation chunk (about 1 MB of temporaries).
 _MC_CHUNK_ENTRY_BUDGET = 131_072
@@ -246,15 +244,9 @@ def null_walk_second_moment(inst: ProblemInstance, hp: Hyperparams, t: int, init
 
 
 def _limit_system(inst: ProblemInstance, hp: Hyperparams, rel_tol: float):
-    d, n = inst.d, inst.n
-    p = mixing_weight(n, hp.batch)
+    p = mixing_weight(inst.n, hp.batch)
     hbar = inst.mean_hessian()
-    c = 0.5 * kron_sum(hbar, hbar)
-    kron_self = np.zeros((d * d, d * d))
-    for i in range(n):
-        kron_self += kron(inst.hessians[i], inst.hessians[i])
-    kron_self /= n
-    dmat = (1.0 - p) * kron(hbar, hbar) + p * kron_self
+    c, dmat = _dense_curvature(inst, p)
     m = 2.0 * c - hp.eta * dmat
     eig = sym_eig(m)
     lam_max, lam_min = float(eig.values[0]), float(eig.values[-1])
@@ -332,10 +324,6 @@ def top_mode_noise_overlap(inst: ProblemInstance, eta: float, batch: int, rel_to
     z_max = eig.vectors[:, 0]
     sigma_g_perp = p_range @ inst.gradient_second_moment() @ p_range
     return abs(float(z_max @ vec(sigma_g_perp)))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def write_trajectory_csv(path, inst: ProblemInstance, states, rel_tol: float = DEFAULT_RANK_RTOL) -> None:

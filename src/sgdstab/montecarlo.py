@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, MinimumClass, ProblemInstance, _splitmix64, classify, stream
+from .instances import Hyperparams, MinimumClass, ProblemInstance, _fmt, _splitmix64, classify, stream
 from .linalg import null_projectors, sym_eig
 
 _CHUNK_ENTRY_BUDGET = 4_000_000
@@ -438,10 +438,6 @@ def empirical_threshold(
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def write_empirical_csv(path, em: EmpiricalMoments) -> None:

@@ -19,7 +19,10 @@ mean-square stability threshold
 
 computed here through the symmetric congruence
 (C^{1/2})^+ D (C^{1/2})^+, which has the same nonzero spectrum.  The
-mean (first-moment) threshold is 2 / lambda_max(Hbar).
+congruence is taken in the eigenbasis of Hbar = V diag(lam) V^T: there
+C is diagonal in the basis V kron V, with the pair means
+(lam_a + lam_b)/2 as entries, so (C^{1/2})^+ is an elementwise scaling.
+The mean (first-moment) threshold is 2 / lambda_max(Hbar).
 
 Dense d^2 x d^2 matrices are only formed for d <= DENSE_CAP; above that
 every operator is exposed matrix-free.
@@ -42,9 +45,7 @@ from .linalg import (
     kron_sum,
     null_projectors,
     power_lambda_max,
-    sqrt_pinv_psd,
     sym_eig,
-    symmetrize,
     unvec,
     vec,
 )
@@ -116,12 +117,7 @@ def curvature_operators(
     if dense and d > DENSE_CAP:
         raise ValueError(f"dense operators requested for d={d} > cap {DENSE_CAP}")
     if dense:
-        c = 0.5 * kron_sum(hbar, hbar)
-        kron_self = np.zeros((d * d, d * d))
-        for i in range(n):
-            kron_self += kron(inst.hessians[i], inst.hessians[i])
-        kron_self /= n
-        dmat = (1.0 - p) * kron(hbar, hbar) + p * kron_self
+        c, dmat = _dense_curvature(inst, p)
         e = np.zeros((d * d, d * d))
         for i in range(n):
             delta = inst.hessians[i] - hbar
@@ -131,7 +127,7 @@ def curvature_operators(
         defect = np.max(np.abs(dmat - (kron(hbar, hbar) + p * e)))
         if defect > 1e-10 * scale:
             raise ConvergenceError(f"curvature identity D = Hkron + p*E violated by {defect:.3e}")
-        gen_sharp = _generalized_sharpness_dense(c, dmat, rel_tol)
+        gen_sharp = _generalized_sharpness_dense(hbar, dmat, rel_tol)
         return SpectralReport(
             hessian=hbar,
             curvature_sum=c,
@@ -167,9 +163,42 @@ def curvature_operators(
     )
 
 
-def _generalized_sharpness_dense(c: np.ndarray, dmat: np.ndarray, rel_tol: float) -> float:
-    half_pinv = sqrt_pinv_psd(c, rel_tol=rel_tol)
-    s = symmetrize(half_pinv @ dmat @ half_pinv)
+def _dense_curvature(inst: ProblemInstance, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense C = (Hbar (+) Hbar)/2 and D = (1-p) Hbar kron Hbar + (p/n) sum_i H_i kron H_i."""
+    d, n = inst.d, inst.n
+    hbar = mean_hessian(inst)
+    c = 0.5 * kron_sum(hbar, hbar)
+    kron_self = np.zeros((d * d, d * d))
+    for i in range(n):
+        kron_self += kron(inst.hessians[i], inst.hessians[i])
+    kron_self /= n
+    dmat = (1.0 - p) * kron(hbar, hbar) + p * kron_self
+    return c, dmat
+
+
+def _pair_factor(lam: np.ndarray, rel_tol: float) -> np.ndarray:
+    """(C^{1/2})^+ in the basis V kron V, as a (d, d) array of pair factors.
+
+    Entry (a, b) is ((lam_a + lam_b)/2)^{-1/2}, the inverse square root of
+    an eigenvalue of C, or zero where that eigenvalue is at or below
+    rel_tol * lambda_max.  Raises ValueError if C is not PSD.
+    """
+    pair = 0.5 * (lam[:, None] + lam[None, :])
+    lam_max, lam_min = float(pair.max()), float(pair.min())
+    if lam_min < -rel_tol * lam_max:
+        raise ValueError(f"C is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
+    cutoff = rel_tol * max(lam_max, 0.0)
+    factor = np.zeros_like(pair)
+    kept = pair > cutoff
+    factor[kept] = 1.0 / np.sqrt(pair[kept])
+    return factor
+
+
+def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray, rel_tol: float) -> float:
+    eig = sym_eig(hbar)
+    factor = _pair_factor(eig.values, rel_tol).reshape(-1)
+    w = kron(eig.vectors, eig.vectors)
+    s = factor[:, None] * (w.T @ dmat @ w) * factor[None, :]
     lam = float(sym_eig(s).values[0])
     return lam if lam > 0 else 0.0
 
@@ -178,14 +207,8 @@ def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: fl
     d, n = inst.d, inst.n
     hbar = mean_hessian(inst)
     eig = sym_eig(hbar)
-    lam, v = eig.values, eig.vectors
-    # Eigenvalues of C are the pairwise means (lam_i + lam_j)/2 in the
-    # basis v kron v, so (C^{1/2})^+ is a cheap elementwise rescaling.
-    pair = 0.5 * (lam[:, None] + lam[None, :])
-    cutoff = rel_tol * max(float(lam[0]), 0.0)
-    factor = np.zeros_like(pair)
-    kept = pair > cutoff
-    factor[kept] = 1.0 / np.sqrt(pair[kept])
+    v = eig.vectors
+    factor = _pair_factor(eig.values, rel_tol)
 
     def half_pinv_apply(m: np.ndarray) -> np.ndarray:
         w = v.T @ m @ v
@@ -240,12 +263,7 @@ def second_moment_transition(
         a_i = eye - eta * inst.hessians[i]
         q_mix += (p / n) * kron(a_i, a_i)
     # Form 3: I - 2*eta*C + eta^2*D.
-    c = 0.5 * kron_sum(hbar, hbar)
-    kron_self = np.zeros((d * d, d * d))
-    for i in range(n):
-        kron_self += kron(inst.hessians[i], inst.hessians[i])
-    kron_self /= n
-    dmat = (1.0 - p) * kron(hbar, hbar) + p * kron_self
+    c, dmat = _dense_curvature(inst, p)
     q_cd = np.eye(d * d) - 2.0 * eta * c + eta * eta * dmat
     scale = max(1.0, float(np.max(np.abs(q_mix))))
     for other, name in ((q_dev, "deviation"), (q_cd, "quadratic")):
@@ -305,14 +323,8 @@ def variance_threshold(
         dense = inst.d <= DENSE_CAP
     p = mixing_weight(inst.n, batch)
     if dense:
-        hbar = mean_hessian(inst)
-        c = 0.5 * kron_sum(hbar, hbar)
-        kron_self = np.zeros((inst.d**2, inst.d**2))
-        for i in range(inst.n):
-            kron_self += kron(inst.hessians[i], inst.hessians[i])
-        kron_self /= inst.n
-        dmat = (1.0 - p) * kron(hbar, hbar) + p * kron_self
-        lam = _generalized_sharpness_dense(c, dmat, rel_tol)
+        _, dmat = _dense_curvature(inst, p)
+        lam = _generalized_sharpness_dense(mean_hessian(inst), dmat, rel_tol)
     else:
         lam = _generalized_sharpness_operator(inst, p, rel_tol)
     if lam <= 0:
@@ -350,13 +362,22 @@ def necessary_bound_trace(inst: ProblemInstance, batch: int) -> float:
     return 2.0 * tr / denom
 
 
-def _rank_one_objective(v: np.ndarray, hessians: np.ndarray, hbar: np.ndarray, p: float):
-    a = float(v @ hbar @ v)
-    quads = np.einsum("i,nij,j->n", v, hessians, v)
-    dev = quads - a
-    g = float(np.mean(dev * dev))
-    value = a + p * g / a
-    return value, a, dev, g
+def _rank_one_terms(vt: np.ndarray, flat_h: np.ndarray, hbar: np.ndarray):
+    """H_i v, Hbar v and a = v'Hbar v for every start v, a column of vt.
+
+    One GEMM gives all H_i v: flat_h is the (n*d, d) stack of the H_i.
+    """
+    d, s = vt.shape
+    hiv = (flat_h @ vt).reshape(-1, d, s)
+    hv = hbar @ vt
+    a = np.einsum("is,is->s", vt, hv)
+    return hiv, hv, a
+
+
+def _rank_one_value(vt: np.ndarray, hiv: np.ndarray, a: np.ndarray, p: float):
+    dev = np.einsum("is,nis->ns", vt, hiv) - a
+    g = np.mean(dev * dev, axis=0)
+    return a + p * g / a, dev, g
 
 
 def rank_one_bound(
@@ -372,56 +393,65 @@ def rank_one_bound(
     Maximizes  f(v) = v'Hbar v + p * mean_i (v'H_i v - v'Hbar v)^2 / (v'Hbar v)
     over the unit sphere by geodesic gradient ascent with a decaying step
     schedule, multi-started from the top eigenvector of Hbar plus seeded
-    random directions.  Geodesic arc lengths are scaled by 1/lambda_max
-    so the iterate sequence is exactly equivariant under rescaling all
-    Hessians.  Returns (best value, maximizer).
+    random directions.  The starts advance together as the columns of one
+    (d, n_starts) block; a start stops for good when its tangent gradient
+    vanishes or it collapses into the null space of Hbar.  Geodesic arc
+    lengths are scaled by 1/lambda_max so the iterate sequence is exactly
+    equivariant under rescaling all Hessians.  Returns (best value,
+    maximizer), the first strict maximum in (start, step) order.
     """
     eig = sym_eig(mean_hessian(inst))
     lam = float(eig.values[0])
     if lam <= 0:
         raise ValueError("mean Hessian has no positive eigenvalue")
     hbar = mean_hessian(inst)
-    p = mixing_weight(inst.n, batch)
+    n, d = inst.n, inst.d
+    p = mixing_weight(n, batch)
     _, p_range = null_projectors(hbar, rel_tol=rel_tol)
     rng = stream(seed, index=1)
     starts = [eig.vectors[:, 0]]
     while len(starts) < n_starts:
-        z = p_range @ rng.standard_normal(inst.d)
+        z = p_range @ rng.standard_normal(d)
         nz = np.linalg.norm(z)
         if nz > 1e-8:
             starts.append(z / nz)
     gamma0 = 0.1
     schedule_k = max(1, steps // 10)
     floor = rel_tol * lam
-    best_value = -math.inf
-    best_v = starts[0]
-    for v0 in starts:
-        v = v0.copy()
-        value, a, dev, g = _rank_one_objective(v, inst.hessians, hbar, p)
-        if a <= floor:
-            continue
-        if value > best_value:
-            best_value, best_v = value, v.copy()
-        for k in range(steps):
-            hv = hbar @ v
-            hiv = np.einsum("nij,j->ni", inst.hessians, v)
-            grad = 2.0 * (1.0 - p * g / (a * a)) * hv + (4.0 * p / a) * np.einsum("n,ni->i", dev / inst.n, hiv - hv)
-            r = grad - float(grad @ v) * v
-            nr = np.linalg.norm(r)
-            if nr <= 1e-15 * max(1.0, abs(value)):
+    flat_h = inst.hessians.reshape(n * d, d)
+    best_value = np.full(n_starts, -math.inf)
+    best_v = np.array(starts)
+    # Column j of vt is the iterate of start lanes[j]; stopped starts are dropped.
+    # Pass k = -1 only evaluates the starts themselves.
+    lanes = np.arange(n_starts)
+    vt = best_v.T.copy()
+    hiv, hv, a = _rank_one_terms(vt, flat_h, hbar)
+    for k in range(-1, steps):
+        if k >= 0:
+            grad = 2.0 * (1.0 - p * g / (a * a)) * hv + (4.0 * p / a) * np.einsum("ns,nis->is", dev / n, hiv - hv)
+            r = grad - np.einsum("is,is->s", grad, vt) * vt
+            nr = np.linalg.norm(r, axis=0)
+            moving = ~(nr <= 1e-15 * np.maximum(1.0, np.abs(value)))
+            lanes, vt, r, nr = lanes[moving], vt[:, moving], r[:, moving], nr[moving]
+            if lanes.size == 0:
                 break
             gamma = gamma0 / (1.0 + k / schedule_k)
             theta = gamma * nr / lam
-            v = math.cos(theta) * v + math.sin(theta) * (r / nr)
-            v /= np.linalg.norm(v)
-            value, a, dev, g = _rank_one_objective(v, inst.hessians, hbar, p)
-            if a <= floor:
-                break
-            if value > best_value:
-                best_value, best_v = value, v.copy()
-    if not math.isfinite(best_value):
+            vt = np.cos(theta) * vt + np.sin(theta) * (r / nr)
+            vt /= np.linalg.norm(vt, axis=0)
+            hiv, hv, a = _rank_one_terms(vt, flat_h, hbar)
+        alive = ~(a <= floor)
+        lanes, vt, hiv, hv, a = lanes[alive], vt[:, alive], hiv[:, :, alive], hv[:, alive], a[alive]
+        if lanes.size == 0:
+            break
+        value, dev, g = _rank_one_value(vt, hiv, a, p)
+        better = value > best_value[lanes]
+        best_value[lanes[better]] = value[better]
+        best_v[lanes[better]] = vt[:, better].T
+    if not np.any(np.isfinite(best_value)):
         raise ValueError("all starts collapsed into the null space of the mean Hessian")
-    return best_value, best_v
+    best = int(np.argmax(best_value))
+    return float(best_value[best]), best_v[best].copy()
 
 
 def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +24,14 @@ from sgdstab import (
     stability_verdict,
     variance_threshold,
 )
-from sgdstab.linalg import kron, kron_sum, null_projectors
-from sgdstab.stability import projected_transition_lambda_max
+from sgdstab.instances import stream
+from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, kron_sum, null_projectors, sqrt_pinv_psd, sym_eig, symmetrize
+from sgdstab.stability import (
+    _dense_curvature,
+    _generalized_sharpness_dense,
+    _generalized_sharpness_operator,
+    projected_transition_lambda_max,
+)
 
 RNG = np.random.default_rng(777)
 
@@ -358,6 +365,174 @@ class TestRankOneBound:
         b = rank_one_bound(inst, 1, seed=4)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
+
+
+def _reference_rank_one(inst, batch, steps=2000, seed=0, n_starts=8, rel_tol=DEFAULT_RANK_RTOL):
+    """The per-start ascent loop that rank_one_bound replaced, kept as an oracle.
+
+    Returns (best value, maximizer, counts of starts that stopped on a
+    vanishing gradient and that collapsed into the null space).
+    """
+    eig = sym_eig(mean_hessian(inst))
+    lam = float(eig.values[0])
+    if lam <= 0:
+        raise ValueError("mean Hessian has no positive eigenvalue")
+    hbar = mean_hessian(inst)
+    p = mixing_weight(inst.n, batch)
+    _, p_range = null_projectors(hbar, rel_tol=rel_tol)
+    rng = stream(seed, index=1)
+    starts = [eig.vectors[:, 0]]
+    while len(starts) < n_starts:
+        z = p_range @ rng.standard_normal(inst.d)
+        nz = np.linalg.norm(z)
+        if nz > 1e-8:
+            starts.append(z / nz)
+
+    def objective(v):
+        a = float(v @ hbar @ v)
+        dev = np.einsum("i,nij,j->n", v, inst.hessians, v) - a
+        g = float(np.mean(dev * dev))
+        return a + p * g / a, a, dev, g
+
+    schedule_k = max(1, steps // 10)
+    floor = rel_tol * lam
+    best_value, best_v = -math.inf, starts[0]
+    stopped = collapsed = 0
+    for v0 in starts:
+        v = v0.copy()
+        value, a, dev, g = objective(v)
+        if a <= floor:
+            collapsed += 1
+            continue
+        if value > best_value:
+            best_value, best_v = value, v.copy()
+        for k in range(steps):
+            hv = hbar @ v
+            hiv = np.einsum("nij,j->ni", inst.hessians, v)
+            grad = 2.0 * (1.0 - p * g / (a * a)) * hv + (4.0 * p / a) * np.einsum("n,ni->i", dev / inst.n, hiv - hv)
+            r = grad - float(grad @ v) * v
+            nr = np.linalg.norm(r)
+            if nr <= 1e-15 * max(1.0, abs(value)):
+                stopped += 1
+                break
+            theta = 0.1 / (1.0 + k / schedule_k) * nr / lam
+            v = math.cos(theta) * v + math.sin(theta) * (r / nr)
+            v /= np.linalg.norm(v)
+            value, a, dev, g = objective(v)
+            if a <= floor:
+                collapsed += 1
+                break
+            if value > best_value:
+                best_value, best_v = value, v.copy()
+    if not math.isfinite(best_value):
+        raise ValueError("all starts collapsed into the null space of the mean Hessian")
+    return best_value, best_v, stopped, collapsed
+
+
+def _rank_one_objective(inst, batch, v):
+    hbar = mean_hessian(inst)
+    a = float(v @ hbar @ v)
+    dev = np.einsum("i,nij,j->n", v, inst.hessians, v) - a
+    return a + mixing_weight(inst.n, batch) * float(np.mean(dev * dev)) / a
+
+
+class TestBatchedRankOneAscent:
+    # (instance, batch, rel_tol, starts that stop early, starts that collapse)
+    CASES = {
+        "some-stop-early-b1": (lambda: gen_interpolating(3, 4, 1, 2), 1, DEFAULT_RANK_RTOL, 6, 0),
+        "all-stop-early-b1": (lambda: gen_interpolating(3, 5, 2, 62), 1, DEFAULT_RANK_RTOL, 8, 0),
+        "batch-equals-n": (lambda: gen_regular(4, 6, 2, 1.0, False, 5), 6, DEFAULT_RANK_RTOL, 1, 0),
+        "rank-deficient-interpolating": (lambda: gen_interpolating(4, 3, 1, 3), 1, DEFAULT_RANK_RTOL, 6, 0),
+        "some-collapse": (lambda: gen_interpolating(5, 6, 1, 8), 1, 0.8, 5, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_start_loop(self, case):
+        make, batch, rel_tol, want_stopped, want_collapsed = self.CASES[case]
+        inst = make()
+        ref_value, ref_v, stopped, collapsed = _reference_rank_one(inst, batch, rel_tol=rel_tol)
+        # The case exercises the lane masks it is named for.
+        assert (stopped, collapsed) == (want_stopped, want_collapsed)
+        value, v = rank_one_bound(inst, batch, rel_tol=rel_tol)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        assert _rank_one_objective(inst, batch, v) == pytest.approx(value, rel=1e-12, abs=0.0)
+        # f is flat to second order at a maximum, so the best step is picked
+        # among iterates whose values tie to rounding; those lie within about
+        # sqrt(machine eps) of each other, and starts that reach +v and -v tie.
+        assert min(np.linalg.norm(v - ref_v), np.linalg.norm(v + ref_v)) <= 1e-7
+
+    def test_d1_every_start_stops_at_once(self, scalar_pair):
+        ref_value, ref_v, stopped, _ = _reference_rank_one(scalar_pair, 1)
+        assert stopped == 8
+        value, v = rank_one_bound(scalar_pair, 1)
+        assert value == ref_value
+        assert abs(v[0]) == abs(ref_v[0])
+
+    def test_all_starts_collapsing_raises(self):
+        # A floor above lambda_max collapses the only start, the top eigenvector.
+        inst = gen_interpolating(3, 5, 2, 62)
+        with pytest.raises(ValueError, match="all starts collapsed"):
+            _reference_rank_one(inst, 1, n_starts=1, rel_tol=2.0)
+        with pytest.raises(ValueError, match="all starts collapsed"):
+            rank_one_bound(inst, 1, n_starts=1, rel_tol=2.0)
+
+    def test_masked_lanes_raise_no_warning(self, scalar_pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # d=1 has an exactly zero tangent gradient; rel_tol=0.8 collapses lanes mid-ascent.
+            rank_one_bound(scalar_pair, 1)
+            rank_one_bound(gen_interpolating(3, 4, 1, 2), 1)
+            rank_one_bound(gen_interpolating(5, 6, 1, 8), 1, rel_tol=0.8)
+
+
+def _congruence_reference(inst, batch, rel_tol=DEFAULT_RANK_RTOL):
+    """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ with (C^{1/2})^+ from a d^2 eigendecomposition."""
+    c, dmat = _dense_curvature(inst, mixing_weight(inst.n, batch))
+    half_pinv = sqrt_pinv_psd(c, rel_tol=rel_tol)
+    lam = float(sym_eig(symmetrize(half_pinv @ dmat @ half_pinv)).values[0])
+    return max(lam, 0.0)
+
+
+class TestDenseThresholdEigenbasis:
+    CASES = {
+        "regular": lambda: gen_regular(5, 7, 2, 1.0, False, 31),
+        "interpolating": lambda: gen_interpolating(4, 6, 2, 77),
+        "rank-deficient": lambda: gen_interpolating(4, 3, 1, 3),
+        "regular-null-gradients": lambda: gen_regular(6, 2, 2, 1.0, True, 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_sqrt_pinv_congruence(self, case):
+        inst = self.CASES[case]()
+        for b in range(1, inst.n + 1):
+            _, dmat = _dense_curvature(inst, mixing_weight(inst.n, b))
+            got = _generalized_sharpness_dense(mean_hessian(inst), dmat, DEFAULT_RANK_RTOL)
+            assert got == pytest.approx(_congruence_reference(inst, b), rel=1e-12, abs=0.0)
+
+    def test_rank_deficient_case_is_rank_deficient(self):
+        assert np.linalg.matrix_rank(mean_hessian(self.CASES["rank-deficient"]())) < 4
+
+    def test_d1(self, scalar_pair):
+        for b in (1, 2):
+            _, dmat = _dense_curvature(scalar_pair, mixing_weight(2, b))
+            got = _generalized_sharpness_dense(mean_hessian(scalar_pair), dmat, DEFAULT_RANK_RTOL)
+            assert got == pytest.approx(_congruence_reference(scalar_pair, b), rel=1e-12, abs=0.0)
+
+    def test_d24_matches_operator_path(self):
+        inst = gen_regular(24, 16, 4, 1.0, False, 3)
+        p = mixing_weight(inst.n, 1)
+        _, dmat = _dense_curvature(inst, p)
+        got = _generalized_sharpness_dense(mean_hessian(inst), dmat, DEFAULT_RANK_RTOL)
+        assert got == pytest.approx(_generalized_sharpness_operator(inst, p, DEFAULT_RANK_RTOL), rel=1e-12, abs=0.0)
+        assert got == pytest.approx(_congruence_reference(inst, 1), rel=1e-12, abs=0.0)
+
+    def test_non_psd_c_raises(self):
+        hbar = np.diag([1.0, -0.5])
+        dmat = kron(hbar, hbar)
+        with pytest.raises(ValueError, match="not PSD"):
+            sqrt_pinv_psd(0.5 * kron_sum(hbar, hbar))
+        with pytest.raises(ValueError, match="not PSD"):
+            _generalized_sharpness_dense(hbar, dmat, DEFAULT_RANK_RTOL)
 
 
 class TestMixtureTransition:
