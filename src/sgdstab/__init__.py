@@ -27,9 +27,9 @@ from .linalg import (
     LinearOperator,
     kron,
     kron_sum,
+    lanczos_lambda_max,
     null_projectors,
     pinv_psd,
-    power_lambda_max,
     sym_eig,
     unvec,
     vec,

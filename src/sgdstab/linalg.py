@@ -1,6 +1,6 @@
 """Dense linear algebra kit: Kronecker products and sums, vectorization,
 symmetric eigendecompositions, PSD pseudoinverses, null-space projectors,
-and a matrix-free power iteration for large self-adjoint operators.
+and a matrix-free Lanczos eigensolver for self-adjoint operators.
 
 All routines work on plain float64 numpy arrays.  Matrices fed to the
 symmetric routines are symmetrized up front, so callers never have to
@@ -9,6 +9,7 @@ worry about roundoff asymmetry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,6 +18,9 @@ import numpy as np
 # Single knob for "when is an eigenvalue zero"; every null-space decision
 # in the package flows through this default.
 DEFAULT_RANK_RTOL = 1e-10
+
+# Rows added to the Lanczos basis each time it fills up.
+_LANCZOS_CHUNK = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -181,55 +185,53 @@ def _check_self_adjoint(op: LinearOperator, rng: np.random.Generator, n_probes: 
             raise ValueError(f"operator is not self-adjoint on probes: {a!r} vs {b!r}")
 
 
-def power_lambda_max(op: LinearOperator, tol: float = 1e-12, max_iter: int = 100_000, seed: int = 0) -> float:
-    """Largest (signed) eigenvalue of a self-adjoint operator by power iteration.
+def lanczos_lambda_max(op: LinearOperator, tol: float = 1e-12, max_iter: int = 1000, seed: int = 0) -> float:
+    """Largest (signed) eigenvalue of a self-adjoint operator by Lanczos.
 
-    Runs two phases: first estimates the spectral radius rho by iterating
-    the squared map x -> op(op(x)) (always converges to rho^2 regardless
-    of eigenvalue signs), then iterates the PSD-shifted map op + sigma*I
-    with sigma slightly above rho, so the iteration converges to the top
-    of the spectrum rather than to the eigenvalue largest in magnitude.
-    Convergence is declared when successive Rayleigh quotients differ by
-    less than tol (relative to max(1, |estimate|)).
+    Single-vector Lanczos from a seeded Gaussian start, with full
+    reorthogonalization done twice per step ("twice is enough"; Golub &
+    Van Loan, ch. 10).  Step k stops when the Ritz residual
+    beta_k |s_k| of the largest Ritz value is at most tol times the
+    spectral scale max |theta| of the tridiagonal T_k, or when the Krylov
+    space is invariant (beta_k at roundoff level, or the basis spans the
+    whole space).  Returns the largest algebraic Ritz value.  The Krylov
+    basis grows in chunks, so a short solve allocates little whatever
+    max_iter is.  Raises ConvergenceError with the step count, the last
+    residual and the current estimate when max_iter steps do not suffice.
     """
     if op.in_dim != op.out_dim:
-        raise ValueError("power iteration requires a square operator")
+        raise ValueError("Lanczos requires a square operator")
     rng = np.random.default_rng(seed)
     _check_self_adjoint(op, rng)
-
-    x = rng.standard_normal(op.in_dim)
-    x /= np.linalg.norm(x)
-
-    # Phase 1: spectral-radius estimate from the squared operator.
-    rho_sq = 0.0
-    for _ in range(max_iter):
-        y = op(op(x))
-        ny = np.linalg.norm(y)
-        if ny < 1e-300:
-            return 0.0
-        new = float(x @ y)
-        x_new = y / ny
-        if abs(new - rho_sq) <= max(tol, 1e-9) * max(1.0, abs(new)):
-            rho_sq = new
-            x = x_new
-            break
-        rho_sq = new
-        x = x_new
-    sigma = np.sqrt(max(rho_sq, 0.0)) * (1.0 + 1e-3) + np.finfo(float).tiny
-
-    # Phase 2: shifted iteration toward the top of the spectrum.
-    x = rng.standard_normal(op.in_dim)
-    x /= np.linalg.norm(x)
-    estimate = None
-    for _ in range(max_iter):
-        y = op(x) + sigma * x
-        ny = np.linalg.norm(y)
-        if ny < 1e-300:
-            # op + sigma*I annihilates the iterate: top eigenvalue is -sigma.
-            return -sigma
-        new = float(x @ y) - sigma
-        x = y / ny
-        if estimate is not None and abs(new - estimate) <= tol * max(1.0, abs(new)):
-            return new
-        estimate = new
-    raise ConvergenceError(f"power iteration did not converge within {max_iter} iterations")
+    dim = op.in_dim
+    # beta_k below this share of the scale is roundoff left by the reorthogonalization.
+    breakdown = math.sqrt(dim) * np.finfo(float).eps
+    basis = np.empty((min(_LANCZOS_CHUNK, dim), dim))
+    q = rng.standard_normal(dim)
+    basis[0] = q / np.linalg.norm(q)
+    alpha: list[float] = []
+    beta: list[float] = []
+    estimate = resid = math.nan
+    for k in range(min(max_iter, dim)):
+        w = op(basis[k])
+        alpha.append(float(basis[k] @ w))
+        kept = basis[: k + 1]
+        for _ in range(2):
+            w = w - kept.T @ (kept @ w)
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        estimate = float(theta[-1])
+        scale = max(abs(float(theta[0])), abs(estimate))
+        resid = b * abs(float(s[-1, -1]))
+        if resid <= tol * scale or b <= breakdown * scale or k + 1 == dim:
+            return estimate
+        if k + 1 == basis.shape[0]:
+            grown = np.empty((min(basis.shape[0] + _LANCZOS_CHUNK, dim), dim))
+            grown[: k + 1] = basis
+            basis = grown
+        basis[k + 1] = w / b
+        beta.append(b)
+    raise ConvergenceError(
+        f"Lanczos did not converge within {max_iter} iterations "
+        f"(last residual {resid:.3e}, estimate {estimate!r})"
+    )

@@ -22,10 +22,13 @@ computed here through the symmetric congruence
 congruence is taken in the eigenbasis of Hbar = V diag(lam) V^T: there
 C is diagonal in the basis V kron V, with the pair means
 (lam_a + lam_b)/2 as entries, so (C^{1/2})^+ is an elementwise scaling.
-The mean (first-moment) threshold is 2 / lambda_max(Hbar).
+Its top eigenvalue comes from Lanczos on the congruence applied
+matrix-free, at every d.  The mean (first-moment) threshold is
+2 / lambda_max(Hbar).
 
-Dense d^2 x d^2 matrices are only formed for d <= DENSE_CAP; above that
-every operator is exposed matrix-free.
+curvature_operators and second_moment_transition return dense
+d^2 x d^2 matrices for d <= DENSE_CAP and matrix-free operators above
+it; the thresholds never form them.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .linalg import (
     LinearOperator,
     kron,
     kron_sum,
+    lanczos_lambda_max,
     null_projectors,
-    power_lambda_max,
     sym_eig,
     unvec,
     vec,
@@ -116,6 +119,7 @@ def curvature_operators(
         dense = d <= DENSE_CAP
     if dense and d > DENSE_CAP:
         raise ValueError(f"dense operators requested for d={d} > cap {DENSE_CAP}")
+    gen_sharp = _generalized_sharpness_operator(inst, p, rel_tol)
     if dense:
         c, dmat = _dense_curvature(inst, p)
         e = np.zeros((d * d, d * d))
@@ -127,7 +131,6 @@ def curvature_operators(
         defect = np.max(np.abs(dmat - (kron(hbar, hbar) + p * e)))
         if defect > 1e-10 * scale:
             raise ConvergenceError(f"curvature identity D = Hkron + p*E violated by {defect:.3e}")
-        gen_sharp = _generalized_sharpness_dense(hbar, dmat, rel_tol)
         return SpectralReport(
             hessian=hbar,
             curvature_sum=c,
@@ -149,7 +152,6 @@ def curvature_operators(
     mats_d = np.concatenate((hbar[None, :, :], inst.hessians), axis=0)
     d_op = _sandwich_operator(mats_d, weights_d, d)
     e_op = _sandwich_operator(inst.hessians - hbar, np.full(n, 1.0 / n), d)
-    gen_sharp = _generalized_sharpness_operator(inst, p, rel_tol)
     return SpectralReport(
         hessian=hbar,
         curvature_sum=c_op,
@@ -194,35 +196,29 @@ def _pair_factor(lam: np.ndarray, rel_tol: float) -> np.ndarray:
     return factor
 
 
-def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray, rel_tol: float) -> float:
-    eig = sym_eig(hbar)
-    factor = _pair_factor(eig.values, rel_tol).reshape(-1)
-    w = kron(eig.vectors, eig.vectors)
-    s = factor[:, None] * (w.T @ dmat @ w) * factor[None, :]
-    lam = float(sym_eig(s).values[0])
-    return lam if lam > 0 else 0.0
-
-
 def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: float) -> float:
-    d, n = inst.d, inst.n
-    hbar = mean_hessian(inst)
-    eig = sym_eig(hbar)
-    v = eig.vectors
-    factor = _pair_factor(eig.values, rel_tol)
+    """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ by Lanczos, matrix-free in Hbar's eigenbasis.
 
-    def half_pinv_apply(m: np.ndarray) -> np.ndarray:
-        w = v.T @ m @ v
-        return v @ (factor * w) @ v.T
+    With Hbar = V diag(lam) V^T and K_i = V^T H_i V the congruence acts on
+    a d x d argument M as F o ((1-p) Lam (F o M) Lam + (p/n) sum_i K_i (F o M) K_i),
+    F the pair factors and o the elementwise product.
+    """
+    d, n = inst.d, inst.n
+    eig = sym_eig(mean_hessian(inst))
+    lam = eig.values
+    factor = _pair_factor(lam, rel_tol)
+    k_all = eig.vectors.T @ inst.hessians @ eig.vectors
+    k_stack = k_all.reshape(n * d, d)
 
     def s_apply(u: np.ndarray) -> np.ndarray:
-        m = half_pinv_apply(unvec(u, d))
-        out = (1.0 - p) * (hbar @ m @ hbar)
-        for i in range(n):
-            out += (p / n) * (inst.hessians[i] @ m @ inst.hessians[i])
-        return vec(half_pinv_apply(out))
+        m = factor * u.reshape(d, d)
+        out = (1.0 - p) * (lam[:, None] * m * lam[None, :])
+        # K_i is symmetric, so sum_i K_i M K_i = [K_1; ...; K_n]^T @ [M K_1; ...; M K_n].
+        out += (p / n) * (k_stack.T @ (m @ k_all).reshape(n * d, d))
+        return (factor * out).reshape(-1)
 
     op = LinearOperator(in_dim=d * d, out_dim=d * d, apply=s_apply)
-    lam_s = power_lambda_max(op, tol=1e-13, max_iter=200_000, seed=7)
+    lam_s = lanczos_lambda_max(op, seed=7)
     return lam_s if lam_s > 0 else 0.0
 
 
@@ -303,6 +299,20 @@ def brute_force_transition(inst: ProblemInstance, eta: float, batch: int, cap: i
     return q / count
 
 
+def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray, rel_tol: float) -> float:
+    """Test oracle: lambda_max of (C^{1/2})^+ D (C^{1/2})^+ from a dense D.
+
+    D is rotated by V kron V and scaled by the pair factors, then one
+    d^2 x d^2 eigendecomposition gives the top eigenvalue.
+    """
+    eig = sym_eig(hbar)
+    factor = _pair_factor(eig.values, rel_tol).reshape(-1)
+    w = kron(eig.vectors, eig.vectors)
+    s = factor[:, None] * (w.T @ dmat @ w) * factor[None, :]
+    lam = float(sym_eig(s).values[0])
+    return lam if lam > 0 else 0.0
+
+
 def mean_threshold(inst: ProblemInstance) -> float:
     """First-moment stability threshold 2 / lambda_max(Hbar)."""
     lam = sharpness(inst)
@@ -311,22 +321,10 @@ def mean_threshold(inst: ProblemInstance) -> float:
     return 2.0 / lam
 
 
-def variance_threshold(
-    inst: ProblemInstance,
-    batch: int,
-    rel_tol: float = DEFAULT_RANK_RTOL,
-    dense: bool | None = None,
-) -> float:
+def variance_threshold(inst: ProblemInstance, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
     """Exact mean-square stability threshold 2 / lambda_max(pinv(C) D)."""
     _require_valid(inst, rel_tol)
-    if dense is None:
-        dense = inst.d <= DENSE_CAP
-    p = mixing_weight(inst.n, batch)
-    if dense:
-        _, dmat = _dense_curvature(inst, p)
-        lam = _generalized_sharpness_dense(mean_hessian(inst), dmat, rel_tol)
-    else:
-        lam = _generalized_sharpness_operator(inst, p, rel_tol)
+    lam = _generalized_sharpness_operator(inst, mixing_weight(inst.n, batch), rel_tol)
     if lam <= 0:
         return math.inf
     return 2.0 / lam

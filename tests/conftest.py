@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sgdstab import make_instance
+from sgdstab import LinearOperator, make_instance
 
 settings.register_profile(
     "ci",
@@ -39,3 +39,19 @@ def rank_one_walk():
     """
     h = np.diag([1.0, 0.0])
     return make_instance([h, h], [[0.0, 1.0], [0.0, -1.0]], label="rank-one-walk")
+
+
+@pytest.fixture
+def counting():
+    """Wrap a LinearOperator; the returned list gets one entry per application."""
+
+    def wrap(op):
+        applied = []
+
+        def apply(x):
+            applied.append(1)
+            return op.apply(x)
+
+        return LinearOperator(in_dim=op.in_dim, out_dim=op.out_dim, apply=apply), applied
+
+    return wrap

@@ -9,9 +9,9 @@ from sgdstab.linalg import (
     LinearOperator,
     kron,
     kron_sum,
+    lanczos_lambda_max,
     null_projectors,
     pinv_psd,
-    power_lambda_max,
     sqrt_pinv_psd,
     sym_eig,
     symmetrize,
@@ -197,50 +197,70 @@ class TestNullProjectors:
 
 
 class TestPowerIteration:
+    """lanczos_lambda_max, the top (signed) eigenvalue of a self-adjoint operator."""
+
     def test_diagonal(self):
         op = LinearOperator.from_matrix(np.diag([5.0, 1.0]))
-        assert power_lambda_max(op) == pytest.approx(5.0, abs=1e-8)
+        assert lanczos_lambda_max(op) == pytest.approx(5.0, abs=1e-8)
 
     def test_zero_operator(self):
         op = LinearOperator.from_matrix(np.zeros((3, 3)))
-        assert power_lambda_max(op) == pytest.approx(0.0, abs=1e-12)
+        assert lanczos_lambda_max(op) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_dominant_spectrum(self):
         # The dominant-in-magnitude eigenvalue is -5; the answer must be +1.
         op = LinearOperator.from_matrix(np.diag([-5.0, 1.0]))
-        assert power_lambda_max(op) == pytest.approx(1.0, abs=1e-8)
+        assert lanczos_lambda_max(op) == pytest.approx(1.0, abs=1e-8)
 
     def test_all_negative_spectrum(self):
         op = LinearOperator.from_matrix(np.diag([-5.0, -2.0]))
-        assert power_lambda_max(op) == pytest.approx(-2.0, abs=1e-7)
+        assert lanczos_lambda_max(op) == pytest.approx(-2.0, abs=1e-7)
 
     def test_exactly_paired_spectrum(self):
-        # Eigenvalues +-3 tie in magnitude; the unshifted iteration would
-        # stall on a mixed Rayleigh quotient, the shifted one must not.
+        # Eigenvalues +-3 tie in magnitude; the top of the spectrum is +3.
         op = LinearOperator.from_matrix(np.diag([3.0, -3.0, 1.0]))
-        assert power_lambda_max(op, seed=0) == pytest.approx(3.0, abs=1e-8)
+        assert lanczos_lambda_max(op, seed=0) == pytest.approx(3.0, abs=1e-8)
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         m = q @ np.diag([5.0, -5.0, 2.0, -1.0]) @ q.T
-        got = power_lambda_max(LinearOperator.from_matrix(m), seed=2)
+        got = lanczos_lambda_max(LinearOperator.from_matrix(m), seed=2)
         assert got == pytest.approx(5.0, abs=1e-8)
 
     def test_matches_dense_on_random_symmetric(self):
         for seed in range(5):
             m = random_symmetric(12, np.random.default_rng(seed))
             lam = float(np.max(np.linalg.eigvalsh(m)))
-            got = power_lambda_max(LinearOperator.from_matrix(m), seed=seed)
+            got = lanczos_lambda_max(LinearOperator.from_matrix(m), seed=seed)
             assert got == pytest.approx(lam, abs=max(1e-7, 1e-7 * abs(lam)))
 
     def test_rejects_non_self_adjoint(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            power_lambda_max(LinearOperator.from_matrix(m))
+            lanczos_lambda_max(LinearOperator.from_matrix(m))
 
     def test_max_iter_exhaustion(self):
-        op = LinearOperator.from_matrix(np.diag([1.0, 0.5]))
-        with pytest.raises(ConvergenceError):
-            power_lambda_max(op, tol=1e-16, max_iter=3)
+        # Lanczos is exact once the basis spans the space, so the operator is larger than the budget.
+        op = LinearOperator.from_matrix(np.diag(np.linspace(1.0, 2.0, 50)))
+        cause = r"within 3 iterations \(last residual \d\.\d{3}e[+-]\d+, estimate 1\.\d+"
+        with pytest.raises(ConvergenceError, match=cause):
+            lanczos_lambda_max(op, tol=1e-16, max_iter=3)
+
+    def test_breakdown_on_repeated_eigenvalue(self, counting):
+        # Two distinct eigenvalues span a 2-dimensional Krylov space: with no
+        # residual tolerance only the breakdown rule stops it inside the budget.
+        op, applied = counting(LinearOperator.from_matrix(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])))
+        assert lanczos_lambda_max(op, tol=0.0, max_iter=3) == pytest.approx(2.0, rel=1e-14)
+        assert len(applied) == 6 + 2  # three self-adjointness probes, then two Lanczos steps
+
+    def test_dimension_below_budget(self, counting):
+        m = random_symmetric(5, np.random.default_rng(11))
+        op, applied = counting(LinearOperator.from_matrix(m))
+        got = lanczos_lambda_max(op, tol=0.0, max_iter=1000)
+        assert got == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
+        assert len(applied) == 6 + 5
+
+    def test_d1(self):
+        assert lanczos_lambda_max(LinearOperator.from_matrix([[-3.5]])) == -3.5
 
     def test_operator_linearity_probes(self):
         m = random_symmetric(6)

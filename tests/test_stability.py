@@ -10,6 +10,7 @@ from sgdstab import (
     curvature_operators,
     gen_interpolating,
     gen_regular,
+    lanczos_lambda_max,
     make_instance,
     mean_hessian,
     mean_threshold,
@@ -17,7 +18,6 @@ from sgdstab import (
     mixture_transition,
     necessary_bound_eigvec,
     necessary_bound_trace,
-    power_lambda_max,
     rank_one_bound,
     second_moment_transition,
     sharpness,
@@ -162,7 +162,7 @@ class TestTransition:
     def test_operator_path_matches_dense(self, scalar_pair):
         op = second_moment_transition(scalar_pair, 0.5, 1, dense=False)
         assert isinstance(op, LinearOperator)
-        lam_op = power_lambda_max(op, seed=3)
+        lam_op = lanczos_lambda_max(op, seed=3)
         dense = second_moment_transition(scalar_pair, 0.5, 1)
         lam_dense = float(np.max(np.linalg.eigvalsh(dense)))
         assert lam_op == pytest.approx(lam_dense, abs=1e-7)
@@ -247,9 +247,9 @@ class TestThresholds:
 
     def test_dense_and_operator_paths_agree(self):
         inst = gen_interpolating(4, 6, 2, 77)
-        dense = variance_threshold(inst, 2, dense=True)
-        operator = variance_threshold(inst, 2, dense=False)
-        assert operator == pytest.approx(dense, rel=1e-6)
+        _, dmat = _dense_curvature(inst, mixing_weight(inst.n, 2))
+        dense = 2.0 / _generalized_sharpness_dense(mean_hessian(inst), dmat, DEFAULT_RANK_RTOL)
+        assert variance_threshold(inst, 2) == pytest.approx(dense, rel=1e-12)
 
     def test_identical_hessians_close_the_batch_gap(self):
         # With no curvature variance the batch noise term vanishes and the
@@ -268,6 +268,14 @@ class TestThresholds:
         # Single-sample: the dominant direction is carried by one Hessian,
         # whose squared curvature halves the threshold relative to GD.
         assert variance_threshold(inst, 1) == pytest.approx(0.5 * mean_threshold(inst), rel=1e-9)
+
+    def test_identical_hessians_beyond_dense_cap(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((60, 60))
+        inst = make_instance(np.stack([g @ g.T] * 4), np.zeros((4, 60)))
+        mt = mean_threshold(inst)
+        for b in range(1, 5):
+            assert variance_threshold(inst, b) == pytest.approx(mt, rel=1e-12)
 
     def test_operator_path_beyond_dense_cap(self):
         # d = 60 > DENSE_CAP: everything must run matrix-free, and the
@@ -525,6 +533,37 @@ class TestDenseThresholdEigenbasis:
         got = _generalized_sharpness_dense(mean_hessian(inst), dmat, DEFAULT_RANK_RTOL)
         assert got == pytest.approx(_generalized_sharpness_operator(inst, p, DEFAULT_RANK_RTOL), rel=1e-12, abs=0.0)
         assert got == pytest.approx(_congruence_reference(inst, 1), rel=1e-12, abs=0.0)
+
+    # d=24 with Hbar of rank 16: a Rayleigh-quotient stop rule was 2e-12 off here at B=1.
+    LANCZOS_CASES = {**CASES, "regular-d24-rank-16": lambda: gen_regular(24, 8, 2, 1.0, True, 11)}
+
+    @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+    def test_lanczos_matches_dense_oracle(self, case):
+        inst = self.LANCZOS_CASES[case]()
+        for b in range(1, inst.n + 1):
+            p = mixing_weight(inst.n, b)
+            _, dmat = _dense_curvature(inst, p)
+            want = _generalized_sharpness_dense(mean_hessian(inst), dmat, DEFAULT_RANK_RTOL)
+            assert _generalized_sharpness_operator(inst, p, DEFAULT_RANK_RTOL) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_lanczos_application_budget(self, counting, monkeypatch):
+        # Counts repeat exactly; a slower solver behind variance_threshold would exceed them.
+        import sgdstab.stability as stability_module
+
+        applied_per_solve = []
+
+        def counted_lanczos(op, **kwargs):
+            wrapped, applied = counting(op)
+            value = lanczos_lambda_max(wrapped, **kwargs)
+            applied_per_solve.append(len(applied))
+            return value
+
+        monkeypatch.setattr(stability_module, "lanczos_lambda_max", counted_lanczos)
+        inst = gen_regular(24, 16, 4, 1.0, False, 3)
+        for b in range(1, inst.n + 1):
+            variance_threshold(inst, b)
+        assert len(applied_per_solve) == inst.n
+        assert max(applied_per_solve) <= 60, applied_per_solve
 
     def test_non_psd_c_raises(self):
         hbar = np.diag([1.0, -0.5])
