@@ -59,6 +59,7 @@ from .stability import (
     StabilityVerdict,
     brute_force_transition,
     curvature_operators,
+    generalized_sharpness,
     mean_hessian,
     mean_threshold,
     mixture_transition,

@@ -130,7 +130,7 @@ def _cmd_analyze(args) -> int:
     eta_list = args.eta if args.eta else []
     verdict = stability.stability_verdict(inst, args.batch, eta_list)
     print(f"instance: {inst.label or args.instance} (d={inst.d}, n={inst.n})")
-    print(f"classification: {classify(inst).value}")
+    print(f"classification: {verdict.classification.value}")
     print(f"batch: {args.batch}  p: {_fmt(verdict.p)}")
     print(f"sharpness: {_fmt(2.0 / verdict.mean_threshold) if math.isfinite(verdict.mean_threshold) else '0'}")
     print(f"mean_threshold: {_fmt(verdict.mean_threshold)}")
@@ -169,10 +169,11 @@ def _cmd_sweep(args) -> int:
         grid = np.geomspace(args.eta_min, args.eta_max, args.eta_count)
     else:
         grid = np.linspace(args.eta_min, args.eta_max, args.eta_count)
+    stability.require_valid(inst)
     lam = stability.sharpness(inst)
     lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
     for b in sorted(args.batches):
-        report = stability.curvature_operators(inst, b)
+        gen_sharp = stability.generalized_sharpness(inst, b)
         rank_one_value, _ = stability.rank_one_bound(inst, b, steps=args.rank_one_steps, seed=args.seed)
         eig_value = 2.0 / stability.necessary_bound_eigvec(inst, b)
         for eta in grid:
@@ -180,7 +181,7 @@ def _cmd_sweep(args) -> int:
                 str(b),
                 _fmt(eta),
                 _fmt(2.0 / eta),
-                _fmt(report.generalized_sharpness),
+                _fmt(gen_sharp),
                 _fmt(rank_one_value),
                 _fmt(eig_value),
                 _fmt(lam),

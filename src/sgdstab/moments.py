@@ -52,7 +52,7 @@ from .linalg import (
     vec,
 )
 from .montecarlo import _fisher_yates_batches
-from .stability import ENUM_CAP, _dense_curvature, variance_threshold
+from .stability import ENUM_CAP, _dense_curvature, _projected_transition_dense, variance_threshold
 
 MC_VALIDATION_SAMPLES = 100_000
 # Float entries per Monte-Carlo validation chunk (about 1 MB of temporaries).
@@ -80,15 +80,6 @@ def point_state(x0, step: int = 0) -> MomentState:
     """Moment state of a deterministic initial offset x0."""
     x0 = np.asarray(x0, dtype=float)
     return MomentState(mean=x0.copy(), second_moment=np.outer(x0, x0), step=step)
-
-
-@dataclass(frozen=True)
-class GradientNoise:
-    """Second-moment structure of the per-sample gradients."""
-
-    sigma_g: np.ndarray  # (1/n) sum g_i g_i^T
-    sigma_g_perp: np.ndarray  # range-projected version
-    cross: np.ndarray  # E[v kron A], shape (d^2, d)
 
 
 def cross_term(
@@ -292,17 +283,6 @@ def asymptotic_quantities(
     return dist_sq, loss_gap, grad_sq
 
 
-def gradient_noise(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> GradientNoise:
-    """Bundle Sigma_g, its range projection, and the validated coupling."""
-    sigma_g = inst.gradient_second_moment()
-    _, p_range = null_projectors(inst.mean_hessian(), rel_tol=rel_tol)
-    return GradientNoise(
-        sigma_g=sigma_g,
-        sigma_g_perp=p_range @ sigma_g @ p_range,
-        cross=cross_term(inst, eta, batch),
-    )
-
-
 def top_mode_noise_overlap(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
     """Inner product between the top mode of the range-projected transition
     and the projected gradient noise, <z_max, vec(Sigma_g_perp)>.
@@ -312,16 +292,8 @@ def top_mode_noise_overlap(inst: ProblemInstance, eta: float, batch: int, rel_to
     decided by the generic argument.  Returned as an absolute value
     (eigenvector signs are arbitrary); reported, never enforced.
     """
-    n = inst.n
-    p = mixing_weight(n, batch)
-    hbar = inst.mean_hessian()
-    _, p_range = null_projectors(hbar, rel_tol=rel_tol)
-    q_proj = (1.0 - p) * kron(p_range - eta * hbar, p_range - eta * hbar)
-    for i in range(n):
-        m = p_range - eta * inst.hessians[i]
-        q_proj += (p / n) * kron(m, m)
-    eig = sym_eig(q_proj)
-    z_max = eig.vectors[:, 0]
+    z_max = sym_eig(_projected_transition_dense(inst, eta, batch, rel_tol)).vectors[:, 0]
+    _, p_range = null_projectors(inst.mean_hessian(), rel_tol=rel_tol)
     sigma_g_perp = p_range @ inst.gradient_second_moment() @ p_range
     return abs(float(z_max @ vec(sigma_g_perp)))
 

@@ -26,9 +26,14 @@ Its top eigenvalue comes from Lanczos on the congruence applied
 matrix-free, at every d.  The mean (first-moment) threshold is
 2 / lambda_max(Hbar).
 
-curvature_operators and second_moment_transition return dense
-d^2 x d^2 matrices for d <= DENSE_CAP and matrix-free operators above
-it; the thresholds never form them.
+The verdict's spectral check uses the same eigenbasis: there the range
+projector P of Hbar becomes a 0/1 diagonal and H_i becomes
+K_i = V^T H_i V, so the range-projected transition (P kron P) Q is
+applied matrix-free and its top eigenvalue comes from the same Lanczos
+solver.  The thresholds and the verdict never form a d^2 x d^2 matrix.
+curvature_operators and second_moment_transition return dense d^2 x d^2
+matrices for d <= DENSE_CAP and matrix-free operators above it; the
+dense builders also serve as test oracles.
 """
 
 from __future__ import annotations
@@ -98,9 +103,12 @@ def _sandwich_operator(mats: np.ndarray, weights: np.ndarray, d: int) -> LinearO
     return LinearOperator(in_dim=d * d, out_dim=d * d, apply=apply)
 
 
-def _require_valid(inst: ProblemInstance, rel_tol: float) -> None:
-    if classify(inst, rel_tol=rel_tol) is MinimumClass.INVALID:
+def require_valid(inst: ProblemInstance, rel_tol: float = DEFAULT_RANK_RTOL) -> MinimumClass:
+    """Classify the instance once; raise ValueError if it is not a valid minimum."""
+    kind = classify(inst, rel_tol=rel_tol)
+    if kind is MinimumClass.INVALID:
         raise ValueError("instance is not a regular or interpolating minimum")
+    return kind
 
 
 def curvature_operators(
@@ -110,7 +118,7 @@ def curvature_operators(
     dense: bool | None = None,
 ) -> SpectralReport:
     """Build C, D, E and both sharpness numbers for an instance and batch size."""
-    _require_valid(inst, rel_tol)
+    require_valid(inst, rel_tol)
     d, n = inst.d, inst.n
     p = mixing_weight(n, batch)
     hbar = mean_hessian(inst)
@@ -119,7 +127,7 @@ def curvature_operators(
         dense = d <= DENSE_CAP
     if dense and d > DENSE_CAP:
         raise ValueError(f"dense operators requested for d={d} > cap {DENSE_CAP}")
-    gen_sharp = _generalized_sharpness_operator(inst, p, rel_tol)
+    gen_sharp = generalized_sharpness(inst, batch, rel_tol)
     if dense:
         c, dmat = _dense_curvature(inst, p)
         e = np.zeros((d * d, d * d))
@@ -196,30 +204,49 @@ def _pair_factor(lam: np.ndarray, rel_tol: float) -> np.ndarray:
     return factor
 
 
-def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: float) -> float:
+def _hessian_eigenbasis(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, K) with Hbar = V diag(lam) V^T and K[i] = V^T H_i V."""
+    eig = sym_eig(mean_hessian(inst))
+    return eig.values, eig.vectors.T @ inst.hessians @ eig.vectors
+
+
+def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_i M_i m M_i over a stack of symmetric M_i: one batched matmul plus one GEMM."""
+    n, d, _ = mats.shape
+    # M_i is symmetric, so sum_i M_i m M_i = [M_1; ...; M_n]^T @ [m M_1; ...; m M_n].
+    return mats.reshape(n * d, d).T @ (m @ mats).reshape(n * d, d)
+
+
+def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: float, basis=None) -> float:
     """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ by Lanczos, matrix-free in Hbar's eigenbasis.
 
     With Hbar = V diag(lam) V^T and K_i = V^T H_i V the congruence acts on
     a d x d argument M as F o ((1-p) Lam (F o M) Lam + (p/n) sum_i K_i (F o M) K_i),
-    F the pair factors and o the elementwise product.
+    F the pair factors and o the elementwise product.  basis is the
+    (lam, K) of _hessian_eigenbasis, computed here when not given.
     """
+    lam, k_all = _hessian_eigenbasis(inst) if basis is None else basis
     d, n = inst.d, inst.n
-    eig = sym_eig(mean_hessian(inst))
-    lam = eig.values
     factor = _pair_factor(lam, rel_tol)
-    k_all = eig.vectors.T @ inst.hessians @ eig.vectors
-    k_stack = k_all.reshape(n * d, d)
 
     def s_apply(u: np.ndarray) -> np.ndarray:
         m = factor * u.reshape(d, d)
         out = (1.0 - p) * (lam[:, None] * m * lam[None, :])
-        # K_i is symmetric, so sum_i K_i M K_i = [K_1; ...; K_n]^T @ [M K_1; ...; M K_n].
-        out += (p / n) * (k_stack.T @ (m @ k_all).reshape(n * d, d))
+        out += (p / n) * _sandwich_sum(k_all, m)
         return (factor * out).reshape(-1)
 
     op = LinearOperator(in_dim=d * d, out_dim=d * d, apply=s_apply)
     lam_s = lanczos_lambda_max(op, seed=7)
     return lam_s if lam_s > 0 else 0.0
+
+
+def generalized_sharpness(inst: ProblemInstance, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
+    """lambda_max(pinv(C) D), the generalized sharpness, for one batch size.
+
+    The instance is not classified here: callers that need a valid minimum
+    check it once with require_valid, as variance_threshold does.
+    """
+    return _generalized_sharpness_operator(inst, mixing_weight(inst.n, batch), rel_tol)
 
 
 def second_moment_transition(
@@ -321,13 +348,14 @@ def mean_threshold(inst: ProblemInstance) -> float:
     return 2.0 / lam
 
 
+def _threshold(gen_sharp: float) -> float:
+    return math.inf if gen_sharp <= 0 else 2.0 / gen_sharp
+
+
 def variance_threshold(inst: ProblemInstance, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
     """Exact mean-square stability threshold 2 / lambda_max(pinv(C) D)."""
-    _require_valid(inst, rel_tol)
-    lam = _generalized_sharpness_operator(inst, mixing_weight(inst.n, batch), rel_tol)
-    if lam <= 0:
-        return math.inf
-    return 2.0 / lam
+    require_valid(inst, rel_tol)
+    return _threshold(generalized_sharpness(inst, batch, rel_tol))
 
 
 def necessary_bound_eigvec(inst: ProblemInstance, batch: int) -> float:
@@ -452,11 +480,13 @@ def rank_one_bound(
     return float(best_value[best]), best_v[best].copy()
 
 
-def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
-    """lambda_max of (P kron P) Q with P the range projector of Hbar.
+def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+    """Dense (P kron P) Q, P the range projector of Hbar, as the projected mixture sum
 
-    For PSD per-sample Hessians this matrix equals the projected mixture
-    sum, which is symmetric; it is below 1 exactly on 0 < eta < eta_var.
+        (1-p) (P - eta*Hbar) kron (P - eta*Hbar) + (p/n) sum_i (P - eta*H_i) kron (P - eta*H_i).
+
+    Test oracle for projected_transition_lambda_max; top_mode_noise_overlap
+    takes its top eigenvector.
     """
     d, n = inst.d, inst.n
     p = mixing_weight(n, batch)
@@ -466,7 +496,39 @@ def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: in
     for i in range(n):
         m = p_range - eta * inst.hessians[i]
         q_proj += (p / n) * kron(m, m)
-    return float(sym_eig(q_proj).values[0])
+    return q_proj
+
+
+def _projected_transition_in_basis(basis, eta: float, p: float, rel_tol: float) -> float:
+    """lambda_max of (P kron P) Q by Lanczos, matrix-free in Hbar's eigenbasis.
+
+    There P = diag(keep), keep marking the eigenvalues of Hbar above
+    rel_tol * lambda_max, and the operator maps X to
+    (1-p) (m m^T) o X + (p/n) sum_i M_i X M_i with m = keep - eta*lam and
+    M_i = diag(keep) - eta*K_i.
+    """
+    lam, k_all = basis
+    n, d, _ = k_all.shape
+    keep = (lam > rel_tol * max(float(lam[0]), 0.0)).astype(float)
+    m_bar = keep - eta * lam
+    full = (1.0 - p) * np.outer(m_bar, m_bar)
+    m_all = np.diag(keep) - eta * k_all
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        x = u.reshape(d, d)
+        return (full * x + (p / n) * _sandwich_sum(m_all, x)).reshape(-1)
+
+    return lanczos_lambda_max(LinearOperator(in_dim=d * d, out_dim=d * d, apply=apply), seed=7)
+
+
+def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
+    """lambda_max of (P kron P) Q with P the range projector of Hbar.
+
+    For PSD per-sample Hessians this matrix equals the projected mixture
+    sum, which is symmetric; it is below 1 exactly on 0 < eta < eta_var.
+    Solved by Lanczos in Hbar's eigenbasis without forming the matrix.
+    """
+    return _projected_transition_in_basis(_hessian_eigenbasis(inst), eta, mixing_weight(inst.n, batch), rel_tol)
 
 
 @dataclass(frozen=True)
@@ -478,6 +540,7 @@ class EtaVerdict:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    classification: MinimumClass
     mean_threshold: float
     variance_threshold: float
     bound_eigvec: float
@@ -498,13 +561,17 @@ def stability_verdict(
 ) -> StabilityVerdict:
     """Assemble all thresholds and bounds and classify each requested step size.
 
-    On the dense path this also cross-checks the spectral characterization:
+    For d <= DENSE_CAP this also cross-checks the spectral characterization:
     the projected transition has top eigenvalue below one exactly for
-    0 < eta < eta_var (up to a small margin around the threshold).
+    0 < eta < eta_var (up to a small margin around the threshold).  The
+    instance is classified once, and the Hessians are rotated into Hbar's
+    eigenbasis once for the threshold and every checked eta.
     """
-    _require_valid(inst, rel_tol)
+    kind = require_valid(inst, rel_tol)
+    p = mixing_weight(inst.n, batch)
+    basis = _hessian_eigenbasis(inst)
     eta_mean = mean_threshold(inst)
-    eta_var = variance_threshold(inst, batch, rel_tol=rel_tol)
+    eta_var = _threshold(_generalized_sharpness_operator(inst, p, rel_tol, basis))
     b_eig = necessary_bound_eigvec(inst, batch)
     b_tr = necessary_bound_trace(inst, batch)
     value, _ = rank_one_bound(inst, batch, steps=rank_one_steps, seed=seed, rel_tol=rel_tol)
@@ -515,12 +582,12 @@ def stability_verdict(
         if eta_var > bound * (1.0 + 1e-9):
             raise ConvergenceError(f"variance threshold {eta_var} exceeds necessary bound {name} = {bound}")
     rows = []
-    dense = inst.d <= DENSE_CAP
+    check = inst.d <= DENSE_CAP
     for eta in eta_list:
         eta = float(eta)
         rows.append(EtaVerdict(eta=eta, mean_stable=eta <= eta_mean, var_stable=eta <= eta_var))
-        if dense and eta > 0 and math.isfinite(eta_var) and abs(eta - eta_var) > 1e-6 * eta_var:
-            lam_proj = projected_transition_lambda_max(inst, eta, batch, rel_tol=rel_tol)
+        if check and eta > 0 and math.isfinite(eta_var) and abs(eta - eta_var) > 1e-6 * eta_var:
+            lam_proj = _projected_transition_in_basis(basis, eta, p, rel_tol)
             spectrally_stable = lam_proj < 1.0 - 1e-9
             if spectrally_stable != (eta < eta_var):
                 raise ConvergenceError(
@@ -528,12 +595,13 @@ def stability_verdict(
                     f"lambda_max={lam_proj} vs threshold {eta_var}"
                 )
     return StabilityVerdict(
+        classification=kind,
         mean_threshold=eta_mean,
         variance_threshold=eta_var,
         bound_eigvec=b_eig,
         bound_trace=b_tr,
         bound_rank_one=b_r1,
-        p=mixing_weight(inst.n, batch),
+        p=p,
         batch=batch,
         rows=tuple(rows),
     )

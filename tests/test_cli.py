@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
-from sgdstab import load_instance, save_instance
+import sgdstab.instances as instances
+import sgdstab.stability as stability
+from sgdstab import gen_regular, load_instance, make_instance, save_instance, variance_threshold
 from sgdstab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -128,6 +132,70 @@ class TestSweep:
             ["sweep", scalar_pair_file, "--batches", "1", "--eta-min", "0.1", "--eta-max", "0.5", "--eta-count", "0", "--out", str(tmp_path / "x.csv")]
         )
         assert code == EXIT_USAGE
+
+
+def _sweep_argv(path, out, thr):
+    return ["sweep", str(path), "--batches", "1", "2", "--eta-min", repr(0.5 * thr), "--eta-max", repr(1.2 * thr),
+            "--eta-count", "3", "--rank-one-steps", "20", "--out", str(out)]
+
+
+class TestProductionPaths:
+    """analyze and sweep classify the instance once and form no d^2 x d^2 matrix."""
+
+    @pytest.mark.parametrize("d", [24, stability.DENSE_CAP])
+    def test_no_dense_matrix(self, d, tmp_path, monkeypatch):
+        inst = gen_regular(d, 6, 4, 1.0, False, d)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        thr = variance_threshold(inst, 2)
+        etas = [repr(f * thr) for f in (0.5, 0.9, 1.2)]
+
+        def forbidden(*args):
+            raise AssertionError("a d^2 x d^2 matrix was formed")
+
+        monkeypatch.setattr(stability, "kron", forbidden)
+        monkeypatch.setattr(stability, "kron_sum", forbidden)
+        solves = []
+        true_lanczos = stability.lanczos_lambda_max
+
+        def counted(op, **kwargs):
+            solves.append(op.in_dim)
+            return true_lanczos(op, **kwargs)
+
+        monkeypatch.setattr(stability, "lanczos_lambda_max", counted)
+        assert main(["analyze", str(path), "--batch", "2", "--eta", *etas, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        # The threshold solve, then the spectral check at each eta: it still runs at the cap.
+        assert solves == [d * d] * (1 + len(etas))
+        assert main(_sweep_argv(path, tmp_path / "s.csv", thr)) == EXIT_OK
+
+    def test_classifies_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        true_classify = instances.classify
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return true_classify(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sgdstab") and getattr(module, "classify", None) is true_classify:
+                monkeypatch.setattr(module, "classify", counted)
+        inst = gen_regular(4, 5, 3, 1.0, False, 9)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        thr = variance_threshold(inst, 2)
+        calls.clear()
+        assert main(["analyze", str(path), "--batch", "2", "--eta", repr(0.5 * thr), repr(1.5 * thr)]) == EXIT_OK
+        assert "classification: regular" in capsys.readouterr().out
+        assert len(calls) == 1
+        calls.clear()
+        assert main(_sweep_argv(path, tmp_path / "s.csv", thr)) == EXIT_OK
+        assert len(calls) == 1
+        capsys.readouterr()
+        invalid = tmp_path / "invalid.json"
+        save_instance(make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]]), invalid)
+        for argv in (["analyze", str(invalid), "--batch", "1"], _sweep_argv(invalid, tmp_path / "x.csv", 1.0)):
+            assert main(argv) == EXIT_INPUT
+            assert "not a regular or interpolating minimum" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sgdstab import (
+    ConvergenceError,
     LinearOperator,
+    MinimumClass,
     brute_force_transition,
     curvature_operators,
     gen_interpolating,
@@ -30,6 +32,8 @@ from sgdstab.stability import (
     _dense_curvature,
     _generalized_sharpness_dense,
     _generalized_sharpness_operator,
+    _projected_transition_dense,
+    generalized_sharpness,
     projected_transition_lambda_max,
 )
 
@@ -643,11 +647,77 @@ class TestVerdict:
         lam_module = projected_transition_lambda_max(inst, eta, 1)
         assert lam_module == pytest.approx(lam_direct, abs=1e-10)
 
+    def test_classifies_once(self, monkeypatch):
+        import sgdstab.instances as instances_module
+        import sgdstab.stability as stability_module
+
+        calls = []
+        true_classify = instances_module.classify
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return true_classify(*args, **kwargs)
+
+        inst = gen_regular(4, 5, 3, 1.0, False, 2)
+        etas = [0.5 * variance_threshold(inst, 2), 1.5 * variance_threshold(inst, 2)]
+        monkeypatch.setattr(stability_module, "classify", counted)
+        verdict = stability_verdict(inst, 2, etas, rank_one_steps=50)
+        assert len(calls) == 1
+        assert verdict.classification is MinimumClass.REGULAR
+        invalid = make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]])
+        with pytest.raises(ValueError, match="not a regular or interpolating minimum"):
+            stability_verdict(invalid, 1, [0.1])
+
+    def test_generalized_sharpness_matches_threshold(self):
+        inst = gen_regular(5, 6, 3, 1.0, False, 12)
+        for b in range(1, inst.n + 1):
+            assert 2.0 / generalized_sharpness(inst, b) == variance_threshold(inst, b)
+            assert curvature_operators(inst, b).generalized_sharpness == generalized_sharpness(inst, b)
+
     def test_verdict_runs_on_rank_deficient_regular_instance(self):
         inst = gen_regular(4, 3, 1, 1.0, True, 11)
         thr = variance_threshold(inst, 1)
         verdict = stability_verdict(inst, 1, np.linspace(0.1, 1.9, 9) * thr)
         assert verdict.variance_threshold == pytest.approx(thr, rel=1e-12)
+
+
+class TestProjectedTransitionLanczos:
+    """The matrix-free projected lambda_max against the dense (P kron P) Q oracle."""
+
+    CASES = {
+        "interpolating": lambda: gen_interpolating(5, 7, 2, 31),
+        "regular": lambda: gen_regular(6, 5, 3, 1.0, False, 8),
+        "rank-deficient-null-gradients": lambda: gen_regular(6, 4, 2, 1.0, True, 4),
+        "identical-hessians": lambda: make_instance(np.repeat(gen_interpolating(4, 1, 3, 2).hessians, 3, axis=0), np.zeros((3, 4))),
+        "d1": lambda: make_instance([[[1.0]], [[3.0]]], [[0.0], [0.0]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_dense_oracle(self, case):
+        inst = self.CASES[case]()
+        for b in sorted({1, max(1, inst.n // 2), inst.n}):
+            thr = variance_threshold(inst, b)
+            for factor in (0.3, 0.9, 1.1, 1.7):
+                eta = factor * thr
+                want = float(sym_eig(_projected_transition_dense(inst, eta, b)).values[0])
+                got = projected_transition_lambda_max(inst, eta, b)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (b, factor)
+
+    def test_rank_deficient_case_is_rank_deficient(self):
+        assert np.linalg.matrix_rank(mean_hessian(self.CASES["rank-deficient-null-gradients"]())) < 6
+
+    def test_check_fires_on_a_wrong_threshold(self, monkeypatch):
+        # A solver 5% high puts the threshold below the true one; the spectral
+        # check must catch a step size between the two.
+        import sgdstab.stability as stability_module
+
+        inst = gen_interpolating(4, 6, 2, 71)
+        eta = 0.97 * variance_threshold(inst, 2)
+        stability_verdict(inst, 2, [eta], rank_one_steps=50)
+        true_solve = stability_module._generalized_sharpness_operator
+        monkeypatch.setattr(stability_module, "_generalized_sharpness_operator", lambda *a, **k: 1.05 * true_solve(*a, **k))
+        with pytest.raises(ConvergenceError, match="spectral characterization violated"):
+            stability_verdict(inst, 2, [eta], rank_one_steps=50)
 
 
 def verdict_free_threshold(inst):
