@@ -326,6 +326,7 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
     res_cons = PropertyResult("asymptotic-trace-consistency", 0, 0)
     res_walk = PropertyResult("null-walk-exact-slope", 0, 0)
     res_cross = PropertyResult("cross-term-enumeration", 0, 0)
+    res_cross_mc = PropertyResult("cross-term-monte-carlo", 0, 0)
     for _ in range(trials):
         d = int(rng.integers(2, 4))
         n = int(rng.integers(2, 6))
@@ -338,6 +339,11 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
             moments.cross_term(inst, hp.eta, b)
         except ConvergenceError:
             res_cross.failures += 1
+        res_cross_mc.trials += 1
+        try:
+            moments.cross_term(inst, hp.eta, b, enum_cap=0)
+        except ConvergenceError:
+            res_cross_mc.failures += 1
         res_fix.trials += 1
         limit = moments.covariance_limit(inst, hp)
         state = moments.iterate_moments(inst, hp, moments.point_state(np.zeros(d)), 6000)
@@ -366,7 +372,7 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         iterated = float(np.trace(p_null @ state_w.second_moment @ p_null))
         if abs(closed - iterated) > 1e-9 * max(1.0, abs(closed)):
             res_walk.failures += 1
-    return [res_fix, res_cons, res_walk, res_cross]
+    return [res_fix, res_cons, res_walk, res_cross, res_cross_mc]
 
 
 def _suite_mixture(seed: int, trials: int) -> list[PropertyResult]:

@@ -1,6 +1,7 @@
 """Dense linear algebra kit: Kronecker products and sums, vectorization,
 symmetric eigendecompositions, PSD pseudoinverses, null-space projectors,
-and a matrix-free Lanczos eigensolver for self-adjoint operators.
+a matrix-free Lanczos eigensolver for self-adjoint operators, and
+preconditioned conjugate gradients for positive definite ones.
 
 All routines work on plain float64 numpy arrays.  Matrices fed to the
 symmetric routines are symmetrized up front, so callers never have to
@@ -234,4 +235,56 @@ def lanczos_lambda_max(op: LinearOperator, tol: float = 1e-12, max_iter: int = 1
     raise ConvergenceError(
         f"Lanczos did not converge within {max_iter} iterations "
         f"(last residual {resid:.3e}, estimate {estimate!r})"
+    )
+
+
+def pcg(
+    op: LinearOperator,
+    b: np.ndarray,
+    precond: Callable[[np.ndarray], np.ndarray],
+    max_iter: int = 1000,
+) -> np.ndarray:
+    """Solve op(x) = b by preconditioned conjugate gradients from x = 0.
+
+    op must be self-adjoint positive definite and precond a positive
+    definite approximation of its inverse.  Stops when the recursively
+    updated residual satisfies ||r|| <= 1e-13 ||b||, then
+    recomputes the true residual ||b - op(x)|| and requires it to be at
+    most 1e-10 ||b||.  Raises ConvergenceError on non-positive curvature
+    p' op(p) <= 0 (op is not positive definite), on a true residual above
+    that bound, or with the iteration count and the last residual when
+    max_iter iterations do not suffice.
+    """
+    b = np.asarray(b, dtype=float)
+    b_norm = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    if b_norm == 0.0:
+        return x
+    r = b.copy()
+    z = precond(r)
+    direction = z.copy()
+    rz = float(r @ z)
+    resid = b_norm
+    for k in range(max_iter):
+        applied = op(direction)
+        curvature = float(direction @ applied)
+        if not curvature > 0.0:
+            raise ConvergenceError(f"conjugate gradients met non-positive curvature {curvature:.3e} at iteration {k + 1}")
+        alpha = rz / curvature
+        x += alpha * direction
+        r -= alpha * applied
+        resid = float(np.linalg.norm(r))
+        if resid <= 1e-13 * b_norm:
+            true_resid = float(np.linalg.norm(b - op(x)))
+            if true_resid > 1e-10 * b_norm:
+                raise ConvergenceError(
+                    f"conjugate gradients stopped at true residual {true_resid:.3e} (||b|| = {b_norm:.3e}) after {k + 1} iterations"
+                )
+            return x
+        z = precond(r)
+        rz_next = float(r @ z)
+        direction = z + (rz_next / rz) * direction
+        rz = rz_next
+    raise ConvergenceError(
+        f"conjugate gradients did not converge within {max_iter} iterations (last residual {resid:.3e}, ||b|| = {b_norm:.3e})"
     )

@@ -12,11 +12,11 @@ and the noise-contraction coupling has the closed form
 
     E[v kron A] = -eta^2 * p * (1/n) sum_i g_i kron H_i.
 
-That coupling is never trusted bare: it is validated against exhaustive
-batch enumeration whenever a stepper is built.  When enumeration is
-infeasible it is checked instead against MC_VALIDATION_SAMPLES seeded
-batches, drawn in chunks by vectorized partial Fisher-Yates, and must
-agree within five standard errors.
+cross_term checks that coupling against exhaustive batch enumeration,
+or, when enumeration is infeasible, against MC_VALIDATION_SAMPLES seeded
+batches drawn in chunks by vectorized partial Fisher-Yates, which must
+agree within five standard errors.  The tests and the verify command
+run that check; the stepper applies the closed form unchecked.
 
 One step costs one batched matmul and one GEMM: the sandwich
 sum_i A_i Sigma A_i^T is [A_1 ... A_n] times the stacked Sigma A_i^T.
@@ -24,11 +24,18 @@ sum_i A_i Sigma A_i^T is [A_1 ... A_n] times the stacked Sigma A_i^T.
 For step sizes below the mean-square threshold the range-projected
 second moment converges to
 
-    vec(Sigma_perp_inf) = eta * p * pinv(2C - eta*D) vec(Sigma_g_perp),
+    vec(Sigma_perp_inf) = eta * p * pinv(2C - eta*D) vec(Sigma_g_perp).
 
-from which the asymptotic squared distance, loss gap and squared
-gradient norm follow as inner products with vec(I), vec(Hbar)/2 and
-vec(Hbar^2).
+That system is solved matrix-free in the eigenbasis Hbar = V diag(lam) V^T,
+on the block of eigenvalues above rel_tol * lambda_max (for PSD H_i the
+pseudoinverse acts there alone): with K_i = V^T H_i V it reads
+
+    Lam X + X Lam - eta*((1-p) Lam X Lam + (p/n) sum_i K_i X K_i) = V^T Sigma_g V,
+
+and preconditioned conjugate gradients solve it with the diagonal of 2C,
+lam_a + lam_b, as preconditioner.  The asymptotic squared distance, loss
+gap and squared gradient norm are the traces of X weighted by 1, lam/2
+and lam^2.
 """
 
 from __future__ import annotations
@@ -44,15 +51,24 @@ from .instances import Hyperparams, MinimumClass, ProblemInstance, _fmt, classif
 from .linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
+    LinearOperator,
     kron,
     null_projectors,
+    pcg,
     sym_eig,
     symmetrize,
-    unvec,
     vec,
 )
 from .montecarlo import _fisher_yates_batches
-from .stability import ENUM_CAP, _dense_curvature, _projected_transition_dense, variance_threshold
+from .stability import (
+    ENUM_CAP,
+    _generalized_sharpness_operator,
+    _hessian_eigenbasis,
+    _projected_transition_dense,
+    _sandwich_sum,
+    _threshold,
+    require_valid,
+)
 
 MC_VALIDATION_SAMPLES = 100_000
 # Float entries per Monte-Carlo validation chunk (about 1 MB of temporaries).
@@ -152,7 +168,7 @@ def cross_term(
 class ExactStepper:
     """Precomputed one-step map for the moment recursion of one (inst, hp)."""
 
-    def __init__(self, inst: ProblemInstance, hp: Hyperparams, validate_cross: bool = True):
+    def __init__(self, inst: ProblemInstance, hp: Hyperparams):
         if classify(inst) is MinimumClass.INVALID:
             raise ValueError("instance is not a regular or interpolating minimum")
         self.inst = inst
@@ -166,10 +182,7 @@ class ExactStepper:
         self._a_wide = np.ascontiguousarray(a_all.transpose(1, 0, 2).reshape(d, n * d))
         self._a_all_t = np.ascontiguousarray(a_all.transpose(0, 2, 1))
         self.sigma_v = eta * eta * self.p * inst.gradient_second_moment()
-        if validate_cross:
-            # The coupling is applied in matrix form in step(); its closed
-            # form is only checked here.
-            cross_term(inst, eta, hp.batch)
+        # The coupling, the closed form of cross_term, in matrix form.
         self._coupling_scale = eta * eta * self.p / n
 
     def step(self, state: MomentState) -> MomentState:
@@ -234,34 +247,44 @@ def null_walk_second_moment(inst: ProblemInstance, hp: Hyperparams, t: int, init
     return base + t * slope
 
 
-def _limit_system(inst: ProblemInstance, hp: Hyperparams, rel_tol: float):
-    p = mixing_weight(inst.n, hp.batch)
-    hbar = inst.mean_hessian()
-    c, dmat = _dense_curvature(inst, p)
-    m = 2.0 * c - hp.eta * dmat
-    eig = sym_eig(m)
-    lam_max, lam_min = float(eig.values[0]), float(eig.values[-1])
-    if lam_min < -1e-8 * max(lam_max, 0.0):
-        raise ConvergenceError(f"2C - eta*D is not PSD (lambda_min = {lam_min:.3e})")
-    if lam_min < -rel_tol * lam_max:
-        raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
-    _, p_range = null_projectors(hbar, rel_tol=rel_tol)
-    sigma_g_perp = p_range @ inst.gradient_second_moment() @ p_range
-    # pinv(M) b = V (inv * (V^T b)), eigenvalues at or below rel_tol * lam_max dropped.
-    kept = eig.values > rel_tol * max(lam_max, 0.0)
-    inv = np.zeros_like(eig.values)
-    inv[kept] = 1.0 / eig.values[kept]
-    x = hp.eta * p * (eig.vectors @ (inv * (eig.vectors.T @ vec(sigma_g_perp))))
-    return x, hbar
+def _limit_solve(inst: ProblemInstance, hp: Hyperparams, rel_tol: float):
+    """(lam, V_r, X): the range-projected limit is V_r X V_r^T.
+
+    lam holds the eigenvalues of Hbar above rel_tol * lambda_max and V_r
+    their eigenvectors; X is eta * p times the conjugate-gradient solution
+    of the limit system in that eigenbasis.  Raises ValueError unless
+    0 < eta < eta_var.
+    """
+    require_valid(inst, rel_tol)
+    n = inst.n
+    eta = hp.eta
+    p = mixing_weight(n, hp.batch)
+    basis = _hessian_eigenbasis(inst)
+    thr = _threshold(_generalized_sharpness_operator(inst, p, rel_tol, basis))
+    if not 0.0 < eta < thr:
+        raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")
+    lam, k_all, vectors = basis
+    keep = lam > rel_tol * max(float(lam[0]), 0.0)
+    lam, v_r = lam[keep], vectors[:, keep]
+    k_r = k_all[:, keep][:, :, keep]
+    r = lam.size
+    pair = lam[:, None] + lam[None, :]
+    diagonal = pair - eta * (1.0 - p) * np.outer(lam, lam)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        m = u.reshape(r, r)
+        return (diagonal * m - (eta * p / n) * _sandwich_sum(k_r, m)).reshape(-1)
+
+    op = LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply)
+    rhs = v_r.T @ inst.gradient_second_moment() @ v_r
+    x = pcg(op, rhs.reshape(-1), lambda u: u / pair.reshape(-1))
+    return lam, v_r, eta * p * x.reshape(r, r)
 
 
 def covariance_limit(inst: ProblemInstance, hp: Hyperparams, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     """Limit of the range-projected second moment for 0 < eta < eta_var."""
-    thr = variance_threshold(inst, hp.batch, rel_tol=rel_tol)
-    if not 0.0 < hp.eta < thr:
-        raise ValueError(f"step size {hp.eta} outside the open stability interval (0, {thr})")
-    x, _ = _limit_system(inst, hp, rel_tol)
-    limit = symmetrize(unvec(x, inst.d))
+    _, v_r, x = _limit_solve(inst, hp, rel_tol)
+    limit = symmetrize(v_r @ x @ v_r.T)
     values = sym_eig(limit).values
     if float(values[-1]) < -1e-8 * max(float(values[0]), 1e-300):
         raise ConvergenceError(f"covariance limit is not PSD (lambda_min = {values[-1]:.3e})")
@@ -272,15 +295,9 @@ def asymptotic_quantities(
     inst: ProblemInstance, hp: Hyperparams, rel_tol: float = DEFAULT_RANK_RTOL
 ) -> tuple[float, float, float]:
     """Limits of E||x_perp||^2, the loss gap, and E||grad of the quadratic||^2."""
-    thr = variance_threshold(inst, hp.batch, rel_tol=rel_tol)
-    if not 0.0 < hp.eta < thr:
-        raise ValueError(f"step size {hp.eta} outside the open stability interval (0, {thr})")
-    x, hbar = _limit_system(inst, hp, rel_tol)
-    d = inst.d
-    dist_sq = float(vec(np.eye(d)) @ x)
-    loss_gap = 0.5 * float(vec(hbar) @ x)
-    grad_sq = float(vec(hbar @ hbar) @ x)
-    return dist_sq, loss_gap, grad_sq
+    lam, _, x = _limit_solve(inst, hp, rel_tol)
+    diag = np.diag(x)
+    return float(np.sum(diag)), 0.5 * float(lam @ diag), float((lam * lam) @ diag)
 
 
 def top_mode_noise_overlap(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:

@@ -204,10 +204,10 @@ def _pair_factor(lam: np.ndarray, rel_tol: float) -> np.ndarray:
     return factor
 
 
-def _hessian_eigenbasis(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, K) with Hbar = V diag(lam) V^T and K[i] = V^T H_i V."""
+def _hessian_eigenbasis(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, K, V) with Hbar = V diag(lam) V^T and K[i] = V^T H_i V."""
     eig = sym_eig(mean_hessian(inst))
-    return eig.values, eig.vectors.T @ inst.hessians @ eig.vectors
+    return eig.values, eig.vectors.T @ inst.hessians @ eig.vectors, eig.vectors
 
 
 def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -223,9 +223,9 @@ def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: fl
     With Hbar = V diag(lam) V^T and K_i = V^T H_i V the congruence acts on
     a d x d argument M as F o ((1-p) Lam (F o M) Lam + (p/n) sum_i K_i (F o M) K_i),
     F the pair factors and o the elementwise product.  basis is the
-    (lam, K) of _hessian_eigenbasis, computed here when not given.
+    (lam, K, V) of _hessian_eigenbasis, computed here when not given.
     """
-    lam, k_all = _hessian_eigenbasis(inst) if basis is None else basis
+    lam, k_all, _ = _hessian_eigenbasis(inst) if basis is None else basis
     d, n = inst.d, inst.n
     factor = _pair_factor(lam, rel_tol)
 
@@ -273,18 +273,14 @@ def second_moment_transition(
         weights = np.concatenate(([1.0 - p], np.full(n, p / n)))
         return _sandwich_operator(mats, weights, d)
 
-    eye = np.eye(d)
-    a_bar = eye - eta * hbar
+    a_bar = np.eye(d) - eta * hbar
     # Form 1: contraction plus weighted curvature deviations.
     q_dev = kron(a_bar, a_bar)
     for i in range(n):
         delta = inst.hessians[i] - hbar
         q_dev += (p * eta * eta / n) * kron(delta, delta)
     # Form 2: mixture of full-batch and single-sample contractions.
-    q_mix = (1.0 - p) * kron(a_bar, a_bar)
-    for i in range(n):
-        a_i = eye - eta * inst.hessians[i]
-        q_mix += (p / n) * kron(a_i, a_i)
+    q_mix = mixture_transition(inst, eta, p)
     # Form 3: I - 2*eta*C + eta^2*D.
     c, dmat = _dense_curvature(inst, p)
     q_cd = np.eye(d * d) - 2.0 * eta * c + eta * eta * dmat
@@ -507,7 +503,7 @@ def _projected_transition_in_basis(basis, eta: float, p: float, rel_tol: float) 
     (1-p) (m m^T) o X + (p/n) sum_i M_i X M_i with m = keep - eta*lam and
     M_i = diag(keep) - eta*K_i.
     """
-    lam, k_all = basis
+    lam, k_all, _ = basis
     n, d, _ = k_all.shape
     keep = (lam > rel_tol * max(float(lam[0]), 0.0)).astype(float)
     m_bar = keep - eta * lam

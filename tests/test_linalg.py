@@ -11,6 +11,7 @@ from sgdstab.linalg import (
     kron_sum,
     lanczos_lambda_max,
     null_projectors,
+    pcg,
     pinv_psd,
     sqrt_pinv_psd,
     sym_eig,
@@ -271,6 +272,52 @@ class TestPowerIteration:
         lhs = op(a * x + b * y)
         rhs = a * op(x) + b * op(y)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+
+
+class TestConjugateGradients:
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(5)
+        m = random_psd(30, rng=rng) + 0.1 * np.eye(30)
+        b = rng.standard_normal(30)
+        want = np.linalg.solve(m, b)
+        op = LinearOperator.from_matrix(m)
+        for precond in (lambda r: r, lambda r: r / np.diag(m)):
+            got = pcg(op, b, precond=precond)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_diagonal_preconditioner_is_exact_on_diagonal_operator(self, counting):
+        diag = np.linspace(1.0, 1e6, 40)
+        op, applied = counting(LinearOperator.from_matrix(np.diag(diag)))
+        b = np.arange(1.0, 41.0)
+        np.testing.assert_allclose(pcg(op, b, lambda r: r / diag), b / diag, rtol=1e-14)
+        assert len(applied) == 2  # one iteration, then the true-residual check
+
+    def test_zero_right_hand_side(self, counting):
+        op, applied = counting(LinearOperator.from_matrix(np.eye(3)))
+        assert not np.any(pcg(op, np.zeros(3), lambda r: r))
+        assert applied == []
+
+    def test_indefinite_operator_raises(self):
+        op = LinearOperator.from_matrix(np.diag([1.0, -1.0]))
+        with pytest.raises(ConvergenceError, match="non-positive curvature"):
+            pcg(op, np.array([1.0, 2.0]), lambda r: r)
+
+    def test_max_iter_exhaustion(self):
+        op = LinearOperator.from_matrix(np.diag(np.linspace(1.0, 100.0, 50)))
+        cause = r"within 3 iterations \(last residual \d\.\d{3}e[+-]\d+"
+        with pytest.raises(ConvergenceError, match=cause):
+            pcg(op, np.ones(50), lambda r: r, max_iter=3)
+
+    def test_true_residual_is_checked(self):
+        # An operator whose applications drift makes the recursive residual lie.
+        calls = []
+
+        def drifting(x):
+            calls.append(1)
+            return (1.0 + 1e-6 * len(calls)) * x
+
+        with pytest.raises(ConvergenceError, match="true residual"):
+            pcg(LinearOperator(in_dim=4, out_dim=4, apply=drifting), np.ones(4), lambda r: r)
 
 
 def test_symmetrize_enforces_symmetry():

@@ -1,8 +1,13 @@
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import sgdstab.moments as moments_module
+import sgdstab.stability as stability
 
 from sgdstab import (
     ConvergenceError,
@@ -19,9 +24,9 @@ from sgdstab import (
     point_state,
     variance_threshold,
 )
-from sgdstab.linalg import kron, null_projectors
+from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, null_projectors, pcg, sym_eig, symmetrize, unvec, vec
 from sgdstab.moments import ENUM_CAP, ExactStepper, null_walk_second_moment, write_trajectory_csv
-from sgdstab.stability import brute_force_transition, mean_hessian, sharpness
+from sgdstab.stability import _dense_curvature, brute_force_transition, mean_hessian, sharpness
 
 RNG = np.random.default_rng(31337)
 
@@ -124,7 +129,7 @@ class TestStepKernel:
     def test_matches_einsum_reference_over_50_steps(self, d, n, batch):
         inst = gen_regular(d, n, d // 2, 1.0, False, 53)
         hp = Hyperparams(eta=0.3 / sharpness(inst), batch=batch)
-        stepper = ExactStepper(inst, hp, validate_cross=False)
+        stepper = ExactStepper(inst, hp)
         rng = np.random.default_rng(d * n)
         factor = rng.standard_normal((d, d))
         state = reference = make_state(rng.standard_normal(d), factor @ factor.T / d)
@@ -352,6 +357,146 @@ class TestAsymptoticQuantities:
         assert dist_sq == pytest.approx(float(np.trace(limit)), abs=1e-9)
         assert loss_gap == pytest.approx(0.5 * float(np.trace(hbar @ limit)), abs=1e-9)
         assert grad_sq == pytest.approx(float(np.trace(hbar @ hbar @ limit)), abs=1e-9)
+
+
+def _dense_limit(inst, hp, rel_tol=DEFAULT_RANK_RTOL):
+    """Oracle: Sigma_inf = unvec(eta * p * pinv(2C - eta*D) vec(Sigma_g_perp)) from one dense
+    d^2 x d^2 eigendecomposition.
+
+    Raises ConvergenceError when 2C - eta*D has an eigenvalue below -1e-8 * lambda_max, and
+    ValueError when it has one below -rel_tol * lambda_max.
+    """
+    p = mixing_weight(inst.n, hp.batch)
+    c, dmat = _dense_curvature(inst, p)
+    eig = sym_eig(2.0 * c - hp.eta * dmat)
+    lam_max, lam_min = float(eig.values[0]), float(eig.values[-1])
+    if lam_min < -1e-8 * max(lam_max, 0.0):
+        raise ConvergenceError(f"2C - eta*D is not PSD (lambda_min = {lam_min:.3e})")
+    if lam_min < -rel_tol * lam_max:
+        raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
+    _, p_range = null_projectors(inst.mean_hessian(), rel_tol=rel_tol)
+    sigma_g_perp = p_range @ inst.gradient_second_moment() @ p_range
+    kept = eig.values > rel_tol * max(lam_max, 0.0)
+    inv = np.zeros_like(eig.values)
+    inv[kept] = 1.0 / eig.values[kept]
+    x = hp.eta * p * (eig.vectors @ (inv * (eig.vectors.T @ vec(sigma_g_perp))))
+    return symmetrize(unvec(x, inst.d))
+
+
+# name -> (instance factory, batch)
+LIMIT_CASES = {
+    "regular-d3": (lambda: gen_regular(3, 5, 3, 1.0, False, 23), 1),
+    "regular-d6": (lambda: gen_regular(6, 8, 4, 1.0, False, 3), 3),
+    "interpolating": (lambda: gen_interpolating(4, 6, 2, 19), 2),
+    "rank-deficient-null-gradients": (lambda: gen_regular(6, 2, 2, 1.0, True, 5), 1),
+    "full-batch-p0": (lambda: gen_regular(4, 5, 3, 1.0, False, 8), 5),
+    "d1": (lambda: gen_regular(1, 4, 1, 1.0, False, 5), 2),
+    "regular-d24": (lambda: gen_regular(24, 16, 4, 1.0, True, 1), 2),
+    "regular-d40": (lambda: gen_regular(40, 6, 8, 1.0, False, 2), 2),
+}
+
+
+class TestLimitSolve:
+    @pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+    def test_matches_dense_pinv(self, case):
+        make, batch = LIMIT_CASES[case]
+        inst = make()
+        thr = variance_threshold(inst, batch)
+        hbar = mean_hessian(inst)
+        for factor in (0.3, 0.9, 0.99):
+            hp = Hyperparams(eta=factor * thr, batch=batch)
+            want = _dense_limit(inst, hp)
+            got = covariance_limit(inst, hp)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), factor
+            traces = (np.trace(want), 0.5 * np.trace(hbar @ want), np.trace(hbar @ hbar @ want))
+            assert asymptotic_quantities(inst, hp) == pytest.approx(traces, rel=1e-10, abs=0.0)
+
+    def test_cases_cover_their_names(self):
+        # The rank-deficient case has null-space gradients; the zero-limit cases are exactly zero.
+        inst, batch = LIMIT_CASES["rank-deficient-null-gradients"][0](), 1
+        p_null, _ = null_projectors(inst.mean_hessian())
+        assert np.linalg.matrix_rank(inst.mean_hessian()) < inst.d - 1
+        assert np.linalg.norm(inst.gradients @ p_null) > 0.1
+        for case in ("interpolating", "full-batch-p0"):
+            make, batch = LIMIT_CASES[case]
+            inst = make()
+            hp = Hyperparams(eta=0.5 * variance_threshold(inst, batch), batch=batch)
+            assert not np.any(covariance_limit(inst, hp))
+            assert asymptotic_quantities(inst, hp) == (0.0, 0.0, 0.0)
+
+    def test_oracle_psd_check_fires_at_both_tolerances(self):
+        inst = gen_regular(3, 5, 3, 1.0, False, 23)
+        batch = 1
+        thr = variance_threshold(inst, batch)
+        with pytest.raises(ConvergenceError, match="not PSD"):
+            _dense_limit(inst, Hyperparams(eta=1.5 * thr, batch=batch))
+        # Past the threshold lambda_min(2C - eta*D) falls at the rate v'Dv, v its eigenvector:
+        # aim for -1e-9 * lambda_max, between the two tolerances.
+        c, dmat = _dense_curvature(inst, mixing_weight(inst.n, batch))
+        eig = sym_eig(2.0 * c - thr * dmat)
+        v = eig.vectors[:, -1]
+        eta = thr + 1e-9 * float(eig.values[0]) / float(v @ dmat @ v)
+        values = np.linalg.eigvalsh(2.0 * c - eta * dmat)
+        assert -1e-8 * values[-1] < values[0] < -DEFAULT_RANK_RTOL * values[-1]
+        with pytest.raises(ValueError, match="not PSD"):
+            _dense_limit(inst, Hyperparams(eta=eta, batch=batch))
+
+    @pytest.mark.parametrize("factor", [1.05, 1.5])
+    def test_above_threshold_with_guard_bypassed_raises(self, factor, monkeypatch):
+        inst = gen_regular(6, 8, 4, 1.0, False, 3)
+        hp = Hyperparams(eta=factor * variance_threshold(inst, 2), batch=2)
+        monkeypatch.setattr(moments_module, "_threshold", lambda gen_sharp: math.inf)
+        for solve in (covariance_limit, asymptotic_quantities):
+            with pytest.raises(ConvergenceError, match="non-positive curvature"):
+                solve(inst, hp)
+
+    def test_iteration_budget_is_named(self, monkeypatch):
+        inst = gen_regular(6, 8, 4, 1.0, False, 3)
+        hp = Hyperparams(eta=0.9 * variance_threshold(inst, 2), batch=2)
+        monkeypatch.setattr(moments_module, "pcg", functools.partial(pcg, max_iter=2))
+        with pytest.raises(ConvergenceError, match="within 2 iterations"):
+            covariance_limit(inst, hp)
+
+
+class TestLimitProductionPath:
+    """covariance_limit and asymptotic_quantities form no d^2 x d^2 matrix and run one CG solve."""
+
+    @pytest.mark.parametrize("d", [24, 64])
+    def test_no_dense_matrix_and_one_solve(self, d, monkeypatch, counting):
+        inst = gen_regular(d, 8, d // 8 + 1, 1.0, False, d)
+        hp = Hyperparams(eta=0.5 * variance_threshold(inst, 2), batch=2)
+
+        def forbidden(*args):
+            raise AssertionError("a d^2 x d^2 matrix was formed")
+
+        for module, name in ((stability, "kron"), (stability, "kron_sum"), (stability, "_dense_curvature"), (moments_module, "kron")):
+            monkeypatch.setattr(module, name, forbidden)
+        solves = []
+        true_pcg = moments_module.pcg
+
+        def counted(op, *args, **kwargs):
+            wrapped, applied = counting(op)
+            solves.append(applied)
+            return true_pcg(wrapped, *args, **kwargs)
+
+        monkeypatch.setattr(moments_module, "pcg", counted)
+        for solve in (covariance_limit, asymptotic_quantities):
+            solves.clear()
+            solve(inst, hp)
+            assert len(solves) == 1
+            assert 0 < len(solves[0]) <= 40
+        assert not hasattr(moments_module, "_dense_curvature")
+
+    def test_peak_memory_d96(self):
+        inst = gen_regular(96, 64, 2, 1.0, False, 96)
+        hp = Hyperparams(eta=0.5 * variance_threshold(inst, 2), batch=2)
+        tracemalloc.start()
+        try:
+            covariance_limit(inst, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
 
 
 class TestStabilityOfRecursion:
