@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_RTOL, null_projectors, sym_eig
+from .linalg import DEFAULT_RANK_RTOL, ConvergenceError, null_projectors, sym_eig
 
 # A gradient is "zero" (interpolating sense) below this Euclidean norm.
 GRAD_ZERO_TOL = 1e-12
@@ -122,16 +122,23 @@ def make_instance(hessians, gradients, label: str = "", validate: bool = True) -
 
 
 def classify(inst: ProblemInstance, rel_tol: float = DEFAULT_RANK_RTOL) -> MinimumClass:
-    """Interpolating / regular / invalid per the PSD and gradient tests."""
+    """Interpolating / regular / invalid per the PSD and gradient tests.
+
+    The PSD test takes the eigenvalues of all n symmetrized Hessians in one
+    batched eigvalsh; H_i fails when lambda_min < -rel_tol * max |lambda|.
+    """
     mean_g = inst.gradients.mean(axis=0)
     scale = float(np.max(np.linalg.norm(inst.gradients, axis=1), initial=0.0))
     if np.linalg.norm(mean_g) > MEAN_GRAD_RTOL * max(scale, 1e-300):
         return MinimumClass.INVALID
-    for i in range(inst.n):
-        values = sym_eig(inst.hessians[i]).values
-        lam_max = float(values[0])
-        if values[-1] < -rel_tol * max(abs(lam_max), float(np.max(np.abs(values)))):
-            return MinimumClass.INVALID
+    h = inst.hessians
+    try:
+        values = np.linalg.eigvalsh(0.5 * (h + np.transpose(h, (0, 2, 1))))  # (n, d), ascending
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    largest = np.maximum(np.abs(values[:, 0]), np.abs(values[:, -1]))
+    if np.any(values[:, 0] < -rel_tol * largest):
+        return MinimumClass.INVALID
     if np.all(np.linalg.norm(inst.gradients, axis=1) <= GRAD_ZERO_TOL):
         return MinimumClass.INTERPOLATING
     return MinimumClass.REGULAR

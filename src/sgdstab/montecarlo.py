@@ -13,8 +13,11 @@ slot): a splitmix64 hash of those coordinates, evaluated for all
 replicates and steps of a chunk at once.  Batches come from Floyd's
 subset sampler on bounded integers (Lemire's multiply-high with
 rejection, so draws are exactly uniform); mixture coins compare the top
-53 bits of a word with p.  Results are bit-reproducible and independent
-of chunking.  Aggregation keeps all replicates; a replicate whose
+53 bits of a word with p.  Draws are independent of chunking and a rerun
+is bit-reproducible; another chunking moves results only by roundoff.
+Each step's Hessian drift groups the (slot, replicate) pairs by sample
+and applies every drawn H_i once, as one GEMM over the replicates that
+drew it.  Aggregation keeps all replicates; a replicate whose
 squared norm crosses divergence_factor * (1 + initial) is flagged and
 frozen at its last state so the aggregate arrays stay finite.
 
@@ -191,17 +194,34 @@ def _coins(seed: int, replicates: range, steps: int, p: float) -> np.ndarray:
 
 
 def _hessian_drift(hessians: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows sum_s H[idx[c, s]] x[c] for idx (chunk, B) and x (chunk, d); one
-    batched matmul per slot, never the (chunk, B, d, d) gather."""
-    xc = x[:, :, None]
-    drift = np.matmul(hessians[idx[:, 0]], xc)
-    for s in range(1, idx.shape[1]):
-        drift += np.matmul(hessians[idx[:, s]], xc)
-    return drift[:, :, 0]
+    """Rows sum_s H[idx[c, s]] x[c] for idx (chunk, B) and x (chunk, d).
+
+    The chunk * B (slot, replicate) pairs, flattened slot-major, are grouped
+    by sample index with one stable radix argsort; each sample's rows of x
+    then go through one GEMM with its Hessian, and the B slot blocks are
+    summed in slot order.  That is chunk * B * d^2 flops and B * chunk * d
+    floats of rows; no (chunk, d, d) Hessian gather is formed.
+    """
+    chunk, b = idx.shape
+    n = hessians.shape[0]
+    flat = idx.T.astype(np.min_scalar_type(n), order="C").reshape(-1)
+    order = np.argsort(flat, kind="stable")  # a radix sort while n <= 2**16
+    counts = np.bincount(flat, minlength=n)
+    bounds = [0] + np.cumsum(counts).tolist()
+    rows = np.take(x, order % chunk, axis=0)
+    out = np.empty_like(rows)
+    for i in np.flatnonzero(counts).tolist():
+        lo, hi = bounds[i], bounds[i + 1]
+        np.matmul(rows[lo:hi], hessians[i].T, out=out[lo:hi])
+    back = np.empty_like(order)
+    back[order] = np.arange(order.size)
+    return np.take(out, back, axis=0).reshape(b, chunk, -1).sum(axis=0)
 
 
 class _Accumulator:
-    def __init__(self, steps: int, d: int):
+    def __init__(self, steps: int, d: int, p_null: np.ndarray, hbar: np.ndarray):
+        self.p_null = p_null if np.any(p_null) else None
+        self.hbar = hbar
         self.sum_x = np.zeros((steps + 1, d))
         self.sum_x_sq = np.zeros((steps + 1, d))
         self.sum_sq_par = np.zeros(steps + 1)
@@ -210,18 +230,27 @@ class _Accumulator:
         self.sum_sq_perp_sq = np.zeros(steps + 1)
         self.sum_quad = np.zeros(steps + 1)
 
-    def add(self, t: int, x: np.ndarray, p_null: np.ndarray, hbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x_par = x @ p_null
-        x_perp = x - x_par
-        sq_par = np.sum(x_par * x_par, axis=1)
-        sq_perp = np.sum(x_perp * x_perp, axis=1)
-        self.sum_x[t] += x.sum(axis=0)
-        self.sum_x_sq[t] += np.sum(x * x, axis=0)
-        self.sum_sq_par[t] += sq_par.sum()
+    def add(self, t: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x_sq = x * x
+        # Column sums over the replicates as GEMVs: numpy's axis-0 reduction
+        # of a (chunk, d) array with small d runs an inner loop of length d.
+        ones = np.ones(x.shape[0])
+        self.sum_x[t] += ones @ x
+        self.sum_x_sq[t] += ones @ x_sq
+        if self.p_null is None:
+            # Full-rank mean Hessian: x_par = 0 and x_perp = x - 0 = x exactly.
+            sq_par = np.zeros(x.shape[0])
+            sq_perp = x_sq.sum(axis=1)
+        else:
+            x_par = x @ self.p_null
+            x_perp = x - x_par
+            sq_par = np.sum(x_par * x_par, axis=1)
+            sq_perp = np.sum(x_perp * x_perp, axis=1)
+            self.sum_sq_par[t] += sq_par.sum()
+            self.sum_sq_par_sq[t] += np.sum(sq_par * sq_par)
         self.sum_sq_perp[t] += sq_perp.sum()
-        self.sum_sq_par_sq[t] += np.sum(sq_par * sq_par)
         self.sum_sq_perp_sq[t] += np.sum(sq_perp * sq_perp)
-        self.sum_quad[t] += float(np.sum((x @ hbar) * x))
+        self.sum_quad[t] += float(np.sum((x @ self.hbar) * x))
         return sq_par, sq_perp
 
 
@@ -272,7 +301,7 @@ def _run(inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_repl
     x0 = initial_offset(inst, cfg)
     hbar = inst.mean_hessian()
     p_null, _ = null_projectors(hbar)
-    acc = _Accumulator(t_steps, d)
+    acc = _Accumulator(t_steps, d, p_null, hbar)
     per_replicate_threshold = cfg.divergence_factor * (1.0 + float(x0 @ x0))
 
     diverged_count = 0
@@ -286,13 +315,16 @@ def _run(inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_repl
         x = np.tile(x0, (size, 1))
         alive = np.ones(size, dtype=bool)
         flagged = np.zeros(size, dtype=bool)
-        acc.add(0, x, p_null, hbar)
+        crossed = False
+        acc.add(0, x)
         for t in range(1, t_steps + 1):
             x_new = kernel(t - 1, x)
-            x = np.where(alive[:, None], x_new, x)
-            sq_par, sq_perp = acc.add(t, x, p_null, hbar)
+            # Until a replicate of the chunk crosses, every one takes its step.
+            x = np.where(alive[:, None], x_new, x) if crossed else x_new
+            sq_par, sq_perp = acc.add(t, x)
             crossing = alive & ((sq_par + sq_perp) > per_replicate_threshold)
             if np.any(crossing):
+                crossed = True
                 flagged |= crossing
                 alive &= ~crossing
                 first_cross = t if first_cross is None else min(first_cross, t)
@@ -330,8 +362,9 @@ def simulate_sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig) -> Empi
 
         return kernel
 
-    # Per replicate: the (steps, B) batch indices and one gathered d x d Hessian.
-    return _run(inst, cfg, builder, entries_per_replicate=cfg.steps * b + inst.d**2)
+    # Per replicate: the (steps, B) batch indices and its B rows of the
+    # sample-grouped drift, each of length d.
+    return _run(inst, cfg, builder, entries_per_replicate=cfg.steps * b + b * inst.d)
 
 
 def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig) -> EmpiricalMoments:
@@ -365,7 +398,8 @@ def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig
 
         return kernel
 
-    return _run(inst, cfg, builder, entries_per_replicate=2 * cfg.steps + inst.d**2)
+    # Per replicate: the (steps,) sample indices and coins, and one grouped row.
+    return _run(inst, cfg, builder, entries_per_replicate=2 * cfg.steps + inst.d)
 
 
 def growth_window(cfg: SimConfig) -> tuple[int, int]:

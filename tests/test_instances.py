@@ -14,7 +14,7 @@ from sgdstab import (
     save_instance,
 )
 from sgdstab.instances import StreamPool, stream
-from sgdstab.linalg import null_projectors
+from sgdstab.linalg import DEFAULT_RANK_RTOL, ConvergenceError, null_projectors, sym_eig
 
 
 class TestClassify:
@@ -31,6 +31,51 @@ class TestClassify:
     def test_nonzero_mean_gradient_is_invalid(self):
         inst = make_instance([[[1.0]], [[1.0]]], [[0.5], [0.1]], validate=False)
         assert classify(inst) is MinimumClass.INVALID
+
+
+def _classify_per_sample(inst, rel_tol=DEFAULT_RANK_RTOL):
+    """The per-sample PSD test that classify batches: one sym_eig per Hessian."""
+    for i in range(inst.n):
+        values = sym_eig(inst.hessians[i]).values
+        if values[-1] < -rel_tol * max(abs(float(values[0])), float(np.max(np.abs(values)))):
+            return MinimumClass.INVALID
+    return None
+
+
+_FAMILIES = {
+    "interpolating": lambda: gen_interpolating(6, 9, 3, 21),
+    "regular": lambda: gen_regular(6, 9, 3, 1.0, False, 22),
+    "regular-null-grad": lambda: gen_regular(6, 9, 3, 1.0, True, 23),
+}
+
+
+class TestBatchedClassify:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("factor,invalid", [(0.99, False), (1.01, True)])
+    def test_matches_per_sample_loop_at_the_tolerance(self, family, factor, invalid):
+        inst = _FAMILIES[family]()
+        clean = classify(inst)
+        assert clean is not MinimumClass.INVALID and _classify_per_sample(inst) is None
+        # Push the smallest eigenvalue of one Hessian to just inside or just
+        # outside -rel_tol * max|lambda|; the margin (1e-2 of the tolerance)
+        # is far above the roundoff of either eigensolver.
+        hessians = inst.hessians.copy()
+        k = inst.n // 2
+        w, v = np.linalg.eigh(hessians[k])
+        w[0] = -factor * DEFAULT_RANK_RTOL * np.max(np.abs(w))
+        hessians[k] = (v * w) @ v.T
+        edited = make_instance(hessians, inst.gradients)
+        expected = _classify_per_sample(edited) or clean
+        assert (expected is MinimumClass.INVALID) == invalid
+        assert classify(edited) is expected
+
+    def test_eigensolver_failure_is_a_convergence_error(self, scalar_pair, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            classify(scalar_pair)
 
 
 class TestMixingWeight:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from sgdstab import (
     gen_interpolating,
     gen_regular,
     iterate_moments,
+    make_instance,
     point_state,
     simulate_mixture,
     simulate_sgd,
@@ -51,7 +53,8 @@ class TestBasics:
         full = simulate_sgd(inst, hp, cfg)
         import sgdstab.montecarlo as mc
 
-        monkeypatch.setattr(mc, "_CHUNK_ENTRY_BUDGET", 20 * 7)  # force 5-replicate chunks
+        # 20 steps * B=1 indices + B * d = 2 drift rows per replicate: force 5-replicate chunks.
+        monkeypatch.setattr(mc, "_CHUNK_ENTRY_BUDGET", 22 * 5)
         chunked = simulate_sgd(inst, hp, cfg)
         # Every draw is a function of (seed, replicate, step, slot), so each
         # replicate's path is the same in any chunk and chunking only
@@ -99,6 +102,16 @@ class TestConvergenceAndDivergence:
         assert em.diverged
         assert em.divergence_step is not None and em.divergence_step < 2000
         assert em.diverged_count >= 1
+
+    def test_crossed_replicates_stay_frozen(self):
+        # Both samples have H = 2, so at eta = 2 every replicate follows
+        # x <- -3x: |x|^2 = 9^t crosses 1e4 * (1 + 1) at t = 5 and then freezes.
+        inst = make_instance([[[2.0]], [[2.0]]], [[0.0], [0.0]])
+        cfg = SimConfig(steps=12, replicates=6, seed=4, divergence_factor=1e4, init_offset=np.array([1.0]))
+        em = simulate_sgd(inst, Hyperparams(eta=2.0, batch=1), cfg)
+        np.testing.assert_array_equal(em.mean_sq_perp[:6], 9.0 ** np.arange(6))
+        np.testing.assert_array_equal(em.mean_sq_perp[5:], np.full(8, 9.0**5))
+        assert em.divergence_step == 5 and em.diverged_count == 6
 
     def test_diverged_replicates_freeze_and_saturate(self, scalar_pair):
         cfg = SimConfig(steps=500, replicates=500, seed=2, divergence_factor=1e4)
@@ -340,3 +353,58 @@ class TestKernel:
         old = np.einsum("cij,cj->ci", hessians[idx].sum(axis=1), x)
         new = mc._hessian_drift(hessians, idx, x)
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize(
+        "chunk,n,d,batch,psd",
+        [
+            (3, 256, 5, 4, True),  # at most 12 of 256 buckets are drawn
+            (40, 6, 4, 6, True),  # B = n: every replicate draws every sample
+            (300, 7, 1, 3, True),  # d = 1
+            (50, 1, 4, 1, True),  # n = 1
+            (400, 9, 6, 2, False),  # symmetric, indefinite
+        ],
+    )
+    def test_grouped_drift_edge_cases(self, chunk, n, d, batch, psd):
+        rng = np.random.default_rng(1000 * n + d)
+        g = rng.standard_normal((n, d, d))
+        hessians = g @ np.transpose(g, (0, 2, 1)) if psd else g + np.transpose(g, (0, 2, 1))
+        x = rng.standard_normal((chunk, d))
+        idx = mc._batches(5, range(chunk), 1, n, batch)[:, 0]
+        gathered = np.einsum("csij,cj->ci", hessians[idx], x)
+        new = mc._hessian_drift(hessians, idx, x)
+        assert new.shape == (chunk, d)
+        assert np.max(np.abs(new - gathered)) <= 1e-12 * np.max(np.abs(gathered))
+
+    def test_simulations_never_gather_hessians(self):
+        inst = gen_regular(96, 64, 4, 1.0, False, 17)
+        hp = Hyperparams(eta=0.5 / sharpness(inst), batch=8)
+        cfg = SimConfig(steps=5, replicates=500, seed=3)
+        gather_bytes = 500 * 96 * 96 * 8  # one (replicates, d, d) float64 stack: 36.9 MB
+        rows_bytes = 500 * 8 * 96 * 8  # the B * d grouped rows of every replicate: 3.1 MB
+        # A per-slot (chunk, d, d) Hessian gather would peak near 33.6 MB even
+        # with the replicates split 432 + 68, under the 36.9 MB, so the bound
+        # is a few copies of the grouped rows.
+        bound = min(gather_bytes, 4 * rows_bytes)
+        for run in (lambda: simulate_sgd(inst, hp, cfg), lambda: simulate_mixture(inst, hp.eta, 0.5, cfg)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, peak
+
+    def test_chunked_csv_is_rerun_stable_and_matches_one_chunk(self, tmp_path, monkeypatch):
+        inst = gen_regular(32, 256, 3, 1.0, False, 18)
+        hp = Hyperparams(eta=0.5 / sharpness(inst), batch=8)
+        cfg = SimConfig(steps=10, replicates=120, seed=19)
+        write_empirical_csv(tmp_path / "whole.csv", simulate_sgd(inst, hp, cfg))
+        # 10 steps * 8 indices + 8 * 32 drift rows = 336 entries per replicate:
+        # seven chunks of 17 replicates and a last one of 1.
+        monkeypatch.setattr(mc, "_CHUNK_ENTRY_BUDGET", 336 * 17)
+        for name in ("a.csv", "b.csv"):
+            write_empirical_csv(tmp_path / name, simulate_sgd(inst, hp, cfg))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        whole = np.loadtxt(tmp_path / "whole.csv", delimiter=",", skiprows=1)
+        chunked = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0.0)
