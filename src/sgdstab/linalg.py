@@ -82,8 +82,10 @@ def sym_eig(m: np.ndarray, rank_tol: float = DEFAULT_RANK_RTOL) -> EigDecomp:
     """Full eigendecomposition of a symmetric matrix.
 
     Eigenvalues are returned in descending order with a deterministic
-    (stable) sort.  Raises :class:`ConvergenceError` if the backend fails
-    or the factorization does not reconstruct the input.
+    (stable) sort.  Raises :class:`ConvergenceError` if the backend fails.
+    The result is not re-checked here: the tests hold LAPACK's
+    eigenvectors to orthonormality within 1e-10 and the reconstruction to
+    1e-8 * (1 + max |lambda|).
     """
     m = symmetrize(m)
     try:
@@ -92,17 +94,7 @@ def sym_eig(m: np.ndarray, rank_tol: float = DEFAULT_RANK_RTOL) -> EigDecomp:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
-    vectors = vectors[:, order]
-    d = m.shape[0]
-    ortho_defect = np.max(np.abs(vectors.T @ vectors - np.eye(d)))
-    if ortho_defect > 1e-10:
-        raise ConvergenceError(f"eigenvectors not orthonormal (defect {ortho_defect:.3e})")
-    recon = vectors @ (values[:, None] * vectors.T)
-    scale = 1.0 + float(np.max(np.abs(values), initial=0.0))
-    recon_defect = np.max(np.abs(recon - m))
-    if recon_defect > 1e-8 * scale:
-        raise ConvergenceError(f"eigendecomposition does not reconstruct (defect {recon_defect:.3e})")
-    return EigDecomp(values=values, vectors=vectors, rank_tol=rank_tol)
+    return EigDecomp(values=values, vectors=vectors[:, order], rank_tol=rank_tol)
 
 
 def pinv_psd(m: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:

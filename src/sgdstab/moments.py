@@ -18,8 +18,9 @@ batches drawn in chunks by vectorized partial Fisher-Yates, which must
 agree within five standard errors.  The tests and the verify command
 run that check; the stepper applies the closed form unchecked.
 
-One step costs one batched matmul and one GEMM: the sandwich
-sum_i A_i Sigma A_i^T is [A_1 ... A_n] times the stacked Sigma A_i^T.
+One step costs one batched matmul and one GEMM: the A_i are symmetric,
+so the sandwich sum_i A_i Sigma A_i^T is stability._sandwich_sum, the
+kernel the threshold and covariance-limit solves also apply.
 
 For step sizes below the mean-square threshold the range-projected
 second moment converges to
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, MinimumClass, ProblemInstance, _fmt, classify, mixing_weight, stream
+from .instances import Hyperparams, ProblemInstance, _fmt, mixing_weight, stream
 from .linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
@@ -102,7 +103,6 @@ def cross_term(
     inst: ProblemInstance,
     eta: float,
     batch: int,
-    validate: bool = True,
     enum_cap: int = ENUM_CAP,
     mc_samples: int = MC_VALIDATION_SAMPLES,
     seed: int = 1234,
@@ -121,7 +121,7 @@ def cross_term(
     # Row a*d + b, column c holds sum_i g_i[a] H_i[b, c].
     closed = (inst.gradients.T @ inst.hessians.reshape(n, d * d)).reshape(d * d, d)
     closed *= -(eta * eta) * p / n
-    if not validate or np.all(inst.gradients == 0.0):
+    if np.all(inst.gradients == 0.0):
         return closed
     eye = np.eye(d)
     count = math.comb(n, batch)
@@ -169,32 +169,26 @@ class ExactStepper:
     """Precomputed one-step map for the moment recursion of one (inst, hp)."""
 
     def __init__(self, inst: ProblemInstance, hp: Hyperparams):
-        if classify(inst) is MinimumClass.INVALID:
-            raise ValueError("instance is not a regular or interpolating minimum")
+        require_valid(inst)
         self.inst = inst
         self.hp = hp
         n, d = inst.n, inst.d
         eta = hp.eta
         self.p = mixing_weight(n, hp.batch)
         self.a_bar = np.eye(d) - eta * inst.mean_hessian()
-        a_all = np.eye(d)[None, :, :] - eta * inst.hessians
-        # [A_1 ... A_n] as one (d, n*d) block, and the A_i^T for the batched matmul.
-        self._a_wide = np.ascontiguousarray(a_all.transpose(1, 0, 2).reshape(d, n * d))
-        self._a_all_t = np.ascontiguousarray(a_all.transpose(0, 2, 1))
+        self._a_all = np.eye(d)[None, :, :] - eta * inst.hessians
         self.sigma_v = eta * eta * self.p * inst.gradient_second_moment()
         # The coupling, the closed form of cross_term, in matrix form.
         self._coupling_scale = eta * eta * self.p / n
 
     def step(self, state: MomentState) -> MomentState:
         inst, p = self.inst, self.p
-        n, d = inst.n, inst.d
         mu = state.mean
         sigma = state.second_moment
         new_mu = self.a_bar @ mu
         new_sigma = (1.0 - p) * (self.a_bar @ sigma @ self.a_bar)
-        # sum_i A_i Sigma A_i^T = [A_1 ... A_n] @ [Sigma A_1^T; ...; Sigma A_n^T].
-        sandwich = self._a_wide @ (sigma @ self._a_all_t).reshape(n * d, d)
-        new_sigma += (p / n) * sandwich
+        # The A_i are symmetric, so sum_i A_i Sigma A_i^T is the shared sandwich kernel.
+        new_sigma += (p / inst.n) * _sandwich_sum(self._a_all, sigma)
         # -E[A mu v^T] - E[v mu^T A] in matrix form.
         hi_mu = inst.hessians @ mu
         coupling = self._coupling_scale * (hi_mu.T @ inst.gradients + inst.gradients.T @ hi_mu)

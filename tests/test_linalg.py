@@ -118,10 +118,22 @@ class TestSymEig:
         np.testing.assert_array_equal(eig.values, np.zeros(3))
 
     def test_reconstruction(self):
-        m = random_symmetric(8)
-        eig = sym_eig(m)
-        recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
-        assert np.max(np.abs(recon - m)) < 1e-8 * (1 + np.max(np.abs(eig.values)))
+        # sym_eig returns LAPACK's result unchecked; these bounds hold it to account.
+        # The extra cases draw from their own generator, so later tests see the same RNG stream.
+        rng = np.random.default_rng(96)
+        cases = {
+            "d8": random_symmetric(8),
+            "d1": random_symmetric(1, rng),
+            "d96": random_symmetric(96, rng),
+            "psd-rank-3": random_psd(12, rank=3, rng=rng),
+        }
+        for name, m in cases.items():
+            eig = sym_eig(m)
+            d = m.shape[0]
+            assert np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(d))) <= 1e-10, name
+            recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
+            assert np.max(np.abs(recon - m)) <= 1e-8 * (1 + np.max(np.abs(eig.values))), name
+        assert sym_eig(cases["psd-rank-3"]).rank() == 3
 
     def test_descending_order(self):
         eig = sym_eig(random_symmetric(6))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sgdstab import (
-    ConvergenceError,
     LinearOperator,
     MinimumClass,
     brute_force_transition,
@@ -73,12 +72,13 @@ class TestCurvatureOperators:
         assert report.p == 0.0
 
     def test_curvature_identity_random(self):
-        inst = gen_interpolating(3, 5, 2, 21)
-        report = curvature_operators(inst, batch=2)
-        hbar = mean_hessian(inst)
-        lhs = report.curvature_sq
-        rhs = kron(hbar, hbar) + report.p * report.curvature_var
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
+        # D = Hbar kron Hbar + p*E to 1e-10 max(1, max|D|); curvature_operators does not check it.
+        for inst in (gen_interpolating(3, 5, 2, 21), gen_regular(5, 7, 3, 1.0, True, 6)):
+            report = curvature_operators(inst, batch=2)
+            hbar = mean_hessian(inst)
+            lhs = report.curvature_sq
+            rhs = kron(hbar, hbar) + report.p * report.curvature_var
+            assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, float(np.max(np.abs(lhs)))), inst.label
 
     def test_psd_and_null_inclusion(self):
         # n * rank < d guarantees a nontrivial null space of the mean Hessian.
@@ -102,18 +102,21 @@ class TestCurvatureOperators:
                 assert np.linalg.norm(mat @ u) <= 1e-8 * lam * nu
 
     def test_operator_path_self_adjoint_and_matching(self):
-        inst = gen_interpolating(3, 4, 2, 9)
-        dense = curvature_operators(inst, batch=2, dense=True)
-        ops = curvature_operators(inst, batch=2, dense=False)
-        rng = np.random.default_rng(1)
-        for mat, op in (
-            (dense.curvature_sum, ops.curvature_sum),
-            (dense.curvature_sq, ops.curvature_sq),
-            (dense.curvature_var, ops.curvature_var),
-        ):
-            u = rng.standard_normal(inst.d**2)
-            np.testing.assert_allclose(op(u), mat @ u, atol=1e-10)
-        assert ops.generalized_sharpness == pytest.approx(dense.generalized_sharpness, rel=1e-6)
+        # The second instance is regular and rank-deficient with n > d.
+        for inst in (gen_interpolating(3, 4, 2, 9), gen_regular(6, 9, 2, 1.0, True, 5)):
+            dense = curvature_operators(inst, batch=2, dense=True)
+            ops = curvature_operators(inst, batch=2, dense=False)
+            rng = np.random.default_rng(1)
+            for mat, op in (
+                (dense.curvature_sum, ops.curvature_sum),
+                (dense.curvature_sq, ops.curvature_sq),
+                (dense.curvature_var, ops.curvature_var),
+            ):
+                u = rng.standard_normal(inst.d**2)
+                v = rng.standard_normal(inst.d**2)
+                np.testing.assert_allclose(op(u), mat @ u, atol=1e-10)
+                assert float(op(u) @ v) == pytest.approx(float(u @ op(v)), rel=1e-12, abs=1e-12)
+            assert ops.generalized_sharpness == pytest.approx(dense.generalized_sharpness, rel=1e-6)
 
     def test_invalid_instance_rejected(self):
         inst = make_instance([[[-1.0]], [[1.0]]], [[0.0], [0.0]])
@@ -143,25 +146,29 @@ class TestTransition:
         np.testing.assert_allclose(q, np.eye(9), atol=1e-12)
 
     def test_three_forms_agree_on_eta_grid(self):
-        inst = gen_interpolating(3, 5, 3, 13)
-        lam = sharpness(inst)
-        hbar = mean_hessian(inst)
-        p = mixing_weight(inst.n, 2)
-        eye = np.eye(3)
-        for eta in np.linspace(0.0, 2.5 / lam, 7):
-            q = second_moment_transition(inst, eta, 2)
-            # Independent reconstructions of the three algebraic forms.
-            form_dev = kron(eye - eta * hbar, eye - eta * hbar)
-            for i in range(inst.n):
-                delta = inst.hessians[i] - hbar
-                form_dev += (p * eta**2 / inst.n) * kron(delta, delta)
-            c = 0.5 * kron_sum(hbar, hbar)
-            dmat = (1 - p) * kron(hbar, hbar)
-            for i in range(inst.n):
-                dmat += (p / inst.n) * kron(inst.hessians[i], inst.hessians[i])
-            form_quad = np.eye(9) - 2 * eta * c + eta**2 * dmat
-            np.testing.assert_allclose(q, form_dev, atol=1e-10)
-            np.testing.assert_allclose(q, form_quad, atol=1e-10)
+        # second_moment_transition returns the mixture form unchecked; the other two forms
+        # must match it to max|Q - form| <= 1e-10 max(1, max|Q|).
+        for inst in (gen_interpolating(3, 5, 3, 13), gen_regular(4, 6, 1, 1.0, True, 3)):
+            d = inst.d
+            lam = sharpness(inst)
+            hbar = mean_hessian(inst)
+            p = mixing_weight(inst.n, 2)
+            eye = np.eye(d)
+            for eta in np.linspace(0.0, 2.5 / lam, 7):
+                q = second_moment_transition(inst, eta, 2)
+                # Independent reconstructions of the three algebraic forms.
+                form_dev = kron(eye - eta * hbar, eye - eta * hbar)
+                for i in range(inst.n):
+                    delta = inst.hessians[i] - hbar
+                    form_dev += (p * eta**2 / inst.n) * kron(delta, delta)
+                c = 0.5 * kron_sum(hbar, hbar)
+                dmat = (1 - p) * kron(hbar, hbar)
+                for i in range(inst.n):
+                    dmat += (p / inst.n) * kron(inst.hessians[i], inst.hessians[i])
+                form_quad = np.eye(d * d) - 2 * eta * c + eta**2 * dmat
+                scale = 1e-10 * max(1.0, float(np.max(np.abs(q))))
+                for form in (form_dev, form_quad):
+                    np.testing.assert_allclose(q, form, rtol=0, atol=scale)
 
     def test_operator_path_matches_dense(self, scalar_pair):
         op = second_moment_transition(scalar_pair, 0.5, 1, dense=False)
@@ -172,13 +179,14 @@ class TestTransition:
         assert lam_op == pytest.approx(lam_dense, abs=1e-7)
 
     def test_operator_path_matches_dense_multidim(self):
-        inst = gen_interpolating(4, 6, 2, 31)
-        eta = 0.7 / sharpness(inst)
-        op = second_moment_transition(inst, eta, 2, dense=False)
-        dense = second_moment_transition(inst, eta, 2)
-        rng = np.random.default_rng(5)
-        u = rng.standard_normal(16)
-        np.testing.assert_allclose(op(u), dense @ u, atol=1e-10)
+        # The second instance is regular and rank-deficient with n > d.
+        for inst in (gen_interpolating(4, 6, 2, 31), gen_regular(6, 9, 2, 1.0, True, 5)):
+            eta = 0.7 / sharpness(inst)
+            op = second_moment_transition(inst, eta, 2, dense=False)
+            dense = second_moment_transition(inst, eta, 2)
+            rng = np.random.default_rng(5)
+            u = rng.standard_normal(inst.d**2)
+            np.testing.assert_allclose(op(u), dense @ u, atol=1e-10)
 
 
 class TestBruteForce:
@@ -702,22 +710,26 @@ class TestProjectedTransitionLanczos:
                 want = float(sym_eig(_projected_transition_dense(inst, eta, b)).values[0])
                 got = projected_transition_lambda_max(inst, eta, b)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (b, factor)
+                # The threshold's spectral characterization: below one exactly under eta_var.
+                assert (got < 1.0 - 1e-9) == (eta < thr), (b, factor, got)
 
     def test_rank_deficient_case_is_rank_deficient(self):
         assert np.linalg.matrix_rank(mean_hessian(self.CASES["rank-deficient-null-gradients"]())) < 6
 
     def test_check_fires_on_a_wrong_threshold(self, monkeypatch):
-        # A solver 5% high puts the threshold below the true one; the spectral
-        # check must catch a step size between the two.
+        # A solver 5% high puts the threshold below the true one; verify's
+        # spectral property must catch the step sizes between the two.
         import sgdstab.stability as stability_module
+        from sgdstab.cli import run_suites
 
-        inst = gen_interpolating(4, 6, 2, 71)
-        eta = 0.97 * variance_threshold(inst, 2)
-        stability_verdict(inst, 2, [eta], rank_one_steps=50)
+        def spectral(results):
+            return next(r for r in results if r.name == "threshold-spectrum-equivalence")
+
+        assert spectral(run_suites("thresholds", 1, 2)).passed
         true_solve = stability_module._generalized_sharpness_operator
         monkeypatch.setattr(stability_module, "_generalized_sharpness_operator", lambda *a, **k: 1.05 * true_solve(*a, **k))
-        with pytest.raises(ConvergenceError, match="spectral characterization violated"):
-            stability_verdict(inst, 2, [eta], rank_one_steps=50)
+        result = spectral(run_suites("thresholds", 1, 2))
+        assert result.failures == result.trials == 2
 
 
 def verdict_free_threshold(inst):
