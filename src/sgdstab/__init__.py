@@ -66,6 +66,7 @@ from .stability import (
     necessary_bound_eigvec,
     necessary_bound_trace,
     rank_one_bound,
+    rank_one_bounds,
     second_moment_transition,
     sharpness,
     stability_verdict,

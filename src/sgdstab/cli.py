@@ -160,6 +160,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("eta grid must be non-empty")
     if args.eta_min <= 0 or args.eta_max < args.eta_min:
         raise _UsageError("require 0 < eta-min <= eta-max")
+    if args.rank_one_steps < 0:
+        raise _UsageError("rank-one-steps must be nonnegative")
     for b in args.batches:
         if not 1 <= b <= inst.n:
             raise InstanceFormatError(f"batch size {b} out of range [1, {inst.n}]")
@@ -172,9 +174,10 @@ def _cmd_sweep(args) -> int:
     stability.require_valid(inst)
     lam = stability.sharpness(inst)
     lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
-    for b in sorted(args.batches):
+    batches = sorted(args.batches)
+    ascents = stability.rank_one_bounds(inst, batches, steps=args.rank_one_steps, seed=args.seed)
+    for b, (rank_one_value, _) in zip(batches, ascents):
         gen_sharp = stability.generalized_sharpness(inst, b)
-        rank_one_value, _ = stability.rank_one_bound(inst, b, steps=args.rank_one_steps, seed=args.seed)
         eig_value = 2.0 / stability.necessary_bound_eigvec(inst, b)
         for eta in grid:
             row = (

@@ -181,21 +181,39 @@ def _check_self_adjoint(op: LinearOperator, rng: np.random.Generator, n_probes: 
 def lanczos_lambda_max(op: LinearOperator, tol: float = 1e-12, max_iter: int = 1000, seed: int = 0) -> float:
     """Largest (signed) eigenvalue of a self-adjoint operator by Lanczos.
 
-    Single-vector Lanczos from a seeded Gaussian start, with full
-    reorthogonalization done twice per step ("twice is enough"; Golub &
-    Van Loan, ch. 10).  Step k stops when the Ritz residual
-    beta_k |s_k| of the largest Ritz value is at most tol times the
-    spectral scale max |theta| of the tridiagonal T_k, or when the Krylov
-    space is invariant (beta_k at roundoff level, or the basis spans the
-    whole space).  Returns the largest algebraic Ritz value.  The Krylov
-    basis grows in chunks, so a short solve allocates little whatever
-    max_iter is.  Raises ConvergenceError with the step count, the last
-    residual and the current estimate when max_iter steps do not suffice.
+    The operator is first checked to be square and self-adjoint on three
+    random probe pairs (ValueError otherwise); then _lanczos_solve runs
+    from the same generator.  The package's own solves call
+    _lanczos_solve directly, on operators it builds symmetric.
     """
     if op.in_dim != op.out_dim:
         raise ValueError("Lanczos requires a square operator")
     rng = np.random.default_rng(seed)
     _check_self_adjoint(op, rng)
+    return _lanczos_solve(op, tol, max_iter, rng)
+
+
+def _lanczos_solve(
+    op: LinearOperator,
+    tol: float = 1e-12,
+    max_iter: int = 1000,
+    seed: int | np.random.Generator = 0,
+) -> float:
+    """Largest (signed) eigenvalue of an operator trusted to be self-adjoint.
+
+    Single-vector Lanczos from a Gaussian start drawn from
+    default_rng(seed), with full reorthogonalization done twice per step
+    ("twice is enough"; Golub & Van Loan, ch. 10).  Step k stops when the
+    Ritz residual beta_k |s_k| of the largest Ritz value is at most tol
+    times the spectral scale max |theta| of the tridiagonal T_k, or when
+    the Krylov space is invariant (beta_k at roundoff level, or the basis
+    spans the whole space).  Returns the largest algebraic Ritz value.
+    The Krylov basis grows in chunks, so a short solve allocates little
+    whatever max_iter is.  Raises ConvergenceError with the step count,
+    the last residual and the current estimate when max_iter steps do not
+    suffice.
+    """
+    rng = np.random.default_rng(seed)
     dim = op.in_dim
     # beta_k below this share of the scale is roundoff left by the reorthogonalization.
     breakdown = math.sqrt(dim) * np.finfo(float).eps

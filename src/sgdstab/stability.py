@@ -36,7 +36,17 @@ The thresholds and the verdict never form a d^2 x d^2 matrix.
 curvature_operators and second_moment_transition return dense d^2 x d^2
 matrices for d <= DENSE_CAP and matrix-free operators above it; every
 matrix-free sandwich sum_i M_i X M_i goes through _sandwich_sum, and the
-dense builders also serve as test oracles.
+dense builders also serve as test oracles.  The Lanczos solves here run
+on operators built symmetric, so they skip lanczos_lambda_max's
+self-adjoint probes.
+
+The necessary bounds are cheap lower bounds on the generalized sharpness.
+The tightest, 2 / max_v f(v) over unit v, comes from rank_one_bounds: a
+geodesic gradient ascent that advances every (batch size, start) pair of
+a call as one column of a single block, with one GEMM per step on the
+stacked [H_1; ...; H_n; Hbar].  stability_verdict decomposes Hbar once
+and hands that decomposition to the mean threshold, the threshold's
+eigenbasis, the eigenvector bound and the ascent.
 """
 
 from __future__ import annotations
@@ -51,10 +61,11 @@ from .instances import MinimumClass, ProblemInstance, classify, mixing_weight, s
 from .linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
+    EigDecomp,
     LinearOperator,
+    _lanczos_solve,
     kron,
     kron_sum,
-    lanczos_lambda_max,
     null_projectors,
     sym_eig,
     unvec,
@@ -186,9 +197,13 @@ def _pair_factor(lam: np.ndarray, rel_tol: float) -> np.ndarray:
     return factor
 
 
-def _hessian_eigenbasis(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, K, V) with Hbar = V diag(lam) V^T and K[i] = V^T H_i V."""
-    eig = sym_eig(mean_hessian(inst))
+def _hessian_eigenbasis(inst: ProblemInstance, eig: EigDecomp | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, K, V) with Hbar = V diag(lam) V^T and K[i] = V^T H_i V.
+
+    eig is sym_eig(Hbar), computed here when not given.
+    """
+    if eig is None:
+        eig = sym_eig(mean_hessian(inst))
     return eig.values, eig.vectors.T @ inst.hessians @ eig.vectors, eig.vectors
 
 
@@ -229,7 +244,7 @@ def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: fl
         return (factor * out).reshape(-1)
 
     op = LinearOperator(in_dim=d * d, out_dim=d * d, apply=s_apply)
-    lam_s = lanczos_lambda_max(op, seed=7)
+    lam_s = _lanczos_solve(op, seed=7)
     return lam_s if lam_s > 0 else 0.0
 
 
@@ -309,10 +324,7 @@ def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray, rel_tol: fl
 
 def mean_threshold(inst: ProblemInstance) -> float:
     """First-moment stability threshold 2 / lambda_max(Hbar)."""
-    lam = sharpness(inst)
-    if lam <= 0:
-        return math.inf
-    return 2.0 / lam
+    return _threshold(sharpness(inst))
 
 
 def _threshold(gen_sharp: float) -> float:
@@ -330,12 +342,14 @@ def necessary_bound_eigvec(inst: ProblemInstance, batch: int) -> float:
 
         2*lam / (lam^2 + (p/n) sum_i (v' H_i v - lam)^2),  v the top eigenvector.
     """
-    eig = sym_eig(mean_hessian(inst))
+    return _eigvec_bound(inst, sym_eig(mean_hessian(inst)), mixing_weight(inst.n, batch))
+
+
+def _eigvec_bound(inst: ProblemInstance, eig: EigDecomp, p: float) -> float:
     lam = float(eig.values[0])
     if lam <= 0:
         raise ValueError("mean Hessian has no positive eigenvalue")
     v = eig.vectors[:, 0]
-    p = mixing_weight(inst.n, batch)
     quads = np.einsum("i,nij,j->n", v, inst.hessians, v)
     denom = lam * lam + p * float(np.mean((quads - lam) ** 2))
     return 2.0 * lam / denom
@@ -355,22 +369,15 @@ def necessary_bound_trace(inst: ProblemInstance, batch: int) -> float:
     return 2.0 * tr / denom
 
 
-def _rank_one_terms(vt: np.ndarray, flat_h: np.ndarray, hbar: np.ndarray):
-    """H_i v, Hbar v and a = v'Hbar v for every start v, a column of vt.
+def _rank_one_terms(vt: np.ndarray, stacked: np.ndarray):
+    """Every H_i v, Hbar v and quadratic form for the columns v of vt.
 
-    One GEMM gives all H_i v: flat_h is the (n*d, d) stack of the H_i.
+    stacked is the ((n+1) d, d) stack [H_1; ...; H_n; Hbar], so one GEMM
+    gives all the products; entry n of each returned stack is Hbar's.
     """
     d, s = vt.shape
-    hiv = (flat_h @ vt).reshape(-1, d, s)
-    hv = hbar @ vt
-    a = np.einsum("is,is->s", vt, hv)
-    return hiv, hv, a
-
-
-def _rank_one_value(vt: np.ndarray, hiv: np.ndarray, a: np.ndarray, p: float):
-    dev = np.einsum("is,nis->ns", vt, hiv) - a
-    g = np.mean(dev * dev, axis=0)
-    return a + p * g / a, dev, g
+    hv = (stacked @ vt).reshape(-1, d, s)
+    return hv, np.einsum("is,nis->ns", vt, hv)
 
 
 def rank_one_bound(
@@ -381,26 +388,67 @@ def rank_one_bound(
     n_starts: int = 8,
     rel_tol: float = DEFAULT_RANK_RTOL,
 ) -> tuple[float, np.ndarray]:
-    """Best rank-one lower bound on the generalized sharpness.
+    """Best rank-one lower bound on the generalized sharpness for one batch size.
 
     Maximizes  f(v) = v'Hbar v + p * mean_i (v'H_i v - v'Hbar v)^2 / (v'Hbar v)
+    over the unit sphere; see rank_one_bounds, of which this is the
+    one-batch call.  Returns (best value, maximizer).
+    """
+    return rank_one_bounds(inst, [batch], steps=steps, seed=seed, n_starts=n_starts, rel_tol=rel_tol)[0]
+
+
+def rank_one_bounds(
+    inst: ProblemInstance,
+    batches,
+    steps: int = 2000,
+    seed: int = 0,
+    n_starts: int = 8,
+    rel_tol: float = DEFAULT_RANK_RTOL,
+) -> list[tuple[float, np.ndarray]]:
+    """Best rank-one lower bounds on the generalized sharpness, one per batch size.
+
+    For each batch size B, with p its mixing weight, maximizes
+
+        f(v) = v'Hbar v + p * mean_i (v'H_i v - v'Hbar v)^2 / (v'Hbar v)
+
     over the unit sphere by geodesic gradient ascent with a decaying step
     schedule, multi-started from the top eigenvector of Hbar plus seeded
-    random directions.  The starts advance together as the columns of one
-    (d, n_starts) block; a start stops for good when its tangent gradient
+    random directions in its range.  Every (batch, start) lane advances in
+    one (d, len(batches) * n_starts) block, column j * n_starts + s being
+    start s of batches[j]; a lane stops for good when its tangent gradient
     vanishes or it collapses into the null space of Hbar.  Geodesic arc
     lengths are scaled by 1/lambda_max so the iterate sequence is exactly
     equivariant under rescaling all Hessians.  Returns (best value,
-    maximizer), the first strict maximum in (start, step) order.
+    maximizer) per batch, in the order given: the first strict maximum in
+    (start, step) order.  Raises ValueError when batches is empty, steps < 0
+    or n_starts < 1, or when all starts of a batch collapse.
     """
-    eig = sym_eig(mean_hessian(inst))
+    return _rank_one_ascent(inst, sym_eig(mean_hessian(inst)), list(batches), steps, seed, n_starts, rel_tol)
+
+
+def _rank_one_ascent(
+    inst: ProblemInstance,
+    eig: EigDecomp,
+    batches: list[int],
+    steps: int,
+    seed: int,
+    n_starts: int,
+    rel_tol: float,
+) -> list[tuple[float, np.ndarray]]:
+    """rank_one_bounds on eig = sym_eig(Hbar)."""
+    if not batches:
+        raise ValueError("batches must be non-empty")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     lam = float(eig.values[0])
     if lam <= 0:
         raise ValueError("mean Hessian has no positive eigenvalue")
-    hbar = mean_hessian(inst)
     n, d = inst.n, inst.d
-    p = mixing_weight(n, batch)
-    _, p_range = null_projectors(hbar, rel_tol=rel_tol)
+    floor = rel_tol * lam
+    vn = eig.vectors[:, eig.values <= floor]
+    p_range = np.eye(d) - vn @ vn.T
     rng = stream(seed, index=1)
     starts = [eig.vectors[:, 0]]
     while len(starts) < n_starts:
@@ -410,41 +458,58 @@ def rank_one_bound(
             starts.append(z / nz)
     gamma0 = 0.1
     schedule_k = max(1, steps // 10)
-    floor = rel_tol * lam
-    flat_h = inst.hessians.reshape(n * d, d)
-    best_value = np.full(n_starts, -math.inf)
-    best_v = np.array(starts)
-    # Column j of vt is the iterate of start lanes[j]; stopped starts are dropped.
-    # Pass k = -1 only evaluates the starts themselves.
-    lanes = np.arange(n_starts)
+    stacked = np.concatenate([inst.hessians.reshape(n * d, d), mean_hessian(inst)])
+    n_lanes = len(batches) * n_starts
+    best_value = np.full(n_lanes, -math.inf)
+    best_v = np.tile(np.array(starts), (len(batches), 1))
+    # Column j of vt is the iterate of lane lanes[j], and pn[j] its p / n;
+    # stopped lanes are dropped.  Pass k = -1 only evaluates the starts themselves.
+    lanes = np.arange(n_lanes)
+    pn = np.repeat([mixing_weight(n, b) / n for b in batches], n_starts)
     vt = best_v.T.copy()
-    hiv, hv, a = _rank_one_terms(vt, flat_h, hbar)
+    hv, quads = _rank_one_terms(vt, stacked)
     for k in range(-1, steps):
         if k >= 0:
-            grad = 2.0 * (1.0 - p * g / (a * a)) * hv + (4.0 * p / a) * np.einsum("ns,nis->is", dev / n, hiv - hv)
+            # grad f = sum_m coef_m * (row m of hv): rows i < n weigh H_i v, row n weighs
+            # Hbar v.  The noise term needs no "- Hbar v": sum_i dev_i is zero up to rounding.
+            coef = (4.0 * t) * dq
+            coef[n] = 2.0 - 2.0 * w / a
+            grad = np.einsum("ms,mis->is", coef, hv)
             r = grad - np.einsum("is,is->s", grad, vt) * vt
-            nr = np.linalg.norm(r, axis=0)
-            moving = ~(nr <= 1e-15 * np.maximum(1.0, np.abs(value)))
-            lanes, vt, r, nr = lanes[moving], vt[:, moving], r[:, moving], nr[moving]
+            nr = np.sqrt(np.einsum("is,is->s", r, r))
+            stopped = nr <= 1e-15 * np.maximum(1.0, value)  # f > 0, so |f| = f
+            if stopped.any():
+                moving = ~stopped
+                lanes, pn, vt, r, nr = lanes[moving], pn[moving], vt[:, moving], r[:, moving], nr[moving]
+                if lanes.size == 0:
+                    break
+            theta = (gamma0 / (1.0 + k / schedule_k) / lam) * nr
+            vt = np.cos(theta) * vt + (np.sin(theta) / nr) * r
+            vt /= np.sqrt(np.einsum("is,is->s", vt, vt))
+            hv, quads = _rank_one_terms(vt, stacked)
+        collapsed = quads[n] <= floor
+        if collapsed.any():
+            alive = ~collapsed
+            lanes, pn, vt, hv, quads = lanes[alive], pn[alive], vt[:, alive], hv[:, :, alive], quads[:, alive]
             if lanes.size == 0:
                 break
-            gamma = gamma0 / (1.0 + k / schedule_k)
-            theta = gamma * nr / lam
-            vt = np.cos(theta) * vt + np.sin(theta) * (r / nr)
-            vt /= np.linalg.norm(vt, axis=0)
-            hiv, hv, a = _rank_one_terms(vt, flat_h, hbar)
-        alive = ~(a <= floor)
-        lanes, vt, hiv, hv, a = lanes[alive], vt[:, alive], hiv[:, :, alive], hv[:, alive], a[alive]
-        if lanes.size == 0:
-            break
-        value, dev, g = _rank_one_value(vt, hiv, a, p)
+        a = quads[n]
+        dq = quads - a  # rows i < n are dev_i = v'H_i v - a; row n is exactly zero
+        t = pn / a
+        w = t * np.einsum("ms,ms->s", dq, dq)  # p * mean_i dev_i^2 / a
+        value = a + w
         better = value > best_value[lanes]
-        best_value[lanes[better]] = value[better]
-        best_v[lanes[better]] = vt[:, better].T
-    if not np.any(np.isfinite(best_value)):
-        raise ValueError("all starts collapsed into the null space of the mean Hessian")
-    best = int(np.argmax(best_value))
-    return float(best_value[best]), best_v[best].copy()
+        if better.any():
+            best_value[lanes[better]] = value[better]
+            best_v[lanes[better]] = vt[:, better].T
+    results = []
+    for j, b in enumerate(batches):
+        lane_values = best_value[j * n_starts : (j + 1) * n_starts]
+        if not np.any(np.isfinite(lane_values)):
+            raise ValueError(f"all starts collapsed into the null space of the mean Hessian (batch {b})")
+        best = j * n_starts + int(np.argmax(lane_values))
+        results.append((float(best_value[best]), best_v[best].copy()))
+    return results
 
 
 def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
@@ -489,7 +554,7 @@ def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: in
         x = u.reshape(d, d)
         return (full * x + (p / n) * _sandwich_sum(m_all, x)).reshape(-1)
 
-    return lanczos_lambda_max(LinearOperator(in_dim=d * d, out_dim=d * d, apply=apply), seed=7)
+    return _lanczos_solve(LinearOperator(in_dim=d * d, out_dim=d * d, apply=apply), seed=7)
 
 
 @dataclass(frozen=True)
@@ -527,11 +592,12 @@ def stability_verdict(
     """
     kind = require_valid(inst, rel_tol)
     p = mixing_weight(inst.n, batch)
-    eta_mean = mean_threshold(inst)
-    eta_var = _threshold(_generalized_sharpness_operator(inst, p, rel_tol))
-    b_eig = necessary_bound_eigvec(inst, batch)
+    eig = sym_eig(mean_hessian(inst))
+    eta_mean = _threshold(float(eig.values[0]))
+    eta_var = _threshold(_generalized_sharpness_operator(inst, p, rel_tol, _hessian_eigenbasis(inst, eig)))
+    b_eig = _eigvec_bound(inst, eig, p)
     b_tr = necessary_bound_trace(inst, batch)
-    value, _ = rank_one_bound(inst, batch, steps=rank_one_steps, seed=seed, rel_tol=rel_tol)
+    [(value, _)] = _rank_one_ascent(inst, eig, [batch], rank_one_steps, seed, 8, rel_tol)
     b_r1 = 2.0 / value
     if eta_var > eta_mean * (1.0 + 1e-9):
         raise ConvergenceError(f"variance threshold {eta_var} exceeds mean threshold {eta_mean}")

@@ -135,6 +135,33 @@ class TestSweep:
         )
         assert code == EXIT_USAGE
 
+    def test_negative_rank_one_steps_is_usage_error(self, scalar_pair_file, tmp_path, capsys):
+        code = main(
+            ["sweep", scalar_pair_file, "--batches", "1", "--eta-min", "0.1", "--eta-max", "0.5", "--eta-count", "2", "--rank-one-steps", "-1", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == EXIT_USAGE
+        assert "rank-one-steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("batches", [["2"], ["1", "2", "4"]])
+    def test_one_rank_one_block_for_all_batches(self, batches, tmp_path, monkeypatch):
+        # Every batch size rides in one block, so the block is evaluated once per step
+        # (and once at the starts) however many batch sizes the sweep covers.
+        inst = gen_regular(5, 6, 3, 1.0, False, 21)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        evaluations = []
+        true_terms = stability._rank_one_terms
+
+        def counted(*args):
+            evaluations.append(1)
+            return true_terms(*args)
+
+        monkeypatch.setattr(stability, "_rank_one_terms", counted)
+        steps = 20
+        argv = ["sweep", str(path), "--batches", *batches, "--eta-min", "0.1", "--eta-max", "0.5", "--eta-count", "2"]
+        assert main(argv + ["--rank-one-steps", str(steps), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert len(evaluations) == steps + 1
+
 
 def _sweep_argv(path, out, thr):
     return ["sweep", str(path), "--batches", "1", "2", "--eta-min", repr(0.5 * thr), "--eta-max", repr(1.2 * thr),
@@ -158,13 +185,13 @@ class TestProductionPaths:
         monkeypatch.setattr(stability, "kron", forbidden)
         monkeypatch.setattr(stability, "kron_sum", forbidden)
         solves = []
-        true_lanczos = stability.lanczos_lambda_max
+        true_lanczos = stability._lanczos_solve
 
         def counted(op, **kwargs):
             solves.append(op.in_dim)
             return true_lanczos(op, **kwargs)
 
-        monkeypatch.setattr(stability, "lanczos_lambda_max", counted)
+        monkeypatch.setattr(stability, "_lanczos_solve", counted)
         assert main(["analyze", str(path), "--batch", "2", "--eta", *etas, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
         # One threshold solve, whatever the number of step sizes: the verdict runs no spectral check.
         assert solves == [d * d]

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -20,13 +21,14 @@ from sgdstab import (
     necessary_bound_eigvec,
     necessary_bound_trace,
     rank_one_bound,
+    rank_one_bounds,
     second_moment_transition,
     sharpness,
     stability_verdict,
     variance_threshold,
 )
 from sgdstab.instances import stream
-from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, kron_sum, null_projectors, sqrt_pinv_psd, sym_eig, symmetrize
+from sgdstab.linalg import DEFAULT_RANK_RTOL, _lanczos_solve, kron, kron_sum, null_projectors, sqrt_pinv_psd, sym_eig, symmetrize
 from sgdstab.stability import (
     _dense_curvature,
     _generalized_sharpness_dense,
@@ -504,6 +506,62 @@ class TestBatchedRankOneAscent:
             rank_one_bound(gen_interpolating(3, 4, 1, 2), 1)
             rank_one_bound(gen_interpolating(5, 6, 1, 8), 1, rel_tol=0.8)
 
+    # Every batch of an instance runs as one block.  The reference loop costs about
+    # a second per batch at 2000 steps, so the block is compared at 400 steps.
+    FUSED_STEPS = 400
+
+    @pytest.mark.parametrize("case", sorted(CASES) + ["scalar-pair"])
+    def test_fused_block_matches_per_batch(self, case, scalar_pair):
+        if case == "scalar-pair":
+            inst, rel_tol = scalar_pair, DEFAULT_RANK_RTOL
+        else:
+            make, _, rel_tol, _, _ = self.CASES[case]
+            inst = make()
+        steps = self.FUSED_STEPS
+        batches = range(1, inst.n + 1)
+        fused = rank_one_bounds(inst, batches, steps=steps, rel_tol=rel_tol)
+        assert len(fused) == inst.n
+        for b, (value, v) in zip(batches, fused):
+            single = rank_one_bound(inst, b, steps=steps, rel_tol=rel_tol)
+            ref_value, ref_v, _, _ = _reference_rank_one(inst, b, steps=steps, rel_tol=rel_tol)
+            for want_value, want_v in (single, (ref_value, ref_v)):
+                assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+                assert min(np.linalg.norm(v - want_v), np.linalg.norm(v + want_v)) <= 1e-7
+
+    def test_fused_results_follow_input_order(self):
+        inst = gen_interpolating(3, 4, 1, 2)
+        batches = [3, 1, 3, 4, 2]
+        fused = rank_one_bounds(inst, batches, steps=self.FUSED_STEPS)
+        assert len(fused) == len(batches)
+        for b, (value, v) in zip(batches, fused):
+            want_value, want_v = rank_one_bound(inst, b, steps=self.FUSED_STEPS)
+            assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+            assert min(np.linalg.norm(v - want_v), np.linalg.norm(v + want_v)) <= 1e-7
+        assert fused[0][0] == pytest.approx(fused[2][0], rel=1e-12, abs=0.0)
+
+    def test_fused_lanes_stop_without_warning(self, scalar_pair):
+        inst = gen_interpolating(3, 4, 1, 2)
+        # The reference counts show lanes of one batch stopping while another's keep moving.
+        stops = [_reference_rank_one(inst, b, steps=self.FUSED_STEPS)[2] for b in (1, 4)]
+        assert stops == [0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rank_one_bounds(inst, range(1, inst.n + 1), steps=self.FUSED_STEPS)
+            rank_one_bounds(inst, range(1, inst.n + 1))
+            rank_one_bounds(scalar_pair, [1, 2])
+            rank_one_bounds(gen_interpolating(5, 6, 1, 8), range(1, 7), rel_tol=0.8)
+
+    @pytest.mark.parametrize("kwargs, pattern", [({"steps": -3}, "^steps"), ({"n_starts": 0}, "^n_starts")])
+    def test_rejects_bad_arguments(self, scalar_pair, kwargs, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            rank_one_bound(scalar_pair, 1, **kwargs)
+        with pytest.raises(ValueError, match=pattern):
+            rank_one_bounds(scalar_pair, [1, 2], **kwargs)
+
+    def test_rejects_empty_batches(self, scalar_pair):
+        with pytest.raises(ValueError, match="^batches"):
+            rank_one_bounds(scalar_pair, [])
+
 
 def _congruence_reference(inst, batch, rel_tol=DEFAULT_RANK_RTOL):
     """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ with (C^{1/2})^+ from a d^2 eigendecomposition."""
@@ -566,16 +624,31 @@ class TestDenseThresholdEigenbasis:
 
         def counted_lanczos(op, **kwargs):
             wrapped, applied = counting(op)
-            value = lanczos_lambda_max(wrapped, **kwargs)
+            value = _lanczos_solve(wrapped, **kwargs)
             applied_per_solve.append(len(applied))
             return value
 
-        monkeypatch.setattr(stability_module, "lanczos_lambda_max", counted_lanczos)
+        monkeypatch.setattr(stability_module, "_lanczos_solve", counted_lanczos)
         inst = gen_regular(24, 16, 4, 1.0, False, 3)
         for b in range(1, inst.n + 1):
             variance_threshold(inst, b)
         assert len(applied_per_solve) == inst.n
-        assert max(applied_per_solve) <= 60, applied_per_solve
+        assert max(applied_per_solve) <= 48, applied_per_solve
+
+    def test_package_solves_skip_self_adjoint_probes(self, monkeypatch):
+        # The package builds its operators symmetric; only outside operators are probed.
+        import sgdstab.linalg as linalg_module
+
+        def forbidden(*args):
+            raise AssertionError("self-adjoint probes ran")
+
+        monkeypatch.setattr(linalg_module, "_check_self_adjoint", forbidden)
+        inst = gen_regular(6, 5, 3, 1.0, False, 4)
+        thr = variance_threshold(inst, 2)
+        stability_verdict(inst, 2, [0.5 * thr], rank_one_steps=20)
+        projected_transition_lambda_max(inst, 0.5 * thr, 2)
+        with pytest.raises(AssertionError, match="probes ran"):
+            lanczos_lambda_max(LinearOperator.from_matrix(np.eye(3)))
 
     def test_non_psd_c_raises(self):
         hbar = np.diag([1.0, -0.5])
@@ -675,6 +748,29 @@ class TestVerdict:
         invalid = make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]])
         with pytest.raises(ValueError, match="not a regular or interpolating minimum"):
             stability_verdict(invalid, 1, [0.1])
+
+    def test_decomposes_hbar_once(self, monkeypatch):
+        import sgdstab.linalg as linalg_module
+
+        inst = gen_regular(6, 5, 3, 1.0, False, 4)
+        calls = []
+        true_sym_eig = linalg_module.sym_eig
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return true_sym_eig(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sgdstab") and getattr(module, "sym_eig", None) is true_sym_eig:
+                monkeypatch.setattr(module, "sym_eig", counted)
+        verdict = stability_verdict(inst, 2, [0.1], rank_one_steps=50)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # The shared decomposition gives what each public function computes on its own.
+        assert verdict.mean_threshold == mean_threshold(inst)
+        assert verdict.variance_threshold == variance_threshold(inst, 2)
+        assert verdict.bound_eigvec == necessary_bound_eigvec(inst, 2)
+        assert verdict.bound_rank_one == 2.0 / rank_one_bound(inst, 2, steps=50)[0]
 
     def test_generalized_sharpness_matches_threshold(self):
         inst = gen_regular(5, 6, 3, 1.0, False, 12)
