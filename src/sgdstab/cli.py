@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p_sw.add_argument("--eta-max", type=float, required=True)
     p_sw.add_argument("--eta-count", type=int, required=True)
     p_sw.add_argument("--log-grid", action="store_true")
-    p_sw.add_argument("--rank-one-steps", type=int, default=2000)
+    p_sw.add_argument("--rank-one-steps", type=int, default=2000, help="iteration cap; the ascent stops on convergence")
     p_sw.add_argument("--seed", type=int, default=0)
     p_sw.add_argument("--out", required=True)
 
@@ -172,13 +172,10 @@ def _cmd_sweep(args) -> int:
     else:
         grid = np.linspace(args.eta_min, args.eta_max, args.eta_count)
     stability.require_valid(inst)
-    lam = stability.sharpness(inst)
     lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
     batches = sorted(args.batches)
-    ascents = stability.rank_one_bounds(inst, batches, steps=args.rank_one_steps, seed=args.seed)
-    for b, (rank_one_value, _) in zip(batches, ascents):
-        gen_sharp = stability.generalized_sharpness(inst, b)
-        eig_value = 2.0 / stability.necessary_bound_eigvec(inst, b)
+    lam, rows = stability._sweep_bounds(inst, batches, args.rank_one_steps, args.seed)
+    for b, (gen_sharp, rank_one_value, eig_value) in zip(batches, rows):
         for eta in grid:
             row = (
                 str(b),

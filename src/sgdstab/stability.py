@@ -42,11 +42,16 @@ self-adjoint probes.
 
 The necessary bounds are cheap lower bounds on the generalized sharpness.
 The tightest, 2 / max_v f(v) over unit v, comes from rank_one_bounds: a
-geodesic gradient ascent that advances every (batch size, start) pair of
-a call as one column of a single block, with one GEMM per step on the
-stacked [H_1; ...; H_n; Hbar].  stability_verdict decomposes Hbar once
+Riemannian L-BFGS ascent on the unit sphere that advances every (batch
+size, start) pair of a call as one row of a single block.  Each iteration
+makes one GEMM with the block row [H_1, ..., H_n, Hbar], at the
+quasi-Newton trial point; Armijo backtracking along the same geodesic
+reads f off quadratic forms and makes none.  A lane stops on convergence,
+so the step budget is only a cap.  stability_verdict decomposes Hbar once
 and hands that decomposition to the mean threshold, the threshold's
-eigenbasis, the eigenvector bound and the ascent.
+eigenbasis, the eigenvector bound and the ascent; the sweep's
+_sweep_bounds shares one decomposition and one rotation the same way
+across its batch sizes.
 """
 
 from __future__ import annotations
@@ -369,15 +374,103 @@ def necessary_bound_trace(inst: ProblemInstance, batch: int) -> float:
     return 2.0 * tr / denom
 
 
-def _rank_one_terms(vt: np.ndarray, stacked: np.ndarray):
-    """Every H_i v, Hbar v and quadratic form for the columns v of vt.
+# Riemannian L-BFGS on the unit sphere (Absil, Mahony & Sepulchre, "Optimization
+# Algorithms on Matrix Manifolds", 2008, ch. 4 and 8), run by _rank_one_ascent.
+_LBFGS_PAIRS = 5  # (s, y) pairs kept per lane
+_MAX_ARC = 0.2  # longest trial step along a geodesic, in radians
+_ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search
+_HALVINGS = 30  # a failed trial arc is halved up to this many times
+_GRAD_RTOL = 1e-10  # a lane stops once |Riemannian grad f| <= _GRAD_RTOL * f ...
+_GAIN_RTOL = 4.0 * np.finfo(float).eps  # ... or once an accepted step raised f by at most this * f
 
-    stacked is the ((n+1) d, d) stack [H_1; ...; H_n; Hbar], so one GEMM
-    gives all the products; entry n of each returned stack is Hbar's.
+
+def _stacked_products(xs: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Every H_i x and Hbar x for the rows x of xs, as an (s, n+1, d) stack.
+
+    row is the (d, (n+1) d) block row [H_1, ..., H_n, Hbar].  The Hessians
+    are symmetric, so one GEMM gives all the products; entry n is Hbar's.
     """
-    d, s = vt.shape
-    hv = (stacked @ vt).reshape(-1, d, s)
-    return hv, np.einsum("is,nis->ns", vt, hv)
+    s, d = xs.shape
+    return (xs @ row).reshape(s, -1, d)
+
+
+def _forms(xs: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """x'M y for every M = H_1, ..., H_n, Hbar: row s of xs against the products hy[s] of y."""
+    return (hy @ xs[:, :, None])[..., 0]
+
+
+def _rank_one_value(quads: np.ndarray, pn: np.ndarray) -> np.ndarray:
+    """f = a + (p/n) sum_i dev_i^2 / a per lane (row of quads), from the forms v'H_i v in
+    columns i < n and a = v'Hbar v in column n; -inf where a <= 0."""
+    a = quads[:, -1]
+    dev = quads[:, :-1] - a[:, None]
+    positive = a > 0
+    value = a + pn * np.einsum("sn,sn->s", dev, dev) / np.where(positive, a, 1.0)
+    return np.where(positive, value, -math.inf)
+
+
+def _rank_one_grad(vs: np.ndarray, hv: np.ndarray, quads: np.ndarray, pn: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The Riemannian gradient of f at the unit rows of vs, from their products and forms."""
+    n = quads.shape[1] - 1
+    a = quads[:, n]
+    # grad f = sum_m coef_m * (entry m of hv): entries i < n weigh H_i v, entry n weighs
+    # Hbar v.  The noise term needs no "- Hbar v": sum_i dev_i is zero up to rounding.
+    coef = (4.0 * pn / a)[:, None] * (quads - a[:, None])
+    coef[:, n] = 4.0 - 2.0 * value / a  # 2 - 2 w / a with w = f - a
+    grad = (coef[:, None] @ hv)[:, 0]
+    return grad - np.einsum("si,si->s", grad, vs)[:, None] * vs
+
+
+def _geodesic_rise(theta: np.ndarray, quads: np.ndarray, q_vu: np.ndarray, q_uu: np.ndarray, pn: np.ndarray):
+    """Increments of the forms, and f's rise, from v to cos(theta) v + sin(theta) u.
+
+    quads, q_vu and q_uu hold v'M v, v'M u and u'M u for M = H_1, ..., H_n, Hbar,
+    one row per lane; theta is (trials, lanes).  The increments are formed
+    directly (cos^2 - 1 = -sin^2), so a rise far below f stays accurate.  A trial
+    leaving v'Hbar v nonpositive gets rise -inf.
+    """
+    cs, sn = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    dq = sn * (2.0 * cs * q_vu + sn * (q_uu - quads))
+    a, da = quads[:, -1], dq[..., -1]
+    dev, ddev = quads[:, :-1] - a[:, None], dq[..., :-1] - da[..., None]
+    positive = a + da > 0
+    dg = np.einsum("jsn,jsn->js", ddev, 2.0 * dev + ddev)  # change of sum_i dev_i^2
+    rise = da + pn * (dg - np.einsum("sn,sn->s", dev, dev) * da / a) / np.where(positive, a + da, 1.0)
+    return dq, np.where(positive, rise, -math.inf)
+
+
+def _two_loop(r: np.ndarray, mem: np.ndarray, rho: np.ndarray, gamma: np.ndarray, order) -> np.ndarray:
+    """The L-BFGS ascent direction for the gradients in the rows of r, each lane with its own
+    pairs: mem[:, 0] holds its s vectors and mem[:, 1] its y vectors.  order lists the pair
+    slots newest first; a slot with rho = 0 is skipped."""
+    eta = r.copy()
+    alpha = np.zeros(rho.shape)
+    for j in order:
+        alpha[:, j] = rho[:, j] * np.einsum("si,si->s", mem[:, 0, j], eta)
+        eta -= alpha[:, j, None] * mem[:, 1, j]
+    eta *= gamma[:, None]
+    for j in reversed(order):
+        eta += (alpha[:, j] - rho[:, j] * np.einsum("si,si->s", mem[:, 1, j], eta))[:, None] * mem[:, 0, j]
+    return eta
+
+
+def _backtrack(theta, slope, vs, u, hv, hu, quads, pn):
+    """Armijo backtracking along cos(t) v + sin(t) u from the failed arc theta, per lane.
+
+    f at every halved arc comes from the forms of v and u (_geodesic_rise), so this
+    costs no GEMM.  Returns the accepted iterate, its products and forms, the arc, f's
+    rise and whether any halving passed; where none did, the rest is to be discarded.
+    """
+    arcs = theta * 0.5 ** np.arange(1, _HALVINGS + 1)[:, None]
+    dq, rise = _geodesic_rise(arcs, quads, _forms(vs, hu), _forms(u, hu), pn)
+    ok = rise >= _ARMIJO * arcs * slope
+    pick, cols = ok.argmax(axis=0), np.arange(theta.size)
+    arc = arcs[pick, cols]
+    cs, sn = np.cos(arc), np.sin(arc)
+    v = cs[:, None] * vs + sn[:, None] * u
+    scale = np.sqrt(np.einsum("si,si->s", v, v))
+    hv = (cs[:, None, None] * hv + sn[:, None, None] * hu) / scale[:, None, None]
+    return v / scale[:, None], hv, (quads + dq[pick, cols]) / (scale * scale)[:, None], arc, rise[pick, cols], ok[pick, cols]
 
 
 def rank_one_bound(
@@ -411,17 +504,24 @@ def rank_one_bounds(
 
         f(v) = v'Hbar v + p * mean_i (v'H_i v - v'Hbar v)^2 / (v'Hbar v)
 
-    over the unit sphere by geodesic gradient ascent with a decaying step
-    schedule, multi-started from the top eigenvector of Hbar plus seeded
-    random directions in its range.  Every (batch, start) lane advances in
-    one (d, len(batches) * n_starts) block, column j * n_starts + s being
-    start s of batches[j]; a lane stops for good when its tangent gradient
-    vanishes or it collapses into the null space of Hbar.  Geodesic arc
-    lengths are scaled by 1/lambda_max so the iterate sequence is exactly
-    equivariant under rescaling all Hessians.  Returns (best value,
-    maximizer) per batch, in the order given: the first strict maximum in
-    (start, step) order.  Raises ValueError when batches is empty, steps < 0
-    or n_starts < 1, or when all starts of a batch collapse.
+    over the unit sphere by Riemannian L-BFGS, multi-started from the top
+    eigenvector of Hbar plus seeded random directions in its range.  Every
+    (batch, start) lane advances in one (len(batches) * n_starts, d) block,
+    row j * n_starts + s being start s of batches[j], and keeps its own few
+    (s, y) pairs, projected onto the current tangent space.  A step goes
+    along the geodesic in the quasi-Newton direction, its arc capped at
+    0.2 rad, then halved until it passes Armijo.  A start inside the null
+    space of Hbar (v'Hbar v at or below rel_tol * lambda_max) collapses at
+    once; an accepted step raises f, and f(v) <= |P v|^2 * (generalized
+    sharpness) for P the range projector, so no lane nears the null space
+    afterwards.  A lane stops when its Riemannian gradient is at most 1e-10
+    f, when a step raised f by a few ulps only, or when no halving passes.
+    steps caps the iterations without entering them, so a larger cap never
+    gives a smaller value.  The iteration is scale free, so rescaling all
+    Hessians rescales the values alike.  Returns (best value, maximizer)
+    per batch, in the order given: the first strict maximum over the starts
+    in order.  Raises ValueError when batches is empty, steps < 0 or
+    n_starts < 1, or when all starts of a batch collapse.
     """
     return _rank_one_ascent(inst, sym_eig(mean_hessian(inst)), list(batches), steps, seed, n_starts, rel_tol)
 
@@ -456,52 +556,93 @@ def _rank_one_ascent(
         nz = np.linalg.norm(z)
         if nz > 1e-8:
             starts.append(z / nz)
-    gamma0 = 0.1
-    schedule_k = max(1, steps // 10)
-    stacked = np.concatenate([inst.hessians.reshape(n * d, d), mean_hessian(inst)])
+    # [H_1, ..., H_n, Hbar] side by side; each lane is a row of every array below.
+    row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), mean_hessian(inst)], axis=1)
     n_lanes = len(batches) * n_starts
     best_value = np.full(n_lanes, -math.inf)
     best_v = np.tile(np.array(starts), (len(batches), 1))
-    # Column j of vt is the iterate of lane lanes[j], and pn[j] its p / n;
-    # stopped lanes are dropped.  Pass k = -1 only evaluates the starts themselves.
-    lanes = np.arange(n_lanes)
-    pn = np.repeat([mixing_weight(n, b) / n for b in batches], n_starts)
-    vt = best_v.T.copy()
-    hv, quads = _rank_one_terms(vt, stacked)
-    for k in range(-1, steps):
-        if k >= 0:
-            # grad f = sum_m coef_m * (row m of hv): rows i < n weigh H_i v, row n weighs
-            # Hbar v.  The noise term needs no "- Hbar v": sum_i dev_i is zero up to rounding.
-            coef = (4.0 * t) * dq
-            coef[n] = 2.0 - 2.0 * w / a
-            grad = np.einsum("ms,mis->is", coef, hv)
-            r = grad - np.einsum("is,is->s", grad, vt) * vt
-            nr = np.sqrt(np.einsum("is,is->s", r, r))
-            stopped = nr <= 1e-15 * np.maximum(1.0, value)  # f > 0, so |f| = f
-            if stopped.any():
-                moving = ~stopped
-                lanes, pn, vt, r, nr = lanes[moving], pn[moving], vt[:, moving], r[:, moving], nr[moving]
-                if lanes.size == 0:
-                    break
-            theta = (gamma0 / (1.0 + k / schedule_k) / lam) * nr
-            vt = np.cos(theta) * vt + (np.sin(theta) / nr) * r
-            vt /= np.sqrt(np.einsum("is,is->s", vt, vt))
-            hv, quads = _rank_one_terms(vt, stacked)
-        collapsed = quads[n] <= floor
-        if collapsed.any():
-            alive = ~collapsed
-            lanes, pn, vt, hv, quads = lanes[alive], pn[alive], vt[:, alive], hv[:, :, alive], quads[:, alive]
+    m = _LBFGS_PAIRS
+    # Per-lane state: lane index, p / n, iterate vs, its products hv and forms quads, f, its
+    # Riemannian gradient r, the (s, y) pairs mem with their 1/(s'y), and the initial
+    # inverse-Hessian scale gamma.  A lane that stops is dropped from every array at once.
+    vs = best_v.copy()
+    hv = _stacked_products(vs, row)
+    quads = _forms(vs, hv)
+    alive = quads[:, n] > floor  # starts inside the null space collapse at once
+    lanes, pn, vs, hv, quads = [
+        x[alive] for x in (np.arange(n_lanes), np.repeat([mixing_weight(n, b) / n for b in batches], n_starts), vs, hv, quads)
+    ]
+    mem = np.zeros((lanes.size, 2, m, d))
+    rho, gamma = np.zeros((lanes.size, m)), np.full(lanes.size, 1.0 / lam)
+    value = _rank_one_value(quads, pn)
+    r = _rank_one_grad(vs, hv, quads, pn, value)
+    best_value[lanes] = value
+    best_v[lanes] = vs
+    gain = np.full(lanes.size, math.inf)  # f's rise on each lane's last step
+    for k in range(steps):
+        # f > 0 on every live lane, so both stop rules are relative to f itself.
+        moving = (np.sqrt(np.einsum("si,si->s", r, r)) > _GRAD_RTOL * value) & (gain > _GAIN_RTOL * value)
+        if not moving.all():
+            lanes, pn, vs, hv, quads, mem, rho, gamma, value, r = [
+                x[moving] for x in (lanes, pn, vs, hv, quads, mem, rho, gamma, value, r)
+            ]
+        if lanes.size == 0:
+            break
+        eta = _two_loop(r, mem, rho, gamma, [(k - 1 - j) % m for j in range(min(k, m))])
+        slope = np.einsum("si,si->s", r, eta)
+        uphill = slope > 0
+        if not uphill.all():  # lost to rounding: that lane restarts from the scaled gradient
+            eta[~uphill] = r[~uphill] / lam
+            mem[~uphill] = 0.0
+            slope = np.einsum("si,si->s", r, eta)
+        norm_eta = np.sqrt(np.einsum("si,si->s", eta, eta))
+        u = eta / norm_eta[:, None]
+        slope /= norm_eta  # d f / d theta along the geodesic cos(theta) v + sin(theta) u
+        # The trial: the quasi-Newton step along that geodesic, its arc capped at _MAX_ARC.
+        theta = np.minimum(norm_eta, _MAX_ARC)
+        cs, sn = np.cos(theta), np.sin(theta)
+        vs_new = cs[:, None] * vs + sn[:, None] * u
+        scale = np.sqrt(np.einsum("si,si->s", vs_new, vs_new))
+        vs_new /= scale[:, None]
+        hv_new = _stacked_products(vs_new, row)
+        quads_new = _forms(vs_new, hv_new)
+        value_new = _rank_one_value(quads_new, pn)
+        gain = value_new - value
+        passed = gain >= _ARMIJO * theta * slope
+        # A failed lane backtracks, unless its step promised a rise of rounding size only:
+        # f has then converged there, and the lane stops where it is.
+        back = np.flatnonzero(~passed & (theta * slope > _GAIN_RTOL * value))
+        if back.size:
+            # H u on those lanes follows from the trial's products.
+            hu = (scale[back, None, None] * hv_new[back] - cs[back, None, None] * hv[back]) / sn[back, None, None]
+            vs_new[back], hv_new[back], quads_new[back], theta[back], gain[back], passed[back] = _backtrack(
+                theta[back], slope[back], vs[back], u[back], hv[back], hu, quads[back], pn[back]
+            )
+            value_new[back] = _rank_one_value(quads_new[back], pn[back])
+        if not passed.all():  # so does a lane where no halving passes
+            lanes, pn, vs, vs_new, hv_new, quads_new, value_new, mem, gamma, r, u, theta, gain = [
+                x[passed] for x in (lanes, pn, vs, vs_new, hv_new, quads_new, value_new, mem, gamma, r, u, theta, gain)
+            ]
             if lanes.size == 0:
                 break
-        a = quads[n]
-        dq = quads - a  # rows i < n are dev_i = v'H_i v - a; row n is exactly zero
-        t = pn / a
-        w = t * np.einsum("ms,ms->s", dq, dq)  # p * mean_i dev_i^2 / a
-        value = a + w
-        better = value > best_value[lanes]
-        if better.any():
-            best_value[lanes[better]] = value[better]
-            best_v[lanes[better]] = vt[:, better].T
+        vs, hv, quads, value = vs_new, hv_new, quads_new, value_new
+        r_new = _rank_one_grad(vs, hv, quads, pn, value)
+        # An accepted step raised f, so its iterate is the lane's best so far even when the
+        # recomputed f ties the last value to rounding; the max keeps values monotone.
+        best_value[lanes] = np.maximum(best_value[lanes], value)
+        best_v[lanes] = vs
+        # The new pair, and the kept ones transported by projection onto the new tangent space.
+        s_new = theta[:, None] * (u - np.einsum("si,si->s", vs, u)[:, None] * vs)
+        y_new = (r - np.einsum("si,si->s", vs, r)[:, None] * vs) - r_new
+        mem -= np.einsum("si,skmi->skm", vs, mem)[..., None] * vs[:, None, None]
+        sy_new = np.einsum("si,si->s", s_new, y_new)
+        curved = sy_new > 0
+        mem[:, 0, k % m] = np.where(curved[:, None], s_new, 0.0)
+        mem[:, 1, k % m] = np.where(curved[:, None], y_new, 0.0)
+        gamma = np.where(curved, sy_new / np.where(curved, np.einsum("si,si->s", y_new, y_new), 1.0), gamma)
+        s_y = np.einsum("smi,smi->sm", mem[:, 0], mem[:, 1])
+        rho = np.divide(1.0, s_y, out=np.zeros_like(s_y), where=s_y > 0)
+        r = r_new
     results = []
     for j, b in enumerate(batches):
         lane_values = best_value[j * n_starts : (j + 1) * n_starts]
@@ -510,6 +651,26 @@ def _rank_one_ascent(
         best = j * n_starts + int(np.argmax(lane_values))
         results.append((float(best_value[best]), best_v[best].copy()))
     return results
+
+
+def _sweep_bounds(
+    inst: ProblemInstance, batches: list[int], steps: int, seed: int, rel_tol: float = DEFAULT_RANK_RTOL
+) -> tuple[float, list[tuple[float, float, float]]]:
+    """The sharpness and, per batch in the order given, (generalized sharpness, rank-one
+    value, 2 / eigenvector bound), from one decomposition of Hbar and one rotation.
+
+    Each number is bit for bit what sharpness, generalized_sharpness, rank_one_bounds
+    and necessary_bound_eigvec return; those each decompose Hbar again.  The
+    instance is not classified here.
+    """
+    eig = sym_eig(mean_hessian(inst))
+    basis = _hessian_eigenbasis(inst, eig)
+    ascents = _rank_one_ascent(inst, eig, batches, steps, seed, 8, rel_tol)
+    rows = []
+    for b, (rank_one, _) in zip(batches, ascents):
+        p = mixing_weight(inst.n, b)
+        rows.append((_generalized_sharpness_operator(inst, p, rel_tol, basis), rank_one, 2.0 / _eigvec_bound(inst, eig, p)))
+    return float(eig.values[0]), rows
 
 
 def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:

@@ -9,6 +9,7 @@ import sgdstab.instances as instances
 import sgdstab.stability as stability
 from sgdstab import gen_regular, load_instance, make_instance, save_instance, variance_threshold
 from sgdstab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from sgdstab.instances import _fmt
 
 
 @pytest.fixture
@@ -144,23 +145,57 @@ class TestSweep:
 
     @pytest.mark.parametrize("batches", [["2"], ["1", "2", "4"]])
     def test_one_rank_one_block_for_all_batches(self, batches, tmp_path, monkeypatch):
-        # Every batch size rides in one block, so the block is evaluated once per step
-        # (and once at the starts) however many batch sizes the sweep covers.
+        # Every batch size rides in the same stacked GEMMs: the first carries all 8 starts of
+        # every batch size, and the ascent makes at most one per iteration after it.
         inst = gen_regular(5, 6, 3, 1.0, False, 21)
         path = tmp_path / "inst.json"
         save_instance(inst, path)
-        evaluations = []
-        true_terms = stability._rank_one_terms
+        rows = []
+        true_products = stability._stacked_products
 
-        def counted(*args):
-            evaluations.append(1)
-            return true_terms(*args)
+        def counted(xs, row):
+            rows.append(xs.shape[0])
+            return true_products(xs, row)
 
-        monkeypatch.setattr(stability, "_rank_one_terms", counted)
+        monkeypatch.setattr(stability, "_stacked_products", counted)
         steps = 20
         argv = ["sweep", str(path), "--batches", *batches, "--eta-min", "0.1", "--eta-max", "0.5", "--eta-count", "2"]
         assert main(argv + ["--rank-one-steps", str(steps), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
-        assert len(evaluations) == steps + 1
+        assert rows[0] == 8 * len(batches)
+        assert 1 < len(rows) <= steps + 1
+        assert max(rows) == rows[0]
+
+    def test_decomposes_hbar_once(self, tmp_path, monkeypatch):
+        # sharpness, every batch's threshold, eigenvector bound and the ascent share one
+        # decomposition of Hbar (and one rotation), and print what the public functions return.
+        import sgdstab.linalg as linalg_module
+
+        inst = gen_regular(6, 7, 3, 1.0, False, 5)
+        path, out = tmp_path / "inst.json", tmp_path / "s.csv"
+        save_instance(inst, path)
+        batches, steps = [1, 3, 7], 30
+        calls = []
+        true_sym_eig = linalg_module.sym_eig
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return true_sym_eig(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sgdstab") and getattr(module, "sym_eig", None) is true_sym_eig:
+                monkeypatch.setattr(module, "sym_eig", counted)
+        argv = ["sweep", str(path), "--batches", *map(str, batches), "--eta-min", "0.1", "--eta-max", "0.5"]
+        assert main(argv + ["--eta-count", "3", "--rank-one-steps", str(steps), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.undo()
+        ascents = stability.rank_one_bounds(inst, batches, steps=steps)
+        lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
+        for b, (rank_one_value, _) in zip(batches, ascents):
+            for eta in np.linspace(0.1, 0.5, 3):
+                cells = (eta, 2.0 / eta, stability.generalized_sharpness(inst, b), rank_one_value,
+                         2.0 / stability.necessary_bound_eigvec(inst, b), stability.sharpness(inst))
+                lines.append(",".join([str(b)] + [_fmt(x) for x in cells]))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _sweep_argv(path, out, thr):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sgdstab import (
     LinearOperator,
@@ -390,7 +392,9 @@ class TestRankOneBound:
 
 
 def _reference_rank_one(inst, batch, steps=2000, seed=0, n_starts=8, rel_tol=DEFAULT_RANK_RTOL):
-    """The per-start ascent loop that rank_one_bound replaced, kept as an oracle.
+    """The per-start decaying-schedule ascent that rank_one_bound ran before it
+    became a quasi-Newton ascent, kept as a lower-bound oracle: from the same
+    starts, the new ascent must reach at least its value.
 
     Returns (best value, maximizer, counts of starts that stopped on a
     vanishing gradient and that collapsed into the null space).
@@ -458,6 +462,18 @@ def _rank_one_objective(inst, batch, v):
     return a + mixing_weight(inst.n, batch) * float(np.mean(dev * dev)) / a
 
 
+def _relative_riemannian_gradient(inst, batch, v):
+    """|grad f(v) projected on the tangent space at v| / f(v), by direct products."""
+    p = mixing_weight(inst.n, batch)
+    hbar = mean_hessian(inst)
+    a = float(v @ hbar @ v)
+    hv, hiv = hbar @ v, inst.hessians @ v
+    dev = hiv @ v - a
+    g = float(np.mean(dev * dev))
+    grad = 2.0 * (1.0 - p * g / (a * a)) * hv + (4.0 * p / a) * np.einsum("n,ni->i", dev / inst.n, hiv - hv)
+    return float(np.linalg.norm(grad - (grad @ v) * v)) / (a + p * g / a)
+
+
 class TestBatchedRankOneAscent:
     # (instance, batch, rel_tol, starts that stop early, starts that collapse)
     CASES = {
@@ -472,16 +488,15 @@ class TestBatchedRankOneAscent:
     def test_matches_per_start_loop(self, case):
         make, batch, rel_tol, want_stopped, want_collapsed = self.CASES[case]
         inst = make()
-        ref_value, ref_v, stopped, collapsed = _reference_rank_one(inst, batch, rel_tol=rel_tol)
-        # The case exercises the lane masks it is named for.
+        ref_value, _, stopped, collapsed = _reference_rank_one(inst, batch, rel_tol=rel_tol)
+        # The case exercises, in the reference loop, the lane masks it is named for.
         assert (stopped, collapsed) == (want_stopped, want_collapsed)
         value, v = rank_one_bound(inst, batch, rel_tol=rel_tol)
-        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        # From the same starts the quasi-Newton ascent reaches at least the old schedule's
+        # 2000-step value, and stops at a stationary point of f.
+        assert value >= ref_value * (1.0 - 1e-12)
         assert _rank_one_objective(inst, batch, v) == pytest.approx(value, rel=1e-12, abs=0.0)
-        # f is flat to second order at a maximum, so the best step is picked
-        # among iterates whose values tie to rounding; those lie within about
-        # sqrt(machine eps) of each other, and starts that reach +v and -v tie.
-        assert min(np.linalg.norm(v - ref_v), np.linalg.norm(v + ref_v)) <= 1e-7
+        assert _relative_riemannian_gradient(inst, batch, v) <= 1e-8
 
     def test_d1_every_start_stops_at_once(self, scalar_pair):
         ref_value, ref_v, stopped, _ = _reference_rank_one(scalar_pair, 1)
@@ -501,7 +516,7 @@ class TestBatchedRankOneAscent:
     def test_masked_lanes_raise_no_warning(self, scalar_pair):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # d=1 has an exactly zero tangent gradient; rel_tol=0.8 collapses lanes mid-ascent.
+            # d=1 has an exactly zero tangent gradient; rel_tol=0.8 collapses most starts at once.
             rank_one_bound(scalar_pair, 1)
             rank_one_bound(gen_interpolating(3, 4, 1, 2), 1)
             rank_one_bound(gen_interpolating(5, 6, 1, 8), 1, rel_tol=0.8)
@@ -522,11 +537,12 @@ class TestBatchedRankOneAscent:
         fused = rank_one_bounds(inst, batches, steps=steps, rel_tol=rel_tol)
         assert len(fused) == inst.n
         for b, (value, v) in zip(batches, fused):
-            single = rank_one_bound(inst, b, steps=steps, rel_tol=rel_tol)
-            ref_value, ref_v, _, _ = _reference_rank_one(inst, b, steps=steps, rel_tol=rel_tol)
-            for want_value, want_v in (single, (ref_value, ref_v)):
-                assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
-                assert min(np.linalg.norm(v - want_v), np.linalg.norm(v + want_v)) <= 1e-7
+            single_value, single_v = rank_one_bound(inst, b, steps=steps, rel_tol=rel_tol)
+            assert value == pytest.approx(single_value, rel=1e-12, abs=0.0)
+            assert min(np.linalg.norm(v - single_v), np.linalg.norm(v + single_v)) <= 1e-7
+            assert _rank_one_objective(inst, b, v) == pytest.approx(value, rel=1e-12, abs=0.0)
+            ref_value = _reference_rank_one(inst, b, steps=steps, rel_tol=rel_tol)[0]
+            assert value >= ref_value * (1.0 - 1e-12)
 
     def test_fused_results_follow_input_order(self):
         inst = gen_interpolating(3, 4, 1, 2)
@@ -561,6 +577,68 @@ class TestBatchedRankOneAscent:
     def test_rejects_empty_batches(self, scalar_pair):
         with pytest.raises(ValueError, match="^batches"):
             rank_one_bounds(scalar_pair, [])
+
+
+class TestRankOneBudget:
+    """steps caps the iterations and never enters them, so a larger cap never gives less."""
+
+    def test_finding_instance_is_monotone_in_the_cap(self):
+        # Under the old decaying schedule this instance gave 0.899 of the generalized
+        # sharpness at 500 steps and 0.773 at 2000.
+        inst = gen_regular(96, 64, 2, 1.0, False, 3)
+        values = [rank_one_bound(inst, 1, steps=s)[0] for s in (0, 1, 5, 20, 50, 200, 2000, 4000)]
+        assert values == sorted(values)
+        assert len(set(values[4:])) == 1  # converged by a cap of 50
+        assert values[-1] >= 0.89 * generalized_sharpness(inst, 1)
+
+    @given(
+        d=st.integers(2, 5),
+        n=st.integers(2, 7),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_larger_cap_never_lowers_the_bound(self, d, n, seed, data):
+        inst = gen_interpolating(d, n, data.draw(st.integers(1, d)), seed)
+        b = data.draw(st.integers(1, n))
+        s1 = data.draw(st.integers(0, 40))
+        s2 = data.draw(st.integers(s1 + 1, 80))
+        r1, _ = rank_one_bound(inst, b, steps=s1)
+        r2, _ = rank_one_bound(inst, b, steps=s2)
+        assert r1 <= r2
+        gen_sharp = generalized_sharpness(inst, b)
+        eig_value = 2.0 / necessary_bound_eigvec(inst, b)
+        slack = 1e-9 * max(1.0, gen_sharp)
+        assert gen_sharp + slack >= r2
+        assert r2 + slack >= eig_value
+
+    @pytest.mark.parametrize(
+        "make, old_value",
+        [
+            # 2000-step values of the decaying-schedule ascent that this one replaced.
+            (lambda: gen_interpolating(48, 24, 1, 9), 46.17449843833756),
+            (lambda: gen_regular(20, 40, 3, 1.0, False, 5), 15.786517003863299),
+        ],
+    )
+    def test_no_worse_local_maximum(self, make, old_value):
+        # Without the 0.2-rad cap on its arcs, the ascent settles in a worse maximum on
+        # the first instance: 0.717 of the generalized sharpness, against 0.756.
+        assert rank_one_bound(make(), 1)[0] >= old_value * (1.0 - 1e-10)
+
+    def test_analyze_makes_few_stacked_gemms(self, monkeypatch):
+        # The old schedule ran all 2000 steps here: 2001 GEMMs.
+        import sgdstab.stability as stability_module
+
+        rows = []
+        true_products = stability_module._stacked_products
+
+        def counted(xs, row):
+            rows.append(xs.shape[0])
+            return true_products(xs, row)
+
+        monkeypatch.setattr(stability_module, "_stacked_products", counted)
+        inst = gen_regular(24, 16, 4, 1.0, False, 3)
+        stability_verdict(inst, 4, [0.1])
+        assert len(rows) <= 200, len(rows)
 
 
 def _congruence_reference(inst, batch, rel_tol=DEFAULT_RANK_RTOL):
