@@ -8,18 +8,24 @@ zero), regular (gradients may be nonzero but PSD Hessians), or invalid.
 The on-disk format is a single JSON document::
 
     {"d": int, "n": int,
-     "hessians": [[d*d reals, row-major], ...],
-     "gradients": [[d reals], ...],
+     "hessians": {"dtype": "<f8", "shape": [n, d, d], "base64": str},
+     "gradients": {"dtype": "<f8", "shape": [n, d], "base64": str},
      "label": str}
 
-with every float written with 17 significant digits so that re-loading
-is bit-exact.
+Each payload holds the array's little-endian IEEE-754 doubles in
+row-major order, base64-encoded, so re-loading is bit-exact and parses
+no decimals.  Files that give ``hessians`` as ``[[d*d reals, row-major],
+...]`` and ``gradients`` as ``[[d reals], ...]`` still load (the form is
+convenient by hand), but nothing writes it.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import enum
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +39,9 @@ GRAD_ZERO_TOL = 1e-12
 MEAN_GRAD_RTOL = 1e-10
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+# Element type of the binary payloads in instance files.
+_DTYPE = "<f8"
 
 
 def _splitmix64(x: int) -> int:
@@ -103,8 +112,20 @@ class ProblemInstance:
         return (self.gradients.T @ self.gradients) / self.n
 
 
+def _first_nonfinite(hessians: np.ndarray, gradients: np.ndarray) -> str | None:
+    """Name the first sample with a NaN or infinite entry, or return None."""
+    for name, a in (("hessian", hessians), ("gradient", gradients)):
+        bad = ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+        if bad.any():
+            return f"{name} {int(np.argmax(bad))} has a non-finite entry"
+    return None
+
+
 def make_instance(hessians, gradients, label: str = "", validate: bool = True) -> ProblemInstance:
-    """Build an instance, symmetrizing Hessians and checking invariants."""
+    """Build an instance, symmetrizing Hessians and checking invariants.
+
+    Like ``np.asarray``, the instance may share memory with the arguments.
+    """
     h = np.asarray(hessians, dtype=float)
     g = np.asarray(gradients, dtype=float)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
@@ -112,7 +133,14 @@ def make_instance(hessians, gradients, label: str = "", validate: bool = True) -
     n, d = h.shape[0], h.shape[1]
     if g.shape != (n, d):
         raise ValueError(f"gradients must have shape ({n}, {d}), got {g.shape}")
-    h = 0.5 * (h + np.transpose(h, (0, 2, 1)))
+    if validate and (problem := _first_nonfinite(h, g)):
+        raise ValueError(problem)
+    h_t = np.transpose(h, (0, 2, 1))
+    # A bitwise-symmetric stack is kept as given, subnormals included, and
+    # not copied; halving before the sum keeps entries near the largest
+    # double finite.
+    if not np.array_equal(h.view(np.uint64), h_t.view(np.uint64)):
+        h = 0.5 * h + 0.5 * h_t
     if validate:
         mean_g = g.mean(axis=0)
         scale = float(np.max(np.linalg.norm(g, axis=1), initial=0.0))
@@ -240,49 +268,101 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _payload(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype=_DTYPE)
+    return {"dtype": _DTYPE, "shape": list(a.shape), "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
 def save_instance(inst: ProblemInstance, path) -> None:
-    """Write the JSON instance format with 17-significant-digit floats."""
-    rows_h = ",".join("[" + ",".join(_fmt(v) for v in hi.reshape(-1)) + "]" for hi in inst.hessians)
-    rows_g = ",".join("[" + ",".join(_fmt(v) for v in gi) + "]" for gi in inst.gradients)
-    doc = (
-        "{"
-        f'"d": {inst.d}, "n": {inst.n}, '
-        f'"hessians": [{rows_h}], '
-        f'"gradients": [{rows_g}], '
-        f'"label": {json.dumps(inst.label)}'
-        "}"
-    )
-    Path(path).write_text(doc + "\n", encoding="utf-8")
+    """Write the JSON instance format, each array as an exact binary payload.
+
+    The output depends only on the instance, so saving it twice gives the
+    same bytes.
+    """
+    doc = {
+        "d": inst.d,
+        "n": inst.n,
+        "hessians": _payload(inst.hessians),
+        "gradients": _payload(inst.gradients),
+        "label": inst.label,
+    }
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+
+
+def _decode_payload(key: str, value: dict, shape: tuple[int, ...]) -> np.ndarray:
+    if set(value) != {"dtype", "shape", "base64"}:
+        raise InstanceFormatError(f"{key}: a binary payload has exactly the keys 'dtype', 'shape' and 'base64'")
+    if value["dtype"] != _DTYPE:
+        raise InstanceFormatError(f"{key}: dtype must be {_DTYPE!r}, got {value['dtype']!r}")
+    if value["shape"] != list(shape):
+        raise InstanceFormatError(f"{key}: shape must be {list(shape)}, got {value['shape']!r}")
+    text = value["base64"]
+    if not isinstance(text, str):
+        raise InstanceFormatError(f"{key}: base64 must be a string")
+    try:
+        # b64decode(text, validate=True) without its ASCII copy of the text.
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:
+        raise InstanceFormatError(f"{key}: payload is not valid base64 ({exc})") from exc
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise InstanceFormatError(f"{key}: payload holds {len(raw)} bytes, expected {expected}")
+    return np.frombuffer(raw, dtype=_DTYPE).reshape(shape).astype(float)
+
+
+def _decode_rows(key: str, rows: list, shape: tuple[int, ...]) -> np.ndarray:
+    """The list-of-decimals form: one row of reals per sample."""
+    if len(rows) != shape[0]:
+        raise InstanceFormatError("hessians/gradients length does not match n")
+    width = math.prod(shape[1:])
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise InstanceFormatError(f"{key[:-1]} {i} is not a list of reals")
+        if len(row) != width:
+            raise InstanceFormatError(f"{key[:-1]} {i} has {len(row)} entries, expected {width}")
+    try:
+        return np.array(rows, dtype=float).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{key}: entries must be reals ({exc})") from exc
+
+
+def _decode_field(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """Check a field's sizes against d and n, then build its array."""
+    if isinstance(value, dict):
+        return _decode_payload(key, value, shape)
+    if isinstance(value, list):
+        return _decode_rows(key, value, shape)
+    raise InstanceFormatError(f"{key} must be a binary payload or a list of samples")
 
 
 def load_instance(path) -> ProblemInstance:
-    """Load and re-validate an instance file; errors name the offending sample."""
+    """Load and re-validate an instance file; errors name the offending sample.
+
+    Every size is checked against ``d`` and ``n`` before an array of that
+    size is built, and each check runs on the whole stack at once.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"malformed instance file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("an instance file holds one JSON object")
     for key in ("d", "n", "hessians", "gradients"):
         if key not in doc:
             raise InstanceFormatError(f"missing field {key!r}")
     d, n = doc["d"], doc["n"]
-    if not (isinstance(d, int) and isinstance(n, int) and d >= 1 and n >= 1):
+    if not (type(d) is int and type(n) is int and d >= 1 and n >= 1):  # bool, an int subclass, is no size
         raise InstanceFormatError(f"d and n must be positive integers, got d={d!r}, n={n!r}")
-    if len(doc["hessians"]) != n or len(doc["gradients"]) != n:
-        raise InstanceFormatError("hessians/gradients length does not match n")
-    hessians = np.zeros((n, d, d))
-    for i, flat in enumerate(doc["hessians"]):
-        if len(flat) != d * d:
-            raise InstanceFormatError(f"hessian {i} has {len(flat)} entries, expected {d * d}")
-        hi = np.asarray(flat, dtype=float).reshape(d, d)
-        scale = max(1.0, float(np.max(np.abs(hi))))
-        if np.max(np.abs(hi - hi.T)) > 1e-9 * scale:
-            raise InstanceFormatError(f"hessian {i} is asymmetric beyond tolerance")
-        hessians[i] = hi
-    gradients = np.zeros((n, d))
-    for i, row in enumerate(doc["gradients"]):
-        if len(row) != d:
-            raise InstanceFormatError(f"gradient {i} has {len(row)} entries, expected {d}")
-        gradients[i] = np.asarray(row, dtype=float)
+    # Popping drops each field's text as soon as its array is built.
+    hessians = _decode_field("hessians", doc.pop("hessians"), (n, d, d))
+    gradients = _decode_field("gradients", doc.pop("gradients"), (n, d))
+    if problem := _first_nonfinite(hessians, gradients):
+        raise InstanceFormatError(problem)
+    scale = np.maximum(1.0, np.maximum(hessians.max(axis=(1, 2)), -hessians.min(axis=(1, 2))))
+    asym = hessians - np.transpose(hessians, (0, 2, 1))
+    asymmetric = np.abs(asym, out=asym).max(axis=(1, 2)) > 1e-9 * scale
+    if asymmetric.any():
+        raise InstanceFormatError(f"hessian {int(np.argmax(asymmetric))} is asymmetric beyond tolerance")
     mean_g = gradients.mean(axis=0)
     scale = float(np.max(np.linalg.norm(gradients, axis=1), initial=0.0))
     if np.linalg.norm(mean_g) > MEAN_GRAD_RTOL * max(scale, 1e-300):

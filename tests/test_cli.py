@@ -78,6 +78,21 @@ class TestAnalyze:
         code = main(["analyze", "/nonexistent/inst.json", "--batch", "1"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "hessians,message",
+        [
+            ("[[1.0]]", "hessian 0 has 1 entries, expected 100000000000000"),
+            ('{"dtype": "<f8", "shape": [1, 10000000, 10000000], "base64": "AAAAAAAA8D8="}', "hessians: payload holds 8 bytes"),
+        ],
+        ids=["lists", "payload"],
+    )
+    def test_sizes_checked_before_allocating(self, tmp_path, capsys, hessians, message):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"d": 10000000, "n": 1, "hessians": {hessians}, "gradients": [[0.0]]}}', encoding="utf-8")
+        code = main(["analyze", str(path), "--batch", "1"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
+
 
 class TestSweep:
     def test_rows_and_chain(self, scalar_pair_file, tmp_path):

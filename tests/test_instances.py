@@ -1,3 +1,7 @@
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,7 @@ from sgdstab import (
     mixing_weight,
     save_instance,
 )
-from sgdstab.instances import StreamPool, stream
+from sgdstab.instances import ProblemInstance, StreamPool, stream
 from sgdstab.linalg import DEFAULT_RANK_RTOL, ConvergenceError, null_projectors, sym_eig
 
 
@@ -217,6 +221,161 @@ class TestSaveLoad:
         path.write_text('{"d": 1, "n": 1, "hessians": [[1.0]]}', encoding="utf-8")
         with pytest.raises(InstanceFormatError, match="gradients"):
             load_instance(path)
+
+
+def _legacy_save(inst, path):
+    """The list-of-decimals writer of earlier versions: the oracle for old files."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    rows_h = ",".join("[" + ",".join(fmt(v) for v in hi.reshape(-1)) + "]" for hi in inst.hessians)
+    rows_g = ",".join("[" + ",".join(fmt(v) for v in gi) + "]" for gi in inst.gradients)
+    doc = (
+        "{"
+        f'"d": {inst.d}, "n": {inst.n}, '
+        f'"hessians": [{rows_h}], '
+        f'"gradients": [{rows_g}], '
+        f'"label": {json.dumps(inst.label)}'
+        "}"
+    )
+    path.write_text(doc + "\n", encoding="utf-8")
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _special_values():
+    """-0.0, the smallest subnormal and +-1e308, in symmetric Hessians and zero-mean gradients."""
+    tiny = 5e-324
+    hessians = [[[1e308, -0.0], [-0.0, tiny]], [[-1e308, 1.0], [1.0, 2.0]]]
+    return make_instance(hessians, [[-0.0, tiny], [0.0, -tiny]], label="special")
+
+
+_ROUND_TRIP = {**_FAMILIES, "special-values": _special_values}
+
+
+class TestBinaryFormat:
+    @pytest.mark.parametrize("case", sorted(_ROUND_TRIP))
+    def test_round_trip_is_bit_exact(self, tmp_path, case):
+        inst = _ROUND_TRIP[case]()
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        loaded = load_instance(path)
+        _assert_same_bits(loaded.hessians, inst.hessians)
+        _assert_same_bits(loaded.gradients, inst.gradients)
+        assert (loaded.d, loaded.n, loaded.label) == (inst.d, inst.n, inst.label)
+
+    def test_special_values_are_kept_by_make_instance(self):
+        inst = _special_values()
+        assert inst.hessians[0, 0, 0] == 1e308 and inst.hessians[0, 1, 1] == 5e-324
+        assert np.signbit(inst.hessians[0, 0, 1]) and np.signbit(inst.gradients[0, 0])
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_legacy_files_load_bit_identically(self, tmp_path, family):
+        inst = _FAMILIES[family]()
+        legacy, binary = tmp_path / "legacy.json", tmp_path / "binary.json"
+        _legacy_save(inst, legacy)
+        save_instance(inst, binary)
+        old, new = load_instance(legacy), load_instance(binary)
+        _assert_same_bits(old.hessians, new.hessians)
+        _assert_same_bits(old.gradients, new.gradients)
+        assert old.label == new.label == inst.label
+
+    def test_arrays_are_written_as_binary_payloads(self, tmp_path, scalar_pair):
+        path = tmp_path / "inst.json"
+        save_instance(scalar_pair, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert list(doc) == ["d", "n", "hessians", "gradients", "label"]
+        assert {k: v for k, v in doc["hessians"].items() if k != "base64"} == {"dtype": "<f8", "shape": [2, 1, 1]}
+        assert {k: v for k, v in doc["gradients"].items() if k != "base64"} == {"dtype": "<f8", "shape": [2, 1]}
+
+    @pytest.mark.parametrize("field", ["hessians", "gradients"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda p: p.update(dtype="<f4"), id="dtype"),
+            pytest.param(lambda p: p.update(shape=p["shape"][1:]), id="shape"),
+            pytest.param(lambda p: p.update(base64="not base64!"), id="not-base64"),
+            pytest.param(lambda p: p.update(base64=p["base64"][:-4]), id="truncated"),
+            pytest.param(lambda p: p.pop("dtype"), id="missing-key"),
+        ],
+    )
+    def test_bad_payload_names_the_field(self, tmp_path, field, edit):
+        path = tmp_path / "inst.json"
+        save_instance(gen_regular(3, 4, 2, 1.0, False, 5), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc[field])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=f"^{field}: "):
+            load_instance(path)
+
+    def test_boolean_sizes_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"d": true, "n": 2, "hessians": [[1.0], [3.0]], "gradients": [[0.0], [0.0]]}', encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match="d and n must be positive integers"):
+            load_instance(path)
+
+    def test_saves_are_deterministic(self, tmp_path):
+        inst = gen_regular(5, 7, 2, 1.0, True, 8)
+        a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+        save_instance(inst, a)
+        save_instance(inst, b)
+        save_instance(load_instance(a), c)
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_load_cost(self, tmp_path):
+        d, n = 96, 64
+        inst = gen_regular(d, n, 24, 1.0, False, 4)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        assert path.stat().st_size <= math.ceil(8 * n * (d * d + d) * 4 / 3) + 1024
+        arrays = inst.hessians.nbytes + inst.gradients.nbytes
+        tracemalloc.start()
+        try:
+            loaded = load_instance(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        _assert_same_bits(loaded.hessians, inst.hessians)
+        assert peak <= 5 * arrays, f"load_instance peaked at {peak / 1e6:.1f} MB for {arrays / 1e6:.2f} MB of arrays"
+
+
+_NON_FINITE = {"nan": float("nan"), "+inf": float("inf"), "-inf": float("-inf")}
+
+
+def _with_bad_entry(field, value):
+    """n=3, d=1 arrays with ``value`` in samples 1 and 2 of ``field``."""
+    hessians = np.ones((3, 1, 1))
+    gradients = np.zeros((3, 1))
+    target = hessians if field == "hessians" else gradients
+    target[1:] = value
+    return hessians, gradients
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", sorted(_NON_FINITE))
+    @pytest.mark.parametrize("field", ["hessians", "gradients"])
+    @pytest.mark.parametrize("form", ["binary", "lists"])
+    def test_load_names_first_sample(self, tmp_path, form, field, value):
+        hessians, gradients = _with_bad_entry(field, _NON_FINITE[value])
+        path = tmp_path / "bad.json"
+        if form == "binary":
+            save_instance(ProblemInstance(d=1, n=3, hessians=hessians, gradients=gradients), path)
+        else:  # JSON's NaN / Infinity / -Infinity tokens, as a hand-written file holds them
+            doc = {"d": 1, "n": 3, "hessians": hessians.reshape(3, 1).tolist(), "gradients": gradients.tolist()}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=f"^{field[:-1]} 1 has a non-finite entry$"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("value", sorted(_NON_FINITE))
+    @pytest.mark.parametrize("field", ["hessians", "gradients"])
+    def test_make_instance_names_first_sample(self, field, value):
+        hessians, gradients = _with_bad_entry(field, _NON_FINITE[value])
+        with pytest.raises(ValueError, match=f"^{field[:-1]} 1 has a non-finite entry$"):
+            make_instance(hessians, gradients)
 
 
 class TestStreams:
