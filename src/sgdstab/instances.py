@@ -22,7 +22,6 @@ convenient by hand), but nothing writes it.
 from __future__ import annotations
 
 import base64
-import binascii
 import enum
 import json
 import math
@@ -122,10 +121,7 @@ def _first_nonfinite(hessians: np.ndarray, gradients: np.ndarray) -> str | None:
 
 
 def make_instance(hessians, gradients, label: str = "", validate: bool = True) -> ProblemInstance:
-    """Build an instance, symmetrizing Hessians and checking invariants.
-
-    Like ``np.asarray``, the instance may share memory with the arguments.
-    """
+    """Build an instance, symmetrizing Hessians and checking invariants."""
     h = np.asarray(hessians, dtype=float)
     g = np.asarray(gradients, dtype=float)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
@@ -135,12 +131,7 @@ def make_instance(hessians, gradients, label: str = "", validate: bool = True) -
         raise ValueError(f"gradients must have shape ({n}, {d}), got {g.shape}")
     if validate and (problem := _first_nonfinite(h, g)):
         raise ValueError(problem)
-    h_t = np.transpose(h, (0, 2, 1))
-    # A bitwise-symmetric stack is kept as given, subnormals included, and
-    # not copied; halving before the sum keeps entries near the largest
-    # double finite.
-    if not np.array_equal(h.view(np.uint64), h_t.view(np.uint64)):
-        h = 0.5 * h + 0.5 * h_t
+    h = 0.5 * (h + np.transpose(h, (0, 2, 1)))
     if validate:
         mean_g = g.mean(axis=0)
         scale = float(np.max(np.linalg.norm(g, axis=1), initial=0.0))
@@ -300,9 +291,8 @@ def _decode_payload(key: str, value: dict, shape: tuple[int, ...]) -> np.ndarray
     if not isinstance(text, str):
         raise InstanceFormatError(f"{key}: base64 must be a string")
     try:
-        # b64decode(text, validate=True) without its ASCII copy of the text.
-        raw = binascii.a2b_base64(text, strict_mode=True)
-    except ValueError as exc:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise InstanceFormatError(f"{key}: payload is not valid base64 ({exc})") from exc
     expected = 8 * math.prod(shape)
     if len(raw) != expected:
@@ -360,11 +350,17 @@ def load_instance(path) -> ProblemInstance:
         raise InstanceFormatError(problem)
     scale = np.maximum(1.0, np.maximum(hessians.max(axis=(1, 2)), -hessians.min(axis=(1, 2))))
     asym = hessians - np.transpose(hessians, (0, 2, 1))
-    asymmetric = np.abs(asym, out=asym).max(axis=(1, 2)) > 1e-9 * scale
+    asym = np.abs(asym, out=asym).max(axis=(1, 2))
+    asymmetric = asym > 1e-9 * scale
     if asymmetric.any():
         raise InstanceFormatError(f"hessian {int(np.argmax(asymmetric))} is asymmetric beyond tolerance")
     mean_g = gradients.mean(axis=0)
     scale = float(np.max(np.linalg.norm(gradients, axis=1), initial=0.0))
     if np.linalg.norm(mean_g) > MEAN_GRAD_RTOL * max(scale, 1e-300):
         raise InstanceFormatError("gradients do not sum to zero")
-    return make_instance(hessians, gradients, label=str(doc.get("label", "")), validate=False)
+    # make_instance's symmetrization.  On a stack with no asymmetry it
+    # could only flip the sign of a zero or overflow entries near the
+    # largest double, so such a stack is kept as read.
+    if asym.any():
+        hessians = 0.5 * (hessians + np.transpose(hessians, (0, 2, 1)))
+    return ProblemInstance(d=d, n=n, hessians=hessians, gradients=gradients, label=str(doc.get("label", "")))

@@ -250,8 +250,9 @@ def _assert_same_bits(a, b):
 def _special_values():
     """-0.0, the smallest subnormal and +-1e308, in symmetric Hessians and zero-mean gradients."""
     tiny = 5e-324
-    hessians = [[[1e308, -0.0], [-0.0, tiny]], [[-1e308, 1.0], [1.0, 2.0]]]
-    return make_instance(hessians, [[-0.0, tiny], [0.0, -tiny]], label="special")
+    hessians = np.array([[[1e308, -0.0], [-0.0, tiny]], [[-1e308, 1.0], [1.0, 2.0]]])
+    gradients = np.array([[-0.0, tiny], [0.0, -tiny]])
+    return ProblemInstance(d=2, n=2, hessians=hessians, gradients=gradients, label="special")
 
 
 _ROUND_TRIP = {**_FAMILIES, "special-values": _special_values}
@@ -268,10 +269,11 @@ class TestBinaryFormat:
         _assert_same_bits(loaded.gradients, inst.gradients)
         assert (loaded.d, loaded.n, loaded.label) == (inst.d, inst.n, inst.label)
 
-    def test_special_values_are_kept_by_make_instance(self):
-        inst = _special_values()
-        assert inst.hessians[0, 0, 0] == 1e308 and inst.hessians[0, 1, 1] == 5e-324
-        assert np.signbit(inst.hessians[0, 0, 1]) and np.signbit(inst.gradients[0, 0])
+    def test_asymmetry_within_tolerance_is_symmetrized(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"d": 2, "n": 1, "hessians": [[2.0, 1.0, 1.0000000000001, 3.0]], "gradients": [[0.0, 0.0]]}', encoding="utf-8")
+        h = np.array([[2.0, 1.0], [1.0000000000001, 3.0]])
+        _assert_same_bits(load_instance(path).hessians, 0.5 * (h + h.T)[None])
 
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     def test_legacy_files_load_bit_identically(self, tmp_path, family):
@@ -299,6 +301,7 @@ class TestBinaryFormat:
             pytest.param(lambda p: p.update(dtype="<f4"), id="dtype"),
             pytest.param(lambda p: p.update(shape=p["shape"][1:]), id="shape"),
             pytest.param(lambda p: p.update(base64="not base64!"), id="not-base64"),
+            pytest.param(lambda p: p.update(base64="\u00e9" + p["base64"][1:]), id="non-ascii"),
             pytest.param(lambda p: p.update(base64=p["base64"][:-4]), id="truncated"),
             pytest.param(lambda p: p.pop("dtype"), id="missing-key"),
         ],
