@@ -158,8 +158,8 @@ def _cmd_sweep(args) -> int:
     inst = load_instance(args.instance)
     if args.eta_count < 1:
         raise _UsageError("eta grid must be non-empty")
-    if args.eta_min <= 0 or args.eta_max < args.eta_min:
-        raise _UsageError("require 0 < eta-min <= eta-max")
+    if not (math.isfinite(args.eta_min) and math.isfinite(args.eta_max) and 0 < args.eta_min <= args.eta_max):
+        raise _UsageError("require finite 0 < eta-min <= eta-max")
     if args.rank_one_steps < 0:
         raise _UsageError("rank-one-steps must be nonnegative")
     for b in args.batches:

@@ -172,6 +172,13 @@ def mixing_weight(n: int, b: int) -> float:
     return (n - b) / (b * (n - 1))
 
 
+def check_step_size(eta: float) -> float:
+    """Return eta; raise ValueError unless it is finite and nonnegative."""
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"step size must be finite and nonnegative, got {eta}")
+    return eta
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Step size and batch size.  eta = 0 means frozen dynamics."""
@@ -180,8 +187,7 @@ class Hyperparams:
     batch: int
 
     def __post_init__(self) -> None:
-        if self.eta < 0:
-            raise ValueError(f"step size must be nonnegative, got {self.eta}")
+        check_step_size(self.eta)
         if self.batch < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch}")
 

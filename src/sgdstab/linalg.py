@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 # Single knob for "when is an eigenvalue zero"; every null-space decision
-# in the package flows through this default.
+# in the package goes through zero_cutoff and psd_range with this default.
 DEFAULT_RANK_RTOL = 1e-10
 
 # Rows added to the Lanczos basis each time it fills up.
@@ -71,14 +71,9 @@ class EigDecomp:
 
     values: np.ndarray
     vectors: np.ndarray
-    rank_tol: float
-
-    def rank(self) -> int:
-        cutoff = self.rank_tol * max(float(self.values[0]), 0.0)
-        return int(np.sum(self.values > cutoff))
 
 
-def sym_eig(m: np.ndarray, rank_tol: float = DEFAULT_RANK_RTOL) -> EigDecomp:
+def sym_eig(m: np.ndarray) -> EigDecomp:
     """Full eigendecomposition of a symmetric matrix.
 
     Eigenvalues are returned in descending order with a deterministic
@@ -93,54 +88,54 @@ def sym_eig(m: np.ndarray, rank_tol: float = DEFAULT_RANK_RTOL) -> EigDecomp:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    return EigDecomp(values=values, vectors=vectors[:, order], rank_tol=rank_tol)
+    return EigDecomp(values=values[order], vectors=vectors[:, order])
+
+
+def zero_cutoff(values: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
+    """The package's rank rule: an eigenvalue at or below rel_tol * max(lambda_max, 0) is zero."""
+    return rel_tol * max(float(np.max(values)), 0.0)
+
+
+def psd_range(values: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+    """Mask of the nonzero eigenvalues of a PSD matrix, those above zero_cutoff.
+
+    Raises ValueError if the matrix is not PSD up to roundoff: some
+    eigenvalue lies below -rel_tol * lambda_max.
+    """
+    lam_max, lam_min = float(np.max(values)), float(np.min(values))
+    if lam_min < -rel_tol * lam_max:
+        raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
+    return values > zero_cutoff(values, rel_tol)
+
+
+def _psd_pinv(m: np.ndarray, rel_tol: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """V diag(1 / f(lam)) V^T over the nonzero eigenvalues of a PSD matrix, zero on the rest."""
+    eig = sym_eig(m)
+    kept = psd_range(eig.values, rel_tol)
+    inv = np.zeros_like(eig.values)
+    inv[kept] = 1.0 / f(eig.values[kept])
+    return symmetrize(eig.vectors @ (inv[:, None] * eig.vectors.T))
 
 
 def pinv_psd(m: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric PSD matrix.
-
-    Eigenvalues at or below rel_tol * lambda_max are treated as exact
-    zeros.  Raises ValueError if the matrix has an eigenvalue below
-    -rel_tol * lambda_max, i.e. is not PSD up to roundoff.
-    """
-    eig = sym_eig(m, rank_tol=rel_tol)
-    lam_max = float(eig.values[0])
-    lam_min = float(eig.values[-1])
-    if lam_min < -rel_tol * lam_max:
-        raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
-    cutoff = rel_tol * max(lam_max, 0.0)
-    kept = eig.values > cutoff
-    inv = np.zeros_like(eig.values)
-    inv[kept] = 1.0 / eig.values[kept]
-    return symmetrize(eig.vectors @ (inv[:, None] * eig.vectors.T))
+    """Moore-Penrose inverse of a symmetric PSD matrix, with psd_range's rank rule and PSD check."""
+    return _psd_pinv(m, rel_tol, np.positive)
 
 
 def sqrt_pinv_psd(m: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Pseudoinverse of the PSD square root, (M^{1/2})^+."""
-    eig = sym_eig(m, rank_tol=rel_tol)
-    lam_max = float(eig.values[0])
-    lam_min = float(eig.values[-1])
-    if lam_min < -rel_tol * lam_max:
-        raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
-    cutoff = rel_tol * max(lam_max, 0.0)
-    kept = eig.values > cutoff
-    inv = np.zeros_like(eig.values)
-    inv[kept] = 1.0 / np.sqrt(eig.values[kept])
-    return symmetrize(eig.vectors @ (inv[:, None] * eig.vectors.T))
+    """Pseudoinverse of the PSD square root, (M^{1/2})^+, with psd_range's rank rule and PSD check."""
+    return _psd_pinv(m, rel_tol, np.sqrt)
 
 
 def null_projectors(m: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projectors (P_null, P_range) of a symmetric PSD matrix.
 
-    P_null projects onto the span of eigenvectors with eigenvalue at or
-    below rel_tol * lambda_max; P_range = I - P_null.
+    P_null projects onto the eigenvectors with eigenvalue at or below
+    zero_cutoff (no PSD check); P_range = I - P_null.
     """
-    eig = sym_eig(m, rank_tol=rel_tol)
+    eig = sym_eig(m)
     d = eig.values.size
-    cutoff = rel_tol * max(float(eig.values[0]), 0.0)
-    null_mask = eig.values <= cutoff
-    vn = eig.vectors[:, null_mask]
+    vn = eig.vectors[:, eig.values <= zero_cutoff(eig.values, rel_tol)]
     p_null = symmetrize(vn @ vn.T)
     p_range = symmetrize(np.eye(d) - p_null)
     return p_null, p_range

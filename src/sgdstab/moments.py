@@ -27,9 +27,9 @@ second moment converges to
 
     vec(Sigma_perp_inf) = eta * p * pinv(2C - eta*D) vec(Sigma_g_perp).
 
-That system is solved matrix-free in the eigenbasis Hbar = V diag(lam) V^T,
-on the block of eigenvalues above rel_tol * lambda_max (for PSD H_i the
-pseudoinverse acts there alone): with K_i = V^T H_i V it reads
+That system is solved matrix-free on the r x r block (lam, V) of one
+range_basis per call, shared with the check eta < eta_var (for PSD H_i
+the pseudoinverse acts there alone): with K_i = V^T H_i V it reads
 
     Lam X + X Lam - eta*((1-p) Lam X Lam + (p/n) sum_i K_i X K_i) = V^T Sigma_g V,
 
@@ -63,11 +63,11 @@ from .linalg import (
 from .montecarlo import _fisher_yates_batches
 from .stability import (
     ENUM_CAP,
-    _generalized_sharpness_operator,
-    _hessian_eigenbasis,
     _projected_transition_dense,
+    _range_sharpness,
     _sandwich_sum,
     _threshold,
+    range_basis,
     require_valid,
 )
 
@@ -244,30 +244,26 @@ def null_walk_second_moment(inst: ProblemInstance, hp: Hyperparams, t: int, init
 def _limit_solve(inst: ProblemInstance, hp: Hyperparams, rel_tol: float):
     """(lam, V_r, X): the range-projected limit is V_r X V_r^T.
 
-    lam holds the eigenvalues of Hbar above rel_tol * lambda_max and V_r
-    their eigenvectors; X is eta * p times the conjugate-gradient solution
-    of the limit system in that eigenbasis.  Raises ValueError unless
-    0 < eta < eta_var.
+    lam and V_r are the range block of range_basis; X is eta * p times
+    the conjugate-gradient solution of the limit system on that block.
+    Raises ValueError unless 0 < eta < eta_var.
     """
     require_valid(inst, rel_tol)
     n = inst.n
     eta = hp.eta
     p = mixing_weight(n, hp.batch)
-    basis = _hessian_eigenbasis(inst)
-    thr = _threshold(_generalized_sharpness_operator(inst, p, rel_tol, basis))
+    basis = range_basis(inst, rel_tol)
+    thr = _threshold(_range_sharpness(basis, p))
     if not 0.0 < eta < thr:
         raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")
-    lam, k_all, vectors = basis
-    keep = lam > rel_tol * max(float(lam[0]), 0.0)
-    lam, v_r = lam[keep], vectors[:, keep]
-    k_r = k_all[:, keep][:, :, keep]
+    lam, v_r, k = basis.lam, basis.v, basis.k
     r = lam.size
     pair = lam[:, None] + lam[None, :]
     diagonal = pair - eta * (1.0 - p) * np.outer(lam, lam)
 
     def apply(u: np.ndarray) -> np.ndarray:
         m = u.reshape(r, r)
-        return (diagonal * m - (eta * p / n) * _sandwich_sum(k_r, m)).reshape(-1)
+        return (diagonal * m - (eta * p / n) * _sandwich_sum(k, m)).reshape(-1)
 
     op = LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply)
     rhs = v_r.T @ inst.gradient_second_moment() @ v_r

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, MinimumClass, ProblemInstance, _fmt, _splitmix64, classify, stream
+from .instances import Hyperparams, MinimumClass, ProblemInstance, _fmt, _splitmix64, check_step_size, classify, stream
 from .linalg import null_projectors, sym_eig
 
 _CHUNK_ENTRY_BUDGET = 4_000_000
@@ -376,6 +376,7 @@ def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig
     and matched seeds the paths coincide exactly with simulate_sgd at
     batch size one.  The coin has its own draw domain.
     """
+    check_step_size(eta)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
     n = inst.n

@@ -18,21 +18,20 @@ mean-square stability threshold
     eta_var = 2 / lambda_max(pinv(C) D),
 
 computed here through the symmetric congruence
-(C^{1/2})^+ D (C^{1/2})^+, which has the same nonzero spectrum.  The
-congruence is taken in the eigenbasis of Hbar = V diag(lam) V^T: there
-C is diagonal in the basis V kron V, with the pair means
-(lam_a + lam_b)/2 as entries, so (C^{1/2})^+ is an elementwise scaling.
-Its top eigenvalue comes from Lanczos on the congruence applied
-matrix-free, at every d.  The mean (first-moment) threshold is
-2 / lambda_max(Hbar).
+(C^{1/2})^+ D (C^{1/2})^+, which has the same nonzero spectrum.  For PSD
+H_i, null(Hbar) lies inside every null(H_i), so C and D vanish on every
+index pair that touches null(Hbar).  range_basis keeps the r eigenpairs
+(lam, V_r) of Hbar that linalg.psd_range counts as nonzero: there C is
+diagonal with entries (lam_a + lam_b)/2, so (C^{1/2})^+ is an
+elementwise scaling, and every spectral solve runs matrix-free on r x r
+arguments.  The mean (first-moment) threshold is 2 / lambda_max(Hbar).
 
 The verdict classifies each step size against eta_var alone and runs
 no spectral check of its own: the equivalence "the range-projected
 transition (P kron P) Q has top eigenvalue below one exactly on
 0 < eta < eta_var" is checked by the tests and by the verify command.
-projected_transition_lambda_max computes that eigenvalue in the same
-eigenbasis, where P is a 0/1 diagonal and H_i becomes K_i = V^T H_i V.
-The thresholds and the verdict never form a d^2 x d^2 matrix.
+projected_transition_lambda_max computes that eigenvalue on the same
+r x r block.  The thresholds and the verdict never form a d^2 x d^2 matrix.
 curvature_operators and second_moment_transition return dense d^2 x d^2
 matrices for d <= DENSE_CAP and matrix-free operators above it; every
 matrix-free sandwich sum_i M_i X M_i goes through _sandwich_sum, and the
@@ -47,11 +46,11 @@ size, start) pair of a call as one row of a single block.  Each iteration
 makes one GEMM with the block row [H_1, ..., H_n, Hbar], at the
 quasi-Newton trial point; Armijo backtracking along the same geodesic
 reads f off quadratic forms and makes none.  A lane stops on convergence,
-so the step budget is only a cap.  stability_verdict decomposes Hbar once
-and hands that decomposition to the mean threshold, the threshold's
-eigenbasis, the eigenvector bound and the ascent; the sweep's
-_sweep_bounds shares one decomposition and one rotation the same way
-across its batch sizes.
+so the step budget is only a cap.  stability_verdict builds one
+range_basis and hands it to the mean threshold, the variance threshold,
+the eigenvector bound and the ascent; the sweep's _sweep_bounds shares
+one the same way across its batch sizes, and curvature_operators builds
+one per call.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import MinimumClass, ProblemInstance, classify, mixing_weight, stream
+from .instances import MinimumClass, ProblemInstance, check_step_size, classify, mixing_weight, stream
 from .linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
@@ -72,9 +71,11 @@ from .linalg import (
     kron,
     kron_sum,
     null_projectors,
+    psd_range,
     sym_eig,
     unvec,
     vec,
+    zero_cutoff,
 )
 
 # Above this dimension the d^2 x d^2 matrices are not formed densely.
@@ -128,12 +129,13 @@ def curvature_operators(
     d, n = inst.d, inst.n
     p = mixing_weight(n, batch)
     hbar = mean_hessian(inst)
-    lam = float(sym_eig(hbar).values[0])
     if dense is None:
         dense = d <= DENSE_CAP
     if dense and d > DENSE_CAP:
         raise ValueError(f"dense operators requested for d={d} > cap {DENSE_CAP}")
-    gen_sharp = generalized_sharpness(inst, batch, rel_tol)
+    basis = range_basis(inst, rel_tol)
+    lam = float(basis.eig.values[0])
+    gen_sharp = _range_sharpness(basis, p)
     if dense:
         c, dmat = _dense_curvature(inst, p)
         e = np.zeros((d * d, d * d))
@@ -184,32 +186,22 @@ def _dense_curvature(inst: ProblemInstance, p: float) -> tuple[np.ndarray, np.nd
     return c, dmat
 
 
-def _pair_factor(lam: np.ndarray, rel_tol: float) -> np.ndarray:
-    """(C^{1/2})^+ in the basis V kron V, as a (d, d) array of pair factors.
+@dataclass(frozen=True)
+class RangeBasis:
+    """eig = sym_eig(Hbar); lam (r,) and v (d, r) its eigenpairs that psd_range keeps; k[i] = v^T H_i v."""
 
-    Entry (a, b) is ((lam_a + lam_b)/2)^{-1/2}, the inverse square root of
-    an eigenvalue of C, or zero where that eigenvalue is at or below
-    rel_tol * lambda_max.  Raises ValueError if C is not PSD.
-    """
-    pair = 0.5 * (lam[:, None] + lam[None, :])
-    lam_max, lam_min = float(pair.max()), float(pair.min())
-    if lam_min < -rel_tol * lam_max:
-        raise ValueError(f"C is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
-    cutoff = rel_tol * max(lam_max, 0.0)
-    factor = np.zeros_like(pair)
-    kept = pair > cutoff
-    factor[kept] = 1.0 / np.sqrt(pair[kept])
-    return factor
+    eig: EigDecomp
+    lam: np.ndarray
+    v: np.ndarray
+    k: np.ndarray
 
 
-def _hessian_eigenbasis(inst: ProblemInstance, eig: EigDecomp | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, K, V) with Hbar = V diag(lam) V^T and K[i] = V^T H_i V.
-
-    eig is sym_eig(Hbar), computed here when not given.
-    """
-    if eig is None:
-        eig = sym_eig(mean_hessian(inst))
-    return eig.values, eig.vectors.T @ inst.hessians @ eig.vectors, eig.vectors
+def range_basis(inst: ProblemInstance, rel_tol: float = DEFAULT_RANK_RTOL) -> RangeBasis:
+    """Decompose Hbar once and rotate the Hessians onto its range; ValueError if Hbar is not PSD."""
+    eig = sym_eig(mean_hessian(inst))
+    keep = psd_range(eig.values, rel_tol)
+    v = eig.vectors[:, keep]
+    return RangeBasis(eig=eig, lam=eig.values[keep], v=v, k=v.T @ inst.hessians @ v)
 
 
 def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -230,27 +222,32 @@ def _mixture_operator(a_bar: np.ndarray, mats: np.ndarray, p: float) -> LinearOp
     return LinearOperator(in_dim=d * d, out_dim=d * d, apply=apply)
 
 
-def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: float, basis=None) -> float:
-    """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ by Lanczos, matrix-free in Hbar's eigenbasis.
+def _range_sharpness(basis: RangeBasis, p: float) -> float:
+    """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ by Lanczos on the r x r range block.
 
-    With Hbar = V diag(lam) V^T and K_i = V^T H_i V the congruence acts on
-    a d x d argument M as F o ((1-p) Lam (F o M) Lam + (p/n) sum_i K_i (F o M) K_i),
-    F the pair factors and o the elementwise product.  basis is the
-    (lam, K, V) of _hessian_eigenbasis, computed here when not given.
+    The congruence maps M to F o ((1-p) Lam (F o M) Lam + (p/n) sum_i k_i (F o M) k_i),
+    F = ((lam_a + lam_b)/2)^{-1/2} the pair factors and o the elementwise
+    product.  Zero when r = 0.
     """
-    lam, k_all, _ = _hessian_eigenbasis(inst) if basis is None else basis
-    d, n = inst.d, inst.n
-    factor = _pair_factor(lam, rel_tol)
+    lam, k = basis.lam, basis.k
+    r, n = lam.size, k.shape[0]
+    if r == 0:
+        return 0.0
+    factor = 1.0 / np.sqrt(0.5 * (lam[:, None] + lam[None, :]))
 
     def s_apply(u: np.ndarray) -> np.ndarray:
-        m = factor * u.reshape(d, d)
+        m = factor * u.reshape(r, r)
         out = (1.0 - p) * (lam[:, None] * m * lam[None, :])
-        out += (p / n) * _sandwich_sum(k_all, m)
+        out += (p / n) * _sandwich_sum(k, m)
         return (factor * out).reshape(-1)
 
-    op = LinearOperator(in_dim=d * d, out_dim=d * d, apply=s_apply)
-    lam_s = _lanczos_solve(op, seed=7)
+    lam_s = _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=s_apply), seed=7)
     return lam_s if lam_s > 0 else 0.0
+
+
+def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: float) -> float:
+    """_range_sharpness on a fresh range_basis: the generalized sharpness for mixing weight p."""
+    return _range_sharpness(range_basis(inst, rel_tol), p)
 
 
 def generalized_sharpness(inst: ProblemInstance, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
@@ -271,8 +268,7 @@ def second_moment_transition(
     """The transition Q advancing vec(E[x x^T]) by one SGD step: the mixture
     (1-p) (A kron A) + (p/n) sum_i (A_i kron A_i), A = I - eta*Hbar and
     A_i = I - eta*H_i, dense or matrix-free."""
-    if eta < 0:
-        raise ValueError(f"step size must be nonnegative, got {eta}")
+    check_step_size(eta)
     d = inst.d
     p = mixing_weight(inst.n, batch)
     if dense is None:
@@ -316,11 +312,15 @@ def brute_force_transition(inst: ProblemInstance, eta: float, batch: int, cap: i
 def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray, rel_tol: float) -> float:
     """Test oracle: lambda_max of (C^{1/2})^+ D (C^{1/2})^+ from a dense D.
 
-    D is rotated by V kron V and scaled by the pair factors, then one
-    d^2 x d^2 eigendecomposition gives the top eigenvalue.
+    D is rotated by V kron V and scaled by the pair factors ((lam_a + lam_b)/2)^{-1/2}
+    that psd_range keeps (ValueError if C is not PSD), then one d^2 x d^2
+    eigendecomposition gives the top eigenvalue.
     """
     eig = sym_eig(hbar)
-    factor = _pair_factor(eig.values, rel_tol).reshape(-1)
+    pair = 0.5 * (eig.values[:, None] + eig.values[None, :]).reshape(-1)
+    kept = psd_range(pair, rel_tol)
+    factor = np.zeros_like(pair)
+    factor[kept] = 1.0 / np.sqrt(pair[kept])
     w = kron(eig.vectors, eig.vectors)
     s = factor[:, None] * (w.T @ dmat @ w) * factor[None, :]
     lam = float(sym_eig(s).values[0])
@@ -546,7 +546,7 @@ def _rank_one_ascent(
     if lam <= 0:
         raise ValueError("mean Hessian has no positive eigenvalue")
     n, d = inst.n, inst.d
-    floor = rel_tol * lam
+    floor = zero_cutoff(eig.values, rel_tol)
     vn = eig.vectors[:, eig.values <= floor]
     p_range = np.eye(d) - vn @ vn.T
     rng = stream(seed, index=1)
@@ -657,20 +657,19 @@ def _sweep_bounds(
     inst: ProblemInstance, batches: list[int], steps: int, seed: int, rel_tol: float = DEFAULT_RANK_RTOL
 ) -> tuple[float, list[tuple[float, float, float]]]:
     """The sharpness and, per batch in the order given, (generalized sharpness, rank-one
-    value, 2 / eigenvector bound), from one decomposition of Hbar and one rotation.
+    value, 2 / eigenvector bound), from one range_basis.
 
     Each number is bit for bit what sharpness, generalized_sharpness, rank_one_bounds
     and necessary_bound_eigvec return; those each decompose Hbar again.  The
     instance is not classified here.
     """
-    eig = sym_eig(mean_hessian(inst))
-    basis = _hessian_eigenbasis(inst, eig)
-    ascents = _rank_one_ascent(inst, eig, batches, steps, seed, 8, rel_tol)
+    basis = range_basis(inst, rel_tol)
+    ascents = _rank_one_ascent(inst, basis.eig, batches, steps, seed, 8, rel_tol)
     rows = []
     for b, (rank_one, _) in zip(batches, ascents):
         p = mixing_weight(inst.n, b)
-        rows.append((_generalized_sharpness_operator(inst, p, rel_tol, basis), rank_one, 2.0 / _eigvec_bound(inst, eig, p)))
-    return float(eig.values[0]), rows
+        rows.append((_range_sharpness(basis, p), rank_one, 2.0 / _eigvec_bound(inst, basis.eig, p)))
+    return float(basis.eig.values[0]), rows
 
 
 def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
@@ -697,25 +696,25 @@ def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: in
 
     For PSD per-sample Hessians this matrix equals the projected mixture
     sum, which is symmetric; it is below 1 exactly on 0 < eta < eta_var.
-    Solved by Lanczos in Hbar's eigenbasis without forming the matrix:
-    there P = diag(keep), keep marking the eigenvalues of Hbar above
-    rel_tol * lambda_max, and the operator maps X to
-    (1-p) (m m^T) o X + (p/n) sum_i M_i X M_i with m = keep - eta*lam and
-    M_i = diag(keep) - eta*K_i.
+    Solved by Lanczos on the r x r range block of range_basis, without
+    forming the matrix: the operator maps X to
+    (1-p) (m m^T) o X + (p/n) sum_i M_i X M_i with m = 1 - eta*lam and
+    M_i = I - eta*k_i.  Zero when r = 0.
     """
-    lam, k_all, _ = _hessian_eigenbasis(inst)
-    d, n = inst.d, inst.n
+    basis = range_basis(inst, rel_tol)
+    r, n = basis.lam.size, inst.n
+    if r == 0:
+        return 0.0
     p = mixing_weight(n, batch)
-    keep = (lam > rel_tol * max(float(lam[0]), 0.0)).astype(float)
-    m_bar = keep - eta * lam
+    m_bar = 1.0 - eta * basis.lam
     full = (1.0 - p) * np.outer(m_bar, m_bar)
-    m_all = np.diag(keep) - eta * k_all
+    m_all = np.eye(r) - eta * basis.k
 
     def apply(u: np.ndarray) -> np.ndarray:
-        x = u.reshape(d, d)
+        x = u.reshape(r, r)
         return (full * x + (p / n) * _sandwich_sum(m_all, x)).reshape(-1)
 
-    return _lanczos_solve(LinearOperator(in_dim=d * d, out_dim=d * d, apply=apply), seed=7)
+    return _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply), seed=7)
 
 
 @dataclass(frozen=True)
@@ -748,24 +747,25 @@ def stability_verdict(
 ) -> StabilityVerdict:
     """Assemble all thresholds and bounds and classify each requested step size.
 
-    Each step size is classified against the thresholds alone; no spectral
-    check runs here.  The instance is classified once.
+    Each step size (finite and nonnegative, else ValueError) is classified
+    against the thresholds alone; no spectral check runs here.  The
+    instance is classified once and Hbar decomposed once.
     """
+    etas = [check_step_size(float(eta)) for eta in eta_list]
     kind = require_valid(inst, rel_tol)
     p = mixing_weight(inst.n, batch)
-    eig = sym_eig(mean_hessian(inst))
-    eta_mean = _threshold(float(eig.values[0]))
-    eta_var = _threshold(_generalized_sharpness_operator(inst, p, rel_tol, _hessian_eigenbasis(inst, eig)))
-    b_eig = _eigvec_bound(inst, eig, p)
+    basis = range_basis(inst, rel_tol)
+    eta_mean = _threshold(float(basis.eig.values[0]))
+    eta_var = _threshold(_range_sharpness(basis, p))
+    b_eig = _eigvec_bound(inst, basis.eig, p)
     b_tr = necessary_bound_trace(inst, batch)
-    [(value, _)] = _rank_one_ascent(inst, eig, [batch], rank_one_steps, seed, 8, rel_tol)
+    [(value, _)] = _rank_one_ascent(inst, basis.eig, [batch], rank_one_steps, seed, 8, rel_tol)
     b_r1 = 2.0 / value
     if eta_var > eta_mean * (1.0 + 1e-9):
         raise ConvergenceError(f"variance threshold {eta_var} exceeds mean threshold {eta_mean}")
     for name, bound in (("eigvec", b_eig), ("trace", b_tr), ("rank-one", b_r1)):
         if eta_var > bound * (1.0 + 1e-9):
             raise ConvergenceError(f"variance threshold {eta_var} exceeds necessary bound {name} = {bound}")
-    etas = [float(eta) for eta in eta_list]
     rows = tuple(EtaVerdict(eta=eta, mean_stable=eta <= eta_mean, var_stable=eta <= eta_var) for eta in etas)
     return StabilityVerdict(
         classification=kind,

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import sgdstab.instances as instances
+import sgdstab.moments as moments
 import sgdstab.stability as stability
-from sgdstab import gen_regular, load_instance, make_instance, save_instance, variance_threshold
+from sgdstab import Hyperparams, gen_regular, load_instance, make_instance, save_instance, variance_threshold
 from sgdstab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from sgdstab.instances import _fmt
+from sgdstab.montecarlo import SimConfig
 
 
 @pytest.fixture
@@ -73,6 +75,14 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "eta=0.79" in out and "VarStable" in out
         assert "VarUnstable" in out
+
+    @pytest.mark.parametrize("eta", ["-0.5", "nan", "inf"])
+    def test_invalid_step_size_is_input_error(self, scalar_pair_file, tmp_path, capsys, eta):
+        out = tmp_path / "a.csv"
+        assert main(["analyze", scalar_pair_file, "--batch", "1", "--eta", "0.5", eta, "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "step size must be finite and nonnegative" in captured.err
+        assert "Stable" not in captured.out and not out.exists()
 
     def test_missing_file(self, capsys):
         code = main(["analyze", "/nonexistent/inst.json", "--batch", "1"])
@@ -151,6 +161,14 @@ class TestSweep:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("eta_min, eta_max", [("nan", "0.5"), ("0.1", "inf"), ("nan", "nan"), ("0.1", "nan")])
+    def test_non_finite_grid_is_usage_error(self, scalar_pair_file, tmp_path, capsys, eta_min, eta_max):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", scalar_pair_file, "--batches", "1", "--eta-min", eta_min, "--eta-max", eta_max, "--eta-count", "3"]
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert "require finite 0 < eta-min <= eta-max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_rank_one_steps_is_usage_error(self, scalar_pair_file, tmp_path, capsys):
         code = main(
             ["sweep", scalar_pair_file, "--batches", "1", "--eta-min", "0.1", "--eta-max", "0.5", "--eta-count", "2", "--rank-one-steps", "-1", "--out", str(tmp_path / "x.csv")]
@@ -224,6 +242,8 @@ class TestProductionPaths:
     @pytest.mark.parametrize("d", [24, stability.DENSE_CAP])
     def test_no_dense_matrix(self, d, tmp_path, monkeypatch):
         inst = gen_regular(d, 6, 4, 1.0, False, d)
+        r = min(d, 6 * 4)  # six rank-4 Hessians
+        assert np.linalg.matrix_rank(inst.mean_hessian()) == r
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         thr = variance_threshold(inst, 2)
@@ -243,9 +263,46 @@ class TestProductionPaths:
 
         monkeypatch.setattr(stability, "_lanczos_solve", counted)
         assert main(["analyze", str(path), "--batch", "2", "--eta", *etas, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
-        # One threshold solve, whatever the number of step sizes: the verdict runs no spectral check.
-        assert solves == [d * d]
+        # One threshold solve on the r x r range block, whatever the number of step sizes:
+        # the verdict runs no spectral check.
+        assert solves == [r * r]
         assert main(_sweep_argv(path, tmp_path / "s.csv", thr)) == EXIT_OK
+
+    def test_one_range_basis_per_call(self, tmp_path, monkeypatch):
+        # analyze, a sweep over all its batch sizes and each limit solve build Hbar's range
+        # basis once, and the limit's conjugate gradients run on its r x r block.
+        inst = gen_regular(48, 6, 4, 1.0, False, 48)
+        r = 24
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        thr = variance_threshold(inst, 2)
+        calls, pcg_dims = [], []
+        true_basis, true_pcg = stability.range_basis, moments.pcg
+
+        def counted_basis(*args, **kwargs):
+            calls.append(1)
+            return true_basis(*args, **kwargs)
+
+        def counted_pcg(op, *args, **kwargs):
+            pcg_dims.append(op.in_dim)
+            return true_pcg(op, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sgdstab") and getattr(module, "range_basis", None) is true_basis:
+                monkeypatch.setattr(module, "range_basis", counted_basis)
+        monkeypatch.setattr(moments, "pcg", counted_pcg)
+        assert main(["analyze", str(path), "--batch", "2", "--eta", repr(0.5 * thr), repr(1.5 * thr)]) == EXIT_OK
+        assert len(calls) == 1
+        calls.clear()
+        argv = ["sweep", str(path), "--batches", "1", "2", "6", "--eta-min", repr(0.5 * thr), "--eta-max", repr(thr)]
+        assert main(argv + ["--eta-count", "3", "--rank-one-steps", "20", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert len(calls) == 1
+        hp = Hyperparams(eta=0.5 * thr, batch=2)
+        for solve in (moments.covariance_limit, moments.asymptotic_quantities):
+            calls.clear()
+            solve(inst, hp)
+            assert len(calls) == 1
+        assert pcg_dims == [r * r, r * r]
 
     def test_classifies_once(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -312,6 +369,15 @@ class TestSimulate:
         first_values = lines[0].split(",")[1:5]
         for line in lines[1:]:
             assert line.split(",")[1:5] == first_values
+
+    @pytest.mark.parametrize("mode", [["--batch", "1", "--exact"], ["--batch", "1"], ["--mixture-p", "0.5"]])
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-0.5"])
+    def test_invalid_step_size_is_input_error(self, scalar_pair_file, tmp_path, capsys, mode, eta):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", scalar_pair_file, "--eta", eta, *mode, "--steps", "5", "--replicates", "4", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert "step size must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mixture_mode(self, scalar_pair_file, tmp_path):
         out = tmp_path / "mix.csv"
@@ -383,3 +449,24 @@ class TestBenchmarkContract:
         assert called
         for module_name, attr in sorted(called):
             assert hasattr(getattr(sgdstab, module_name), attr), (module_name, attr)
+
+    def test_probe_entry_points_run(self):
+        # The calls the benchmark's probes make, with the same arguments, at tiny sizes.
+        from sgdstab import linalg, montecarlo
+
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((6, 6))
+        m = m + m.T
+        assert np.all(np.diff(linalg.sym_eig(m).values) <= 0)
+        psd = m @ m.T
+        np.testing.assert_allclose(linalg.pinv_psd(psd) @ psd, np.eye(6), atol=1e-8)
+        inst = gen_regular(5, 4, 2, 1.0, False, 1)
+        apply = stability.curvature_operators(inst, 1, dense=False).curvature_sq
+        dense = stability.curvature_operators(inst, 1, dense=True).curvature_sq
+        x = rng.standard_normal(inst.d * inst.d)
+        np.testing.assert_allclose(apply(x), dense @ x, atol=1e-10 * np.max(np.abs(dense)))
+        assert isinstance(instances.StreamPool().get(0, 1), np.random.Generator)
+        x0 = montecarlo.initial_offset(inst, SimConfig(steps=1, replicates=1, seed=0))
+        assert x0.shape == (inst.d,)
+        stepper = moments.ExactStepper(inst, Hyperparams(eta=0.5 * variance_threshold(inst, 1), batch=1))
+        assert stepper.step(moments.point_state(x0)).step == 1

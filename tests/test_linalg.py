@@ -13,11 +13,13 @@ from sgdstab.linalg import (
     null_projectors,
     pcg,
     pinv_psd,
+    psd_range,
     sqrt_pinv_psd,
     sym_eig,
     symmetrize,
     unvec,
     vec,
+    zero_cutoff,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -133,11 +135,27 @@ class TestSymEig:
             assert np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(d))) <= 1e-10, name
             recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
             assert np.max(np.abs(recon - m)) <= 1e-8 * (1 + np.max(np.abs(eig.values))), name
-        assert sym_eig(cases["psd-rank-3"]).rank() == 3
+        assert int(np.sum(psd_range(sym_eig(cases["psd-rank-3"]).values))) == 3
 
     def test_descending_order(self):
         eig = sym_eig(random_symmetric(6))
         assert np.all(np.diff(eig.values) <= 0)
+
+
+class TestRankRule:
+    def test_cut_is_inclusive_and_relative(self):
+        values = np.array([4.0, 4e-10, 4e-10 + 1e-20, 0.0])
+        assert zero_cutoff(values, 1e-10) == 4e-10
+        np.testing.assert_array_equal(psd_range(values, 1e-10), [True, False, True, False])
+        np.testing.assert_array_equal(psd_range(np.zeros(3)), [False, False, False])
+
+    def test_not_psd_below_minus_cut(self):
+        psd_range(np.array([1.0, -0.5e-10]), 1e-10)
+        with pytest.raises(ValueError, match="not PSD"):
+            psd_range(np.array([1.0, -2e-10]), 1e-10)
+        # null_projectors applies the cut without the PSD check.
+        p_null, _ = null_projectors(np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(p_null, np.diag([0.0, 1.0]), atol=1e-15)
 
 
 class TestPinvPsd:

@@ -8,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sgdstab import (
+    Hyperparams,
     LinearOperator,
     MinimumClass,
+    asymptotic_quantities,
     brute_force_transition,
+    covariance_limit,
     curvature_operators,
     gen_interpolating,
     gen_regular,
@@ -26,12 +29,15 @@ from sgdstab import (
     rank_one_bounds,
     second_moment_transition,
     sharpness,
+    simulate_mixture,
     stability_verdict,
     variance_threshold,
 )
 from sgdstab.instances import stream
+from sgdstab.montecarlo import SimConfig
 from sgdstab.linalg import DEFAULT_RANK_RTOL, _lanczos_solve, kron, kron_sum, null_projectors, sqrt_pinv_psd, sym_eig, symmetrize
 from sgdstab.stability import (
+    DENSE_CAP,
     _dense_curvature,
     _generalized_sharpness_dense,
     _generalized_sharpness_operator,
@@ -856,6 +862,17 @@ class TestVerdict:
             assert 2.0 / generalized_sharpness(inst, b) == variance_threshold(inst, b)
             assert curvature_operators(inst, b).generalized_sharpness == generalized_sharpness(inst, b)
 
+    @pytest.mark.parametrize("eta", [-0.5, math.nan, math.inf])
+    def test_rejects_invalid_step_size(self, scalar_pair, eta):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            stability_verdict(scalar_pair, 1, [0.5, eta])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Hyperparams(eta=eta, batch=1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate_mixture(scalar_pair, eta, 0.5, SimConfig(steps=2, replicates=2, seed=0))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            second_moment_transition(scalar_pair, eta, 1)
+
     def test_verdict_runs_on_rank_deficient_regular_instance(self):
         inst = gen_regular(4, 3, 1, 1.0, True, 11)
         thr = variance_threshold(inst, 1)
@@ -925,3 +942,51 @@ class TestScaleCovariance:
         ]
         for base, scaled_value in pairs:
             assert scaled_value == pytest.approx(base / c, rel=1e-9)
+
+
+class TestRangeBasis:
+    """Every spectral solve runs on the r x r range block of Hbar."""
+
+    def test_embedded_core_above_dense_cap(self):
+        # A d=12 core embedded at d=96 as H_i = U K_i U^T, with a zero-mean gradient part
+        # orthogonal to U: Hbar has rank 12, and every range quantity is the core's.
+        core = gen_regular(12, 10, 2, 1.0, False, 17)
+        q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((96, 96)))
+        u, w = q[:, :12], q[:, 12:]
+        z = np.random.default_rng(19).standard_normal((core.n, 84))
+        gradients = core.gradients @ u.T + (z - z.mean(axis=0)) @ w.T
+        inst = make_instance(np.einsum("ak,nkl,bl->nab", u, core.hessians, u), gradients)
+        assert inst.d > DENSE_CAP
+        assert np.linalg.matrix_rank(mean_hessian(inst)) == 12
+        assert np.max(np.abs(gradients @ w)) > 0.1
+        for b in range(1, core.n + 1):
+            thr = variance_threshold(core, b)
+            assert variance_threshold(inst, b) == pytest.approx(thr, rel=1e-12, abs=0.0)
+            for factor in (0.9, 1.1):
+                want = projected_transition_lambda_max(core, factor * thr, b)
+                assert projected_transition_lambda_max(inst, factor * thr, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+            hp = Hyperparams(eta=0.5 * thr, batch=b)
+            want = u @ covariance_limit(core, hp) @ u.T
+            got = covariance_limit(inst, hp)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            for got_q, want_q in zip(asymptotic_quantities(inst, hp), asymptotic_quantities(core, hp)):
+                assert got_q == pytest.approx(want_q, rel=1e-10, abs=0.0)
+
+    def test_non_psd_mean_hessian_raises(self):
+        inst = make_instance([np.diag([1.0, -0.5])], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="not PSD"):
+            generalized_sharpness(inst, 1)
+
+    def test_zero_hessians_have_an_empty_range(self, monkeypatch):
+        import sgdstab.stability as stability_module
+
+        def forbidden(op, **kwargs):
+            raise AssertionError(f"Lanczos ran on a {op.in_dim}-dimensional operator")
+
+        monkeypatch.setattr(stability_module, "_lanczos_solve", forbidden)
+        inst = make_instance(np.zeros((3, 4, 4)), np.zeros((3, 4)))
+        assert stability_module.range_basis(inst).lam.size == 0
+        for b in (1, 2, 3):
+            assert generalized_sharpness(inst, b) == 0.0
+            assert variance_threshold(inst, b) == math.inf
+            assert projected_transition_lambda_max(inst, 0.5, b) == 0.0
