@@ -120,6 +120,12 @@ def _first_nonfinite(hessians: np.ndarray, gradients: np.ndarray) -> str | None:
     return None
 
 
+def _mean_gradient_nonzero(g: np.ndarray) -> bool:
+    """The mean-gradient rule: ||mean_i g_i|| > MEAN_GRAD_RTOL * max(max_i ||g_i||, 1e-300)."""
+    scale = float(np.max(np.linalg.norm(g, axis=1), initial=0.0))
+    return bool(np.linalg.norm(g.mean(axis=0)) > MEAN_GRAD_RTOL * max(scale, 1e-300))
+
+
 def make_instance(hessians, gradients, label: str = "", validate: bool = True) -> ProblemInstance:
     """Build an instance, symmetrizing Hessians and checking invariants."""
     h = np.asarray(hessians, dtype=float)
@@ -132,11 +138,8 @@ def make_instance(hessians, gradients, label: str = "", validate: bool = True) -
     if validate and (problem := _first_nonfinite(h, g)):
         raise ValueError(problem)
     h = 0.5 * (h + np.transpose(h, (0, 2, 1)))
-    if validate:
-        mean_g = g.mean(axis=0)
-        scale = float(np.max(np.linalg.norm(g, axis=1), initial=0.0))
-        if np.linalg.norm(mean_g) > MEAN_GRAD_RTOL * max(scale, 1e-300):
-            raise ValueError("gradients do not sum to zero")
+    if validate and _mean_gradient_nonzero(g):
+        raise ValueError("gradients do not sum to zero")
     return ProblemInstance(d=d, n=n, hessians=h, gradients=g, label=label)
 
 
@@ -146,9 +149,7 @@ def classify(inst: ProblemInstance, rel_tol: float = DEFAULT_RANK_RTOL) -> Minim
     The PSD test takes the eigenvalues of all n symmetrized Hessians in one
     batched eigvalsh; H_i fails when lambda_min < -rel_tol * max |lambda|.
     """
-    mean_g = inst.gradients.mean(axis=0)
-    scale = float(np.max(np.linalg.norm(inst.gradients, axis=1), initial=0.0))
-    if np.linalg.norm(mean_g) > MEAN_GRAD_RTOL * max(scale, 1e-300):
+    if _mean_gradient_nonzero(inst.gradients):
         return MinimumClass.INVALID
     h = inst.hessians
     try:
@@ -360,9 +361,7 @@ def load_instance(path) -> ProblemInstance:
     asymmetric = asym > 1e-9 * scale
     if asymmetric.any():
         raise InstanceFormatError(f"hessian {int(np.argmax(asymmetric))} is asymmetric beyond tolerance")
-    mean_g = gradients.mean(axis=0)
-    scale = float(np.max(np.linalg.norm(gradients, axis=1), initial=0.0))
-    if np.linalg.norm(mean_g) > MEAN_GRAD_RTOL * max(scale, 1e-300):
+    if _mean_gradient_nonzero(gradients):
         raise InstanceFormatError("gradients do not sum to zero")
     # make_instance's symmetrization.  On a stack with no asymmetry it
     # could only flip the sign of a zero or overflow entries near the

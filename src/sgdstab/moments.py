@@ -19,8 +19,8 @@ agree within five standard errors.  The tests and the verify command
 run that check; the stepper applies the closed form unchecked.
 
 One step costs one batched matmul and one GEMM: the A_i are symmetric,
-so the sandwich sum_i A_i Sigma A_i^T is stability._sandwich_sum, the
-kernel the threshold and covariance-limit solves also apply.
+so E[A Sigma A^T] is stability._mixture_apply, the d x d form of the
+mixture kernel, with A = I - eta*Hbar and M_i = A_i.
 
 For step sizes below the mean-square threshold the range-projected
 second moment converges to
@@ -29,9 +29,10 @@ second moment converges to
 
 That system is solved matrix-free on the r x r block (lam, V) of one
 range_basis per call, shared with the check eta < eta_var (for PSD H_i
-the pseudoinverse acts there alone): with K_i = V^T H_i V it reads
+the pseudoinverse acts there alone): with D_r = stability._range_d, the
+range-block form of the mixture kernel, it reads
 
-    Lam X + X Lam - eta*((1-p) Lam X Lam + (p/n) sum_i K_i X K_i) = V^T Sigma_g V,
+    (lam_a + lam_b) o X - eta * D_r(X) = V^T Sigma_g V,
 
 and preconditioned conjugate gradients solve it with the diagonal of 2C,
 lam_a + lam_b, as preconditioner.  The asymptotic squared distance, loss
@@ -63,9 +64,10 @@ from .linalg import (
 from .montecarlo import _fisher_yates_batches
 from .stability import (
     ENUM_CAP,
+    _mixture_apply,
     _projected_transition_dense,
+    _range_d,
     _range_sharpness,
-    _sandwich_sum,
     _threshold,
     range_basis,
     require_valid,
@@ -186,9 +188,8 @@ class ExactStepper:
         mu = state.mean
         sigma = state.second_moment
         new_mu = self.a_bar @ mu
-        new_sigma = (1.0 - p) * (self.a_bar @ sigma @ self.a_bar)
-        # The A_i are symmetric, so sum_i A_i Sigma A_i^T is the shared sandwich kernel.
-        new_sigma += (p / inst.n) * _sandwich_sum(self._a_all, sigma)
+        # The A_i are symmetric, so E[A Sigma A^T] is the shared mixture kernel.
+        new_sigma = _mixture_apply(self.a_bar, self._a_all, p, sigma)
         # -E[A mu v^T] - E[v mu^T A] in matrix form.
         hi_mu = inst.hessians @ mu
         coupling = self._coupling_scale * (hi_mu.T @ inst.gradients + inst.gradients.T @ hi_mu)
@@ -249,21 +250,20 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams, rel_tol: float):
     Raises ValueError unless 0 < eta < eta_var.
     """
     require_valid(inst, rel_tol)
-    n = inst.n
     eta = hp.eta
-    p = mixing_weight(n, hp.batch)
+    p = mixing_weight(inst.n, hp.batch)
     basis = range_basis(inst, rel_tol)
     thr = _threshold(_range_sharpness(basis, p))
     if not 0.0 < eta < thr:
         raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")
-    lam, v_r, k = basis.lam, basis.v, basis.k
+    lam, v_r = basis.lam, basis.v
     r = lam.size
     pair = lam[:, None] + lam[None, :]
-    diagonal = pair - eta * (1.0 - p) * np.outer(lam, lam)
+    d_r = _range_d(basis, p)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        m = u.reshape(r, r)
-        return (diagonal * m - (eta * p / n) * _sandwich_sum(k, m)).reshape(-1)
+        x = u.reshape(r, r)
+        return (pair * x - eta * d_r(x)).reshape(-1)
 
     op = LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply)
     rhs = v_r.T @ inst.gradient_second_moment() @ v_r

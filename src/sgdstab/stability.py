@@ -32,12 +32,21 @@ transition (P kron P) Q has top eigenvalue below one exactly on
 0 < eta < eta_var" is checked by the tests and by the verify command.
 projected_transition_lambda_max computes that eigenvalue on the same
 r x r block.  The thresholds and the verdict never form a d^2 x d^2 matrix.
-curvature_operators and second_moment_transition return dense d^2 x d^2
-matrices for d <= DENSE_CAP and matrix-free operators above it; every
-matrix-free sandwich sum_i M_i X M_i goes through _sandwich_sum, and the
-dense builders also serve as test oracles.  The Lanczos solves here run
-on operators built symmetric, so they skip lanczos_lambda_max's
-self-adjoint probes.
+
+Q, D, E and the projected transition are all the mixture
+(1-p) A kron A + (p/n) sum_i M_i kron M_i, written once per representation:
+
+    _mixture_matrix   the dense d^2 x d^2 matrix (test oracles and verify);
+    _mixture_apply    its action on a d x d argument, vec'd by _mixture_operator;
+    _range_d          D on the r x r range block, X -> (1-p) Lam X Lam
+                      + (p/n) sum_i k_i X k_i.
+
+The last two share the sandwich kernel _sandwich_sum.  curvature_operators
+and second_moment_transition pick _mixture_matrix for d <= DENSE_CAP and
+_mixture_operator above it.  The threshold congruence, the projected
+transition and the limit system of moments are affine in _range_d.  The
+Lanczos solves here run on operators built symmetric, so they skip
+lanczos_lambda_max's self-adjoint probes.
 
 The necessary bounds are cheap lower bounds on the generalized sharpness.
 The tightest, 2 / max_v f(v) over unit v, comes from rank_one_bounds: a
@@ -126,64 +135,48 @@ def curvature_operators(
 ) -> SpectralReport:
     """Build C, D, E and both sharpness numbers for an instance and batch size."""
     require_valid(inst, rel_tol)
-    d, n = inst.d, inst.n
-    p = mixing_weight(n, batch)
+    d = inst.d
+    p = mixing_weight(inst.n, batch)
     hbar = mean_hessian(inst)
     if dense is None:
         dense = d <= DENSE_CAP
     if dense and d > DENSE_CAP:
         raise ValueError(f"dense operators requested for d={d} > cap {DENSE_CAP}")
     basis = range_basis(inst, rel_tol)
-    lam = float(basis.eig.values[0])
-    gen_sharp = _range_sharpness(basis, p)
     if dense:
-        c, dmat = _dense_curvature(inst, p)
-        e = np.zeros((d * d, d * d))
-        for i in range(n):
-            delta = inst.hessians[i] - hbar
-            e += kron(delta, delta)
-        e /= n
-        return SpectralReport(
-            hessian=hbar,
-            curvature_sum=c,
-            curvature_sq=dmat,
-            curvature_var=e,
-            sharpness=lam,
-            generalized_sharpness=gen_sharp,
-            p=p,
-            rel_tol=rel_tol,
-            dense=True,
-        )
+        c, mixture = 0.5 * kron_sum(hbar, hbar), _mixture_matrix
+    else:
+        def c_apply(u: np.ndarray) -> np.ndarray:
+            m = unvec(u, d)
+            return vec(0.5 * (hbar @ m + m @ hbar))
 
-    def c_apply(u: np.ndarray) -> np.ndarray:
-        m = unvec(u, d)
-        return vec(0.5 * (hbar @ m + m @ hbar))
-
-    c_op = LinearOperator(in_dim=d * d, out_dim=d * d, apply=c_apply)
+        c, mixture = LinearOperator(in_dim=d * d, out_dim=d * d, apply=c_apply), _mixture_operator
     return SpectralReport(
         hessian=hbar,
-        curvature_sum=c_op,
-        curvature_sq=_mixture_operator(hbar, inst.hessians, p),
-        curvature_var=_mixture_operator(hbar, inst.hessians - hbar, 1.0),
-        sharpness=lam,
-        generalized_sharpness=gen_sharp,
+        curvature_sum=c,
+        curvature_sq=mixture(hbar, inst.hessians, p),
+        curvature_var=mixture(hbar, inst.hessians - hbar, 1.0),
+        sharpness=float(basis.eig.values[0]),
+        generalized_sharpness=_range_sharpness(basis, p),
         p=p,
         rel_tol=rel_tol,
-        dense=False,
+        dense=dense,
     )
 
 
 def _dense_curvature(inst: ProblemInstance, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense C = (Hbar (+) Hbar)/2 and D = (1-p) Hbar kron Hbar + (p/n) sum_i H_i kron H_i."""
-    d, n = inst.d, inst.n
     hbar = mean_hessian(inst)
-    c = 0.5 * kron_sum(hbar, hbar)
-    kron_self = np.zeros((d * d, d * d))
-    for i in range(n):
-        kron_self += kron(inst.hessians[i], inst.hessians[i])
-    kron_self /= n
-    dmat = (1.0 - p) * kron(hbar, hbar) + p * kron_self
-    return c, dmat
+    return 0.5 * kron_sum(hbar, hbar), _mixture_matrix(hbar, inst.hessians, p)
+
+
+def _mixture_matrix(a_bar: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray:
+    """Dense (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i), the d^2 x d^2 form of _mixture_apply."""
+    n = mats.shape[0]
+    out = (1.0 - p) * kron(a_bar, a_bar)
+    for m in mats:
+        out += (p / n) * kron(m, m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -211,43 +204,39 @@ def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
     return mats.reshape(n * d, d).T @ (m @ mats).reshape(n * d, d)
 
 
+def _mixture_apply(a_bar: np.ndarray, mats: np.ndarray, p: float, m: np.ndarray) -> np.ndarray:
+    """(1-p) A m A + (p/n) sum_i M_i m M_i on a d x d argument m, A and M_i symmetric."""
+    return (1.0 - p) * (a_bar @ m @ a_bar) + (p / mats.shape[0]) * _sandwich_sum(mats, m)
+
+
 def _mixture_operator(a_bar: np.ndarray, mats: np.ndarray, p: float) -> LinearOperator:
-    """Matrix-free (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i) on vec'd arguments, A and M_i symmetric."""
-    n, d, _ = mats.shape
+    """Matrix-free (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i): _mixture_apply on vec'd arguments."""
+    d = a_bar.shape[0]
+    return LinearOperator(in_dim=d * d, out_dim=d * d, apply=lambda u: vec(_mixture_apply(a_bar, mats, p, unvec(u, d))))
 
-    def apply(u: np.ndarray) -> np.ndarray:
-        m = unvec(u, d)
-        return vec((1.0 - p) * (a_bar @ m @ a_bar) + (p / n) * _sandwich_sum(mats, m))
 
-    return LinearOperator(in_dim=d * d, out_dim=d * d, apply=apply)
+def _range_d(basis: RangeBasis, p: float):
+    """D on the r x r range block: the map X -> (1-p) Lam X Lam + (p/n) sum_i k_i X k_i."""
+    col, row, k = basis.lam[:, None], basis.lam[None, :], basis.k
+    pn = p / k.shape[0]
+    return lambda x: (1.0 - p) * (col * x * row) + pn * _sandwich_sum(k, x)
 
 
 def _range_sharpness(basis: RangeBasis, p: float) -> float:
     """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ by Lanczos on the r x r range block.
 
-    The congruence maps M to F o ((1-p) Lam (F o M) Lam + (p/n) sum_i k_i (F o M) k_i),
-    F = ((lam_a + lam_b)/2)^{-1/2} the pair factors and o the elementwise
-    product.  Zero when r = 0.
+    The congruence maps X to F o D_r(F o X), D_r = _range_d, F = ((lam_a +
+    lam_b)/2)^{-1/2} the pair factors and o the elementwise product.  Zero
+    when r = 0.
     """
-    lam, k = basis.lam, basis.k
-    r, n = lam.size, k.shape[0]
+    lam, r = basis.lam, basis.lam.size
     if r == 0:
         return 0.0
     factor = 1.0 / np.sqrt(0.5 * (lam[:, None] + lam[None, :]))
-
-    def s_apply(u: np.ndarray) -> np.ndarray:
-        m = factor * u.reshape(r, r)
-        out = (1.0 - p) * (lam[:, None] * m * lam[None, :])
-        out += (p / n) * _sandwich_sum(k, m)
-        return (factor * out).reshape(-1)
-
-    lam_s = _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=s_apply), seed=7)
+    d_r = _range_d(basis, p)
+    op = LinearOperator(in_dim=r * r, out_dim=r * r, apply=lambda u: (factor * d_r(factor * u.reshape(r, r))).reshape(-1))
+    lam_s = _lanczos_solve(op, seed=7)
     return lam_s if lam_s > 0 else 0.0
-
-
-def _generalized_sharpness_operator(inst: ProblemInstance, p: float, rel_tol: float) -> float:
-    """_range_sharpness on a fresh range_basis: the generalized sharpness for mixing weight p."""
-    return _range_sharpness(range_basis(inst, rel_tol), p)
 
 
 def generalized_sharpness(inst: ProblemInstance, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
@@ -256,7 +245,7 @@ def generalized_sharpness(inst: ProblemInstance, batch: int, rel_tol: float = DE
     The instance is not classified here: callers that need a valid minimum
     check it once with require_valid, as variance_threshold does.
     """
-    return _generalized_sharpness_operator(inst, mixing_weight(inst.n, batch), rel_tol)
+    return _range_sharpness(range_basis(inst, rel_tol), mixing_weight(inst.n, batch))
 
 
 def second_moment_transition(
@@ -269,14 +258,12 @@ def second_moment_transition(
     (1-p) (A kron A) + (p/n) sum_i (A_i kron A_i), A = I - eta*Hbar and
     A_i = I - eta*H_i, dense or matrix-free."""
     check_step_size(eta)
-    d = inst.d
     p = mixing_weight(inst.n, batch)
     if dense is None:
-        dense = d <= DENSE_CAP
-    if dense:
-        return mixture_transition(inst, eta, p)
-    eye = np.eye(d)
-    return _mixture_operator(eye - eta * mean_hessian(inst), eye - eta * inst.hessians, p)
+        dense = inst.d <= DENSE_CAP
+    eye = np.eye(inst.d)
+    mixture = _mixture_matrix if dense else _mixture_operator
+    return mixture(eye - eta * mean_hessian(inst), eye - eta * inst.hessians, p)
 
 
 def mixture_transition(inst: ProblemInstance, eta: float, p: float) -> np.ndarray:
@@ -284,20 +271,16 @@ def mixture_transition(inst: ProblemInstance, eta: float, p: float) -> np.ndarra
     full-batch step w.p. 1-p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
-    d, n = inst.d, inst.n
-    eye = np.eye(d)
-    hbar = mean_hessian(inst)
-    a_bar = eye - eta * hbar
-    q = (1.0 - p) * kron(a_bar, a_bar)
-    for i in range(n):
-        a_i = eye - eta * inst.hessians[i]
-        q += (p / n) * kron(a_i, a_i)
-    return q
+    check_step_size(eta)
+    eye = np.eye(inst.d)
+    return _mixture_matrix(eye - eta * mean_hessian(inst), eye - eta * inst.hessians, p)
 
 
 def brute_force_transition(inst: ProblemInstance, eta: float, batch: int, cap: int = ENUM_CAP) -> np.ndarray:
     """Q by exhaustive enumeration of all equiprobable size-B batches."""
     n, d = inst.n, inst.d
+    mixing_weight(n, batch)  # ValueError unless 1 <= batch <= n
+    check_step_size(eta)
     count = math.comb(n, batch)
     if count > cap:
         raise ValueError(f"enumeration of C({n},{batch}) = {count} batches exceeds cap {cap}")
@@ -680,15 +663,9 @@ def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int, r
     Test oracle for projected_transition_lambda_max; top_mode_noise_overlap
     takes its top eigenvector.
     """
-    d, n = inst.d, inst.n
-    p = mixing_weight(n, batch)
     hbar = mean_hessian(inst)
     _, p_range = null_projectors(hbar, rel_tol=rel_tol)
-    q_proj = (1.0 - p) * kron(p_range - eta * hbar, p_range - eta * hbar)
-    for i in range(n):
-        m = p_range - eta * inst.hessians[i]
-        q_proj += (p / n) * kron(m, m)
-    return q_proj
+    return _mixture_matrix(p_range - eta * hbar, p_range - eta * inst.hessians, mixing_weight(inst.n, batch))
 
 
 def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
@@ -697,22 +674,22 @@ def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: in
     For PSD per-sample Hessians this matrix equals the projected mixture
     sum, which is symmetric; it is below 1 exactly on 0 < eta < eta_var.
     Solved by Lanczos on the r x r range block of range_basis, without
-    forming the matrix: the operator maps X to
-    (1-p) (m m^T) o X + (p/n) sum_i M_i X M_i with m = 1 - eta*lam and
-    M_i = I - eta*k_i.  Zero when r = 0.
+    forming the matrix: there it is I - 2*eta*C + eta^2*D, which maps X to
+    X - eta*(pair o X) + eta^2 * D_r(X) with pair = lam_a + lam_b and
+    D_r = _range_d (the mean of the k_i is Lam).  Zero when r = 0.
     """
+    check_step_size(eta)
+    p = mixing_weight(inst.n, batch)
     basis = range_basis(inst, rel_tol)
-    r, n = basis.lam.size, inst.n
+    lam, r = basis.lam, basis.lam.size
     if r == 0:
         return 0.0
-    p = mixing_weight(n, batch)
-    m_bar = 1.0 - eta * basis.lam
-    full = (1.0 - p) * np.outer(m_bar, m_bar)
-    m_all = np.eye(r) - eta * basis.k
+    pair = lam[:, None] + lam[None, :]
+    d_r = _range_d(basis, p)
 
     def apply(u: np.ndarray) -> np.ndarray:
         x = u.reshape(r, r)
-        return (full * x + (p / n) * _sandwich_sum(m_all, x)).reshape(-1)
+        return (x - eta * (pair * x) + (eta * eta) * d_r(x)).reshape(-1)
 
     return _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply), seed=7)
 

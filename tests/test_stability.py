@@ -40,7 +40,6 @@ from sgdstab.stability import (
     DENSE_CAP,
     _dense_curvature,
     _generalized_sharpness_dense,
-    _generalized_sharpness_operator,
     _projected_transition_dense,
     generalized_sharpness,
     projected_transition_lambda_max,
@@ -222,6 +221,12 @@ class TestBruteForce:
         inst = gen_interpolating(2, 20, 1, 0)
         with pytest.raises(ValueError, match="cap"):
             brute_force_transition(inst, 0.1, 10, cap=100)
+
+    @pytest.mark.parametrize("batch", [0, -1, 3])
+    def test_rejects_batch_out_of_range(self, scalar_pair, batch):
+        # C(2, 3) = 0 batches would average to NaN, and batch 0 would divide by zero.
+        with pytest.raises(ValueError, match=r"batch size .* out of range \[1, 2\]"):
+            brute_force_transition(scalar_pair, 0.5, batch)
 
 
 class TestThresholds:
@@ -682,10 +687,9 @@ class TestDenseThresholdEigenbasis:
 
     def test_d24_matches_operator_path(self):
         inst = gen_regular(24, 16, 4, 1.0, False, 3)
-        p = mixing_weight(inst.n, 1)
-        _, dmat = _dense_curvature(inst, p)
+        _, dmat = _dense_curvature(inst, mixing_weight(inst.n, 1))
         got = _generalized_sharpness_dense(mean_hessian(inst), dmat, DEFAULT_RANK_RTOL)
-        assert got == pytest.approx(_generalized_sharpness_operator(inst, p, DEFAULT_RANK_RTOL), rel=1e-12, abs=0.0)
+        assert got == pytest.approx(generalized_sharpness(inst, 1), rel=1e-12, abs=0.0)
         assert got == pytest.approx(_congruence_reference(inst, 1), rel=1e-12, abs=0.0)
 
     # d=24 with Hbar of rank 16: a Rayleigh-quotient stop rule was 2e-12 off here at B=1.
@@ -695,10 +699,9 @@ class TestDenseThresholdEigenbasis:
     def test_lanczos_matches_dense_oracle(self, case):
         inst = self.LANCZOS_CASES[case]()
         for b in range(1, inst.n + 1):
-            p = mixing_weight(inst.n, b)
-            _, dmat = _dense_curvature(inst, p)
+            _, dmat = _dense_curvature(inst, mixing_weight(inst.n, b))
             want = _generalized_sharpness_dense(mean_hessian(inst), dmat, DEFAULT_RANK_RTOL)
-            assert _generalized_sharpness_operator(inst, p, DEFAULT_RANK_RTOL) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_lanczos_application_budget(self, counting, monkeypatch):
         # Counts repeat exactly; a slower solver behind variance_threshold would exceed them.
@@ -872,6 +875,12 @@ class TestVerdict:
             simulate_mixture(scalar_pair, eta, 0.5, SimConfig(steps=2, replicates=2, seed=0))
         with pytest.raises(ValueError, match="finite and nonnegative"):
             second_moment_transition(scalar_pair, eta, 1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mixture_transition(scalar_pair, eta, 0.5)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            brute_force_transition(scalar_pair, eta, 1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            projected_transition_lambda_max(scalar_pair, eta, 1)
 
     def test_verdict_runs_on_rank_deficient_regular_instance(self):
         inst = gen_regular(4, 3, 1, 1.0, True, 11)
@@ -917,8 +926,8 @@ class TestProjectedTransitionLanczos:
             return next(r for r in results if r.name == "threshold-spectrum-equivalence")
 
         assert spectral(run_suites("thresholds", 1, 2)).passed
-        true_solve = stability_module._generalized_sharpness_operator
-        monkeypatch.setattr(stability_module, "_generalized_sharpness_operator", lambda *a, **k: 1.05 * true_solve(*a, **k))
+        true_solve = stability_module._range_sharpness
+        monkeypatch.setattr(stability_module, "_range_sharpness", lambda *a, **k: 1.05 * true_solve(*a, **k))
         result = spectral(run_suites("thresholds", 1, 2))
         assert result.failures == result.trials == 2
 
