@@ -31,6 +31,7 @@ from .instances import (
     gen_regular,
     load_instance,
     mixing_weight,
+    require_valid,
     save_instance,
     stream,
 )
@@ -171,7 +172,7 @@ def _cmd_sweep(args) -> int:
         grid = np.geomspace(args.eta_min, args.eta_max, args.eta_count)
     else:
         grid = np.linspace(args.eta_min, args.eta_max, args.eta_count)
-    stability.require_valid(inst)
+    require_valid(inst)
     lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
     batches = sorted(args.batches)
     lam, rows = stability._sweep_bounds(inst, batches, args.rank_one_steps, args.seed)
@@ -196,7 +197,7 @@ def _cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
     if args.exact:
         if args.batch is None:
-            raise InstanceFormatError("--exact requires --batch")
+            raise _UsageError("--exact requires --batch")
         hp = Hyperparams(eta=args.eta, batch=args.batch)
         state = _exact_initial_state(inst, args)
         path = moments.iterate_moments(inst, hp, state, args.steps, keep_path=True)

@@ -143,11 +143,11 @@ def make_instance(hessians, gradients, label: str = "", validate: bool = True) -
     return ProblemInstance(d=d, n=n, hessians=h, gradients=g, label=label)
 
 
-def classify(inst: ProblemInstance, rel_tol: float = DEFAULT_RANK_RTOL) -> MinimumClass:
+def classify(inst: ProblemInstance) -> MinimumClass:
     """Interpolating / regular / invalid per the PSD and gradient tests.
 
     The PSD test takes the eigenvalues of all n symmetrized Hessians in one
-    batched eigvalsh; H_i fails when lambda_min < -rel_tol * max |lambda|.
+    batched eigvalsh; H_i fails when lambda_min < -DEFAULT_RANK_RTOL * max |lambda|.
     """
     if _mean_gradient_nonzero(inst.gradients):
         return MinimumClass.INVALID
@@ -157,11 +157,19 @@ def classify(inst: ProblemInstance, rel_tol: float = DEFAULT_RANK_RTOL) -> Minim
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     largest = np.maximum(np.abs(values[:, 0]), np.abs(values[:, -1]))
-    if np.any(values[:, 0] < -rel_tol * largest):
+    if np.any(values[:, 0] < -DEFAULT_RANK_RTOL * largest):
         return MinimumClass.INVALID
     if np.all(np.linalg.norm(inst.gradients, axis=1) <= GRAD_ZERO_TOL):
         return MinimumClass.INTERPOLATING
     return MinimumClass.REGULAR
+
+
+def require_valid(inst: ProblemInstance) -> MinimumClass:
+    """Classify the instance once; raise ValueError if it is not a valid minimum."""
+    kind = classify(inst)
+    if kind is MinimumClass.INVALID:
+        raise ValueError("instance is not a regular or interpolating minimum")
+    return kind
 
 
 def mixing_weight(n: int, b: int) -> float:

@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-# Single knob for "when is an eigenvalue zero"; every null-space decision
-# in the package goes through zero_cutoff and psd_range with this default.
+# The package's one rank rule: an eigenvalue at or below DEFAULT_RANK_RTOL *
+# lambda_max is zero.  Every null-space decision goes through zero_cutoff and
+# psd_range, which read this constant; no caller sets its own tolerance.
 DEFAULT_RANK_RTOL = 1e-10
 
 # Rows added to the Lanczos basis each time it fills up.
@@ -91,43 +92,43 @@ def sym_eig(m: np.ndarray) -> EigDecomp:
     return EigDecomp(values=values[order], vectors=vectors[:, order])
 
 
-def zero_cutoff(values: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
-    """The package's rank rule: an eigenvalue at or below rel_tol * max(lambda_max, 0) is zero."""
-    return rel_tol * max(float(np.max(values)), 0.0)
+def zero_cutoff(values: np.ndarray) -> float:
+    """The package's rank rule: an eigenvalue at or below DEFAULT_RANK_RTOL * max(lambda_max, 0) is zero."""
+    return DEFAULT_RANK_RTOL * max(float(np.max(values)), 0.0)
 
 
-def psd_range(values: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+def psd_range(values: np.ndarray) -> np.ndarray:
     """Mask of the nonzero eigenvalues of a PSD matrix, those above zero_cutoff.
 
     Raises ValueError if the matrix is not PSD up to roundoff: some
-    eigenvalue lies below -rel_tol * lambda_max.
+    eigenvalue lies below -DEFAULT_RANK_RTOL * lambda_max.
     """
     lam_max, lam_min = float(np.max(values)), float(np.min(values))
-    if lam_min < -rel_tol * lam_max:
+    if lam_min < -DEFAULT_RANK_RTOL * lam_max:
         raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
-    return values > zero_cutoff(values, rel_tol)
+    return values > zero_cutoff(values)
 
 
-def _psd_pinv(m: np.ndarray, rel_tol: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _psd_pinv(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """V diag(1 / f(lam)) V^T over the nonzero eigenvalues of a PSD matrix, zero on the rest."""
     eig = sym_eig(m)
-    kept = psd_range(eig.values, rel_tol)
+    kept = psd_range(eig.values)
     inv = np.zeros_like(eig.values)
     inv[kept] = 1.0 / f(eig.values[kept])
     return symmetrize(eig.vectors @ (inv[:, None] * eig.vectors.T))
 
 
-def pinv_psd(m: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+def pinv_psd(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric PSD matrix, with psd_range's rank rule and PSD check."""
-    return _psd_pinv(m, rel_tol, np.positive)
+    return _psd_pinv(m, np.positive)
 
 
-def sqrt_pinv_psd(m: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+def sqrt_pinv_psd(m: np.ndarray) -> np.ndarray:
     """Pseudoinverse of the PSD square root, (M^{1/2})^+, with psd_range's rank rule and PSD check."""
-    return _psd_pinv(m, rel_tol, np.sqrt)
+    return _psd_pinv(m, np.sqrt)
 
 
-def null_projectors(m: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def null_projectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projectors (P_null, P_range) of a symmetric PSD matrix.
 
     P_null projects onto the eigenvectors with eigenvalue at or below
@@ -135,7 +136,7 @@ def null_projectors(m: np.ndarray, rel_tol: float = DEFAULT_RANK_RTOL) -> tuple[
     """
     eig = sym_eig(m)
     d = eig.values.size
-    vn = eig.vectors[:, eig.values <= zero_cutoff(eig.values, rel_tol)]
+    vn = eig.vectors[:, eig.values <= zero_cutoff(eig.values)]
     p_null = symmetrize(vn @ vn.T)
     p_range = symmetrize(np.eye(d) - p_null)
     return p_null, p_range

@@ -49,9 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, ProblemInstance, _fmt, mixing_weight, stream
+from .instances import Hyperparams, ProblemInstance, _fmt, mixing_weight, require_valid, stream
 from .linalg import (
-    DEFAULT_RANK_RTOL,
     ConvergenceError,
     LinearOperator,
     kron,
@@ -70,7 +69,6 @@ from .stability import (
     _range_sharpness,
     _threshold,
     range_basis,
-    require_valid,
 )
 
 MC_VALIDATION_SAMPLES = 100_000
@@ -242,17 +240,17 @@ def null_walk_second_moment(inst: ProblemInstance, hp: Hyperparams, t: int, init
     return base + t * slope
 
 
-def _limit_solve(inst: ProblemInstance, hp: Hyperparams, rel_tol: float):
+def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
     """(lam, V_r, X): the range-projected limit is V_r X V_r^T.
 
     lam and V_r are the range block of range_basis; X is eta * p times
     the conjugate-gradient solution of the limit system on that block.
     Raises ValueError unless 0 < eta < eta_var.
     """
-    require_valid(inst, rel_tol)
+    require_valid(inst)
     eta = hp.eta
     p = mixing_weight(inst.n, hp.batch)
-    basis = range_basis(inst, rel_tol)
+    basis = range_basis(inst)
     thr = _threshold(_range_sharpness(basis, p))
     if not 0.0 < eta < thr:
         raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")
@@ -271,9 +269,9 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams, rel_tol: float):
     return lam, v_r, eta * p * x.reshape(r, r)
 
 
-def covariance_limit(inst: ProblemInstance, hp: Hyperparams, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+def covariance_limit(inst: ProblemInstance, hp: Hyperparams) -> np.ndarray:
     """Limit of the range-projected second moment for 0 < eta < eta_var."""
-    _, v_r, x = _limit_solve(inst, hp, rel_tol)
+    _, v_r, x = _limit_solve(inst, hp)
     limit = symmetrize(v_r @ x @ v_r.T)
     values = sym_eig(limit).values
     if float(values[-1]) < -1e-8 * max(float(values[0]), 1e-300):
@@ -281,16 +279,14 @@ def covariance_limit(inst: ProblemInstance, hp: Hyperparams, rel_tol: float = DE
     return limit
 
 
-def asymptotic_quantities(
-    inst: ProblemInstance, hp: Hyperparams, rel_tol: float = DEFAULT_RANK_RTOL
-) -> tuple[float, float, float]:
+def asymptotic_quantities(inst: ProblemInstance, hp: Hyperparams) -> tuple[float, float, float]:
     """Limits of E||x_perp||^2, the loss gap, and E||grad of the quadratic||^2."""
-    lam, _, x = _limit_solve(inst, hp, rel_tol)
+    lam, _, x = _limit_solve(inst, hp)
     diag = np.diag(x)
     return float(np.sum(diag)), 0.5 * float(lam @ diag), float((lam * lam) @ diag)
 
 
-def top_mode_noise_overlap(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
+def top_mode_noise_overlap(inst: ProblemInstance, eta: float, batch: int) -> float:
     """Inner product between the top mode of the range-projected transition
     and the projected gradient noise, <z_max, vec(Sigma_g_perp)>.
 
@@ -299,16 +295,16 @@ def top_mode_noise_overlap(inst: ProblemInstance, eta: float, batch: int, rel_to
     decided by the generic argument.  Returned as an absolute value
     (eigenvector signs are arbitrary); reported, never enforced.
     """
-    z_max = sym_eig(_projected_transition_dense(inst, eta, batch, rel_tol)).vectors[:, 0]
-    _, p_range = null_projectors(inst.mean_hessian(), rel_tol=rel_tol)
+    z_max = sym_eig(_projected_transition_dense(inst, eta, batch)).vectors[:, 0]
+    _, p_range = null_projectors(inst.mean_hessian())
     sigma_g_perp = p_range @ inst.gradient_second_moment() @ p_range
     return abs(float(z_max @ vec(sigma_g_perp)))
 
 
-def write_trajectory_csv(path, inst: ProblemInstance, states, rel_tol: float = DEFAULT_RANK_RTOL) -> None:
+def write_trajectory_csv(path, inst: ProblemInstance, states) -> None:
     """CSV columns: t, trace_sigma_perp, trace_sigma_par, mu_norm, loss_gap_estimate."""
     hbar = inst.mean_hessian()
-    p_null, p_range = null_projectors(hbar, rel_tol=rel_tol)
+    p_null, p_range = null_projectors(hbar)
     lines = ["t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate"]
     for state in states:
         sigma = state.second_moment

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, MinimumClass, ProblemInstance, _fmt, _splitmix64, check_step_size, classify, stream
+from .instances import Hyperparams, ProblemInstance, _fmt, _splitmix64, check_step_size, require_valid, stream
 from .linalg import null_projectors, sym_eig
 
 _CHUNK_ENTRY_BUDGET = 4_000_000
@@ -54,8 +54,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.steps < 1 or self.replicates < 1:
             raise ValueError("steps and replicates must be >= 1")
-        if self.divergence_factor <= 1:
-            raise ValueError("divergence_factor must exceed 1")
+        if not (math.isfinite(self.divergence_factor) and self.divergence_factor > 1):
+            raise ValueError("divergence_factor must be finite and exceed 1")
+        if not np.all(np.isfinite(self.init_offset)):
+            raise ValueError("init_offset must be finite")
 
 
 @dataclass(frozen=True)
@@ -294,8 +296,7 @@ def _finalize(
 
 
 def _run(inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_replicate: int) -> EmpiricalMoments:
-    if classify(inst) is MinimumClass.INVALID:
-        raise ValueError("instance is not a regular or interpolating minimum")
+    require_valid(inst)
     d = inst.d
     t_steps = cfg.steps
     x0 = initial_offset(inst, cfg)

@@ -70,9 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import MinimumClass, ProblemInstance, check_step_size, classify, mixing_weight, stream
+from .instances import MinimumClass, ProblemInstance, check_step_size, mixing_weight, require_valid, stream
 from .linalg import (
-    DEFAULT_RANK_RTOL,
     ConvergenceError,
     EigDecomp,
     LinearOperator,
@@ -84,7 +83,6 @@ from .linalg import (
     sym_eig,
     unvec,
     vec,
-    zero_cutoff,
 )
 
 # Above this dimension the d^2 x d^2 matrices are not formed densely.
@@ -92,6 +90,10 @@ DENSE_CAP = 48
 
 # Default enumeration budget for brute-force batch expectations.
 ENUM_CAP = 10_000
+
+# Starts of the rank-one ascent per batch size: the top eigenvector of Hbar and
+# seeded random directions in its range.
+_N_STARTS = 8
 
 
 def mean_hessian(inst: ProblemInstance) -> np.ndarray:
@@ -115,26 +117,12 @@ class SpectralReport:
     sharpness: float
     generalized_sharpness: float  # lambda_max(pinv(C) D)
     p: float
-    rel_tol: float
     dense: bool
 
 
-def require_valid(inst: ProblemInstance, rel_tol: float = DEFAULT_RANK_RTOL) -> MinimumClass:
-    """Classify the instance once; raise ValueError if it is not a valid minimum."""
-    kind = classify(inst, rel_tol=rel_tol)
-    if kind is MinimumClass.INVALID:
-        raise ValueError("instance is not a regular or interpolating minimum")
-    return kind
-
-
-def curvature_operators(
-    inst: ProblemInstance,
-    batch: int,
-    rel_tol: float = DEFAULT_RANK_RTOL,
-    dense: bool | None = None,
-) -> SpectralReport:
+def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = None) -> SpectralReport:
     """Build C, D, E and both sharpness numbers for an instance and batch size."""
-    require_valid(inst, rel_tol)
+    require_valid(inst)
     d = inst.d
     p = mixing_weight(inst.n, batch)
     hbar = mean_hessian(inst)
@@ -142,7 +130,7 @@ def curvature_operators(
         dense = d <= DENSE_CAP
     if dense and d > DENSE_CAP:
         raise ValueError(f"dense operators requested for d={d} > cap {DENSE_CAP}")
-    basis = range_basis(inst, rel_tol)
+    basis = range_basis(inst)
     if dense:
         c, mixture = 0.5 * kron_sum(hbar, hbar), _mixture_matrix
     else:
@@ -159,7 +147,6 @@ def curvature_operators(
         sharpness=float(basis.eig.values[0]),
         generalized_sharpness=_range_sharpness(basis, p),
         p=p,
-        rel_tol=rel_tol,
         dense=dense,
     )
 
@@ -189,10 +176,10 @@ class RangeBasis:
     k: np.ndarray
 
 
-def range_basis(inst: ProblemInstance, rel_tol: float = DEFAULT_RANK_RTOL) -> RangeBasis:
+def range_basis(inst: ProblemInstance) -> RangeBasis:
     """Decompose Hbar once and rotate the Hessians onto its range; ValueError if Hbar is not PSD."""
     eig = sym_eig(mean_hessian(inst))
-    keep = psd_range(eig.values, rel_tol)
+    keep = psd_range(eig.values)
     v = eig.vectors[:, keep]
     return RangeBasis(eig=eig, lam=eig.values[keep], v=v, k=v.T @ inst.hessians @ v)
 
@@ -239,13 +226,13 @@ def _range_sharpness(basis: RangeBasis, p: float) -> float:
     return lam_s if lam_s > 0 else 0.0
 
 
-def generalized_sharpness(inst: ProblemInstance, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
+def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:
     """lambda_max(pinv(C) D), the generalized sharpness, for one batch size.
 
     The instance is not classified here: callers that need a valid minimum
     check it once with require_valid, as variance_threshold does.
     """
-    return _range_sharpness(range_basis(inst, rel_tol), mixing_weight(inst.n, batch))
+    return _range_sharpness(range_basis(inst), mixing_weight(inst.n, batch))
 
 
 def second_moment_transition(
@@ -292,7 +279,7 @@ def brute_force_transition(inst: ProblemInstance, eta: float, batch: int, cap: i
     return q / count
 
 
-def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray, rel_tol: float) -> float:
+def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray) -> float:
     """Test oracle: lambda_max of (C^{1/2})^+ D (C^{1/2})^+ from a dense D.
 
     D is rotated by V kron V and scaled by the pair factors ((lam_a + lam_b)/2)^{-1/2}
@@ -301,7 +288,7 @@ def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray, rel_tol: fl
     """
     eig = sym_eig(hbar)
     pair = 0.5 * (eig.values[:, None] + eig.values[None, :]).reshape(-1)
-    kept = psd_range(pair, rel_tol)
+    kept = psd_range(pair)
     factor = np.zeros_like(pair)
     factor[kept] = 1.0 / np.sqrt(pair[kept])
     w = kron(eig.vectors, eig.vectors)
@@ -319,10 +306,10 @@ def _threshold(gen_sharp: float) -> float:
     return math.inf if gen_sharp <= 0 else 2.0 / gen_sharp
 
 
-def variance_threshold(inst: ProblemInstance, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
+def variance_threshold(inst: ProblemInstance, batch: int) -> float:
     """Exact mean-square stability threshold 2 / lambda_max(pinv(C) D)."""
-    require_valid(inst, rel_tol)
-    return _threshold(generalized_sharpness(inst, batch, rel_tol))
+    require_valid(inst)
+    return _threshold(generalized_sharpness(inst, batch))
 
 
 def necessary_bound_eigvec(inst: ProblemInstance, batch: int) -> float:
@@ -456,31 +443,17 @@ def _backtrack(theta, slope, vs, u, hv, hu, quads, pn):
     return v / scale[:, None], hv, (quads + dq[pick, cols]) / (scale * scale)[:, None], arc, rise[pick, cols], ok[pick, cols]
 
 
-def rank_one_bound(
-    inst: ProblemInstance,
-    batch: int,
-    steps: int = 2000,
-    seed: int = 0,
-    n_starts: int = 8,
-    rel_tol: float = DEFAULT_RANK_RTOL,
-) -> tuple[float, np.ndarray]:
+def rank_one_bound(inst: ProblemInstance, batch: int, steps: int = 2000, seed: int = 0) -> tuple[float, np.ndarray]:
     """Best rank-one lower bound on the generalized sharpness for one batch size.
 
     Maximizes  f(v) = v'Hbar v + p * mean_i (v'H_i v - v'Hbar v)^2 / (v'Hbar v)
     over the unit sphere; see rank_one_bounds, of which this is the
     one-batch call.  Returns (best value, maximizer).
     """
-    return rank_one_bounds(inst, [batch], steps=steps, seed=seed, n_starts=n_starts, rel_tol=rel_tol)[0]
+    return rank_one_bounds(inst, [batch], steps=steps, seed=seed)[0]
 
 
-def rank_one_bounds(
-    inst: ProblemInstance,
-    batches,
-    steps: int = 2000,
-    seed: int = 0,
-    n_starts: int = 8,
-    rel_tol: float = DEFAULT_RANK_RTOL,
-) -> list[tuple[float, np.ndarray]]:
+def rank_one_bounds(inst: ProblemInstance, batches, steps: int = 2000, seed: int = 0) -> list[tuple[float, np.ndarray]]:
     """Best rank-one lower bounds on the generalized sharpness, one per batch size.
 
     For each batch size B, with p its mixing weight, maximizes
@@ -488,79 +461,65 @@ def rank_one_bounds(
         f(v) = v'Hbar v + p * mean_i (v'H_i v - v'Hbar v)^2 / (v'Hbar v)
 
     over the unit sphere by Riemannian L-BFGS, multi-started from the top
-    eigenvector of Hbar plus seeded random directions in its range.  Every
-    (batch, start) lane advances in one (len(batches) * n_starts, d) block,
-    row j * n_starts + s being start s of batches[j], and keeps its own few
+    eigenvector of Hbar plus seeded random directions in its range, 8 starts
+    in all.  Every (batch, start) lane advances in one (len(batches) * 8, d)
+    block, row 8 j + s being start s of batches[j], and keeps its own few
     (s, y) pairs, projected onto the current tangent space.  A step goes
     along the geodesic in the quasi-Newton direction, its arc capped at
-    0.2 rad, then halved until it passes Armijo.  A start inside the null
-    space of Hbar (v'Hbar v at or below rel_tol * lambda_max) collapses at
-    once; an accepted step raises f, and f(v) <= |P v|^2 * (generalized
-    sharpness) for P the range projector, so no lane nears the null space
-    afterwards.  A lane stops when its Riemannian gradient is at most 1e-10
-    f, when a step raised f by a few ulps only, or when no halving passes.
-    steps caps the iterations without entering them, so a larger cap never
-    gives a smaller value.  The iteration is scale free, so rescaling all
-    Hessians rescales the values alike.  Returns (best value, maximizer)
-    per batch, in the order given: the first strict maximum over the starts
-    in order.  Raises ValueError when batches is empty, steps < 0 or
-    n_starts < 1, or when all starts of a batch collapse.
+    0.2 rad, then halved until it passes Armijo.  Every start lies in the
+    range of Hbar, where v'Hbar v is at least its smallest kept eigenvalue;
+    an accepted step raises f, and f(v) <= |P v|^2 * (generalized sharpness)
+    for P the range projector, so no lane nears the null space.  A lane
+    stops when its Riemannian gradient is at most 1e-10 f, when a step
+    raised f by a few ulps only, or when no halving passes.  steps caps the
+    iterations without entering them, so a larger cap never gives a smaller
+    value.  The iteration is scale free, so rescaling all Hessians rescales
+    the values alike.  Returns (best value, maximizer) per batch, in the
+    order given: the first strict maximum over the starts in order.  Raises
+    ValueError when batches is empty, steps < 0, Hbar is not PSD (as
+    range_basis does) or Hbar is zero.
     """
-    return _rank_one_ascent(inst, sym_eig(mean_hessian(inst)), list(batches), steps, seed, n_starts, rel_tol)
+    return _rank_one_ascent(inst, range_basis(inst), list(batches), steps, seed)
 
 
 def _rank_one_ascent(
-    inst: ProblemInstance,
-    eig: EigDecomp,
-    batches: list[int],
-    steps: int,
-    seed: int,
-    n_starts: int,
-    rel_tol: float,
+    inst: ProblemInstance, basis: RangeBasis, batches: list[int], steps: int, seed: int
 ) -> list[tuple[float, np.ndarray]]:
-    """rank_one_bounds on eig = sym_eig(Hbar)."""
+    """rank_one_bounds on basis = range_basis(inst)."""
     if not batches:
         raise ValueError("batches must be non-empty")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    lam = float(eig.values[0])
-    if lam <= 0:
+    if basis.lam.size == 0:
         raise ValueError("mean Hessian has no positive eigenvalue")
+    lam = float(basis.lam[0])
     n, d = inst.n, inst.d
-    floor = zero_cutoff(eig.values, rel_tol)
-    vn = eig.vectors[:, eig.values <= floor]
+    vn = basis.eig.vectors[:, basis.lam.size :]
     p_range = np.eye(d) - vn @ vn.T
     rng = stream(seed, index=1)
-    starts = [eig.vectors[:, 0]]
-    while len(starts) < n_starts:
+    starts = [basis.v[:, 0]]
+    while len(starts) < _N_STARTS:
         z = p_range @ rng.standard_normal(d)
         nz = np.linalg.norm(z)
         if nz > 1e-8:
             starts.append(z / nz)
     # [H_1, ..., H_n, Hbar] side by side; each lane is a row of every array below.
     row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), mean_hessian(inst)], axis=1)
-    n_lanes = len(batches) * n_starts
-    best_value = np.full(n_lanes, -math.inf)
-    best_v = np.tile(np.array(starts), (len(batches), 1))
+    n_lanes = len(batches) * _N_STARTS
     m = _LBFGS_PAIRS
     # Per-lane state: lane index, p / n, iterate vs, its products hv and forms quads, f, its
     # Riemannian gradient r, the (s, y) pairs mem with their 1/(s'y), and the initial
     # inverse-Hessian scale gamma.  A lane that stops is dropped from every array at once.
-    vs = best_v.copy()
+    lanes = np.arange(n_lanes)
+    pn = np.repeat([mixing_weight(n, b) / n for b in batches], _N_STARTS)
+    vs = np.tile(np.array(starts), (len(batches), 1))
     hv = _stacked_products(vs, row)
     quads = _forms(vs, hv)
-    alive = quads[:, n] > floor  # starts inside the null space collapse at once
-    lanes, pn, vs, hv, quads = [
-        x[alive] for x in (np.arange(n_lanes), np.repeat([mixing_weight(n, b) / n for b in batches], n_starts), vs, hv, quads)
-    ]
-    mem = np.zeros((lanes.size, 2, m, d))
-    rho, gamma = np.zeros((lanes.size, m)), np.full(lanes.size, 1.0 / lam)
+    mem = np.zeros((n_lanes, 2, m, d))
+    rho, gamma = np.zeros((n_lanes, m)), np.full(n_lanes, 1.0 / lam)
     value = _rank_one_value(quads, pn)
     r = _rank_one_grad(vs, hv, quads, pn, value)
-    best_value[lanes] = value
-    best_v[lanes] = vs
+    best_value, best_v = value.copy(), vs.copy()
     gain = np.full(lanes.size, math.inf)  # f's rise on each lane's last step
     for k in range(steps):
         # f > 0 on every live lane, so both stop rules are relative to f itself.
@@ -627,18 +586,13 @@ def _rank_one_ascent(
         rho = np.divide(1.0, s_y, out=np.zeros_like(s_y), where=s_y > 0)
         r = r_new
     results = []
-    for j, b in enumerate(batches):
-        lane_values = best_value[j * n_starts : (j + 1) * n_starts]
-        if not np.any(np.isfinite(lane_values)):
-            raise ValueError(f"all starts collapsed into the null space of the mean Hessian (batch {b})")
-        best = j * n_starts + int(np.argmax(lane_values))
+    for j in range(len(batches)):
+        best = j * _N_STARTS + int(np.argmax(best_value[j * _N_STARTS : (j + 1) * _N_STARTS]))
         results.append((float(best_value[best]), best_v[best].copy()))
     return results
 
 
-def _sweep_bounds(
-    inst: ProblemInstance, batches: list[int], steps: int, seed: int, rel_tol: float = DEFAULT_RANK_RTOL
-) -> tuple[float, list[tuple[float, float, float]]]:
+def _sweep_bounds(inst: ProblemInstance, batches: list[int], steps: int, seed: int) -> tuple[float, list[tuple[float, float, float]]]:
     """The sharpness and, per batch in the order given, (generalized sharpness, rank-one
     value, 2 / eigenvector bound), from one range_basis.
 
@@ -646,8 +600,8 @@ def _sweep_bounds(
     and necessary_bound_eigvec return; those each decompose Hbar again.  The
     instance is not classified here.
     """
-    basis = range_basis(inst, rel_tol)
-    ascents = _rank_one_ascent(inst, basis.eig, batches, steps, seed, 8, rel_tol)
+    basis = range_basis(inst)
+    ascents = _rank_one_ascent(inst, basis, batches, steps, seed)
     rows = []
     for b, (rank_one, _) in zip(batches, ascents):
         p = mixing_weight(inst.n, b)
@@ -655,7 +609,7 @@ def _sweep_bounds(
     return float(basis.eig.values[0]), rows
 
 
-def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
     """Dense (P kron P) Q, P the range projector of Hbar, as the projected mixture sum
 
         (1-p) (P - eta*Hbar) kron (P - eta*Hbar) + (p/n) sum_i (P - eta*H_i) kron (P - eta*H_i).
@@ -664,11 +618,11 @@ def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int, r
     takes its top eigenvector.
     """
     hbar = mean_hessian(inst)
-    _, p_range = null_projectors(hbar, rel_tol=rel_tol)
+    _, p_range = null_projectors(hbar)
     return _mixture_matrix(p_range - eta * hbar, p_range - eta * inst.hessians, mixing_weight(inst.n, batch))
 
 
-def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: int, rel_tol: float = DEFAULT_RANK_RTOL) -> float:
+def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: int) -> float:
     """lambda_max of (P kron P) Q with P the range projector of Hbar.
 
     For PSD per-sample Hessians this matrix equals the projected mixture
@@ -680,7 +634,7 @@ def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: in
     """
     check_step_size(eta)
     p = mixing_weight(inst.n, batch)
-    basis = range_basis(inst, rel_tol)
+    basis = range_basis(inst)
     lam, r = basis.lam, basis.lam.size
     if r == 0:
         return 0.0
@@ -718,7 +672,6 @@ def stability_verdict(
     inst: ProblemInstance,
     batch: int,
     eta_list,
-    rel_tol: float = DEFAULT_RANK_RTOL,
     rank_one_steps: int = 2000,
     seed: int = 0,
 ) -> StabilityVerdict:
@@ -729,14 +682,14 @@ def stability_verdict(
     instance is classified once and Hbar decomposed once.
     """
     etas = [check_step_size(float(eta)) for eta in eta_list]
-    kind = require_valid(inst, rel_tol)
+    kind = require_valid(inst)
     p = mixing_weight(inst.n, batch)
-    basis = range_basis(inst, rel_tol)
+    basis = range_basis(inst)
     eta_mean = _threshold(float(basis.eig.values[0]))
     eta_var = _threshold(_range_sharpness(basis, p))
     b_eig = _eigvec_bound(inst, basis.eig, p)
     b_tr = necessary_bound_trace(inst, batch)
-    [(value, _)] = _rank_one_ascent(inst, basis.eig, [batch], rank_one_steps, seed, 8, rel_tol)
+    [(value, _)] = _rank_one_ascent(inst, basis, [batch], rank_one_steps, seed)
     b_r1 = 2.0 / value
     if eta_var > eta_mean * (1.0 + 1e-9):
         raise ConvergenceError(f"variance threshold {eta_var} exceeds mean threshold {eta_mean}")

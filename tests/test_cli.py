@@ -379,6 +379,32 @@ class TestSimulate:
         assert "step size must be finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, option, message",
+        [
+            (["--batch", "1"], ["--divergence-factor", "nan"], "divergence_factor must be finite"),
+            (["--mixture-p", "0.5"], ["--divergence-factor", "inf"], "divergence_factor must be finite"),
+            (["--batch", "1"], ["--init-scale", "nan"], "init_offset must be finite"),
+            (["--mixture-p", "0.5"], ["--init-scale", "inf"], "init_offset must be finite"),
+            (["--batch", "1", "--exact"], ["--init-scale", "nan"], "init_offset must be finite"),
+            (["--batch", "1", "--exact"], ["--init-scale", "inf"], "init_offset must be finite"),
+        ],
+        ids=["divergence-nan", "divergence-inf-mixture", "init-nan", "init-inf-mixture", "init-nan-exact", "init-inf-exact"],
+    )
+    def test_nonfinite_setting_is_input_error(self, scalar_pair_file, tmp_path, capsys, mode, option, message):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", scalar_pair_file, "--eta", "0.5", *mode, *option, "--steps", "5", "--replicates", "4", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exact_with_mixture_is_usage_error(self, scalar_pair_file, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", scalar_pair_file, "--eta", "0.5", "--mixture-p", "0.5", "--exact", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "usage error: --exact requires --batch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixture_mode(self, scalar_pair_file, tmp_path):
         out = tmp_path / "mix.csv"
         code = main(

@@ -1,8 +1,13 @@
+import enum
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from sgdstab import instances, linalg, moments, stability
 
 from sgdstab.linalg import (
     ConvergenceError,
@@ -145,17 +150,26 @@ class TestSymEig:
 class TestRankRule:
     def test_cut_is_inclusive_and_relative(self):
         values = np.array([4.0, 4e-10, 4e-10 + 1e-20, 0.0])
-        assert zero_cutoff(values, 1e-10) == 4e-10
-        np.testing.assert_array_equal(psd_range(values, 1e-10), [True, False, True, False])
+        assert zero_cutoff(values) == 4e-10
+        np.testing.assert_array_equal(psd_range(values), [True, False, True, False])
         np.testing.assert_array_equal(psd_range(np.zeros(3)), [False, False, False])
 
     def test_not_psd_below_minus_cut(self):
-        psd_range(np.array([1.0, -0.5e-10]), 1e-10)
+        psd_range(np.array([1.0, -0.5e-10]))
         with pytest.raises(ValueError, match="not PSD"):
-            psd_range(np.array([1.0, -2e-10]), 1e-10)
+            psd_range(np.array([1.0, -2e-10]))
         # null_projectors applies the cut without the PSD check.
         p_null, _ = null_projectors(np.diag([1.0, -1.0]))
         np.testing.assert_allclose(p_null, np.diag([0.0, 1.0]), atol=1e-15)
+
+    @pytest.mark.parametrize("module", [linalg, instances, stability, moments], ids=lambda m: m.__name__)
+    def test_no_caller_sets_the_rule(self, module):
+        # The rank rule and the rank-one start count are constants, not parameters.
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, (Exception, enum.Enum))):
+                assert not {"rel_tol", "n_starts"} & set(inspect.signature(obj).parameters), name
 
 
 class TestPinvPsd:

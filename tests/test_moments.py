@@ -359,12 +359,12 @@ class TestAsymptoticQuantities:
         assert grad_sq == pytest.approx(float(np.trace(hbar @ hbar @ limit)), abs=1e-9)
 
 
-def _dense_limit(inst, hp, rel_tol=DEFAULT_RANK_RTOL):
+def _dense_limit(inst, hp):
     """Oracle: Sigma_inf = unvec(eta * p * pinv(2C - eta*D) vec(Sigma_g_perp)) from one dense
     d^2 x d^2 eigendecomposition.
 
     Raises ConvergenceError when 2C - eta*D has an eigenvalue below -1e-8 * lambda_max, and
-    ValueError when it has one below -rel_tol * lambda_max.
+    ValueError when it has one below -DEFAULT_RANK_RTOL * lambda_max.
     """
     p = mixing_weight(inst.n, hp.batch)
     c, dmat = _dense_curvature(inst, p)
@@ -372,11 +372,11 @@ def _dense_limit(inst, hp, rel_tol=DEFAULT_RANK_RTOL):
     lam_max, lam_min = float(eig.values[0]), float(eig.values[-1])
     if lam_min < -1e-8 * max(lam_max, 0.0):
         raise ConvergenceError(f"2C - eta*D is not PSD (lambda_min = {lam_min:.3e})")
-    if lam_min < -rel_tol * lam_max:
+    if lam_min < -DEFAULT_RANK_RTOL * lam_max:
         raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
-    _, p_range = null_projectors(inst.mean_hessian(), rel_tol=rel_tol)
+    _, p_range = null_projectors(inst.mean_hessian())
     sigma_g_perp = p_range @ inst.gradient_second_moment() @ p_range
-    kept = eig.values > rel_tol * max(lam_max, 0.0)
+    kept = eig.values > DEFAULT_RANK_RTOL * max(lam_max, 0.0)
     inv = np.zeros_like(eig.values)
     inv[kept] = 1.0 / eig.values[kept]
     x = hp.eta * p * (eig.vectors @ (inv * (eig.vectors.T @ vec(sigma_g_perp))))

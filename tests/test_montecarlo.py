@@ -79,6 +79,21 @@ class TestBasics:
         em = simulate_sgd(scalar_pair, Hyperparams(eta=0.0, batch=1), cfg)
         assert em.mean_sq_perp[0] == pytest.approx(4.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"divergence_factor": math.nan}, "^divergence_factor"),
+            ({"divergence_factor": math.inf}, "^divergence_factor"),
+            ({"divergence_factor": 1.0}, "^divergence_factor"),
+            ({"init_offset": math.nan}, "^init_offset"),
+            ({"init_offset": -math.inf}, "^init_offset"),
+            ({"init_offset": np.array([1.0, math.nan])}, "^init_offset"),
+        ],
+    )
+    def test_rejects_bad_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(steps=4, replicates=8, seed=0, **kwargs)
+
     def test_default_offset_in_range_of_hessian(self, rank_one_walk):
         cfg = SimConfig(steps=1, replicates=1, seed=12)
         x0 = initial_offset(rank_one_walk, cfg)
