@@ -53,6 +53,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse takes only digit strings such as -1 or -.5 for negative numbers, so
+        # -inf, -nan and -1e-3 would read as unknown options; every float is a value here.
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sgdstab")
@@ -93,9 +102,10 @@ def _build_parser() -> _Parser:
     group.add_argument("--batch", type=int, default=None)
     group.add_argument("--mixture-p", type=float, default=None)
     p_sim.add_argument("--steps", type=int, default=1000)
-    p_sim.add_argument("--replicates", type=int, default=1000)
+    # Monte-Carlo settings: None marks "not given", which --exact requires.
+    p_sim.add_argument("--replicates", type=int, default=None, help="Monte-Carlo only (default 1000)")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--divergence-factor", type=float, default=1e6)
+    p_sim.add_argument("--divergence-factor", type=float, default=None, help="Monte-Carlo only (default 1e6)")
     p_sim.add_argument("--init-scale", type=float, default=1.0)
     p_sim.add_argument("--exact", action="store_true", help="run the closed-form moment recursion")
     p_sim.add_argument("--out", required=True)
@@ -198,6 +208,9 @@ def _cmd_simulate(args) -> int:
     if args.exact:
         if args.batch is None:
             raise _UsageError("--exact requires --batch")
+        for flag, value in (("--replicates", args.replicates), ("--divergence-factor", args.divergence_factor)):
+            if value is not None:
+                raise _UsageError(f"{flag} applies to Monte-Carlo runs, not to --exact")
         hp = Hyperparams(eta=args.eta, batch=args.batch)
         state = _exact_initial_state(inst, args)
         path = moments.iterate_moments(inst, hp, state, args.steps, keep_path=True)
@@ -206,9 +219,9 @@ def _cmd_simulate(args) -> int:
         return EXIT_OK
     cfg = SimConfig(
         steps=args.steps,
-        replicates=args.replicates,
+        replicates=1000 if args.replicates is None else args.replicates,
         seed=args.seed,
-        divergence_factor=args.divergence_factor,
+        divergence_factor=1e6 if args.divergence_factor is None else args.divergence_factor,
         init_offset=args.init_scale,
     )
     if args.mixture_p is not None:

@@ -254,7 +254,8 @@ def gen_regular(
         basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
         sub = basis[:, : d - 1]
         g_factors = rng.standard_normal((n, d - 1, rank))
-        hessians = np.einsum("ai,nik,njk,bj->nab", sub, g_factors, g_factors, sub)
+        f = sub @ g_factors  # (n, d, rank): H_i = F_i F_i^T, two matmuls
+        hessians = f @ f.transpose(0, 2, 1)
         hessians = 0.5 * (hessians + np.transpose(hessians, (0, 2, 1)))
     else:
         g_factors = rng.standard_normal((n, d, rank))

@@ -100,13 +100,19 @@ def zero_cutoff(values: np.ndarray) -> float:
 def psd_range(values: np.ndarray) -> np.ndarray:
     """Mask of the nonzero eigenvalues of a PSD matrix, those above zero_cutoff.
 
-    Raises ValueError if the matrix is not PSD up to roundoff: some
-    eigenvalue lies below -DEFAULT_RANK_RTOL * lambda_max.
+    values may also stack the spectra of several matrices along its last
+    axis; the rule then applies to each one.  Raises ValueError if a
+    matrix is not PSD up to roundoff: some eigenvalue lies below
+    -DEFAULT_RANK_RTOL * lambda_max.
     """
-    lam_max, lam_min = float(np.max(values)), float(np.min(values))
-    if lam_min < -DEFAULT_RANK_RTOL * lam_max:
-        raise ValueError(f"matrix is not PSD: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}")
-    return values > zero_cutoff(values)
+    lam_max, lam_min = np.max(values, axis=-1, keepdims=True), np.min(values, axis=-1, keepdims=True)
+    bad = lam_min < -DEFAULT_RANK_RTOL * lam_max
+    if np.any(bad):
+        first = np.flatnonzero(bad)[0]
+        raise ValueError(
+            f"matrix is not PSD: lambda_min={lam_min.flat[first]:.3e}, lambda_max={lam_max.flat[first]:.3e}"
+        )
+    return values > DEFAULT_RANK_RTOL * np.maximum(lam_max, 0.0)
 
 
 def _psd_pinv(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -41,7 +41,13 @@ Q, D, E and the projected transition are all the mixture
     _range_d          D on the r x r range block, X -> (1-p) Lam X Lam
                       + (p/n) sum_i k_i X k_i.
 
-The last two share the sandwich kernel _sandwich_sum.  curvature_operators
+The last two share the sandwich kernel _sandwich_sum, at 4 n r^3 flops on
+the range block.  range_basis also factors each k_i = U_i U_i^T once (one
+batched eigh, psd_range's rank rule per sample, U_i of shape r x q with q
+the largest per-sample rank).  When every k_i passes the PSD test and
+q (r + q) < r^2, _range_d runs on the factors instead,
+_factored_sandwich_sum: sum_i U_i (U_i^T X U_i) U_i^T in 4 n q r (r + q)
+flops.  Array shapes and the PSD test alone pick the kernel.  curvature_operators
 and second_moment_transition pick _mixture_matrix for d <= DENSE_CAP and
 _mixture_operator above it.  The threshold congruence, the projected
 transition and the limit system of moments are affine in _range_d.  The
@@ -168,20 +174,62 @@ def _mixture_matrix(a_bar: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class RangeBasis:
-    """eig = sym_eig(Hbar); lam (r,) and v (d, r) its eigenpairs that psd_range keeps; k[i] = v^T H_i v."""
+    """eig = sym_eig(Hbar); lam (r,) and v (d, r) its eigenpairs that psd_range keeps; k[i] = v^T H_i v.
+
+    ut, when not None, stacks the transposed factors U_i^T, shape (n, q, r), with
+    k[i] = U_i U_i^T: q is the largest rank of any k[i], and a sample of smaller
+    rank has zero rows.  range_basis sets it only where it makes the sandwich
+    sum cheaper, and _range_d then runs on it.
+    """
 
     eig: EigDecomp
     lam: np.ndarray
     v: np.ndarray
     k: np.ndarray
+    ut: np.ndarray | None
 
 
 def range_basis(inst: ProblemInstance) -> RangeBasis:
-    """Decompose Hbar once and rotate the Hessians onto its range; ValueError if Hbar is not PSD."""
+    """Decompose Hbar once and rotate the Hessians onto its range; ValueError if Hbar is not PSD.
+
+    The rotated k[i] are then factored once (_range_factors), so the range-block
+    sandwich sum costs 4 n q r (r + q) flops instead of 4 n r^3 when every k[i]
+    is PSD and q (r + q) < r^2.
+    """
     eig = sym_eig(mean_hessian(inst))
     keep = psd_range(eig.values)
     v = eig.vectors[:, keep]
-    return RangeBasis(eig=eig, lam=eig.values[keep], v=v, k=v.T @ inst.hessians @ v)
+    k = v.T @ inst.hessians @ v
+    return RangeBasis(eig=eig, lam=eig.values[keep], v=v, k=k, ut=_range_factors(k))
+
+
+def _range_factors(k: np.ndarray) -> np.ndarray | None:
+    """The stack of U_i^T, shape (n, q, r), with k_i = U_i U_i^T, or None.
+
+    One batched eigh of the k_i; psd_range's rank rule keeps each sample's
+    nonzero eigenpairs, and U_i holds them scaled by sqrt(lam), padded with
+    zero columns to q, the largest kept count.  None when some k_i fails
+    psd_range's PSD test (then dropping its negative eigenvalues would change
+    the operator) or when q (r + q) >= r^2 (then the dense _sandwich_sum takes
+    no more flops).
+    """
+    r = k.shape[1]
+    if r == 0:
+        return None
+    try:
+        values, vectors = np.linalg.eigh(k)  # ascending per sample
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    try:
+        kept = psd_range(values)
+    except ValueError:
+        return None
+    q = int(kept.sum(axis=1).max())
+    if q * (r + q) >= r * r:
+        return None
+    # Each sample's kept eigenvalues are its largest, so they sit in its last q columns.
+    scale = np.sqrt(np.where(kept, values, 0.0)[:, r - q :])
+    return np.ascontiguousarray((vectors[:, :, r - q :] * scale[:, None, :]).transpose(0, 2, 1))
 
 
 def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -189,6 +237,16 @@ def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
     n, d, _ = mats.shape
     # M_i is symmetric, so sum_i M_i m M_i = [M_1; ...; M_n]^T @ [m M_1; ...; m M_n].
     return mats.reshape(n * d, d).T @ (m @ mats).reshape(n * d, d)
+
+
+def _factored_sandwich_sum(ut: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_i U_i (U_i^T m U_i) U_i^T from the stack ut of U_i^T, (n, q, r): 4 n q r (r + q) flops."""
+    n, q, r = ut.shape
+    # W = [U_1, ..., U_n] is the transpose of ut's (n q, r) rows, so the sum is W @ [T_1; ...; T_n]
+    # with T_i = (U_i^T m U_i) U_i^T.
+    w_t = ut.reshape(n * q, r)
+    core = (w_t @ m).reshape(n, q, r) @ ut.transpose(0, 2, 1)
+    return w_t.T @ (core @ ut).reshape(n * q, r)
 
 
 def _mixture_apply(a_bar: np.ndarray, mats: np.ndarray, p: float, m: np.ndarray) -> np.ndarray:
@@ -203,10 +261,12 @@ def _mixture_operator(a_bar: np.ndarray, mats: np.ndarray, p: float) -> LinearOp
 
 
 def _range_d(basis: RangeBasis, p: float):
-    """D on the r x r range block: the map X -> (1-p) Lam X Lam + (p/n) sum_i k_i X k_i."""
-    col, row, k = basis.lam[:, None], basis.lam[None, :], basis.k
-    pn = p / k.shape[0]
-    return lambda x: (1.0 - p) * (col * x * row) + pn * _sandwich_sum(k, x)
+    """D on the r x r range block: the map X -> (1-p) Lam X Lam + (p/n) sum_i k_i X k_i,
+    the sum on the factors basis.ut when range_basis kept them."""
+    col, row = basis.lam[:, None], basis.lam[None, :]
+    pn = p / basis.k.shape[0]
+    kernel, mats = (_sandwich_sum, basis.k) if basis.ut is None else (_factored_sandwich_sum, basis.ut)
+    return lambda x: (1.0 - p) * (col * x * row) + pn * kernel(mats, x)
 
 
 def _range_sharpness(basis: RangeBasis, p: float) -> float:

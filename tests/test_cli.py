@@ -76,7 +76,7 @@ class TestAnalyze:
         assert "eta=0.79" in out and "VarStable" in out
         assert "VarUnstable" in out
 
-    @pytest.mark.parametrize("eta", ["-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("eta", ["-0.5", "nan", "inf", "-inf"])
     def test_invalid_step_size_is_input_error(self, scalar_pair_file, tmp_path, capsys, eta):
         out = tmp_path / "a.csv"
         assert main(["analyze", scalar_pair_file, "--batch", "1", "--eta", "0.5", eta, "--out", str(out)]) == EXIT_INPUT
@@ -161,7 +161,9 @@ class TestSweep:
         )
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("eta_min, eta_max", [("nan", "0.5"), ("0.1", "inf"), ("nan", "nan"), ("0.1", "nan")])
+    @pytest.mark.parametrize(
+        "eta_min, eta_max", [("nan", "0.5"), ("0.1", "inf"), ("nan", "nan"), ("0.1", "nan"), ("-inf", "0.5"), ("0.1", "-inf")]
+    )
     def test_non_finite_grid_is_usage_error(self, scalar_pair_file, tmp_path, capsys, eta_min, eta_max):
         out = tmp_path / "x.csv"
         argv = ["sweep", scalar_pair_file, "--batches", "1", "--eta-min", eta_min, "--eta-max", eta_max, "--eta-count", "3"]
@@ -370,11 +372,14 @@ class TestSimulate:
         for line in lines[1:]:
             assert line.split(",")[1:5] == first_values
 
-    @pytest.mark.parametrize("mode", [["--batch", "1", "--exact"], ["--batch", "1"], ["--mixture-p", "0.5"]])
-    @pytest.mark.parametrize("eta", ["nan", "inf", "-0.5"])
+    # --replicates goes with the Monte-Carlo modes only: --exact rejects it.
+    @pytest.mark.parametrize(
+        "mode", [["--batch", "1", "--exact"], ["--batch", "1", "--replicates", "4"], ["--mixture-p", "0.5", "--replicates", "4"]]
+    )
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-0.5", "-inf"])
     def test_invalid_step_size_is_input_error(self, scalar_pair_file, tmp_path, capsys, mode, eta):
         out = tmp_path / "sim.csv"
-        argv = ["simulate", scalar_pair_file, "--eta", eta, *mode, "--steps", "5", "--replicates", "4", "--out", str(out)]
+        argv = ["simulate", scalar_pair_file, "--eta", eta, *mode, "--steps", "5", "--out", str(out)]
         assert main(argv) == EXIT_INPUT
         assert "step size must be finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
@@ -382,20 +387,37 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "mode, option, message",
         [
-            (["--batch", "1"], ["--divergence-factor", "nan"], "divergence_factor must be finite"),
-            (["--mixture-p", "0.5"], ["--divergence-factor", "inf"], "divergence_factor must be finite"),
-            (["--batch", "1"], ["--init-scale", "nan"], "init_offset must be finite"),
-            (["--mixture-p", "0.5"], ["--init-scale", "inf"], "init_offset must be finite"),
+            (["--batch", "1", "--replicates", "4"], ["--divergence-factor", "nan"], "divergence_factor must be finite"),
+            (["--mixture-p", "0.5", "--replicates", "4"], ["--divergence-factor", "inf"], "divergence_factor must be finite"),
+            (["--batch", "1", "--replicates", "4"], ["--divergence-factor", "-inf"], "divergence_factor must be finite"),
+            (["--batch", "1", "--replicates", "4"], ["--init-scale", "nan"], "init_offset must be finite"),
+            (["--mixture-p", "0.5", "--replicates", "4"], ["--init-scale", "inf"], "init_offset must be finite"),
             (["--batch", "1", "--exact"], ["--init-scale", "nan"], "init_offset must be finite"),
             (["--batch", "1", "--exact"], ["--init-scale", "inf"], "init_offset must be finite"),
+            (["--batch", "1", "--exact"], ["--init-scale", "-inf"], "init_offset must be finite"),
         ],
-        ids=["divergence-nan", "divergence-inf-mixture", "init-nan", "init-inf-mixture", "init-nan-exact", "init-inf-exact"],
+        ids=[
+            "divergence-nan", "divergence-inf-mixture", "divergence-minus-inf", "init-nan", "init-inf-mixture",
+            "init-nan-exact", "init-inf-exact", "init-minus-inf-exact",
+        ],
     )
     def test_nonfinite_setting_is_input_error(self, scalar_pair_file, tmp_path, capsys, mode, option, message):
         out = tmp_path / "sim.csv"
-        argv = ["simulate", scalar_pair_file, "--eta", "0.5", *mode, *option, "--steps", "5", "--replicates", "4", "--out", str(out)]
+        argv = ["simulate", scalar_pair_file, "--eta", "0.5", *mode, *option, "--steps", "5", "--out", str(out)]
         assert main(argv) == EXIT_INPUT
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--replicates", "5"], ["--replicates", "1000"], ["--divergence-factor", "nan"], ["--divergence-factor", "1e6"]],
+        ids=["replicates", "replicates-default-value", "divergence-nan", "divergence-default-value"],
+    )
+    def test_exact_with_monte_carlo_setting_is_usage_error(self, scalar_pair_file, tmp_path, capsys, option):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", scalar_pair_file, "--eta", "0.5", "--batch", "1", "--exact", *option, "--steps", "5", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert f"usage error: {option[0]} applies to Monte-Carlo runs, not to --exact" in capsys.readouterr().err
         assert not out.exists()
 
     def test_exact_with_mixture_is_usage_error(self, scalar_pair_file, tmp_path, capsys):

@@ -155,6 +155,18 @@ class TestGenerators:
         norms = np.linalg.norm(inst.gradients @ p_null, axis=1)
         assert np.max(norms) > 0.0
 
+    def test_null_grad_hessians_match_the_four_operand_einsum(self):
+        # The null-grad Hessians are sub G_i G_i^T sub^T, built by two matmuls; the
+        # einsum that spells the product out gives them to rounding.
+        d, n, rank, seed = 5, 7, 3, 4
+        rng = stream(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        sub = basis[:, : d - 1]
+        g_factors = rng.standard_normal((n, d - 1, rank))
+        want = np.einsum("ai,nik,njk,bj->nab", sub, g_factors, g_factors, sub)
+        got = gen_regular(d, n, rank, 1.0, True, seed).hessians
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_zero_grad_scale_degenerates_to_interpolating(self):
         inst = gen_regular(3, 6, 3, 0.0, False, 1)
         assert classify(inst) is MinimumClass.INTERPOLATING

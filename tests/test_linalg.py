@@ -154,6 +154,13 @@ class TestRankRule:
         np.testing.assert_array_equal(psd_range(values), [True, False, True, False])
         np.testing.assert_array_equal(psd_range(np.zeros(3)), [False, False, False])
 
+    def test_stacked_spectra_take_the_rule_row_by_row(self):
+        values = np.array([[4.0, 4e-10, 4e-10 + 1e-20, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 2e-10, 1e-10, -0.5e-10]])
+        want = [psd_range(row) for row in values]
+        np.testing.assert_array_equal(psd_range(values), want)
+        with pytest.raises(ValueError, match="not PSD: lambda_min=-2.000e-10, lambda_max=1.000e\\+00"):
+            psd_range(np.array([[4.0, 0.0], [1.0, -2e-10]]))
+
     def test_not_psd_below_minus_cut(self):
         psd_range(np.array([1.0, -0.5e-10]))
         with pytest.raises(ValueError, match="not PSD"):

@@ -993,3 +993,79 @@ class TestRangeBasis:
             assert generalized_sharpness(inst, b) == 0.0
             assert variance_threshold(inst, b) == math.inf
             assert projected_transition_lambda_max(inst, 0.5, b) == 0.0
+
+    def test_factored_kernel_matches_the_dense_sandwich(self):
+        # Per-sample ranks 1, 2, 3, 0, 3, 2 inside a 9-dimensional subspace of R^12:
+        # Hbar has rank 9 < d, H_3 is zero, and q = 3 gives 3 (9 + 3) < 81.
+        import dataclasses
+
+        import sgdstab.stability as stability_module
+
+        rng = np.random.default_rng(41)
+        sub = np.linalg.qr(rng.standard_normal((12, 12)))[0][:, :9]
+        factors = [sub @ rng.standard_normal((9, rank)) for rank in (1, 2, 3, 0, 3, 2)]
+        inst = make_instance(np.stack([g @ g.T for g in factors]), np.zeros((6, 12)))
+        basis = stability_module.range_basis(inst)
+        assert basis.lam.size == 9 and basis.ut.shape == (6, 3, 9)
+        assert np.all(basis.ut[3] == 0.0) and np.all(basis.ut[0, :2] == 0.0)
+        np.testing.assert_allclose(basis.ut.transpose(0, 2, 1) @ basis.ut, basis.k, rtol=0.0, atol=1e-13 * np.max(np.abs(basis.k)))
+        dense = dataclasses.replace(basis, ut=None)
+        x = rng.standard_normal((9, 9))  # Lanczos vectors need not be symmetric
+        for p in (0.0, 0.5, 1.0):
+            want = stability_module._range_d(dense, p)(x)
+            got = stability_module._range_d(basis, p)(x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("rank, factored", [(4, True), (5, False), (8, False)])
+    def test_path_follows_the_flop_count(self, rank, factored):
+        # r = d = 8: the factors take 4 n q r (r + q) flops, the dense sandwich 4 n r^3,
+        # so they are kept exactly when q (8 + q) < 64, that is q <= 4.
+        import sgdstab.stability as stability_module
+
+        basis = stability_module.range_basis(gen_interpolating(8, 6, rank, 3))
+        assert basis.lam.size == 8
+        assert (basis.ut is not None) is factored
+        if factored:
+            assert basis.ut.shape == (6, rank, 8)
+
+    def test_factored_solves_match_the_dense_sandwich_above_cap(self, monkeypatch):
+        # Rank-2 Hessians at d=96, n=24: r = 48 and q = 2.  The oracle is every solve
+        # again on the dense sandwich sum, with range_basis made to keep no factors.
+        import sgdstab.stability as stability_module
+
+        inst = gen_regular(96, 24, 2, 1.0, False, 5)
+        assert stability_module.range_basis(inst).ut.shape == (24, 2, 48)
+        batches, factors = (1, 4), (0.9, 1.1)
+
+        def solves():
+            thr = [variance_threshold(inst, b) for b in batches]
+            trans = [projected_transition_lambda_max(inst, f * t, b) for b, t in zip(batches, thr) for f in factors]
+            hps = [Hyperparams(eta=0.5 * t, batch=b) for b, t in zip(batches, thr)]
+            return thr, trans, [covariance_limit(inst, hp) for hp in hps], [asymptotic_quantities(inst, hp) for hp in hps]
+
+        thr, trans, limits, quantities = solves()
+        monkeypatch.setattr(stability_module, "_range_factors", lambda k: None)
+        assert stability_module.range_basis(inst).ut is None
+        thr_d, trans_d, limits_d, quantities_d = solves()
+        np.testing.assert_allclose(thr, thr_d, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trans, trans_d, rtol=1e-12, atol=0.0)
+        for got, want in zip(limits, limits_d):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        np.testing.assert_allclose(quantities, quantities_d, rtol=1e-10, atol=0.0)
+
+    def test_indefinite_sample_hessian_takes_the_dense_sandwich(self):
+        # H_0 = (w_1 w_1^T - w_2 w_2^T) / 2 is indefinite, so the instance is invalid, yet
+        # generalized_sharpness does not classify it.  Dropping H_0's negative eigenvalue
+        # would change the value; the PSD test sends it to the dense sandwich sum instead.
+        import sgdstab.stability as stability_module
+
+        base = gen_interpolating(20, 30, 2, 8)
+        w = np.random.default_rng(9).standard_normal((20, 2))
+        hessians = base.hessians.copy()
+        hessians[0] = 0.5 * (np.outer(w[:, 0], w[:, 0]) - np.outer(w[:, 1], w[:, 1]))
+        inst = make_instance(hessians, np.zeros((30, 20)))
+        assert stability_module.range_basis(inst).ut is None
+        hbar = mean_hessian(inst)
+        for b in (1, 3):
+            want = _generalized_sharpness_dense(hbar, stability_module._mixture_matrix(hbar, inst.hessians, mixing_weight(30, b)))
+            assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
