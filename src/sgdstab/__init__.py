@@ -27,7 +27,6 @@ from .linalg import (
     LinearOperator,
     kron,
     kron_sum,
-    lanczos_lambda_max,
     null_projectors,
     pinv_psd,
     sym_eig,
@@ -40,7 +39,6 @@ from .moments import (
     asymptotic_quantities,
     covariance_limit,
     cross_term,
-    exact_step,
     iterate_moments,
     make_state,
     null_walk_second_moment,
@@ -60,13 +58,11 @@ from .stability import (
     brute_force_transition,
     curvature_operators,
     generalized_sharpness,
-    mean_hessian,
     mean_threshold,
     mixture_transition,
     necessary_bound_eigvec,
     necessary_bound_trace,
     rank_one_bound,
-    rank_one_bounds,
     second_moment_transition,
     sharpness,
     stability_verdict,

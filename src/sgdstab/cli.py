@@ -143,7 +143,7 @@ def _cmd_analyze(args) -> int:
     print(f"instance: {inst.label or args.instance} (d={inst.d}, n={inst.n})")
     print(f"classification: {verdict.classification.value}")
     print(f"batch: {args.batch}  p: {_fmt(verdict.p)}")
-    print(f"sharpness: {_fmt(2.0 / verdict.mean_threshold) if math.isfinite(verdict.mean_threshold) else '0'}")
+    print(f"sharpness: {_fmt(verdict.sharpness)}")
     print(f"mean_threshold: {_fmt(verdict.mean_threshold)}")
     print(f"variance_threshold: {_fmt(verdict.variance_threshold)}")
     print(f"bound_eigvec: {_fmt(verdict.bound_eigvec)}")

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_RTOL, ConvergenceError, null_projectors, sym_eig
+from .linalg import ConvergenceError, not_psd, null_projectors, sym_eig
 
 # A gradient is "zero" (interpolating sense) below this Euclidean norm.
 GRAD_ZERO_TOL = 1e-12
@@ -126,7 +126,7 @@ def _mean_gradient_nonzero(g: np.ndarray) -> bool:
     return bool(np.linalg.norm(g.mean(axis=0)) > MEAN_GRAD_RTOL * max(scale, 1e-300))
 
 
-def make_instance(hessians, gradients, label: str = "", validate: bool = True) -> ProblemInstance:
+def make_instance(hessians, gradients, label: str = "") -> ProblemInstance:
     """Build an instance, symmetrizing Hessians and checking invariants."""
     h = np.asarray(hessians, dtype=float)
     g = np.asarray(gradients, dtype=float)
@@ -135,10 +135,10 @@ def make_instance(hessians, gradients, label: str = "", validate: bool = True) -
     n, d = h.shape[0], h.shape[1]
     if g.shape != (n, d):
         raise ValueError(f"gradients must have shape ({n}, {d}), got {g.shape}")
-    if validate and (problem := _first_nonfinite(h, g)):
+    if problem := _first_nonfinite(h, g):
         raise ValueError(problem)
     h = 0.5 * (h + np.transpose(h, (0, 2, 1)))
-    if validate and _mean_gradient_nonzero(g):
+    if _mean_gradient_nonzero(g):
         raise ValueError("gradients do not sum to zero")
     return ProblemInstance(d=d, n=n, hessians=h, gradients=g, label=label)
 
@@ -147,7 +147,7 @@ def classify(inst: ProblemInstance) -> MinimumClass:
     """Interpolating / regular / invalid per the PSD and gradient tests.
 
     The PSD test takes the eigenvalues of all n symmetrized Hessians in one
-    batched eigvalsh; H_i fails when lambda_min < -DEFAULT_RANK_RTOL * max |lambda|.
+    batched eigvalsh; H_i fails by linalg.not_psd, the rule psd_range applies.
     """
     if _mean_gradient_nonzero(inst.gradients):
         return MinimumClass.INVALID
@@ -156,8 +156,7 @@ def classify(inst: ProblemInstance) -> MinimumClass:
         values = np.linalg.eigvalsh(0.5 * (h + np.transpose(h, (0, 2, 1))))  # (n, d), ascending
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    largest = np.maximum(np.abs(values[:, 0]), np.abs(values[:, -1]))
-    if np.any(values[:, 0] < -DEFAULT_RANK_RTOL * largest):
+    if np.any(not_psd(values)):
         return MinimumClass.INVALID
     if np.all(np.linalg.norm(inst.gradients, axis=1) <= GRAD_ZERO_TOL):
         return MinimumClass.INTERPOLATING

@@ -23,6 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ConvergenceError, kron, sym_eig, symmetrize, unvec, vec
+from .stability import _dense_zeros
+
+# Eigenvalues within this relative gap form one eigenspace.
+GROUP_TOL = 1e-8
+# Largest relative negative eigenvalue of a PSD top eigenvector, and residual of its repair.
+RESIDUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,9 @@ class CertifyReport:
     min_eig_of_top: float
     eigvec_symmetry_defects: np.ndarray
 
-    # Tolerances actually used, recorded for the caller.
-    group_tol: float
-    residual_tol: float
-
 
 def _assemble(fam: KronFamily) -> np.ndarray:
-    d = fam.dim
-    q = np.zeros((d * d, d * d))
+    q = _dense_zeros(fam.dim)
     weights = fam.weights if fam.weights is not None else np.ones(fam.members.shape[0])
     for w, y in zip(weights, fam.members):
         # sqrt-weight scaling keeps the Y kron Y structure intact.
@@ -105,7 +106,7 @@ def _repair_group(vectors: np.ndarray, d: int) -> np.ndarray:
     return basis
 
 
-def certify(fam: KronFamily, group_tol: float = 1e-8, residual_tol: float = 1e-7) -> CertifyReport:
+def certify(fam: KronFamily) -> CertifyReport:
     """Eigendecompose Q = sum w_i Y_i kron Y_i and verify its structure."""
     d = fam.dim
     q = _assemble(fam)
@@ -117,7 +118,7 @@ def certify(fam: KronFamily, group_tol: float = 1e-8, residual_tol: float = 1e-7
     idx = 0
     while idx < values.size:
         jdx = idx + 1
-        while jdx < values.size and abs(values[jdx] - values[idx]) <= group_tol * max(1.0, abs(values[idx])):
+        while jdx < values.size and abs(values[jdx] - values[idx]) <= GROUP_TOL * max(1.0, abs(values[idx])):
             jdx += 1
         repaired[:, idx:jdx] = _repair_group(vectors[:, idx:jdx], d)
         idx = jdx
@@ -131,7 +132,7 @@ def certify(fam: KronFamily, group_tol: float = 1e-8, residual_tol: float = 1e-7
     rho = float(np.max(np.abs(values)))
 
     # Pick a symmetric top eigenvector; abs-repair its spectrum if needed.
-    top_group = np.abs(values - lam_max) <= group_tol * max(1.0, abs(lam_max))
+    top_group = np.abs(values - lam_max) <= GROUP_TOL * max(1.0, abs(lam_max))
     top_vec = None
     for j in np.nonzero(top_group)[0]:
         z = unvec(repaired[:, j], d)
@@ -142,11 +143,11 @@ def certify(fam: KronFamily, group_tol: float = 1e-8, residual_tol: float = 1e-7
         raise ConvergenceError("no symmetric eigenvector found in the top eigenspace")
     top_mat = symmetrize(unvec(top_vec, d))
     top_eig = sym_eig(top_mat)
-    if float(top_eig.values[-1]) < -residual_tol * max(1.0, float(np.linalg.norm(top_mat))):
+    if float(top_eig.values[-1]) < -RESIDUAL_TOL * max(1.0, float(np.linalg.norm(top_mat))):
         top_mat = symmetrize(top_eig.vectors @ (np.abs(top_eig.values)[:, None] * top_eig.vectors.T))
         top_vec = vec(top_mat)
         residual = np.linalg.norm(q @ top_vec - lam_max * top_vec)
-        if residual > residual_tol * max(1.0, abs(lam_max)):
+        if residual > RESIDUAL_TOL * max(1.0, abs(lam_max)):
             raise ConvergenceError(
                 f"absolute-spectrum repair of the top eigenvector failed (residual {residual:.3e})"
             )
@@ -157,6 +158,4 @@ def certify(fam: KronFamily, group_tol: float = 1e-8, residual_tol: float = 1e-7
         top_eigvec_matrix=top_mat,
         min_eig_of_top=min_eig_top,
         eigvec_symmetry_defects=defects,
-        group_tol=group_tol,
-        residual_tol=residual_tol,
     )

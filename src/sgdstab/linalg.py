@@ -1,7 +1,8 @@
 """Dense linear algebra kit: Kronecker products and sums, vectorization,
-symmetric eigendecompositions, PSD pseudoinverses, null-space projectors,
-a matrix-free Lanczos eigensolver for self-adjoint operators, and
-preconditioned conjugate gradients for positive definite ones.
+symmetric eigendecompositions, the package's one rank rule, the PSD
+pseudoinverse, null-space projectors, a matrix-free Lanczos eigensolver
+for operators built self-adjoint, and preconditioned conjugate gradients
+for positive definite ones.
 
 All routines work on plain float64 numpy arrays.  Matrices fed to the
 symmetric routines are symmetrized up front, so callers never have to
@@ -17,8 +18,9 @@ from typing import Callable
 import numpy as np
 
 # The package's one rank rule: an eigenvalue at or below DEFAULT_RANK_RTOL *
-# lambda_max is zero.  Every null-space decision goes through zero_cutoff and
-# psd_range, which read this constant; no caller sets its own tolerance.
+# lambda_max is zero, and a matrix is not PSD when an eigenvalue lies below minus
+# that cutoff.  Every null-space and PSD decision goes through zero_cutoff,
+# not_psd and psd_range; no caller sets its own tolerance.
 DEFAULT_RANK_RTOL = 1e-10
 
 # Rows added to the Lanczos basis each time it fills up.
@@ -92,9 +94,17 @@ def sym_eig(m: np.ndarray) -> EigDecomp:
     return EigDecomp(values=values[order], vectors=vectors[:, order])
 
 
-def zero_cutoff(values: np.ndarray) -> float:
-    """The package's rank rule: an eigenvalue at or below DEFAULT_RANK_RTOL * max(lambda_max, 0) is zero."""
-    return DEFAULT_RANK_RTOL * max(float(np.max(values)), 0.0)
+def zero_cutoff(values: np.ndarray) -> np.ndarray:
+    """The package's rank rule: an eigenvalue at or below DEFAULT_RANK_RTOL * max(lambda_max, 0) is zero.
+
+    values may stack several spectra along its last axis; the cutoff is then one per spectrum.
+    """
+    return DEFAULT_RANK_RTOL * np.maximum(np.max(values, axis=-1), 0.0)
+
+
+def not_psd(values: np.ndarray) -> np.ndarray:
+    """Per spectrum along the last axis: lambda_min < -zero_cutoff, the matrix is not PSD up to roundoff."""
+    return np.min(values, axis=-1) < -zero_cutoff(values)
 
 
 def psd_range(values: np.ndarray) -> np.ndarray:
@@ -102,36 +112,22 @@ def psd_range(values: np.ndarray) -> np.ndarray:
 
     values may also stack the spectra of several matrices along its last
     axis; the rule then applies to each one.  Raises ValueError if a
-    matrix is not PSD up to roundoff: some eigenvalue lies below
-    -DEFAULT_RANK_RTOL * lambda_max.
+    matrix is not PSD (not_psd).
     """
-    lam_max, lam_min = np.max(values, axis=-1, keepdims=True), np.min(values, axis=-1, keepdims=True)
-    bad = lam_min < -DEFAULT_RANK_RTOL * lam_max
+    bad = not_psd(values)
     if np.any(bad):
-        first = np.flatnonzero(bad)[0]
-        raise ValueError(
-            f"matrix is not PSD: lambda_min={lam_min.flat[first]:.3e}, lambda_max={lam_max.flat[first]:.3e}"
-        )
-    return values > DEFAULT_RANK_RTOL * np.maximum(lam_max, 0.0)
-
-
-def _psd_pinv(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """V diag(1 / f(lam)) V^T over the nonzero eigenvalues of a PSD matrix, zero on the rest."""
-    eig = sym_eig(m)
-    kept = psd_range(eig.values)
-    inv = np.zeros_like(eig.values)
-    inv[kept] = 1.0 / f(eig.values[kept])
-    return symmetrize(eig.vectors @ (inv[:, None] * eig.vectors.T))
+        first = values.reshape(-1, values.shape[-1])[np.flatnonzero(bad)[0]]
+        raise ValueError(f"matrix is not PSD: lambda_min={np.min(first):.3e}, lambda_max={np.max(first):.3e}")
+    return values > np.expand_dims(zero_cutoff(values), -1)
 
 
 def pinv_psd(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric PSD matrix, with psd_range's rank rule and PSD check."""
-    return _psd_pinv(m, np.positive)
-
-
-def sqrt_pinv_psd(m: np.ndarray) -> np.ndarray:
-    """Pseudoinverse of the PSD square root, (M^{1/2})^+, with psd_range's rank rule and PSD check."""
-    return _psd_pinv(m, np.sqrt)
+    eig = sym_eig(m)
+    kept = psd_range(eig.values)
+    inv = np.zeros_like(eig.values)
+    inv[kept] = 1.0 / eig.values[kept]
+    return symmetrize(eig.vectors @ (inv[:, None] * eig.vectors.T))
 
 
 def null_projectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,40 +164,13 @@ class LinearOperator:
         return LinearOperator(in_dim=m.shape[1], out_dim=m.shape[0], apply=lambda x: m @ x)
 
 
-def _check_self_adjoint(op: LinearOperator, rng: np.random.Generator, n_probes: int = 3) -> None:
-    for _ in range(n_probes):
-        x = rng.standard_normal(op.in_dim)
-        y = rng.standard_normal(op.in_dim)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        a = float(op(x) @ y)
-        b = float(x @ op(y))
-        if abs(a - b) > 1e-8 * max(1.0, abs(a), abs(b)):
-            raise ValueError(f"operator is not self-adjoint on probes: {a!r} vs {b!r}")
-
-
-def lanczos_lambda_max(op: LinearOperator, tol: float = 1e-12, max_iter: int = 1000, seed: int = 0) -> float:
-    """Largest (signed) eigenvalue of a self-adjoint operator by Lanczos.
-
-    The operator is first checked to be square and self-adjoint on three
-    random probe pairs (ValueError otherwise); then _lanczos_solve runs
-    from the same generator.  The package's own solves call
-    _lanczos_solve directly, on operators it builds symmetric.
-    """
-    if op.in_dim != op.out_dim:
-        raise ValueError("Lanczos requires a square operator")
-    rng = np.random.default_rng(seed)
-    _check_self_adjoint(op, rng)
-    return _lanczos_solve(op, tol, max_iter, rng)
-
-
 def _lanczos_solve(
     op: LinearOperator,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> float:
-    """Largest (signed) eigenvalue of an operator trusted to be self-adjoint.
+    """Largest (signed) eigenvalue of a self-adjoint operator, which is not checked.
 
     Single-vector Lanczos from a Gaussian start drawn from
     default_rng(seed), with full reorthogonalization done twice per step

@@ -58,13 +58,11 @@ from .linalg import (
     pcg,
     sym_eig,
     symmetrize,
-    vec,
 )
 from .montecarlo import _fisher_yates_batches
 from .stability import (
     ENUM_CAP,
     _mixture_apply,
-    _projected_transition_dense,
     _range_d,
     _range_sharpness,
     _threshold,
@@ -105,13 +103,12 @@ def cross_term(
     batch: int,
     enum_cap: int = ENUM_CAP,
     mc_samples: int = MC_VALIDATION_SAMPLES,
-    seed: int = 1234,
 ) -> np.ndarray:
     """E[v kron A] as a (d^2, d) matrix: -eta^2 * p * (1/n) sum_i g_i kron H_i.
 
     The closed form is checked against exhaustive batch enumeration when
     C(n, B) <= enum_cap.  Otherwise mc_samples batches are drawn from
-    stream(seed) by vectorized partial Fisher-Yates, in chunks sized to
+    stream(1234) by vectorized partial Fisher-Yates, in chunks sized to
     keep temporaries near 1 MB, and every entry must lie within five
     standard errors (plus 1e-12) of the sample mean.  A mismatch raises
     ConvergenceError.
@@ -138,7 +135,7 @@ def cross_term(
         if defect > 1e-10 * scale:
             raise ConvergenceError(f"cross term disagrees with batch enumeration by {defect:.3e}")
         return closed
-    rng = stream(seed)
+    rng = stream(1234)
     flat_h = inst.hessians.reshape(n, d * d)
     chunk = max(1, _MC_CHUNK_ENTRY_BUDGET // (n + 3 * d * d))
     acc = np.zeros((d, d * d))
@@ -195,35 +192,22 @@ class ExactStepper:
         return MomentState(mean=new_mu, second_moment=symmetrize(new_sigma), step=state.step + 1)
 
 
-def exact_step(inst: ProblemInstance, hp: Hyperparams, state: MomentState) -> MomentState:
-    """Advance (mu, Sigma) by one SGD step in closed form."""
-    return ExactStepper(inst, hp).step(state)
-
-
 def iterate_moments(
     inst: ProblemInstance,
     hp: Hyperparams,
     state: MomentState,
     steps: int,
     keep_path: bool = False,
-    stop_delta: float | None = None,
 ):
     """Iterate the exact recursion; returns the final state, or the whole
-    path (a list) when keep_path is set.  With stop_delta set, iteration
-    ends early once the Frobenius change of the second moment drops below
-    it (useful when driving the recursion to its fixed point)."""
+    path (a list) when keep_path is set."""
     stepper = ExactStepper(inst, hp)
     path = [state]
-    current = state
     for _ in range(steps):
-        nxt = stepper.step(current)
+        state = stepper.step(state)
         if keep_path:
-            path.append(nxt)
-        if stop_delta is not None and np.linalg.norm(nxt.second_moment - current.second_moment) < stop_delta:
-            current = nxt
-            break
-        current = nxt
-    return path if keep_path else current
+            path.append(state)
+    return path if keep_path else state
 
 
 def null_walk_second_moment(inst: ProblemInstance, hp: Hyperparams, t: int, init: MomentState) -> float:
@@ -284,21 +268,6 @@ def asymptotic_quantities(inst: ProblemInstance, hp: Hyperparams) -> tuple[float
     lam, _, x = _limit_solve(inst, hp)
     diag = np.diag(x)
     return float(np.sum(diag)), 0.5 * float(lam @ diag), float((lam * lam) @ diag)
-
-
-def top_mode_noise_overlap(inst: ProblemInstance, eta: float, batch: int) -> float:
-    """Inner product between the top mode of the range-projected transition
-    and the projected gradient noise, <z_max, vec(Sigma_g_perp)>.
-
-    When this overlap vanishes, the noise does not excite the slowest
-    mode and boundedness exactly at the threshold step size is not
-    decided by the generic argument.  Returned as an absolute value
-    (eigenvector signs are arbitrary); reported, never enforced.
-    """
-    z_max = sym_eig(_projected_transition_dense(inst, eta, batch)).vectors[:, 0]
-    _, p_range = null_projectors(inst.mean_hessian())
-    sigma_g_perp = p_range @ inst.gradient_second_moment() @ p_range
-    return abs(float(z_max @ vec(sigma_g_perp)))
 
 
 def write_trajectory_csv(path, inst: ProblemInstance, states) -> None:

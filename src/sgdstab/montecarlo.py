@@ -76,10 +76,6 @@ class EmpiricalMoments:
     divergence_step: int | None
     diverged_count: int
 
-    @property
-    def mean_sq(self) -> np.ndarray:
-        return self.mean_sq_par + self.mean_sq_perp
-
 
 def initial_offset(inst: ProblemInstance, cfg: SimConfig) -> np.ndarray:
     if isinstance(cfg.init_offset, np.ndarray):

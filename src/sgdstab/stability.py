@@ -47,15 +47,17 @@ batched eigh, psd_range's rank rule per sample, U_i of shape r x q with q
 the largest per-sample rank).  When every k_i passes the PSD test and
 q (r + q) < r^2, _range_d runs on the factors instead,
 _factored_sandwich_sum: sum_i U_i (U_i^T X U_i) U_i^T in 4 n q r (r + q)
-flops.  Array shapes and the PSD test alone pick the kernel.  curvature_operators
-and second_moment_transition pick _mixture_matrix for d <= DENSE_CAP and
-_mixture_operator above it.  The threshold congruence, the projected
-transition and the limit system of moments are affine in _range_d.  The
-Lanczos solves here run on operators built symmetric, so they skip
-lanczos_lambda_max's self-adjoint probes.
+flops.  Array shapes and the PSD test alone pick the kernel.
+curvature_operators picks _mixture_matrix for d <= DENSE_CAP and
+_mixture_operator above it.  Every dense mixture, the brute-force Q and
+kron_certify's Q start from _dense_zeros, which raises ValueError above
+DENSE_CAP before anything of size d^4 is allocated.  The threshold
+congruence, the projected transition and the limit system of moments are
+affine in _range_d.  The Lanczos solves here run on operators built
+symmetric.
 
 The necessary bounds are cheap lower bounds on the generalized sharpness.
-The tightest, 2 / max_v f(v) over unit v, comes from rank_one_bounds: a
+The tightest, 2 / max_v f(v) over unit v, comes from _rank_one_ascent: a
 Riemannian L-BFGS ascent on the unit sphere that advances every (batch
 size, start) pair of a call as one row of a single block.  Each iteration
 makes one GEMM with the block row [H_1, ..., H_n, Hbar], at the
@@ -84,7 +86,6 @@ from .linalg import (
     _lanczos_solve,
     kron,
     kron_sum,
-    null_projectors,
     psd_range,
     sym_eig,
     unvec,
@@ -94,79 +95,78 @@ from .linalg import (
 # Above this dimension the d^2 x d^2 matrices are not formed densely.
 DENSE_CAP = 48
 
-# Default enumeration budget for brute-force batch expectations.
+# Enumeration budget for brute-force batch expectations.
 ENUM_CAP = 10_000
 
 # Starts of the rank-one ascent per batch size: the top eigenvector of Hbar and
 # seeded random directions in its range.
 _N_STARTS = 8
 
-
-def mean_hessian(inst: ProblemInstance) -> np.ndarray:
-    """Arithmetic mean of the per-sample Hessians."""
-    return inst.mean_hessian()
+# Iteration cap of the rank-one ascent, which stops on convergence well before it.
+_RANK_ONE_STEPS = 2000
 
 
 def sharpness(inst: ProblemInstance) -> float:
     """Top eigenvalue of the mean Hessian."""
-    return float(sym_eig(mean_hessian(inst)).values[0])
+    return float(sym_eig(inst.mean_hessian()).values[0])
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """The operator family {Hbar, C, D, E} for one (instance, batch) pair."""
+    """The operator family {C, D, E} for one (instance, batch) pair."""
 
-    hessian: np.ndarray
     curvature_sum: np.ndarray | LinearOperator  # C
     curvature_sq: np.ndarray | LinearOperator  # D
     curvature_var: np.ndarray | LinearOperator  # E
     sharpness: float
     generalized_sharpness: float  # lambda_max(pinv(C) D)
     p: float
-    dense: bool
 
 
 def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = None) -> SpectralReport:
-    """Build C, D, E and both sharpness numbers for an instance and batch size."""
+    """Build C, D, E and both sharpness numbers for an instance and batch size.
+
+    dense defaults to d <= DENSE_CAP; above it a dense request raises _dense_zeros's ValueError.
+    """
     require_valid(inst)
     d = inst.d
     p = mixing_weight(inst.n, batch)
-    hbar = mean_hessian(inst)
+    hbar = inst.mean_hessian()
     if dense is None:
         dense = d <= DENSE_CAP
-    if dense and d > DENSE_CAP:
-        raise ValueError(f"dense operators requested for d={d} > cap {DENSE_CAP}")
-    basis = range_basis(inst)
+    mixture = _mixture_matrix if dense else _mixture_operator
+    sq, var = mixture(hbar, inst.hessians, p), mixture(hbar, inst.hessians - hbar, 1.0)
     if dense:
-        c, mixture = 0.5 * kron_sum(hbar, hbar), _mixture_matrix
+        c = 0.5 * kron_sum(hbar, hbar)
     else:
         def c_apply(u: np.ndarray) -> np.ndarray:
             m = unvec(u, d)
             return vec(0.5 * (hbar @ m + m @ hbar))
 
-        c, mixture = LinearOperator(in_dim=d * d, out_dim=d * d, apply=c_apply), _mixture_operator
+        c = LinearOperator(in_dim=d * d, out_dim=d * d, apply=c_apply)
+    basis = range_basis(inst)
     return SpectralReport(
-        hessian=hbar,
         curvature_sum=c,
-        curvature_sq=mixture(hbar, inst.hessians, p),
-        curvature_var=mixture(hbar, inst.hessians - hbar, 1.0),
+        curvature_sq=sq,
+        curvature_var=var,
         sharpness=float(basis.eig.values[0]),
         generalized_sharpness=_range_sharpness(basis, p),
         p=p,
-        dense=dense,
     )
 
 
-def _dense_curvature(inst: ProblemInstance, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense C = (Hbar (+) Hbar)/2 and D = (1-p) Hbar kron Hbar + (p/n) sum_i H_i kron H_i."""
-    hbar = mean_hessian(inst)
-    return 0.5 * kron_sum(hbar, hbar), _mixture_matrix(hbar, inst.hessians, p)
+def _dense_zeros(d: int) -> np.ndarray:
+    """The zero d^2 x d^2 matrix that every dense d^2 x d^2 build starts from; ValueError above DENSE_CAP."""
+    if d > DENSE_CAP:
+        raise ValueError(f"dense d^2 x d^2 matrix requested for d={d} > cap {DENSE_CAP}")
+    return np.zeros((d * d, d * d))
 
 
 def _mixture_matrix(a_bar: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray:
     """Dense (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i), the d^2 x d^2 form of _mixture_apply."""
     n = mats.shape[0]
-    out = (1.0 - p) * kron(a_bar, a_bar)
+    out = _dense_zeros(a_bar.shape[0])
+    out += (1.0 - p) * kron(a_bar, a_bar)
     for m in mats:
         out += (p / n) * kron(m, m)
     return out
@@ -196,7 +196,7 @@ def range_basis(inst: ProblemInstance) -> RangeBasis:
     sandwich sum costs 4 n q r (r + q) flops instead of 4 n r^3 when every k[i]
     is PSD and q (r + q) < r^2.
     """
-    eig = sym_eig(mean_hessian(inst))
+    eig = sym_eig(inst.mean_hessian())
     keep = psd_range(eig.values)
     v = eig.vectors[:, keep]
     k = v.T @ inst.hessians @ v
@@ -295,24 +295,6 @@ def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:
     return _range_sharpness(range_basis(inst), mixing_weight(inst.n, batch))
 
 
-def second_moment_transition(
-    inst: ProblemInstance,
-    eta: float,
-    batch: int,
-    dense: bool | None = None,
-) -> np.ndarray | LinearOperator:
-    """The transition Q advancing vec(E[x x^T]) by one SGD step: the mixture
-    (1-p) (A kron A) + (p/n) sum_i (A_i kron A_i), A = I - eta*Hbar and
-    A_i = I - eta*H_i, dense or matrix-free."""
-    check_step_size(eta)
-    p = mixing_weight(inst.n, batch)
-    if dense is None:
-        dense = inst.d <= DENSE_CAP
-    eye = np.eye(inst.d)
-    mixture = _mixture_matrix if dense else _mixture_operator
-    return mixture(eye - eta * mean_hessian(inst), eye - eta * inst.hessians, p)
-
-
 def mixture_transition(inst: ProblemInstance, eta: float, p: float) -> np.ndarray:
     """E[A kron A] of the mixture process: single-sample step w.p. p,
     full-batch step w.p. 1-p."""
@@ -320,41 +302,30 @@ def mixture_transition(inst: ProblemInstance, eta: float, p: float) -> np.ndarra
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
     check_step_size(eta)
     eye = np.eye(inst.d)
-    return _mixture_matrix(eye - eta * mean_hessian(inst), eye - eta * inst.hessians, p)
+    return _mixture_matrix(eye - eta * inst.mean_hessian(), eye - eta * inst.hessians, p)
 
 
-def brute_force_transition(inst: ProblemInstance, eta: float, batch: int, cap: int = ENUM_CAP) -> np.ndarray:
-    """Q by exhaustive enumeration of all equiprobable size-B batches."""
+def second_moment_transition(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
+    """The dense transition Q advancing vec(E[x x^T]) by one SGD step: the mixture
+    (1-p) (A kron A) + (p/n) sum_i (A_i kron A_i), A = I - eta*Hbar and
+    A_i = I - eta*H_i, that is mixture_transition at p = mixing_weight(n, B)."""
+    return mixture_transition(inst, eta, mixing_weight(inst.n, batch))
+
+
+def brute_force_transition(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
+    """Q by exhaustive enumeration of all C(n, B) <= ENUM_CAP equiprobable size-B batches."""
     n, d = inst.n, inst.d
     mixing_weight(n, batch)  # ValueError unless 1 <= batch <= n
     check_step_size(eta)
     count = math.comb(n, batch)
-    if count > cap:
-        raise ValueError(f"enumeration of C({n},{batch}) = {count} batches exceeds cap {cap}")
+    if count > ENUM_CAP:
+        raise ValueError(f"enumeration of C({n},{batch}) = {count} batches exceeds cap {ENUM_CAP}")
     eye = np.eye(d)
-    q = np.zeros((d * d, d * d))
+    q = _dense_zeros(d)
     for combo in itertools.combinations(range(n), batch):
         a = eye - (eta / batch) * inst.hessians[list(combo)].sum(axis=0)
         q += kron(a, a)
     return q / count
-
-
-def _generalized_sharpness_dense(hbar: np.ndarray, dmat: np.ndarray) -> float:
-    """Test oracle: lambda_max of (C^{1/2})^+ D (C^{1/2})^+ from a dense D.
-
-    D is rotated by V kron V and scaled by the pair factors ((lam_a + lam_b)/2)^{-1/2}
-    that psd_range keeps (ValueError if C is not PSD), then one d^2 x d^2
-    eigendecomposition gives the top eigenvalue.
-    """
-    eig = sym_eig(hbar)
-    pair = 0.5 * (eig.values[:, None] + eig.values[None, :]).reshape(-1)
-    kept = psd_range(pair)
-    factor = np.zeros_like(pair)
-    factor[kept] = 1.0 / np.sqrt(pair[kept])
-    w = kron(eig.vectors, eig.vectors)
-    s = factor[:, None] * (w.T @ dmat @ w) * factor[None, :]
-    lam = float(sym_eig(s).values[0])
-    return lam if lam > 0 else 0.0
 
 
 def mean_threshold(inst: ProblemInstance) -> float:
@@ -377,7 +348,7 @@ def necessary_bound_eigvec(inst: ProblemInstance, batch: int) -> float:
 
         2*lam / (lam^2 + (p/n) sum_i (v' H_i v - lam)^2),  v the top eigenvector.
     """
-    return _eigvec_bound(inst, sym_eig(mean_hessian(inst)), mixing_weight(inst.n, batch))
+    return _eigvec_bound(inst, sym_eig(inst.mean_hessian()), mixing_weight(inst.n, batch))
 
 
 def _eigvec_bound(inst: ProblemInstance, eig: EigDecomp, p: float) -> float:
@@ -395,7 +366,7 @@ def necessary_bound_trace(inst: ProblemInstance, batch: int) -> float:
 
         2*tr(Hbar) / ((1-p) ||Hbar||_F^2 + (p/n) sum_i ||H_i||_F^2).
     """
-    hbar = mean_hessian(inst)
+    hbar = inst.mean_hessian()
     tr = float(np.trace(hbar))
     if tr <= 0:
         raise ValueError("mean Hessian has nonpositive trace")
@@ -503,18 +474,20 @@ def _backtrack(theta, slope, vs, u, hv, hu, quads, pn):
     return v / scale[:, None], hv, (quads + dq[pick, cols]) / (scale * scale)[:, None], arc, rise[pick, cols], ok[pick, cols]
 
 
-def rank_one_bound(inst: ProblemInstance, batch: int, steps: int = 2000, seed: int = 0) -> tuple[float, np.ndarray]:
+def rank_one_bound(inst: ProblemInstance, batch: int, steps: int = _RANK_ONE_STEPS, seed: int = 0) -> tuple[float, np.ndarray]:
     """Best rank-one lower bound on the generalized sharpness for one batch size.
 
     Maximizes  f(v) = v'Hbar v + p * mean_i (v'H_i v - v'Hbar v)^2 / (v'Hbar v)
-    over the unit sphere; see rank_one_bounds, of which this is the
-    one-batch call.  Returns (best value, maximizer).
+    over the unit sphere; see _rank_one_ascent.  Returns (best value, maximizer).
     """
-    return rank_one_bounds(inst, [batch], steps=steps, seed=seed)[0]
+    return _rank_one_ascent(inst, range_basis(inst), [batch], steps, seed)[0]
 
 
-def rank_one_bounds(inst: ProblemInstance, batches, steps: int = 2000, seed: int = 0) -> list[tuple[float, np.ndarray]]:
-    """Best rank-one lower bounds on the generalized sharpness, one per batch size.
+def _rank_one_ascent(
+    inst: ProblemInstance, basis: RangeBasis, batches: list[int], steps: int, seed: int
+) -> list[tuple[float, np.ndarray]]:
+    """Best rank-one lower bounds on the generalized sharpness, one per batch size,
+    on basis = range_basis(inst).
 
     For each batch size B, with p its mixing weight, maximizes
 
@@ -536,16 +509,8 @@ def rank_one_bounds(inst: ProblemInstance, batches, steps: int = 2000, seed: int
     value.  The iteration is scale free, so rescaling all Hessians rescales
     the values alike.  Returns (best value, maximizer) per batch, in the
     order given: the first strict maximum over the starts in order.  Raises
-    ValueError when batches is empty, steps < 0, Hbar is not PSD (as
-    range_basis does) or Hbar is zero.
+    ValueError when batches is empty, steps < 0 or Hbar is zero.
     """
-    return _rank_one_ascent(inst, range_basis(inst), list(batches), steps, seed)
-
-
-def _rank_one_ascent(
-    inst: ProblemInstance, basis: RangeBasis, batches: list[int], steps: int, seed: int
-) -> list[tuple[float, np.ndarray]]:
-    """rank_one_bounds on basis = range_basis(inst)."""
     if not batches:
         raise ValueError("batches must be non-empty")
     if steps < 0:
@@ -564,7 +529,7 @@ def _rank_one_ascent(
         if nz > 1e-8:
             starts.append(z / nz)
     # [H_1, ..., H_n, Hbar] side by side; each lane is a row of every array below.
-    row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), mean_hessian(inst)], axis=1)
+    row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), inst.mean_hessian()], axis=1)
     n_lanes = len(batches) * _N_STARTS
     m = _LBFGS_PAIRS
     # Per-lane state: lane index, p / n, iterate vs, its products hv and forms quads, f, its
@@ -656,7 +621,7 @@ def _sweep_bounds(inst: ProblemInstance, batches: list[int], steps: int, seed: i
     """The sharpness and, per batch in the order given, (generalized sharpness, rank-one
     value, 2 / eigenvector bound), from one range_basis.
 
-    Each number is bit for bit what sharpness, generalized_sharpness, rank_one_bounds
+    Each number is bit for bit what sharpness, generalized_sharpness, rank_one_bound
     and necessary_bound_eigvec return; those each decompose Hbar again.  The
     instance is not classified here.
     """
@@ -667,19 +632,6 @@ def _sweep_bounds(inst: ProblemInstance, batches: list[int], steps: int, seed: i
         p = mixing_weight(inst.n, b)
         rows.append((_range_sharpness(basis, p), rank_one, 2.0 / _eigvec_bound(inst, basis.eig, p)))
     return float(basis.eig.values[0]), rows
-
-
-def _projected_transition_dense(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
-    """Dense (P kron P) Q, P the range projector of Hbar, as the projected mixture sum
-
-        (1-p) (P - eta*Hbar) kron (P - eta*Hbar) + (p/n) sum_i (P - eta*H_i) kron (P - eta*H_i).
-
-    Test oracle for projected_transition_lambda_max; top_mode_noise_overlap
-    takes its top eigenvector.
-    """
-    hbar = mean_hessian(inst)
-    _, p_range = null_projectors(hbar)
-    return _mixture_matrix(p_range - eta * hbar, p_range - eta * inst.hessians, mixing_weight(inst.n, batch))
 
 
 def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: int) -> float:
@@ -718,23 +670,17 @@ class EtaVerdict:
 @dataclass(frozen=True)
 class StabilityVerdict:
     classification: MinimumClass
+    sharpness: float
     mean_threshold: float
     variance_threshold: float
     bound_eigvec: float
     bound_trace: float
     bound_rank_one: float
     p: float
-    batch: int
     rows: tuple[EtaVerdict, ...]
 
 
-def stability_verdict(
-    inst: ProblemInstance,
-    batch: int,
-    eta_list,
-    rank_one_steps: int = 2000,
-    seed: int = 0,
-) -> StabilityVerdict:
+def stability_verdict(inst: ProblemInstance, batch: int, eta_list) -> StabilityVerdict:
     """Assemble all thresholds and bounds and classify each requested step size.
 
     Each step size (finite and nonnegative, else ValueError) is classified
@@ -745,11 +691,12 @@ def stability_verdict(
     kind = require_valid(inst)
     p = mixing_weight(inst.n, batch)
     basis = range_basis(inst)
-    eta_mean = _threshold(float(basis.eig.values[0]))
+    lam = float(basis.eig.values[0])
+    eta_mean = _threshold(lam)
     eta_var = _threshold(_range_sharpness(basis, p))
     b_eig = _eigvec_bound(inst, basis.eig, p)
     b_tr = necessary_bound_trace(inst, batch)
-    [(value, _)] = _rank_one_ascent(inst, basis, [batch], rank_one_steps, seed)
+    [(value, _)] = _rank_one_ascent(inst, basis, [batch], _RANK_ONE_STEPS, 0)
     b_r1 = 2.0 / value
     if eta_var > eta_mean * (1.0 + 1e-9):
         raise ConvergenceError(f"variance threshold {eta_var} exceeds mean threshold {eta_mean}")
@@ -759,12 +706,12 @@ def stability_verdict(
     rows = tuple(EtaVerdict(eta=eta, mean_stable=eta <= eta_mean, var_stable=eta <= eta_var) for eta in etas)
     return StabilityVerdict(
         classification=kind,
+        sharpness=lam,
         mean_threshold=eta_mean,
         variance_threshold=eta_var,
         bound_eigvec=b_eig,
         bound_trace=b_tr,
         bound_rank_one=b_r1,
         p=p,
-        batch=batch,
         rows=rows,
     )

@@ -35,7 +35,6 @@ from sgdstab import (
 from sgdstab import KronFamily, mean_threshold
 from sgdstab.linalg import kron, kron_sum, null_projectors
 from sgdstab.moments import null_walk_second_moment
-from sgdstab.stability import mean_hessian
 
 
 def _report(name: str, started: float, budget: float) -> None:
@@ -92,7 +91,7 @@ def test_criterion_3_transition_oracle_equality():
         d = int(rng.integers(1, 5))
         inst = gen_interpolating(d, n, int(rng.integers(1, d + 1)), int(rng.integers(0, 2**31)))
         lam = sharpness(inst)
-        hbar = mean_hessian(inst)
+        hbar = inst.mean_hessian()
         eye = np.eye(d)
         for b in range(1, n + 1):
             p = mixing_weight(n, b)
@@ -189,7 +188,7 @@ def test_criterion_8_covariance_limit(scalar_noise_pair):
         hp = Hyperparams(eta=0.5 * variance_threshold(inst, b), batch=b)
         target = covariance_limit(inst, hp)
         state = iterate_moments(inst, hp, point_state(np.zeros(d)), 10_000)
-        _, p_range = null_projectors(mean_hessian(inst))
+        _, p_range = null_projectors(inst.mean_hessian())
         proj = p_range @ state.second_moment @ p_range
         assert np.linalg.norm(proj - target) <= 1e-6
     _report("criterion 8: covariance limit matches the exact recursion", started, 60.0)
@@ -199,7 +198,7 @@ def test_criterion_9_null_space_walk(rank_one_walk):
     started = time.time()
     hp = Hyperparams(eta=0.5, batch=1)
     init = point_state(np.zeros(2))
-    p_null, _ = null_projectors(mean_hessian(rank_one_walk))
+    p_null, _ = null_projectors(rank_one_walk.mean_hessian())
     state = init
     for t in range(1, 9):
         state = iterate_moments(rank_one_walk, hp, state, 1)

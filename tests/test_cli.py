@@ -64,6 +64,19 @@ class TestAnalyze:
         assert "bound_eigvec: 0.8" in out
         assert "bound_trace: 0.8" in out
 
+    def test_sharpness_matches_sweep(self, tmp_path, capsys):
+        # 2 / mean_threshold, printed before, differed from lambda_max(Hbar) in the last digits here.
+        inst = gen_regular(6, 8, 2, 1.0, False, 6)
+        path, out = tmp_path / "inst.json", tmp_path / "s.csv"
+        save_instance(inst, path)
+        assert main(["analyze", str(path), "--batch", "2"]) == EXIT_OK
+        printed = {key: value for key, _, value in (line.partition(": ") for line in capsys.readouterr().out.splitlines())}
+        argv = ["sweep", str(path), "--batches", "2", "--eta-min", "0.1", "--eta-max", "0.1", "--eta-count", "1"]
+        assert main(argv + ["--rank-one-steps", "0", "--out", str(out)]) == EXIT_OK
+        swept = out.read_text(encoding="utf-8").splitlines()[1].split(",")[-1]
+        assert printed["sharpness"] == swept == _fmt(stability.sharpness(inst))
+        assert printed["sharpness"] != _fmt(2.0 / float(printed["mean_threshold"]))
+
     def test_gd_regime_flag(self, scalar_pair_file, capsys):
         code = main(["analyze", scalar_pair_file, "--batch", "2"])
         assert code == EXIT_OK
@@ -223,7 +236,7 @@ class TestSweep:
         assert main(argv + ["--eta-count", "3", "--rank-one-steps", str(steps), "--out", str(out)]) == EXIT_OK
         assert len(calls) == 1
         monkeypatch.undo()
-        ascents = stability.rank_one_bounds(inst, batches, steps=steps)
+        ascents = stability._rank_one_ascent(inst, stability.range_basis(inst), batches, steps, 0)
         lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
         for b, (rank_one_value, _) in zip(batches, ascents):
             for eta in np.linspace(0.1, 0.5, 3):
@@ -447,8 +460,8 @@ class TestVerify:
 
         true_build = stability.second_moment_transition
 
-        def broken(inst, eta, batch, dense=None):
-            q = true_build(inst, eta, batch, dense=dense)
+        def broken(inst, eta, batch):
+            q = true_build(inst, eta, batch)
             return q + 0.01 * eta * np.eye(q.shape[0])  # systematic offset
 
         monkeypatch.setattr(stability, "second_moment_transition", broken)

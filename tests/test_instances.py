@@ -33,7 +33,8 @@ class TestClassify:
         assert classify(inst) is MinimumClass.INVALID
 
     def test_nonzero_mean_gradient_is_invalid(self):
-        inst = make_instance([[[1.0]], [[1.0]]], [[0.5], [0.1]], validate=False)
+        # make_instance rejects such gradients, so the instance is built directly.
+        inst = ProblemInstance(d=1, n=2, hessians=np.ones((2, 1, 1)), gradients=np.array([[0.5], [0.1]]))
         assert classify(inst) is MinimumClass.INVALID
 
 

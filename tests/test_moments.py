@@ -15,7 +15,7 @@ from sgdstab import (
     asymptotic_quantities,
     covariance_limit,
     cross_term,
-    exact_step,
+    curvature_operators,
     gen_interpolating,
     gen_regular,
     iterate_moments,
@@ -26,7 +26,7 @@ from sgdstab import (
 )
 from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, null_projectors, pcg, sym_eig, symmetrize, unvec, vec
 from sgdstab.moments import ENUM_CAP, ExactStepper, null_walk_second_moment, write_trajectory_csv
-from sgdstab.stability import _dense_curvature, brute_force_transition, mean_hessian, sharpness
+from sgdstab.stability import brute_force_transition, second_moment_transition, sharpness
 
 RNG = np.random.default_rng(31337)
 
@@ -35,19 +35,19 @@ class TestExactStep:
     def test_interpolating_scalar_contraction(self, scalar_pair):
         hp = Hyperparams(eta=0.5, batch=1)
         state = make_state([0.0], [[1.0]])
-        out = exact_step(scalar_pair, hp, state)
+        out = ExactStepper(scalar_pair, hp).step(state)
         np.testing.assert_allclose(out.second_moment, [[0.25]], atol=1e-14)
         assert out.step == 1
 
     def test_noise_floor_single_step(self, scalar_noise_pair):
         hp = Hyperparams(eta=1.0, batch=1)
-        out = exact_step(scalar_noise_pair, hp, point_state(np.zeros(1)))
+        out = ExactStepper(scalar_noise_pair, hp).step(point_state(np.zeros(1)))
         np.testing.assert_allclose(out.second_moment, [[1.0]], atol=1e-14)
 
     def test_zero_step_freezes_state(self, scalar_noise_pair):
         hp = Hyperparams(eta=0.0, batch=1)
         state = make_state([0.3], [[0.5]])
-        out = exact_step(scalar_noise_pair, hp, state)
+        out = ExactStepper(scalar_noise_pair, hp).step(state)
         np.testing.assert_array_equal(out.mean, state.mean)
         np.testing.assert_array_equal(out.second_moment, state.second_moment)
 
@@ -57,9 +57,7 @@ class TestExactStep:
         inst = gen_regular(3, 4, 3, 1.0, False, 11)
         hp = Hyperparams(eta=0.2 / sharpness(inst), batch=2)
         state = make_state(RNG.standard_normal(3), np.eye(3) * 0.5)
-        out = exact_step(inst, hp, state)
-
-        from sgdstab.stability import second_moment_transition
+        out = ExactStepper(inst, hp).step(state)
 
         q = second_moment_transition(inst, hp.eta, hp.batch)
         e_va = cross_term(inst, hp.eta, hp.batch)
@@ -72,7 +70,7 @@ class TestExactStep:
         vec = lambda m: m.flatten(order="F")
         expected = q @ vec(state.second_moment) - (e_va + e_av) @ state.mean + vec(sigma_v)
         np.testing.assert_allclose(vec(out.second_moment), expected, atol=1e-12)
-        np.testing.assert_allclose(out.mean, (np.eye(3) - hp.eta * mean_hessian(inst)) @ state.mean, atol=1e-14)
+        np.testing.assert_allclose(out.mean, (np.eye(3) - hp.eta * inst.mean_hessian()) @ state.mean, atol=1e-14)
 
     def test_mean_power_law_bitwise(self):
         inst = gen_interpolating(3, 4, 2, 3)
@@ -99,9 +97,9 @@ class TestExactStep:
     def test_moment_state_invariants(self):
         inst = gen_regular(2, 4, 2, 1.0, False, 8)
         hp = Hyperparams(eta=0.3 / sharpness(inst), batch=1)
-        state = point_state(np.array([0.5, -0.2]))
+        stepper, state = ExactStepper(inst, hp), point_state(np.array([0.5, -0.2]))
         for _ in range(30):
-            state = exact_step(inst, hp, state)
+            state = stepper.step(state)
             values = np.linalg.eigvalsh(state.second_moment)
             assert values.min() >= -1e-9 * max(values.max(), 1e-300)
             cov = state.second_moment - np.outer(state.mean, state.mean)
@@ -230,16 +228,6 @@ class TestNoiseInjection:
             closed = eta**2 * mixing_weight(n, batch) * inst.gradient_second_moment()
             np.testing.assert_allclose(closed, ref, atol=1e-12)
 
-    def test_top_mode_overlap_reported(self, scalar_noise_pair):
-        from sgdstab.moments import top_mode_noise_overlap
-
-        # Scalar case: the projected transition is 1-dimensional, so the
-        # overlap is exactly the gradient second moment.
-        overlap = top_mode_noise_overlap(scalar_noise_pair, 1.0, 1)
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-        interp = gen_interpolating(3, 4, 2, 1)
-        assert top_mode_noise_overlap(interp, 0.1, 1) == pytest.approx(0.0, abs=1e-15)
-
 
 class TestNullWalk:
     def test_slope_on_rank_one_walk(self, rank_one_walk):
@@ -251,9 +239,9 @@ class TestNullWalk:
         hp = Hyperparams(eta=0.5, batch=1)
         init = point_state(np.zeros(2))
         p_null, _ = null_projectors(rank_one_walk.mean_hessian())
-        state = init
+        stepper, state = ExactStepper(rank_one_walk, hp), init
         for t in range(1, 9):
-            state = exact_step(rank_one_walk, hp, state)
+            state = stepper.step(state)
             iterated = float(np.trace(p_null @ state.second_moment @ p_null))
             closed = null_walk_second_moment(rank_one_walk, hp, t, init)
             assert iterated == pytest.approx(closed, abs=1e-12)
@@ -309,7 +297,11 @@ class TestCovarianceLimit:
         inst = gen_regular(2, 4, 2, 0.7, False, 29)
         hp = Hyperparams(eta=0.4 * variance_threshold(inst, 2), batch=2)
         limit = covariance_limit(inst, hp)
-        state = iterate_moments(inst, hp, point_state(np.zeros(2)), 10_000, stop_delta=1e-12)
+        stepper, state = ExactStepper(inst, hp), point_state(np.zeros(2))
+        while state.step < 10_000:
+            prev, state = state, stepper.step(state)
+            if np.linalg.norm(state.second_moment - prev.second_moment) < 1e-12:
+                break
         assert state.step < 10_000  # geometric convergence stops early
         _, p_range = null_projectors(inst.mean_hessian())
         proj = p_range @ state.second_moment @ p_range
@@ -353,7 +345,7 @@ class TestAsymptoticQuantities:
         hp = Hyperparams(eta=0.5 * variance_threshold(inst, 1), batch=1)
         dist_sq, loss_gap, grad_sq = asymptotic_quantities(inst, hp)
         limit = covariance_limit(inst, hp)
-        hbar = mean_hessian(inst)
+        hbar = inst.mean_hessian()
         assert dist_sq == pytest.approx(float(np.trace(limit)), abs=1e-9)
         assert loss_gap == pytest.approx(0.5 * float(np.trace(hbar @ limit)), abs=1e-9)
         assert grad_sq == pytest.approx(float(np.trace(hbar @ hbar @ limit)), abs=1e-9)
@@ -367,7 +359,8 @@ def _dense_limit(inst, hp):
     ValueError when it has one below -DEFAULT_RANK_RTOL * lambda_max.
     """
     p = mixing_weight(inst.n, hp.batch)
-    c, dmat = _dense_curvature(inst, p)
+    report = curvature_operators(inst, hp.batch, dense=True)
+    c, dmat = report.curvature_sum, report.curvature_sq
     eig = sym_eig(2.0 * c - hp.eta * dmat)
     lam_max, lam_min = float(eig.values[0]), float(eig.values[-1])
     if lam_min < -1e-8 * max(lam_max, 0.0):
@@ -402,7 +395,7 @@ class TestLimitSolve:
         make, batch = LIMIT_CASES[case]
         inst = make()
         thr = variance_threshold(inst, batch)
-        hbar = mean_hessian(inst)
+        hbar = inst.mean_hessian()
         for factor in (0.3, 0.9, 0.99):
             hp = Hyperparams(eta=factor * thr, batch=batch)
             want = _dense_limit(inst, hp)
@@ -432,7 +425,8 @@ class TestLimitSolve:
             _dense_limit(inst, Hyperparams(eta=1.5 * thr, batch=batch))
         # Past the threshold lambda_min(2C - eta*D) falls at the rate v'Dv, v its eigenvector:
         # aim for -1e-9 * lambda_max, between the two tolerances.
-        c, dmat = _dense_curvature(inst, mixing_weight(inst.n, batch))
+        report = curvature_operators(inst, batch, dense=True)
+        c, dmat = report.curvature_sum, report.curvature_sq
         eig = sym_eig(2.0 * c - thr * dmat)
         v = eig.vectors[:, -1]
         eta = thr + 1e-9 * float(eig.values[0]) / float(v @ dmat @ v)
@@ -469,7 +463,7 @@ class TestLimitProductionPath:
         def forbidden(*args):
             raise AssertionError("a d^2 x d^2 matrix was formed")
 
-        for module, name in ((stability, "kron"), (stability, "kron_sum"), (stability, "_dense_curvature"), (moments_module, "kron")):
+        for module, name in ((stability, "kron"), (stability, "kron_sum"), (stability, "_mixture_matrix"), (moments_module, "kron")):
             monkeypatch.setattr(module, name, forbidden)
         solves = []
         true_pcg = moments_module.pcg
@@ -485,7 +479,7 @@ class TestLimitProductionPath:
             solve(inst, hp)
             assert len(solves) == 1
             assert 0 < len(solves[0]) <= 40
-        assert not hasattr(moments_module, "_dense_curvature")
+        assert not hasattr(moments_module, "_mixture_matrix")
 
     def test_peak_memory_d96(self):
         inst = gen_regular(96, 64, 2, 1.0, False, 96)

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,24 +10,23 @@ from hypothesis import strategies as st
 
 from sgdstab import (
     Hyperparams,
+    KronFamily,
     LinearOperator,
     MinimumClass,
     asymptotic_quantities,
     brute_force_transition,
+    certify,
     covariance_limit,
     curvature_operators,
     gen_interpolating,
     gen_regular,
-    lanczos_lambda_max,
     make_instance,
-    mean_hessian,
     mean_threshold,
     mixing_weight,
     mixture_transition,
     necessary_bound_eigvec,
     necessary_bound_trace,
     rank_one_bound,
-    rank_one_bounds,
     second_moment_transition,
     sharpness,
     simulate_mixture,
@@ -35,15 +35,16 @@ from sgdstab import (
 )
 from sgdstab.instances import stream
 from sgdstab.montecarlo import SimConfig
-from sgdstab.linalg import DEFAULT_RANK_RTOL, _lanczos_solve, kron, kron_sum, null_projectors, sqrt_pinv_psd, sym_eig, symmetrize
+from sgdstab.linalg import DEFAULT_RANK_RTOL, _lanczos_solve, kron, kron_sum, null_projectors, sym_eig, symmetrize
 from sgdstab.stability import (
     DENSE_CAP,
-    _dense_curvature,
-    _generalized_sharpness_dense,
-    _projected_transition_dense,
+    _mixture_operator,
+    _rank_one_ascent,
     generalized_sharpness,
     projected_transition_lambda_max,
+    range_basis,
 )
+from oracles import generalized_sharpness_dense, projected_transition_dense, sqrt_pinv_psd
 
 RNG = np.random.default_rng(777)
 
@@ -52,19 +53,35 @@ def scaled(inst, c):
     return make_instance(c * inst.hessians, inst.gradients, label=inst.label)
 
 
+def _transition_operator(inst, eta, batch):
+    """Q matrix-free: the mixture operator on its factors A = I - eta*Hbar and A_i = I - eta*H_i."""
+    eye = np.eye(inst.d)
+    return _mixture_operator(eye - eta * inst.mean_hessian(), eye - eta * inst.hessians, mixing_weight(inst.n, batch))
+
+
+def _dense_d(inst, batch):
+    """The dense D of curvature_operators."""
+    return curvature_operators(inst, batch, dense=True).curvature_sq
+
+
+def _rank_one_block(inst, batches, steps=2000):
+    """The rank-one ascent of every batch size as one block, as sweep runs it."""
+    return _rank_one_ascent(inst, range_basis(inst), list(batches), steps, 0)
+
+
 class TestMeanHessian:
     def test_scalar_pair(self, scalar_pair):
-        np.testing.assert_array_equal(mean_hessian(scalar_pair), [[2.0]])
+        np.testing.assert_array_equal(scalar_pair.mean_hessian(), [[2.0]])
 
     def test_identical_hessians(self):
         h = np.array([[2.0, 1.0], [1.0, 3.0]])
         inst = make_instance([h, h, h], np.zeros((3, 2)))
-        np.testing.assert_array_equal(mean_hessian(inst), h)
+        np.testing.assert_array_equal(inst.mean_hessian(), h)
 
     def test_matches_direct_sum(self):
         inst = gen_interpolating(4, 7, 2, 5)
         direct = sum(inst.hessians[i] for i in range(inst.n)) / inst.n
-        assert np.max(np.abs(mean_hessian(inst) - direct)) < 1e-14
+        assert np.max(np.abs(inst.mean_hessian() - direct)) < 1e-14
 
 
 class TestCurvatureOperators:
@@ -84,7 +101,7 @@ class TestCurvatureOperators:
         # D = Hbar kron Hbar + p*E to 1e-10 max(1, max|D|); curvature_operators does not check it.
         for inst in (gen_interpolating(3, 5, 2, 21), gen_regular(5, 7, 3, 1.0, True, 6)):
             report = curvature_operators(inst, batch=2)
-            hbar = mean_hessian(inst)
+            hbar = inst.mean_hessian()
             lhs = report.curvature_sq
             rhs = kron(hbar, hbar) + report.p * report.curvature_var
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, float(np.max(np.abs(lhs)))), inst.label
@@ -141,7 +158,47 @@ class TestCurvatureOperators:
             stability_module.curvature_operators(inst, batch=2, dense=True)
         # Auto mode silently switches to the operator path.
         report = stability_module.curvature_operators(inst, batch=2)
-        assert not report.dense
+        assert isinstance(report.curvature_sq, LinearOperator)
+
+
+class TestDenseCap:
+    """Every d^2 x d^2 matrix is refused above DENSE_CAP, before it is allocated."""
+
+    def test_every_dense_transition_is_refused_above_the_cap(self, monkeypatch):
+        import sgdstab.stability as stability_module
+
+        monkeypatch.setattr(stability_module, "DENSE_CAP", 2)
+        small, inst = gen_interpolating(2, 4, 2, 1), gen_interpolating(3, 4, 2, 1)
+        builds = {
+            "mixture_transition": lambda x: mixture_transition(x, 0.1, 0.5),
+            "second_moment_transition": lambda x: second_moment_transition(x, 0.1, 2),
+            "brute_force_transition": lambda x: brute_force_transition(x, 0.1, 2),
+            "projected_transition_dense": lambda x: projected_transition_dense(x, 0.1, 2),
+            "certify": lambda x: certify(KronFamily.from_matrices(x.hessians)).top_eigvec_matrix,
+        }
+        for name, build in builds.items():
+            assert build(small).shape in {(4, 4), (2, 2)}, name
+            with pytest.raises(ValueError, match="cap"):
+                build(inst)
+
+    def test_refusal_at_d100_allocates_no_d4_matrix(self):
+        # One 10^4 x 10^4 matrix would take 800 MB.
+        inst = make_instance(np.stack([np.eye(100)] * 3), np.zeros((3, 100)))
+        builds = (
+            lambda: mixture_transition(inst, 0.1, 0.5),
+            lambda: second_moment_transition(inst, 0.1, 2),
+            lambda: brute_force_transition(inst, 0.1, 2),
+            lambda: curvature_operators(inst, 2, dense=True),
+        )
+        tracemalloc.start()
+        try:
+            for build in builds:
+                with pytest.raises(ValueError, match="cap"):
+                    build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestTransition:
@@ -160,7 +217,7 @@ class TestTransition:
         for inst in (gen_interpolating(3, 5, 3, 13), gen_regular(4, 6, 1, 1.0, True, 3)):
             d = inst.d
             lam = sharpness(inst)
-            hbar = mean_hessian(inst)
+            hbar = inst.mean_hessian()
             p = mixing_weight(inst.n, 2)
             eye = np.eye(d)
             for eta in np.linspace(0.0, 2.5 / lam, 7):
@@ -180,9 +237,8 @@ class TestTransition:
                     np.testing.assert_allclose(q, form, rtol=0, atol=scale)
 
     def test_operator_path_matches_dense(self, scalar_pair):
-        op = second_moment_transition(scalar_pair, 0.5, 1, dense=False)
-        assert isinstance(op, LinearOperator)
-        lam_op = lanczos_lambda_max(op, seed=3)
+        op = _transition_operator(scalar_pair, 0.5, 1)
+        lam_op = _lanczos_solve(op, seed=3)
         dense = second_moment_transition(scalar_pair, 0.5, 1)
         lam_dense = float(np.max(np.linalg.eigvalsh(dense)))
         assert lam_op == pytest.approx(lam_dense, abs=1e-7)
@@ -191,7 +247,7 @@ class TestTransition:
         # The second instance is regular and rank-deficient with n > d.
         for inst in (gen_interpolating(4, 6, 2, 31), gen_regular(6, 9, 2, 1.0, True, 5)):
             eta = 0.7 / sharpness(inst)
-            op = second_moment_transition(inst, eta, 2, dense=False)
+            op = _transition_operator(inst, eta, 2)
             dense = second_moment_transition(inst, eta, 2)
             rng = np.random.default_rng(5)
             u = rng.standard_normal(inst.d**2)
@@ -214,13 +270,13 @@ class TestBruteForce:
     def test_full_batch_is_kron_of_contraction(self):
         inst = gen_interpolating(3, 4, 2, 4)
         eta = 0.2
-        a = np.eye(3) - eta * mean_hessian(inst)
+        a = np.eye(3) - eta * inst.mean_hessian()
         np.testing.assert_allclose(brute_force_transition(inst, eta, 4), kron(a, a), atol=1e-12)
 
     def test_enumeration_cap(self):
         inst = gen_interpolating(2, 20, 1, 0)
         with pytest.raises(ValueError, match="cap"):
-            brute_force_transition(inst, 0.1, 10, cap=100)
+            brute_force_transition(inst, 0.1, 10)
 
     @pytest.mark.parametrize("batch", [0, -1, 3])
     def test_rejects_batch_out_of_range(self, scalar_pair, batch):
@@ -274,8 +330,7 @@ class TestThresholds:
 
     def test_dense_and_operator_paths_agree(self):
         inst = gen_interpolating(4, 6, 2, 77)
-        _, dmat = _dense_curvature(inst, mixing_weight(inst.n, 2))
-        dense = 2.0 / _generalized_sharpness_dense(mean_hessian(inst), dmat)
+        dense = 2.0 / generalized_sharpness_dense(inst.mean_hessian(), _dense_d(inst, 2))
         assert variance_threshold(inst, 2) == pytest.approx(dense, rel=1e-12)
 
     def test_identical_hessians_close_the_batch_gap(self):
@@ -305,13 +360,13 @@ class TestThresholds:
             assert variance_threshold(inst, b) == pytest.approx(mt, rel=1e-12)
 
     def test_operator_path_beyond_dense_cap(self):
-        # d = 60 > DENSE_CAP: everything must run matrix-free, and the
-        # full-batch threshold still equals 2 / sharpness.
+        # d = 60 > DENSE_CAP: the threshold runs matrix-free, and the full-batch
+        # threshold still equals 2 / sharpness; the dense transition is refused.
         inst = gen_interpolating(60, 6, 3, 5)
         thr = variance_threshold(inst, inst.n)
         assert thr == pytest.approx(2.0 / sharpness(inst), rel=1e-9)
-        q = second_moment_transition(inst, 0.01, 2)
-        assert isinstance(q, LinearOperator)
+        with pytest.raises(ValueError, match="cap"):
+            second_moment_transition(inst, 0.01, 2)
 
     def test_threshold_iff_unit_spectrum(self):
         for seed in range(4):
@@ -341,7 +396,7 @@ class TestNecessaryBounds:
 
     def test_full_batch_trace_form(self):
         inst = gen_interpolating(3, 5, 3, 45)
-        hbar = mean_hessian(inst)
+        hbar = inst.mean_hessian()
         expected = 2.0 * np.trace(hbar) / np.sum(hbar * hbar)
         assert necessary_bound_trace(inst, inst.n) == pytest.approx(expected, rel=1e-12)
 
@@ -410,11 +465,11 @@ def _reference_rank_one(inst, batch, steps=2000, seed=0):
     Returns (best value, maximizer, counts of starts that stopped on a
     vanishing gradient and that collapsed into the null space).
     """
-    eig = sym_eig(mean_hessian(inst))
+    eig = sym_eig(inst.mean_hessian())
     lam = float(eig.values[0])
     if lam <= 0:
         raise ValueError("mean Hessian has no positive eigenvalue")
-    hbar = mean_hessian(inst)
+    hbar = inst.mean_hessian()
     p = mixing_weight(inst.n, batch)
     _, p_range = null_projectors(hbar)
     rng = stream(seed, index=1)
@@ -467,7 +522,7 @@ def _reference_rank_one(inst, batch, steps=2000, seed=0):
 
 
 def _rank_one_objective(inst, batch, v):
-    hbar = mean_hessian(inst)
+    hbar = inst.mean_hessian()
     a = float(v @ hbar @ v)
     dev = np.einsum("i,nij,j->n", v, inst.hessians, v) - a
     return a + mixing_weight(inst.n, batch) * float(np.mean(dev * dev)) / a
@@ -476,7 +531,7 @@ def _rank_one_objective(inst, batch, v):
 def _relative_riemannian_gradient(inst, batch, v):
     """|grad f(v) projected on the tangent space at v| / f(v), by direct products."""
     p = mixing_weight(inst.n, batch)
-    hbar = mean_hessian(inst)
+    hbar = inst.mean_hessian()
     a = float(v @ hbar @ v)
     hv, hiv = hbar @ v, inst.hessians @ v
     dev = hiv @ v - a
@@ -531,7 +586,7 @@ class TestBatchedRankOneAscent:
         inst = scalar_pair if case == "scalar-pair" else self.CASES[case][0]()
         steps = self.FUSED_STEPS
         batches = range(1, inst.n + 1)
-        fused = rank_one_bounds(inst, batches, steps=steps)
+        fused = _rank_one_block(inst, batches, steps=steps)
         assert len(fused) == inst.n
         for b, (value, v) in zip(batches, fused):
             single_value, single_v = rank_one_bound(inst, b, steps=steps)
@@ -544,7 +599,7 @@ class TestBatchedRankOneAscent:
     def test_fused_results_follow_input_order(self):
         inst = gen_interpolating(3, 4, 1, 2)
         batches = [3, 1, 3, 4, 2]
-        fused = rank_one_bounds(inst, batches, steps=self.FUSED_STEPS)
+        fused = _rank_one_block(inst, batches, steps=self.FUSED_STEPS)
         assert len(fused) == len(batches)
         for b, (value, v) in zip(batches, fused):
             want_value, want_v = rank_one_bound(inst, b, steps=self.FUSED_STEPS)
@@ -559,20 +614,20 @@ class TestBatchedRankOneAscent:
         assert stops == [0, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rank_one_bounds(inst, range(1, inst.n + 1), steps=self.FUSED_STEPS)
-            rank_one_bounds(inst, range(1, inst.n + 1))
-            rank_one_bounds(scalar_pair, [1, 2])
+            _rank_one_block(inst, range(1, inst.n + 1), steps=self.FUSED_STEPS)
+            _rank_one_block(inst, range(1, inst.n + 1))
+            _rank_one_block(scalar_pair, [1, 2])
 
     @pytest.mark.parametrize("kwargs, pattern", [({"steps": -3}, "^steps")])
     def test_rejects_bad_arguments(self, scalar_pair, kwargs, pattern):
         with pytest.raises(ValueError, match=pattern):
             rank_one_bound(scalar_pair, 1, **kwargs)
         with pytest.raises(ValueError, match=pattern):
-            rank_one_bounds(scalar_pair, [1, 2], **kwargs)
+            _rank_one_block(scalar_pair, [1, 2], **kwargs)
 
     def test_rejects_empty_batches(self, scalar_pair):
         with pytest.raises(ValueError, match="^batches"):
-            rank_one_bounds(scalar_pair, [])
+            _rank_one_block(scalar_pair, [])
 
     def test_rejects_non_psd_mean_hessian(self):
         # Hbar = diag(1, -2): range_basis's PSD check raises, as for generalized_sharpness.
@@ -582,7 +637,7 @@ class TestBatchedRankOneAscent:
         with pytest.raises(ValueError, match="not PSD"):
             rank_one_bound(inst, 1)
         with pytest.raises(ValueError, match="not PSD"):
-            rank_one_bounds(inst, [1, 2])
+            _rank_one_block(inst, [1, 2])
 
 
 class TestRankOneBudget:
@@ -649,7 +704,8 @@ class TestRankOneBudget:
 
 def _congruence_reference(inst, batch):
     """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ with (C^{1/2})^+ from a d^2 eigendecomposition."""
-    c, dmat = _dense_curvature(inst, mixing_weight(inst.n, batch))
+    report = curvature_operators(inst, batch, dense=True)
+    c, dmat = report.curvature_sum, report.curvature_sq
     half_pinv = sqrt_pinv_psd(c)
     lam = float(sym_eig(symmetrize(half_pinv @ dmat @ half_pinv)).values[0])
     return max(lam, 0.0)
@@ -667,23 +723,20 @@ class TestDenseThresholdEigenbasis:
     def test_matches_sqrt_pinv_congruence(self, case):
         inst = self.CASES[case]()
         for b in range(1, inst.n + 1):
-            _, dmat = _dense_curvature(inst, mixing_weight(inst.n, b))
-            got = _generalized_sharpness_dense(mean_hessian(inst), dmat)
+            got = generalized_sharpness_dense(inst.mean_hessian(), _dense_d(inst, b))
             assert got == pytest.approx(_congruence_reference(inst, b), rel=1e-12, abs=0.0)
 
     def test_rank_deficient_case_is_rank_deficient(self):
-        assert np.linalg.matrix_rank(mean_hessian(self.CASES["rank-deficient"]())) < 4
+        assert np.linalg.matrix_rank(self.CASES["rank-deficient"]().mean_hessian()) < 4
 
     def test_d1(self, scalar_pair):
         for b in (1, 2):
-            _, dmat = _dense_curvature(scalar_pair, mixing_weight(2, b))
-            got = _generalized_sharpness_dense(mean_hessian(scalar_pair), dmat)
+            got = generalized_sharpness_dense(scalar_pair.mean_hessian(), _dense_d(scalar_pair, b))
             assert got == pytest.approx(_congruence_reference(scalar_pair, b), rel=1e-12, abs=0.0)
 
     def test_d24_matches_operator_path(self):
         inst = gen_regular(24, 16, 4, 1.0, False, 3)
-        _, dmat = _dense_curvature(inst, mixing_weight(inst.n, 1))
-        got = _generalized_sharpness_dense(mean_hessian(inst), dmat)
+        got = generalized_sharpness_dense(inst.mean_hessian(), _dense_d(inst, 1))
         assert got == pytest.approx(generalized_sharpness(inst, 1), rel=1e-12, abs=0.0)
         assert got == pytest.approx(_congruence_reference(inst, 1), rel=1e-12, abs=0.0)
 
@@ -694,8 +747,7 @@ class TestDenseThresholdEigenbasis:
     def test_lanczos_matches_dense_oracle(self, case):
         inst = self.LANCZOS_CASES[case]()
         for b in range(1, inst.n + 1):
-            _, dmat = _dense_curvature(inst, mixing_weight(inst.n, b))
-            want = _generalized_sharpness_dense(mean_hessian(inst), dmat)
+            want = generalized_sharpness_dense(inst.mean_hessian(), _dense_d(inst, b))
             assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_lanczos_application_budget(self, counting, monkeypatch):
@@ -717,28 +769,13 @@ class TestDenseThresholdEigenbasis:
         assert len(applied_per_solve) == inst.n
         assert max(applied_per_solve) <= 48, applied_per_solve
 
-    def test_package_solves_skip_self_adjoint_probes(self, monkeypatch):
-        # The package builds its operators symmetric; only outside operators are probed.
-        import sgdstab.linalg as linalg_module
-
-        def forbidden(*args):
-            raise AssertionError("self-adjoint probes ran")
-
-        monkeypatch.setattr(linalg_module, "_check_self_adjoint", forbidden)
-        inst = gen_regular(6, 5, 3, 1.0, False, 4)
-        thr = variance_threshold(inst, 2)
-        stability_verdict(inst, 2, [0.5 * thr], rank_one_steps=20)
-        projected_transition_lambda_max(inst, 0.5 * thr, 2)
-        with pytest.raises(AssertionError, match="probes ran"):
-            lanczos_lambda_max(LinearOperator.from_matrix(np.eye(3)))
-
     def test_non_psd_c_raises(self):
         hbar = np.diag([1.0, -0.5])
         dmat = kron(hbar, hbar)
         with pytest.raises(ValueError, match="not PSD"):
             sqrt_pinv_psd(0.5 * kron_sum(hbar, hbar))
         with pytest.raises(ValueError, match="not PSD"):
-            _generalized_sharpness_dense(hbar, dmat)
+            generalized_sharpness_dense(hbar, dmat)
 
 
 class TestMixtureTransition:
@@ -803,7 +840,7 @@ class TestVerdict:
         inst = gen_regular(4, 3, 1, 1.0, True, 4)
         eta = 0.37 / sharpness(inst)
         q = second_moment_transition(inst, eta, 1)
-        _, p_range = null_projectors(mean_hessian(inst))
+        _, p_range = null_projectors(inst.mean_hessian())
         direct = kron(p_range, p_range) @ q
         assert np.max(np.abs(direct - direct.T)) < 1e-10
         lam_direct = float(np.max(np.linalg.eigvalsh(0.5 * (direct + direct.T))))
@@ -823,7 +860,7 @@ class TestVerdict:
         inst = gen_regular(4, 5, 3, 1.0, False, 2)
         etas = [0.5 * variance_threshold(inst, 2), 1.5 * variance_threshold(inst, 2)]
         monkeypatch.setattr(instances_module, "classify", counted)
-        verdict = stability_verdict(inst, 2, etas, rank_one_steps=50)
+        verdict = stability_verdict(inst, 2, etas)
         assert len(calls) == 1
         assert verdict.classification is MinimumClass.REGULAR
         invalid = make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]])
@@ -844,14 +881,15 @@ class TestVerdict:
         for name, module in list(sys.modules.items()):
             if name.startswith("sgdstab") and getattr(module, "sym_eig", None) is true_sym_eig:
                 monkeypatch.setattr(module, "sym_eig", counted)
-        verdict = stability_verdict(inst, 2, [0.1], rank_one_steps=50)
+        verdict = stability_verdict(inst, 2, [0.1])
         assert len(calls) == 1
         monkeypatch.undo()
         # The shared decomposition gives what each public function computes on its own.
         assert verdict.mean_threshold == mean_threshold(inst)
         assert verdict.variance_threshold == variance_threshold(inst, 2)
         assert verdict.bound_eigvec == necessary_bound_eigvec(inst, 2)
-        assert verdict.bound_rank_one == 2.0 / rank_one_bound(inst, 2, steps=50)[0]
+        assert verdict.sharpness == sharpness(inst)
+        assert verdict.bound_rank_one == 2.0 / rank_one_bound(inst, 2)[0]
 
     def test_generalized_sharpness_matches_threshold(self):
         inst = gen_regular(5, 6, 3, 1.0, False, 12)
@@ -901,14 +939,14 @@ class TestProjectedTransitionLanczos:
             thr = variance_threshold(inst, b)
             for factor in (0.3, 0.9, 1.1, 1.7):
                 eta = factor * thr
-                want = float(sym_eig(_projected_transition_dense(inst, eta, b)).values[0])
+                want = float(sym_eig(projected_transition_dense(inst, eta, b)).values[0])
                 got = projected_transition_lambda_max(inst, eta, b)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (b, factor)
                 # The threshold's spectral characterization: below one exactly under eta_var.
                 assert (got < 1.0 - 1e-9) == (eta < thr), (b, factor, got)
 
     def test_rank_deficient_case_is_rank_deficient(self):
-        assert np.linalg.matrix_rank(mean_hessian(self.CASES["rank-deficient-null-gradients"]())) < 6
+        assert np.linalg.matrix_rank(self.CASES["rank-deficient-null-gradients"]().mean_hessian()) < 6
 
     def test_check_fires_on_a_wrong_threshold(self, monkeypatch):
         # A solver 5% high puts the threshold below the true one; verify's
@@ -960,7 +998,7 @@ class TestRangeBasis:
         gradients = core.gradients @ u.T + (z - z.mean(axis=0)) @ w.T
         inst = make_instance(np.einsum("ak,nkl,bl->nab", u, core.hessians, u), gradients)
         assert inst.d > DENSE_CAP
-        assert np.linalg.matrix_rank(mean_hessian(inst)) == 12
+        assert np.linalg.matrix_rank(inst.mean_hessian()) == 12
         assert np.max(np.abs(gradients @ w)) > 0.1
         for b in range(1, core.n + 1):
             thr = variance_threshold(core, b)
@@ -1065,7 +1103,7 @@ class TestRangeBasis:
         hessians[0] = 0.5 * (np.outer(w[:, 0], w[:, 0]) - np.outer(w[:, 1], w[:, 1]))
         inst = make_instance(hessians, np.zeros((30, 20)))
         assert stability_module.range_basis(inst).ut is None
-        hbar = mean_hessian(inst)
+        hbar = inst.mean_hessian()
         for b in (1, 3):
-            want = _generalized_sharpness_dense(hbar, stability_module._mixture_matrix(hbar, inst.hessians, mixing_weight(30, b)))
+            want = generalized_sharpness_dense(hbar, stability_module._mixture_matrix(hbar, inst.hessians, mixing_weight(30, b)))
             assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
