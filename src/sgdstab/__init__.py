@@ -40,7 +40,6 @@ from .moments import (
     covariance_limit,
     cross_term,
     iterate_moments,
-    make_state,
     null_walk_second_moment,
     point_state,
 )

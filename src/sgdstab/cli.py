@@ -278,7 +278,7 @@ def _suite_kron(seed: int, trials: int) -> list[PropertyResult]:
             failures_radius += 1
         if report.min_eig_of_top < -1e-7 * max(1.0, float(np.linalg.norm(report.top_eigvec_matrix))):
             failures_psd += 1
-        if np.any(report.eigvec_symmetry_defects > 1e-7):
+        if report.block_coupling > 1e-7:
             failures_radius += 1
     return [
         PropertyResult("kron-spectral-radius-equals-top", trials, failures_radius),

@@ -199,9 +199,6 @@ class Hyperparams:
         if self.batch < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch}")
 
-    def p(self, n: int) -> float:
-        return mixing_weight(n, self.batch)
-
 
 def _rescale_to_unit_sharpness(h: np.ndarray) -> np.ndarray:
     lam = float(sym_eig(h.mean(axis=0)).values[0])

@@ -5,15 +5,20 @@ For symmetric matrices Y_1..Y_M, the d^2 x d^2 matrix
     Q = sum_i w_i * (Y_i kron Y_i),   w_i >= 0,
 
 is symmetric and enjoys three structural properties that this module
-verifies by direct eigendecomposition:
+verifies numerically:
 
-  1. Q admits a complete eigenbasis whose matrix reshapes are each
-     symmetric or skew-symmetric (after rotating within degenerate
-     eigenspaces);
-  2. the spectral radius equals the top eigenvalue;
-  3. some top eigenvector reshapes to a PSD matrix (obtained, when
-     needed, by replacing the spectrum of a symmetric top eigenvector
-     with its elementwise absolute value).
+  1. Q commutes with transposition: the commutation matrix K, with
+     K vec(Z) = vec(Z^T), satisfies K (A kron B) K = B kron A.  So Q is
+     block diagonal on symmetric (+) skew matrices, and has an
+     eigenbasis of symmetric and skew matrices.  The norm of the cross
+     block Sym^T Q Skew, relative to max(1, rho), is reported as
+     block_coupling; it is zero exactly when the split holds;
+  2. the spectral radius rho equals the top eigenvalue lambda_max, both
+     read off one eigendecomposition of the full Q;
+  3. some top eigenvector reshapes to a PSD matrix: the top eigenvector
+     of the symmetric block, with its spectrum replaced by its
+     elementwise absolute value when it is not PSD, must be an
+     eigenvector of Q for lambda_max.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ import numpy as np
 from .linalg import ConvergenceError, kron, sym_eig, symmetrize, unvec, vec
 from .stability import _dense_zeros
 
-# Eigenvalues within this relative gap form one eigenspace.
-GROUP_TOL = 1e-8
-# Largest relative negative eigenvalue of a PSD top eigenvector, and residual of its repair.
+# Largest relative negative eigenvalue of a PSD top eigenvector, and its largest relative residual.
 RESIDUAL_TOL = 1e-7
 
 
@@ -65,7 +68,7 @@ class CertifyReport:
     lambda_max: float
     top_eigvec_matrix: np.ndarray
     min_eig_of_top: float
-    eigvec_symmetry_defects: np.ndarray
+    block_coupling: float
 
 
 def _assemble(fam: KronFamily) -> np.ndarray:
@@ -78,84 +81,45 @@ def _assemble(fam: KronFamily) -> np.ndarray:
     return q
 
 
-def _repair_group(vectors: np.ndarray, d: int) -> np.ndarray:
-    """Rotate an eigenspace basis so each member is symmetric or skew.
-
-    Splits every basis matrix into its symmetric and skew parts, then
-    re-orthonormalizes the two stacks separately.  Symmetric and skew
-    vectorizations are automatically orthogonal to each other.
-    """
-    sym_parts = []
-    skew_parts = []
-    for j in range(vectors.shape[1]):
-        z = unvec(vectors[:, j], d)
-        sym_parts.append(vec(0.5 * (z + z.T)))
-        skew_parts.append(vec(0.5 * (z - z.T)))
-    repaired = []
-    for parts in (sym_parts, skew_parts):
-        stack = np.column_stack(parts)
-        u, s, _ = np.linalg.svd(stack, full_matrices=False)
-        keep = s > 1e-9 * max(1.0, float(s[0]) if s.size else 0.0)
-        if np.any(keep):
-            repaired.append(u[:, keep])
-    basis = np.column_stack(repaired) if repaired else np.zeros((d * d, 0))
-    if basis.shape[1] != vectors.shape[1]:
-        raise ConvergenceError(
-            f"eigenspace repair changed the dimension: {vectors.shape[1]} -> {basis.shape[1]}"
-        )
-    return basis
+def _split_basis(d: int, sign: float) -> np.ndarray:
+    """Orthonormal basis, as vec'd columns, of the d x d matrices Z with Z^T = sign * Z."""
+    rows, cols = np.triu_indices(d, 0 if sign > 0 else 1)
+    basis = np.zeros((d * d, rows.size))
+    basis[rows + cols * d, np.arange(rows.size)] = 1.0
+    basis[cols + rows * d, np.arange(rows.size)] += sign
+    return basis / np.linalg.norm(basis, axis=0)
 
 
 def certify(fam: KronFamily) -> CertifyReport:
-    """Eigendecompose Q = sum w_i Y_i kron Y_i and verify its structure."""
+    """Eigendecompose Q = sum w_i Y_i kron Y_i and verify its structure.
+
+    Raises ConvergenceError when the symmetric block has no PSD
+    eigenvector of lambda_max.
+    """
     d = fam.dim
     q = _assemble(fam)
-    eig = sym_eig(q)
-    values, vectors = eig.values, eig.vectors
-
-    # Group eigenvalues by relative gap and repair each eigenspace.
-    repaired = np.zeros_like(vectors)
-    idx = 0
-    while idx < values.size:
-        jdx = idx + 1
-        while jdx < values.size and abs(values[jdx] - values[idx]) <= GROUP_TOL * max(1.0, abs(values[idx])):
-            jdx += 1
-        repaired[:, idx:jdx] = _repair_group(vectors[:, idx:jdx], d)
-        idx = jdx
-
-    defects = np.zeros(values.size)
-    for j in range(values.size):
-        z = unvec(repaired[:, j], d)
-        defects[j] = min(np.linalg.norm(z - z.T), np.linalg.norm(z + z.T))
-
+    values = sym_eig(q).values
     lam_max = float(values[0])
     rho = float(np.max(np.abs(values)))
+    sym = _split_basis(d, 1.0)
+    q_sym = q @ sym
+    coupling = float(np.linalg.norm(_split_basis(d, -1.0).T @ q_sym)) / max(1.0, rho)
 
-    # Pick a symmetric top eigenvector; abs-repair its spectrum if needed.
-    top_group = np.abs(values - lam_max) <= GROUP_TOL * max(1.0, abs(lam_max))
-    top_vec = None
-    for j in np.nonzero(top_group)[0]:
-        z = unvec(repaired[:, j], d)
-        if np.linalg.norm(z - z.T) <= np.linalg.norm(z + z.T):
-            top_vec = repaired[:, j]
-            break
-    if top_vec is None:
-        raise ConvergenceError("no symmetric eigenvector found in the top eigenspace")
-    top_mat = symmetrize(unvec(top_vec, d))
+    # Top eigenvector of the symmetric block; abs-repair its spectrum if needed.
+    top_mat = symmetrize(unvec(sym @ sym_eig(sym.T @ q_sym).vectors[:, 0], d))
     top_eig = sym_eig(top_mat)
     if float(top_eig.values[-1]) < -RESIDUAL_TOL * max(1.0, float(np.linalg.norm(top_mat))):
         top_mat = symmetrize(top_eig.vectors @ (np.abs(top_eig.values)[:, None] * top_eig.vectors.T))
-        top_vec = vec(top_mat)
-        residual = np.linalg.norm(q @ top_vec - lam_max * top_vec)
-        if residual > RESIDUAL_TOL * max(1.0, abs(lam_max)):
-            raise ConvergenceError(
-                f"absolute-spectrum repair of the top eigenvector failed (residual {residual:.3e})"
-            )
-    min_eig_top = float(sym_eig(top_mat).values[-1])
+    top_vec = vec(top_mat)
+    residual = float(np.linalg.norm(q @ top_vec - lam_max * top_vec))
+    if residual > RESIDUAL_TOL * max(1.0, abs(lam_max)):
+        raise ConvergenceError(
+            f"no PSD eigenvector of lambda_max = {lam_max!r} on the symmetric block (residual {residual:.3e})"
+        )
     return CertifyReport(
         rho=rho,
         lambda_max=lam_max,
         top_eigvec_matrix=top_mat,
-        min_eig_of_top=min_eig_top,
-        eigvec_symmetry_defects=defects,
+        min_eig_of_top=float(sym_eig(top_mat).values[-1]),
+        block_coupling=coupling,
     )

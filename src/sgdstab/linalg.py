@@ -25,6 +25,12 @@ DEFAULT_RANK_RTOL = 1e-10
 
 # Rows added to the Lanczos basis each time it fills up.
 _LANCZOS_CHUNK = 32
+# Lanczos stopping rule, step budget and start-vector seed; every solve uses them.
+_LANCZOS_TOL = 1e-12
+_LANCZOS_MAX_ITER = 1000
+_LANCZOS_SEED = 7
+# Conjugate-gradient iteration budget.
+_PCG_MAX_ITER = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -158,33 +164,23 @@ class LinearOperator:
             raise ValueError(f"operator expects shape ({self.in_dim},), got {x.shape}")
         return np.asarray(self.apply(x), dtype=float)
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "LinearOperator":
-        m = np.asarray(m, dtype=float)
-        return LinearOperator(in_dim=m.shape[1], out_dim=m.shape[0], apply=lambda x: m @ x)
 
-
-def _lanczos_solve(
-    op: LinearOperator,
-    tol: float = 1e-12,
-    max_iter: int = 1000,
-    seed: int = 0,
-) -> float:
+def _lanczos_solve(op: LinearOperator) -> float:
     """Largest (signed) eigenvalue of a self-adjoint operator, which is not checked.
 
     Single-vector Lanczos from a Gaussian start drawn from
-    default_rng(seed), with full reorthogonalization done twice per step
-    ("twice is enough"; Golub & Van Loan, ch. 10).  Step k stops when the
-    Ritz residual beta_k |s_k| of the largest Ritz value is at most tol
-    times the spectral scale max |theta| of the tridiagonal T_k, or when
-    the Krylov space is invariant (beta_k at roundoff level, or the basis
-    spans the whole space).  Returns the largest algebraic Ritz value.
+    default_rng(_LANCZOS_SEED), with full reorthogonalization done twice
+    per step ("twice is enough"; Golub & Van Loan, ch. 10).  Step k stops
+    when the Ritz residual beta_k |s_k| of the largest Ritz value is at
+    most _LANCZOS_TOL times the spectral scale max |theta| of the
+    tridiagonal T_k, or when the Krylov space is invariant (beta_k at
+    roundoff level, or the basis spans the whole space).  Returns the largest algebraic Ritz value.
     The Krylov basis grows in chunks, so a short solve allocates little
-    whatever max_iter is.  Raises ConvergenceError with the step count,
-    the last residual and the current estimate when max_iter steps do not
-    suffice.
+    whatever the budget.  Raises ConvergenceError with the step count,
+    the last residual and the current estimate when _LANCZOS_MAX_ITER
+    steps do not suffice.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LANCZOS_SEED)
     dim = op.in_dim
     # beta_k below this share of the scale is roundoff left by the reorthogonalization.
     breakdown = math.sqrt(dim) * np.finfo(float).eps
@@ -194,7 +190,7 @@ def _lanczos_solve(
     alpha: list[float] = []
     beta: list[float] = []
     estimate = resid = math.nan
-    for k in range(min(max_iter, dim)):
+    for k in range(min(_LANCZOS_MAX_ITER, dim)):
         w = op(basis[k])
         alpha.append(float(basis[k] @ w))
         kept = basis[: k + 1]
@@ -205,7 +201,7 @@ def _lanczos_solve(
         estimate = float(theta[-1])
         scale = max(abs(float(theta[0])), abs(estimate))
         resid = b * abs(float(s[-1, -1]))
-        if resid <= tol * scale or b <= breakdown * scale or k + 1 == dim:
+        if resid <= _LANCZOS_TOL * scale or b <= breakdown * scale or k + 1 == dim:
             return estimate
         if k + 1 == basis.shape[0]:
             grown = np.empty((min(basis.shape[0] + _LANCZOS_CHUNK, dim), dim))
@@ -214,7 +210,7 @@ def _lanczos_solve(
         basis[k + 1] = w / b
         beta.append(b)
     raise ConvergenceError(
-        f"Lanczos did not converge within {max_iter} iterations "
+        f"Lanczos did not converge within {_LANCZOS_MAX_ITER} iterations "
         f"(last residual {resid:.3e}, estimate {estimate!r})"
     )
 
@@ -223,7 +219,6 @@ def pcg(
     op: LinearOperator,
     b: np.ndarray,
     precond: Callable[[np.ndarray], np.ndarray],
-    max_iter: int = 1000,
 ) -> np.ndarray:
     """Solve op(x) = b by preconditioned conjugate gradients from x = 0.
 
@@ -234,7 +229,7 @@ def pcg(
     most 1e-10 ||b||.  Raises ConvergenceError on non-positive curvature
     p' op(p) <= 0 (op is not positive definite), on a true residual above
     that bound, or with the iteration count and the last residual when
-    max_iter iterations do not suffice.
+    _PCG_MAX_ITER iterations do not suffice.
     """
     b = np.asarray(b, dtype=float)
     b_norm = float(np.linalg.norm(b))
@@ -246,7 +241,7 @@ def pcg(
     direction = z.copy()
     rz = float(r @ z)
     resid = b_norm
-    for k in range(max_iter):
+    for k in range(_PCG_MAX_ITER):
         applied = op(direction)
         curvature = float(direction @ applied)
         if not curvature > 0.0:
@@ -267,5 +262,5 @@ def pcg(
         direction = z + (rz_next / rz) * direction
         rz = rz_next
     raise ConvergenceError(
-        f"conjugate gradients did not converge within {max_iter} iterations (last residual {resid:.3e}, ||b|| = {b_norm:.3e})"
+        f"conjugate gradients did not converge within {_PCG_MAX_ITER} iterations (last residual {resid:.3e}, ||b|| = {b_norm:.3e})"
     )

@@ -83,14 +83,6 @@ class MomentState:
     step: int = 0
 
 
-def make_state(mean, second_moment, step: int = 0) -> MomentState:
-    mean = np.asarray(mean, dtype=float)
-    sm = symmetrize(np.asarray(second_moment, dtype=float))
-    if sm.shape != (mean.size, mean.size):
-        raise ValueError(f"second moment shape {sm.shape} does not match mean length {mean.size}")
-    return MomentState(mean=mean, second_moment=sm, step=step)
-
-
 def point_state(x0, step: int = 0) -> MomentState:
     """Moment state of a deterministic initial offset x0."""
     x0 = np.asarray(x0, dtype=float)
@@ -102,14 +94,13 @@ def cross_term(
     eta: float,
     batch: int,
     enum_cap: int = ENUM_CAP,
-    mc_samples: int = MC_VALIDATION_SAMPLES,
 ) -> np.ndarray:
     """E[v kron A] as a (d^2, d) matrix: -eta^2 * p * (1/n) sum_i g_i kron H_i.
 
     The closed form is checked against exhaustive batch enumeration when
-    C(n, B) <= enum_cap.  Otherwise mc_samples batches are drawn from
-    stream(1234) by vectorized partial Fisher-Yates, in chunks sized to
-    keep temporaries near 1 MB, and every entry must lie within five
+    C(n, B) <= enum_cap.  Otherwise MC_VALIDATION_SAMPLES batches are
+    drawn from stream(1234) by vectorized partial Fisher-Yates, in chunks
+    sized to keep temporaries near 1 MB, and every entry must lie within five
     standard errors (plus 1e-12) of the sample mean.  A mismatch raises
     ConvergenceError.
     """
@@ -140,8 +131,8 @@ def cross_term(
     chunk = max(1, _MC_CHUNK_ENTRY_BUDGET // (n + 3 * d * d))
     acc = np.zeros((d, d * d))
     acc_sq = np.zeros((d, d * d))
-    for start in range(0, mc_samples, chunk):
-        idx = _fisher_yates_batches(rng, n, batch, min(chunk, mc_samples - start))
+    for start in range(0, MC_VALIDATION_SAMPLES, chunk):
+        idx = _fisher_yates_batches(rng, n, batch, min(chunk, MC_VALIDATION_SAMPLES - start))
         h_sum = flat_h[idx[:, 0]]
         g_sum = inst.gradients[idx[:, 0]]
         for slot in range(1, batch):
@@ -152,9 +143,9 @@ def cross_term(
         # Entry (i*d + j, l) of sample k is v_k[i] * A_k[j, l]; the sums over k are GEMMs.
         acc += v.T @ a
         acc_sq += (v * v).T @ (a * a)
-    mean = acc.reshape(d * d, d) / mc_samples
-    var = np.maximum(acc_sq.reshape(d * d, d) / mc_samples - mean * mean, 0.0)
-    se = np.sqrt(var / mc_samples)
+    mean = acc.reshape(d * d, d) / MC_VALIDATION_SAMPLES
+    var = np.maximum(acc_sq.reshape(d * d, d) / MC_VALIDATION_SAMPLES - mean * mean, 0.0)
+    se = np.sqrt(var / MC_VALIDATION_SAMPLES)
     defect = np.abs(closed - mean)
     if np.any(defect > 5.0 * se + 1e-12):
         worst = float(np.max(defect - 5.0 * se))

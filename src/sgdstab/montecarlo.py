@@ -64,12 +64,9 @@ class SimConfig:
 class EmpiricalMoments:
     replicates: int
     mean_offset: np.ndarray  # (T+1, d)
-    mean_offset_par: np.ndarray
-    mean_offset_perp: np.ndarray
     offset_se: np.ndarray  # (T+1, d) componentwise standard errors
     mean_sq_par: np.ndarray  # (T+1,)
     mean_sq_perp: np.ndarray
-    sq_par_se: np.ndarray
     sq_perp_se: np.ndarray
     mean_quad: np.ndarray  # (T+1,) mean of x' Hbar x
     diverged: bool
@@ -224,7 +221,6 @@ class _Accumulator:
         self.sum_x_sq = np.zeros((steps + 1, d))
         self.sum_sq_par = np.zeros(steps + 1)
         self.sum_sq_perp = np.zeros(steps + 1)
-        self.sum_sq_par_sq = np.zeros(steps + 1)
         self.sum_sq_perp_sq = np.zeros(steps + 1)
         self.sum_quad = np.zeros(steps + 1)
 
@@ -245,7 +241,6 @@ class _Accumulator:
             sq_par = np.sum(x_par * x_par, axis=1)
             sq_perp = np.sum(x_perp * x_perp, axis=1)
             self.sum_sq_par[t] += sq_par.sum()
-            self.sum_sq_par_sq[t] += np.sum(sq_par * sq_par)
         self.sum_sq_perp[t] += sq_perp.sum()
         self.sum_sq_perp_sq[t] += np.sum(sq_perp * sq_perp)
         self.sum_quad[t] += float(np.sum((x @ self.hbar) * x))
@@ -254,9 +249,7 @@ class _Accumulator:
 
 def _finalize(
     acc: _Accumulator,
-    inst: ProblemInstance,
     cfg: SimConfig,
-    p_null: np.ndarray,
     diverged_count: int,
     first_replicate_cross: int | None,
 ) -> EmpiricalMoments:
@@ -267,7 +260,6 @@ def _finalize(
     offset_se = np.sqrt(var_x * bessel / r)
     mean_sq_par = acc.sum_sq_par / r
     mean_sq_perp = acc.sum_sq_perp / r
-    var_par = np.maximum(acc.sum_sq_par_sq / r - mean_sq_par**2, 0.0)
     var_perp = np.maximum(acc.sum_sq_perp_sq / r - mean_sq_perp**2, 0.0)
     threshold = cfg.divergence_factor * (1.0 + mean_sq_perp[0])
     crossed = np.nonzero(mean_sq_perp > threshold)[0]
@@ -277,12 +269,9 @@ def _finalize(
     return EmpiricalMoments(
         replicates=r,
         mean_offset=mean_x,
-        mean_offset_par=mean_x @ p_null,
-        mean_offset_perp=mean_x - mean_x @ p_null,
         offset_se=offset_se,
         mean_sq_par=mean_sq_par,
         mean_sq_perp=mean_sq_perp,
-        sq_par_se=np.sqrt(var_par * bessel / r),
         sq_perp_se=np.sqrt(var_perp * bessel / r),
         mean_quad=acc.sum_quad / r,
         diverged=divergence_step is not None,
@@ -327,7 +316,7 @@ def _run(inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_repl
                 first_cross = t if first_cross is None else min(first_cross, t)
         diverged_count += int(flagged.sum())
         start = stop
-    return _finalize(acc, inst, cfg, p_null, diverged_count, first_cross)
+    return _finalize(acc, cfg, diverged_count, first_cross)
 
 
 def simulate_sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig) -> EmpiricalMoments:

@@ -30,8 +30,7 @@ The verdict classifies each step size against eta_var alone and runs
 no spectral check of its own: the equivalence "the range-projected
 transition (P kron P) Q has top eigenvalue below one exactly on
 0 < eta < eta_var" is checked by the tests and by the verify command.
-projected_transition_lambda_max computes that eigenvalue on the same
-r x r block.  The thresholds and the verdict never form a d^2 x d^2 matrix.
+The thresholds and the verdict never form a d^2 x d^2 matrix.
 
 Q, D, E and the projected transition are all the mixture
 (1-p) A kron A + (p/n) sum_i M_i kron M_i, written once per representation:
@@ -282,7 +281,7 @@ def _range_sharpness(basis: RangeBasis, p: float) -> float:
     factor = 1.0 / np.sqrt(0.5 * (lam[:, None] + lam[None, :]))
     d_r = _range_d(basis, p)
     op = LinearOperator(in_dim=r * r, out_dim=r * r, apply=lambda u: (factor * d_r(factor * u.reshape(r, r))).reshape(-1))
-    lam_s = _lanczos_solve(op, seed=7)
+    lam_s = _lanczos_solve(op)
     return lam_s if lam_s > 0 else 0.0
 
 
@@ -632,32 +631,6 @@ def _sweep_bounds(inst: ProblemInstance, batches: list[int], steps: int, seed: i
         p = mixing_weight(inst.n, b)
         rows.append((_range_sharpness(basis, p), rank_one, 2.0 / _eigvec_bound(inst, basis.eig, p)))
     return float(basis.eig.values[0]), rows
-
-
-def projected_transition_lambda_max(inst: ProblemInstance, eta: float, batch: int) -> float:
-    """lambda_max of (P kron P) Q with P the range projector of Hbar.
-
-    For PSD per-sample Hessians this matrix equals the projected mixture
-    sum, which is symmetric; it is below 1 exactly on 0 < eta < eta_var.
-    Solved by Lanczos on the r x r range block of range_basis, without
-    forming the matrix: there it is I - 2*eta*C + eta^2*D, which maps X to
-    X - eta*(pair o X) + eta^2 * D_r(X) with pair = lam_a + lam_b and
-    D_r = _range_d (the mean of the k_i is Lam).  Zero when r = 0.
-    """
-    check_step_size(eta)
-    p = mixing_weight(inst.n, batch)
-    basis = range_basis(inst)
-    lam, r = basis.lam, basis.lam.size
-    if r == 0:
-        return 0.0
-    pair = lam[:, None] + lam[None, :]
-    d_r = _range_d(basis, p)
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        x = u.reshape(r, r)
-        return (x - eta * (pair * x) + (eta * eta) * d_r(x)).reshape(-1)
-
-    return _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply), seed=7)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,12 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def matrix_operator(m):
+    """The LinearOperator x -> M x of a dense matrix."""
+    m = np.asarray(m, dtype=float)
+    return LinearOperator(in_dim=m.shape[1], out_dim=m.shape[0], apply=lambda x: m @ x)
+
+
 @pytest.fixture
 def scalar_pair():
     """d=1, n=2, Hessians {1, 3}, zero gradients (interpolating).

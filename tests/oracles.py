@@ -1,15 +1,17 @@
-"""Dense d^2 x d^2 oracles that only the tests use.
+"""Oracles that only the tests use.
 
-Each recomputes a quantity that the package solves matrix-free on the
-r x r range block of Hbar, from a full dense matrix and one dense
-eigendecomposition.
+The dense d^2 x d^2 ones recompute a quantity that the package solves
+matrix-free on the r x r range block of Hbar, from a full dense matrix
+and one dense eigendecomposition.  projected_transition_lambda_max
+solves the projected transition on that block, and
+projected_transition_dense is its dense oracle.
 """
 
 import numpy as np
 
-from sgdstab.instances import mixing_weight
-from sgdstab.linalg import kron, null_projectors, psd_range, sym_eig, symmetrize
-from sgdstab.stability import _mixture_matrix
+from sgdstab.instances import check_step_size, mixing_weight
+from sgdstab.linalg import LinearOperator, _lanczos_solve, kron, null_projectors, psd_range, sym_eig, symmetrize
+from sgdstab.stability import _mixture_matrix, _range_d, range_basis
 
 
 def sqrt_pinv_psd(m):
@@ -49,3 +51,29 @@ def projected_transition_dense(inst, eta, batch):
     hbar = inst.mean_hessian()
     _, p_range = null_projectors(hbar)
     return _mixture_matrix(p_range - eta * hbar, p_range - eta * inst.hessians, mixing_weight(inst.n, batch))
+
+
+def projected_transition_lambda_max(inst, eta, batch):
+    """lambda_max of (P kron P) Q with P the range projector of Hbar.
+
+    For PSD per-sample Hessians this matrix equals the projected mixture
+    sum, which is symmetric; it is below 1 exactly on 0 < eta < eta_var.
+    Solved by Lanczos on the r x r range block of range_basis, without
+    forming the matrix: there it is I - 2*eta*C + eta^2*D, which maps X to
+    X - eta*(pair o X) + eta^2 * D_r(X) with pair = lam_a + lam_b and
+    D_r = _range_d (the mean of the k_i is Lam).  Zero when r = 0.
+    """
+    check_step_size(eta)
+    p = mixing_weight(inst.n, batch)
+    basis = range_basis(inst)
+    lam, r = basis.lam, basis.lam.size
+    if r == 0:
+        return 0.0
+    pair = lam[:, None] + lam[None, :]
+    d_r = _range_d(basis, p)
+
+    def apply(u):
+        x = u.reshape(r, r)
+        return (x - eta * (pair * x) + (eta * eta) * d_r(x)).reshape(-1)
+
+    return _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply))

@@ -1,5 +1,7 @@
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +483,34 @@ class TestExitCodes:
 
     def test_constants_are_distinct(self):
         assert len({EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_VERIFY, EXIT_NUMERICAL}) == 5
+
+
+class TestNoTestOnlyNames:
+    """Code that only the tests reach lives under tests/, not in the package."""
+
+    def test_every_definition_has_a_caller_outside_the_tests(self):
+        # Each top-level function or class, and each public method, of src/sgdstab must be
+        # referenced elsewhere in src/ (its own body and the __init__ re-export do not count),
+        # in bench/, or by name in README.md or pyproject.toml.
+        root = Path(__file__).resolve().parents[1]
+        trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((root / "src" / "sgdstab").glob("*.py"))}
+
+        def used(node):
+            return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+        in_src = sum((used(tree) for name, tree in trees.items() if name != "__init__.py"), Counter())
+        texts = [root / "README.md", root / "pyproject.toml", *sorted((root / "bench").glob("*.py"))]
+        words = set(re.findall(r"\w+", " ".join(p.read_text(encoding="utf-8") for p in texts)))
+        unreferenced = []
+        for name, tree in trees.items():
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                defs = [node]
+                if isinstance(node, ast.ClassDef):
+                    defs += [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+                unreferenced += [f"{name}:{d.name}" for d in defs if in_src[d.name] - used(d)[d.name] <= 0 and d.name not in words]
+        assert unreferenced == []
 
 
 class TestBenchmarkContract:

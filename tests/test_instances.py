@@ -117,9 +117,6 @@ class TestHyperparams:
     def test_allows_zero_eta(self):
         assert Hyperparams(eta=0.0, batch=1).eta == 0.0
 
-    def test_p_delegates(self):
-        assert Hyperparams(eta=0.1, batch=2).p(4) == mixing_weight(4, 2)
-
 
 class TestGenerators:
     def test_interpolating_classification(self):

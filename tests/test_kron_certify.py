@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from sgdstab import KronFamily, certify, gen_interpolating
+from sgdstab import ConvergenceError, KronFamily, certify, gen_interpolating, kron_certify
+from sgdstab.cli import main
 from sgdstab.linalg import kron, vec
 from sgdstab.stability import second_moment_transition, sharpness
 
@@ -48,8 +49,8 @@ class TestCertifyProperties:
         report = certify(fam)
         # Statement: spectral radius equals the top eigenvalue.
         assert abs(report.rho - report.lambda_max) <= 1e-8 * max(1.0, report.rho)
-        # Statement: repaired eigenvectors are symmetric or skew-symmetric.
-        assert np.all(report.eigvec_symmetry_defects <= 1e-7)
+        # Statement: Q is block diagonal on symmetric (+) skew matrices.
+        assert report.block_coupling <= 1e-7
         # Statement: the reported top eigenvector is PSD and a true eigenvector.
         assert report.min_eig_of_top >= -1e-7 * max(1.0, float(np.linalg.norm(report.top_eigvec_matrix)))
         q = np.zeros((d * d, d * d))
@@ -94,12 +95,12 @@ class TestWeightedFamilies:
 
 
 class TestDegenerateEigenspaces:
-    def test_repeated_eigenvalues_are_repaired(self):
+    def test_repeated_eigenvalues_split_into_blocks(self):
         # A family with heavy degeneracy: the identity plus a rank-one spike.
         u = np.array([1.0, 0.0, 0.0])
         fam = KronFamily.from_matrices([np.eye(3), np.outer(u, u)])
         report = certify(fam)
-        assert np.all(report.eigvec_symmetry_defects <= 1e-7)
+        assert report.block_coupling <= 1e-7
         assert report.min_eig_of_top >= -1e-7
 
     def test_paulilike_family_with_tied_dominant_pair(self):
@@ -110,6 +111,40 @@ class TestDegenerateEigenspaces:
         report = certify(KronFamily.from_matrices([y1, y2]))
         assert report.rho == pytest.approx(2.0, abs=1e-12)
         assert report.lambda_max == pytest.approx(2.0, abs=1e-12)
-        assert np.all(report.eigvec_symmetry_defects <= 1e-7)
+        assert report.block_coupling <= 1e-7
         # Top eigenvector is I / sqrt(2), manifestly PSD.
         np.testing.assert_allclose(report.top_eigvec_matrix, np.eye(2) / np.sqrt(2.0), atol=1e-9)
+
+
+class TestBrokenAssembly:
+    """A Q that does not commute with transposition must not certify."""
+
+    @staticmethod
+    def _kron_pair(fam):
+        # Y_0 kron Y_1 with Y_1 = diag(1, ..., d) != Y_0.
+        return kron(fam.members[0], np.diag(np.arange(1.0, fam.dim + 1)))
+
+    def test_certify_flags_a_kron_pair(self, monkeypatch):
+        monkeypatch.setattr(kron_certify, "_assemble", self._kron_pair)
+        y0 = np.array([[0.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, -1.0]])
+        try:
+            report = certify(KronFamily.from_matrices([y0]))
+        except ConvergenceError:
+            return
+        assert report.block_coupling > 1e-7
+
+    def test_coupling_is_reported_when_the_top_is_clean(self, monkeypatch):
+        # Q = 10 e e^T + s k^T + k s^T: e = vec(I)/sqrt(3) is a PSD top eigenvector
+        # for lambda_max = 10, while the symmetric s and the skew k couple the blocks.
+        e = vec(np.eye(3)) / np.sqrt(3.0)
+        s = vec(np.diag([1.0, -1.0, 0.0])) / np.sqrt(2.0)
+        k = vec(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])) / np.sqrt(2.0)
+        q = 10.0 * np.outer(e, e) + np.outer(s, k) + np.outer(k, s)
+        monkeypatch.setattr(kron_certify, "_assemble", lambda fam: q)
+        report = certify(KronFamily.from_matrices([np.eye(3)]))
+        assert report.lambda_max == pytest.approx(10.0, rel=1e-12)
+        assert report.block_coupling == pytest.approx(0.1, rel=1e-12)
+
+    def test_verify_kron_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(kron_certify, "_assemble", self._kron_pair)
+        assert main(["verify", "--suite", "kron", "--trials", "10", "--seed", "0"]) != 0

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from sgdstab import instances, linalg, moments, stability
 
+from conftest import matrix_operator
 from oracles import sqrt_pinv_psd
 from sgdstab.linalg import (
     DEFAULT_RANK_RTOL,
@@ -267,66 +268,74 @@ class TestPowerIteration:
     """_lanczos_solve, the top (signed) eigenvalue of a self-adjoint operator."""
 
     def test_diagonal(self):
-        op = LinearOperator.from_matrix(np.diag([5.0, 1.0]))
+        op = matrix_operator(np.diag([5.0, 1.0]))
         assert _lanczos_solve(op) == pytest.approx(5.0, abs=1e-8)
 
     def test_zero_operator(self):
-        op = LinearOperator.from_matrix(np.zeros((3, 3)))
+        op = matrix_operator(np.zeros((3, 3)))
         assert _lanczos_solve(op) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_dominant_spectrum(self):
         # The dominant-in-magnitude eigenvalue is -5; the answer must be +1.
-        op = LinearOperator.from_matrix(np.diag([-5.0, 1.0]))
+        op = matrix_operator(np.diag([-5.0, 1.0]))
         assert _lanczos_solve(op) == pytest.approx(1.0, abs=1e-8)
 
     def test_all_negative_spectrum(self):
-        op = LinearOperator.from_matrix(np.diag([-5.0, -2.0]))
+        op = matrix_operator(np.diag([-5.0, -2.0]))
         assert _lanczos_solve(op) == pytest.approx(-2.0, abs=1e-7)
 
-    def test_exactly_paired_spectrum(self):
+    def test_exactly_paired_spectrum(self, monkeypatch):
         # Eigenvalues +-3 tie in magnitude; the top of the spectrum is +3.
-        op = LinearOperator.from_matrix(np.diag([3.0, -3.0, 1.0]))
-        assert _lanczos_solve(op, seed=0) == pytest.approx(3.0, abs=1e-8)
+        op = matrix_operator(np.diag([3.0, -3.0, 1.0]))
+        monkeypatch.setattr(linalg, "_LANCZOS_SEED", 0)
+        assert _lanczos_solve(op) == pytest.approx(3.0, abs=1e-8)
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         m = q @ np.diag([5.0, -5.0, 2.0, -1.0]) @ q.T
-        got = _lanczos_solve(LinearOperator.from_matrix(m), seed=2)
+        monkeypatch.setattr(linalg, "_LANCZOS_SEED", 2)
+        got = _lanczos_solve(matrix_operator(m))
         assert got == pytest.approx(5.0, abs=1e-8)
 
-    def test_matches_dense_on_random_symmetric(self):
+    def test_matches_dense_on_random_symmetric(self, monkeypatch):
         for seed in range(5):
             m = random_symmetric(12, np.random.default_rng(seed))
             lam = float(np.max(np.linalg.eigvalsh(m)))
-            got = _lanczos_solve(LinearOperator.from_matrix(m), seed=seed)
+            monkeypatch.setattr(linalg, "_LANCZOS_SEED", seed)
+            got = _lanczos_solve(matrix_operator(m))
             assert got == pytest.approx(lam, abs=max(1e-7, 1e-7 * abs(lam)))
 
-    def test_max_iter_exhaustion(self):
+    def test_max_iter_exhaustion(self, monkeypatch):
         # Lanczos is exact once the basis spans the space, so the operator is larger than the budget.
-        op = LinearOperator.from_matrix(np.diag(np.linspace(1.0, 2.0, 50)))
+        op = matrix_operator(np.diag(np.linspace(1.0, 2.0, 50)))
         cause = r"within 3 iterations \(last residual \d\.\d{3}e[+-]\d+, estimate 1\.\d+"
+        monkeypatch.setattr(linalg, "_LANCZOS_TOL", 1e-16)
+        monkeypatch.setattr(linalg, "_LANCZOS_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match=cause):
-            _lanczos_solve(op, tol=1e-16, max_iter=3)
+            _lanczos_solve(op)
 
-    def test_breakdown_on_repeated_eigenvalue(self, counting):
+    def test_breakdown_on_repeated_eigenvalue(self, counting, monkeypatch):
         # Two distinct eigenvalues span a 2-dimensional Krylov space: with no
         # residual tolerance only the breakdown rule stops it inside the budget.
-        op, applied = counting(LinearOperator.from_matrix(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])))
-        assert _lanczos_solve(op, tol=0.0, max_iter=3) == pytest.approx(2.0, rel=1e-14)
+        op, applied = counting(matrix_operator(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])))
+        monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
+        monkeypatch.setattr(linalg, "_LANCZOS_MAX_ITER", 3)
+        assert _lanczos_solve(op) == pytest.approx(2.0, rel=1e-14)
         assert len(applied) == 2  # two Lanczos steps
 
-    def test_dimension_below_budget(self, counting):
+    def test_dimension_below_budget(self, counting, monkeypatch):
         m = random_symmetric(5, np.random.default_rng(11))
-        op, applied = counting(LinearOperator.from_matrix(m))
-        got = _lanczos_solve(op, tol=0.0, max_iter=1000)
+        op, applied = counting(matrix_operator(m))
+        monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
+        got = _lanczos_solve(op)
         assert got == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
         assert len(applied) == 5
 
     def test_d1(self):
-        assert _lanczos_solve(LinearOperator.from_matrix([[-3.5]])) == -3.5
+        assert _lanczos_solve(matrix_operator([[-3.5]])) == -3.5
 
     def test_operator_linearity_probes(self):
         m = random_symmetric(6)
-        op = LinearOperator.from_matrix(m)
+        op = matrix_operator(m)
         x = RNG.standard_normal(6)
         y = RNG.standard_normal(6)
         a, b = 0.37, -1.2
@@ -341,33 +350,34 @@ class TestConjugateGradients:
         m = random_psd(30, rng=rng) + 0.1 * np.eye(30)
         b = rng.standard_normal(30)
         want = np.linalg.solve(m, b)
-        op = LinearOperator.from_matrix(m)
+        op = matrix_operator(m)
         for precond in (lambda r: r, lambda r: r / np.diag(m)):
             got = pcg(op, b, precond=precond)
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_diagonal_preconditioner_is_exact_on_diagonal_operator(self, counting):
         diag = np.linspace(1.0, 1e6, 40)
-        op, applied = counting(LinearOperator.from_matrix(np.diag(diag)))
+        op, applied = counting(matrix_operator(np.diag(diag)))
         b = np.arange(1.0, 41.0)
         np.testing.assert_allclose(pcg(op, b, lambda r: r / diag), b / diag, rtol=1e-14)
         assert len(applied) == 2  # one iteration, then the true-residual check
 
     def test_zero_right_hand_side(self, counting):
-        op, applied = counting(LinearOperator.from_matrix(np.eye(3)))
+        op, applied = counting(matrix_operator(np.eye(3)))
         assert not np.any(pcg(op, np.zeros(3), lambda r: r))
         assert applied == []
 
     def test_indefinite_operator_raises(self):
-        op = LinearOperator.from_matrix(np.diag([1.0, -1.0]))
+        op = matrix_operator(np.diag([1.0, -1.0]))
         with pytest.raises(ConvergenceError, match="non-positive curvature"):
             pcg(op, np.array([1.0, 2.0]), lambda r: r)
 
-    def test_max_iter_exhaustion(self):
-        op = LinearOperator.from_matrix(np.diag(np.linspace(1.0, 100.0, 50)))
+    def test_max_iter_exhaustion(self, monkeypatch):
+        op = matrix_operator(np.diag(np.linspace(1.0, 100.0, 50)))
         cause = r"within 3 iterations \(last residual \d\.\d{3}e[+-]\d+"
+        monkeypatch.setattr(linalg, "_PCG_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match=cause):
-            pcg(op, np.ones(50), lambda r: r, max_iter=3)
+            pcg(op, np.ones(50), lambda r: r)
 
     def test_true_residual_is_checked(self):
         # An operator whose applications drift makes the recursive residual lie.

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import tracemalloc
@@ -19,16 +18,24 @@ from sgdstab import (
     gen_interpolating,
     gen_regular,
     iterate_moments,
-    make_state,
     mixing_weight,
     point_state,
     variance_threshold,
 )
-from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, null_projectors, pcg, sym_eig, symmetrize, unvec, vec
-from sgdstab.moments import ENUM_CAP, ExactStepper, null_walk_second_moment, write_trajectory_csv
+import sgdstab.linalg as linalg_module
+from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, null_projectors, sym_eig, symmetrize, unvec, vec
+from sgdstab.moments import ENUM_CAP, ExactStepper, MomentState, null_walk_second_moment, write_trajectory_csv
 from sgdstab.stability import brute_force_transition, second_moment_transition, sharpness
 
 RNG = np.random.default_rng(31337)
+
+
+def make_state(mean, second_moment, step=0):
+    """A MomentState with the second moment symmetrized and its shape checked against the mean."""
+    mean = np.asarray(mean, dtype=float)
+    sm = symmetrize(np.asarray(second_moment, dtype=float))
+    assert sm.shape == (mean.size, mean.size), (sm.shape, mean.size)
+    return MomentState(mean=mean, second_moment=sm, step=step)
 
 
 class TestExactStep:
@@ -176,10 +183,11 @@ class TestCrossTerm:
         ref /= 3
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
-    def test_monte_carlo_validation_path(self):
+    def test_monte_carlo_validation_path(self, monkeypatch):
         # Large C(n, B) forces the Monte-Carlo check; must pass quietly.
         inst = gen_regular(2, 24, 2, 1.0, False, 31)
-        cross_term(inst, 0.05, 12, enum_cap=100, mc_samples=20000)
+        monkeypatch.setattr(moments_module, "MC_VALIDATION_SAMPLES", 20000)
+        cross_term(inst, 0.05, 12, enum_cap=100)
 
     def test_detects_injected_formula_error(self, monkeypatch):
         # A wrong mixing weight makes the closed form disagree with the
@@ -447,7 +455,7 @@ class TestLimitSolve:
     def test_iteration_budget_is_named(self, monkeypatch):
         inst = gen_regular(6, 8, 4, 1.0, False, 3)
         hp = Hyperparams(eta=0.9 * variance_threshold(inst, 2), batch=2)
-        monkeypatch.setattr(moments_module, "pcg", functools.partial(pcg, max_iter=2))
+        monkeypatch.setattr(linalg_module, "_PCG_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="within 2 iterations"):
             covariance_limit(inst, hp)
 

@@ -41,10 +41,10 @@ from sgdstab.stability import (
     _mixture_operator,
     _rank_one_ascent,
     generalized_sharpness,
-    projected_transition_lambda_max,
     range_basis,
 )
-from oracles import generalized_sharpness_dense, projected_transition_dense, sqrt_pinv_psd
+import oracles
+from oracles import generalized_sharpness_dense, projected_transition_dense, projected_transition_lambda_max, sqrt_pinv_psd
 
 RNG = np.random.default_rng(777)
 
@@ -236,9 +236,12 @@ class TestTransition:
                 for form in (form_dev, form_quad):
                     np.testing.assert_allclose(q, form, rtol=0, atol=scale)
 
-    def test_operator_path_matches_dense(self, scalar_pair):
+    def test_operator_path_matches_dense(self, scalar_pair, monkeypatch):
+        import sgdstab.linalg as linalg_module
+
+        monkeypatch.setattr(linalg_module, "_LANCZOS_SEED", 3)
         op = _transition_operator(scalar_pair, 0.5, 1)
-        lam_op = _lanczos_solve(op, seed=3)
+        lam_op = _lanczos_solve(op)
         dense = second_moment_transition(scalar_pair, 0.5, 1)
         lam_dense = float(np.max(np.linalg.eigvalsh(dense)))
         assert lam_op == pytest.approx(lam_dense, abs=1e-7)
@@ -756,9 +759,9 @@ class TestDenseThresholdEigenbasis:
 
         applied_per_solve = []
 
-        def counted_lanczos(op, **kwargs):
+        def counted_lanczos(op):
             wrapped, applied = counting(op)
-            value = _lanczos_solve(wrapped, **kwargs)
+            value = _lanczos_solve(wrapped)
             applied_per_solve.append(len(applied))
             return value
 
@@ -1021,10 +1024,11 @@ class TestRangeBasis:
     def test_zero_hessians_have_an_empty_range(self, monkeypatch):
         import sgdstab.stability as stability_module
 
-        def forbidden(op, **kwargs):
+        def forbidden(op):
             raise AssertionError(f"Lanczos ran on a {op.in_dim}-dimensional operator")
 
         monkeypatch.setattr(stability_module, "_lanczos_solve", forbidden)
+        monkeypatch.setattr(oracles, "_lanczos_solve", forbidden)
         inst = make_instance(np.zeros((3, 4, 4)), np.zeros((3, 4)))
         assert stability_module.range_basis(inst).lam.size == 0
         for b in (1, 2, 3):
