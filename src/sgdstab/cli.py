@@ -31,7 +31,6 @@ from .instances import (
     gen_regular,
     load_instance,
     mixing_weight,
-    require_valid,
     save_instance,
     stream,
 )
@@ -182,7 +181,6 @@ def _cmd_sweep(args) -> int:
         grid = np.geomspace(args.eta_min, args.eta_max, args.eta_count)
     else:
         grid = np.linspace(args.eta_min, args.eta_max, args.eta_count)
-    require_valid(inst)
     lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
     batches = sorted(args.batches)
     lam, rows = stability._sweep_bounds(inst, batches, args.rank_one_steps, args.seed)

@@ -147,16 +147,24 @@ def classify(inst: ProblemInstance) -> MinimumClass:
     """Interpolating / regular / invalid per the PSD and gradient tests.
 
     The PSD test takes the eigenvalues of all n symmetrized Hessians in one
-    batched eigvalsh; H_i fails by linalg.not_psd, the rule psd_range applies.
+    batched eigvalsh and applies _minimum_class to them.
     """
-    if _mean_gradient_nonzero(inst.gradients):
-        return MinimumClass.INVALID
     h = inst.hessians
     try:
         values = np.linalg.eigvalsh(0.5 * (h + np.transpose(h, (0, 2, 1))))  # (n, d), ascending
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    if np.any(not_psd(values)):
+    return _minimum_class(inst, values)
+
+
+def _minimum_class(inst: ProblemInstance, values: np.ndarray) -> MinimumClass:
+    """The classification rule, given values, the (n, d) eigenvalues of the H_i.
+
+    Invalid when the mean gradient is nonzero or some H_i fails linalg.not_psd,
+    the rule psd_range applies; else interpolating when every gradient is
+    zero, regular otherwise.  classify and stability.range_basis both use it.
+    """
+    if _mean_gradient_nonzero(inst.gradients) or np.any(not_psd(values)):
         return MinimumClass.INVALID
     if np.all(np.linalg.norm(inst.gradients, axis=1) <= GRAD_ZERO_TOL):
         return MinimumClass.INTERPOLATING
@@ -165,7 +173,11 @@ def classify(inst: ProblemInstance) -> MinimumClass:
 
 def require_valid(inst: ProblemInstance) -> MinimumClass:
     """Classify the instance once; raise ValueError if it is not a valid minimum."""
-    kind = classify(inst)
+    return _valid_class(classify(inst))
+
+
+def _valid_class(kind: MinimumClass) -> MinimumClass:
+    """Return kind; raise ValueError if it is MinimumClass.INVALID."""
     if kind is MinimumClass.INVALID:
         raise ValueError("instance is not a regular or interpolating minimum")
     return kind

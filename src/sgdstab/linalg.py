@@ -175,40 +175,44 @@ def _lanczos_solve(op: LinearOperator) -> float:
     most _LANCZOS_TOL times the spectral scale max |theta| of the
     tridiagonal T_k, or when the Krylov space is invariant (beta_k at
     roundoff level, or the basis spans the whole space).  Returns the largest algebraic Ritz value.
-    The Krylov basis grows in chunks, so a short solve allocates little
-    whatever the budget.  Raises ConvergenceError with the step count,
-    the last residual and the current estimate when _LANCZOS_MAX_ITER
-    steps do not suffice.
+    T_k is written in place into a preallocated array, and the Krylov
+    basis grows in chunks, so a short solve allocates little whatever the
+    budget.  Raises ConvergenceError with the step count, the last
+    residual and the current estimate when _LANCZOS_MAX_ITER steps do not
+    suffice.
     """
     rng = np.random.default_rng(_LANCZOS_SEED)
     dim = op.in_dim
     # beta_k below this share of the scale is roundoff left by the reorthogonalization.
     breakdown = math.sqrt(dim) * np.finfo(float).eps
     basis = np.empty((min(_LANCZOS_CHUNK, dim), dim))
+    tri = np.zeros((basis.shape[0], basis.shape[0]))
     q = rng.standard_normal(dim)
     basis[0] = q / np.linalg.norm(q)
-    alpha: list[float] = []
-    beta: list[float] = []
     estimate = resid = math.nan
     for k in range(min(_LANCZOS_MAX_ITER, dim)):
         w = op(basis[k])
-        alpha.append(float(basis[k] @ w))
+        tri[k, k] = basis[k] @ w
         kept = basis[: k + 1]
         for _ in range(2):
             w = w - kept.T @ (kept @ w)
         b = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
         estimate = float(theta[-1])
         scale = max(abs(float(theta[0])), abs(estimate))
         resid = b * abs(float(s[-1, -1]))
         if resid <= _LANCZOS_TOL * scale or b <= breakdown * scale or k + 1 == dim:
             return estimate
         if k + 1 == basis.shape[0]:
-            grown = np.empty((min(basis.shape[0] + _LANCZOS_CHUNK, dim), dim))
+            size = min(basis.shape[0] + _LANCZOS_CHUNK, dim)
+            grown = np.empty((size, dim))
             grown[: k + 1] = basis
             basis = grown
+            grown = np.zeros((size, size))
+            grown[: k + 1, : k + 1] = tri[: k + 1, : k + 1]
+            tri = grown
         basis[k + 1] = w / b
-        beta.append(b)
+        tri[k, k + 1] = tri[k + 1, k] = b
     raise ConvergenceError(
         f"Lanczos did not converge within {_LANCZOS_MAX_ITER} iterations "
         f"(last residual {resid:.3e}, estimate {estimate!r})"

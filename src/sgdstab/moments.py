@@ -29,8 +29,10 @@ second moment converges to
 
 That system is solved matrix-free on the r x r block (lam, V) of one
 range_basis per call, shared with the check eta < eta_var (for PSD H_i
-the pseudoinverse acts there alone): with D_r = stability._range_d, the
-range-block form of the mixture kernel, it reads
+the pseudoinverse acts there alone).  The basis's one batched eigh of
+the H_i also classifies the instance, so a limit solve decomposes the
+Hessian stack once.  With D_r = stability._range_d, the range-block form
+of the mixture kernel, it reads
 
     (lam_a + lam_b) o X - eta * D_r(X) = V^T Sigma_g V,
 
@@ -49,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, ProblemInstance, _fmt, mixing_weight, require_valid, stream
+from .instances import Hyperparams, ProblemInstance, _fmt, _valid_class, mixing_weight, require_valid, stream
 from .linalg import (
     ConvergenceError,
     LinearOperator,
@@ -220,12 +222,13 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
 
     lam and V_r are the range block of range_basis; X is eta * p times
     the conjugate-gradient solution of the limit system on that block.
-    Raises ValueError unless 0 < eta < eta_var.
+    Raises ValueError unless the instance is a regular or interpolating
+    minimum, classified from the basis's eigenvalues, and 0 < eta < eta_var.
     """
-    require_valid(inst)
     eta = hp.eta
     p = mixing_weight(inst.n, hp.batch)
     basis = range_basis(inst)
+    _valid_class(basis.kind)
     thr = _threshold(_range_sharpness(basis, p))
     if not 0.0 < eta < thr:
         raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")

@@ -41,12 +41,15 @@ Q, D, E and the projected transition are all the mixture
                       + (p/n) sum_i k_i X k_i.
 
 The last two share the sandwich kernel _sandwich_sum, at 4 n r^3 flops on
-the range block.  range_basis also factors each k_i = U_i U_i^T once (one
-batched eigh, psd_range's rank rule per sample, U_i of shape r x q with q
-the largest per-sample rank).  When every k_i passes the PSD test and
-q (r + q) < r^2, _range_d runs on the factors instead,
-_factored_sandwich_sum: sum_i U_i (U_i^T X U_i) U_i^T in 4 n q r (r + q)
-flops.  Array shapes and the PSD test alone pick the kernel.
+the range block.  range_basis makes one batched eigh of the (n, d, d)
+Hessian stack per call.  Its eigenvalues classify the instance, by the
+rule classify applies, and its eigenpairs, under psd_range's rank rule
+per sample, give factors H_i = G_i G_i^T with G_i of shape d x q, q the
+largest per-sample rank.  When every H_i passes the PSD test and
+q (r + q) < r^2, one GEMM gives U_i^T = G_i^T V_r, and _range_d runs on
+them, _factored_sandwich_sum: sum_i U_i (U_i^T X U_i) U_i^T in
+4 n q r (r + q) flops.  Otherwise range_basis forms k_i = V_r^T H_i V_r
+for the dense sum.  Array shapes and the PSD test alone pick the kernel.
 curvature_operators picks _mixture_matrix for d <= DENSE_CAP and
 _mixture_operator above it.  Every dense mixture, the brute-force Q and
 kron_certify's Q start from _dense_zeros, which raises ValueError above
@@ -59,14 +62,16 @@ The necessary bounds are cheap lower bounds on the generalized sharpness.
 The tightest, 2 / max_v f(v) over unit v, comes from _rank_one_ascent: a
 Riemannian L-BFGS ascent on the unit sphere that advances every (batch
 size, start) pair of a call as one row of a single block.  Each iteration
-makes one GEMM with the block row [H_1, ..., H_n, Hbar], at the
-quasi-Newton trial point; Armijo backtracking along the same geodesic
-reads f off quadratic forms and makes none.  A lane stops on convergence,
-so the step budget is only a cap.  stability_verdict builds one
-range_basis and hands it to the mean threshold, the variance threshold,
-the eigenvector bound and the ascent; the sweep's _sweep_bounds shares
-one the same way across its batch sizes, and curvature_operators builds
-one per call.
+computes every H_i x and Hbar x once, at the quasi-Newton trial point
+(_product_map): as G_i (G_i^T x) where the range basis kept factors,
+else by one GEMM with the block row [H_1, ..., H_n, Hbar].  Armijo
+backtracking along the same geodesic reads f off quadratic forms and
+makes no products.  A lane stops on convergence, so the step budget is
+only a cap.  stability_verdict builds one range_basis, checks its
+classification and hands it to the mean threshold, the variance
+threshold, the eigenvector bound and the ascent; the sweep's
+_sweep_bounds shares one the same way across its batch sizes, and
+curvature_operators and variance_threshold build one per call.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import MinimumClass, ProblemInstance, check_step_size, mixing_weight, require_valid, stream
+from .instances import MinimumClass, ProblemInstance, _minimum_class, _valid_class, check_step_size, mixing_weight, stream
 from .linalg import (
     ConvergenceError,
     EigDecomp,
@@ -127,7 +132,8 @@ def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = 
 
     dense defaults to d <= DENSE_CAP; above it a dense request raises _dense_zeros's ValueError.
     """
-    require_valid(inst)
+    basis = range_basis(inst)
+    _valid_class(basis.kind)
     d = inst.d
     p = mixing_weight(inst.n, batch)
     hbar = inst.mean_hessian()
@@ -143,7 +149,6 @@ def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = 
             return vec(0.5 * (hbar @ m + m @ hbar))
 
         c = LinearOperator(in_dim=d * d, out_dim=d * d, apply=c_apply)
-    basis = range_basis(inst)
     return SpectralReport(
         curvature_sum=c,
         curvature_sq=sq,
@@ -173,52 +178,77 @@ def _mixture_matrix(a_bar: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class RangeBasis:
-    """eig = sym_eig(Hbar); lam (r,) and v (d, r) its eigenpairs that psd_range keeps; k[i] = v^T H_i v.
+    """What one analysis call needs of the Hessians: Hbar's range block and the H_i on it.
 
-    ut, when not None, stacks the transposed factors U_i^T, shape (n, q, r), with
-    k[i] = U_i U_i^T: q is the largest rank of any k[i], and a sample of smaller
-    rank has zero rows.  range_basis sets it only where it makes the sandwich
-    sum cheaper, and _range_d then runs on it.
+    eig = sym_eig(Hbar); lam (r,) and v (d, r) its eigenpairs that psd_range
+    keeps.  kind is the instance's class, from the eigenvalues of the H_i by
+    the rule classify applies.  Either gt and ut hold factors, or k holds the
+    rotated Hessians:
+
+    - gt (n, q, d) stacks G_i^T with H_i = G_i G_i^T, q the largest rank of
+      any H_i (a sample of smaller rank has zero rows), and ut (n, q, r)
+      stacks U_i^T = G_i^T V_r, so k_i = V_r^T H_i V_r = U_i U_i^T; k is None.
+    - k (n, r, r) stacks k_i = V_r^T H_i V_r; gt and ut are None.
+
+    range_basis keeps the factors only where they make the sandwich sum
+    cheaper, and _range_d and the rank-one ascent then run on them.
     """
 
     eig: EigDecomp
     lam: np.ndarray
     v: np.ndarray
-    k: np.ndarray
+    kind: MinimumClass
+    k: np.ndarray | None
+    gt: np.ndarray | None
     ut: np.ndarray | None
 
 
 def range_basis(inst: ProblemInstance) -> RangeBasis:
-    """Decompose Hbar once and rotate the Hessians onto its range; ValueError if Hbar is not PSD.
+    """Decompose the H_i once (one batched eigh) and Hbar once; ValueError if Hbar is not PSD.
 
-    The rotated k[i] are then factored once (_range_factors), so the range-block
-    sandwich sum costs 4 n q r (r + q) flops instead of 4 n r^3 when every k[i]
-    is PSD and q (r + q) < r^2.
+    The eigenvalues of the H_i classify the instance (kind), which is not
+    rejected here: callers that need a valid minimum pass kind to
+    _valid_class.  When Hbar is not PSD, the ValueError of an invalid
+    instance starts with _valid_class's message.  Their eigenpairs give the factors G_i (_sample_factors),
+    and U_i^T = G_i^T V_r comes from one GEMM, so the range-block sandwich
+    sum costs 4 n q r (r + q) flops instead of 4 n r^3 when every H_i is PSD
+    and q (r + q) < r^2.  Otherwise k_i = V_r^T H_i V_r is formed instead.
     """
-    eig = sym_eig(inst.mean_hessian())
-    keep = psd_range(eig.values)
-    v = eig.vectors[:, keep]
-    k = v.T @ inst.hessians @ v
-    return RangeBasis(eig=eig, lam=eig.values[keep], v=v, k=k, ut=_range_factors(k))
-
-
-def _range_factors(k: np.ndarray) -> np.ndarray | None:
-    """The stack of U_i^T, shape (n, q, r), with k_i = U_i U_i^T, or None.
-
-    One batched eigh of the k_i; psd_range's rank rule keeps each sample's
-    nonzero eigenpairs, and U_i holds them scaled by sqrt(lam), padded with
-    zero columns to q, the largest kept count.  None when some k_i fails
-    psd_range's PSD test (then dropping its negative eigenvalues would change
-    the operator) or when q (r + q) >= r^2 (then the dense _sandwich_sum takes
-    no more flops).
-    """
-    r = k.shape[1]
-    if r == 0:
-        return None
     try:
-        values, vectors = np.linalg.eigh(k)  # ascending per sample
+        # make_instance and load_instance leave every H_i exactly symmetric, so eigh's lower triangle is H_i.
+        values, vectors = np.linalg.eigh(inst.hessians)  # ascending per sample
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    kind = _minimum_class(inst, values)
+    eig = sym_eig(inst.mean_hessian())
+    try:
+        keep = psd_range(eig.values)
+    except ValueError as exc:
+        if kind is MinimumClass.INVALID:  # lead with the input error that the callers raise
+            raise ValueError(f"instance is not a regular or interpolating minimum; mean Hessian: {exc}") from exc
+        raise
+    v, r = eig.vectors[:, keep], int(keep.sum())
+    gt = _sample_factors(values, vectors, r)
+    if gt is None:
+        return RangeBasis(eig=eig, lam=eig.values[keep], v=v, kind=kind, k=v.T @ inst.hessians @ v, gt=None, ut=None)
+    n, q, d = gt.shape
+    ut = (gt.reshape(n * q, d) @ v).reshape(n, q, r)
+    return RangeBasis(eig=eig, lam=eig.values[keep], v=v, kind=kind, k=None, gt=gt, ut=ut)
+
+
+def _sample_factors(values: np.ndarray, vectors: np.ndarray, r: int) -> np.ndarray | None:
+    """The stack of G_i^T, shape (n, q, d), with H_i = G_i G_i^T, or None.
+
+    values and vectors are the batched eigh of the H_i, ascending per sample.
+    psd_range's rank rule keeps each sample's nonzero eigenpairs, and G_i
+    holds them scaled by sqrt(lam), padded with zero columns to q, the
+    largest kept count.  None when r = 0, when some H_i fails psd_range's
+    PSD test (then dropping its negative eigenvalues would change the
+    operator) or when q (r + q) >= r^2 (then the dense _sandwich_sum takes no
+    more flops).
+    """
+    if r == 0:
+        return None
     try:
         kept = psd_range(values)
     except ValueError:
@@ -226,9 +256,10 @@ def _range_factors(k: np.ndarray) -> np.ndarray | None:
     q = int(kept.sum(axis=1).max())
     if q * (r + q) >= r * r:
         return None
+    d = values.shape[1]
     # Each sample's kept eigenvalues are its largest, so they sit in its last q columns.
-    scale = np.sqrt(np.where(kept, values, 0.0)[:, r - q :])
-    return np.ascontiguousarray((vectors[:, :, r - q :] * scale[:, None, :]).transpose(0, 2, 1))
+    scale = np.sqrt(np.where(kept, values, 0.0)[:, d - q :])
+    return np.ascontiguousarray((vectors[:, :, d - q :] * scale[:, None, :]).transpose(0, 2, 1))
 
 
 def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -263,8 +294,8 @@ def _range_d(basis: RangeBasis, p: float):
     """D on the r x r range block: the map X -> (1-p) Lam X Lam + (p/n) sum_i k_i X k_i,
     the sum on the factors basis.ut when range_basis kept them."""
     col, row = basis.lam[:, None], basis.lam[None, :]
-    pn = p / basis.k.shape[0]
     kernel, mats = (_sandwich_sum, basis.k) if basis.ut is None else (_factored_sandwich_sum, basis.ut)
+    pn = p / mats.shape[0]
     return lambda x: (1.0 - p) * (col * x * row) + pn * kernel(mats, x)
 
 
@@ -288,8 +319,8 @@ def _range_sharpness(basis: RangeBasis, p: float) -> float:
 def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:
     """lambda_max(pinv(C) D), the generalized sharpness, for one batch size.
 
-    The instance is not classified here: callers that need a valid minimum
-    check it once with require_valid, as variance_threshold does.
+    range_basis classifies the instance but does not reject an invalid one,
+    so this also runs on indefinite H_i; variance_threshold rejects them.
     """
     return _range_sharpness(range_basis(inst), mixing_weight(inst.n, batch))
 
@@ -337,9 +368,11 @@ def _threshold(gen_sharp: float) -> float:
 
 
 def variance_threshold(inst: ProblemInstance, batch: int) -> float:
-    """Exact mean-square stability threshold 2 / lambda_max(pinv(C) D)."""
-    require_valid(inst)
-    return _threshold(generalized_sharpness(inst, batch))
+    """Exact mean-square stability threshold 2 / lambda_max(pinv(C) D); ValueError unless the
+    instance is a regular or interpolating minimum."""
+    basis = range_basis(inst)
+    _valid_class(basis.kind)
+    return _threshold(_range_sharpness(basis, mixing_weight(inst.n, batch)))
 
 
 def necessary_bound_eigvec(inst: ProblemInstance, batch: int) -> float:
@@ -384,14 +417,34 @@ _GRAD_RTOL = 1e-10  # a lane stops once |Riemannian grad f| <= _GRAD_RTOL * f ..
 _GAIN_RTOL = 4.0 * np.finfo(float).eps  # ... or once an accepted step raised f by at most this * f
 
 
-def _stacked_products(xs: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Every H_i x and Hbar x for the rows x of xs, as an (s, n+1, d) stack.
+def _product_map(inst: ProblemInstance, basis: RangeBasis):
+    """The map xs -> every H_i x and Hbar x for the rows x of xs, as an (s, n+1, d) stack; entry n is Hbar's.
 
-    row is the (d, (n+1) d) block row [H_1, ..., H_n, Hbar].  The Hessians
-    are symmetric, so one GEMM gives all the products; entry n is Hbar's.
+    Without factors in the basis (basis.gt is None) it is one GEMM with the
+    (d, (n+1) d) block row [H_1, ..., H_n, Hbar], built here once; the
+    Hessians are symmetric, so xs times the row gives every product.  With
+    them, H_i x = G_i (G_i^T x): one GEMM for every G_i^T x, one batched
+    matmul back and one GEMM with Hbar, 4 s n q d + 2 s d^2 flops in place
+    of 2 s (n+1) d^2.
     """
-    s, d = xs.shape
-    return (xs @ row).reshape(s, -1, d)
+    n, d = inst.n, inst.d
+    hbar = inst.mean_hessian()
+    if basis.gt is None:
+        row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), hbar], axis=1)
+        return lambda xs: (xs @ row).reshape(xs.shape[0], n + 1, d)
+    gt = basis.gt
+    q = gt.shape[1]
+    flat = gt.reshape(n * q, d).T
+
+    def apply(xs: np.ndarray) -> np.ndarray:
+        s = xs.shape[0]
+        out = np.empty((s, n + 1, d))
+        proj = (xs @ flat).reshape(s, n, q)
+        out[:, :n] = (proj.transpose(1, 0, 2) @ gt).transpose(1, 0, 2)
+        out[:, n] = xs @ hbar
+        return out
+
+    return apply
 
 
 def _forms(xs: np.ndarray, hy: np.ndarray) -> np.ndarray:
@@ -527,8 +580,8 @@ def _rank_one_ascent(
         nz = np.linalg.norm(z)
         if nz > 1e-8:
             starts.append(z / nz)
-    # [H_1, ..., H_n, Hbar] side by side; each lane is a row of every array below.
-    row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), inst.mean_hessian()], axis=1)
+    # Each lane is a row of every array below.
+    products = _product_map(inst, basis)
     n_lanes = len(batches) * _N_STARTS
     m = _LBFGS_PAIRS
     # Per-lane state: lane index, p / n, iterate vs, its products hv and forms quads, f, its
@@ -537,7 +590,7 @@ def _rank_one_ascent(
     lanes = np.arange(n_lanes)
     pn = np.repeat([mixing_weight(n, b) / n for b in batches], _N_STARTS)
     vs = np.tile(np.array(starts), (len(batches), 1))
-    hv = _stacked_products(vs, row)
+    hv = products(vs)
     quads = _forms(vs, hv)
     mem = np.zeros((n_lanes, 2, m, d))
     rho, gamma = np.zeros((n_lanes, m)), np.full(n_lanes, 1.0 / lam)
@@ -570,7 +623,7 @@ def _rank_one_ascent(
         vs_new = cs[:, None] * vs + sn[:, None] * u
         scale = np.sqrt(np.einsum("si,si->s", vs_new, vs_new))
         vs_new /= scale[:, None]
-        hv_new = _stacked_products(vs_new, row)
+        hv_new = products(vs_new)
         quads_new = _forms(vs_new, hv_new)
         value_new = _rank_one_value(quads_new, pn)
         gain = value_new - value
@@ -620,11 +673,13 @@ def _sweep_bounds(inst: ProblemInstance, batches: list[int], steps: int, seed: i
     """The sharpness and, per batch in the order given, (generalized sharpness, rank-one
     value, 2 / eigenvector bound), from one range_basis.
 
-    Each number is bit for bit what sharpness, generalized_sharpness, rank_one_bound
-    and necessary_bound_eigvec return; those each decompose Hbar again.  The
-    instance is not classified here.
+    ValueError unless the instance is a regular or interpolating minimum, as
+    classified from the basis's eigenvalues.  Each number is bit for bit what
+    sharpness, generalized_sharpness, rank_one_bound and necessary_bound_eigvec
+    return; those each decompose the Hessians again.
     """
     basis = range_basis(inst)
+    _valid_class(basis.kind)
     ascents = _rank_one_ascent(inst, basis, batches, steps, seed)
     rows = []
     for b, (rank_one, _) in zip(batches, ascents):
@@ -658,12 +713,13 @@ def stability_verdict(inst: ProblemInstance, batch: int, eta_list) -> StabilityV
 
     Each step size (finite and nonnegative, else ValueError) is classified
     against the thresholds alone; no spectral check runs here.  The
-    instance is classified once and Hbar decomposed once.
+    instance's Hessians and Hbar are each decomposed once, in one range_basis,
+    whose eigenvalues classify it.
     """
     etas = [check_step_size(float(eta)) for eta in eta_list]
-    kind = require_valid(inst)
-    p = mixing_weight(inst.n, batch)
     basis = range_basis(inst)
+    kind = _valid_class(basis.kind)
+    p = mixing_weight(inst.n, batch)
     lam = float(basis.eig.values[0])
     eta_mean = _threshold(lam)
     eta_var = _threshold(_range_sharpness(basis, p))

@@ -61,3 +61,26 @@ def counting():
         return LinearOperator(in_dim=op.in_dim, out_dim=op.out_dim, apply=apply), applied
 
     return wrap
+
+
+@pytest.fixture
+def stack_decompositions(monkeypatch):
+    """Count the eigendecompositions of an instance's (n, d, d) Hessian stack.
+
+    Called with an instance, it patches np.linalg.eigh and eigvalsh and returns
+    a list that gets one entry per call on an array of that shape.
+    """
+
+    def watch(inst):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(a, *args, _true=getattr(np.linalg, name), _name=name, **kwargs):
+                if np.shape(a) == (inst.n, inst.d, inst.d):
+                    calls.append(_name)
+                return _true(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    return watch

@@ -201,13 +201,18 @@ class TestSweep:
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         rows = []
-        true_products = stability._stacked_products
+        true_map = stability._product_map
 
-        def counted(xs, row):
-            rows.append(xs.shape[0])
-            return true_products(xs, row)
+        def counted(inst, basis):
+            products = true_map(inst, basis)
 
-        monkeypatch.setattr(stability, "_stacked_products", counted)
+            def apply(xs):
+                rows.append(xs.shape[0])
+                return products(xs)
+
+            return apply
+
+        monkeypatch.setattr(stability, "_product_map", counted)
         steps = 20
         argv = ["sweep", str(path), "--batches", *batches, "--eta-min", "0.1", "--eta-max", "0.5", "--eta-count", "2"]
         assert main(argv + ["--rank-one-steps", str(steps), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
@@ -217,7 +222,7 @@ class TestSweep:
 
     def test_decomposes_hbar_once(self, tmp_path, monkeypatch):
         # sharpness, every batch's threshold, eigenvector bound and the ascent share one
-        # decomposition of Hbar (and one rotation), and print what the public functions return.
+        # decomposition of Hbar, and print what the public functions return.
         import sgdstab.linalg as linalg_module
 
         inst = gen_regular(6, 7, 3, 1.0, False, 5)
@@ -254,7 +259,7 @@ def _sweep_argv(path, out, thr):
 
 
 class TestProductionPaths:
-    """analyze and sweep classify the instance once and form no d^2 x d^2 matrix."""
+    """analyze and sweep decompose the Hessian stack once and form no d^2 x d^2 matrix."""
 
     @pytest.mark.parametrize("d", [24, stability.DENSE_CAP])
     def test_no_dense_matrix(self, d, tmp_path, monkeypatch):
@@ -321,34 +326,62 @@ class TestProductionPaths:
             assert len(calls) == 1
         assert pcg_dims == [r * r, r * r]
 
-    def test_classifies_once(self, tmp_path, monkeypatch, capsys):
-        calls = []
+    def test_decomposes_the_hessian_stack_once(self, tmp_path, monkeypatch, capsys, stack_decompositions):
+        # One batched eigh of the H_i per call both classifies the instance and factors it;
+        # simulate, which builds no range basis, classifies once.
+        inst = gen_regular(6, 5, 3, 1.0, False, 9)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        thr = variance_threshold(inst, 2)
+        hp = Hyperparams(eta=0.5 * thr, batch=2)
+        calls = stack_decompositions(inst)
+        assert main(["analyze", str(path), "--batch", "2", "--eta", repr(0.5 * thr), repr(1.5 * thr)]) == EXIT_OK
+        assert "classification: regular" in capsys.readouterr().out
+        assert calls == ["eigh"]
+        for run in (
+            lambda: main(_sweep_argv(path, tmp_path / "s.csv", thr)),
+            lambda: moments.covariance_limit(inst, hp),
+            lambda: moments.asymptotic_quantities(inst, hp),
+        ):
+            calls.clear()
+            run()
+            assert calls == ["eigh"]
+        classified = []
         true_classify = instances.classify
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            classified.append(1)
             return true_classify(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("sgdstab") and getattr(module, "classify", None) is true_classify:
                 monkeypatch.setattr(module, "classify", counted)
-        inst = gen_regular(4, 5, 3, 1.0, False, 9)
-        path = tmp_path / "inst.json"
-        save_instance(inst, path)
-        thr = variance_threshold(inst, 2)
-        calls.clear()
-        assert main(["analyze", str(path), "--batch", "2", "--eta", repr(0.5 * thr), repr(1.5 * thr)]) == EXIT_OK
-        assert "classification: regular" in capsys.readouterr().out
-        assert len(calls) == 1
-        calls.clear()
-        assert main(_sweep_argv(path, tmp_path / "s.csv", thr)) == EXIT_OK
-        assert len(calls) == 1
-        capsys.readouterr()
+        for exact in ([], ["--exact"]):
+            calls.clear()
+            classified.clear()
+            argv = ["simulate", str(path), "--eta", repr(0.5 * thr), "--batch", "2", "--steps", "3", *exact]
+            assert main(argv + ["--out", str(tmp_path / "sim.csv")]) == EXIT_OK
+            assert calls == ["eigvalsh"] and len(classified) == 1
+
+    @pytest.mark.parametrize(
+        "hessians",
+        [
+            [[[-1.0]], [[3.0]]],  # H_0 < 0 with Hbar = 1 > 0
+            [np.diag([1.0, 0.0]) - 0.5 * np.outer([1.0, 1.0], [1.0, 1.0]), np.diag([1.0, 2.0])],  # H_0 indefinite
+            [[[-3.0]], [[1.0]]],  # Hbar = -1 is not PSD either
+        ],
+    )
+    def test_indefinite_sample_hessian_is_an_input_error(self, hessians, tmp_path, capsys):
+        # The check reads the eigenvalues of the range basis's one decomposition of the H_i,
+        # also where Hbar itself fails the PSD test.
         invalid = tmp_path / "invalid.json"
-        save_instance(make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]]), invalid)
+        inst = make_instance(hessians, np.zeros((2, len(hessians[0]))))
+        assert np.linalg.eigvalsh(inst.hessians[0])[0] < 0
+        save_instance(inst, invalid)
         for argv in (["analyze", str(invalid), "--batch", "1"], _sweep_argv(invalid, tmp_path / "x.csv", 1.0)):
             assert main(argv) == EXIT_INPUT
             assert "not a regular or interpolating minimum" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSimulate:

@@ -333,6 +333,14 @@ class TestPowerIteration:
     def test_d1(self):
         assert _lanczos_solve(matrix_operator([[-3.5]])) == -3.5
 
+    def test_tridiagonal_grows_past_a_chunk(self, counting, monkeypatch):
+        # 60 steps at tolerance 0 grow the Krylov basis and T_k past one chunk of 32.
+        m = random_symmetric(60, np.random.default_rng(5))
+        op, applied = counting(matrix_operator(m))
+        monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
+        assert _lanczos_solve(op) == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
+        assert len(applied) == 60
+
     def test_operator_linearity_probes(self):
         m = random_symmetric(6)
         op = matrix_operator(m)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from sgdstab import (
     asymptotic_quantities,
     brute_force_transition,
     certify,
+    classify,
     covariance_limit,
     curvature_operators,
     gen_interpolating,
@@ -40,6 +42,8 @@ from sgdstab.stability import (
     DENSE_CAP,
     _mixture_operator,
     _rank_one_ascent,
+    _product_map,
+    _sweep_bounds,
     generalized_sharpness,
     range_basis,
 )
@@ -643,6 +647,117 @@ class TestBatchedRankOneAscent:
             _rank_one_block(inst, [1, 2])
 
 
+def _factor_instances():
+    """Two instances whose range basis keeps factors, both with a rank-deficient Hbar.
+
+    The first has per-sample ranks 1, 2, 3, 0, 3, 2 inside a 9-dimensional
+    subspace of R^12, so H_3 is zero; the second is regular with null-space
+    gradients.
+    """
+    rng = np.random.default_rng(41)
+    sub = np.linalg.qr(rng.standard_normal((12, 12)))[0][:, :9]
+    factors = [sub @ rng.standard_normal((9, rank)) for rank in (1, 2, 3, 0, 3, 2)]
+    return [make_instance(np.stack([g @ g.T for g in factors]), np.zeros((6, 12))), gen_regular(30, 6, 3, 1.0, True, 6)]
+
+
+class TestFactoredAscent:
+    """Where the range basis keeps factors, the ascent computes H_i x as G_i (G_i^T x)."""
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_products_match_the_dense_block_row(self, index):
+        inst = _factor_instances()[index]
+        n, d = inst.n, inst.d
+        basis = range_basis(inst)
+        assert basis.gt is not None and basis.lam.size < d
+        row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), inst.mean_hessian()], axis=1)
+        xs = np.random.default_rng(index).standard_normal((16, d))
+        want = (xs @ row).reshape(16, n + 1, d)
+        got = _product_map(inst, basis)(xs)
+        assert got.shape == (16, n + 1, d)
+        np.testing.assert_array_equal(_product_map(inst, dataclasses.replace(basis, gt=None))(xs), want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_full_rank_hessians_take_the_block_row(self, monkeypatch):
+        # Full-rank H_i fail q (r + q) < r^2, so the ascent multiplies by the dense block row.
+        import sgdstab.stability as stability_module
+
+        inst = gen_regular(8, 6, 8, 1.0, False, 8)
+        assert range_basis(inst).gt is None
+        factored = []
+        true_map = stability_module._product_map
+
+        def recorded(inst, basis):
+            factored.append(basis.gt is not None)
+            return true_map(inst, basis)
+
+        monkeypatch.setattr(stability_module, "_product_map", recorded)
+        rank_one_bound(inst, 2)
+        assert factored == [False]
+
+    def test_values_match_the_dense_path(self, monkeypatch):
+        # The same ascent with range_basis made to keep no factors reaches the same maxima.
+        import sgdstab.stability as stability_module
+
+        insts = _factor_instances()
+        factored = [rank_one_bound(inst, b)[0] for inst in insts for b in (1, 3)]
+        monkeypatch.setattr(stability_module, "_sample_factors", lambda *args: None)
+        dense = [rank_one_bound(inst, b)[0] for inst in insts for b in (1, 3)]
+        np.testing.assert_allclose(factored, dense, rtol=1e-10, atol=0.0)
+
+
+class TestSweepBounds:
+    """_sweep_bounds shares one range basis across its batch sizes and returns what the public functions do."""
+
+    CASES = {
+        "interpolating": (lambda: gen_interpolating(12, 10, 2, 5), True),
+        "regular": (lambda: gen_regular(10, 8, 3, 1.0, False, 6), True),
+        "rank-deficient": (lambda: gen_regular(20, 4, 2, 1.0, True, 7), True),
+        "full-rank-hessians": (lambda: gen_regular(8, 6, 8, 1.0, False, 8), False),
+        # Commuting H_i, where the top mode of the threshold congruence switches with B:
+        # at B = 1 it is 4, on the first coordinate; at B = 2 (p = 0) it is 3, the sharpness.
+        "commuting-mode-switch": (lambda: make_instance([np.diag([4.0, 3.0]), np.diag([0.0, 3.0])], np.zeros((2, 2))), False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_public_functions(self, case):
+        make, factored = self.CASES[case]
+        inst = make()
+        assert (range_basis(inst).gt is not None) is factored
+        batches = list(range(1, inst.n + 1))
+        lam, rows = _sweep_bounds(inst, batches, 20, 0)
+        assert lam == sharpness(inst)
+        for b, (gen_sharp, _, eig_value) in zip(batches, rows):
+            assert gen_sharp == generalized_sharpness(inst, b)
+            assert eig_value == 2.0 / necessary_bound_eigvec(inst, b)
+
+    def test_top_mode_switch(self):
+        inst = self.CASES["commuting-mode-switch"][0]()
+        _, rows = _sweep_bounds(inst, [1, 2], 20, 0)
+        assert [gen_sharp for gen_sharp, _, _ in rows] == [pytest.approx(4.0, rel=1e-12), pytest.approx(3.0, rel=1e-12)]
+
+    def test_rejects_an_invalid_instance(self):
+        inst = make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]])
+        assert generalized_sharpness(inst, 1) > 0  # range_basis itself does not reject it
+        with pytest.raises(ValueError, match="not a regular or interpolating minimum"):
+            _sweep_bounds(inst, [1, 2], 5, 0)
+
+    def test_hbar_not_psd_gets_the_input_error(self):
+        # Every caller of range_basis, also the unclassified generalized_sharpness, says first
+        # that the instance is invalid, then that Hbar failed the PSD test.
+        inst = make_instance([[[-3.0]], [[1.0]]], [[0.0], [0.0]])
+        hp = Hyperparams(eta=0.1, batch=1)
+        for call in (
+            lambda: _sweep_bounds(inst, [1, 2], 5, 0),
+            lambda: stability_verdict(inst, 1, [0.1]),
+            lambda: variance_threshold(inst, 1),
+            lambda: generalized_sharpness(inst, 1),
+            lambda: curvature_operators(inst, 1),
+            lambda: covariance_limit(inst, hp),
+        ):
+            with pytest.raises(ValueError, match="not a regular or interpolating minimum"):
+                call()
+
+
 class TestRankOneBudget:
     """steps caps the iterations and never enters them, so a larger cap never gives less."""
 
@@ -653,7 +768,9 @@ class TestRankOneBudget:
         values = [rank_one_bound(inst, 1, steps=s)[0] for s in (0, 1, 5, 20, 50, 200, 2000, 4000)]
         assert values == sorted(values)
         assert len(set(values[4:])) == 1  # converged by a cap of 50
+        assert round(values[-1], 2) == 90.59
         assert values[-1] >= 0.89 * generalized_sharpness(inst, 1)
+        assert range_basis(inst).gt is not None  # the ascent ran on the factors
 
     @given(
         d=st.integers(2, 5),
@@ -693,13 +810,18 @@ class TestRankOneBudget:
         import sgdstab.stability as stability_module
 
         rows = []
-        true_products = stability_module._stacked_products
+        true_map = stability_module._product_map
 
-        def counted(xs, row):
-            rows.append(xs.shape[0])
-            return true_products(xs, row)
+        def counted(inst, basis):
+            products = true_map(inst, basis)
 
-        monkeypatch.setattr(stability_module, "_stacked_products", counted)
+            def apply(xs):
+                rows.append(xs.shape[0])
+                return products(xs)
+
+            return apply
+
+        monkeypatch.setattr(stability_module, "_product_map", counted)
         inst = gen_regular(24, 16, 4, 1.0, False, 3)
         stability_verdict(inst, 4, [0.1])
         assert len(rows) <= 200, len(rows)
@@ -850,22 +972,14 @@ class TestVerdict:
         lam_module = projected_transition_lambda_max(inst, eta, 1)
         assert lam_module == pytest.approx(lam_direct, abs=1e-10)
 
-    def test_classifies_once(self, monkeypatch):
-        import sgdstab.instances as instances_module
-
-        calls = []
-        true_classify = instances_module.classify
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return true_classify(*args, **kwargs)
-
+    def test_decomposes_the_hessian_stack_once(self, monkeypatch, stack_decompositions):
+        # The one batched eigh of the H_i in range_basis both classifies the instance and factors it.
         inst = gen_regular(4, 5, 3, 1.0, False, 2)
         etas = [0.5 * variance_threshold(inst, 2), 1.5 * variance_threshold(inst, 2)]
-        monkeypatch.setattr(instances_module, "classify", counted)
+        calls = stack_decompositions(inst)
         verdict = stability_verdict(inst, 2, etas)
         assert len(calls) == 1
-        assert verdict.classification is MinimumClass.REGULAR
+        assert verdict.classification is MinimumClass.REGULAR is classify(inst)
         invalid = make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]])
         with pytest.raises(ValueError, match="not a regular or interpolating minimum"):
             stability_verdict(invalid, 1, [0.1])
@@ -1039,20 +1153,20 @@ class TestRangeBasis:
     def test_factored_kernel_matches_the_dense_sandwich(self):
         # Per-sample ranks 1, 2, 3, 0, 3, 2 inside a 9-dimensional subspace of R^12:
         # Hbar has rank 9 < d, H_3 is zero, and q = 3 gives 3 (9 + 3) < 81.
-        import dataclasses
-
         import sgdstab.stability as stability_module
 
-        rng = np.random.default_rng(41)
-        sub = np.linalg.qr(rng.standard_normal((12, 12)))[0][:, :9]
-        factors = [sub @ rng.standard_normal((9, rank)) for rank in (1, 2, 3, 0, 3, 2)]
-        inst = make_instance(np.stack([g @ g.T for g in factors]), np.zeros((6, 12)))
+        inst = _factor_instances()[0]
         basis = stability_module.range_basis(inst)
-        assert basis.lam.size == 9 and basis.ut.shape == (6, 3, 9)
+        assert basis.lam.size == 9 and basis.ut.shape == (6, 3, 9) and basis.gt.shape == (6, 3, 12)
+        assert basis.k is None
         assert np.all(basis.ut[3] == 0.0) and np.all(basis.ut[0, :2] == 0.0)
-        np.testing.assert_allclose(basis.ut.transpose(0, 2, 1) @ basis.ut, basis.k, rtol=0.0, atol=1e-13 * np.max(np.abs(basis.k)))
-        dense = dataclasses.replace(basis, ut=None)
-        x = rng.standard_normal((9, 9))  # Lanczos vectors need not be symmetric
+        assert np.all(basis.gt[3] == 0.0) and np.all(basis.gt[0, :2] == 0.0)
+        scale = np.max(np.abs(inst.hessians))
+        np.testing.assert_allclose(basis.gt.transpose(0, 2, 1) @ basis.gt, inst.hessians, rtol=0.0, atol=1e-13 * scale)
+        k = basis.v.T @ inst.hessians @ basis.v  # the dense oracle of U_i U_i^T
+        np.testing.assert_allclose(basis.ut.transpose(0, 2, 1) @ basis.ut, k, rtol=0.0, atol=1e-13 * np.max(np.abs(k)))
+        dense = dataclasses.replace(basis, k=k, gt=None, ut=None)
+        x = np.random.default_rng(42).standard_normal((9, 9))  # Lanczos vectors need not be symmetric
         for p in (0.0, 0.5, 1.0):
             want = stability_module._range_d(dense, p)(x)
             got = stability_module._range_d(basis, p)(x)
@@ -1066,9 +1180,11 @@ class TestRangeBasis:
 
         basis = stability_module.range_basis(gen_interpolating(8, 6, rank, 3))
         assert basis.lam.size == 8
-        assert (basis.ut is not None) is factored
+        assert (basis.ut is not None) is (basis.gt is not None) is (basis.k is None) is factored
         if factored:
-            assert basis.ut.shape == (6, rank, 8)
+            assert basis.ut.shape == (6, rank, 8) and basis.gt.shape == (6, rank, 8)
+        else:
+            assert basis.k.shape == (6, 8, 8)
 
     def test_factored_solves_match_the_dense_sandwich_above_cap(self, monkeypatch):
         # Rank-2 Hessians at d=96, n=24: r = 48 and q = 2.  The oracle is every solve
@@ -1086,7 +1202,7 @@ class TestRangeBasis:
             return thr, trans, [covariance_limit(inst, hp) for hp in hps], [asymptotic_quantities(inst, hp) for hp in hps]
 
         thr, trans, limits, quantities = solves()
-        monkeypatch.setattr(stability_module, "_range_factors", lambda k: None)
+        monkeypatch.setattr(stability_module, "_sample_factors", lambda *args: None)
         assert stability_module.range_basis(inst).ut is None
         thr_d, trans_d, limits_d, quantities_d = solves()
         np.testing.assert_allclose(thr, thr_d, rtol=1e-12, atol=0.0)
@@ -1106,7 +1222,9 @@ class TestRangeBasis:
         hessians = base.hessians.copy()
         hessians[0] = 0.5 * (np.outer(w[:, 0], w[:, 0]) - np.outer(w[:, 1], w[:, 1]))
         inst = make_instance(hessians, np.zeros((30, 20)))
-        assert stability_module.range_basis(inst).ut is None
+        basis = stability_module.range_basis(inst)
+        assert basis.ut is None and basis.gt is None and basis.k.shape == (30, 20, 20)
+        assert basis.kind is MinimumClass.INVALID
         hbar = inst.mean_hessian()
         for b in (1, 3):
             want = generalized_sharpness_dense(hbar, stability_module._mixture_matrix(hbar, inst.hessians, mixing_weight(30, b)))
