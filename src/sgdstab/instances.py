@@ -146,12 +146,13 @@ def make_instance(hessians, gradients, label: str = "") -> ProblemInstance:
 def classify(inst: ProblemInstance) -> MinimumClass:
     """Interpolating / regular / invalid per the PSD and gradient tests.
 
-    The PSD test takes the eigenvalues of all n symmetrized Hessians in one
-    batched eigvalsh and applies _minimum_class to them.
+    The PSD test takes the eigenvalues of all n Hessians in one batched
+    eigvalsh and applies _minimum_class to them.  make_instance and
+    load_instance leave every H_i exactly symmetric, so the stack is passed
+    as it is, without a symmetrized copy.
     """
-    h = inst.hessians
     try:
-        values = np.linalg.eigvalsh(0.5 * (h + np.transpose(h, (0, 2, 1))))  # (n, d), ascending
+        values = np.linalg.eigvalsh(inst.hessians)  # (n, d), ascending
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     return _minimum_class(inst, values)

@@ -9,17 +9,20 @@ under the mixture process that takes a single-sample step with
 probability p and a full-batch step otherwise.
 
 Every random draw is a pure function of (seed, domain, replicate, step,
-slot): a splitmix64 hash of those coordinates, evaluated for all
-replicates and steps of a chunk at once.  Batches come from Floyd's
-subset sampler on bounded integers (Lemire's multiply-high with
-rejection, so draws are exactly uniform); mixture coins compare the top
-53 bits of a word with p.  Draws are independent of chunking and a rerun
-is bit-reproducible; another chunking moves results only by roundoff.
-Each step's Hessian drift groups the (slot, replicate) pairs by sample
-and applies every drawn H_i once, as one GEMM over the replicates that
-drew it.  Aggregation keeps all replicates; a replicate whose
-squared norm crosses divergence_factor * (1 + initial) is flagged and
-frozen at its last state so the aggregate arrays stay finite.
+slot): a splitmix64 hash of those coordinates.  The hashes are computed
+on tiles of at most _DRAW_BLOCK_LANES (replicate, step) lanes, so their
+temporaries stay in cache, and written into one array per chunk.
+Batches come from Floyd's subset sampler on bounded integers (Lemire's
+multiply-high with rejection, so draws are exactly uniform); mixture
+coins compare the top 53 bits of a word with p.  Draws are independent
+of chunking and tiling, and a rerun is bit-reproducible; another
+chunking moves results only by roundoff.  Each step's Hessian drift
+groups the (slot, replicate) pairs by sample and applies every drawn H_i
+once, as one GEMM over the replicates that drew it.  The step's moment
+sums come from one d x d Gram matrix of the offsets.  Aggregation keeps
+all replicates; a replicate whose squared norm crosses
+divergence_factor * (1 + initial) is flagged and frozen at its last
+state so the aggregate arrays stay finite.
 
 Empirical threshold estimation bisects on an instability classifier.
 Crossing a fixed factor alone cannot witness mean-square divergence for
@@ -41,6 +44,9 @@ from .instances import Hyperparams, ProblemInstance, _fmt, _splitmix64, check_st
 from .linalg import null_projectors, sym_eig
 
 _CHUNK_ENTRY_BUDGET = 4_000_000
+# Draws are hashed on tiles of at most this many (replicate, step) lanes:
+# 256 KiB per uint64 temporary, so the splitmix passes stay in cache.
+_DRAW_BLOCK_LANES = 32_768
 
 
 @dataclass(frozen=True)
@@ -130,11 +136,25 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _lane_keys(seed: int, domain: int, replicates: range, steps: int) -> np.ndarray:
-    """(replicates, steps) uint64 lane keys of one draw domain."""
+def _lane_keys(seed: int, domain: int, replicates: range, steps: int, first_step: int = 0) -> np.ndarray:
+    """(replicates, steps) uint64 lane keys of one draw domain, for steps first_step onwards."""
     k = _splitmix64((int(seed) & _MASK64) ^ _splitmix64(domain))
     per_replicate = _splitmix64_array(np.arange(replicates.start, replicates.stop, dtype=np.uint64) ^ np.uint64(k))
-    return _splitmix64_array(per_replicate[:, None] ^ np.arange(steps, dtype=np.uint64))
+    return _splitmix64_array(per_replicate[:, None] ^ np.arange(first_step, first_step + steps, dtype=np.uint64))
+
+
+def _key_tiles(seed: int, domain: int, replicates: range, steps: int):
+    """Lane keys of one draw domain on tiles of at most _DRAW_BLOCK_LANES lanes.
+
+    Yields (index, keys): index selects the tile's (replicate, step) block
+    of a (replicates, steps, ...) array and keys are its lane keys.
+    """
+    rows = max(1, _DRAW_BLOCK_LANES // steps)
+    cols = min(steps, _DRAW_BLOCK_LANES)
+    for r in range(0, len(replicates), rows):
+        for t in range(0, steps, cols):
+            width = min(cols, steps - t)
+            yield (slice(r, r + rows), slice(t, t + width)), _lane_keys(seed, domain, replicates[r : r + rows], width, t)
 
 
 def _words(keys: np.ndarray, slot: int, attempt: int = 0) -> np.ndarray:
@@ -170,22 +190,28 @@ def _batches(seed: int, replicates: range, steps: int, n: int, batch: int) -> np
     and takes top instead when u is already in the batch.  At batch 1 this
     is a single bounded draw on slot 0.
     """
-    keys = _lane_keys(seed, _INDEX_DOMAIN, replicates, steps)
-    out = np.empty(keys.shape + (batch,), dtype=np.int64)
-    for s in range(batch):
-        top = n - batch + s
-        u = _bounded(keys, s, top + 1)
-        taken = np.zeros(keys.shape, dtype=bool)
-        for prev in range(s):
-            taken |= out[..., prev] == u
-        out[..., s] = np.where(taken, top, u)
+    out = np.empty((len(replicates), steps, batch), dtype=np.int64)
+    for index, keys in _key_tiles(seed, _INDEX_DOMAIN, replicates, steps):
+        tile = out[index]
+        for s in range(batch):
+            top = n - batch + s
+            u = _bounded(keys, s, top + 1)
+            if s:
+                taken = tile[..., 0] == u
+                for prev in range(1, s):
+                    taken |= tile[..., prev] == u
+                np.putmask(u, taken, top)
+            tile[..., s] = u
     return out
 
 
 def _coins(seed: int, replicates: range, steps: int, p: float) -> np.ndarray:
     """(replicates, steps) booleans, each True with probability p."""
-    u = _words(_lane_keys(seed, _COIN_DOMAIN, replicates, steps), 0) >> np.uint64(11)
-    return u.astype(np.float64) * 2.0**-53 < p
+    out = np.empty((len(replicates), steps), dtype=bool)
+    for index, keys in _key_tiles(seed, _COIN_DOMAIN, replicates, steps):
+        u = _words(keys, 0) >> np.uint64(11)
+        np.less(u.astype(np.float64) * 2.0**-53, p, out=out[index])
+    return out
 
 
 def _hessian_drift(hessians: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -224,27 +250,34 @@ class _Accumulator:
         self.sum_sq_perp_sq = np.zeros(steps + 1)
         self.sum_quad = np.zeros(steps + 1)
 
-    def add(self, t: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x_sq = x * x
-        # Column sums over the replicates as GEMVs: numpy's axis-0 reduction
-        # of a (chunk, d) array with small d runs an inner loop of length d.
-        ones = np.ones(x.shape[0])
-        self.sum_x[t] += ones @ x
-        self.sum_x_sq[t] += ones @ x_sq
+    def add(self, t: int, x: np.ndarray) -> np.ndarray:
+        """Add the chunk's offsets x (chunk, d) at step t; returns each replicate's squared norm.
+
+        The sums over replicates come from the Gram matrix G = x^T x:
+        sum_x_sq is its diagonal and sum_quad is <G, Hbar>.
+        """
+        gram = x.T @ x
+        # The column sum is a GEMV: numpy's axis-0 reduction of a (chunk, d)
+        # array with small d runs an inner loop of length d.
+        self.sum_x[t] += np.ones(x.shape[0]) @ x
+        self.sum_x_sq[t] += np.diagonal(gram)
+        self.sum_quad[t] += np.vdot(gram, self.hbar)
         if self.p_null is None:
             # Full-rank mean Hessian: x_par = 0 and x_perp = x - 0 = x exactly.
-            sq_par = np.zeros(x.shape[0])
-            sq_perp = x_sq.sum(axis=1)
+            sq = sq_perp = np.einsum("ij,ij->i", x, x)
+            self.sum_sq_perp[t] += np.trace(gram)
         else:
+            # Split explicitly: on the null walk |x_par| >> |x_perp|, and
+            # |x|^2 - |x_par|^2 would cancel catastrophically.
             x_par = x @ self.p_null
             x_perp = x - x_par
-            sq_par = np.sum(x_par * x_par, axis=1)
-            sq_perp = np.sum(x_perp * x_perp, axis=1)
+            sq_par = np.einsum("ij,ij->i", x_par, x_par)
+            sq_perp = np.einsum("ij,ij->i", x_perp, x_perp)
             self.sum_sq_par[t] += sq_par.sum()
-        self.sum_sq_perp[t] += sq_perp.sum()
-        self.sum_sq_perp_sq[t] += np.sum(sq_perp * sq_perp)
-        self.sum_quad[t] += float(np.sum((x @ self.hbar) * x))
-        return sq_par, sq_perp
+            self.sum_sq_perp[t] += sq_perp.sum()
+            sq = sq_par + sq_perp
+        self.sum_sq_perp_sq[t] += sq_perp @ sq_perp
+        return sq
 
 
 def _finalize(
@@ -307,8 +340,7 @@ def _run(inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_repl
             x_new = kernel(t - 1, x)
             # Until a replicate of the chunk crosses, every one takes its step.
             x = np.where(alive[:, None], x_new, x) if crossed else x_new
-            sq_par, sq_perp = acc.add(t, x)
-            crossing = alive & ((sq_par + sq_perp) > per_replicate_threshold)
+            crossing = alive & (acc.add(t, x) > per_replicate_threshold)
             if np.any(crossing):
                 crossed = True
                 flagged |= crossing

@@ -74,6 +74,23 @@ class TestBatchedClassify:
         assert (expected is MinimumClass.INVALID) == invalid
         assert classify(edited) is expected
 
+    def test_classify_does_not_copy_the_stack(self):
+        rng = np.random.default_rng(31)
+        g = rng.standard_normal((128, 64, 4))
+        inst = make_instance(g @ np.transpose(g, (0, 2, 1)), np.zeros((128, 64)))
+        h = inst.hessians
+        # classify passes the stack to eigvalsh as it is: make_instance left it
+        # exactly symmetric, so a symmetrized copy would be bit for bit h.
+        assert np.array_equal(0.5 * (h + np.transpose(h, (0, 2, 1))), h)
+        tracemalloc.start()
+        try:
+            kind = classify(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kind is MinimumClass.INTERPOLATING
+        assert peak < 0.25 * h.nbytes, (peak, h.nbytes)
+
     def test_eigensolver_failure_is_a_convergence_error(self, scalar_pair, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -343,6 +343,41 @@ class TestStreams:
         np.testing.assert_array_equal(whole_batches, np.concatenate([mc._batches(12, c, 9, 7, 3) for c in chunks]))
         np.testing.assert_array_equal(whole_coins, np.concatenate([mc._coins(12, c, 9, 0.6) for c in chunks]))
 
+    @pytest.mark.parametrize("replicates,steps", [(range(5, 16), 3), (range(3, 8), 10)], ids=["tiles-of-2-replicates", "steps-cut-7-3"])
+    def test_tiled_draws_match_reference_across_tile_boundaries(self, monkeypatch, replicates, steps):
+        # Tiles of 7 lanes: 2 replicates of 3 steps, or a 10-step replicate cut 7 + 3.
+        monkeypatch.setattr(mc, "_DRAW_BLOCK_LANES", 7)
+        coins = mc._coins(41, replicates, steps, 0.4)
+        for batch in (1, 3):
+            batches = mc._batches(41, replicates, steps, 9, batch)
+            assert batches.shape == (len(replicates), steps, batch)
+            for i, r in enumerate(replicates):
+                for t in range(steps):
+                    assert batches[i, t].tolist() == _ref_batch(41, r, t, 9, batch)
+        for i, r in enumerate(replicates):
+            for t in range(steps):
+                u = _ref_word(41, mc._COIN_DOMAIN, r, t, 0) >> 11
+                assert bool(coins[i, t]) == (u * 2.0**-53 < 0.4)
+
+    @pytest.mark.parametrize(
+        "draw,out_bytes",
+        [
+            (lambda: mc._batches(6, range(8192), 24, 8, 2), 8192 * 24 * 2 * 8),
+            (lambda: mc._coins(6, range(8192), 24, 0.4), 8192 * 24),
+        ],
+        ids=["batches", "coins"],
+    )
+    def test_draws_allocate_little_beyond_their_output(self, draw, out_bytes):
+        # Hashing all 196,608 lanes at once made 1.5 MiB uint64 temporaries,
+        # several alive at a time; tiles keep them to a fixed size.
+        tracemalloc.start()
+        try:
+            draw()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out_bytes + 2 * 2**20, peak
+
     def test_simulations_raise_no_warnings(self):
         inst = gen_regular(3, 6, 2, 1.0, False, 12)
         eta = 0.5 / sharpness(inst)
@@ -351,6 +386,53 @@ class TestStreams:
             warnings.simplefilter("error")
             simulate_sgd(inst, Hyperparams(eta=eta, batch=2), cfg)
             simulate_mixture(inst, eta, 0.4, cfg)
+
+
+def _direct_sums(x, p_null, hbar):
+    """One step's moment sums, replicate by replicate, each total taken with math.fsum."""
+
+    def sq(v):
+        return math.fsum(v * v)
+
+    par = [xc @ p_null for xc in x]
+    perp = [xc - xp for xc, xp in zip(x, par)]
+    return {
+        "sum_x": np.array([math.fsum(col) for col in x.T]),
+        "sum_x_sq": np.array([math.fsum(col * col) for col in x.T]),
+        "sum_sq_par": math.fsum(sq(xp) for xp in par),
+        "sum_sq_perp": math.fsum(sq(xq) for xq in perp),
+        "sum_sq_perp_sq": math.fsum(sq(xq) ** 2 for xq in perp),
+        "sum_quad": math.fsum(math.fsum((np.outer(xc, xc) * hbar).ravel()) for xc in x),
+        "sq_norm": np.array([sq(xc) for xc in x]),
+    }
+
+
+class TestAccumulator:
+    @pytest.mark.parametrize("rank_deficient", [False, True], ids=["full-rank", "null-walk"])
+    def test_matches_direct_per_replicate_reduction(self, rank_deficient):
+        rng = np.random.default_rng(77)
+        chunk, d = 300, 6
+        g = rng.standard_normal((d, d))
+        hbar = g @ g.T
+        p_null = np.zeros((d, d))
+        x = rng.standard_normal((chunk, d))
+        if rank_deficient:
+            # Null space spanned by the first two coordinates, so the split is
+            # exact; there |x_par| / |x_perp| ~ 1e6, as on the null walk, and
+            # |x|^2 - |x_par|^2 would lose about 12 of 16 digits of |x_perp|^2.
+            p_null[:2, :2] = np.eye(2)
+            hbar[:2, :] = hbar[:, :2] = 0.0
+            x[:, :2] *= 1e6
+        acc = mc._Accumulator(2, d, p_null, hbar)
+        sq_norm = acc.add(1, x)
+        want = _direct_sums(x, p_null, hbar)
+        got = {name: getattr(acc, name)[1] for name in want if name != "sq_norm"}
+        got["sq_norm"] = sq_norm
+        scale = {"sum_x": math.fsum(np.abs(x).ravel()), "sum_quad": math.fsum((np.abs(hbar) * (np.abs(x).T @ np.abs(x))).ravel())}
+        for name, value in want.items():
+            bound = 1e-12 * scale.get(name, np.abs(value))
+            assert np.all(np.abs(got[name] - value) <= bound), name
+        assert not np.any(acc.sum_sq_perp[0]) and not np.any(acc.sum_x[0])
 
 
 class TestKernel:
