@@ -183,8 +183,8 @@ def _cmd_sweep(args) -> int:
         grid = np.linspace(args.eta_min, args.eta_max, args.eta_count)
     lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
     batches = sorted(args.batches)
-    lam, rows = stability._sweep_bounds(inst, batches, args.rank_one_steps, args.seed)
-    for b, (gen_sharp, rank_one_value, eig_value) in zip(batches, rows):
+    _, lam, rows = stability._sweep_bounds(inst, batches, args.rank_one_steps, args.seed)
+    for b, (gen_sharp, rank_one_value, eig_bound) in zip(batches, rows):
         for eta in grid:
             row = (
                 str(b),
@@ -192,7 +192,7 @@ def _cmd_sweep(args) -> int:
                 _fmt(2.0 / eta),
                 _fmt(gen_sharp),
                 _fmt(rank_one_value),
-                _fmt(eig_value),
+                _fmt(2.0 / eig_bound),
                 _fmt(lam),
             )
             lines.append(",".join(row))

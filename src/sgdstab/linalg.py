@@ -25,10 +25,9 @@ DEFAULT_RANK_RTOL = 1e-10
 
 # Rows added to the Lanczos basis each time it fills up.
 _LANCZOS_CHUNK = 32
-# Lanczos stopping rule, step budget and start-vector seed; every solve uses them.
+# Lanczos stopping rule and step budget; every solve uses them.
 _LANCZOS_TOL = 1e-12
 _LANCZOS_MAX_ITER = 1000
-_LANCZOS_SEED = 7
 # Conjugate-gradient iteration budget.
 _PCG_MAX_ITER = 1000
 
@@ -165,12 +164,14 @@ class LinearOperator:
         return np.asarray(self.apply(x), dtype=float)
 
 
-def _lanczos_solve(op: LinearOperator) -> float:
+def _lanczos_solve(op: LinearOperator, start: np.ndarray) -> float:
     """Largest (signed) eigenvalue of a self-adjoint operator, which is not checked.
 
-    Single-vector Lanczos from a Gaussian start drawn from
-    default_rng(_LANCZOS_SEED), with full reorthogonalization done twice
-    per step ("twice is enough"; Golub & Van Loan, ch. 10).  Step k stops
+    Single-vector Lanczos from the caller's nonzero start vector (length
+    op.in_dim, normalized here), with full reorthogonalization done twice
+    per step ("twice is enough"; Golub & Van Loan, ch. 10).  The Krylov
+    space holds only the modes the start has a component along, so a start
+    orthogonal to the top eigenvector returns a lower eigenvalue.  Step k stops
     when the Ritz residual beta_k |s_k| of the largest Ritz value is at
     most _LANCZOS_TOL times the spectral scale max |theta| of the
     tridiagonal T_k, or when the Krylov space is invariant (beta_k at
@@ -181,14 +182,12 @@ def _lanczos_solve(op: LinearOperator) -> float:
     residual and the current estimate when _LANCZOS_MAX_ITER steps do not
     suffice.
     """
-    rng = np.random.default_rng(_LANCZOS_SEED)
     dim = op.in_dim
     # beta_k below this share of the scale is roundoff left by the reorthogonalization.
     breakdown = math.sqrt(dim) * np.finfo(float).eps
     basis = np.empty((min(_LANCZOS_CHUNK, dim), dim))
     tri = np.zeros((basis.shape[0], basis.shape[0]))
-    q = rng.standard_normal(dim)
-    basis[0] = q / np.linalg.norm(q)
+    basis[0] = start / np.linalg.norm(start)
     estimate = resid = math.nan
     for k in range(min(_LANCZOS_MAX_ITER, dim)):
         w = op(basis[k])

@@ -70,10 +70,8 @@ class SimConfig:
 class EmpiricalMoments:
     replicates: int
     mean_offset: np.ndarray  # (T+1, d)
-    offset_se: np.ndarray  # (T+1, d) componentwise standard errors
     mean_sq_par: np.ndarray  # (T+1,)
     mean_sq_perp: np.ndarray
-    sq_perp_se: np.ndarray
     mean_quad: np.ndarray  # (T+1,) mean of x' Hbar x
     diverged: bool
     divergence_step: int | None
@@ -244,27 +242,23 @@ class _Accumulator:
         self.p_null = p_null if np.any(p_null) else None
         self.hbar = hbar
         self.sum_x = np.zeros((steps + 1, d))
-        self.sum_x_sq = np.zeros((steps + 1, d))
         self.sum_sq_par = np.zeros(steps + 1)
         self.sum_sq_perp = np.zeros(steps + 1)
-        self.sum_sq_perp_sq = np.zeros(steps + 1)
         self.sum_quad = np.zeros(steps + 1)
 
     def add(self, t: int, x: np.ndarray) -> np.ndarray:
         """Add the chunk's offsets x (chunk, d) at step t; returns each replicate's squared norm.
 
-        The sums over replicates come from the Gram matrix G = x^T x:
-        sum_x_sq is its diagonal and sum_quad is <G, Hbar>.
+        sum_quad is <G, Hbar> with G = x^T x the Gram matrix.
         """
         gram = x.T @ x
         # The column sum is a GEMV: numpy's axis-0 reduction of a (chunk, d)
         # array with small d runs an inner loop of length d.
         self.sum_x[t] += np.ones(x.shape[0]) @ x
-        self.sum_x_sq[t] += np.diagonal(gram)
         self.sum_quad[t] += np.vdot(gram, self.hbar)
         if self.p_null is None:
             # Full-rank mean Hessian: x_par = 0 and x_perp = x - 0 = x exactly.
-            sq = sq_perp = np.einsum("ij,ij->i", x, x)
+            sq = np.einsum("ij,ij->i", x, x)
             self.sum_sq_perp[t] += np.trace(gram)
         else:
             # Split explicitly: on the null walk |x_par| >> |x_perp|, and
@@ -276,7 +270,6 @@ class _Accumulator:
             self.sum_sq_par[t] += sq_par.sum()
             self.sum_sq_perp[t] += sq_perp.sum()
             sq = sq_par + sq_perp
-        self.sum_sq_perp_sq[t] += sq_perp @ sq_perp
         return sq
 
 
@@ -288,12 +281,8 @@ def _finalize(
 ) -> EmpiricalMoments:
     r = cfg.replicates
     mean_x = acc.sum_x / r
-    var_x = np.maximum(acc.sum_x_sq / r - mean_x * mean_x, 0.0)
-    bessel = r / max(r - 1, 1)
-    offset_se = np.sqrt(var_x * bessel / r)
     mean_sq_par = acc.sum_sq_par / r
     mean_sq_perp = acc.sum_sq_perp / r
-    var_perp = np.maximum(acc.sum_sq_perp_sq / r - mean_sq_perp**2, 0.0)
     threshold = cfg.divergence_factor * (1.0 + mean_sq_perp[0])
     crossed = np.nonzero(mean_sq_perp > threshold)[0]
     agg_step = int(crossed[0]) if crossed.size else None
@@ -302,10 +291,8 @@ def _finalize(
     return EmpiricalMoments(
         replicates=r,
         mean_offset=mean_x,
-        offset_se=offset_se,
         mean_sq_par=mean_sq_par,
         mean_sq_perp=mean_sq_perp,
-        sq_perp_se=np.sqrt(var_perp * bessel / r),
         mean_quad=acc.sum_quad / r,
         diverged=divergence_step is not None,
         divergence_step=divergence_step,

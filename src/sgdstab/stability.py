@@ -56,7 +56,8 @@ kron_certify's Q start from _dense_zeros, which raises ValueError above
 DENSE_CAP before anything of size d^4 is allocated.  The threshold
 congruence, the projected transition and the limit system of moments are
 affine in _range_d.  The Lanczos solves here run on operators built
-symmetric.
+symmetric.  The threshold solve starts at the positive definite Y0 =
+diag(sqrt(lam)), which always sees the top mode (_range_sharpness says why).
 
 The necessary bounds are cheap lower bounds on the generalized sharpness.
 The tightest, 2 / max_v f(v) over unit v, comes from _rank_one_ascent: a
@@ -67,10 +68,10 @@ computes every H_i x and Hbar x once, at the quasi-Newton trial point
 else by one GEMM with the block row [H_1, ..., H_n, Hbar].  Armijo
 backtracking along the same geodesic reads f off quadratic forms and
 makes no products.  A lane stops on convergence, so the step budget is
-only a cap.  stability_verdict builds one range_basis, checks its
-classification and hands it to the mean threshold, the variance
-threshold, the eigenvector bound and the ascent; the sweep's
-_sweep_bounds shares one the same way across its batch sizes, and
+only a cap.  _sweep_bounds, behind both the sweep and stability_verdict
+(a sweep of one batch size), builds one range_basis, checks its
+classification and hands it to the sharpness, the threshold solve, the
+eigenvector bound and the ascent of every batch size;
 curvature_operators and variance_threshold build one per call.
 """
 
@@ -302,9 +303,16 @@ def _range_d(basis: RangeBasis, p: float):
 def _range_sharpness(basis: RangeBasis, p: float) -> float:
     """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ by Lanczos on the r x r range block.
 
-    The congruence maps X to F o D_r(F o X), D_r = _range_d, F = ((lam_a +
+    The congruence S maps X to F o D_r(F o X), D_r = _range_d, F = ((lam_a +
     lam_b)/2)^{-1/2} the pair factors and o the elementwise product.  Zero
-    when r = 0.
+    when r = 0.  Lanczos starts at the positive definite Y0 = F^{-1} o I =
+    diag(sqrt(lam)): S maps PSD matrices to PSD matrices (D_r is a sum of
+    congruences X -> k X k, whatever the signs of the k_i, and F is a PSD
+    kernel), so by Perron-Frobenius for cone-preserving maps (Vandergraft,
+    SIAM J. Appl. Math. 16, 1968) its top eigenvalue has a PSD eigenvector
+    Z, and tr(Y0 Z) > 0.  The first Rayleigh quotient is tr(D_r(I)) /
+    tr(Lam) > 0, which is 2 / necessary_bound_trace when the H_i vanish
+    off the range, and no later Ritz value is smaller.
     """
     lam, r = basis.lam, basis.lam.size
     if r == 0:
@@ -312,8 +320,7 @@ def _range_sharpness(basis: RangeBasis, p: float) -> float:
     factor = 1.0 / np.sqrt(0.5 * (lam[:, None] + lam[None, :]))
     d_r = _range_d(basis, p)
     op = LinearOperator(in_dim=r * r, out_dim=r * r, apply=lambda u: (factor * d_r(factor * u.reshape(r, r))).reshape(-1))
-    lam_s = _lanczos_solve(op)
-    return lam_s if lam_s > 0 else 0.0
+    return _lanczos_solve(op, np.diag(np.sqrt(lam)).reshape(-1))
 
 
 def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:
@@ -403,7 +410,7 @@ def necessary_bound_trace(inst: ProblemInstance, batch: int) -> float:
     if tr <= 0:
         raise ValueError("mean Hessian has nonpositive trace")
     p = mixing_weight(inst.n, batch)
-    denom = (1.0 - p) * float(np.sum(hbar * hbar)) + p * float(np.mean(np.sum(inst.hessians**2, axis=(1, 2))))
+    denom = (1.0 - p) * float(np.sum(hbar * hbar)) + p * float(np.vdot(inst.hessians, inst.hessians)) / inst.n
     return 2.0 * tr / denom
 
 
@@ -669,23 +676,26 @@ def _rank_one_ascent(
     return results
 
 
-def _sweep_bounds(inst: ProblemInstance, batches: list[int], steps: int, seed: int) -> tuple[float, list[tuple[float, float, float]]]:
-    """The sharpness and, per batch in the order given, (generalized sharpness, rank-one
-    value, 2 / eigenvector bound), from one range_basis.
+def _sweep_bounds(
+    inst: ProblemInstance, batches: list[int], steps: int, seed: int
+) -> tuple[MinimumClass, float, list[tuple[float, float, float]]]:
+    """The class, the sharpness and, per batch in the order given, (generalized
+    sharpness, rank-one value, eigenvector bound), from one range_basis.
 
     ValueError unless the instance is a regular or interpolating minimum, as
     classified from the basis's eigenvalues.  Each number is bit for bit what
     sharpness, generalized_sharpness, rank_one_bound and necessary_bound_eigvec
-    return; those each decompose the Hessians again.
+    return; those each decompose the Hessians again.  The sweep runs it on
+    its batch sizes, stability_verdict on one.
     """
     basis = range_basis(inst)
-    _valid_class(basis.kind)
+    kind = _valid_class(basis.kind)
     ascents = _rank_one_ascent(inst, basis, batches, steps, seed)
     rows = []
     for b, (rank_one, _) in zip(batches, ascents):
         p = mixing_weight(inst.n, b)
-        rows.append((_range_sharpness(basis, p), rank_one, 2.0 / _eigvec_bound(inst, basis.eig, p)))
-    return float(basis.eig.values[0]), rows
+        rows.append((_range_sharpness(basis, p), rank_one, _eigvec_bound(inst, basis.eig, p)))
+    return kind, float(basis.eig.values[0]), rows
 
 
 @dataclass(frozen=True)
@@ -712,21 +722,19 @@ def stability_verdict(inst: ProblemInstance, batch: int, eta_list) -> StabilityV
     """Assemble all thresholds and bounds and classify each requested step size.
 
     Each step size (finite and nonnegative, else ValueError) is classified
-    against the thresholds alone; no spectral check runs here.  The
-    instance's Hessians and Hbar are each decomposed once, in one range_basis,
-    whose eigenvalues classify it.
+    against the thresholds alone; no spectral check runs here.  The class,
+    sharpness, generalized sharpness, rank-one value and eigenvector bound
+    are _sweep_bounds on [batch] with the default ascent cap and seed 0, so
+    analyze and sweep assemble them on one path; the Hessians and Hbar are
+    each decomposed once.
     """
     etas = [check_step_size(float(eta)) for eta in eta_list]
-    basis = range_basis(inst)
-    kind = _valid_class(basis.kind)
+    kind, lam, [(gen_sharp, rank_one, b_eig)] = _sweep_bounds(inst, [batch], _RANK_ONE_STEPS, 0)
     p = mixing_weight(inst.n, batch)
-    lam = float(basis.eig.values[0])
     eta_mean = _threshold(lam)
-    eta_var = _threshold(_range_sharpness(basis, p))
-    b_eig = _eigvec_bound(inst, basis.eig, p)
+    eta_var = _threshold(gen_sharp)
     b_tr = necessary_bound_trace(inst, batch)
-    [(value, _)] = _rank_one_ascent(inst, basis, [batch], _RANK_ONE_STEPS, 0)
-    b_r1 = 2.0 / value
+    b_r1 = 2.0 / rank_one
     if eta_var > eta_mean * (1.0 + 1e-9):
         raise ConvergenceError(f"variance threshold {eta_var} exceeds mean threshold {eta_mean}")
     for name, bound in (("eigvec", b_eig), ("trace", b_tr), ("rank-one", b_r1)):

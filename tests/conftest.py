@@ -20,6 +20,11 @@ def matrix_operator(m):
     return LinearOperator(in_dim=m.shape[1], out_dim=m.shape[0], apply=lambda x: m @ x)
 
 
+def gaussian_start(dim, seed):
+    """A seeded Gaussian start vector for _lanczos_solve on an operator with no known positive start."""
+    return np.random.default_rng(seed).standard_normal(dim)
+
+
 @pytest.fixture
 def scalar_pair():
     """d=1, n=2, Hessians {1, 3}, zero gradients (interpolating).

@@ -9,6 +9,7 @@ projected_transition_dense is its dense oracle.
 
 import numpy as np
 
+from conftest import gaussian_start
 from sgdstab.instances import check_step_size, mixing_weight
 from sgdstab.linalg import LinearOperator, _lanczos_solve, kron, null_projectors, psd_range, sym_eig, symmetrize
 from sgdstab.stability import _mixture_matrix, _range_d, range_basis
@@ -61,7 +62,9 @@ def projected_transition_lambda_max(inst, eta, batch):
     Solved by Lanczos on the r x r range block of range_basis, without
     forming the matrix: there it is I - 2*eta*C + eta^2*D, which maps X to
     X - eta*(pair o X) + eta^2 * D_r(X) with pair = lam_a + lam_b and
-    D_r = _range_d (the mean of the k_i is Lam).  Zero when r = 0.
+    D_r = _range_d (the mean of the k_i is Lam).  Zero when r = 0.  The
+    solve starts from a seeded Gaussian, not from the threshold solve's
+    diag(sqrt(lam)), so this oracle does not rest on the start it checks.
     """
     check_step_size(eta)
     p = mixing_weight(inst.n, batch)
@@ -76,4 +79,4 @@ def projected_transition_lambda_max(inst, eta, batch):
         x = u.reshape(r, r)
         return (x - eta * (pair * x) + (eta * eta) * d_r(x)).reshape(-1)
 
-    return _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply))
+    return _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply), gaussian_start(r * r, 7))

@@ -279,9 +279,9 @@ class TestProductionPaths:
         solves = []
         true_lanczos = stability._lanczos_solve
 
-        def counted(op, **kwargs):
+        def counted(op, start):
             solves.append(op.in_dim)
-            return true_lanczos(op, **kwargs)
+            return true_lanczos(op, start)
 
         monkeypatch.setattr(stability, "_lanczos_solve", counted)
         assert main(["analyze", str(path), "--batch", "2", "--eta", *etas, "--out", str(tmp_path / "a.csv")]) == EXIT_OK

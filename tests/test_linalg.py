@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from sgdstab import instances, linalg, moments, stability
 
-from conftest import matrix_operator
+from conftest import gaussian_start, matrix_operator
 from oracles import sqrt_pinv_psd
 from sgdstab.linalg import (
     DEFAULT_RANK_RTOL,
@@ -269,39 +269,36 @@ class TestPowerIteration:
 
     def test_diagonal(self):
         op = matrix_operator(np.diag([5.0, 1.0]))
-        assert _lanczos_solve(op) == pytest.approx(5.0, abs=1e-8)
+        assert _lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(5.0, abs=1e-8)
 
     def test_zero_operator(self):
         op = matrix_operator(np.zeros((3, 3)))
-        assert _lanczos_solve(op) == pytest.approx(0.0, abs=1e-12)
+        assert _lanczos_solve(op, gaussian_start(3, 7)) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_dominant_spectrum(self):
         # The dominant-in-magnitude eigenvalue is -5; the answer must be +1.
         op = matrix_operator(np.diag([-5.0, 1.0]))
-        assert _lanczos_solve(op) == pytest.approx(1.0, abs=1e-8)
+        assert _lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(1.0, abs=1e-8)
 
     def test_all_negative_spectrum(self):
         op = matrix_operator(np.diag([-5.0, -2.0]))
-        assert _lanczos_solve(op) == pytest.approx(-2.0, abs=1e-7)
+        assert _lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(-2.0, abs=1e-7)
 
-    def test_exactly_paired_spectrum(self, monkeypatch):
+    def test_exactly_paired_spectrum(self):
         # Eigenvalues +-3 tie in magnitude; the top of the spectrum is +3.
         op = matrix_operator(np.diag([3.0, -3.0, 1.0]))
-        monkeypatch.setattr(linalg, "_LANCZOS_SEED", 0)
-        assert _lanczos_solve(op) == pytest.approx(3.0, abs=1e-8)
+        assert _lanczos_solve(op, gaussian_start(3, 0)) == pytest.approx(3.0, abs=1e-8)
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         m = q @ np.diag([5.0, -5.0, 2.0, -1.0]) @ q.T
-        monkeypatch.setattr(linalg, "_LANCZOS_SEED", 2)
-        got = _lanczos_solve(matrix_operator(m))
+        got = _lanczos_solve(matrix_operator(m), gaussian_start(4, 2))
         assert got == pytest.approx(5.0, abs=1e-8)
 
-    def test_matches_dense_on_random_symmetric(self, monkeypatch):
+    def test_matches_dense_on_random_symmetric(self):
         for seed in range(5):
             m = random_symmetric(12, np.random.default_rng(seed))
             lam = float(np.max(np.linalg.eigvalsh(m)))
-            monkeypatch.setattr(linalg, "_LANCZOS_SEED", seed)
-            got = _lanczos_solve(matrix_operator(m))
+            got = _lanczos_solve(matrix_operator(m), gaussian_start(12, seed))
             assert got == pytest.approx(lam, abs=max(1e-7, 1e-7 * abs(lam)))
 
     def test_max_iter_exhaustion(self, monkeypatch):
@@ -311,7 +308,7 @@ class TestPowerIteration:
         monkeypatch.setattr(linalg, "_LANCZOS_TOL", 1e-16)
         monkeypatch.setattr(linalg, "_LANCZOS_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match=cause):
-            _lanczos_solve(op)
+            _lanczos_solve(op, gaussian_start(50, 7))
 
     def test_breakdown_on_repeated_eigenvalue(self, counting, monkeypatch):
         # Two distinct eigenvalues span a 2-dimensional Krylov space: with no
@@ -319,26 +316,26 @@ class TestPowerIteration:
         op, applied = counting(matrix_operator(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])))
         monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
         monkeypatch.setattr(linalg, "_LANCZOS_MAX_ITER", 3)
-        assert _lanczos_solve(op) == pytest.approx(2.0, rel=1e-14)
+        assert _lanczos_solve(op, gaussian_start(6, 7)) == pytest.approx(2.0, rel=1e-14)
         assert len(applied) == 2  # two Lanczos steps
 
     def test_dimension_below_budget(self, counting, monkeypatch):
         m = random_symmetric(5, np.random.default_rng(11))
         op, applied = counting(matrix_operator(m))
         monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
-        got = _lanczos_solve(op)
+        got = _lanczos_solve(op, gaussian_start(5, 7))
         assert got == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
         assert len(applied) == 5
 
     def test_d1(self):
-        assert _lanczos_solve(matrix_operator([[-3.5]])) == -3.5
+        assert _lanczos_solve(matrix_operator([[-3.5]]), gaussian_start(1, 7)) == -3.5
 
     def test_tridiagonal_grows_past_a_chunk(self, counting, monkeypatch):
         # 60 steps at tolerance 0 grow the Krylov basis and T_k past one chunk of 32.
         m = random_symmetric(60, np.random.default_rng(5))
         op, applied = counting(matrix_operator(m))
         monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
-        assert _lanczos_solve(op) == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
+        assert _lanczos_solve(op, gaussian_start(60, 7)) == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
         assert len(applied) == 60
 
     def test_operator_linearity_probes(self):

@@ -40,6 +40,7 @@ from sgdstab.montecarlo import SimConfig
 from sgdstab.linalg import DEFAULT_RANK_RTOL, _lanczos_solve, kron, kron_sum, null_projectors, sym_eig, symmetrize
 from sgdstab.stability import (
     DENSE_CAP,
+    _mixture_matrix,
     _mixture_operator,
     _rank_one_ascent,
     _product_map,
@@ -48,6 +49,7 @@ from sgdstab.stability import (
     range_basis,
 )
 import oracles
+from conftest import gaussian_start
 from oracles import generalized_sharpness_dense, projected_transition_dense, projected_transition_lambda_max, sqrt_pinv_psd
 
 RNG = np.random.default_rng(777)
@@ -240,12 +242,9 @@ class TestTransition:
                 for form in (form_dev, form_quad):
                     np.testing.assert_allclose(q, form, rtol=0, atol=scale)
 
-    def test_operator_path_matches_dense(self, scalar_pair, monkeypatch):
-        import sgdstab.linalg as linalg_module
-
-        monkeypatch.setattr(linalg_module, "_LANCZOS_SEED", 3)
+    def test_operator_path_matches_dense(self, scalar_pair):
         op = _transition_operator(scalar_pair, 0.5, 1)
-        lam_op = _lanczos_solve(op)
+        lam_op = _lanczos_solve(op, gaussian_start(op.in_dim, 3))
         dense = second_moment_transition(scalar_pair, 0.5, 1)
         lam_dense = float(np.max(np.linalg.eigvalsh(dense)))
         assert lam_op == pytest.approx(lam_dense, abs=1e-7)
@@ -423,6 +422,18 @@ class TestNecessaryBounds:
                 assert necessary_bound_trace(inst, b) == pytest.approx(
                     variance_threshold(inst, b), rel=1e-9
                 )
+
+    def test_trace_bound_allocates_no_stack_sized_temporary(self):
+        # At d=96, n=64 squaring the whole Hessian stack peaked at 1.02 times its bytes.
+        g = np.random.default_rng(96).standard_normal((64, 96, 4))
+        inst = make_instance(g @ g.transpose(0, 2, 1), np.zeros((64, 96)))
+        tracemalloc.start()
+        try:
+            necessary_bound_trace(inst, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * inst.hessians.nbytes, peak
 
 
 class TestRankOneBound:
@@ -724,15 +735,16 @@ class TestSweepBounds:
         inst = make()
         assert (range_basis(inst).gt is not None) is factored
         batches = list(range(1, inst.n + 1))
-        lam, rows = _sweep_bounds(inst, batches, 20, 0)
+        kind, lam, rows = _sweep_bounds(inst, batches, 20, 0)
+        assert kind is classify(inst)
         assert lam == sharpness(inst)
-        for b, (gen_sharp, _, eig_value) in zip(batches, rows):
+        for b, (gen_sharp, _, eig_bound) in zip(batches, rows):
             assert gen_sharp == generalized_sharpness(inst, b)
-            assert eig_value == 2.0 / necessary_bound_eigvec(inst, b)
+            assert eig_bound == necessary_bound_eigvec(inst, b)
 
     def test_top_mode_switch(self):
         inst = self.CASES["commuting-mode-switch"][0]()
-        _, rows = _sweep_bounds(inst, [1, 2], 20, 0)
+        _, _, rows = _sweep_bounds(inst, [1, 2], 20, 0)
         assert [gen_sharp for gen_sharp, _, _ in rows] == [pytest.approx(4.0, rel=1e-12), pytest.approx(3.0, rel=1e-12)]
 
     def test_rejects_an_invalid_instance(self):
@@ -827,6 +839,13 @@ class TestRankOneBudget:
         assert len(rows) <= 200, len(rows)
 
 
+def _indefinite_instance():
+    """d=4, n=5: Hbar = diag(1, 2, 3, 4) plus zero-mean symmetric noise large enough to make H_i indefinite."""
+    s = np.random.default_rng(62).standard_normal((5, 4, 4))
+    s = s + s.transpose(0, 2, 1)
+    return make_instance(np.diag([1.0, 2.0, 3.0, 4.0]) + s - s.mean(axis=0), np.zeros((5, 4)))
+
+
 def _congruence_reference(inst, batch):
     """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ with (C^{1/2})^+ from a d^2 eigendecomposition."""
     report = curvature_operators(inst, batch, dense=True)
@@ -865,15 +884,49 @@ class TestDenseThresholdEigenbasis:
         assert got == pytest.approx(generalized_sharpness(inst, 1), rel=1e-12, abs=0.0)
         assert got == pytest.approx(_congruence_reference(inst, 1), rel=1e-12, abs=0.0)
 
-    # d=24 with Hbar of rank 16: a Rayleigh-quotient stop rule was 2e-12 off here at B=1.
-    LANCZOS_CASES = {**CASES, "regular-d24-rank-16": lambda: gen_regular(24, 8, 2, 1.0, True, 11)}
+    LANCZOS_CASES = {
+        **CASES,
+        # d=24 with Hbar of rank 16: a Rayleigh-quotient stop rule was 2e-12 off here at B=1.
+        "regular-d24-rank-16": lambda: gen_regular(24, 8, 2, 1.0, True, 11),
+        # Commuting diagonal H_i: the Krylov space from diag(sqrt(lam)) stays inside the
+        # diagonal matrices, which hold the top eigenvector.
+        "commuting-diagonal": lambda: make_instance(
+            np.array([np.diag(row) for row in np.random.default_rng(61).uniform(0.0, 2.0, (5, 6))]), np.zeros((5, 6))
+        ),
+        # Indefinite H_i with a positive definite Hbar: S is still a positive map.
+        "indefinite-samples": _indefinite_instance,
+    }
 
     @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
     def test_lanczos_matches_dense_oracle(self, case):
         inst = self.LANCZOS_CASES[case]()
+        hbar = inst.mean_hessian()
         for b in range(1, inst.n + 1):
-            want = generalized_sharpness_dense(inst.mean_hessian(), _dense_d(inst, b))
+            # _mixture_matrix is curvature_operators' dense D, built here without its class check.
+            want = generalized_sharpness_dense(hbar, _mixture_matrix(hbar, inst.hessians, mixing_weight(inst.n, b)))
             assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_indefinite_case_is_indefinite(self):
+        inst = _indefinite_instance()
+        assert np.min(np.linalg.eigvalsh(inst.hessians)) < 0 < np.min(np.linalg.eigvalsh(inst.mean_hessian()))
+
+    @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+    def test_first_rayleigh_quotient_is_the_trace_bound(self, case, monkeypatch):
+        # From Y0 = diag(sqrt(lam)) the first Rayleigh quotient is tr(D_r(I)) / tr(Lam),
+        # which is 2 / necessary_bound_trace when the H_i vanish off the range of Hbar.
+        import sgdstab.stability as stability_module
+
+        inst = self.LANCZOS_CASES[case]()
+        quotients = []
+
+        def recorded(op, start):
+            quotients.append(float(start @ op(start)) / float(start @ start))
+            return _lanczos_solve(op, start)
+
+        monkeypatch.setattr(stability_module, "_lanczos_solve", recorded)
+        for b in sorted({1, 2, inst.n}):
+            generalized_sharpness(inst, b)
+            assert quotients[-1] == pytest.approx(2.0 / necessary_bound_trace(inst, b), rel=1e-12, abs=0.0)
 
     def test_lanczos_application_budget(self, counting, monkeypatch):
         # Counts repeat exactly; a slower solver behind variance_threshold would exceed them.
@@ -881,9 +934,9 @@ class TestDenseThresholdEigenbasis:
 
         applied_per_solve = []
 
-        def counted_lanczos(op):
+        def counted_lanczos(op, start):
             wrapped, applied = counting(op)
-            value = _lanczos_solve(wrapped)
+            value = _lanczos_solve(wrapped, start)
             applied_per_solve.append(len(applied))
             return value
 
@@ -892,7 +945,7 @@ class TestDenseThresholdEigenbasis:
         for b in range(1, inst.n + 1):
             variance_threshold(inst, b)
         assert len(applied_per_solve) == inst.n
-        assert max(applied_per_solve) <= 48, applied_per_solve
+        assert max(applied_per_solve) <= 32, applied_per_solve
 
     def test_non_psd_c_raises(self):
         hbar = np.diag([1.0, -0.5])
@@ -1138,7 +1191,7 @@ class TestRangeBasis:
     def test_zero_hessians_have_an_empty_range(self, monkeypatch):
         import sgdstab.stability as stability_module
 
-        def forbidden(op):
+        def forbidden(op, start):
             raise AssertionError(f"Lanczos ran on a {op.in_dim}-dimensional operator")
 
         monkeypatch.setattr(stability_module, "_lanczos_solve", forbidden)
