@@ -24,7 +24,6 @@ from .kron_certify import CertifyReport, KronFamily, certify
 from .linalg import (
     ConvergenceError,
     EigDecomp,
-    LinearOperator,
     kron,
     kron_sum,
     null_projectors,

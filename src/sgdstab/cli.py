@@ -34,7 +34,7 @@ from .instances import (
     save_instance,
     stream,
 )
-from .linalg import ConvergenceError, null_projectors
+from .linalg import ConvergenceError, null_projectors, unvec, vec
 from .montecarlo import SimConfig
 
 EXIT_OK = 0
@@ -232,7 +232,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _exact_initial_state(inst, args):
-    cfg = SimConfig(steps=1, replicates=1, seed=args.seed, init_offset=args.init_scale)
+    cfg = SimConfig(steps=args.steps, replicates=1, seed=args.seed, init_offset=args.init_scale)
     x0 = montecarlo.initial_offset(inst, cfg)
     return moments.point_state(x0)
 
@@ -358,11 +358,17 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
             res_cross_mc.failures += 1
         res_fix.trials += 1
         limit = moments.covariance_limit(inst, hp)
-        state = moments.iterate_moments(inst, hp, moments.point_state(np.zeros(d)), 6000)
-        _, p_range = null_projectors(inst.mean_hessian())
-        proj = p_range @ state.second_moment @ p_range
-        if np.linalg.norm(proj - limit) > 1e-6 * max(1.0, float(np.linalg.norm(limit))):
+        # From x0 = 0 the mean stays 0 and Sigma' = Q Sigma + Sigma_v.  Every H_i has rank d, so
+        # with rho(Q) < 1 the limit must be that map's unique, attracting fixed point.
+        q = stability.second_moment_transition(inst, hp.eta, b)
+        sigma_v = hp.eta**2 * mixing_weight(n, b) * inst.gradient_second_moment()
+        dense = unvec(np.linalg.solve(np.eye(d * d) - q, vec(sigma_v)), d)
+        step = moments.ExactStepper(inst, hp).step(moments.MomentState(mean=np.zeros(d), second_moment=limit))
+        tol = 1e-6 * max(1.0, float(np.linalg.norm(limit)))
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(q))))
+        if max(np.linalg.norm(dense - limit), np.linalg.norm(step.second_moment - limit)) > tol or not rho < 1.0:
             res_fix.failures += 1
+            res_fix.detail = f"d={d}, n={n}, batch={b}, rho(Q)={rho}"
         res_cons.trials += 1
         dist_sq, loss_gap, grad_sq = moments.asymptotic_quantities(inst, hp)
         hbar = inst.mean_hessian()
@@ -437,6 +443,8 @@ def run_suites(suite: str, seed: int, trials: int) -> list[PropertyResult]:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise _UsageError("trials must be >= 1")
     results = run_suites(args.suite, args.seed, args.trials)
     any_failed = False
     for res in results:

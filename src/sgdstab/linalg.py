@@ -1,8 +1,9 @@
 """Dense linear algebra kit: Kronecker products and sums, vectorization,
 symmetric eigendecompositions, the package's one rank rule, the PSD
 pseudoinverse, null-space projectors, a matrix-free Lanczos eigensolver
-for operators built self-adjoint, and preconditioned conjugate gradients
-for positive definite ones.
+for operators built self-adjoint, and conjugate gradients for positive
+definite ones.  Both Krylov solvers take the operator as a plain function
+of a flat vector and read the dimension off the vector they start from.
 
 All routines work on plain float64 numpy arrays.  Matrices fed to the
 symmetric routines are symmetrized up front, so callers never have to
@@ -29,7 +30,7 @@ _LANCZOS_CHUNK = 32
 _LANCZOS_TOL = 1e-12
 _LANCZOS_MAX_ITER = 1000
 # Conjugate-gradient iteration budget.
-_PCG_MAX_ITER = 1000
+_CG_MAX_ITER = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -149,27 +150,13 @@ def null_projectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p_null, p_range
 
 
-@dataclass(frozen=True)
-class LinearOperator:
-    """A pure linear map represented by its action on vectors."""
-
-    in_dim: int
-    out_dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.in_dim,):
-            raise ValueError(f"operator expects shape ({self.in_dim},), got {x.shape}")
-        return np.asarray(self.apply(x), dtype=float)
-
-
-def _lanczos_solve(op: LinearOperator, start: np.ndarray) -> float:
+def _lanczos_solve(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float:
     """Largest (signed) eigenvalue of a self-adjoint operator, which is not checked.
 
-    Single-vector Lanczos from the caller's nonzero start vector (length
-    op.in_dim, normalized here), with full reorthogonalization done twice
-    per step ("twice is enough"; Golub & Van Loan, ch. 10).  The Krylov
+    op maps a flat vector to its image.  Single-vector Lanczos from the
+    caller's nonzero start vector, whose length is the dimension
+    (normalized here), with full reorthogonalization done twice per step
+    ("twice is enough"; Golub & Van Loan, ch. 10).  The Krylov
     space holds only the modes the start has a component along, so a start
     orthogonal to the top eigenvector returns a lower eigenvalue.  Step k stops
     when the Ritz residual beta_k |s_k| of the largest Ritz value is at
@@ -182,7 +169,7 @@ def _lanczos_solve(op: LinearOperator, start: np.ndarray) -> float:
     residual and the current estimate when _LANCZOS_MAX_ITER steps do not
     suffice.
     """
-    dim = op.in_dim
+    dim = start.size
     # beta_k below this share of the scale is roundoff left by the reorthogonalization.
     breakdown = math.sqrt(dim) * np.finfo(float).eps
     basis = np.empty((min(_LANCZOS_CHUNK, dim), dim))
@@ -218,21 +205,17 @@ def _lanczos_solve(op: LinearOperator, start: np.ndarray) -> float:
     )
 
 
-def pcg(
-    op: LinearOperator,
-    b: np.ndarray,
-    precond: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Solve op(x) = b by preconditioned conjugate gradients from x = 0.
+def cg(op: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve op(x) = b by conjugate gradients from x = 0.
 
-    op must be self-adjoint positive definite and precond a positive
-    definite approximation of its inverse.  Stops when the recursively
-    updated residual satisfies ||r|| <= 1e-13 ||b||, then
-    recomputes the true residual ||b - op(x)|| and requires it to be at
-    most 1e-10 ||b||.  Raises ConvergenceError on non-positive curvature
-    p' op(p) <= 0 (op is not positive definite), on a true residual above
-    that bound, or with the iteration count and the last residual when
-    _PCG_MAX_ITER iterations do not suffice.
+    op maps a flat vector of b's length to its image and must be
+    self-adjoint positive definite.  Stops when the recursively updated
+    residual satisfies ||r|| <= 1e-13 ||b||, then recomputes the true
+    residual ||b - op(x)|| and requires it to be at most 1e-10 ||b||.
+    Raises ConvergenceError on non-positive curvature p' op(p) <= 0 (op is
+    not positive definite), on a true residual above that bound, or with
+    the iteration count and the last residual when _CG_MAX_ITER
+    iterations do not suffice.
     """
     b = np.asarray(b, dtype=float)
     b_norm = float(np.linalg.norm(b))
@@ -240,19 +223,19 @@ def pcg(
     if b_norm == 0.0:
         return x
     r = b.copy()
-    z = precond(r)
-    direction = z.copy()
-    rz = float(r @ z)
+    direction = r.copy()
+    rr = float(r @ r)
     resid = b_norm
-    for k in range(_PCG_MAX_ITER):
+    for k in range(_CG_MAX_ITER):
         applied = op(direction)
         curvature = float(direction @ applied)
         if not curvature > 0.0:
             raise ConvergenceError(f"conjugate gradients met non-positive curvature {curvature:.3e} at iteration {k + 1}")
-        alpha = rz / curvature
+        alpha = rr / curvature
         x += alpha * direction
         r -= alpha * applied
-        resid = float(np.linalg.norm(r))
+        rr_next = float(r @ r)
+        resid = math.sqrt(rr_next)
         if resid <= 1e-13 * b_norm:
             true_resid = float(np.linalg.norm(b - op(x)))
             if true_resid > 1e-10 * b_norm:
@@ -260,10 +243,8 @@ def pcg(
                     f"conjugate gradients stopped at true residual {true_resid:.3e} (||b|| = {b_norm:.3e}) after {k + 1} iterations"
                 )
             return x
-        z = precond(r)
-        rz_next = float(r @ z)
-        direction = z + (rz_next / rz) * direction
-        rz = rz_next
+        direction = r + (rr_next / rr) * direction
+        rr = rr_next
     raise ConvergenceError(
-        f"conjugate gradients did not converge within {_PCG_MAX_ITER} iterations (last residual {resid:.3e}, ||b|| = {b_norm:.3e})"
+        f"conjugate gradients did not converge within {_CG_MAX_ITER} iterations (last residual {resid:.3e}, ||b|| = {b_norm:.3e})"
     )

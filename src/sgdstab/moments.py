@@ -14,9 +14,9 @@ and the noise-contraction coupling has the closed form
 
 cross_term checks that coupling against exhaustive batch enumeration,
 or, when enumeration is infeasible, against MC_VALIDATION_SAMPLES seeded
-batches drawn in chunks by vectorized partial Fisher-Yates, which must
-agree within five standard errors.  The tests and the verify command
-run that check; the stepper applies the closed form unchecked.
+batches from montecarlo's counter-based sampler, which must agree within
+five standard errors.  The tests and the verify command run that check;
+the stepper applies the closed form unchecked.
 
 One step costs one batched matmul and one GEMM: the A_i are symmetric,
 so E[A Sigma A^T] is stability._mixture_apply, the d x d form of the
@@ -36,10 +36,15 @@ of the mixture kernel, it reads
 
     (lam_a + lam_b) o X - eta * D_r(X) = V^T Sigma_g V,
 
-and preconditioned conjugate gradients solve it with the diagonal of 2C,
-lam_a + lam_b, as preconditioner.  The asymptotic squared distance, loss
-gap and squared gradient norm are the traces of X weighted by 1, lam/2
-and lam^2.
+and X = F o Y, with F = ((lam_a + lam_b)/2)^{-1/2}, turns it into
+
+    (I - (eta/2) S) Y = F o V^T Sigma_g V / 2
+
+on the threshold's own congruence S = F o D_r(F o .) (from
+stability._range_congruence).  It is positive definite exactly for
+eta < eta_var = 2 / lambda_max(S), and plain conjugate gradients solve it.
+The asymptotic squared distance, loss gap and squared gradient norm are
+the traces of X weighted by 1, lam/2 and lam^2.
 """
 
 from __future__ import annotations
@@ -51,25 +56,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, ProblemInstance, _fmt, _valid_class, mixing_weight, require_valid, stream
-from .linalg import (
-    ConvergenceError,
-    LinearOperator,
-    kron,
-    null_projectors,
-    pcg,
-    sym_eig,
-    symmetrize,
-)
-from .montecarlo import _fisher_yates_batches
-from .stability import (
-    ENUM_CAP,
-    _mixture_apply,
-    _range_d,
-    _range_sharpness,
-    _threshold,
-    range_basis,
-)
+from .instances import Hyperparams, ProblemInstance, _fmt, _valid_class, mixing_weight, require_valid
+from .linalg import ConvergenceError, cg, kron, null_projectors, sym_eig, symmetrize
+from .montecarlo import _batches
+from .stability import ENUM_CAP, _mixture_apply, _range_congruence, _range_sharpness, _threshold, range_basis
 
 MC_VALIDATION_SAMPLES = 100_000
 # Float entries per Monte-Carlo validation chunk (about 1 MB of temporaries).
@@ -101,10 +91,10 @@ def cross_term(
 
     The closed form is checked against exhaustive batch enumeration when
     C(n, B) <= enum_cap.  Otherwise MC_VALIDATION_SAMPLES batches are
-    drawn from stream(1234) by vectorized partial Fisher-Yates, in chunks
-    sized to keep temporaries near 1 MB, and every entry must lie within five
-    standard errors (plus 1e-12) of the sample mean.  A mismatch raises
-    ConvergenceError.
+    drawn by montecarlo._batches at seed 1234, sample k being replicate k's
+    first batch, in chunks sized to keep temporaries near 1 MB, and every
+    entry must lie within five standard errors (plus 1e-12) of the sample
+    mean.  A mismatch raises ConvergenceError.
     """
     n, d = inst.n, inst.d
     p = mixing_weight(n, batch)
@@ -128,13 +118,12 @@ def cross_term(
         if defect > 1e-10 * scale:
             raise ConvergenceError(f"cross term disagrees with batch enumeration by {defect:.3e}")
         return closed
-    rng = stream(1234)
     flat_h = inst.hessians.reshape(n, d * d)
     chunk = max(1, _MC_CHUNK_ENTRY_BUDGET // (n + 3 * d * d))
     acc = np.zeros((d, d * d))
     acc_sq = np.zeros((d, d * d))
     for start in range(0, MC_VALIDATION_SAMPLES, chunk):
-        idx = _fisher_yates_batches(rng, n, batch, min(chunk, MC_VALIDATION_SAMPLES - start))
+        idx = _batches(1234, range(start, min(start + chunk, MC_VALIDATION_SAMPLES)), 1, n, batch)[:, 0]
         h_sum = flat_h[idx[:, 0]]
         g_sum = inst.gradients[idx[:, 0]]
         for slot in range(1, batch):
@@ -220,8 +209,9 @@ def null_walk_second_moment(inst: ProblemInstance, hp: Hyperparams, t: int, init
 def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
     """(lam, V_r, X): the range-projected limit is V_r X V_r^T.
 
-    lam and V_r are the range block of range_basis; X is eta * p times
-    the conjugate-gradient solution of the limit system on that block.
+    lam and V_r are the range block of range_basis; X = eta * p * F o Y,
+    Y the conjugate-gradient solution of (I - (eta/2) S) Y = F o R / 2 with
+    (S, F) = _range_congruence and R = V_r^T Sigma_g V_r.
     Raises ValueError unless the instance is a regular or interpolating
     minimum, classified from the basis's eigenvalues, and 0 < eta < eta_var.
     """
@@ -232,19 +222,11 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
     thr = _threshold(_range_sharpness(basis, p))
     if not 0.0 < eta < thr:
         raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")
-    lam, v_r = basis.lam, basis.v
-    r = lam.size
-    pair = lam[:, None] + lam[None, :]
-    d_r = _range_d(basis, p)
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        x = u.reshape(r, r)
-        return (pair * x - eta * d_r(x)).reshape(-1)
-
-    op = LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply)
-    rhs = v_r.T @ inst.gradient_second_moment() @ v_r
-    x = pcg(op, rhs.reshape(-1), lambda u: u / pair.reshape(-1))
-    return lam, v_r, eta * p * x.reshape(r, r)
+    v_r = basis.v
+    s, factor = _range_congruence(basis, p)
+    rhs = 0.5 * factor * (v_r.T @ inst.gradient_second_moment() @ v_r)
+    y = cg(lambda u: u - (0.5 * eta) * s(u), rhs.reshape(-1))
+    return basis.lam, v_r, eta * p * (factor * y.reshape(factor.shape))
 
 
 def covariance_limit(inst: ProblemInstance, hp: Hyperparams) -> np.ndarray:
@@ -269,14 +251,15 @@ def write_trajectory_csv(path, inst: ProblemInstance, states) -> None:
     hbar = inst.mean_hessian()
     p_null, p_range = null_projectors(hbar)
     lines = ["t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate"]
+    # For a symmetric projector P, trace(P Sigma P) = <P, Sigma>; every trace is an inner product.
     for state in states:
         sigma = state.second_moment
         row = (
             str(state.step),
-            _fmt(np.trace(p_range @ sigma @ p_range)),
-            _fmt(np.trace(p_null @ sigma @ p_null)),
+            _fmt(np.vdot(p_range, sigma)),
+            _fmt(np.vdot(p_null, sigma)),
             _fmt(np.linalg.norm(state.mean)),
-            _fmt(0.5 * np.trace(hbar @ sigma)),
+            _fmt(0.5 * np.vdot(hbar, sigma)),
         )
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -53,11 +53,13 @@ for the dense sum.  Array shapes and the PSD test alone pick the kernel.
 curvature_operators picks _mixture_matrix for d <= DENSE_CAP and
 _mixture_operator above it.  Every dense mixture, the brute-force Q and
 kron_certify's Q start from _dense_zeros, which raises ValueError above
-DENSE_CAP before anything of size d^4 is allocated.  The threshold
-congruence, the projected transition and the limit system of moments are
-affine in _range_d.  The Lanczos solves here run on operators built
-symmetric.  The threshold solve starts at the positive definite Y0 =
-diag(sqrt(lam)), which always sees the top mode (_range_sharpness says why).
+DENSE_CAP before anything of size d^4 is allocated.  _range_congruence
+writes the congruence S = (C^{1/2})^+ D (C^{1/2})^+ on the range block
+once: the threshold is 2 / lambda_max(S), and the limit system of moments
+is I - (eta/2) S.  The projected transition is affine in _range_d.  The
+Lanczos solves here run on operators built symmetric.  The threshold
+solve starts at the positive definite Y0 = diag(sqrt(lam)), which always
+sees the top mode (_range_sharpness says why).
 
 The necessary bounds are cheap lower bounds on the generalized sharpness.
 The tightest, 2 / max_v f(v) over unit v, comes from _rank_one_ascent: a
@@ -80,6 +82,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -87,7 +90,6 @@ from .instances import MinimumClass, ProblemInstance, _minimum_class, _valid_cla
 from .linalg import (
     ConvergenceError,
     EigDecomp,
-    LinearOperator,
     _lanczos_solve,
     kron,
     kron_sum,
@@ -120,9 +122,9 @@ def sharpness(inst: ProblemInstance) -> float:
 class SpectralReport:
     """The operator family {C, D, E} for one (instance, batch) pair."""
 
-    curvature_sum: np.ndarray | LinearOperator  # C
-    curvature_sq: np.ndarray | LinearOperator  # D
-    curvature_var: np.ndarray | LinearOperator  # E
+    curvature_sum: np.ndarray | Callable[[np.ndarray], np.ndarray]  # C
+    curvature_sq: np.ndarray | Callable[[np.ndarray], np.ndarray]  # D
+    curvature_var: np.ndarray | Callable[[np.ndarray], np.ndarray]  # E
     sharpness: float
     generalized_sharpness: float  # lambda_max(pinv(C) D)
     p: float
@@ -131,7 +133,9 @@ class SpectralReport:
 def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = None) -> SpectralReport:
     """Build C, D, E and both sharpness numbers for an instance and batch size.
 
-    dense defaults to d <= DENSE_CAP; above it a dense request raises _dense_zeros's ValueError.
+    C, D and E are d^2 x d^2 matrices when dense, else functions of a vec'd
+    d x d argument.  dense defaults to d <= DENSE_CAP; above it a dense
+    request raises _dense_zeros's ValueError.
     """
     basis = range_basis(inst)
     _valid_class(basis.kind)
@@ -145,11 +149,10 @@ def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = 
     if dense:
         c = 0.5 * kron_sum(hbar, hbar)
     else:
-        def c_apply(u: np.ndarray) -> np.ndarray:
+        def c(u: np.ndarray) -> np.ndarray:
             m = unvec(u, d)
             return vec(0.5 * (hbar @ m + m @ hbar))
 
-        c = LinearOperator(in_dim=d * d, out_dim=d * d, apply=c_apply)
     return SpectralReport(
         curvature_sum=c,
         curvature_sq=sq,
@@ -285,10 +288,10 @@ def _mixture_apply(a_bar: np.ndarray, mats: np.ndarray, p: float, m: np.ndarray)
     return (1.0 - p) * (a_bar @ m @ a_bar) + (p / mats.shape[0]) * _sandwich_sum(mats, m)
 
 
-def _mixture_operator(a_bar: np.ndarray, mats: np.ndarray, p: float) -> LinearOperator:
+def _mixture_operator(a_bar: np.ndarray, mats: np.ndarray, p: float) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i): _mixture_apply on vec'd arguments."""
     d = a_bar.shape[0]
-    return LinearOperator(in_dim=d * d, out_dim=d * d, apply=lambda u: vec(_mixture_apply(a_bar, mats, p, unvec(u, d))))
+    return lambda u: vec(_mixture_apply(a_bar, mats, p, unvec(u, d)))
 
 
 def _range_d(basis: RangeBasis, p: float):
@@ -300,12 +303,24 @@ def _range_d(basis: RangeBasis, p: float):
     return lambda x: (1.0 - p) * (col * x * row) + pn * kernel(mats, x)
 
 
-def _range_sharpness(basis: RangeBasis, p: float) -> float:
-    """lambda_max of (C^{1/2})^+ D (C^{1/2})^+ by Lanczos on the r x r range block.
+def _range_congruence(basis: RangeBasis, p: float):
+    """(S, F): the congruence (C^{1/2})^+ D (C^{1/2})^+ on the r x r range block, and its pair factors.
 
-    The congruence S maps X to F o D_r(F o X), D_r = _range_d, F = ((lam_a +
-    lam_b)/2)^{-1/2} the pair factors and o the elementwise product.  Zero
-    when r = 0.  Lanczos starts at the positive definite Y0 = F^{-1} o I =
+    S maps X to F o D_r(F o X), D_r = _range_d, F = ((lam_a + lam_b)/2)^{-1/2}
+    the (r, r) pair factors and o the elementwise product; S acts on X
+    flattened to length r^2.  The threshold is 2 / lambda_max(S), and the
+    limit system of moments is I - (eta/2) S after the scaling X = F o Y.
+    """
+    lam, r = basis.lam, basis.lam.size
+    factor = 1.0 / np.sqrt(0.5 * (lam[:, None] + lam[None, :]))
+    d_r = _range_d(basis, p)
+    return (lambda u: (factor * d_r(factor * u.reshape(r, r))).reshape(-1)), factor
+
+
+def _range_sharpness(basis: RangeBasis, p: float) -> float:
+    """lambda_max of the congruence S of _range_congruence by Lanczos on the r x r range block.
+
+    Zero when r = 0.  Lanczos starts at the positive definite Y0 = F^{-1} o I =
     diag(sqrt(lam)): S maps PSD matrices to PSD matrices (D_r is a sum of
     congruences X -> k X k, whatever the signs of the k_i, and F is a PSD
     kernel), so by Perron-Frobenius for cone-preserving maps (Vandergraft,
@@ -314,13 +329,10 @@ def _range_sharpness(basis: RangeBasis, p: float) -> float:
     tr(Lam) > 0, which is 2 / necessary_bound_trace when the H_i vanish
     off the range, and no later Ritz value is smaller.
     """
-    lam, r = basis.lam, basis.lam.size
-    if r == 0:
+    if basis.lam.size == 0:
         return 0.0
-    factor = 1.0 / np.sqrt(0.5 * (lam[:, None] + lam[None, :]))
-    d_r = _range_d(basis, p)
-    op = LinearOperator(in_dim=r * r, out_dim=r * r, apply=lambda u: (factor * d_r(factor * u.reshape(r, r))).reshape(-1))
-    return _lanczos_solve(op, np.diag(np.sqrt(lam)).reshape(-1))
+    s, _ = _range_congruence(basis, p)
+    return _lanczos_solve(s, np.diag(np.sqrt(basis.lam)).reshape(-1))
 
 
 def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:

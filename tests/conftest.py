@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sgdstab import LinearOperator, make_instance
+from sgdstab import make_instance
 
 settings.register_profile(
     "ci",
@@ -15,9 +15,9 @@ settings.load_profile("ci")
 
 
 def matrix_operator(m):
-    """The LinearOperator x -> M x of a dense matrix."""
+    """The operator x -> M x of a dense matrix, as a function of a flat vector."""
     m = np.asarray(m, dtype=float)
-    return LinearOperator(in_dim=m.shape[1], out_dim=m.shape[0], apply=lambda x: m @ x)
+    return lambda x: m @ x
 
 
 def gaussian_start(dim, seed):
@@ -54,16 +54,16 @@ def rank_one_walk():
 
 @pytest.fixture
 def counting():
-    """Wrap a LinearOperator; the returned list gets one entry per application."""
+    """Wrap an operator function; the returned list gets one entry per application."""
 
     def wrap(op):
         applied = []
 
         def apply(x):
             applied.append(1)
-            return op.apply(x)
+            return op(x)
 
-        return LinearOperator(in_dim=op.in_dim, out_dim=op.out_dim, apply=apply), applied
+        return apply, applied
 
     return wrap
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import gaussian_start
 from sgdstab.instances import check_step_size, mixing_weight
-from sgdstab.linalg import LinearOperator, _lanczos_solve, kron, null_projectors, psd_range, sym_eig, symmetrize
+from sgdstab.linalg import _lanczos_solve, kron, null_projectors, psd_range, sym_eig, symmetrize
 from sgdstab.stability import _mixture_matrix, _range_d, range_basis
 
 
@@ -79,4 +79,4 @@ def projected_transition_lambda_max(inst, eta, batch):
         x = u.reshape(r, r)
         return (x - eta * (pair * x) + (eta * eta) * d_r(x)).reshape(-1)
 
-    return _lanczos_solve(LinearOperator(in_dim=r * r, out_dim=r * r, apply=apply), gaussian_start(r * r, 7))
+    return _lanczos_solve(apply, gaussian_start(r * r, 7))

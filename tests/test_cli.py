@@ -280,7 +280,7 @@ class TestProductionPaths:
         true_lanczos = stability._lanczos_solve
 
         def counted(op, start):
-            solves.append(op.in_dim)
+            solves.append(start.size)
             return true_lanczos(op, start)
 
         monkeypatch.setattr(stability, "_lanczos_solve", counted)
@@ -298,21 +298,21 @@ class TestProductionPaths:
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         thr = variance_threshold(inst, 2)
-        calls, pcg_dims = [], []
-        true_basis, true_pcg = stability.range_basis, moments.pcg
+        calls, cg_dims = [], []
+        true_basis, true_cg = stability.range_basis, moments.cg
 
         def counted_basis(*args, **kwargs):
             calls.append(1)
             return true_basis(*args, **kwargs)
 
-        def counted_pcg(op, *args, **kwargs):
-            pcg_dims.append(op.in_dim)
-            return true_pcg(op, *args, **kwargs)
+        def counted_cg(op, b):
+            cg_dims.append(b.size)
+            return true_cg(op, b)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("sgdstab") and getattr(module, "range_basis", None) is true_basis:
                 monkeypatch.setattr(module, "range_basis", counted_basis)
-        monkeypatch.setattr(moments, "pcg", counted_pcg)
+        monkeypatch.setattr(moments, "cg", counted_cg)
         assert main(["analyze", str(path), "--batch", "2", "--eta", repr(0.5 * thr), repr(1.5 * thr)]) == EXIT_OK
         assert len(calls) == 1
         calls.clear()
@@ -324,7 +324,7 @@ class TestProductionPaths:
             calls.clear()
             solve(inst, hp)
             assert len(calls) == 1
-        assert pcg_dims == [r * r, r * r]
+        assert cg_dims == [r * r, r * r]
 
     def test_decomposes_the_hessian_stack_once(self, tmp_path, monkeypatch, capsys, stack_decompositions):
         # One batched eigh of the H_i per call both classifies the instance and factors it;
@@ -468,6 +468,15 @@ class TestSimulate:
         assert f"usage error: {option[0]} applies to Monte-Carlo runs, not to --exact" in capsys.readouterr().err
         assert not out.exists()
 
+    # One rule, SimConfig's, rejects a step count below one in both modes.
+    @pytest.mark.parametrize("mode", [["--batch", "1", "--exact"], ["--batch", "1", "--replicates", "4"]], ids=["exact", "monte-carlo"])
+    def test_nonpositive_steps_is_input_error(self, scalar_pair_file, tmp_path, capsys, mode):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", scalar_pair_file, "--eta", "0.5", *mode, "--steps", "-3", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert "steps and replicates must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exact_with_mixture_is_usage_error(self, scalar_pair_file, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         argv = ["simulate", scalar_pair_file, "--eta", "0.5", "--mixture-p", "0.5", "--exact", "--out", str(out)]
@@ -504,6 +513,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == EXIT_VERIFY
         assert "FAIL oracle-q-equality" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_nonpositive_trials_is_usage_error(self, capsys, trials):
+        assert main(["verify", "--suite", "kron", "--trials", trials]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "usage error: trials must be >= 1" in captured.err
+        assert "PASS" not in captured.out
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code = main(["verify", "--suite", "bogus"])

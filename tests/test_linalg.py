@@ -14,13 +14,12 @@ from oracles import sqrt_pinv_psd
 from sgdstab.linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
-    LinearOperator,
     _lanczos_solve,
+    cg,
     kron,
     kron_sum,
     not_psd,
     null_projectors,
-    pcg,
     pinv_psd,
     psd_range,
     sym_eig,
@@ -355,34 +354,25 @@ class TestConjugateGradients:
         m = random_psd(30, rng=rng) + 0.1 * np.eye(30)
         b = rng.standard_normal(30)
         want = np.linalg.solve(m, b)
-        op = matrix_operator(m)
-        for precond in (lambda r: r, lambda r: r / np.diag(m)):
-            got = pcg(op, b, precond=precond)
-            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
-
-    def test_diagonal_preconditioner_is_exact_on_diagonal_operator(self, counting):
-        diag = np.linspace(1.0, 1e6, 40)
-        op, applied = counting(matrix_operator(np.diag(diag)))
-        b = np.arange(1.0, 41.0)
-        np.testing.assert_allclose(pcg(op, b, lambda r: r / diag), b / diag, rtol=1e-14)
-        assert len(applied) == 2  # one iteration, then the true-residual check
+        got = cg(matrix_operator(m), b)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_zero_right_hand_side(self, counting):
         op, applied = counting(matrix_operator(np.eye(3)))
-        assert not np.any(pcg(op, np.zeros(3), lambda r: r))
+        assert not np.any(cg(op, np.zeros(3)))
         assert applied == []
 
     def test_indefinite_operator_raises(self):
         op = matrix_operator(np.diag([1.0, -1.0]))
         with pytest.raises(ConvergenceError, match="non-positive curvature"):
-            pcg(op, np.array([1.0, 2.0]), lambda r: r)
+            cg(op, np.array([1.0, 2.0]))
 
     def test_max_iter_exhaustion(self, monkeypatch):
         op = matrix_operator(np.diag(np.linspace(1.0, 100.0, 50)))
         cause = r"within 3 iterations \(last residual \d\.\d{3}e[+-]\d+"
-        monkeypatch.setattr(linalg, "_PCG_MAX_ITER", 3)
+        monkeypatch.setattr(linalg, "_CG_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match=cause):
-            pcg(op, np.ones(50), lambda r: r)
+            cg(op, np.ones(50))
 
     def test_true_residual_is_checked(self):
         # An operator whose applications drift makes the recursive residual lie.
@@ -393,7 +383,7 @@ class TestConjugateGradients:
             return (1.0 + 1e-6 * len(calls)) * x
 
         with pytest.raises(ConvergenceError, match="true residual"):
-            pcg(LinearOperator(in_dim=4, out_dim=4, apply=drifting), np.ones(4), lambda r: r)
+            cg(drifting, np.ones(4))
 
 
 def test_symmetrize_enforces_symmetry():

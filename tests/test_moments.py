@@ -455,16 +455,31 @@ class TestLimitSolve:
     def test_iteration_budget_is_named(self, monkeypatch):
         inst = gen_regular(6, 8, 4, 1.0, False, 3)
         hp = Hyperparams(eta=0.9 * variance_threshold(inst, 2), batch=2)
-        monkeypatch.setattr(linalg_module, "_PCG_MAX_ITER", 2)
+        monkeypatch.setattr(linalg_module, "_CG_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="within 2 iterations"):
             covariance_limit(inst, hp)
+
+
+@pytest.fixture
+def cg_solves(monkeypatch, counting):
+    """Count the limit's CG solves: the returned list gets, per solve, the list of its applications."""
+    solves = []
+    true_cg = moments_module.cg
+
+    def counted(op, b):
+        wrapped, applied = counting(op)
+        solves.append(applied)
+        return true_cg(wrapped, b)
+
+    monkeypatch.setattr(moments_module, "cg", counted)
+    return solves
 
 
 class TestLimitProductionPath:
     """covariance_limit and asymptotic_quantities form no d^2 x d^2 matrix and run one CG solve."""
 
     @pytest.mark.parametrize("d", [24, 64])
-    def test_no_dense_matrix_and_one_solve(self, d, monkeypatch, counting):
+    def test_no_dense_matrix_and_one_solve(self, d, monkeypatch, cg_solves):
         inst = gen_regular(d, 8, d // 8 + 1, 1.0, False, d)
         hp = Hyperparams(eta=0.5 * variance_threshold(inst, 2), batch=2)
 
@@ -473,21 +488,20 @@ class TestLimitProductionPath:
 
         for module, name in ((stability, "kron"), (stability, "kron_sum"), (stability, "_mixture_matrix"), (moments_module, "kron")):
             monkeypatch.setattr(module, name, forbidden)
-        solves = []
-        true_pcg = moments_module.pcg
-
-        def counted(op, *args, **kwargs):
-            wrapped, applied = counting(op)
-            solves.append(applied)
-            return true_pcg(wrapped, *args, **kwargs)
-
-        monkeypatch.setattr(moments_module, "pcg", counted)
         for solve in (covariance_limit, asymptotic_quantities):
-            solves.clear()
+            cg_solves.clear()
             solve(inst, hp)
-            assert len(solves) == 1
-            assert 0 < len(solves[0]) <= 40
+            assert len(cg_solves) == 1
+            assert 0 < len(cg_solves[0]) <= 40
         assert not hasattr(moments_module, "_mixture_matrix")
+
+    def test_near_threshold_application_budget(self, cg_solves):
+        # CG on the scaled system I - (eta/2) S takes 35 applications here; on the unscaled
+        # (lam_a + lam_b) o X - eta * D_r(X) it takes 46.
+        inst = gen_regular(24, 16, 4, 1.0, False, 1)
+        covariance_limit(inst, Hyperparams(eta=0.999 * variance_threshold(inst, 2), batch=2))
+        assert len(cg_solves) == 1
+        assert len(cg_solves[0]) <= 35
 
     def test_peak_memory_d96(self):
         inst = gen_regular(96, 64, 2, 1.0, False, 96)
