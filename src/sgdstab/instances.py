@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import ConvergenceError, not_psd, null_projectors, sym_eig
+from .linalg import ConvergenceError, not_psd, null_projectors, sym_eig, symmetrize
 
 # A gradient is "zero" (interpolating sense) below this Euclidean norm.
 GRAD_ZERO_TOL = 1e-12
@@ -133,14 +133,23 @@ def make_instance(hessians, gradients, label: str = "") -> ProblemInstance:
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise ValueError(f"hessians must have shape (n, d, d), got {h.shape}")
     n, d = h.shape[0], h.shape[1]
+    _check_sizes(d, n)
     if g.shape != (n, d):
         raise ValueError(f"gradients must have shape ({n}, {d}), got {g.shape}")
     if problem := _first_nonfinite(h, g):
         raise ValueError(problem)
-    h = 0.5 * (h + np.transpose(h, (0, 2, 1)))
+    h = symmetrize(h)
     if _mean_gradient_nonzero(g):
         raise ValueError("gradients do not sum to zero")
     return ProblemInstance(d=d, n=n, hessians=h, gradients=g, label=label)
+
+
+def _check_sizes(d: int, n: int, rank: int = 1) -> None:
+    """Raise ValueError unless d >= 1, n >= 1 and a generator's factor rank lies in [1, d]."""
+    if d < 1 or n < 1:
+        raise ValueError(f"d and n must be positive integers, got d={d!r}, n={n!r}")
+    if not 1 <= rank <= d:
+        raise ValueError(f"rank must lie in [1, {d}], got {rank}")
 
 
 def classify(inst: ProblemInstance) -> MinimumClass:
@@ -222,8 +231,7 @@ def _rescale_to_unit_sharpness(h: np.ndarray) -> np.ndarray:
 
 def gen_interpolating(d: int, n: int, rank: int, seed: int, unit_sharpness: bool = False) -> ProblemInstance:
     """Random interpolating instance: H_i = G_i G_i^T, all gradients zero."""
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must lie in [1, {d}], got {rank}")
+    _check_sizes(d, n, rank)
     rng = stream(seed)
     g_factors = rng.standard_normal((n, d, rank))
     hessians = np.einsum("nik,njk->nij", g_factors, g_factors)
@@ -252,8 +260,7 @@ def gen_regular(
     almost surely have a trivial null space), leaving one direction of
     guaranteed null-space gradient content.
     """
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must lie in [1, {d}], got {rank}")
+    _check_sizes(d, n, rank)
     rng = stream(seed)
     if null_grad:
         if d < 2:
@@ -265,7 +272,6 @@ def gen_regular(
         g_factors = rng.standard_normal((n, d - 1, rank))
         f = sub @ g_factors  # (n, d, rank): H_i = F_i F_i^T, two matmuls
         hessians = f @ f.transpose(0, 2, 1)
-        hessians = 0.5 * (hessians + np.transpose(hessians, (0, 2, 1)))
     else:
         g_factors = rng.standard_normal((n, d, rank))
         hessians = np.einsum("nik,njk->nij", g_factors, g_factors)
@@ -382,8 +388,8 @@ def load_instance(path) -> ProblemInstance:
     if _mean_gradient_nonzero(gradients):
         raise InstanceFormatError("gradients do not sum to zero")
     # make_instance's symmetrization.  On a stack with no asymmetry it
-    # could only flip the sign of a zero or overflow entries near the
-    # largest double, so such a stack is kept as read.
+    # could only flip the sign of a zero or round a subnormal entry, so
+    # such a stack is kept as read.
     if asym.any():
-        hessians = 0.5 * (hessians + np.transpose(hessians, (0, 2, 1)))
+        hessians = symmetrize(hessians)
     return ProblemInstance(d=d, n=n, hessians=hessians, gradients=gradients, label=str(doc.get("label", "")))

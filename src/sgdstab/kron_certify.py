@@ -51,7 +51,7 @@ class KronFamily:
             scale = max(1.0, float(np.max(np.abs(m[i]))))
             if np.max(np.abs(m[i] - m[i].T)) > 1e-12 * scale:
                 raise ValueError(f"member {i} is not symmetric")
-        m = 0.5 * (m + np.transpose(m, (0, 2, 1)))
+        m = symmetrize(m)
         w = None
         if weights is not None:
             w = np.asarray(weights, dtype=float)

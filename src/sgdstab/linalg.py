@@ -38,11 +38,11 @@ class ConvergenceError(RuntimeError):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (M + M^T)/2 as a float64 array."""
+    """(M + M^T)/2 of a matrix or of each in a (..., d, d) stack, as M/2 + M^T/2: no finite entry overflows."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.T)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

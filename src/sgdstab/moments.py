@@ -251,13 +251,14 @@ def write_trajectory_csv(path, inst: ProblemInstance, states) -> None:
     hbar = inst.mean_hessian()
     p_null, p_range = null_projectors(hbar)
     lines = ["t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate"]
-    # For a symmetric projector P, trace(P Sigma P) = <P, Sigma>; every trace is an inner product.
+    # For a symmetric projector P, trace(P Sigma P) = <P, Sigma>; every trace is an inner product,
+    # of a PSD block of Sigma, so one that rounding leaves below zero is written as 0.
     for state in states:
         sigma = state.second_moment
         row = (
             str(state.step),
-            _fmt(np.vdot(p_range, sigma)),
-            _fmt(np.vdot(p_null, sigma)),
+            _fmt(max(np.vdot(p_range, sigma), 0.0)),
+            _fmt(max(np.vdot(p_null, sigma), 0.0)),
             _fmt(np.linalg.norm(state.mean)),
             _fmt(0.5 * np.vdot(hbar, sigma)),
         )

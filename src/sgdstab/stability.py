@@ -62,12 +62,13 @@ solve starts at the positive definite Y0 = diag(sqrt(lam)), which always
 sees the top mode (_range_sharpness says why).
 
 The necessary bounds are cheap lower bounds on the generalized sharpness.
-The tightest, 2 / max_v f(v) over unit v, comes from _rank_one_ascent: a
-Riemannian L-BFGS ascent on the unit sphere that advances every (batch
-size, start) pair of a call as one row of a single block.  Each iteration
-computes every H_i x and Hbar x once, at the quasi-Newton trial point
-(_product_map): as G_i (G_i^T x) where the range basis kept factors,
-else by one GEMM with the block row [H_1, ..., H_n, Hbar].  Armijo
+The tightest, 2 / max_v f(v) over unit v in Hbar's range, comes from
+_rank_one_ascent: a Riemannian L-BFGS ascent on the unit sphere of R^r,
+in range coordinates v = V_r w, that advances every (batch size, start)
+pair of a call as one row of a single block.  Each iteration computes
+every k_i w and Lam w once, at the quasi-Newton trial point
+(_product_map): as U_i (U_i^T w) where the range basis kept factors,
+else by one GEMM with the block row [k_1, ..., k_n, Lam].  Armijo
 backtracking along the same geodesic reads f off quadratic forms and
 makes no products.  A lane stops on convergence, so the step budget is
 only a cap.  _sweep_bounds, behind both the sweep and stability_verdict
@@ -89,7 +90,6 @@ import numpy as np
 from .instances import MinimumClass, ProblemInstance, _minimum_class, _valid_class, check_step_size, mixing_weight, stream
 from .linalg import (
     ConvergenceError,
-    EigDecomp,
     _lanczos_solve,
     kron,
     kron_sum,
@@ -157,7 +157,7 @@ def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = 
         curvature_sum=c,
         curvature_sq=sq,
         curvature_var=var,
-        sharpness=float(basis.eig.values[0]),
+        sharpness=float(np.max(basis.lam, initial=0.0)),
         generalized_sharpness=_range_sharpness(basis, p),
         p=p,
     )
@@ -184,26 +184,24 @@ def _mixture_matrix(a_bar: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray
 class RangeBasis:
     """What one analysis call needs of the Hessians: Hbar's range block and the H_i on it.
 
-    eig = sym_eig(Hbar); lam (r,) and v (d, r) its eigenpairs that psd_range
-    keeps.  kind is the instance's class, from the eigenvalues of the H_i by
-    the rule classify applies.  Either gt and ut hold factors, or k holds the
-    rotated Hessians:
+    lam (r,) and v (d, r) are the eigenpairs of Hbar that psd_range keeps,
+    lam descending.  kind is the instance's class, from the eigenvalues of
+    the H_i by the rule classify applies.  Either ut holds factors, or k
+    holds the rotated Hessians:
 
-    - gt (n, q, d) stacks G_i^T with H_i = G_i G_i^T, q the largest rank of
-      any H_i (a sample of smaller rank has zero rows), and ut (n, q, r)
-      stacks U_i^T = G_i^T V_r, so k_i = V_r^T H_i V_r = U_i U_i^T; k is None.
-    - k (n, r, r) stacks k_i = V_r^T H_i V_r; gt and ut are None.
+    - ut (n, q, r) stacks U_i^T = G_i^T V_r, where H_i = G_i G_i^T and q is
+      the largest rank of any H_i (a sample of smaller rank has zero rows),
+      so k_i = V_r^T H_i V_r = U_i U_i^T; k is None.
+    - k (n, r, r) stacks k_i = V_r^T H_i V_r; ut is None.
 
     range_basis keeps the factors only where they make the sandwich sum
     cheaper, and _range_d and the rank-one ascent then run on them.
     """
 
-    eig: EigDecomp
     lam: np.ndarray
     v: np.ndarray
     kind: MinimumClass
     k: np.ndarray | None
-    gt: np.ndarray | None
     ut: np.ndarray | None
 
 
@@ -231,13 +229,12 @@ def range_basis(inst: ProblemInstance) -> RangeBasis:
         if kind is MinimumClass.INVALID:  # lead with the input error that the callers raise
             raise ValueError(f"instance is not a regular or interpolating minimum; mean Hessian: {exc}") from exc
         raise
-    v, r = eig.vectors[:, keep], int(keep.sum())
+    lam, v, r = eig.values[keep], eig.vectors[:, keep], int(keep.sum())
     gt = _sample_factors(values, vectors, r)
     if gt is None:
-        return RangeBasis(eig=eig, lam=eig.values[keep], v=v, kind=kind, k=v.T @ inst.hessians @ v, gt=None, ut=None)
+        return RangeBasis(lam=lam, v=v, kind=kind, k=v.T @ inst.hessians @ v, ut=None)
     n, q, d = gt.shape
-    ut = (gt.reshape(n * q, d) @ v).reshape(n, q, r)
-    return RangeBasis(eig=eig, lam=eig.values[keep], v=v, kind=kind, k=None, gt=gt, ut=ut)
+    return RangeBasis(lam=lam, v=v, kind=kind, k=None, ut=(gt.reshape(n * q, d) @ v).reshape(n, q, r))
 
 
 def _sample_factors(values: np.ndarray, vectors: np.ndarray, r: int) -> np.ndarray | None:
@@ -399,14 +396,14 @@ def necessary_bound_eigvec(inst: ProblemInstance, batch: int) -> float:
 
         2*lam / (lam^2 + (p/n) sum_i (v' H_i v - lam)^2),  v the top eigenvector.
     """
-    return _eigvec_bound(inst, sym_eig(inst.mean_hessian()), mixing_weight(inst.n, batch))
+    eig = sym_eig(inst.mean_hessian())
+    return _eigvec_bound(inst, float(eig.values[0]), eig.vectors[:, 0], mixing_weight(inst.n, batch))
 
 
-def _eigvec_bound(inst: ProblemInstance, eig: EigDecomp, p: float) -> float:
-    lam = float(eig.values[0])
+def _eigvec_bound(inst: ProblemInstance, lam: float, v: np.ndarray, p: float) -> float:
+    """The eigenvector bound from Hbar's top eigenpair (lam, v)."""
     if lam <= 0:
         raise ValueError("mean Hessian has no positive eigenvalue")
-    v = eig.vectors[:, 0]
     quads = np.einsum("i,nij,j->n", v, inst.hessians, v)
     denom = lam * lam + p * float(np.mean((quads - lam) ** 2))
     return 2.0 * lam / denom
@@ -436,31 +433,32 @@ _GRAD_RTOL = 1e-10  # a lane stops once |Riemannian grad f| <= _GRAD_RTOL * f ..
 _GAIN_RTOL = 4.0 * np.finfo(float).eps  # ... or once an accepted step raised f by at most this * f
 
 
-def _product_map(inst: ProblemInstance, basis: RangeBasis):
-    """The map xs -> every H_i x and Hbar x for the rows x of xs, as an (s, n+1, d) stack; entry n is Hbar's.
+def _product_map(basis: RangeBasis):
+    """The map ws -> every k_i w and Lam w for the rows w of ws, as an (s, n+1, r) stack; entry n is Lam's.
 
-    Without factors in the basis (basis.gt is None) it is one GEMM with the
-    (d, (n+1) d) block row [H_1, ..., H_n, Hbar], built here once; the
-    Hessians are symmetric, so xs times the row gives every product.  With
-    them, H_i x = G_i (G_i^T x): one GEMM for every G_i^T x, one batched
-    matmul back and one GEMM with Hbar, 4 s n q d + 2 s d^2 flops in place
-    of 2 s (n+1) d^2.
+    k_i = V_r^T H_i V_r and Lam = diag(lam) are the H_i and Hbar on Hbar's
+    range block, in whose coordinates the rank-one ascent runs.  Without
+    factors in the basis (basis.ut is None) it is one GEMM with the
+    (r, (n+1) r) block row [k_1, ..., k_n, Lam], built here once; the blocks
+    are symmetric, so ws times the row gives every product.  With them,
+    k_i w = U_i (U_i^T w): one GEMM for every U_i^T w and one batched matmul
+    back, 4 s n q r flops in place of 2 s n r^2, and Lam w is a scaling.
     """
-    n, d = inst.n, inst.d
-    hbar = inst.mean_hessian()
-    if basis.gt is None:
-        row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), hbar], axis=1)
-        return lambda xs: (xs @ row).reshape(xs.shape[0], n + 1, d)
-    gt = basis.gt
-    q = gt.shape[1]
-    flat = gt.reshape(n * q, d).T
+    lam, r = basis.lam, basis.lam.size
+    if basis.ut is None:
+        n = basis.k.shape[0]
+        row = np.concatenate([basis.k.transpose(1, 0, 2).reshape(r, n * r), np.diag(lam)], axis=1)
+        return lambda ws: (ws @ row).reshape(ws.shape[0], n + 1, r)
+    ut = basis.ut
+    n, q, _ = ut.shape
+    flat = ut.reshape(n * q, r).T
 
-    def apply(xs: np.ndarray) -> np.ndarray:
-        s = xs.shape[0]
-        out = np.empty((s, n + 1, d))
-        proj = (xs @ flat).reshape(s, n, q)
-        out[:, :n] = (proj.transpose(1, 0, 2) @ gt).transpose(1, 0, 2)
-        out[:, n] = xs @ hbar
+    def apply(ws: np.ndarray) -> np.ndarray:
+        s = ws.shape[0]
+        out = np.empty((s, n + 1, r))
+        proj = (ws @ flat).reshape(s, n, q)
+        out[:, :n] = (proj.transpose(1, 0, 2) @ ut).transpose(1, 0, 2)
+        out[:, n] = ws * lam
         return out
 
     return apply
@@ -473,12 +471,10 @@ def _forms(xs: np.ndarray, hy: np.ndarray) -> np.ndarray:
 
 def _rank_one_value(quads: np.ndarray, pn: np.ndarray) -> np.ndarray:
     """f = a + (p/n) sum_i dev_i^2 / a per lane (row of quads), from the forms v'H_i v in
-    columns i < n and a = v'Hbar v in column n; -inf where a <= 0."""
+    columns i < n and a = v'Hbar v in column n, at least lam_r > 0 on the unit sphere of the range."""
     a = quads[:, -1]
     dev = quads[:, :-1] - a[:, None]
-    positive = a > 0
-    value = a + pn * np.einsum("sn,sn->s", dev, dev) / np.where(positive, a, 1.0)
-    return np.where(positive, value, -math.inf)
+    return a + pn * np.einsum("sn,sn->s", dev, dev) / a
 
 
 def _rank_one_grad(vs: np.ndarray, hv: np.ndarray, quads: np.ndarray, pn: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -498,17 +494,14 @@ def _geodesic_rise(theta: np.ndarray, quads: np.ndarray, q_vu: np.ndarray, q_uu:
 
     quads, q_vu and q_uu hold v'M v, v'M u and u'M u for M = H_1, ..., H_n, Hbar,
     one row per lane; theta is (trials, lanes).  The increments are formed
-    directly (cos^2 - 1 = -sin^2), so a rise far below f stays accurate.  A trial
-    leaving v'Hbar v nonpositive gets rise -inf.
+    directly (cos^2 - 1 = -sin^2), so a rise far below f stays accurate.
     """
     cs, sn = np.cos(theta)[..., None], np.sin(theta)[..., None]
     dq = sn * (2.0 * cs * q_vu + sn * (q_uu - quads))
     a, da = quads[:, -1], dq[..., -1]
     dev, ddev = quads[:, :-1] - a[:, None], dq[..., :-1] - da[..., None]
-    positive = a + da > 0
     dg = np.einsum("jsn,jsn->js", ddev, 2.0 * dev + ddev)  # change of sum_i dev_i^2
-    rise = da + pn * (dg - np.einsum("sn,sn->s", dev, dev) * da / a) / np.where(positive, a + da, 1.0)
-    return dq, np.where(positive, rise, -math.inf)
+    return dq, da + pn * (dg - np.einsum("sn,sn->s", dev, dev) * da / a) / (a + da)
 
 
 def _two_loop(r: np.ndarray, mem: np.ndarray, rho: np.ndarray, gamma: np.ndarray, order) -> np.ndarray:
@@ -564,22 +557,22 @@ def _rank_one_ascent(
 
         f(v) = v'Hbar v + p * mean_i (v'H_i v - v'Hbar v)^2 / (v'Hbar v)
 
-    over the unit sphere by Riemannian L-BFGS, multi-started from the top
-    eigenvector of Hbar plus seeded random directions in its range, 8 starts
-    in all.  Every (batch, start) lane advances in one (len(batches) * 8, d)
+    over the unit sphere of Hbar's range by Riemannian L-BFGS.  It runs in
+    range coordinates: v = V_r w for unit w in R^r, so v'H_i v = w'k_i w and
+    v'Hbar v = w'Lam w, which is at least the smallest kept eigenvalue
+    (_product_map gives the products).  The starts are e_1, Hbar's top
+    eigenvector, and V_r^T z / |V_r^T z| for seeded Gaussian z in R^d, 8 in
+    all.  Every (batch, start) lane advances in one (len(batches) * 8, r)
     block, row 8 j + s being start s of batches[j], and keeps its own few
     (s, y) pairs, projected onto the current tangent space.  A step goes
     along the geodesic in the quasi-Newton direction, its arc capped at
-    0.2 rad, then halved until it passes Armijo.  Every start lies in the
-    range of Hbar, where v'Hbar v is at least its smallest kept eigenvalue;
-    an accepted step raises f, and f(v) <= |P v|^2 * (generalized sharpness)
-    for P the range projector, so no lane nears the null space.  A lane
+    0.2 rad, then halved until it passes Armijo.  A lane
     stops when its Riemannian gradient is at most 1e-10 f, when a step
     raised f by a few ulps only, or when no halving passes.  steps caps the
     iterations without entering them, so a larger cap never gives a smaller
     value.  The iteration is scale free, so rescaling all Hessians rescales
-    the values alike.  Returns (best value, maximizer) per batch, in the
-    order given: the first strict maximum over the starts in order.  Raises
+    the values alike.  Returns (best value, maximizer V_r w) per batch, in
+    the order given: the first strict maximum over the starts in order.  Raises
     ValueError when batches is empty, steps < 0 or Hbar is zero.
     """
     if not batches:
@@ -589,18 +582,16 @@ def _rank_one_ascent(
     if basis.lam.size == 0:
         raise ValueError("mean Hessian has no positive eigenvalue")
     lam = float(basis.lam[0])
-    n, d = inst.n, inst.d
-    vn = basis.eig.vectors[:, basis.lam.size :]
-    p_range = np.eye(d) - vn @ vn.T
+    n, r = inst.n, basis.lam.size
     rng = stream(seed, index=1)
-    starts = [basis.v[:, 0]]
+    starts = [np.eye(r)[0]]
     while len(starts) < _N_STARTS:
-        z = p_range @ rng.standard_normal(d)
+        z = basis.v.T @ rng.standard_normal(inst.d)
         nz = np.linalg.norm(z)
         if nz > 1e-8:
             starts.append(z / nz)
     # Each lane is a row of every array below.
-    products = _product_map(inst, basis)
+    products = _product_map(basis)
     n_lanes = len(batches) * _N_STARTS
     m = _LBFGS_PAIRS
     # Per-lane state: lane index, p / n, iterate vs, its products hv and forms quads, f, its
@@ -611,7 +602,7 @@ def _rank_one_ascent(
     vs = np.tile(np.array(starts), (len(batches), 1))
     hv = products(vs)
     quads = _forms(vs, hv)
-    mem = np.zeros((n_lanes, 2, m, d))
+    mem = np.zeros((n_lanes, 2, m, r))
     rho, gamma = np.zeros((n_lanes, m)), np.full(n_lanes, 1.0 / lam)
     value = _rank_one_value(quads, pn)
     r = _rank_one_grad(vs, hv, quads, pn, value)
@@ -684,7 +675,7 @@ def _rank_one_ascent(
     results = []
     for j in range(len(batches)):
         best = j * _N_STARTS + int(np.argmax(best_value[j * _N_STARTS : (j + 1) * _N_STARTS]))
-        results.append((float(best_value[best]), best_v[best].copy()))
+        results.append((float(best_value[best]), basis.v @ best_v[best]))
     return results
 
 
@@ -706,8 +697,8 @@ def _sweep_bounds(
     rows = []
     for b, (rank_one, _) in zip(batches, ascents):
         p = mixing_weight(inst.n, b)
-        rows.append((_range_sharpness(basis, p), rank_one, _eigvec_bound(inst, basis.eig, p)))
-    return kind, float(basis.eig.values[0]), rows
+        rows.append((_range_sharpness(basis, p), rank_one, _eigvec_bound(inst, float(basis.lam[0]), basis.v[:, 0], p)))
+    return kind, float(basis.lam[0]), rows
 
 
 @dataclass(frozen=True)

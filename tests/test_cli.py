@@ -49,6 +49,14 @@ class TestGen:
         assert code == EXIT_OK
         assert "classification: interpolating" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["interpolating", "regular"])
+    def test_empty_instance_is_an_input_error(self, tmp_path, capsys, kind):
+        out = tmp_path / "empty.json"
+        code = main(["gen", "--kind", kind, "--d", "3", "--n", "0", "--rank", "1", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "d and n must be positive integers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_rank_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         code = main(["gen", "--kind", "interpolating", "--d", "2", "--n", "4", "--rank", "3", "--out", str(out)])
@@ -203,8 +211,8 @@ class TestSweep:
         rows = []
         true_map = stability._product_map
 
-        def counted(inst, basis):
-            products = true_map(inst, basis)
+        def counted(basis):
+            products = true_map(basis)
 
             def apply(xs):
                 rows.append(xs.shape[0])

@@ -194,6 +194,21 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_interpolating(2, 4, 3, 0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_interpolating(3, 0, 1, 0),
+            lambda: gen_regular(3, 0, 1, 1.0, False, 0),
+            lambda: gen_regular(0, 4, 1, 1.0, True, 0),
+            lambda: make_instance(np.zeros((0, 3, 3)), np.zeros((0, 3))),
+            lambda: make_instance(np.zeros((2, 0, 0)), np.zeros((2, 0))),
+        ],
+        ids=["gen-interpolating-n0", "gen-regular-n0", "gen-regular-d0", "make-n0", "make-d0"],
+    )
+    def test_empty_instances_are_rejected(self, build):
+        with pytest.raises(ValueError, match="^d and n must be positive integers"):
+            build()
+
     def test_unit_sharpness_rescaling(self):
         inst = gen_interpolating(3, 5, 3, 11, unit_sharpness=True)
         lam = float(np.max(np.linalg.eigvalsh(inst.mean_hessian())))
@@ -383,6 +398,30 @@ def _with_bad_entry(field, value):
     target = hessians if field == "hessians" else gradients
     target[1:] = value
     return hessians, gradients
+
+
+class TestSymmetrization:
+    """make_instance and load_instance halve before they add, so a finite stack stays finite."""
+
+    HUGE = np.diag([1.7e308, 1.0])
+
+    def test_make_instance_keeps_huge_entries(self):
+        stack = np.stack([self.HUGE, self.HUGE])
+        inst = make_instance(stack, np.zeros((2, 2)))
+        _assert_same_bits(inst.hessians, stack)
+        assert classify(inst) is MinimumClass.INTERPOLATING
+
+    def test_load_symmetrizes_huge_entries_without_overflow(self, tmp_path):
+        asym = self.HUGE.copy()
+        asym[1, 0] = 1e-3  # within the load tolerance, 1e-9 of the largest entry
+        path = tmp_path / "inst.json"
+        doc = {"d": 2, "n": 2, "hessians": [asym.ravel().tolist(), self.HUGE.ravel().tolist()], "gradients": [[0.0, 0.0]] * 2}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        hessians = load_instance(path).hessians
+        assert np.all(np.isfinite(hessians))
+        want = np.stack([self.HUGE, self.HUGE])
+        want[0, 0, 1] = want[0, 1, 0] = 5e-4
+        _assert_same_bits(hessians, want)
 
 
 class TestNonFinite:

@@ -390,3 +390,14 @@ def test_symmetrize_enforces_symmetry():
     m = RNG.standard_normal((4, 4))
     s = symmetrize(m)
     np.testing.assert_array_equal(s, s.T)
+
+
+def test_symmetrize_takes_a_stack_and_does_not_overflow():
+    stack = RNG.standard_normal((3, 4, 4))
+    s = symmetrize(stack)
+    for m, got in zip(stack, s):
+        np.testing.assert_array_equal(got, 0.5 * (m + m.T))  # halving is exact on normal numbers
+    huge = np.array([[1.7e308, 1.0], [3.0, 1.5e308]])
+    np.testing.assert_array_equal(symmetrize(huge), [[1.7e308, 2.0], [2.0, 1.5e308]])
+    with pytest.raises(ValueError, match="square"):
+        symmetrize(np.zeros((2, 3)))

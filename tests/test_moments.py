@@ -24,6 +24,7 @@ from sgdstab import (
 )
 import sgdstab.linalg as linalg_module
 from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, null_projectors, sym_eig, symmetrize, unvec, vec
+from sgdstab.montecarlo import SimConfig, initial_offset
 from sgdstab.moments import ENUM_CAP, ExactStepper, MomentState, null_walk_second_moment, write_trajectory_csv
 from sgdstab.stability import brute_force_transition, second_moment_transition, sharpness
 
@@ -557,3 +558,27 @@ class TestTrajectoryCsv:
         assert len(lines) == 7
         # Row at t=1 carries the noise floor value 1.0.
         assert lines[2].startswith("1,1,")
+
+    @pytest.mark.parametrize(
+        "make, eta, clamped",
+        [
+            # Interpolating with a null space: the recursion rounds trace_sigma_par, exactly 0,
+            # below zero on many rows, down to about -5e-6.
+            (lambda: gen_interpolating(60, 10, 4, 5), 0.05, True),
+            # A null-space random walk: no trace rounds below zero, so every row is written as computed.
+            (lambda: gen_regular(6, 5, 2, 1.0, True, 5), None, False),
+        ],
+        ids=["interpolating-d60", "null-walk"],
+    )
+    def test_traces_are_clamped_at_zero(self, tmp_path, make, eta, clamped):
+        inst = make()
+        hp = Hyperparams(eta=eta or 0.5 * variance_threshold(inst, 2), batch=2)
+        x0 = initial_offset(inst, SimConfig(steps=100, replicates=1, seed=0))
+        path = iterate_moments(inst, hp, point_state(x0), 100, keep_path=True)
+        out = tmp_path / "t.csv"
+        write_trajectory_csv(out, inst, path)
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        p_null, p_range = null_projectors(inst.mean_hessian())
+        raw = np.array([[np.vdot(p_range, s.second_moment), np.vdot(p_null, s.second_moment)] for s in path])
+        assert bool(np.any(raw < 0.0)) is clamped
+        np.testing.assert_array_equal(rows[:, 1:3], np.maximum(raw, 0.0))

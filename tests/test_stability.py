@@ -557,6 +557,18 @@ def _relative_riemannian_gradient(inst, batch, v):
     return float(np.linalg.norm(grad - (grad @ v) * v)) / (a + p * g / a)
 
 
+def _subspace_instance():
+    """d=5, n=4: full-rank 3 x 3 cores H_i = U K_i U^T in a common 3-dimensional subspace.
+
+    Hbar has rank r = 3 < d, and q = 3 gives q (r + q) >= r^2, so the range
+    basis keeps the rotated Hessians k rather than factors.
+    """
+    rng = np.random.default_rng(2)
+    u = np.linalg.qr(rng.standard_normal((5, 5)))[0][:, :3]
+    f = u @ rng.standard_normal((4, 3, 3))
+    return make_instance(f @ f.transpose(0, 2, 1), np.zeros((4, 5)))
+
+
 class TestBatchedRankOneAscent:
     # (instance, batch, starts that stop early, starts that collapse)
     CASES = {
@@ -564,6 +576,7 @@ class TestBatchedRankOneAscent:
         "all-stop-early-b1": (lambda: gen_interpolating(3, 5, 2, 62), 1, 8, 0),
         "batch-equals-n": (lambda: gen_regular(4, 6, 2, 1.0, False, 5), 6, 1, 0),
         "rank-deficient-interpolating": (lambda: gen_interpolating(4, 3, 1, 3), 1, 6, 0),
+        "rank-deficient-dense-range": (_subspace_instance, 1, 5, 0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -579,6 +592,13 @@ class TestBatchedRankOneAscent:
         assert value >= ref_value * (1.0 - 1e-12)
         assert _rank_one_objective(inst, batch, v) == pytest.approx(value, rel=1e-12, abs=0.0)
         assert _relative_riemannian_gradient(inst, batch, v) <= 1e-8
+        # The ascent runs in Hbar's range coordinates, so the maximizer V_r w has no null part.
+        p_null, _ = null_projectors(inst.mean_hessian())
+        assert np.linalg.norm(p_null @ v) <= 1e-14
+
+    def test_dense_range_case_keeps_the_rotated_hessians(self):
+        basis = range_basis(_subspace_instance())
+        assert basis.lam.size == 3 and basis.ut is None and basis.k.shape == (4, 3, 3)
 
     def test_d1_every_start_stops_at_once(self, scalar_pair):
         ref_value, ref_v, stopped, _ = _reference_rank_one(scalar_pair, 1)
@@ -671,34 +691,37 @@ def _factor_instances():
 
 
 class TestFactoredAscent:
-    """Where the range basis keeps factors, the ascent computes H_i x as G_i (G_i^T x)."""
+    """Where the range basis keeps factors, the ascent computes k_i w as U_i (U_i^T w)."""
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_products_match_the_dense_block_row(self, index):
+        # The ascent runs in Hbar's range coordinates: the oracle is the block row
+        # [V_r^T H_1 V_r, ..., V_r^T H_n V_r, V_r^T Hbar V_r], on both branches.
         inst = _factor_instances()[index]
-        n, d = inst.n, inst.d
         basis = range_basis(inst)
-        assert basis.gt is not None and basis.lam.size < d
-        row = np.concatenate([inst.hessians.transpose(1, 0, 2).reshape(d, n * d), inst.mean_hessian()], axis=1)
-        xs = np.random.default_rng(index).standard_normal((16, d))
-        want = (xs @ row).reshape(16, n + 1, d)
-        got = _product_map(inst, basis)(xs)
-        assert got.shape == (16, n + 1, d)
-        np.testing.assert_array_equal(_product_map(inst, dataclasses.replace(basis, gt=None))(xs), want)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        n, r, v = inst.n, basis.lam.size, basis.v
+        assert basis.ut is not None and r < inst.d
+        k = v.T @ inst.hessians @ v
+        row = np.concatenate([k, (v.T @ inst.mean_hessian() @ v)[None]]).transpose(1, 0, 2).reshape(r, (n + 1) * r)
+        ws = np.random.default_rng(index).standard_normal((16, r))
+        want = (ws @ row).reshape(16, n + 1, r)
+        for branch in (basis, dataclasses.replace(basis, k=k, ut=None)):
+            got = _product_map(branch)(ws)
+            assert got.shape == (16, n + 1, r)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_full_rank_hessians_take_the_block_row(self, monkeypatch):
         # Full-rank H_i fail q (r + q) < r^2, so the ascent multiplies by the dense block row.
         import sgdstab.stability as stability_module
 
         inst = gen_regular(8, 6, 8, 1.0, False, 8)
-        assert range_basis(inst).gt is None
+        assert range_basis(inst).ut is None
         factored = []
         true_map = stability_module._product_map
 
-        def recorded(inst, basis):
-            factored.append(basis.gt is not None)
-            return true_map(inst, basis)
+        def recorded(basis):
+            factored.append(basis.ut is not None)
+            return true_map(basis)
 
         monkeypatch.setattr(stability_module, "_product_map", recorded)
         rank_one_bound(inst, 2)
@@ -732,7 +755,7 @@ class TestSweepBounds:
     def test_matches_the_public_functions(self, case):
         make, factored = self.CASES[case]
         inst = make()
-        assert (range_basis(inst).gt is not None) is factored
+        assert (range_basis(inst).ut is not None) is factored
         batches = list(range(1, inst.n + 1))
         kind, lam, rows = _sweep_bounds(inst, batches, 20, 0)
         assert kind is classify(inst)
@@ -781,7 +804,7 @@ class TestRankOneBudget:
         assert len(set(values[4:])) == 1  # converged by a cap of 50
         assert round(values[-1], 2) == 90.59
         assert values[-1] >= 0.89 * generalized_sharpness(inst, 1)
-        assert range_basis(inst).gt is not None  # the ascent ran on the factors
+        assert range_basis(inst).ut is not None  # the ascent ran on the factors
 
     @given(
         d=st.integers(2, 5),
@@ -823,8 +846,8 @@ class TestRankOneBudget:
         rows = []
         true_map = stability_module._product_map
 
-        def counted(inst, basis):
-            products = true_map(inst, basis)
+        def counted(basis):
+            products = true_map(basis)
 
             def apply(xs):
                 rows.append(xs.shape[0])
@@ -1209,15 +1232,17 @@ class TestRangeBasis:
 
         inst = _factor_instances()[0]
         basis = stability_module.range_basis(inst)
-        assert basis.lam.size == 9 and basis.ut.shape == (6, 3, 9) and basis.gt.shape == (6, 3, 12)
+        assert basis.lam.size == 9 and basis.ut.shape == (6, 3, 9)
         assert basis.k is None
         assert np.all(basis.ut[3] == 0.0) and np.all(basis.ut[0, :2] == 0.0)
-        assert np.all(basis.gt[3] == 0.0) and np.all(basis.gt[0, :2] == 0.0)
+        gt = stability_module._sample_factors(*np.linalg.eigh(inst.hessians), 9)  # the G_i^T behind ut
+        assert gt.shape == (6, 3, 12)
+        assert np.all(gt[3] == 0.0) and np.all(gt[0, :2] == 0.0)
         scale = np.max(np.abs(inst.hessians))
-        np.testing.assert_allclose(basis.gt.transpose(0, 2, 1) @ basis.gt, inst.hessians, rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(gt.transpose(0, 2, 1) @ gt, inst.hessians, rtol=0.0, atol=1e-13 * scale)
         k = basis.v.T @ inst.hessians @ basis.v  # the dense oracle of U_i U_i^T
         np.testing.assert_allclose(basis.ut.transpose(0, 2, 1) @ basis.ut, k, rtol=0.0, atol=1e-13 * np.max(np.abs(k)))
-        dense = dataclasses.replace(basis, k=k, gt=None, ut=None)
+        dense = dataclasses.replace(basis, k=k, ut=None)
         x = np.random.default_rng(42).standard_normal((9, 9))  # Lanczos vectors need not be symmetric
         for p in (0.0, 0.5, 1.0):
             want = stability_module._range_d(dense, p)(x)
@@ -1232,9 +1257,9 @@ class TestRangeBasis:
 
         basis = stability_module.range_basis(gen_interpolating(8, 6, rank, 3))
         assert basis.lam.size == 8
-        assert (basis.ut is not None) is (basis.gt is not None) is (basis.k is None) is factored
+        assert (basis.ut is not None) is (basis.k is None) is factored
         if factored:
-            assert basis.ut.shape == (6, rank, 8) and basis.gt.shape == (6, rank, 8)
+            assert basis.ut.shape == (6, rank, 8)
         else:
             assert basis.k.shape == (6, 8, 8)
 
@@ -1275,7 +1300,7 @@ class TestRangeBasis:
         hessians[0] = 0.5 * (np.outer(w[:, 0], w[:, 0]) - np.outer(w[:, 1], w[:, 1]))
         inst = make_instance(hessians, np.zeros((30, 20)))
         basis = stability_module.range_basis(inst)
-        assert basis.ut is None and basis.gt is None and basis.k.shape == (30, 20, 20)
+        assert basis.ut is None and basis.k.shape == (30, 20, 20)
         assert basis.kind is MinimumClass.INVALID
         hbar = inst.mean_hessian()
         for b in (1, 3):
