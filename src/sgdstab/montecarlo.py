@@ -30,6 +30,11 @@ step sizes between the mean-square and almost-sure thresholds (the
 ensemble average is then carried by exponentially rare trajectories), so
 the classifier also uses the growth slope of the ensemble second moment
 over an early window in which the replicate average still concentrates.
+The bisection evaluates each step size with a verdict-only run, which
+returns the classifier's answer and stops once that answer is certain to
+be "unstable": when a replicate crosses, or when the growth rule holds at
+the end of the window in the last chunk.  A stable answer needs every
+step, so each verdict is the full run's.
 """
 
 from __future__ import annotations
@@ -300,15 +305,31 @@ def _finalize(
     )
 
 
-def _run(inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_replicate: int) -> EmpiricalMoments:
+def _validated_hbar(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(Hbar, P_null) of a valid instance, what _run needs besides the process; ValueError if inst is invalid."""
     require_valid(inst)
+    hbar = inst.mean_hessian()
+    return hbar, null_projectors(hbar)[0]
+
+
+def _run(
+    inst: ProblemInstance, cfg: SimConfig, hbar_split, kernel_builder, entries_per_replicate: int, verdict: bool = False
+) -> EmpiricalMoments | bool:
+    """Run every replicate in chunks; the EmpiricalMoments, or with verdict=True classify_unstable's answer.
+
+    hbar_split is _validated_hbar(inst).  A verdict run stops as soon as
+    its answer is certain to be True: when a replicate crosses the
+    divergence threshold, or at step hi of growth_window in the last chunk
+    (the sums over steps lo..hi are then complete) when _grows already
+    holds.  It never stops early with False, so the answer is the full run's.
+    """
+    hbar, p_null = hbar_split
     d = inst.d
     t_steps = cfg.steps
     x0 = initial_offset(inst, cfg)
-    hbar = inst.mean_hessian()
-    p_null, _ = null_projectors(hbar)
     acc = _Accumulator(t_steps, d, p_null, hbar)
     per_replicate_threshold = cfg.divergence_factor * (1.0 + float(x0 @ x0))
+    lo, hi = growth_window(cfg)
 
     diverged_count = 0
     first_cross: int | None = None
@@ -317,6 +338,7 @@ def _run(inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_repl
     while start < cfg.replicates:
         stop = min(start + chunk_size, cfg.replicates)
         size = stop - start
+        last_chunk = stop == cfg.replicates
         kernel = kernel_builder(range(start, stop))
         x = np.tile(x0, (size, 1))
         alive = np.ones(size, dtype=bool)
@@ -329,24 +351,29 @@ def _run(inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_repl
             x = np.where(alive[:, None], x_new, x) if crossed else x_new
             crossing = alive & (acc.add(t, x) > per_replicate_threshold)
             if np.any(crossing):
+                if verdict:
+                    return True
                 crossed = True
                 flagged |= crossing
                 alive &= ~crossing
                 first_cross = t if first_cross is None else min(first_cross, t)
+            if verdict and last_chunk and t == hi >= lo and _grows(acc.sum_sq_perp / cfg.replicates, lo, hi):
+                return True
         diverged_count += int(flagged.sum())
         start = stop
-    return _finalize(acc, cfg, diverged_count, first_cross)
+    em = _finalize(acc, cfg, diverged_count, first_cross)
+    return classify_unstable(em, cfg) if verdict else em
 
 
-def simulate_sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig) -> EmpiricalMoments:
-    """Monte-Carlo moments of mini-batch SGD with uniform batches."""
+def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, hbar_split, verdict: bool = False) -> EmpiricalMoments | bool:
+    """simulate_sgd on hbar_split = _validated_hbar(inst); a _run verdict with verdict=True."""
     n = inst.n
     b = hp.batch
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
     eta = hp.eta
     interpolating = bool(np.all(inst.gradients == 0.0))
-    hbar = inst.mean_hessian()
+    hbar = hbar_split[0]
     gbar = inst.gradients.mean(axis=0)
 
     def builder(replicate_range):
@@ -369,7 +396,49 @@ def simulate_sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig) -> Empi
 
     # Per replicate: the (steps, B) batch indices and its B rows of the
     # sample-grouped drift, each of length d.
-    return _run(inst, cfg, builder, entries_per_replicate=cfg.steps * b + b * inst.d)
+    return _run(inst, cfg, hbar_split, builder, cfg.steps * b + b * inst.d, verdict)
+
+
+def simulate_sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig) -> EmpiricalMoments:
+    """Monte-Carlo moments of mini-batch SGD with uniform batches."""
+    return _sgd(inst, hp, cfg, _validated_hbar(inst))
+
+
+def _mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig, hbar_split, verdict: bool = False) -> EmpiricalMoments | bool:
+    """simulate_mixture on hbar_split = _validated_hbar(inst); a _run verdict with verdict=True.
+
+    The full-batch step runs on every row (one GEMM; gathering the other
+    rows would cost more), then the rows whose coin is set get their
+    single-sample step, its drift computed on those rows only.
+    """
+    check_step_size(eta)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
+    n = inst.n
+    hbar = hbar_split[0]
+    gbar = inst.gradients.mean(axis=0)
+    interpolating = bool(np.all(inst.gradients == 0.0))
+
+    def builder(replicate_range):
+        idx_all = _batches(cfg.seed, replicate_range, cfg.steps, n, 1)
+        single_all = _coins(cfg.seed, replicate_range, cfg.steps, p)
+
+        def kernel(t, x):
+            out = x - eta * (x @ hbar + gbar)
+            rows = np.flatnonzero(single_all[:, t])
+            if rows.size:
+                idx = idx_all[rows, t]
+                x_single = x[rows]
+                drift = _hessian_drift(inst.hessians, idx, x_single)
+                if not interpolating:
+                    drift += inst.gradients[idx].sum(axis=1)
+                out[rows] = x_single - eta * drift
+            return out
+
+        return kernel
+
+    # Per replicate: the (steps,) sample indices and coins, and one grouped row.
+    return _run(inst, cfg, hbar_split, builder, 2 * cfg.steps + inst.d, verdict)
 
 
 def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig) -> EmpiricalMoments:
@@ -381,31 +450,7 @@ def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig
     and matched seeds the paths coincide exactly with simulate_sgd at
     batch size one.  The coin has its own draw domain.
     """
-    check_step_size(eta)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
-    n = inst.n
-    hbar = inst.mean_hessian()
-    gbar = inst.gradients.mean(axis=0)
-    interpolating = bool(np.all(inst.gradients == 0.0))
-
-    def builder(replicate_range):
-        idx_all = _batches(cfg.seed, replicate_range, cfg.steps, n, 1)
-        single_all = _coins(cfg.seed, replicate_range, cfg.steps, p)
-
-        def kernel(t, x):
-            idx = idx_all[:, t]
-            drift_single = _hessian_drift(inst.hessians, idx, x)
-            if not interpolating:
-                drift_single += inst.gradients[idx].sum(axis=1)
-            x_single = x - eta * drift_single
-            x_full = x - eta * (x @ hbar + gbar)
-            return np.where(single_all[:, t, None], x_single, x_full)
-
-        return kernel
-
-    # Per replicate: the (steps,) sample indices and coins, and one grouped row.
-    return _run(inst, cfg, builder, entries_per_replicate=2 * cfg.steps + inst.d)
+    return _mixture(inst, eta, p, cfg, _validated_hbar(inst))
 
 
 def growth_window(cfg: SimConfig) -> tuple[int, int]:
@@ -416,19 +461,23 @@ def growth_window(cfg: SimConfig) -> tuple[int, int]:
     return lo, hi
 
 
-def classify_unstable(em: EmpiricalMoments, cfg: SimConfig) -> bool:
-    """True when the run shows mean-square instability: a divergence flag,
-    or positive growth of the ensemble perpendicular second moment over
-    the concentration window."""
-    if em.diverged:
-        return True
-    lo, hi = growth_window(cfg)
-    series = em.mean_sq_perp[lo : hi + 1]
+def _grows(mean_sq_perp: np.ndarray, lo: int, hi: int) -> bool:
+    """The growth rule: the ensemble perpendicular second moment over steps
+    lo..hi has a positive log-linear slope (when some value is not positive,
+    its last value exceeds its first)."""
+    series = mean_sq_perp[lo : hi + 1]
     if np.any(series <= 0.0):
         return bool(series[-1] > series[0])
     t = np.arange(lo, hi + 1, dtype=float)
     slope = float(np.polyfit(t, np.log(series), 1)[0])
     return slope > 0.0
+
+
+def classify_unstable(em: EmpiricalMoments, cfg: SimConfig) -> bool:
+    """True when the run shows mean-square instability: a divergence flag,
+    or positive growth of the ensemble perpendicular second moment over
+    the concentration window (_grows)."""
+    return em.diverged or _grows(em.mean_sq_perp, *growth_window(cfg))
 
 
 def empirical_threshold(
@@ -446,15 +495,21 @@ def empirical_threshold(
     with the top eigenvector of the mean Hessian (scaled by that factor),
     which excites the dominant mode immediately and removes most of the
     transient bias from the growth window.
+
+    Each step size gets a verdict-only run (_run): classify_unstable's
+    answer for simulate_sgd's run, stopped once it is certain to be True.
+    Stable runs take every step, so the value is that of full runs.  The
+    instance is validated, and Hbar's projectors built, once per call.
     """
     if bisect_tol <= 0:
         raise ValueError("bisect_tol must be positive")
     if not 0 <= eta_lo < eta_hi:
         raise ValueError(f"invalid bracket [{eta_lo}, {eta_hi}]")
+    hbar_split = _validated_hbar(inst)
     if isinstance(cfg.init_offset, np.ndarray):
         base_cfg = cfg
     else:
-        top = sym_eig(inst.mean_hessian()).vectors[:, 0]
+        top = sym_eig(hbar_split[0]).vectors[:, 0]
         base_cfg = replace(cfg, init_offset=float(cfg.init_offset) * top)
 
     evaluations = 0
@@ -463,8 +518,7 @@ def empirical_threshold(
         nonlocal evaluations
         run_cfg = replace(base_cfg, seed=int(stream(cfg.seed, 10_000 + evaluations).integers(0, 2**63 - 1)))
         evaluations += 1
-        em = simulate_sgd(inst, Hyperparams(eta=eta, batch=batch), run_cfg)
-        return classify_unstable(em, run_cfg)
+        return _sgd(inst, Hyperparams(eta=eta, batch=batch), run_cfg, hbar_split, verdict=True)
 
     if unstable_at(eta_lo):
         raise ValueError(f"bracket invalid: eta_lo={eta_lo} already classifies as unstable")

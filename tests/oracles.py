@@ -4,14 +4,18 @@ The dense d^2 x d^2 ones recompute a quantity that the package solves
 matrix-free on the r x r range block of Hbar, from a full dense matrix
 and one dense eigendecomposition.  projected_transition_lambda_max
 solves the projected transition on that block, and
-projected_transition_dense is its dense oracle.
+projected_transition_dense is its dense oracle.  reference_bisection is
+empirical_threshold's bisection on full simulate_sgd runs.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from conftest import gaussian_start
-from sgdstab.instances import check_step_size, mixing_weight
+from sgdstab.instances import Hyperparams, check_step_size, mixing_weight, stream
 from sgdstab.linalg import _lanczos_solve, kron, null_projectors, psd_range, sym_eig, symmetrize
+from sgdstab.montecarlo import classify_unstable, simulate_sgd
 from sgdstab.stability import _mixture_matrix, _range_d, range_basis
 
 
@@ -80,3 +84,31 @@ def projected_transition_lambda_max(inst, eta, batch):
         return (x - eta * (pair * x) + (eta * eta) * d_r(x)).reshape(-1)
 
     return _lanczos_solve(apply, gaussian_start(r * r, 7))
+
+
+def reference_bisection(inst, batch, cfg, eta_lo, eta_hi, bisect_tol):
+    """empirical_threshold from full simulate_sgd runs, each classified by classify_unstable.
+
+    Same start, run seeds and bracket updates as empirical_threshold, whose
+    verdict-only runs stop early; returns (threshold, the (eta, verdict)
+    pairs in evaluation order).  The bracket is assumed valid.
+    """
+    if not isinstance(cfg.init_offset, np.ndarray):
+        top = sym_eig(inst.mean_hessian()).vectors[:, 0]
+        cfg = replace(cfg, init_offset=float(cfg.init_offset) * top)
+    verdicts = []
+
+    def unstable_at(eta):
+        run_cfg = replace(cfg, seed=int(stream(cfg.seed, 10_000 + len(verdicts)).integers(0, 2**63 - 1)))
+        verdicts.append((eta, classify_unstable(simulate_sgd(inst, Hyperparams(eta=eta, batch=batch), run_cfg), run_cfg)))
+        return verdicts[-1][1]
+
+    assert not unstable_at(eta_lo) and unstable_at(eta_hi)
+    lo, hi = eta_lo, eta_hi
+    while hi - lo >= bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if unstable_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), verdicts

@@ -21,6 +21,7 @@ from sgdstab import (
     simulate_sgd,
     variance_threshold,
 )
+from oracles import reference_bisection
 from sgdstab.instances import _splitmix64
 from sgdstab.linalg import null_projectors
 from sgdstab.montecarlo import growth_window, initial_offset, write_empirical_csv
@@ -246,6 +247,86 @@ class TestEmpiricalThreshold:
         cfg = SimConfig(steps=24, replicates=2048, seed=7)
         with pytest.raises(ValueError, match="bracket"):
             empirical_threshold(scalar_pair, 1, cfg, eta_lo=1.5, eta_hi=2.0, bisect_tol=0.05)
+
+
+class TestVerdictRuns:
+    """empirical_threshold's verdict-only runs give the full runs' verdicts, and stop early only when unstable."""
+
+    CASES = {
+        "interpolating": (lambda: gen_interpolating(4, 8, 2, 1), 2, {}),
+        "interpolating-batch-1": (lambda: gen_interpolating(3, 6, 3, 2), 1, {}),
+        "regular": (lambda: gen_regular(4, 8, 2, 1.0, False, 3), 2, {}),
+        # Hbar of rank 3 in R^4: the accumulator splits off the null component.
+        "rank-deficient-regular": (lambda: gen_regular(4, 3, 1, 1.0, False, 2), 1, {}),
+        # Hbar of rank 2 in R^4, and a start with a null-space component of norm 1.9.
+        "null-space-start": (lambda: gen_interpolating(4, 2, 1, 1), 1, {"init_offset": np.array([1.0, -0.5, 0.25, 2.0])}),
+        # A low divergence factor: unstable runs stop at a replicate's crossing, some before the growth window ends.
+        "early-crossings": (lambda: gen_interpolating(4, 8, 2, 5), 2, {"divergence_factor": 30.0}),
+    }
+
+    @pytest.mark.parametrize("chunks", [1, 7])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_threshold_matches_full_run_bisection(self, case, chunks, monkeypatch):
+        make, batch, kwargs = self.CASES[case]
+        inst = make()
+        if chunks > 1:
+            # 24 steps * B indices + B * d drift rows per replicate: six chunks of 300 replicates and one of 248.
+            monkeypatch.setattr(mc, "_CHUNK_ENTRY_BUDGET", (24 * batch + batch * inst.d) * 300)
+        thr = variance_threshold(inst, batch)
+        cfg = SimConfig(steps=24, replicates=2048, seed=11, **kwargs)
+        args = (inst, batch, cfg, 0.5 * thr, 1.5 * thr, 0.02 * thr)
+        want, want_verdicts = reference_bisection(*args)
+        verdicts = []
+        sgd = mc._sgd
+
+        def recorded(inst, hp, cfg, hbar_split, verdict=False):
+            out = sgd(inst, hp, cfg, hbar_split, verdict)
+            verdicts.append((hp.eta, out))
+            return out
+
+        monkeypatch.setattr(mc, "_sgd", recorded)
+        assert empirical_threshold(*args) == want
+        assert verdicts == want_verdicts
+        assert {v for _, v in verdicts} == {False, True}
+
+    def test_verdicts_match_classified_full_runs(self):
+        inst = gen_interpolating(2, 4, 2, 46)
+        b = 2
+        thr = variance_threshold(inst, b)
+        p = mixing_weight(inst.n, b)
+        cfg = SimConfig(steps=24, replicates=2048, seed=15)
+        hbar_split = mc._validated_hbar(inst)
+        for factor in np.linspace(0.5, 1.5, 11):
+            hp = Hyperparams(eta=factor * thr, batch=b)
+            assert mc._sgd(inst, hp, cfg, hbar_split, verdict=True) == classify_unstable(simulate_sgd(inst, hp, cfg), cfg)
+            mixture = classify_unstable(simulate_mixture(inst, hp.eta, p, cfg), cfg)
+            assert mc._mixture(inst, hp.eta, p, cfg, hbar_split, verdict=True) == mixture
+
+    @pytest.mark.parametrize("factor, divergence_factor", [(1.2, 1e6), (1.5, 30.0)], ids=["growth-window", "crossing"])
+    def test_unstable_runs_stop_early_and_stable_runs_run_every_step(self, factor, divergence_factor, monkeypatch):
+        inst = gen_interpolating(4, 8, 2, 1)
+        thr = variance_threshold(inst, 2)
+        cfg = SimConfig(steps=24, replicates=2048, seed=11, divergence_factor=divergence_factor)
+        hp = Hyperparams(eta=factor * thr, batch=2)
+        # The full run crosses at step 2 with the low factor and never with the high one.
+        divergence_step = simulate_sgd(inst, hp, cfg).divergence_step
+        hbar_split = mc._validated_hbar(inst)
+        _, hi = growth_window(cfg)
+        steps = []
+        drift = mc._hessian_drift
+
+        def counted(*args):
+            steps.append(1)
+            return drift(*args)
+
+        monkeypatch.setattr(mc, "_hessian_drift", counted)
+        assert mc._sgd(inst, hp, cfg, hbar_split, verdict=True)
+        assert len(steps) < cfg.steps
+        assert len(steps) == (hi if divergence_step is None else divergence_step)
+        assert divergence_step in (None, 2)
+        steps.clear()
+        assert not mc._sgd(inst, Hyperparams(eta=0.5 * thr, batch=2), cfg, hbar_split, verdict=True)
+        assert len(steps) == cfg.steps
 
 
 class TestCsvExport:
