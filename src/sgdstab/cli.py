@@ -413,13 +413,13 @@ def _suite_mixture(seed: int, trials: int) -> list[PropertyResult]:
             thr = stability.variance_threshold(inst_c, b)
             p = mixing_weight(inst_c.n, b)
             cfg = SimConfig(steps=24, replicates=8192, seed=int(rng.integers(0, 2**31)))
-            # Verdict-only runs: classify_unstable's answers, each run stopped once its answer is certain.
-            hbar_split = montecarlo._validated_hbar(inst_c)
             for factor in (0.9, 1.1):
                 res_cls.trials += 1
                 hp = Hyperparams(eta=factor * thr, batch=b)
-                cls_sgd = montecarlo._sgd(inst_c, hp, cfg, hbar_split, verdict=True)
-                cls_mix = montecarlo._mixture(inst_c, hp.eta, p, cfg, hbar_split, verdict=True)
+                em_sgd = montecarlo.simulate_sgd(inst_c, hp, cfg)
+                em_mix = montecarlo.simulate_mixture(inst_c, hp.eta, p, cfg)
+                cls_sgd = montecarlo.classify_unstable(em_sgd, cfg)
+                cls_mix = montecarlo.classify_unstable(em_mix, cfg)
                 if cls_sgd != cls_mix or cls_sgd != (factor > 1.0):
                     res_cls.failures += 1
                     res_cls.detail = f"factor={factor}: sgd={cls_sgd}, mixture={cls_mix}"

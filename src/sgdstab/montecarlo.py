@@ -305,28 +305,23 @@ def _finalize(
     )
 
 
-def _validated_hbar(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(Hbar, P_null) of a valid instance, what _run needs besides the process; ValueError if inst is invalid."""
-    require_valid(inst)
-    hbar = inst.mean_hessian()
-    return hbar, null_projectors(hbar)[0]
-
-
 def _run(
-    inst: ProblemInstance, cfg: SimConfig, hbar_split, kernel_builder, entries_per_replicate: int, verdict: bool = False
+    inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_replicate: int, verdict: bool = False
 ) -> EmpiricalMoments | bool:
     """Run every replicate in chunks; the EmpiricalMoments, or with verdict=True classify_unstable's answer.
 
-    hbar_split is _validated_hbar(inst).  A verdict run stops as soon as
-    its answer is certain to be True: when a replicate crosses the
-    divergence threshold, or at step hi of growth_window in the last chunk
-    (the sums over steps lo..hi are then complete) when _grows already
-    holds.  It never stops early with False, so the answer is the full run's.
+    A verdict run stops as soon as its answer is certain to be True: when
+    a replicate crosses the divergence threshold, or at step hi of
+    growth_window in the last chunk (the sums over steps lo..hi are then
+    complete) when _grows already holds.  It never stops early with False,
+    so the answer is the full run's.
     """
-    hbar, p_null = hbar_split
+    require_valid(inst)
     d = inst.d
     t_steps = cfg.steps
     x0 = initial_offset(inst, cfg)
+    hbar = inst.mean_hessian()
+    p_null, _ = null_projectors(hbar)
     acc = _Accumulator(t_steps, d, p_null, hbar)
     per_replicate_threshold = cfg.divergence_factor * (1.0 + float(x0 @ x0))
     lo, hi = growth_window(cfg)
@@ -365,15 +360,15 @@ def _run(
     return classify_unstable(em, cfg) if verdict else em
 
 
-def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, hbar_split, verdict: bool = False) -> EmpiricalMoments | bool:
-    """simulate_sgd on hbar_split = _validated_hbar(inst); a _run verdict with verdict=True."""
+def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, verdict: bool = False) -> EmpiricalMoments | bool:
+    """simulate_sgd; with verdict=True a _run verdict instead of the moments."""
     n = inst.n
     b = hp.batch
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
     eta = hp.eta
     interpolating = bool(np.all(inst.gradients == 0.0))
-    hbar = hbar_split[0]
+    hbar = inst.mean_hessian()
     gbar = inst.gradients.mean(axis=0)
 
     def builder(replicate_range):
@@ -396,26 +391,31 @@ def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, hbar_split, ver
 
     # Per replicate: the (steps, B) batch indices and its B rows of the
     # sample-grouped drift, each of length d.
-    return _run(inst, cfg, hbar_split, builder, cfg.steps * b + b * inst.d, verdict)
+    return _run(inst, cfg, builder, cfg.steps * b + b * inst.d, verdict)
 
 
 def simulate_sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig) -> EmpiricalMoments:
     """Monte-Carlo moments of mini-batch SGD with uniform batches."""
-    return _sgd(inst, hp, cfg, _validated_hbar(inst))
+    return _sgd(inst, hp, cfg)
 
 
-def _mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig, hbar_split, verdict: bool = False) -> EmpiricalMoments | bool:
-    """simulate_mixture on hbar_split = _validated_hbar(inst); a _run verdict with verdict=True.
+def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig) -> EmpiricalMoments:
+    """Monte-Carlo moments of the mixture process: one uniform sample with
+    probability p, the full batch otherwise.
 
-    The full-batch step runs on every row (one GEMM; gathering the other
-    rows would cost more), then the rows whose coin is set get their
-    single-sample step, its drift computed on those rows only.
+    The sample index is drawn every step regardless of the branch, with
+    the same key and map as simulate_sgd's batch-one draw, so with p = 1
+    and matched seeds the paths coincide exactly with simulate_sgd at
+    batch size one.  The coin has its own draw domain.  The full-batch
+    step runs on every row (one GEMM; gathering the other rows would cost
+    more), then the rows whose coin is set get their single-sample step,
+    its drift computed on those rows only.
     """
     check_step_size(eta)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
     n = inst.n
-    hbar = hbar_split[0]
+    hbar = inst.mean_hessian()
     gbar = inst.gradients.mean(axis=0)
     interpolating = bool(np.all(inst.gradients == 0.0))
 
@@ -438,19 +438,7 @@ def _mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig, hbar_s
         return kernel
 
     # Per replicate: the (steps,) sample indices and coins, and one grouped row.
-    return _run(inst, cfg, hbar_split, builder, 2 * cfg.steps + inst.d, verdict)
-
-
-def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig) -> EmpiricalMoments:
-    """Monte-Carlo moments of the mixture process: one uniform sample with
-    probability p, the full batch otherwise.
-
-    The sample index is drawn every step regardless of the branch, with
-    the same key and map as simulate_sgd's batch-one draw, so with p = 1
-    and matched seeds the paths coincide exactly with simulate_sgd at
-    batch size one.  The coin has its own draw domain.
-    """
-    return _mixture(inst, eta, p, cfg, _validated_hbar(inst))
+    return _run(inst, cfg, builder, entries_per_replicate=2 * cfg.steps + inst.d)
 
 
 def growth_window(cfg: SimConfig) -> tuple[int, int]:
@@ -498,18 +486,16 @@ def empirical_threshold(
 
     Each step size gets a verdict-only run (_run): classify_unstable's
     answer for simulate_sgd's run, stopped once it is certain to be True.
-    Stable runs take every step, so the value is that of full runs.  The
-    instance is validated, and Hbar's projectors built, once per call.
+    Stable runs take every step, so the value is that of full runs.
     """
     if bisect_tol <= 0:
         raise ValueError("bisect_tol must be positive")
     if not 0 <= eta_lo < eta_hi:
         raise ValueError(f"invalid bracket [{eta_lo}, {eta_hi}]")
-    hbar_split = _validated_hbar(inst)
     if isinstance(cfg.init_offset, np.ndarray):
         base_cfg = cfg
     else:
-        top = sym_eig(hbar_split[0]).vectors[:, 0]
+        top = sym_eig(inst.mean_hessian()).vectors[:, 0]
         base_cfg = replace(cfg, init_offset=float(cfg.init_offset) * top)
 
     evaluations = 0
@@ -518,7 +504,7 @@ def empirical_threshold(
         nonlocal evaluations
         run_cfg = replace(base_cfg, seed=int(stream(cfg.seed, 10_000 + evaluations).integers(0, 2**63 - 1)))
         evaluations += 1
-        return _sgd(inst, Hyperparams(eta=eta, batch=batch), run_cfg, hbar_split, verdict=True)
+        return _sgd(inst, Hyperparams(eta=eta, batch=batch), run_cfg, verdict=True)
 
     if unstable_at(eta_lo):
         raise ValueError(f"bracket invalid: eta_lo={eta_lo} already classifies as unstable")

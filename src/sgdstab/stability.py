@@ -325,15 +325,9 @@ def _range_sharpness(basis: RangeBasis, p: float) -> float:
     Z, and tr(Y0 Z) > 0.  The first Rayleigh quotient is tr(D_r(I)) /
     tr(Lam) > 0, which is 2 / necessary_bound_trace when the H_i vanish
     off the range, and no later Ritz value is smaller.
-
-    At p = 0 (B = n, or n = 1) D_r is X -> Lam X Lam, so S scales E_ab by
-    2 lam_a lam_b / (lam_a + lam_b) <= max(lam_a, lam_b), and lam_1 is the
-    answer in closed form.
     """
     if basis.lam.size == 0:
         return 0.0
-    if p == 0.0:
-        return float(basis.lam[0])
     s, _ = _range_congruence(basis, p)
     return _lanczos_solve(s, np.diag(np.sqrt(basis.lam)).reshape(-1))
 

@@ -41,7 +41,6 @@ from sgdstab.stability import (
     DENSE_CAP,
     _mixture_matrix,
     _mixture_operator,
-    _range_congruence,
     _rank_one_ascent,
     _product_map,
     _sweep_bounds,
@@ -929,26 +928,6 @@ class TestDenseThresholdEigenbasis:
             want = generalized_sharpness_dense(hbar, _mixture_matrix(hbar, inst.hessians, mixing_weight(inst.n, b)))
             assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    P_ZERO_CASES = {
-        "interpolating": lambda: gen_interpolating(6, 5, 2, 21),
-        "regular": lambda: gen_regular(5, 7, 2, 1.0, False, 31),
-        "full-rank": lambda: gen_regular(4, 3, 4, 1.0, False, 8),
-        "rank-deficient": lambda: gen_interpolating(4, 3, 1, 3),
-        "d40-rank-12": lambda: gen_regular(40, 6, 2, 1.0, False, 5),
-        "single-sample": lambda: gen_regular(4, 1, 4, 1.0, False, 2),
-    }
-
-    @pytest.mark.parametrize("case", sorted(P_ZERO_CASES))
-    def test_p_zero_closed_form_matches_lanczos(self, case):
-        # At B = n (or n = 1) S scales E_ab by 2 lam_a lam_b / (lam_a + lam_b), so its top eigenvalue is lam_1.
-        inst = self.P_ZERO_CASES[case]()
-        basis = range_basis(inst)
-        assert mixing_weight(inst.n, inst.n) == 0.0
-        s, _ = _range_congruence(basis, 0.0)
-        lanczos = _lanczos_solve(s, np.diag(np.sqrt(basis.lam)).reshape(-1))
-        assert generalized_sharpness(inst, inst.n) == float(basis.lam[0])
-        assert generalized_sharpness(inst, inst.n) == pytest.approx(lanczos, rel=1e-12, abs=0.0)
-
     def test_indefinite_case_is_indefinite(self):
         inst = _indefinite_instance()
         assert np.min(np.linalg.eigvalsh(inst.hessians)) < 0 < np.min(np.linalg.eigvalsh(inst.mean_hessian()))
@@ -968,14 +947,7 @@ class TestDenseThresholdEigenbasis:
 
         monkeypatch.setattr(stability_module, "_lanczos_solve", recorded)
         for b in sorted({1, 2, inst.n}):
-            solves = len(quotients)
             generalized_sharpness(inst, b)
-            if mixing_weight(inst.n, b) == 0.0:
-                # p = 0 has a closed form and runs no Lanczos; the quotient of its operator at Y0 is checked directly.
-                assert len(quotients) == solves
-                basis = range_basis(inst)
-                s, _ = _range_congruence(basis, 0.0)
-                recorded(s, np.diag(np.sqrt(basis.lam)).reshape(-1))
             assert quotients[-1] == pytest.approx(2.0 / necessary_bound_trace(inst, b), rel=1e-12, abs=0.0)
 
     def test_lanczos_application_budget(self, counting, monkeypatch):
@@ -994,8 +966,7 @@ class TestDenseThresholdEigenbasis:
         inst = gen_regular(24, 16, 4, 1.0, False, 3)
         for b in range(1, inst.n + 1):
             variance_threshold(inst, b)
-        # B = n (p = 0) has a closed form and runs no Lanczos.
-        assert len(applied_per_solve) == inst.n - 1
+        assert len(applied_per_solve) == inst.n
         assert max(applied_per_solve) <= 32, applied_per_solve
 
     def test_non_psd_c_raises(self):
