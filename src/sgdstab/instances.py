@@ -37,24 +37,36 @@ GRAD_ZERO_TOL = 1e-12
 # Mean-gradient tolerance, relative to the largest gradient norm.
 MEAN_GRAD_RTOL = 1e-10
 
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-
 # Element type of the binary payloads in instance files.
 _DTYPE = "<f8"
 
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+# splitmix64's constants, as np.uint64 so that a scalar call converts none of them.
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_M1, _SPLITMIX_M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFT_30, _SHIFT_27, _SHIFT_31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
-def _splitmix64(x: int) -> int:
-    x = (x + _SPLITMIX_GAMMA) & 0xFFFFFFFFFFFFFFFF
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+
+def _splitmix64(x):
+    """The splitmix64 finalizer of a np.uint64 scalar or array, elementwise (wraps mod 2**64)."""
+    with np.errstate(over="ignore"):
+        z = x + _SPLITMIX_GAMMA
+        z ^= z >> _SHIFT_30
+        z *= _SPLITMIX_M1
+        z ^= z >> _SHIFT_27
+        z *= _SPLITMIX_M2
+        z ^= z >> _SHIFT_31
+    return z
+
+
+def _stream_key(seed: int, index: int) -> int:
+    """Philox key of the (seed, index) stream; both are taken mod 2**64."""
+    return (int(seed) & _MASK64) ^ int(_splitmix64(np.uint64(int(index) & _MASK64)))
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream-index); deterministic."""
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) ^ _splitmix64(int(index))
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, index)))
 
 
 class StreamPool:
@@ -72,9 +84,8 @@ class StreamPool:
         self._state = self._bitgen.state
 
     def get(self, seed: int, index: int) -> np.random.Generator:
-        key = (int(seed) & 0xFFFFFFFFFFFFFFFF) ^ _splitmix64(int(index))
         st = self._state
-        st["state"]["key"][0] = key
+        st["state"]["key"][0] = _stream_key(seed, index)
         st["state"]["key"][1] = 0
         st["state"]["counter"][:] = 0
         st["buffer"][:] = 0

@@ -5,7 +5,8 @@ For symmetric matrices Y_1..Y_M, the d^2 x d^2 matrix
     Q = sum_i w_i * (Y_i kron Y_i),   w_i >= 0,
 
 is symmetric and enjoys three structural properties that this module
-verifies numerically:
+verifies numerically (Q from stability._kron_square_sum, the one dense
+Kronecker-square builder, which refuses d > stability.DENSE_CAP):
 
   1. Q commutes with transposition: the commutation matrix K, with
      K vec(Z) = vec(Z^T), satisfies K (A kron B) K = B kron A.  So Q is
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConvergenceError, kron, sym_eig, symmetrize, unvec, vec
-from .stability import _dense_zeros
+from .linalg import ConvergenceError, sym_eig, symmetrize, unvec, vec
+from .stability import _kron_square_sum
 
 # Largest relative negative eigenvalue of a PSD top eigenvector, and its largest relative residual.
 RESIDUAL_TOL = 1e-7
@@ -72,13 +73,8 @@ class CertifyReport:
 
 
 def _assemble(fam: KronFamily) -> np.ndarray:
-    q = _dense_zeros(fam.dim)
     weights = fam.weights if fam.weights is not None else np.ones(fam.members.shape[0])
-    for w, y in zip(weights, fam.members):
-        # sqrt-weight scaling keeps the Y kron Y structure intact.
-        ys = np.sqrt(w) * y
-        q += kron(ys, ys)
-    return q
+    return _kron_square_sum(fam.dim, zip(weights, fam.members))
 
 
 def _split_basis(d: int, sign: float) -> np.ndarray:

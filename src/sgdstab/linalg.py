@@ -38,11 +38,16 @@ class ConvergenceError(RuntimeError):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """(M + M^T)/2 of a matrix or of each in a (..., d, d) stack, as M/2 + M^T/2: no finite entry overflows."""
+    """(M + M^T)/2 of a matrix or of each in a (..., d, d) stack, as M/2 + M^T/2: no finite entry overflows.
+
+    An entry equal to its transpose is kept where halving rounds it (an odd multiple of the smallest subnormal)."""
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
+    mt = np.swapaxes(m, -1, -2)
+    out = 0.5 * m + 0.5 * mt
+    np.copyto(out, m, where=(out != m) & (m == mt))
+    return out
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,13 +5,14 @@ Replicates evolve the offset x = theta - theta* under
     x <- x - (eta/B) * sum_{i in batch} (H_i x + g_i),
 
 with a fresh uniform size-B batch (without replacement) each step, or
-under the mixture process that takes a single-sample step with
-probability p and a full-batch step otherwise.
+under the mixture process that takes SGD's single-sample step with
+probability p and its full-batch step otherwise (both from _steps).
 
 Every random draw is a pure function of (seed, domain, replicate, step,
-slot): a splitmix64 hash of those coordinates.  The hashes are computed
-on tiles of at most _DRAW_BLOCK_LANES (replicate, step) lanes, so their
-temporaries stay in cache, and written into one array per chunk.
+slot): a hash of those coordinates by instances._splitmix64 on uint64
+arrays.  The hashes are computed on tiles of at most _DRAW_BLOCK_LANES
+(replicate, step) lanes, so their temporaries stay in cache, and
+written into one array per chunk.
 Batches come from Floyd's subset sampler on bounded integers (Lemire's
 multiply-high with rejection, so draws are exactly uniform); mixture
 coins compare the top 53 bits of a word with p.  Draws are independent
@@ -45,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, ProblemInstance, _fmt, _splitmix64, check_step_size, require_valid, stream
+from .instances import _MASK64, Hyperparams, ProblemInstance, _fmt, _splitmix64, check_step_size, require_valid, stream
 from .linalg import null_projectors, sym_eig
 
 _CHUNK_ENTRY_BUDGET = 4_000_000
@@ -115,8 +116,8 @@ def _fisher_yates_batches(rng: np.random.Generator, n: int, batch: int, steps: i
     return perm[:, :batch]
 
 
-# Counter-based draws.  With sm = instances._splitmix64, the word for
-# (seed, domain, replicate r, step t, slot s, attempt a) is
+# Counter-based draws.  With sm = instances._splitmix64 (mod 2**64), the word
+# for (seed, domain, replicate r, step t, slot s, attempt a) is
 #
 #     sm(lane ^ (s | a << 32)),  lane = sm(sm(k ^ r) ^ t),  k = sm(seed ^ sm(domain)).
 #
@@ -124,26 +125,13 @@ def _fisher_yates_batches(rng: np.random.Generator, n: int, batch: int, steps: i
 _INDEX_DOMAIN = 1
 _COIN_DOMAIN = 2
 _MASK32 = 0xFFFF_FFFF
-_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
-
-
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """instances._splitmix64 applied elementwise to a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = x + np.uint64(0x9E3779B97F4A7C15)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-    return z
 
 
 def _lane_keys(seed: int, domain: int, replicates: range, steps: int, first_step: int = 0) -> np.ndarray:
     """(replicates, steps) uint64 lane keys of one draw domain, for steps first_step onwards."""
-    k = _splitmix64((int(seed) & _MASK64) ^ _splitmix64(domain))
-    per_replicate = _splitmix64_array(np.arange(replicates.start, replicates.stop, dtype=np.uint64) ^ np.uint64(k))
-    return _splitmix64_array(per_replicate[:, None] ^ np.arange(first_step, first_step + steps, dtype=np.uint64))
+    k = _splitmix64(np.uint64(int(seed) & _MASK64) ^ _splitmix64(np.uint64(domain)))
+    per_replicate = _splitmix64(np.arange(replicates.start, replicates.stop, dtype=np.uint64) ^ k)
+    return _splitmix64(per_replicate[:, None] ^ np.arange(first_step, first_step + steps, dtype=np.uint64))
 
 
 def _key_tiles(seed: int, domain: int, replicates: range, steps: int):
@@ -161,7 +149,7 @@ def _key_tiles(seed: int, domain: int, replicates: range, steps: int):
 
 
 def _words(keys: np.ndarray, slot: int, attempt: int = 0) -> np.ndarray:
-    return _splitmix64_array(keys ^ np.uint64(slot | attempt << 32))
+    return _splitmix64(keys ^ np.uint64(slot | attempt << 32))
 
 
 def _bounded(keys: np.ndarray, slot: int, bound: int) -> np.ndarray:
@@ -324,7 +312,7 @@ def _run(
     p_null, _ = null_projectors(hbar)
     acc = _Accumulator(t_steps, d, p_null, hbar)
     per_replicate_threshold = cfg.divergence_factor * (1.0 + float(x0 @ x0))
-    lo, hi = growth_window(cfg)
+    lo, hi = growth_window(cfg) if verdict else (0, 0)
 
     diverged_count = 0
     first_cross: int | None = None
@@ -337,7 +325,6 @@ def _run(
         kernel = kernel_builder(range(start, stop))
         x = np.tile(x0, (size, 1))
         alive = np.ones(size, dtype=bool)
-        flagged = np.zeros(size, dtype=bool)
         crossed = False
         acc.add(0, x)
         for t in range(1, t_steps + 1):
@@ -349,15 +336,33 @@ def _run(
                 if verdict:
                     return True
                 crossed = True
-                flagged |= crossing
                 alive &= ~crossing
                 first_cross = t if first_cross is None else min(first_cross, t)
-            if verdict and last_chunk and t == hi >= lo and _grows(acc.sum_sq_perp / cfg.replicates, lo, hi):
+            if verdict and last_chunk and t == hi and _grows(acc.sum_sq_perp / cfg.replicates, lo, hi):
                 return True
-        diverged_count += int(flagged.sum())
+        diverged_count += size - int(np.count_nonzero(alive))
         start = stop
     em = _finalize(acc, cfg, diverged_count, first_cross)
     return classify_unstable(em, cfg) if verdict else em
+
+
+def _steps(inst: ProblemInstance, eta: float):
+    """SGD's two steps at step size eta, on the rows of x (chunk, d): full(x) = x - eta (Hbar x + gbar)
+    and batch(x, idx) = x - (eta/B) sum_s (H_{idx_s} x + g_{idx_s}) for sample indices idx (chunk, B)."""
+    interpolating = bool(np.all(inst.gradients == 0.0))
+    hbar = inst.mean_hessian()
+    gbar = inst.gradients.mean(axis=0)
+
+    def full(x: np.ndarray) -> np.ndarray:
+        return x - eta * (x @ hbar + gbar)
+
+    def batch(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        drift = _hessian_drift(inst.hessians, idx, x)
+        if not interpolating:
+            drift += inst.gradients[idx].sum(axis=1)
+        return x - (eta / idx.shape[1]) * drift
+
+    return full, batch
 
 
 def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, verdict: bool = False) -> EmpiricalMoments | bool:
@@ -366,28 +371,13 @@ def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, verdict: bool =
     b = hp.batch
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
-    eta = hp.eta
-    interpolating = bool(np.all(inst.gradients == 0.0))
-    hbar = inst.mean_hessian()
-    gbar = inst.gradients.mean(axis=0)
+    full, batch = _steps(inst, hp.eta)
 
     def builder(replicate_range):
         if b == n:
-
-            def kernel(t, x):
-                return x - eta * (x @ hbar + gbar)
-
-            return kernel
+            return lambda t, x: full(x)
         batches = _batches(cfg.seed, replicate_range, cfg.steps, n, b)
-
-        def kernel(t, x):
-            idx = batches[:, t]
-            drift = _hessian_drift(inst.hessians, idx, x)
-            if not interpolating:
-                drift += inst.gradients[idx].sum(axis=1)
-            return x - (eta / b) * drift
-
-        return kernel
+        return lambda t, x: batch(x, batches[:, t])
 
     # Per replicate: the (steps, B) batch indices and its B rows of the
     # sample-grouped drift, each of length d.
@@ -403,36 +393,28 @@ def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig
     """Monte-Carlo moments of the mixture process: one uniform sample with
     probability p, the full batch otherwise.
 
-    The sample index is drawn every step regardless of the branch, with
-    the same key and map as simulate_sgd's batch-one draw, so with p = 1
-    and matched seeds the paths coincide exactly with simulate_sgd at
-    batch size one.  The coin has its own draw domain.  The full-batch
-    step runs on every row (one GEMM; gathering the other rows would cost
-    more), then the rows whose coin is set get their single-sample step,
-    its drift computed on those rows only.
+    Both steps are simulate_sgd's own (_steps).  The sample index is drawn
+    every step regardless of the branch, with the same key and map as
+    simulate_sgd's batch-one draw, so with matched seeds the paths coincide
+    exactly with simulate_sgd at batch size one when p = 1, and at n when
+    p = 0.  The coin has its own draw domain.  The full-batch step runs on
+    every row (one GEMM; gathering the other rows would cost more), then
+    the rows whose coin is set take the B = 1 step, on those rows only.
     """
     check_step_size(eta)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
-    n = inst.n
-    hbar = inst.mean_hessian()
-    gbar = inst.gradients.mean(axis=0)
-    interpolating = bool(np.all(inst.gradients == 0.0))
+    full, single = _steps(inst, eta)
 
     def builder(replicate_range):
-        idx_all = _batches(cfg.seed, replicate_range, cfg.steps, n, 1)
+        idx_all = _batches(cfg.seed, replicate_range, cfg.steps, inst.n, 1)
         single_all = _coins(cfg.seed, replicate_range, cfg.steps, p)
 
         def kernel(t, x):
-            out = x - eta * (x @ hbar + gbar)
+            out = full(x)
             rows = np.flatnonzero(single_all[:, t])
             if rows.size:
-                idx = idx_all[rows, t]
-                x_single = x[rows]
-                drift = _hessian_drift(inst.hessians, idx, x_single)
-                if not interpolating:
-                    drift += inst.gradients[idx].sum(axis=1)
-                out[rows] = x_single - eta * drift
+                out[rows] = single(x[rows], idx_all[rows, t])
             return out
 
         return kernel
@@ -446,6 +428,8 @@ def growth_window(cfg: SimConfig) -> tuple[int, int]:
     offset still concentrates (hi scales with log2 of the replicates)."""
     hi = min(cfg.steps, max(8, int(math.log2(cfg.replicates)) - 2))
     lo = max(2, hi // 3)
+    if hi <= lo:
+        raise ValueError(f"the growth window needs steps >= 3, got steps={cfg.steps}")
     return lo, hi
 
 
@@ -464,8 +448,9 @@ def _grows(mean_sq_perp: np.ndarray, lo: int, hi: int) -> bool:
 def classify_unstable(em: EmpiricalMoments, cfg: SimConfig) -> bool:
     """True when the run shows mean-square instability: a divergence flag,
     or positive growth of the ensemble perpendicular second moment over
-    the concentration window (_grows)."""
-    return em.diverged or _grows(em.mean_sq_perp, *growth_window(cfg))
+    the concentration window (_grows).  ValueError for steps < 3."""
+    lo, hi = growth_window(cfg)
+    return em.diverged or _grows(em.mean_sq_perp, lo, hi)
 
 
 def empirical_threshold(

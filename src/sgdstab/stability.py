@@ -51,15 +51,16 @@ them, _factored_sandwich_sum: sum_i U_i (U_i^T X U_i) U_i^T in
 4 n q r (r + q) flops.  Otherwise range_basis forms k_i = V_r^T H_i V_r
 for the dense sum.  Array shapes and the PSD test alone pick the kernel.
 curvature_operators picks _mixture_matrix for d <= DENSE_CAP and
-_mixture_operator above it.  Every dense mixture, the brute-force Q and
-kron_certify's Q start from _dense_zeros, which raises ValueError above
-DENSE_CAP before anything of size d^4 is allocated.  _range_congruence
-writes the congruence S = (C^{1/2})^+ D (C^{1/2})^+ on the range block
-once: the threshold is 2 / lambda_max(S), and the limit system of moments
-is I - (eta/2) S.  The projected transition is affine in _range_d.  The
-Lanczos solves here run on operators built symmetric.  The threshold
-solve starts at the positive definite Y0 = diag(sqrt(lam)), which always
-sees the top mode (_range_sharpness says why).
+_mixture_operator above it.  _kron_square_sum builds every dense
+sum_k w_k (M_k kron M_k) (_mixture_matrix, the brute-force Q and
+kron_certify's Q) and raises ValueError above DENSE_CAP before anything
+of size d^4 is allocated.  _range_congruence writes the congruence
+S = (C^{1/2})^+ D (C^{1/2})^+ on the range block once: the threshold is
+2 / lambda_max(S), and the limit system of moments is I - (eta/2) S.
+The projected transition is affine in _range_d.  The Lanczos solves
+here run on operators built symmetric.  The threshold solve starts at
+the positive definite Y0 = diag(sqrt(lam)), which always sees the top
+mode (_range_sharpness says why).
 
 The necessary bounds are cheap lower bounds on the generalized sharpness.
 The tightest, 2 / max_v f(v) over unit v in Hbar's range, comes from
@@ -135,7 +136,7 @@ def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = 
 
     C, D and E are d^2 x d^2 matrices when dense, else functions of a vec'd
     d x d argument.  dense defaults to d <= DENSE_CAP; above it a dense
-    request raises _dense_zeros's ValueError.
+    request raises _kron_square_sum's ValueError.
     """
     basis = range_basis(inst)
     _valid_class(basis.kind)
@@ -163,21 +164,20 @@ def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = 
     )
 
 
-def _dense_zeros(d: int) -> np.ndarray:
-    """The zero d^2 x d^2 matrix that every dense d^2 x d^2 build starts from; ValueError above DENSE_CAP."""
+def _kron_square_sum(d: int, terms) -> np.ndarray:
+    """Dense sum_k w_k (M_k kron M_k) over the (w_k, M_k) pairs of terms, in order; ValueError above DENSE_CAP."""
     if d > DENSE_CAP:
         raise ValueError(f"dense d^2 x d^2 matrix requested for d={d} > cap {DENSE_CAP}")
-    return np.zeros((d * d, d * d))
+    out = np.zeros((d * d, d * d))
+    for w, m in terms:
+        out += w * kron(m, m)
+    return out
 
 
 def _mixture_matrix(a_bar: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray:
     """Dense (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i), the d^2 x d^2 form of _mixture_apply."""
     n = mats.shape[0]
-    out = _dense_zeros(a_bar.shape[0])
-    out += (1.0 - p) * kron(a_bar, a_bar)
-    for m in mats:
-        out += (p / n) * kron(m, m)
-    return out
+    return _kron_square_sum(a_bar.shape[0], [(1.0 - p, a_bar)] + [(p / n, m) for m in mats])
 
 
 @dataclass(frozen=True)
@@ -367,10 +367,8 @@ def brute_force_transition(inst: ProblemInstance, eta: float, batch: int) -> np.
     if count > ENUM_CAP:
         raise ValueError(f"enumeration of C({n},{batch}) = {count} batches exceeds cap {ENUM_CAP}")
     eye = np.eye(d)
-    q = _dense_zeros(d)
-    for combo in itertools.combinations(range(n), batch):
-        a = eye - (eta / batch) * inst.hessians[list(combo)].sum(axis=0)
-        q += kron(a, a)
+    batches = itertools.combinations(range(n), batch)
+    q = _kron_square_sum(d, ((1.0, eye - (eta / batch) * inst.hessians[list(c)].sum(axis=0)) for c in batches))
     return q / count
 
 

@@ -5,7 +5,9 @@ matrix-free on the r x r range block of Hbar, from a full dense matrix
 and one dense eigendecomposition.  projected_transition_lambda_max
 solves the projected transition on that block, and
 projected_transition_dense is its dense oracle.  reference_bisection is
-empirical_threshold's bisection on full simulate_sgd runs.
+empirical_threshold's bisection on full simulate_sgd runs.  splitmix64 is
+the package's splitmix64 on Python ints, the oracle of the draw and stream
+tests.
 """
 
 from dataclasses import replace
@@ -112,3 +114,14 @@ def reference_bisection(inst, batch, cfg, eta_lo, eta_hi, bisect_tol):
         else:
             lo = mid
     return 0.5 * (lo + hi), verdicts
+
+
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(x: int) -> int:
+    x = (x + _SPLITMIX_GAMMA) & 0xFFFFFFFFFFFFFFFF
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)

@@ -17,6 +17,7 @@ from sgdstab import (
     mixing_weight,
     save_instance,
 )
+from oracles import splitmix64
 from sgdstab.instances import ProblemInstance, StreamPool, stream
 from sgdstab.linalg import DEFAULT_RANK_RTOL, ConvergenceError, null_projectors, sym_eig
 
@@ -403,6 +404,12 @@ def _with_bad_entry(field, value):
 class TestSymmetrization:
     """make_instance and load_instance halve before they add, so a finite stack stays finite."""
 
+    def test_make_instance_keeps_symmetric_subnormals(self):
+        # Halving would round the odd multiple 5e-324 of the smallest subnormal to 0.
+        hessians = np.array([[[5e-324, 3e-323], [3e-323, 1.0]]])
+        inst = make_instance(hessians, [[0, 0]])
+        _assert_same_bits(inst.hessians, hessians)
+
     HUGE = np.diag([1.7e308, 1.0])
 
     def test_make_instance_keeps_huge_entries(self):
@@ -455,6 +462,14 @@ class TestStreams:
                 a = stream(seed, index).standard_normal(16)
                 b = pool.get(seed, index).standard_normal(16)
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("index", [-1, 2**64 + 5])
+    def test_keys_match_the_oracle_beyond_64_bits(self, index):
+        # The index is taken mod 2**64, as the seed is.
+        want = 3 ^ splitmix64(index)
+        for rng in (stream(3, index), StreamPool().get(3, index)):
+            key = rng.bit_generator.state["state"]["key"]
+            assert [int(key[0]), int(key[1])] == [want, 0]
 
     def test_distinct_indices_give_distinct_streams(self):
         a = stream(3, 1).standard_normal(8)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -21,7 +22,7 @@ from sgdstab import (
     simulate_sgd,
     variance_threshold,
 )
-from oracles import reference_bisection
+from oracles import reference_bisection, splitmix64
 from sgdstab.instances import _splitmix64
 from sgdstab.linalg import null_projectors
 from sgdstab.montecarlo import growth_window, initial_offset, write_empirical_csv
@@ -203,6 +204,19 @@ class TestMixture:
         np.testing.assert_array_equal(em_sgd.mean_sq_perp, em_mix.mean_sq_perp)
         np.testing.assert_array_equal(em_sgd.mean_offset, em_mix.mean_offset)
 
+    @pytest.mark.parametrize("factor", [0.9, 1.2])
+    def test_p_zero_matches_full_batch_sgd_exactly(self, factor):
+        # Both runs must fit in one chunk: another chunking moves the sums by roundoff.
+        inst = gen_regular(3, 5, 3, 1.0, False, 44)
+        eta = factor * 2.0 / sharpness(inst)
+        cfg = SimConfig(steps=60, replicates=64, seed=14)
+        assert cfg.replicates <= mc._CHUNK_ENTRY_BUDGET // (cfg.steps * inst.n + inst.n * inst.d)
+        em_sgd = simulate_sgd(inst, Hyperparams(eta=eta, batch=inst.n), cfg)
+        em_mix = simulate_mixture(inst, eta, 0.0, cfg)
+        assert em_sgd.diverged == (factor > 1.0)
+        for field in dataclasses.fields(em_sgd):
+            np.testing.assert_array_equal(getattr(em_mix, field.name), getattr(em_sgd, field.name), err_msg=field.name)
+
     def test_matched_weight_classification_agreement(self):
         inst = gen_interpolating(2, 4, 2, 46)
         b = 2
@@ -219,6 +233,38 @@ class TestMixture:
         cfg = SimConfig(steps=2, replicates=2, seed=0)
         with pytest.raises(ValueError):
             simulate_mixture(scalar_pair, 0.1, -0.2, cfg)
+
+
+class TestShortRuns:
+    """The growth window needs steps >= 3; shorter runs still simulate."""
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_window_below_three_steps_is_a_value_error(self, steps):
+        inst = gen_interpolating(2, 4, 2, 1)
+        thr = variance_threshold(inst, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = SimConfig(steps=steps, replicates=8, seed=1, divergence_factor=1.01)
+            with pytest.raises(ValueError, match="steps >= 3"):
+                growth_window(cfg)
+            for eta, diverged in ((0.5 * thr, False), (20.0 * thr, True)):
+                em = simulate_sgd(inst, Hyperparams(eta=eta, batch=1), cfg)
+                assert em.diverged == diverged and em.mean_sq_perp.shape == (steps + 1,)
+                with pytest.raises(ValueError, match="steps >= 3"):
+                    classify_unstable(em, cfg)
+            assert simulate_mixture(inst, 0.5 * thr, 0.5, cfg).mean_sq_perp.shape == (steps + 1,)
+            with pytest.raises(ValueError, match="steps >= 3"):
+                empirical_threshold(inst, 1, cfg, 0.5 * thr, 20.0 * thr, 0.1 * thr)
+
+    def test_three_steps_classify(self):
+        inst = gen_interpolating(2, 4, 2, 1)
+        thr = variance_threshold(inst, 1)
+        cfg = SimConfig(steps=3, replicates=8, seed=1)
+        assert growth_window(cfg) == (2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eta in (0.5 * thr, 20.0 * thr):
+                assert classify_unstable(simulate_sgd(inst, Hyperparams(eta=eta, batch=1), cfg), cfg) == (eta > thr)
 
 
 class TestEmpiricalThreshold:
@@ -347,10 +393,10 @@ class TestCsvExport:
 
 
 def _ref_word(seed, domain, r, t, slot, attempt=0):
-    """Pure-Python draw word; the key chain spelled out with instances._splitmix64."""
-    k = _splitmix64((seed & 0xFFFF_FFFF_FFFF_FFFF) ^ _splitmix64(domain))
-    lane = _splitmix64(_splitmix64(k ^ r) ^ t)
-    return _splitmix64(lane ^ (slot | attempt << 32))
+    """Pure-Python draw word; the key chain spelled out with the splitmix64 oracle."""
+    k = splitmix64((seed & 0xFFFF_FFFF_FFFF_FFFF) ^ splitmix64(domain))
+    lane = splitmix64(splitmix64(k ^ r) ^ t)
+    return splitmix64(lane ^ (slot | attempt << 32))
 
 
 def _ref_bounded(seed, domain, r, t, slot, bound):
@@ -374,7 +420,7 @@ def _ref_batch(seed, r, t, n, batch):
 class TestStreams:
     def test_vector_hash_matches_scalar_splitmix(self):
         x = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789], dtype=np.uint64)
-        assert [int(v) for v in mc._splitmix64_array(x)] == [_splitmix64(int(v)) for v in x]
+        assert [int(v) for v in _splitmix64(x)] == [splitmix64(int(v)) for v in x]
 
     def test_draws_match_pure_python_reference(self):
         batches = mc._batches(31, range(5, 9), 3, 11, 4)

@@ -194,6 +194,7 @@ class TestDenseCap:
             lambda: second_moment_transition(inst, 0.1, 2),
             lambda: brute_force_transition(inst, 0.1, 2),
             lambda: curvature_operators(inst, 2, dense=True),
+            lambda: certify(KronFamily.from_matrices(inst.hessians)),
         )
         tracemalloc.start()
         try:
