@@ -17,15 +17,14 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import kron_certify, montecarlo, moments, stability
 from .instances import (
     Hyperparams,
-    InstanceFormatError,
     _fmt,
+    _write_csv,
     classify,
     gen_interpolating,
     gen_regular,
@@ -67,6 +66,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a random instance file")
+    p_gen.set_defaults(handler=_cmd_gen)
     p_gen.add_argument("--kind", choices=["interpolating", "regular"], required=True)
     p_gen.add_argument("--d", type=int, required=True)
     p_gen.add_argument("--n", type=int, required=True)
@@ -78,12 +78,14 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--out", required=True)
 
     p_an = sub.add_parser("analyze", help="print thresholds and bounds")
+    p_an.set_defaults(handler=_cmd_analyze)
     p_an.add_argument("instance")
     p_an.add_argument("--batch", type=int, required=True)
     p_an.add_argument("--eta", type=float, nargs="*", default=None)
     p_an.add_argument("--out", default=None, help="optional CSV of per-eta classifications")
 
     p_sw = sub.add_parser("sweep", help="emit threshold quantities over a grid")
+    p_sw.set_defaults(handler=_cmd_sweep)
     p_sw.add_argument("instance")
     p_sw.add_argument("--batches", type=int, nargs="+", required=True)
     p_sw.add_argument("--eta-min", type=float, required=True)
@@ -95,6 +97,7 @@ def _build_parser() -> _Parser:
     p_sw.add_argument("--out", required=True)
 
     p_sim = sub.add_parser("simulate", help="moment recursion or Monte-Carlo run")
+    p_sim.set_defaults(handler=_cmd_simulate)
     p_sim.add_argument("instance")
     p_sim.add_argument("--eta", type=float, required=True)
     group = p_sim.add_mutually_exclusive_group(required=True)
@@ -110,7 +113,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--out", required=True)
 
     p_ver = sub.add_parser("verify", help="run the numerical property suites")
-    p_ver.add_argument("--suite", choices=["kron", "thresholds", "moments", "mixture", "all"], default="all")
+    p_ver.set_defaults(handler=_cmd_verify)
+    p_ver.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=10)
     return parser
@@ -157,10 +161,8 @@ def _cmd_analyze(args) -> int:
             f"{'VarStable' if row.var_stable else 'VarUnstable'}"
         )
     if args.out:
-        lines = ["eta,mean_stable,var_stable"]
-        for row in verdict.rows:
-            lines.append(f"{_fmt(row.eta)},{int(row.mean_stable)},{int(row.var_stable)}")
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = ((_fmt(row.eta), str(int(row.mean_stable)), str(int(row.var_stable))) for row in verdict.rows)
+        _write_csv(args.out, "eta,mean_stable,var_stable", rows)
     return EXIT_OK
 
 
@@ -173,31 +175,22 @@ def _cmd_sweep(args) -> int:
     if args.rank_one_steps < 0:
         raise _UsageError("rank-one-steps must be nonnegative")
     for b in args.batches:
-        if not 1 <= b <= inst.n:
-            raise InstanceFormatError(f"batch size {b} out of range [1, {inst.n}]")
+        mixing_weight(inst.n, b)  # ValueError unless 1 <= b <= n
     if args.eta_count == 1:
         grid = np.array([args.eta_min])
     elif args.log_grid:
         grid = np.geomspace(args.eta_min, args.eta_max, args.eta_count)
     else:
         grid = np.linspace(args.eta_min, args.eta_max, args.eta_count)
-    lines = ["batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness"]
     batches = sorted(args.batches)
-    _, lam, rows = stability._sweep_bounds(inst, batches, args.rank_one_steps, args.seed)
-    for b, (gen_sharp, rank_one_value, eig_bound) in zip(batches, rows):
-        for eta in grid:
-            row = (
-                str(b),
-                _fmt(eta),
-                _fmt(2.0 / eta),
-                _fmt(gen_sharp),
-                _fmt(rank_one_value),
-                _fmt(2.0 / eig_bound),
-                _fmt(lam),
-            )
-            lines.append(",".join(row))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {args.out} ({len(lines) - 1} rows)")
+    _, lam, bounds = stability._sweep_bounds(inst, batches, args.rank_one_steps, args.seed)
+    rows = [
+        (str(b), _fmt(eta), _fmt(2.0 / eta), _fmt(gen_sharp), _fmt(rank_one_value), _fmt(2.0 / eig_bound), _fmt(lam))
+        for b, (gen_sharp, rank_one_value, eig_bound) in zip(batches, bounds)
+        for eta in grid
+    ]
+    _write_csv(args.out, "batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness", rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -210,7 +203,8 @@ def _cmd_simulate(args) -> int:
             if value is not None:
                 raise _UsageError(f"{flag} applies to Monte-Carlo runs, not to --exact")
         hp = Hyperparams(eta=args.eta, batch=args.batch)
-        state = _exact_initial_state(inst, args)
+        cfg = SimConfig(steps=args.steps, replicates=1, seed=args.seed, init_offset=args.init_scale)
+        state = moments.point_state(montecarlo.initial_offset(inst, cfg))
         path = moments.iterate_moments(inst, hp, state, args.steps, keep_path=True)
         moments.write_trajectory_csv(args.out, inst, path)
         print(f"wrote {args.out} ({len(path)} rows)")
@@ -231,12 +225,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _exact_initial_state(inst, args):
-    cfg = SimConfig(steps=args.steps, replicates=1, seed=args.seed, init_offset=args.init_scale)
-    x0 = montecarlo.initial_offset(inst, cfg)
-    return moments.point_state(x0)
-
-
 # --------------------------------------------------------------------------
 # verification suites
 
@@ -251,6 +239,13 @@ class PropertyResult:
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+    def record(self, ok: bool, detail: str = "") -> None:
+        """Count one trial; a failed one also counts a failure and, if given, sets the detail."""
+        self.trials += 1
+        if not ok:
+            self.failures += 1
+            self.detail = detail or self.detail
 
 
 def _random_instance(rng: np.random.Generator, d_max=4, n_max=6, regular=False):
@@ -297,38 +292,27 @@ def _suite_thresholds(seed: int, trials: int) -> list[PropertyResult]:
         etas = [0.0, 0.3 / lam, 1.0 / lam, 2.2 / lam]
         for b in range(1, inst.n + 1):
             for eta in etas:
-                res_oracle.trials += 1
                 q = stability.second_moment_transition(inst, eta, b)
                 q_ref = stability.brute_force_transition(inst, eta, b)
-                if np.max(np.abs(q - q_ref)) > 1e-10 * max(1.0, float(np.max(np.abs(q_ref)))):
-                    res_oracle.failures += 1
-                    res_oracle.detail = f"batch={b}, eta={eta}"
-        res_gd.trials += 1
-        if abs(stability.variance_threshold(inst, inst.n) - 2.0 / lam) > 1e-9 * (2.0 / lam):
-            res_gd.failures += 1
-        res_mono.trials += 1
+                ok = not np.max(np.abs(q - q_ref)) > 1e-10 * max(1.0, float(np.max(np.abs(q_ref))))
+                res_oracle.record(ok, f"batch={b}, eta={eta}")
+        res_gd.record(not abs(stability.variance_threshold(inst, inst.n) - 2.0 / lam) > 1e-9 * (2.0 / lam))
         thresholds = [stability.variance_threshold(inst, b) for b in range(1, inst.n + 1)]
-        if any(t2 < t1 - 1e-9 * max(1.0, t1) for t1, t2 in zip(thresholds, thresholds[1:])):
-            res_mono.failures += 1
-        res_chain.trials += 1
+        res_mono.record(not any(t2 < t1 - 1e-9 * max(1.0, t1) for t1, t2 in zip(thresholds, thresholds[1:])))
         b = int(rng.integers(1, inst.n + 1))
         gen_sharp = 2.0 / stability.variance_threshold(inst, b)
         r1, _ = stability.rank_one_bound(inst, b, steps=400, seed=int(rng.integers(0, 2**31)))
         b14 = 2.0 / stability.necessary_bound_eigvec(inst, b)
         slack = 1e-9 * max(1.0, gen_sharp)
-        if not (gen_sharp + slack >= r1 >= b14 - slack and b14 + slack >= lam):
-            res_chain.failures += 1
-            res_chain.detail = f"chain {gen_sharp} >= {r1} >= {b14} >= {lam} violated"
-        res_spec.trials += 1
+        ok = gen_sharp + slack >= r1 >= b14 - slack and b14 + slack >= lam
+        res_chain.record(ok, f"chain {gen_sharp} >= {r1} >= {b14} >= {lam} violated")
         thr = stability.variance_threshold(inst, b)
         ok = True
         for factor in (0.2, 0.7, 0.99, 1.01, 1.5):
             eta = factor * thr
             lam_q = float(np.max(np.abs(np.linalg.eigvalsh(stability.second_moment_transition(inst, eta, b)))))
-            if (eta <= thr) != (lam_q <= 1.0 + 1e-9):
-                ok = False
-        if not ok:
-            res_spec.failures += 1
+            ok &= (eta <= thr) == (lam_q <= 1.0 + 1e-9)
+        res_spec.record(ok)
     return [res_oracle, res_gd, res_mono, res_chain, res_spec]
 
 
@@ -346,17 +330,13 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         b = int(rng.integers(1, n + 1))
         thr = stability.variance_threshold(inst, b)
         hp = Hyperparams(eta=0.5 * thr, batch=b)
-        res_cross.trials += 1
-        try:
-            moments.cross_term(inst, hp.eta, b)
-        except ConvergenceError:
-            res_cross.failures += 1
-        res_cross_mc.trials += 1
-        try:
-            moments.cross_term(inst, hp.eta, b, enum_cap=0)
-        except ConvergenceError:
-            res_cross_mc.failures += 1
-        res_fix.trials += 1
+        for res, cap in ((res_cross, stability.ENUM_CAP), (res_cross_mc, 0)):
+            try:
+                moments.cross_term(inst, hp.eta, b, enum_cap=cap)
+            except ConvergenceError:
+                res.record(False)
+            else:
+                res.record(True)
         limit = moments.covariance_limit(inst, hp)
         # From x0 = 0 the mean stays 0 and Sigma' = Q Sigma + Sigma_v.  Every H_i has rank d, so
         # with rho(Q) < 1 the limit must be that map's unique, attracting fixed point.
@@ -366,10 +346,8 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         step = moments.ExactStepper(inst, hp).step(moments.MomentState(mean=np.zeros(d), second_moment=limit))
         tol = 1e-6 * max(1.0, float(np.linalg.norm(limit)))
         rho = float(np.max(np.abs(np.linalg.eigvalsh(q))))
-        if max(np.linalg.norm(dense - limit), np.linalg.norm(step.second_moment - limit)) > tol or not rho < 1.0:
-            res_fix.failures += 1
-            res_fix.detail = f"d={d}, n={n}, batch={b}, rho(Q)={rho}"
-        res_cons.trials += 1
+        ok = not max(np.linalg.norm(dense - limit), np.linalg.norm(step.second_moment - limit)) > tol and rho < 1.0
+        res_fix.record(ok, f"d={d}, n={n}, batch={b}, rho(Q)={rho}")
         dist_sq, loss_gap, grad_sq = moments.asymptotic_quantities(inst, hp)
         hbar = inst.mean_hessian()
         checks = (
@@ -377,9 +355,7 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
             abs(loss_gap - 0.5 * np.trace(hbar @ limit)),
             abs(grad_sq - np.trace(hbar @ hbar @ limit)),
         )
-        if max(checks) > 1e-9 * max(1.0, dist_sq):
-            res_cons.failures += 1
-        res_walk.trials += 1
+        res_cons.record(not max(checks) > 1e-9 * max(1.0, dist_sq))
         inst_w = gen_regular(max(d, 2), n, max(d, 2) - 1, 1.0, True, int(rng.integers(0, 2**31)))
         hp_w = Hyperparams(eta=0.3 / stability.sharpness(inst_w), batch=1)
         init = moments.point_state(np.zeros(inst_w.d))
@@ -388,8 +364,7 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         state_w = moments.iterate_moments(inst_w, hp_w, init, t_check)
         p_null, _ = null_projectors(inst_w.mean_hessian())
         iterated = float(np.trace(p_null @ state_w.second_moment @ p_null))
-        if abs(closed - iterated) > 1e-9 * max(1.0, abs(closed)):
-            res_walk.failures += 1
+        res_walk.record(not abs(closed - iterated) > 1e-9 * max(1.0, abs(closed)))
     return [res_fix, res_cons, res_walk, res_cross, res_cross_mc]
 
 
@@ -400,13 +375,11 @@ def _suite_mixture(seed: int, trials: int) -> list[PropertyResult]:
     for k in range(trials):
         inst = _random_instance(rng)
         for b in range(1, inst.n + 1):
-            res_q.trials += 1
             p = mixing_weight(inst.n, b)
             eta = 0.8 / stability.sharpness(inst)
             q_mix = stability.mixture_transition(inst, eta, p)
             q_ref = stability.brute_force_transition(inst, eta, b)
-            if np.max(np.abs(q_mix - q_ref)) > 1e-10 * max(1.0, float(np.max(np.abs(q_ref)))):
-                res_q.failures += 1
+            res_q.record(not np.max(np.abs(q_mix - q_ref)) > 1e-10 * max(1.0, float(np.max(np.abs(q_ref)))))
         if k == 0:
             inst_c = gen_interpolating(2, 4, 2, int(rng.integers(0, 2**31)))
             b = 2
@@ -414,15 +387,13 @@ def _suite_mixture(seed: int, trials: int) -> list[PropertyResult]:
             p = mixing_weight(inst_c.n, b)
             cfg = SimConfig(steps=24, replicates=8192, seed=int(rng.integers(0, 2**31)))
             for factor in (0.9, 1.1):
-                res_cls.trials += 1
                 hp = Hyperparams(eta=factor * thr, batch=b)
                 em_sgd = montecarlo.simulate_sgd(inst_c, hp, cfg)
                 em_mix = montecarlo.simulate_mixture(inst_c, hp.eta, p, cfg)
                 cls_sgd = montecarlo.classify_unstable(em_sgd, cfg)
                 cls_mix = montecarlo.classify_unstable(em_mix, cfg)
-                if cls_sgd != cls_mix or cls_sgd != (factor > 1.0):
-                    res_cls.failures += 1
-                    res_cls.detail = f"factor={factor}: sgd={cls_sgd}, mixture={cls_mix}"
+                ok = cls_sgd == cls_mix == (factor > 1.0)
+                res_cls.record(ok, f"factor={factor}: sgd={cls_sgd}, mixture={cls_mix}")
     return [res_q, res_cls]
 
 
@@ -465,21 +436,11 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, InstanceFormatError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # InstanceFormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -220,6 +220,13 @@ def check_step_size(eta: float) -> float:
     return eta
 
 
+def check_mixture_weight(p: float) -> float:
+    """Return p; raise ValueError unless 0 <= p <= 1."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Step size and batch size.  eta = 0 means frozen dynamics."""
@@ -299,6 +306,12 @@ def gen_regular(
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write a UTF-8 CSV: the header line, then each row's cells (strings) joined by commas."""
+    lines = [header, *(",".join(row) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _payload(a: np.ndarray) -> dict:

@@ -49,17 +49,15 @@ the traces of X weighted by 1, lam/2 and lam^2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .instances import Hyperparams, ProblemInstance, _fmt, _valid_class, mixing_weight, require_valid
+from .instances import Hyperparams, ProblemInstance, _fmt, _valid_class, _write_csv, mixing_weight, require_valid
 from .linalg import ConvergenceError, cg, kron, null_projectors, sym_eig, symmetrize
 from .montecarlo import _batches
-from .stability import ENUM_CAP, _mixture_apply, _range_congruence, _range_sharpness, _threshold, range_basis
+from .stability import ENUM_CAP, _enumerated_batches, _mixture_apply, _range_congruence, _range_sharpness, _threshold, range_basis
 
 MC_VALIDATION_SAMPLES = 100_000
 # Float entries per Monte-Carlo validation chunk (about 1 MB of temporaries).
@@ -103,14 +101,10 @@ def cross_term(
     closed *= -(eta * eta) * p / n
     if np.all(inst.gradients == 0.0):
         return closed
-    eye = np.eye(d)
     count = math.comb(n, batch)
     if count <= enum_cap:
         ref = np.zeros((d * d, d))
-        for combo in itertools.combinations(range(n), batch):
-            idx = list(combo)
-            a = eye - (eta / batch) * inst.hessians[idx].sum(axis=0)
-            v = (eta / batch) * inst.gradients[idx].sum(axis=0)
+        for a, v in _enumerated_batches(inst, eta, batch):
             ref += kron(v[:, None], a)
         ref /= count
         scale = max(1.0, float(np.max(np.abs(ref))))
@@ -118,7 +112,7 @@ def cross_term(
         if defect > 1e-10 * scale:
             raise ConvergenceError(f"cross term disagrees with batch enumeration by {defect:.3e}")
         return closed
-    flat_h = inst.hessians.reshape(n, d * d)
+    flat_h, flat_eye = inst.hessians.reshape(n, d * d), np.eye(d).reshape(-1)
     chunk = max(1, _MC_CHUNK_ENTRY_BUDGET // (n + 3 * d * d))
     acc = np.zeros((d, d * d))
     acc_sq = np.zeros((d, d * d))
@@ -129,7 +123,7 @@ def cross_term(
         for slot in range(1, batch):
             h_sum += flat_h[idx[:, slot]]
             g_sum += inst.gradients[idx[:, slot]]
-        a = eye.reshape(-1) - (eta / batch) * h_sum
+        a = flat_eye - (eta / batch) * h_sum
         v = (eta / batch) * g_sum
         # Entry (i*d + j, l) of sample k is v_k[i] * A_k[j, l]; the sums over k are GEMMs.
         acc += v.T @ a
@@ -250,17 +244,16 @@ def write_trajectory_csv(path, inst: ProblemInstance, states) -> None:
     """CSV columns: t, trace_sigma_perp, trace_sigma_par, mu_norm, loss_gap_estimate."""
     hbar = inst.mean_hessian()
     p_null, p_range = null_projectors(hbar)
-    lines = ["t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate"]
     # For a symmetric projector P, trace(P Sigma P) = <P, Sigma>; every trace is an inner product,
     # of a PSD block of Sigma, so one that rounding leaves below zero is written as 0.
-    for state in states:
-        sigma = state.second_moment
-        row = (
+    rows = (
+        (
             str(state.step),
-            _fmt(max(np.vdot(p_range, sigma), 0.0)),
-            _fmt(max(np.vdot(p_null, sigma), 0.0)),
+            _fmt(max(np.vdot(p_range, state.second_moment), 0.0)),
+            _fmt(max(np.vdot(p_null, state.second_moment), 0.0)),
             _fmt(np.linalg.norm(state.mean)),
-            _fmt(0.5 * np.vdot(hbar, sigma)),
+            _fmt(0.5 * np.vdot(hbar, state.second_moment)),
         )
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for state in states
+    )
+    _write_csv(path, "t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate", rows)

@@ -42,11 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .instances import _MASK64, Hyperparams, ProblemInstance, _fmt, _splitmix64, check_step_size, require_valid, stream
+from .instances import (
+    _MASK64, Hyperparams, ProblemInstance, _fmt, _splitmix64, _write_csv,
+    check_mixture_weight, check_step_size, mixing_weight, require_valid, stream,
+)
 from .linalg import null_projectors, sym_eig
 
 _CHUNK_ENTRY_BUDGET = 4_000_000
@@ -369,8 +371,7 @@ def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, verdict: bool =
     """simulate_sgd; with verdict=True a _run verdict instead of the moments."""
     n = inst.n
     b = hp.batch
-    if not 1 <= b <= n:
-        raise ValueError(f"batch size {b} out of range [1, {n}]")
+    mixing_weight(n, b)  # ValueError unless 1 <= b <= n
     full, batch = _steps(inst, hp.eta)
 
     def builder(replicate_range):
@@ -402,8 +403,7 @@ def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig
     the rows whose coin is set take the B = 1 step, on those rows only.
     """
     check_step_size(eta)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
+    check_mixture_weight(p)
     full, single = _steps(inst, eta)
 
     def builder(replicate_range):
@@ -448,7 +448,9 @@ def _grows(mean_sq_perp: np.ndarray, lo: int, hi: int) -> bool:
 def classify_unstable(em: EmpiricalMoments, cfg: SimConfig) -> bool:
     """True when the run shows mean-square instability: a divergence flag,
     or positive growth of the ensemble perpendicular second moment over
-    the concentration window (_grows).  ValueError for steps < 3."""
+    the concentration window (_grows).  ValueError for steps < 3.  Gradient
+    noise makes that moment rise toward its stationary level at stable step
+    sizes too, so empirical_threshold classifies noise-free runs."""
     lo, hi = growth_window(cfg)
     return em.diverged or _grows(em.mean_sq_perp, lo, hi)
 
@@ -472,6 +474,10 @@ def empirical_threshold(
     Each step size gets a verdict-only run (_run): classify_unstable's
     answer for simulate_sgd's run, stopped once it is certain to be True.
     Stable runs take every step, so the value is that of full runs.
+
+    The runs set every gradient to zero: mean-square stability depends on
+    the H_i alone, through rho(Q), and gradient noise only adds a bounded
+    forcing whose rise the growth rule would read as instability.
     """
     if bisect_tol <= 0:
         raise ValueError("bisect_tol must be positive")
@@ -483,13 +489,14 @@ def empirical_threshold(
         top = sym_eig(inst.mean_hessian()).vectors[:, 0]
         base_cfg = replace(cfg, init_offset=float(cfg.init_offset) * top)
 
+    noise_free = replace(inst, gradients=np.zeros_like(inst.gradients))
     evaluations = 0
 
     def unstable_at(eta: float) -> bool:
         nonlocal evaluations
         run_cfg = replace(base_cfg, seed=int(stream(cfg.seed, 10_000 + evaluations).integers(0, 2**63 - 1)))
         evaluations += 1
-        return _sgd(inst, Hyperparams(eta=eta, batch=batch), run_cfg, verdict=True)
+        return _sgd(noise_free, Hyperparams(eta=eta, batch=batch), run_cfg, verdict=True)
 
     if unstable_at(eta_lo):
         raise ValueError(f"bracket invalid: eta_lo={eta_lo} already classifies as unstable")
@@ -508,9 +515,8 @@ def empirical_threshold(
 def write_empirical_csv(path, em: EmpiricalMoments) -> None:
     """CSV columns: t, trace_sigma_perp, trace_sigma_par, mu_norm,
     loss_gap_estimate, replicates, diverged_count."""
-    lines = ["t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate,replicates,diverged_count"]
-    for t in range(em.mean_sq_perp.size):
-        row = (
+    rows = (
+        (
             str(t),
             _fmt(em.mean_sq_perp[t]),
             _fmt(em.mean_sq_par[t]),
@@ -519,5 +525,6 @@ def write_empirical_csv(path, em: EmpiricalMoments) -> None:
             str(em.replicates),
             str(em.diverged_count),
         )
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for t in range(em.mean_sq_perp.size)
+    )
+    _write_csv(path, "t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate,replicates,diverged_count", rows)

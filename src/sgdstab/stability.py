@@ -88,7 +88,9 @@ from typing import Callable
 
 import numpy as np
 
-from .instances import MinimumClass, ProblemInstance, _minimum_class, _valid_class, check_step_size, mixing_weight, stream
+from .instances import (
+    MinimumClass, ProblemInstance, _minimum_class, _valid_class, check_mixture_weight, check_step_size, mixing_weight, stream
+)
 from .linalg import (
     ConvergenceError,
     _lanczos_solve,
@@ -344,8 +346,7 @@ def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:
 def mixture_transition(inst: ProblemInstance, eta: float, p: float) -> np.ndarray:
     """E[A kron A] of the mixture process: single-sample step w.p. p,
     full-batch step w.p. 1-p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
+    check_mixture_weight(p)
     check_step_size(eta)
     eye = np.eye(inst.d)
     return _mixture_matrix(eye - eta * inst.mean_hessian(), eye - eta * inst.hessians, p)
@@ -366,10 +367,15 @@ def brute_force_transition(inst: ProblemInstance, eta: float, batch: int) -> np.
     count = math.comb(n, batch)
     if count > ENUM_CAP:
         raise ValueError(f"enumeration of C({n},{batch}) = {count} batches exceeds cap {ENUM_CAP}")
-    eye = np.eye(d)
-    batches = itertools.combinations(range(n), batch)
-    q = _kron_square_sum(d, ((1.0, eye - (eta / batch) * inst.hessians[list(c)].sum(axis=0)) for c in batches))
-    return q / count
+    return _kron_square_sum(d, ((1.0, a) for a, _ in _enumerated_batches(inst, eta, batch))) / count
+
+
+def _enumerated_batches(inst: ProblemInstance, eta: float, batch: int):
+    """Yield (A_b, v_b) = (I - (eta/B) sum_{i in b} H_i, (eta/B) sum_{i in b} g_i) for every size-B batch b."""
+    eye = np.eye(inst.d)
+    for combo in itertools.combinations(range(inst.n), batch):
+        idx = list(combo)
+        yield eye - (eta / batch) * inst.hessians[idx].sum(axis=0), (eta / batch) * inst.gradients[idx].sum(axis=0)
 
 
 def mean_threshold(inst: ProblemInstance) -> float:

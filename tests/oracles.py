@@ -91,10 +91,12 @@ def projected_transition_lambda_max(inst, eta, batch):
 def reference_bisection(inst, batch, cfg, eta_lo, eta_hi, bisect_tol):
     """empirical_threshold from full simulate_sgd runs, each classified by classify_unstable.
 
-    Same start, run seeds and bracket updates as empirical_threshold, whose
-    verdict-only runs stop early; returns (threshold, the (eta, verdict)
-    pairs in evaluation order).  The bracket is assumed valid.
+    Same start, run seeds, noise-free instance (every gradient zero) and
+    bracket updates as empirical_threshold, whose verdict-only runs stop
+    early; returns (threshold, the (eta, verdict) pairs in evaluation
+    order).  The bracket is assumed valid.
     """
+    inst = replace(inst, gradients=np.zeros_like(inst.gradients))
     if not isinstance(cfg.init_offset, np.ndarray):
         top = sym_eig(inst.mean_hessian()).vectors[:, 0]
         cfg = replace(cfg, init_offset=float(cfg.init_offset) * top)

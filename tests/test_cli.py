@@ -127,6 +127,22 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith(f"input error: {message}")
 
 
+class TestBatchSizeRule:
+    """analyze and sweep reject a batch size outside [1, n] with mixing_weight's message, as input errors."""
+
+    def test_analyze_batch_above_n(self, scalar_pair_file, capsys):
+        assert main(["analyze", scalar_pair_file, "--batch", "3"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: batch size 3 out of range [1, 2]\n"
+
+    @pytest.mark.parametrize("batch", ["0", "3"])
+    def test_sweep_batch_out_of_range_writes_no_file(self, scalar_pair_file, tmp_path, capsys, batch):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", scalar_pair_file, "--batches", "1", batch, "--eta-min", "0.1", "--eta-max", "0.2", "--eta-count", "2"]
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: batch size {batch} out of range [1, 2]\n"
+        assert not out.exists()
+
+
 class TestSweep:
     def test_rows_and_chain(self, scalar_pair_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -568,6 +584,17 @@ class TestNoTestOnlyNames:
                     defs += [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
                 unreferenced += [f"{name}:{d.name}" for d in defs if in_src[d.name] - used(d)[d.name] <= 0 and d.name not in words]
         assert unreferenced == []
+
+
+class TestOneDefinitionPerRule:
+    """Each rule check lives in one place in the package; callers call it instead of copying it."""
+
+    @pytest.mark.parametrize(
+        "message", ["out of range [1,", "mixture weight must lie in [0, 1]", "step size must be finite and nonnegative"]
+    )
+    def test_rule_message_occurs_once(self, message):
+        src = Path(__file__).resolve().parents[1] / "src" / "sgdstab"
+        assert sum(p.read_text(encoding="utf-8").count(message) for p in src.glob("*.py")) == 1
 
 
 class TestBenchmarkContract:

@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from sgdstab import (
+    ExactStepper,
     Hyperparams,
     InstanceFormatError,
     MinimumClass,
+    SimConfig,
+    brute_force_transition,
     classify,
     gen_interpolating,
     gen_regular,
     load_instance,
     make_instance,
     mixing_weight,
+    mixture_transition,
     save_instance,
+    simulate_mixture,
+    simulate_sgd,
+    variance_threshold,
 )
 from oracles import splitmix64
 from sgdstab.instances import ProblemInstance, StreamPool, stream
@@ -125,6 +132,35 @@ class TestMixingWeight:
             values = [mixing_weight(n, b) for b in range(1, n + 1)]
             assert all(v1 > v2 for v1, v2 in zip(values, values[1:]))
             assert values[0] == 1.0 and values[-1] == 0.0
+
+
+class TestSharedRuleChecks:
+    """Every entry point checks B and p with instances' one rule, and raises its message."""
+
+    def test_batch_above_n_gets_the_mixing_weight_message(self):
+        inst = gen_regular(2, 3, 1, 1.0, False, 0)
+        hp = Hyperparams(eta=0.1, batch=inst.n + 1)
+        calls = [
+            lambda: mixing_weight(inst.n, inst.n + 1),
+            lambda: variance_threshold(inst, inst.n + 1),
+            lambda: brute_force_transition(inst, 0.1, inst.n + 1),
+            lambda: simulate_sgd(inst, hp, SimConfig(steps=3, replicates=2, seed=0)),
+            lambda: ExactStepper(inst, hp),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "batch size 4 out of range [1, 3]"
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1])
+    def test_mixture_weight_outside_unit_interval(self, scalar_pair, p):
+        message = f"mixture weight must lie in [0, 1], got {p}"
+        with pytest.raises(ValueError) as err:
+            mixture_transition(scalar_pair, 0.1, p)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            simulate_mixture(scalar_pair, 0.1, p, SimConfig(steps=3, replicates=2, seed=0))
+        assert str(err.value) == message
 
 
 class TestHyperparams:

@@ -335,6 +335,16 @@ class TestVerdictRuns:
         assert verdicts == want_verdicts
         assert {v for _, v in verdicts} == {False, True}
 
+    @pytest.mark.parametrize("null_grad", [False, True])
+    def test_regular_instance_brackets_the_threshold(self, null_grad):
+        # Gradient noise lifts the second moment toward its stationary level at stable step
+        # sizes; runs classified with that noise put these thresholds at 0.93 and 0.85 x thr.
+        inst = gen_regular(6, 12, 2, 1.0, null_grad, 1)
+        thr = variance_threshold(inst, 2)
+        cfg = SimConfig(steps=24, replicates=4096, seed=1)
+        value = empirical_threshold(inst, 2, cfg, 0.5 * thr, 1.5 * thr, 0.02 * thr)
+        assert 0.95 * thr <= value <= 1.10 * thr
+
     def test_verdicts_match_classified_full_runs(self):
         inst = gen_interpolating(2, 4, 2, 46)
         thr = variance_threshold(inst, 2)
