@@ -229,15 +229,17 @@ def check_mixture_weight(p: float) -> float:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Step size and batch size.  eta = 0 means frozen dynamics."""
+    """Step size and batch size.  eta = 0 means frozen dynamics.
+
+    The batch size is checked against n by mixing_weight where an instance
+    meets it.
+    """
 
     eta: float
     batch: int
 
     def __post_init__(self) -> None:
         check_step_size(self.eta)
-        if self.batch < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch}")
 
 
 def _rescale_to_unit_sharpness(h: np.ndarray) -> np.ndarray:

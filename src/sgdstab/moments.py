@@ -16,11 +16,13 @@ cross_term checks that coupling against exhaustive batch enumeration,
 or, when enumeration is infeasible, against MC_VALIDATION_SAMPLES seeded
 batches from montecarlo's counter-based sampler, which must agree within
 five standard errors.  The tests and the verify command run that check;
-the stepper applies the closed form unchecked.
+the stepper applies the closed form unchecked: it forms the (d^2, d)
+matrix once, by the helper that cross_term calls, and each step takes
+the coupling from one product with mu, d^3 flops whatever n is.
 
-One step costs one batched matmul and one GEMM: the A_i are symmetric,
-so E[A Sigma A^T] is stability._mixture_apply, the d x d form of the
-mixture kernel, with A = I - eta*Hbar and M_i = A_i.
+The rest of a step costs one batched matmul and one GEMM: the A_i are
+symmetric, so E[A Sigma A^T] is stability._mixture_apply, the d x d form
+of the mixture kernel, with A = I - eta*Hbar and M_i = A_i.
 
 For step sizes below the mean-square threshold the range-projected
 second moment converges to
@@ -29,9 +31,12 @@ second moment converges to
 
 That system is solved matrix-free on the r x r block (lam, V) of one
 range_basis per call, shared with the check eta < eta_var (for PSD H_i
-the pseudoinverse acts there alone).  The basis's one batched eigh of
-the H_i also classifies the instance, so a limit solve decomposes the
-Hessian stack once.  With D_r = stability._range_d, the range-block form
+the pseudoinverse acts there alone).  That check takes one application
+of S: eta * hi < 2, with hi = stability._range_sharpness_bound >=
+lambda_max(S), certifies it, and only a step size that this leaves
+undecided runs the threshold's Lanczos solve.  The basis's one batched
+eigh of the H_i also classifies the instance, so a limit solve
+decomposes the Hessian stack once.  With D_r = stability._range_d, the range-block form
 of the mixture kernel, it reads
 
     (lam_a + lam_b) o X - eta * D_r(X) = V^T Sigma_g V,
@@ -57,9 +62,14 @@ import numpy as np
 from .instances import Hyperparams, ProblemInstance, _fmt, _valid_class, _write_csv, mixing_weight, require_valid
 from .linalg import ConvergenceError, cg, kron, null_projectors, sym_eig, symmetrize
 from .montecarlo import _batches
-from .stability import ENUM_CAP, _enumerated_batches, _mixture_apply, _range_congruence, _range_sharpness, _threshold, range_basis
+from .stability import (
+    ENUM_CAP, _enumerated_batches, _mixture_apply, _range_congruence, _range_sharpness, _range_sharpness_bound, _threshold,
+    range_basis,
+)
 
 MC_VALIDATION_SAMPLES = 100_000
+# Relative margin of the one-apply certificate eta * hi < 2, far above the rounding in hi.
+_CERTIFICATE_MARGIN = 1e-9
 # Float entries per Monte-Carlo validation chunk (about 1 MB of temporaries).
 _MC_CHUNK_ENTRY_BUDGET = 131_072
 
@@ -79,6 +89,15 @@ def point_state(x0, step: int = 0) -> MomentState:
     return MomentState(mean=x0.copy(), second_moment=np.outer(x0, x0), step=step)
 
 
+def _closed_cross_term(inst: ProblemInstance, eta: float, p: float) -> np.ndarray:
+    """The closed form of E[v kron A], (d^2, d): -eta^2 * p * (1/n) sum_i g_i kron H_i."""
+    n, d = inst.n, inst.d
+    # Row a*d + b, column c holds sum_i g_i[a] H_i[b, c].
+    closed = (inst.gradients.T @ inst.hessians.reshape(n, d * d)).reshape(d * d, d)
+    closed *= -(eta * eta) * p / n
+    return closed
+
+
 def cross_term(
     inst: ProblemInstance,
     eta: float,
@@ -95,10 +114,7 @@ def cross_term(
     mean.  A mismatch raises ConvergenceError.
     """
     n, d = inst.n, inst.d
-    p = mixing_weight(n, batch)
-    # Row a*d + b, column c holds sum_i g_i[a] H_i[b, c].
-    closed = (inst.gradients.T @ inst.hessians.reshape(n, d * d)).reshape(d * d, d)
-    closed *= -(eta * eta) * p / n
+    closed = _closed_cross_term(inst, eta, mixing_weight(n, batch))
     if np.all(inst.gradients == 0.0):
         return closed
     count = math.comb(n, batch)
@@ -151,20 +167,19 @@ class ExactStepper:
         self.a_bar = np.eye(d) - eta * inst.mean_hessian()
         self._a_all = np.eye(d)[None, :, :] - eta * inst.hessians
         self.sigma_v = eta * eta * self.p * inst.gradient_second_moment()
-        # The coupling, the closed form of cross_term, in matrix form.
-        self._coupling_scale = eta * eta * self.p / n
+        self._cross = _closed_cross_term(inst, eta, self.p)
 
     def step(self, state: MomentState) -> MomentState:
-        inst, p = self.inst, self.p
+        d = self.inst.d
         mu = state.mean
         sigma = state.second_moment
         new_mu = self.a_bar @ mu
         # The A_i are symmetric, so E[A Sigma A^T] is the shared mixture kernel.
-        new_sigma = _mixture_apply(self.a_bar, self._a_all, p, sigma)
-        # -E[A mu v^T] - E[v mu^T A] in matrix form.
-        hi_mu = inst.hessians @ mu
-        coupling = self._coupling_scale * (hi_mu.T @ inst.gradients + inst.gradients.T @ hi_mu)
-        new_sigma += coupling + self.sigma_v
+        new_sigma = _mixture_apply(self.a_bar, self._a_all, self.p, sigma)
+        # Z = E[v mu^T A] is cross_term's closed form times mu, row-major as d x d, and
+        # -E[A mu v^T] - E[v mu^T A] = -(Z^T + Z).
+        z = (self._cross @ mu).reshape(d, d)
+        new_sigma += self.sigma_v - (z + z.T)
         return MomentState(mean=new_mu, second_moment=symmetrize(new_sigma), step=state.step + 1)
 
 
@@ -213,9 +228,12 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
     p = mixing_weight(inst.n, hp.batch)
     basis = range_basis(inst)
     _valid_class(basis.kind)
-    thr = _threshold(_range_sharpness(basis, p))
-    if not 0.0 < eta < thr:
-        raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")
+    # The one-apply upper bound on lambda_max(S) certifies most step sizes; the threshold
+    # solve decides the rest, with the same check and message as without the bound.
+    if not (eta > 0.0 and eta * _range_sharpness_bound(basis, p) < 2.0 * (1.0 - _CERTIFICATE_MARGIN)):
+        thr = _threshold(_range_sharpness(basis, p))
+        if not 0.0 < eta < thr:
+            raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")
     v_r = basis.v
     s, factor = _range_congruence(basis, p)
     rhs = 0.5 * factor * (v_r.T @ inst.gradient_second_moment() @ v_r)

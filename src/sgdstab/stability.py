@@ -60,7 +60,9 @@ S = (C^{1/2})^+ D (C^{1/2})^+ on the range block once: the threshold is
 The projected transition is affine in _range_d.  The Lanczos solves
 here run on operators built symmetric.  The threshold solve starts at
 the positive definite Y0 = diag(sqrt(lam)), which always sees the top
-mode (_range_sharpness says why).
+mode (_range_sharpness says why).  One application of S at the same Y0
+bounds lambda_max(S) from above, _range_sharpness_bound: moments
+certifies eta < eta_var with it and runs the solve only when it cannot.
 
 The necessary bounds are cheap lower bounds on the generalized sharpness.
 The tightest, 2 / max_v f(v) over unit v in Hbar's range, comes from
@@ -332,6 +334,25 @@ def _range_sharpness(basis: RangeBasis, p: float) -> float:
         return 0.0
     s, _ = _range_congruence(basis, p)
     return _lanczos_solve(s, np.diag(np.sqrt(basis.lam)).reshape(-1))
+
+
+def _range_sharpness_bound(basis: RangeBasis, p: float) -> float:
+    """An upper bound on _range_sharpness from one application of S: lambda_max(Y0^{-1/2} S(Y0) Y0^{-1/2}).
+
+    Zero when r = 0.  Y0 = diag(sqrt(lam)) is _range_sharpness's start.  S
+    maps PSD matrices to PSD matrices and Y0 is positive definite, so the
+    Collatz-Wielandt bound for positive maps (Berman and Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, 1994) puts
+    lambda_max(S) at or below it.  It is exact at B = n, where it equals
+    lambda_max(Hbar).  One r x r eigvalsh.
+    """
+    lam, r = basis.lam, basis.lam.size
+    if r == 0:
+        return 0.0
+    s, _ = _range_congruence(basis, p)
+    quarter = lam ** -0.25  # Y0^{-1/2} is diag(lam^{-1/4})
+    image = s(np.diag(np.sqrt(lam)).reshape(-1)).reshape(r, r)
+    return float(np.linalg.eigvalsh(quarter[:, None] * image * quarter[None, :])[-1])
 
 
 def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:

@@ -456,6 +456,16 @@ class TestSimulate:
         assert "step size must be finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [["--exact"], ["--replicates", "4"]], ids=["exact", "monte-carlo"])
+    @pytest.mark.parametrize("batch", ["0", "3"])
+    def test_batch_out_of_range_is_input_error(self, scalar_pair_file, tmp_path, capsys, mode, batch):
+        # mixing_weight's message, the same as analyze and sweep print.
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", scalar_pair_file, "--eta", "0.1", "--batch", batch, *mode, "--steps", "3", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: batch size {batch} out of range [1, 2]\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mode, option, message",
         [
@@ -595,6 +605,11 @@ class TestOneDefinitionPerRule:
     def test_rule_message_occurs_once(self, message):
         src = Path(__file__).resolve().parents[1] / "src" / "sgdstab"
         assert sum(p.read_text(encoding="utf-8").count(message) for p in src.glob("*.py")) == 1
+
+    def test_no_second_batch_size_message(self):
+        # Hyperparams leaves the batch size to mixing_weight, which knows n.
+        src = Path(__file__).resolve().parents[1] / "src" / "sgdstab"
+        assert sum(p.read_text(encoding="utf-8").count("batch size must be") for p in src.glob("*.py")) == 0
 
 
 class TestBenchmarkContract:

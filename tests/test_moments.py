@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from sgdstab import (
 )
 import sgdstab.linalg as linalg_module
 from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, null_projectors, sym_eig, symmetrize, unvec, vec
-from sgdstab.montecarlo import SimConfig, initial_offset
+from sgdstab.montecarlo import SimConfig, initial_offset, simulate_sgd
 from sgdstab.moments import ENUM_CAP, ExactStepper, MomentState, null_walk_second_moment, write_trajectory_csv
 from sgdstab.stability import brute_force_transition, second_moment_transition, sharpness
 
@@ -37,6 +38,23 @@ def make_state(mean, second_moment, step=0):
     sm = symmetrize(np.asarray(second_moment, dtype=float))
     assert sm.shape == (mean.size, mean.size), (sm.shape, mean.size)
     return MomentState(mean=mean, second_moment=sm, step=step)
+
+
+def _check_vectorized_recursion(inst, hp, state):
+    """One ExactStepper step against the vec-space form built from the validated coupling matrices."""
+    out = ExactStepper(inst, hp).step(state)
+    q = second_moment_transition(inst, hp.eta, hp.batch)
+    e_va = cross_term(inst, hp.eta, hp.batch)
+    e_av = np.zeros_like(e_va)
+    p = mixing_weight(inst.n, hp.batch)
+    for i in range(inst.n):
+        e_av += kron(inst.hessians[i], inst.gradients[i][:, None])
+    e_av *= -(hp.eta**2) * p / inst.n
+    sigma_v = hp.eta**2 * p * inst.gradient_second_moment()
+    vec = lambda m: m.flatten(order="F")
+    expected = q @ vec(state.second_moment) - (e_va + e_av) @ state.mean + vec(sigma_v)
+    np.testing.assert_allclose(vec(out.second_moment), expected, atol=1e-12)
+    np.testing.assert_allclose(out.mean, (np.eye(inst.d) - hp.eta * inst.mean_hessian()) @ state.mean, atol=1e-14)
 
 
 class TestExactStep:
@@ -60,25 +78,33 @@ class TestExactStep:
         np.testing.assert_array_equal(out.second_moment, state.second_moment)
 
     def test_matches_vectorized_recursion(self):
-        # Full consistency against the vec-space form built from the
-        # validated coupling matrices.
         inst = gen_regular(3, 4, 3, 1.0, False, 11)
         hp = Hyperparams(eta=0.2 / sharpness(inst), batch=2)
-        state = make_state(RNG.standard_normal(3), np.eye(3) * 0.5)
-        out = ExactStepper(inst, hp).step(state)
+        _check_vectorized_recursion(inst, hp, make_state(RNG.standard_normal(3), np.eye(3) * 0.5))
 
-        q = second_moment_transition(inst, hp.eta, hp.batch)
-        e_va = cross_term(inst, hp.eta, hp.batch)
-        e_av = np.zeros_like(e_va)
-        p = mixing_weight(inst.n, hp.batch)
-        for i in range(inst.n):
-            e_av += kron(inst.hessians[i], inst.gradients[i][:, None])
-        e_av *= -(hp.eta**2) * p / inst.n
-        sigma_v = hp.eta**2 * p * inst.gradient_second_moment()
-        vec = lambda m: m.flatten(order="F")
-        expected = q @ vec(state.second_moment) - (e_va + e_av) @ state.mean + vec(sigma_v)
-        np.testing.assert_allclose(vec(out.second_moment), expected, atol=1e-12)
-        np.testing.assert_allclose(out.mean, (np.eye(3) - hp.eta * inst.mean_hessian()) @ state.mean, atol=1e-14)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_regular(4, 64, 2, 1.0, False, 12), lambda: gen_regular(5, 6, 2, 1.0, True, 13)],
+        ids=["n64-d4", "null-gradients"],
+    )
+    def test_matches_vectorized_recursion_beyond_small_n(self, make):
+        inst = make()
+        hp = Hyperparams(eta=0.4 / sharpness(inst), batch=2)
+        rng = np.random.default_rng(inst.n)
+        factor = rng.standard_normal((inst.d, inst.d))
+        _check_vectorized_recursion(inst, hp, make_state(rng.standard_normal(inst.d), factor @ factor.T))
+
+    def test_null_gradient_case_has_null_gradients(self):
+        inst = gen_regular(5, 6, 2, 1.0, True, 13)
+        p_null, _ = null_projectors(inst.mean_hessian())
+        assert np.linalg.matrix_rank(inst.mean_hessian()) < inst.d
+        assert np.linalg.norm(inst.gradients @ p_null) > 0.1
+
+    def test_coupling_is_cross_terms_closed_form(self):
+        # The stepper keeps cross_term's return value, bit for bit, for an instance whose check passes.
+        inst = gen_regular(4, 6, 2, 1.0, False, 14)
+        hp = Hyperparams(eta=0.3 / sharpness(inst), batch=2)
+        np.testing.assert_array_equal(ExactStepper(inst, hp)._cross, cross_term(inst, hp.eta, hp.batch))
 
     def test_mean_power_law_bitwise(self):
         inst = gen_interpolating(3, 4, 2, 3)
@@ -514,6 +540,69 @@ class TestLimitProductionPath:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, peak
+
+
+def _outcome(solve, inst, hp):
+    """solve's return value, or the message of the ValueError it raises."""
+    try:
+        return solve(inst, hp)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLimitCertificate:
+    """_limit_solve checks eta < eta_var by the one-apply bound and runs the threshold Lanczos only where it cannot."""
+
+    @pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+    def test_certified_step_runs_no_lanczos(self, case, monkeypatch, cg_solves):
+        make, batch = LIMIT_CASES[case]
+        inst = make()
+        hp = Hyperparams(eta=0.5 * variance_threshold(inst, batch), batch=batch)
+
+        def forbidden(*args):
+            raise AssertionError("the threshold Lanczos ran")
+
+        monkeypatch.setattr(moments_module, "_range_sharpness", forbidden)
+        for solve in (covariance_limit, asymptotic_quantities):
+            cg_solves.clear()
+            solve(inst, hp)
+            assert len(cg_solves) == 1
+
+    @pytest.mark.parametrize("factor", [0.1, 0.5, 0.9, 0.999, 1.0, 1.05])
+    @pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+    def test_matches_the_lanczos_path(self, case, factor):
+        # With the bound disabled every check runs the threshold Lanczos: the values and
+        # the messages are the same, bit for bit.
+        make, batch = LIMIT_CASES[case]
+        inst = make()
+        hp = Hyperparams(eta=factor * variance_threshold(inst, batch), batch=batch)
+        for solve in (covariance_limit, asymptotic_quantities):
+            got = _outcome(solve, inst, hp)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(moments_module, "_range_sharpness_bound", lambda basis, p: math.inf)
+                want = _outcome(solve, inst, hp)
+            if factor >= 1.0:
+                assert want.startswith(f"step size {hp.eta} outside the open stability interval (0, ")
+            np.testing.assert_array_equal(got, want)
+
+
+class TestBatchSizeCheck:
+    """Hyperparams leaves the batch size to mixing_weight, whose message every consumer raises."""
+
+    @pytest.mark.parametrize("batch", [0, -1, 5])
+    def test_consumers_raise_mixing_weights_message(self, batch):
+        inst = gen_regular(3, 4, 2, 1.0, False, 7)
+        hp = Hyperparams(eta=0.1, batch=batch)
+        calls = [
+            lambda: simulate_sgd(inst, hp, SimConfig(steps=3, replicates=2, seed=0)),
+            lambda: ExactStepper(inst, hp),
+            lambda: covariance_limit(inst, hp),
+            lambda: asymptotic_quantities(inst, hp),
+            lambda: null_walk_second_moment(inst, hp, 3, point_state(np.zeros(3))),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"batch size {batch} out of range [1, 4]")):
+                call()
 
 
 class TestStabilityOfRecursion:

@@ -43,6 +43,7 @@ from sgdstab.stability import (
     _mixture_operator,
     _rank_one_ascent,
     _product_map,
+    _range_sharpness_bound,
     _sweep_bounds,
     generalized_sharpness,
     range_basis,
@@ -1307,3 +1308,81 @@ class TestRangeBasis:
         for b in (1, 3):
             want = generalized_sharpness_dense(hbar, stability_module._mixture_matrix(hbar, inst.hessians, mixing_weight(30, b)))
             assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestRangeSharpnessBound:
+    """_range_sharpness_bound: lambda_max(Y0^{-1/2} S(Y0) Y0^{-1/2}) from one apply of S bounds lambda_max(S)."""
+
+    CASES = {
+        "interpolating": lambda: gen_interpolating(5, 7, 2, 77),
+        "regular": lambda: gen_regular(5, 7, 2, 1.0, False, 31),
+        # Hbar of rank 4 in R^6, gradients in its null space.
+        "regular-null-gradients": lambda: gen_regular(6, 3, 2, 1.0, True, 4),
+        # Every H_i of full rank, so range_basis keeps the rotated Hessians (ut is None).
+        "full-rank-samples": lambda: gen_regular(4, 6, 4, 1.0, False, 9),
+        "indefinite-samples": _indefinite_instance,
+        "regular-d24": lambda: gen_regular(24, 16, 4, 1.0, True, 1),
+    }
+
+    @staticmethod
+    def _bound(inst, batch):
+        return _range_sharpness_bound(range_basis(inst), mixing_weight(inst.n, batch))
+
+    def test_cases_cover_their_names(self):
+        inst = self.CASES["regular-null-gradients"]()
+        p_null, _ = null_projectors(inst.mean_hessian())
+        assert np.linalg.matrix_rank(inst.mean_hessian()) < inst.d
+        assert np.linalg.norm(inst.gradients @ p_null) > 0.1
+        assert range_basis(self.CASES["full-rank-samples"]()).ut is None
+        assert range_basis(self.CASES["interpolating"]()).ut is not None
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bounds_the_lanczos_value(self, case):
+        inst = self.CASES[case]()
+        for b in sorted({1, 2, inst.n}):
+            lanczos = generalized_sharpness(inst, b)
+            assert self._bound(inst, b) >= lanczos * (1.0 - 1e-13), b
+
+    @pytest.mark.parametrize("case", sorted(set(CASES) - {"regular-d24"}))
+    def test_bounds_the_dense_oracle(self, case):
+        inst = self.CASES[case]()
+        hbar = inst.mean_hessian()
+        for b in range(1, inst.n + 1):
+            want = generalized_sharpness_dense(hbar, _mixture_matrix(hbar, inst.hessians, mixing_weight(inst.n, b)))
+            assert self._bound(inst, b) >= want * (1.0 - 1e-13), b
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exact_at_full_batch(self, case):
+        # At B = n, S(Y0) = F o Lam^2 and the bound is lambda_max(Hbar), the generalized sharpness.
+        inst = self.CASES[case]()
+        assert self._bound(inst, inst.n) == pytest.approx(sharpness(inst), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", sorted(set(CASES) - {"indefinite-samples"}))
+    def test_one_apply_brackets_the_sharpness(self, case, counting, monkeypatch):
+        # With PSD H_i, 2 / necessary_bound_trace is the Rayleigh quotient at Y0: one apply
+        # of S gives both ends of the bracket.
+        import sgdstab.stability as stability_module
+
+        inst = self.CASES[case]()
+        batches = sorted({1, 2, inst.n})
+        lanczos = [generalized_sharpness(inst, b) for b in batches]
+        true_congruence = stability_module._range_congruence
+        applied = []
+
+        def counted(basis, p):
+            s, factor = true_congruence(basis, p)
+            wrapped, calls = counting(s)
+            applied.append(calls)
+            return wrapped, factor
+
+        monkeypatch.setattr(stability_module, "_range_congruence", counted)
+        for b, value in zip(batches, lanczos):
+            hi = self._bound(inst, b)
+            assert 2.0 / necessary_bound_trace(inst, b) <= value * (1.0 + 1e-12)
+            assert value <= hi * (1.0 + 1e-13)
+        assert [len(calls) for calls in applied] == [1] * len(batches)
+
+    def test_empty_range_gives_zero(self):
+        inst = make_instance(np.zeros((3, 4, 4)), np.zeros((3, 4)))
+        for b in (1, 2, 3):
+            assert self._bound(inst, b) == 0.0
