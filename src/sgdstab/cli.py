@@ -296,17 +296,17 @@ def _suite_thresholds(seed: int, trials: int) -> list[PropertyResult]:
                 q_ref = stability.brute_force_transition(inst, eta, b)
                 ok = not np.max(np.abs(q - q_ref)) > 1e-10 * max(1.0, float(np.max(np.abs(q_ref))))
                 res_oracle.record(ok, f"batch={b}, eta={eta}")
-        res_gd.record(not abs(stability.variance_threshold(inst, inst.n) - 2.0 / lam) > 1e-9 * (2.0 / lam))
         thresholds = [stability.variance_threshold(inst, b) for b in range(1, inst.n + 1)]
+        res_gd.record(not abs(thresholds[-1] - 2.0 / lam) > 1e-9 * (2.0 / lam))
         res_mono.record(not any(t2 < t1 - 1e-9 * max(1.0, t1) for t1, t2 in zip(thresholds, thresholds[1:])))
         b = int(rng.integers(1, inst.n + 1))
-        gen_sharp = 2.0 / stability.variance_threshold(inst, b)
+        thr = thresholds[b - 1]
+        gen_sharp = 2.0 / thr
         r1, _ = stability.rank_one_bound(inst, b, steps=400, seed=int(rng.integers(0, 2**31)))
         b14 = 2.0 / stability.necessary_bound_eigvec(inst, b)
         slack = 1e-9 * max(1.0, gen_sharp)
         ok = gen_sharp + slack >= r1 >= b14 - slack and b14 + slack >= lam
         res_chain.record(ok, f"chain {gen_sharp} >= {r1} >= {b14} >= {lam} violated")
-        thr = stability.variance_threshold(inst, b)
         ok = True
         for factor in (0.2, 0.7, 0.99, 1.01, 1.5):
             eta = factor * thr

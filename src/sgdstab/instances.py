@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import ConvergenceError, not_psd, null_projectors, sym_eig, symmetrize
+from .linalg import lapack_eigh, not_psd, null_projectors, sym_eig, symmetrize
 
 # A gradient is "zero" (interpolating sense) below this Euclidean norm.
 GRAD_ZERO_TOL = 1e-12
@@ -171,11 +171,7 @@ def classify(inst: ProblemInstance) -> MinimumClass:
     load_instance leave every H_i exactly symmetric, so the stack is passed
     as it is, without a symmetrized copy.
     """
-    try:
-        values = np.linalg.eigvalsh(inst.hessians)  # (n, d), ascending
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    return _minimum_class(inst, values)
+    return _minimum_class(inst, lapack_eigh(inst.hessians, vectors=False))
 
 
 def _minimum_class(inst: ProblemInstance, values: np.ndarray) -> MinimumClass:

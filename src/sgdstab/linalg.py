@@ -1,9 +1,10 @@
 """Dense linear algebra kit: Kronecker products and sums, vectorization,
 symmetric eigendecompositions, the package's one rank rule, the PSD
-pseudoinverse, null-space projectors, a matrix-free Lanczos eigensolver
-for operators built self-adjoint, and conjugate gradients for positive
-definite ones.  Both Krylov solvers take the operator as a plain function
-of a flat vector and read the dimension off the vector they start from.
+pseudoinverse, null-space projectors, and one matrix-free Lanczos
+recurrence for operators built self-adjoint.  Two readers consume it:
+_lanczos_solve, the top eigenvalue, and spd_solve, the solution of a
+positive definite system.  Both take the operator as a plain function of
+a flat vector and read the dimension off the vector they start from.
 
 All routines work on plain float64 numpy arrays.  Matrices fed to the
 symmetric routines are symmetrized up front, so callers never have to
@@ -26,11 +27,9 @@ DEFAULT_RANK_RTOL = 1e-10
 
 # Rows added to the Lanczos basis each time it fills up.
 _LANCZOS_CHUNK = 32
-# Lanczos stopping rule and step budget; every solve uses them.
+# The eigenvalue reader's stopping rule, and the step budget of every Krylov solve.
 _LANCZOS_TOL = 1e-12
 _LANCZOS_MAX_ITER = 1000
-# Conjugate-gradient iteration budget.
-_CG_MAX_ITER = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -87,6 +86,19 @@ class EigDecomp:
     vectors: np.ndarray
 
 
+def lapack_eigh(m: np.ndarray, vectors: bool = True):
+    """np.linalg.eigh of a matrix or a (..., d, d) stack, or its eigvalsh when not vectors; ascending.
+
+    m is passed as it is, with no symmetrized copy: LAPACK reads its lower
+    triangle.  The one place a backend failure (LinAlgError) becomes a
+    ConvergenceError.
+    """
+    try:
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+
+
 def sym_eig(m: np.ndarray) -> EigDecomp:
     """Full eigendecomposition of a symmetric matrix.
 
@@ -96,11 +108,7 @@ def sym_eig(m: np.ndarray) -> EigDecomp:
     eigenvectors to orthonormality within 1e-10 and the reconstruction to
     1e-8 * (1 + max |lambda|).
     """
-    m = symmetrize(m)
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    values, vectors = lapack_eigh(symmetrize(m))
     order = np.argsort(values, kind="stable")[::-1]
     return EigDecomp(values=values[order], vectors=vectors[:, order])
 
@@ -155,32 +163,24 @@ def null_projectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p_null, p_range
 
 
-def _lanczos_solve(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float:
-    """Largest (signed) eigenvalue of a self-adjoint operator, which is not checked.
+def _lanczos(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray):
+    """The Lanczos recurrence of a self-adjoint op from a nonzero start, which both Krylov readers consume.
 
-    op maps a flat vector to its image.  Single-vector Lanczos from the
-    caller's nonzero start vector, whose length is the dimension
-    (normalized here), with full reorthogonalization done twice per step
-    ("twice is enough"; Golub & Van Loan, ch. 10).  The Krylov
-    space holds only the modes the start has a component along, so a start
-    orthogonal to the top eigenvector returns a lower eigenvalue.  Step k stops
-    when the Ritz residual beta_k |s_k| of the largest Ritz value is at
-    most _LANCZOS_TOL times the spectral scale max |theta| of the
-    tridiagonal T_k, or when the Krylov space is invariant (beta_k at
-    roundoff level, or the basis spans the whole space).  Returns the largest algebraic Ritz value.
-    T_k is written in place into a preallocated array, and the Krylov
-    basis grows in chunks, so a short solve allocates little whatever the
-    budget.  Raises ConvergenceError with the step count, the last
-    residual and the current estimate when _LANCZOS_MAX_ITER steps do not
-    suffice.
+    op maps a flat vector to its image; start's length is the dimension,
+    and start is normalized here.  Each step applies op once and runs full
+    reorthogonalization twice ("twice is enough"; Golub & Van Loan, ch. 10).
+    After step k it yields (k, basis, tri, beta): basis[: k + 1] holds the
+    orthonormal Krylov basis as rows, tri[: k + 1, : k + 1] the tridiagonal
+    T_k and beta the norm of the next residual vector.  T_k is written in
+    place into a preallocated array and the basis grows in chunks, so a
+    short solve allocates little whatever the budget.  The reader stops by
+    leaving the loop, at the latest once the basis spans the space; the
+    recurrence ends after _LANCZOS_MAX_ITER steps.
     """
     dim = start.size
-    # beta_k below this share of the scale is roundoff left by the reorthogonalization.
-    breakdown = math.sqrt(dim) * np.finfo(float).eps
     basis = np.empty((min(_LANCZOS_CHUNK, dim), dim))
     tri = np.zeros((basis.shape[0], basis.shape[0]))
     basis[0] = start / np.linalg.norm(start)
-    estimate = resid = math.nan
     for k in range(min(_LANCZOS_MAX_ITER, dim)):
         w = op(basis[k])
         tri[k, k] = basis[k] @ w
@@ -188,12 +188,7 @@ def _lanczos_solve(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray) ->
         for _ in range(2):
             w = w - kept.T @ (kept @ w)
         b = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
-        estimate = float(theta[-1])
-        scale = max(abs(float(theta[0])), abs(estimate))
-        resid = b * abs(float(s[-1, -1]))
-        if resid <= _LANCZOS_TOL * scale or b <= breakdown * scale or k + 1 == dim:
-            return estimate
+        yield k, basis, tri, b
         if k + 1 == basis.shape[0]:
             size = min(basis.shape[0] + _LANCZOS_CHUNK, dim)
             grown = np.empty((size, dim))
@@ -204,52 +199,72 @@ def _lanczos_solve(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray) ->
             tri = grown
         basis[k + 1] = w / b
         tri[k, k + 1] = tri[k + 1, k] = b
-    raise ConvergenceError(
-        f"Lanczos did not converge within {_LANCZOS_MAX_ITER} iterations "
-        f"(last residual {resid:.3e}, estimate {estimate!r})"
-    )
 
 
-def cg(op: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve op(x) = b by conjugate gradients from x = 0.
+def _budget_error(resid: float, note: str) -> ConvergenceError:
+    """The error of a Krylov reader that _LANCZOS_MAX_ITER steps did not satisfy."""
+    return ConvergenceError(f"Lanczos did not converge within {_LANCZOS_MAX_ITER} iterations (last residual {resid:.3e}, {note})")
 
-    op maps a flat vector of b's length to its image and must be
-    self-adjoint positive definite.  Stops when the recursively updated
-    residual satisfies ||r|| <= 1e-13 ||b||, then recomputes the true
-    residual ||b - op(x)|| and requires it to be at most 1e-10 ||b||.
-    Raises ConvergenceError on non-positive curvature p' op(p) <= 0 (op is
-    not positive definite), on a true residual above that bound, or with
-    the iteration count and the last residual when _CG_MAX_ITER
-    iterations do not suffice.
+
+def _lanczos_solve(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float:
+    """Largest (signed) eigenvalue of a self-adjoint operator, which is not checked, read off _lanczos from start.
+
+    The Krylov space holds only the modes the start has a component along,
+    so a start orthogonal to the top eigenvector returns a lower eigenvalue.
+    Step k stops when the Ritz residual beta_k |s_k| of the largest Ritz
+    value is at most _LANCZOS_TOL times the spectral scale max |theta| of
+    T_k, or when the Krylov space is invariant (beta_k at roundoff level,
+    or the basis spans the whole space).  Returns the largest algebraic
+    Ritz value.  Raises ConvergenceError with the step count, the last
+    residual and the current estimate when _LANCZOS_MAX_ITER steps do not
+    suffice.
+    """
+    dim = start.size
+    # beta_k below this share of the scale is roundoff left by the reorthogonalization.
+    breakdown = math.sqrt(dim) * np.finfo(float).eps
+    estimate = resid = math.nan
+    for k, _, tri, b in _lanczos(op, start):
+        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
+        estimate = float(theta[-1])
+        scale = max(abs(float(theta[0])), abs(estimate))
+        resid = b * abs(float(s[-1, -1]))
+        if resid <= _LANCZOS_TOL * scale or b <= breakdown * scale or k + 1 == dim:
+            return estimate
+    raise _budget_error(resid, f"estimate {estimate!r}")
+
+
+def spd_solve(op: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve op(x) = b for a self-adjoint positive definite op on the _lanczos basis started from b.
+
+    The iterate x_k = ||b|| V_k^T T_k^{-1} e_1 is the conjugate-gradient
+    one (Saad, Iterative Methods for Sparse Linear Systems, sec. 6.7).  Its
+    residual ||b|| beta_k prod_{j<k} beta_j / prod_{j<=k} d_j is read off
+    the LDL^T pivots d_j of T_k, CG's curvature ratios.  It stops when that
+    residual is at most 1e-13 ||b|| or the basis spans the space, then
+    forms x by one k x k solve and requires the true residual ||b - op(x)||
+    to be at most 1e-10 ||b||.  A zero b returns zero without applying op.
+    Raises ConvergenceError on a pivot d_j <= 0 (op is not positive
+    definite), on a true residual above that bound, or with the step count,
+    the last residual and ||b|| when _LANCZOS_MAX_ITER steps do not suffice.
     """
     b = np.asarray(b, dtype=float)
     b_norm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
     if b_norm == 0.0:
-        return x
-    r = b.copy()
-    direction = r.copy()
-    rr = float(r @ r)
-    resid = b_norm
-    for k in range(_CG_MAX_ITER):
-        applied = op(direction)
-        curvature = float(direction @ applied)
-        if not curvature > 0.0:
-            raise ConvergenceError(f"conjugate gradients met non-positive curvature {curvature:.3e} at iteration {k + 1}")
-        alpha = rr / curvature
-        x += alpha * direction
-        r -= alpha * applied
-        rr_next = float(r @ r)
-        resid = math.sqrt(rr_next)
-        if resid <= 1e-13 * b_norm:
+        return np.zeros_like(b)
+    resid, pivot, ratio = b_norm, 1.0, 1.0  # ratio = prod_{j<k} beta_j / prod_{j<k} d_j
+    for k, basis, tri, beta in _lanczos(op, b):
+        pivot = tri[k, k] - (tri[k, k - 1] ** 2 / pivot if k else 0.0)
+        if not pivot > 0.0:
+            raise ConvergenceError(f"Lanczos met non-positive curvature {pivot:.3e} at step {k + 1}")
+        ratio /= pivot
+        resid = b_norm * beta * ratio
+        if resid <= 1e-13 * b_norm or k + 1 == b.size:
+            e1 = np.zeros(k + 1)
+            e1[0] = b_norm
+            x = basis[: k + 1].T @ np.linalg.solve(tri[: k + 1, : k + 1], e1)
             true_resid = float(np.linalg.norm(b - op(x)))
             if true_resid > 1e-10 * b_norm:
-                raise ConvergenceError(
-                    f"conjugate gradients stopped at true residual {true_resid:.3e} (||b|| = {b_norm:.3e}) after {k + 1} iterations"
-                )
+                raise ConvergenceError(f"Lanczos stopped at true residual {true_resid:.3e} (||b|| = {b_norm:.3e}) after {k + 1} steps")
             return x
-        direction = r + (rr_next / rr) * direction
-        rr = rr_next
-    raise ConvergenceError(
-        f"conjugate gradients did not converge within {_CG_MAX_ITER} iterations (last residual {resid:.3e}, ||b|| = {b_norm:.3e})"
-    )
+        ratio *= beta
+    raise _budget_error(resid, f"||b|| = {b_norm:.3e}")

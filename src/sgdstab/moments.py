@@ -47,7 +47,9 @@ and X = F o Y, with F = ((lam_a + lam_b)/2)^{-1/2}, turns it into
 
 on the threshold's own congruence S = F o D_r(F o .) (from
 stability._range_congruence).  It is positive definite exactly for
-eta < eta_var = 2 / lambda_max(S), and plain conjugate gradients solve it.
+eta < eta_var = 2 / lambda_max(S).  linalg.spd_solve solves it on the
+Lanczos recurrence that the threshold also runs, started from the
+right-hand side; I - (eta/2) S and S share that Krylov basis.
 The asymptotic squared distance, loss gap and squared gradient norm are
 the traces of X weighted by 1, lam/2 and lam^2.
 """
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import Hyperparams, ProblemInstance, _fmt, _valid_class, _write_csv, mixing_weight, require_valid
-from .linalg import ConvergenceError, cg, kron, null_projectors, sym_eig, symmetrize
+from .linalg import ConvergenceError, kron, null_projectors, spd_solve, sym_eig, symmetrize
 from .montecarlo import _batches
 from .stability import (
     ENUM_CAP, _enumerated_batches, _mixture_apply, _range_congruence, _range_sharpness, _range_sharpness_bound, _threshold,
@@ -219,7 +221,7 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
     """(lam, V_r, X): the range-projected limit is V_r X V_r^T.
 
     lam and V_r are the range block of range_basis; X = eta * p * F o Y,
-    Y the conjugate-gradient solution of (I - (eta/2) S) Y = F o R / 2 with
+    Y the spd_solve solution of (I - (eta/2) S) Y = F o R / 2 with
     (S, F) = _range_congruence and R = V_r^T Sigma_g V_r.
     Raises ValueError unless the instance is a regular or interpolating
     minimum, classified from the basis's eigenvalues, and 0 < eta < eta_var.
@@ -237,7 +239,7 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
     v_r = basis.v
     s, factor = _range_congruence(basis, p)
     rhs = 0.5 * factor * (v_r.T @ inst.gradient_second_moment() @ v_r)
-    y = cg(lambda u: u - (0.5 * eta) * s(u), rhs.reshape(-1))
+    y = spd_solve(lambda u: u - (0.5 * eta) * s(u), rhs.reshape(-1))
     return basis.lam, v_r, eta * p * (factor * y.reshape(factor.shape))
 
 

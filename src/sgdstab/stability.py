@@ -98,6 +98,7 @@ from .linalg import (
     _lanczos_solve,
     kron,
     kron_sum,
+    lapack_eigh,
     psd_range,
     sym_eig,
     unvec,
@@ -220,11 +221,8 @@ def range_basis(inst: ProblemInstance) -> RangeBasis:
     sum costs 4 n q r (r + q) flops instead of 4 n r^3 when every H_i is PSD
     and q (r + q) < r^2.  Otherwise k_i = V_r^T H_i V_r is formed instead.
     """
-    try:
-        # make_instance and load_instance leave every H_i exactly symmetric, so eigh's lower triangle is H_i.
-        values, vectors = np.linalg.eigh(inst.hessians)  # ascending per sample
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    # make_instance and load_instance leave every H_i exactly symmetric, so eigh's lower triangle is H_i.
+    values, vectors = lapack_eigh(inst.hessians)  # ascending per sample
     kind = _minimum_class(inst, values)
     eig = sym_eig(inst.mean_hessian())
     try:

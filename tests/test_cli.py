@@ -316,27 +316,27 @@ class TestProductionPaths:
 
     def test_one_range_basis_per_call(self, tmp_path, monkeypatch):
         # analyze, a sweep over all its batch sizes and each limit solve build Hbar's range
-        # basis once, and the limit's conjugate gradients run on its r x r block.
+        # basis once, and the limit's linear solve runs on its r x r block.
         inst = gen_regular(48, 6, 4, 1.0, False, 48)
         r = 24
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         thr = variance_threshold(inst, 2)
-        calls, cg_dims = [], []
-        true_basis, true_cg = stability.range_basis, moments.cg
+        calls, solve_dims = [], []
+        true_basis, true_solve = stability.range_basis, moments.spd_solve
 
         def counted_basis(*args, **kwargs):
             calls.append(1)
             return true_basis(*args, **kwargs)
 
-        def counted_cg(op, b):
-            cg_dims.append(b.size)
-            return true_cg(op, b)
+        def counted_solve(op, b):
+            solve_dims.append(b.size)
+            return true_solve(op, b)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("sgdstab") and getattr(module, "range_basis", None) is true_basis:
                 monkeypatch.setattr(module, "range_basis", counted_basis)
-        monkeypatch.setattr(moments, "cg", counted_cg)
+        monkeypatch.setattr(moments, "spd_solve", counted_solve)
         assert main(["analyze", str(path), "--batch", "2", "--eta", repr(0.5 * thr), repr(1.5 * thr)]) == EXIT_OK
         assert len(calls) == 1
         calls.clear()
@@ -348,7 +348,7 @@ class TestProductionPaths:
             calls.clear()
             solve(inst, hp)
             assert len(calls) == 1
-        assert cg_dims == [r * r, r * r]
+        assert solve_dims == [r * r, r * r]
 
     def test_decomposes_the_hessian_stack_once(self, tmp_path, monkeypatch, capsys, stack_decompositions):
         # One batched eigh of the H_i per call both classifies the instance and factors it;
@@ -600,7 +600,13 @@ class TestOneDefinitionPerRule:
     """Each rule check lives in one place in the package; callers call it instead of copying it."""
 
     @pytest.mark.parametrize(
-        "message", ["out of range [1,", "mixture weight must lie in [0, 1]", "step size must be finite and nonnegative"]
+        "message",
+        [
+            "out of range [1,",
+            "mixture weight must lie in [0, 1]",
+            "step size must be finite and nonnegative",
+            "eigendecomposition failed",
+        ],
     )
     def test_rule_message_occurs_once(self, message):
         src = Path(__file__).resolve().parents[1] / "src" / "sgdstab"

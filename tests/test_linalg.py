@@ -15,13 +15,13 @@ from sgdstab.linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
     _lanczos_solve,
-    cg,
     kron,
     kron_sum,
     not_psd,
     null_projectors,
     pinv_psd,
     psd_range,
+    spd_solve,
     sym_eig,
     symmetrize,
     unvec,
@@ -147,6 +147,14 @@ class TestSymEig:
     def test_descending_order(self):
         eig = sym_eig(random_symmetric(6))
         assert np.all(np.diff(eig.values) <= 0)
+
+    def test_eigensolver_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="eigendecomposition failed: Eigenvalues did not converge"):
+            sym_eig(np.eye(2))
 
 
 class TestRankRule:
@@ -348,34 +356,36 @@ class TestPowerIteration:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
-class TestConjugateGradients:
+class TestSpdSolve:
+    """spd_solve, the linear reader of the Lanczos recurrence."""
+
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(5)
         m = random_psd(30, rng=rng) + 0.1 * np.eye(30)
         b = rng.standard_normal(30)
         want = np.linalg.solve(m, b)
-        got = cg(matrix_operator(m), b)
+        got = spd_solve(matrix_operator(m), b)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_zero_right_hand_side(self, counting):
         op, applied = counting(matrix_operator(np.eye(3)))
-        assert not np.any(cg(op, np.zeros(3)))
+        assert not np.any(spd_solve(op, np.zeros(3)))
         assert applied == []
 
     def test_indefinite_operator_raises(self):
         op = matrix_operator(np.diag([1.0, -1.0]))
-        with pytest.raises(ConvergenceError, match="non-positive curvature"):
-            cg(op, np.array([1.0, 2.0]))
+        with pytest.raises(ConvergenceError, match=r"non-positive curvature -6\.000e-01 at step 1"):
+            spd_solve(op, np.array([1.0, 2.0]))
 
     def test_max_iter_exhaustion(self, monkeypatch):
         op = matrix_operator(np.diag(np.linspace(1.0, 100.0, 50)))
-        cause = r"within 3 iterations \(last residual \d\.\d{3}e[+-]\d+"
-        monkeypatch.setattr(linalg, "_CG_MAX_ITER", 3)
+        cause = r"within 3 iterations \(last residual \d\.\d{3}e[+-]\d+, \|\|b\|\| = 7\.071e\+00\)"
+        monkeypatch.setattr(linalg, "_LANCZOS_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match=cause):
-            cg(op, np.ones(50))
+            spd_solve(op, np.ones(50))
 
     def test_true_residual_is_checked(self):
-        # An operator whose applications drift makes the recursive residual lie.
+        # An operator whose applications drift makes the residual read off T_k lie.
         calls = []
 
         def drifting(x):
@@ -383,7 +393,16 @@ class TestConjugateGradients:
             return (1.0 + 1e-6 * len(calls)) * x
 
         with pytest.raises(ConvergenceError, match="true residual"):
-            cg(drifting, np.ones(4))
+            spd_solve(drifting, np.ones(4))
+
+    def test_spanning_basis_stops_the_solve(self, counting):
+        # Once the basis spans the space the Galerkin solution is exact; one more application checks it.
+        m = random_psd(5, rng=np.random.default_rng(2)) + np.eye(5)
+        op, applied = counting(matrix_operator(m))
+        b = np.arange(1.0, 6.0)
+        got = spd_solve(op, b)
+        np.testing.assert_allclose(m @ got, b, rtol=0.0, atol=1e-12 * np.linalg.norm(b))
+        assert len(applied) == 6  # five steps and the true residual
 
 
 def test_symmetrize_enforces_symmetry():

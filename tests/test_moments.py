@@ -482,28 +482,28 @@ class TestLimitSolve:
     def test_iteration_budget_is_named(self, monkeypatch):
         inst = gen_regular(6, 8, 4, 1.0, False, 3)
         hp = Hyperparams(eta=0.9 * variance_threshold(inst, 2), batch=2)
-        monkeypatch.setattr(linalg_module, "_CG_MAX_ITER", 2)
+        monkeypatch.setattr(linalg_module, "_LANCZOS_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="within 2 iterations"):
             covariance_limit(inst, hp)
 
 
 @pytest.fixture
 def cg_solves(monkeypatch, counting):
-    """Count the limit's CG solves: the returned list gets, per solve, the list of its applications."""
+    """Count the limit's spd_solve calls, CG iterates on the Lanczos basis: the returned list gets, per solve, the list of its applications."""
     solves = []
-    true_cg = moments_module.cg
+    true_solve = moments_module.spd_solve
 
     def counted(op, b):
         wrapped, applied = counting(op)
         solves.append(applied)
-        return true_cg(wrapped, b)
+        return true_solve(wrapped, b)
 
-    monkeypatch.setattr(moments_module, "cg", counted)
+    monkeypatch.setattr(moments_module, "spd_solve", counted)
     return solves
 
 
 class TestLimitProductionPath:
-    """covariance_limit and asymptotic_quantities form no d^2 x d^2 matrix and run one CG solve."""
+    """covariance_limit and asymptotic_quantities form no d^2 x d^2 matrix and run one linear solve."""
 
     @pytest.mark.parametrize("d", [24, 64])
     def test_no_dense_matrix_and_one_solve(self, d, monkeypatch, cg_solves):
@@ -529,6 +529,13 @@ class TestLimitProductionPath:
         covariance_limit(inst, Hyperparams(eta=0.999 * variance_threshold(inst, 2), batch=2))
         assert len(cg_solves) == 1
         assert len(cg_solves[0]) <= 35
+
+    def test_closer_to_the_threshold_needs_no_more_applications_than_cg(self, cg_solves):
+        # Plain CG, without reorthogonalization, took 48 applications here; the Lanczos reader takes 39.
+        inst = gen_regular(24, 16, 4, 1.0, False, 1)
+        covariance_limit(inst, Hyperparams(eta=0.99999 * variance_threshold(inst, 2), batch=2))
+        assert len(cg_solves) == 1
+        assert len(cg_solves[0]) <= 48
 
     def test_peak_memory_d96(self):
         inst = gen_regular(96, 64, 2, 1.0, False, 96)

@@ -36,7 +36,7 @@ from sgdstab import (
 )
 from sgdstab.instances import stream
 from sgdstab.montecarlo import SimConfig
-from sgdstab.linalg import DEFAULT_RANK_RTOL, _lanczos_solve, kron, kron_sum, null_projectors, sym_eig, symmetrize
+from sgdstab.linalg import DEFAULT_RANK_RTOL, ConvergenceError, _lanczos_solve, kron, kron_sum, null_projectors, sym_eig, symmetrize
 from sgdstab.stability import (
     DENSE_CAP,
     _mixture_matrix,
@@ -1206,6 +1206,16 @@ class TestRangeBasis:
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
             for got_q, want_q in zip(asymptotic_quantities(inst, hp), asymptotic_quantities(core, hp)):
                 assert got_q == pytest.approx(want_q, rel=1e-10, abs=0.0)
+
+    def test_eigensolver_failure_is_a_convergence_error(self, monkeypatch):
+        inst = gen_regular(4, 3, 2, 1.0, False, 1)
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="eigendecomposition failed: Eigenvalues did not converge"):
+            range_basis(inst)
 
     def test_non_psd_mean_hessian_raises(self):
         inst = make_instance([np.diag([1.0, -0.5])], np.zeros((1, 2)))
