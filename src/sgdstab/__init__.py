@@ -20,7 +20,7 @@ from .instances import (
     mixing_weight,
     save_instance,
 )
-from .kron_certify import CertifyReport, KronFamily, certify
+from .kron_certify import CertifyReport, KronFamily, brute_force_transition, certify, mixture_transition, second_moment_transition
 from .linalg import (
     ConvergenceError,
     EigDecomp,
@@ -53,15 +53,12 @@ from .montecarlo import (
 from .stability import (
     SpectralReport,
     StabilityVerdict,
-    brute_force_transition,
     curvature_operators,
     generalized_sharpness,
     mean_threshold,
-    mixture_transition,
     necessary_bound_eigvec,
     necessary_bound_trace,
     rank_one_bound,
-    second_moment_transition,
     sharpness,
     stability_verdict,
     variance_threshold,

@@ -22,16 +22,7 @@ import numpy as np
 
 from . import kron_certify, montecarlo, moments, stability
 from .instances import (
-    Hyperparams,
-    _fmt,
-    _write_csv,
-    classify,
-    gen_interpolating,
-    gen_regular,
-    load_instance,
-    mixing_weight,
-    save_instance,
-    stream,
+    Hyperparams, classify, fmt, gen_interpolating, gen_regular, load_instance, mixing_weight, save_instance, stream, write_csv,
 )
 from .linalg import ConvergenceError, null_projectors, unvec, vec
 from .montecarlo import SimConfig
@@ -145,24 +136,24 @@ def _cmd_analyze(args) -> int:
     verdict = stability.stability_verdict(inst, args.batch, eta_list)
     print(f"instance: {inst.label or args.instance} (d={inst.d}, n={inst.n})")
     print(f"classification: {verdict.classification.value}")
-    print(f"batch: {args.batch}  p: {_fmt(verdict.p)}")
-    print(f"sharpness: {_fmt(verdict.sharpness)}")
-    print(f"mean_threshold: {_fmt(verdict.mean_threshold)}")
-    print(f"variance_threshold: {_fmt(verdict.variance_threshold)}")
-    print(f"bound_eigvec: {_fmt(verdict.bound_eigvec)}")
-    print(f"bound_trace: {_fmt(verdict.bound_trace)}")
-    print(f"bound_rank_one: {_fmt(verdict.bound_rank_one)}")
+    print(f"batch: {args.batch}  p: {fmt(verdict.p)}")
+    print(f"sharpness: {fmt(verdict.sharpness)}")
+    print(f"mean_threshold: {fmt(verdict.mean_threshold)}")
+    print(f"variance_threshold: {fmt(verdict.variance_threshold)}")
+    print(f"bound_eigvec: {fmt(verdict.bound_eigvec)}")
+    print(f"bound_trace: {fmt(verdict.bound_trace)}")
+    print(f"bound_rank_one: {fmt(verdict.bound_rank_one)}")
     if args.batch == inst.n:
         print("GD regime: variance threshold coincides with the mean threshold")
     for row in verdict.rows:
         print(
-            f"eta={_fmt(row.eta)}: "
+            f"eta={fmt(row.eta)}: "
             f"{'MeanStable' if row.mean_stable else 'MeanUnstable'} "
             f"{'VarStable' if row.var_stable else 'VarUnstable'}"
         )
     if args.out:
-        rows = ((_fmt(row.eta), str(int(row.mean_stable)), str(int(row.var_stable))) for row in verdict.rows)
-        _write_csv(args.out, "eta,mean_stable,var_stable", rows)
+        rows = ((fmt(row.eta), str(int(row.mean_stable)), str(int(row.var_stable))) for row in verdict.rows)
+        write_csv(args.out, "eta,mean_stable,var_stable", rows)
     return EXIT_OK
 
 
@@ -183,13 +174,13 @@ def _cmd_sweep(args) -> int:
     else:
         grid = np.linspace(args.eta_min, args.eta_max, args.eta_count)
     batches = sorted(args.batches)
-    _, lam, bounds = stability._sweep_bounds(inst, batches, args.rank_one_steps, args.seed)
+    _, lam, bounds = stability.sweep_bounds(inst, batches, args.rank_one_steps, args.seed)
     rows = [
-        (str(b), _fmt(eta), _fmt(2.0 / eta), _fmt(gen_sharp), _fmt(rank_one_value), _fmt(2.0 / eig_bound), _fmt(lam))
+        (str(b), fmt(eta), fmt(2.0 / eta), fmt(gen_sharp), fmt(rank_one_value), fmt(2.0 / eig_bound), fmt(lam))
         for b, (gen_sharp, rank_one_value, eig_bound) in zip(batches, bounds)
         for eta in grid
     ]
-    _write_csv(args.out, "batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness", rows)
+    write_csv(args.out, "batch,eta,two_over_eta,generalized_sharpness,rank_one_bound,eigvec_bound,sharpness", rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -292,8 +283,8 @@ def _suite_thresholds(seed: int, trials: int) -> list[PropertyResult]:
         etas = [0.0, 0.3 / lam, 1.0 / lam, 2.2 / lam]
         for b in range(1, inst.n + 1):
             for eta in etas:
-                q = stability.second_moment_transition(inst, eta, b)
-                q_ref = stability.brute_force_transition(inst, eta, b)
+                q = kron_certify.second_moment_transition(inst, eta, b)
+                q_ref = kron_certify.brute_force_transition(inst, eta, b)
                 ok = not np.max(np.abs(q - q_ref)) > 1e-10 * max(1.0, float(np.max(np.abs(q_ref))))
                 res_oracle.record(ok, f"batch={b}, eta={eta}")
         thresholds = [stability.variance_threshold(inst, b) for b in range(1, inst.n + 1)]
@@ -310,7 +301,7 @@ def _suite_thresholds(seed: int, trials: int) -> list[PropertyResult]:
         ok = True
         for factor in (0.2, 0.7, 0.99, 1.01, 1.5):
             eta = factor * thr
-            lam_q = float(np.max(np.abs(np.linalg.eigvalsh(stability.second_moment_transition(inst, eta, b)))))
+            lam_q = float(np.max(np.abs(np.linalg.eigvalsh(kron_certify.second_moment_transition(inst, eta, b)))))
             ok &= (eta <= thr) == (lam_q <= 1.0 + 1e-9)
         res_spec.record(ok)
     return [res_oracle, res_gd, res_mono, res_chain, res_spec]
@@ -330,7 +321,7 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         b = int(rng.integers(1, n + 1))
         thr = stability.variance_threshold(inst, b)
         hp = Hyperparams(eta=0.5 * thr, batch=b)
-        for res, cap in ((res_cross, stability.ENUM_CAP), (res_cross_mc, 0)):
+        for res, cap in ((res_cross, montecarlo.ENUM_CAP), (res_cross_mc, 0)):
             try:
                 moments.cross_term(inst, hp.eta, b, enum_cap=cap)
             except ConvergenceError:
@@ -340,7 +331,7 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         limit = moments.covariance_limit(inst, hp)
         # From x0 = 0 the mean stays 0 and Sigma' = Q Sigma + Sigma_v.  Every H_i has rank d, so
         # with rho(Q) < 1 the limit must be that map's unique, attracting fixed point.
-        q = stability.second_moment_transition(inst, hp.eta, b)
+        q = kron_certify.second_moment_transition(inst, hp.eta, b)
         sigma_v = hp.eta**2 * mixing_weight(n, b) * inst.gradient_second_moment()
         dense = unvec(np.linalg.solve(np.eye(d * d) - q, vec(sigma_v)), d)
         step = moments.ExactStepper(inst, hp).step(moments.MomentState(mean=np.zeros(d), second_moment=limit))
@@ -377,8 +368,8 @@ def _suite_mixture(seed: int, trials: int) -> list[PropertyResult]:
         for b in range(1, inst.n + 1):
             p = mixing_weight(inst.n, b)
             eta = 0.8 / stability.sharpness(inst)
-            q_mix = stability.mixture_transition(inst, eta, p)
-            q_ref = stability.brute_force_transition(inst, eta, b)
+            q_mix = kron_certify.mixture_transition(inst, eta, p)
+            q_ref = kron_certify.brute_force_transition(inst, eta, b)
             res_q.record(not np.max(np.abs(q_mix - q_ref)) > 1e-10 * max(1.0, float(np.max(np.abs(q_ref)))))
         if k == 0:
             inst_c = gen_interpolating(2, 4, 2, int(rng.integers(0, 2**31)))
@@ -440,7 +431,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:  # InstanceFormatError is a ValueError
+    except (OSError, ValueError) as exc:  # InstanceFormatError is a ValueError; a bad path is an OSError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

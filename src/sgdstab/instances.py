@@ -47,7 +47,7 @@ _SPLITMIX_M1, _SPLITMIX_M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB
 _SHIFT_30, _SHIFT_27, _SHIFT_31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def _splitmix64(x):
+def splitmix64(x):
     """The splitmix64 finalizer of a np.uint64 scalar or array, elementwise (wraps mod 2**64)."""
     with np.errstate(over="ignore"):
         z = x + _SPLITMIX_GAMMA
@@ -59,14 +59,14 @@ def _splitmix64(x):
     return z
 
 
-def _stream_key(seed: int, index: int) -> int:
+def stream_key(seed: int, index: int) -> int:
     """Philox key of the (seed, index) stream; both are taken mod 2**64."""
-    return (int(seed) & _MASK64) ^ int(_splitmix64(np.uint64(int(index) & _MASK64)))
+    return (int(seed) & _MASK64) ^ int(splitmix64(np.uint64(int(index) & _MASK64)))
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream-index); deterministic."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, index)))
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, index)))
 
 
 class StreamPool:
@@ -85,7 +85,7 @@ class StreamPool:
 
     def get(self, seed: int, index: int) -> np.random.Generator:
         st = self._state
-        st["state"]["key"][0] = _stream_key(seed, index)
+        st["state"]["key"][0] = stream_key(seed, index)
         st["state"]["key"][1] = 0
         st["state"]["counter"][:] = 0
         st["buffer"][:] = 0
@@ -167,19 +167,19 @@ def classify(inst: ProblemInstance) -> MinimumClass:
     """Interpolating / regular / invalid per the PSD and gradient tests.
 
     The PSD test takes the eigenvalues of all n Hessians in one batched
-    eigvalsh and applies _minimum_class to them.  make_instance and
+    eigvalsh and applies minimum_class to them.  make_instance and
     load_instance leave every H_i exactly symmetric, so the stack is passed
     as it is, without a symmetrized copy.
     """
-    return _minimum_class(inst, lapack_eigh(inst.hessians, vectors=False))
+    return minimum_class(inst, lapack_eigh(inst.hessians, vectors=False))
 
 
-def _minimum_class(inst: ProblemInstance, values: np.ndarray) -> MinimumClass:
+def minimum_class(inst: ProblemInstance, values: np.ndarray) -> MinimumClass:
     """The classification rule, given values, the (n, d) eigenvalues of the H_i.
 
     Invalid when the mean gradient is nonzero or some H_i fails linalg.not_psd,
     the rule psd_range applies; else interpolating when every gradient is
-    zero, regular otherwise.  classify and stability.range_basis both use it.
+    zero, regular otherwise.  classify and spectral.range_basis both use it.
     """
     if _mean_gradient_nonzero(inst.gradients) or np.any(not_psd(values)):
         return MinimumClass.INVALID
@@ -190,10 +190,10 @@ def _minimum_class(inst: ProblemInstance, values: np.ndarray) -> MinimumClass:
 
 def require_valid(inst: ProblemInstance) -> MinimumClass:
     """Classify the instance once; raise ValueError if it is not a valid minimum."""
-    return _valid_class(classify(inst))
+    return valid_class(classify(inst))
 
 
-def _valid_class(kind: MinimumClass) -> MinimumClass:
+def valid_class(kind: MinimumClass) -> MinimumClass:
     """Return kind; raise ValueError if it is MinimumClass.INVALID."""
     if kind is MinimumClass.INVALID:
         raise ValueError("instance is not a regular or interpolating minimum")
@@ -302,11 +302,11 @@ def gen_regular(
     return make_instance(hessians, gradients, label=label)
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header: str, rows) -> None:
+def write_csv(path, header: str, rows) -> None:
     """Write a UTF-8 CSV: the header line, then each row's cells (strings) joined by commas."""
     lines = [header, *(",".join(row) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -5,8 +5,8 @@ For symmetric matrices Y_1..Y_M, the d^2 x d^2 matrix
     Q = sum_i w_i * (Y_i kron Y_i),   w_i >= 0,
 
 is symmetric and enjoys three structural properties that this module
-verifies numerically (Q from stability._kron_square_sum, the one dense
-Kronecker-square builder, which refuses d > stability.DENSE_CAP):
+verifies numerically (Q from _kron_square_sum, the one dense
+Kronecker-square builder, which refuses d > DENSE_CAP):
 
   1. Q commutes with transposition: the commutation matrix K, with
      K vec(Z) = vec(Z^T), satisfies K (A kron B) K = B kron A.  So Q is
@@ -20,16 +20,30 @@ Kronecker-square builder, which refuses d > stability.DENSE_CAP):
      of the symmetric block, with its spectrum replaced by its
      elementwise absolute value when it is not PSD, must be an
      eigenvector of Q for lambda_max.
+
+The module also holds every other dense d^2 x d^2 matrix of the package,
+each built by _kron_square_sum: mixture_matrix, the dense form of the
+mixture (1-p) A kron A + (p/n) sum_i M_i kron M_i that spectral applies
+matrix-free; the SGD transition Q and the mixture process's transition
+built on it; and the brute-force Q, which averages A_b kron A_b over every
+size-B batch b from montecarlo.enumerated_batches.  They are oracles for
+the tests, for verify and for stability.curvature_operators' dense branch;
+no threshold, bound or limit solve forms them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConvergenceError, sym_eig, symmetrize, unvec, vec
-from .stability import _kron_square_sum
+from .instances import ProblemInstance, check_mixture_weight, check_step_size, mixing_weight
+from .linalg import ConvergenceError, kron, sym_eig, symmetrize, unvec, vec
+from .montecarlo import ENUM_CAP, enumerated_batches
+
+# Above this dimension the d^2 x d^2 matrices are not formed densely.
+DENSE_CAP = 48
 
 # Largest relative negative eigenvalue of a PSD top eigenvector, and its largest relative residual.
 RESIDUAL_TOL = 1e-7
@@ -49,6 +63,8 @@ class KronFamily:
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError(f"members must have shape (M, d, d), got {m.shape}")
         for i in range(m.shape[0]):
+            if not np.all(np.isfinite(m[i])):
+                raise ValueError(f"member {i} has a non-finite entry")
             scale = max(1.0, float(np.max(np.abs(m[i]))))
             if np.max(np.abs(m[i] - m[i].T)) > 1e-12 * scale:
                 raise ValueError(f"member {i} is not symmetric")
@@ -58,6 +74,8 @@ class KronFamily:
             w = np.asarray(weights, dtype=float)
             if w.shape != (m.shape[0],):
                 raise ValueError(f"weights must have shape ({m.shape[0]},), got {w.shape}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weights must be finite")
             if np.any(w < 0):
                 raise ValueError("weights must be nonnegative")
         return KronFamily(dim=m.shape[1], members=m, weights=w)
@@ -70,6 +88,49 @@ class CertifyReport:
     top_eigvec_matrix: np.ndarray
     min_eig_of_top: float
     block_coupling: float
+
+
+def _kron_square_sum(d: int, terms) -> np.ndarray:
+    """Dense sum_k w_k (M_k kron M_k) over the (w_k, M_k) pairs of terms, in order; ValueError above DENSE_CAP."""
+    if d > DENSE_CAP:
+        raise ValueError(f"dense d^2 x d^2 matrix requested for d={d} > cap {DENSE_CAP}")
+    out = np.zeros((d * d, d * d))
+    for w, m in terms:
+        out += w * kron(m, m)
+    return out
+
+
+def mixture_matrix(a_bar: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray:
+    """Dense (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i), the d^2 x d^2 form of spectral.mixture_apply."""
+    n = mats.shape[0]
+    return _kron_square_sum(a_bar.shape[0], [(1.0 - p, a_bar)] + [(p / n, m) for m in mats])
+
+
+def mixture_transition(inst: ProblemInstance, eta: float, p: float) -> np.ndarray:
+    """E[A kron A] of the mixture process: single-sample step w.p. p,
+    full-batch step w.p. 1-p."""
+    check_mixture_weight(p)
+    check_step_size(eta)
+    eye = np.eye(inst.d)
+    return mixture_matrix(eye - eta * inst.mean_hessian(), eye - eta * inst.hessians, p)
+
+
+def second_moment_transition(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
+    """The dense transition Q advancing vec(E[x x^T]) by one SGD step: the mixture
+    (1-p) (A kron A) + (p/n) sum_i (A_i kron A_i), A = I - eta*Hbar and
+    A_i = I - eta*H_i, that is mixture_transition at p = mixing_weight(n, B)."""
+    return mixture_transition(inst, eta, mixing_weight(inst.n, batch))
+
+
+def brute_force_transition(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
+    """Q by exhaustive enumeration of all C(n, B) <= ENUM_CAP equiprobable size-B batches."""
+    n, d = inst.n, inst.d
+    mixing_weight(n, batch)  # ValueError unless 1 <= batch <= n
+    check_step_size(eta)
+    count = math.comb(n, batch)
+    if count > ENUM_CAP:
+        raise ValueError(f"enumeration of C({n},{batch}) = {count} batches exceeds cap {ENUM_CAP}")
+    return _kron_square_sum(d, ((1.0, a) for a, _ in enumerated_batches(inst, eta, batch))) / count
 
 
 def _assemble(fam: KronFamily) -> np.ndarray:

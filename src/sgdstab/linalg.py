@@ -2,7 +2,7 @@
 symmetric eigendecompositions, the package's one rank rule, the PSD
 pseudoinverse, null-space projectors, and one matrix-free Lanczos
 recurrence for operators built self-adjoint.  Two readers consume it:
-_lanczos_solve, the top eigenvalue, and spd_solve, the solution of a
+lanczos_solve, the top eigenvalue, and spd_solve, the solution of a
 positive definite system.  Both take the operator as a plain function of
 a flat vector and read the dimension off the vector they start from.
 
@@ -206,7 +206,7 @@ def _budget_error(resid: float, note: str) -> ConvergenceError:
     return ConvergenceError(f"Lanczos did not converge within {_LANCZOS_MAX_ITER} iterations (last residual {resid:.3e}, {note})")
 
 
-def _lanczos_solve(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float:
+def lanczos_solve(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float:
     """Largest (signed) eigenvalue of a self-adjoint operator, which is not checked, read off _lanczos from start.
 
     The Krylov space holds only the modes the start has a component along,

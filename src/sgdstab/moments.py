@@ -18,10 +18,12 @@ batches from montecarlo's counter-based sampler, which must agree within
 five standard errors.  The tests and the verify command run that check;
 the stepper applies the closed form unchecked: it forms the (d^2, d)
 matrix once, by the helper that cross_term calls, and each step takes
-the coupling from one product with mu, d^3 flops whatever n is.
+the coupling from one product with mu, d^3 flops whatever n is.  When
+every gradient is zero the coupling vanishes, and the stepper neither
+stores nor applies it.
 
 The rest of a step costs one batched matmul and one GEMM: the A_i are
-symmetric, so E[A Sigma A^T] is stability._mixture_apply, the d x d form
+symmetric, so E[A Sigma A^T] is spectral.mixture_apply, the d x d form
 of the mixture kernel, with A = I - eta*Hbar and M_i = A_i.
 
 For step sizes below the mean-square threshold the range-projected
@@ -32,11 +34,11 @@ second moment converges to
 That system is solved matrix-free on the r x r block (lam, V) of one
 range_basis per call, shared with the check eta < eta_var (for PSD H_i
 the pseudoinverse acts there alone).  That check takes one application
-of S: eta * hi < 2, with hi = stability._range_sharpness_bound >=
+of S: eta * hi < 2, with hi = spectral.range_sharpness_bound >=
 lambda_max(S), certifies it, and only a step size that this leaves
 undecided runs the threshold's Lanczos solve.  The basis's one batched
 eigh of the H_i also classifies the instance, so a limit solve
-decomposes the Hessian stack once.  With D_r = stability._range_d, the range-block form
+decomposes the Hessian stack once.  With D_r = spectral._range_d, the range-block form
 of the mixture kernel, it reads
 
     (lam_a + lam_b) o X - eta * D_r(X) = V^T Sigma_g V,
@@ -46,7 +48,7 @@ and X = F o Y, with F = ((lam_a + lam_b)/2)^{-1/2}, turns it into
     (I - (eta/2) S) Y = F o V^T Sigma_g V / 2
 
 on the threshold's own congruence S = F o D_r(F o .) (from
-stability._range_congruence).  It is positive definite exactly for
+spectral.range_congruence).  It is positive definite exactly for
 eta < eta_var = 2 / lambda_max(S).  linalg.spd_solve solves it on the
 Lanczos recurrence that the threshold also runs, started from the
 right-hand side; I - (eta/2) S and S share that Krylov basis.
@@ -61,13 +63,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import Hyperparams, ProblemInstance, _fmt, _valid_class, _write_csv, mixing_weight, require_valid
+from .instances import Hyperparams, ProblemInstance, fmt, mixing_weight, require_valid, valid_class, write_csv
 from .linalg import ConvergenceError, kron, null_projectors, spd_solve, sym_eig, symmetrize
-from .montecarlo import _batches
-from .stability import (
-    ENUM_CAP, _enumerated_batches, _mixture_apply, _range_congruence, _range_sharpness, _range_sharpness_bound, _threshold,
-    range_basis,
-)
+from .montecarlo import ENUM_CAP, draw_batches, enumerated_batches
+from .spectral import mixture_apply, range_basis, range_congruence, range_sharpness, range_sharpness_bound, threshold
 
 MC_VALIDATION_SAMPLES = 100_000
 # Relative margin of the one-apply certificate eta * hi < 2, far above the rounding in hi.
@@ -110,7 +109,7 @@ def cross_term(
 
     The closed form is checked against exhaustive batch enumeration when
     C(n, B) <= enum_cap.  Otherwise MC_VALIDATION_SAMPLES batches are
-    drawn by montecarlo._batches at seed 1234, sample k being replicate k's
+    drawn by montecarlo.draw_batches at seed 1234, sample k being replicate k's
     first batch, in chunks sized to keep temporaries near 1 MB, and every
     entry must lie within five standard errors (plus 1e-12) of the sample
     mean.  A mismatch raises ConvergenceError.
@@ -122,7 +121,7 @@ def cross_term(
     count = math.comb(n, batch)
     if count <= enum_cap:
         ref = np.zeros((d * d, d))
-        for a, v in _enumerated_batches(inst, eta, batch):
+        for a, v in enumerated_batches(inst, eta, batch):
             ref += kron(v[:, None], a)
         ref /= count
         scale = max(1.0, float(np.max(np.abs(ref))))
@@ -135,7 +134,7 @@ def cross_term(
     acc = np.zeros((d, d * d))
     acc_sq = np.zeros((d, d * d))
     for start in range(0, MC_VALIDATION_SAMPLES, chunk):
-        idx = _batches(1234, range(start, min(start + chunk, MC_VALIDATION_SAMPLES)), 1, n, batch)[:, 0]
+        idx = draw_batches(1234, range(start, min(start + chunk, MC_VALIDATION_SAMPLES)), 1, n, batch)[:, 0]
         h_sum = flat_h[idx[:, 0]]
         g_sum = inst.gradients[idx[:, 0]]
         for slot in range(1, batch):
@@ -169,7 +168,8 @@ class ExactStepper:
         self.a_bar = np.eye(d) - eta * inst.mean_hessian()
         self._a_all = np.eye(d)[None, :, :] - eta * inst.hessians
         self.sigma_v = eta * eta * self.p * inst.gradient_second_moment()
-        self._cross = _closed_cross_term(inst, eta, self.p)
+        # The coupling is zero when every gradient is: then no (d^2, d) matrix is kept.
+        self._cross = None if np.all(inst.gradients == 0.0) else _closed_cross_term(inst, eta, self.p)
 
     def step(self, state: MomentState) -> MomentState:
         d = self.inst.d
@@ -177,11 +177,14 @@ class ExactStepper:
         sigma = state.second_moment
         new_mu = self.a_bar @ mu
         # The A_i are symmetric, so E[A Sigma A^T] is the shared mixture kernel.
-        new_sigma = _mixture_apply(self.a_bar, self._a_all, self.p, sigma)
-        # Z = E[v mu^T A] is cross_term's closed form times mu, row-major as d x d, and
-        # -E[A mu v^T] - E[v mu^T A] = -(Z^T + Z).
-        z = (self._cross @ mu).reshape(d, d)
-        new_sigma += self.sigma_v - (z + z.T)
+        new_sigma = mixture_apply(self.a_bar, self._a_all, self.p, sigma)
+        if self._cross is None:
+            new_sigma += self.sigma_v
+        else:
+            # Z = E[v mu^T A] is cross_term's closed form times mu, row-major as d x d, and
+            # -E[A mu v^T] - E[v mu^T A] = -(Z^T + Z).
+            z = (self._cross @ mu).reshape(d, d)
+            new_sigma += self.sigma_v - (z + z.T)
         return MomentState(mean=new_mu, second_moment=symmetrize(new_sigma), step=state.step + 1)
 
 
@@ -222,22 +225,22 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
 
     lam and V_r are the range block of range_basis; X = eta * p * F o Y,
     Y the spd_solve solution of (I - (eta/2) S) Y = F o R / 2 with
-    (S, F) = _range_congruence and R = V_r^T Sigma_g V_r.
+    (S, F) = range_congruence and R = V_r^T Sigma_g V_r.
     Raises ValueError unless the instance is a regular or interpolating
     minimum, classified from the basis's eigenvalues, and 0 < eta < eta_var.
     """
     eta = hp.eta
     p = mixing_weight(inst.n, hp.batch)
     basis = range_basis(inst)
-    _valid_class(basis.kind)
+    valid_class(basis.kind)
     # The one-apply upper bound on lambda_max(S) certifies most step sizes; the threshold
     # solve decides the rest, with the same check and message as without the bound.
-    if not (eta > 0.0 and eta * _range_sharpness_bound(basis, p) < 2.0 * (1.0 - _CERTIFICATE_MARGIN)):
-        thr = _threshold(_range_sharpness(basis, p))
+    if not (eta > 0.0 and eta * range_sharpness_bound(basis, p) < 2.0 * (1.0 - _CERTIFICATE_MARGIN)):
+        thr = threshold(range_sharpness(basis, p))
         if not 0.0 < eta < thr:
             raise ValueError(f"step size {eta} outside the open stability interval (0, {thr})")
     v_r = basis.v
-    s, factor = _range_congruence(basis, p)
+    s, factor = range_congruence(basis, p)
     rhs = 0.5 * factor * (v_r.T @ inst.gradient_second_moment() @ v_r)
     y = spd_solve(lambda u: u - (0.5 * eta) * s(u), rhs.reshape(-1))
     return basis.lam, v_r, eta * p * (factor * y.reshape(factor.shape))
@@ -269,11 +272,11 @@ def write_trajectory_csv(path, inst: ProblemInstance, states) -> None:
     rows = (
         (
             str(state.step),
-            _fmt(max(np.vdot(p_range, state.second_moment), 0.0)),
-            _fmt(max(np.vdot(p_null, state.second_moment), 0.0)),
-            _fmt(np.linalg.norm(state.mean)),
-            _fmt(0.5 * np.vdot(hbar, state.second_moment)),
+            fmt(max(np.vdot(p_range, state.second_moment), 0.0)),
+            fmt(max(np.vdot(p_null, state.second_moment), 0.0)),
+            fmt(np.linalg.norm(state.mean)),
+            fmt(0.5 * np.vdot(hbar, state.second_moment)),
         )
         for state in states
     )
-    _write_csv(path, "t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate", rows)
+    write_csv(path, "t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate", rows)

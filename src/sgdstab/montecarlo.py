@@ -9,7 +9,7 @@ under the mixture process that takes SGD's single-sample step with
 probability p and its full-batch step otherwise (both from _steps).
 
 Every random draw is a pure function of (seed, domain, replicate, step,
-slot): a hash of those coordinates by instances._splitmix64 on uint64
+slot): a hash of those coordinates by instances.splitmix64 on uint64
 arrays.  The hashes are computed on tiles of at most _DRAW_BLOCK_LANES
 (replicate, step) lanes, so their temporaries stay in cache, and
 written into one array per chunk.
@@ -40,18 +40,21 @@ step, so each verdict is the full run's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .instances import (
-    _MASK64, Hyperparams, ProblemInstance, _fmt, _splitmix64, _write_csv,
-    check_mixture_weight, check_step_size, mixing_weight, require_valid, stream,
+    Hyperparams, ProblemInstance, check_mixture_weight, check_step_size, fmt, mixing_weight, require_valid, splitmix64,
+    stream, stream_key, write_csv,
 )
 from .linalg import null_projectors, sym_eig
 
 _CHUNK_ENTRY_BUDGET = 4_000_000
+# Enumeration budget for brute-force batch expectations.
+ENUM_CAP = 10_000
 # Draws are hashed on tiles of at most this many (replicate, step) lanes:
 # 256 KiB per uint64 temporary, so the splitmix passes stay in cache.
 _DRAW_BLOCK_LANES = 32_768
@@ -118,11 +121,12 @@ def _fisher_yates_batches(rng: np.random.Generator, n: int, batch: int, steps: i
     return perm[:, :batch]
 
 
-# Counter-based draws.  With sm = instances._splitmix64 (mod 2**64), the word
+# Counter-based draws.  With sm = instances.splitmix64 (mod 2**64), the word
 # for (seed, domain, replicate r, step t, slot s, attempt a) is
 #
-#     sm(lane ^ (s | a << 32)),  lane = sm(sm(k ^ r) ^ t),  k = sm(seed ^ sm(domain)).
+#     sm(lane ^ (s | a << 32)),  lane = sm(sm(k ^ r) ^ t),  k = sm(seed ^ sm(domain)),
 #
+# and seed ^ sm(domain) is instances.stream_key(seed, domain).
 # The attempt counter only moves for lanes that the bounded map rejects.
 _INDEX_DOMAIN = 1
 _COIN_DOMAIN = 2
@@ -131,9 +135,9 @@ _MASK32 = 0xFFFF_FFFF
 
 def _lane_keys(seed: int, domain: int, replicates: range, steps: int, first_step: int = 0) -> np.ndarray:
     """(replicates, steps) uint64 lane keys of one draw domain, for steps first_step onwards."""
-    k = _splitmix64(np.uint64(int(seed) & _MASK64) ^ _splitmix64(np.uint64(domain)))
-    per_replicate = _splitmix64(np.arange(replicates.start, replicates.stop, dtype=np.uint64) ^ k)
-    return _splitmix64(per_replicate[:, None] ^ np.arange(first_step, first_step + steps, dtype=np.uint64))
+    k = splitmix64(np.uint64(stream_key(seed, domain)))
+    per_replicate = splitmix64(np.arange(replicates.start, replicates.stop, dtype=np.uint64) ^ k)
+    return splitmix64(per_replicate[:, None] ^ np.arange(first_step, first_step + steps, dtype=np.uint64))
 
 
 def _key_tiles(seed: int, domain: int, replicates: range, steps: int):
@@ -151,7 +155,7 @@ def _key_tiles(seed: int, domain: int, replicates: range, steps: int):
 
 
 def _words(keys: np.ndarray, slot: int, attempt: int = 0) -> np.ndarray:
-    return _splitmix64(keys ^ np.uint64(slot | attempt << 32))
+    return splitmix64(keys ^ np.uint64(slot | attempt << 32))
 
 
 def _bounded(keys: np.ndarray, slot: int, bound: int) -> np.ndarray:
@@ -176,7 +180,7 @@ def _bounded(keys: np.ndarray, slot: int, bound: int) -> np.ndarray:
     return out.reshape(keys.shape)
 
 
-def _batches(seed: int, replicates: range, steps: int, n: int, batch: int) -> np.ndarray:
+def draw_batches(seed: int, replicates: range, steps: int, n: int, batch: int) -> np.ndarray:
     """(replicates, steps, batch) uniform size-`batch` subsets of range(n).
 
     Floyd's sampler: slot s draws u uniform in [0, top], top = n - batch + s,
@@ -196,6 +200,18 @@ def _batches(seed: int, replicates: range, steps: int, n: int, batch: int) -> np
                 np.putmask(u, taken, top)
             tile[..., s] = u
     return out
+
+
+def enumerated_batches(inst: ProblemInstance, eta: float, batch: int):
+    """Yield (A_b, v_b) = (I - (eta/B) sum_{i in b} H_i, (eta/B) sum_{i in b} g_i) for every size-B batch b.
+
+    The exact counterpart of draw_batches: every one of the C(n, B) subsets,
+    in itertools.combinations order, for the checks that enumerate them.
+    """
+    eye = np.eye(inst.d)
+    for combo in itertools.combinations(range(inst.n), batch):
+        idx = list(combo)
+        yield eye - (eta / batch) * inst.hessians[idx].sum(axis=0), (eta / batch) * inst.gradients[idx].sum(axis=0)
 
 
 def _coins(seed: int, replicates: range, steps: int, p: float) -> np.ndarray:
@@ -377,7 +393,7 @@ def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, verdict: bool =
     def builder(replicate_range):
         if b == n:
             return lambda t, x: full(x)
-        batches = _batches(cfg.seed, replicate_range, cfg.steps, n, b)
+        batches = draw_batches(cfg.seed, replicate_range, cfg.steps, n, b)
         return lambda t, x: batch(x, batches[:, t])
 
     # Per replicate: the (steps, B) batch indices and its B rows of the
@@ -407,7 +423,7 @@ def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig
     full, single = _steps(inst, eta)
 
     def builder(replicate_range):
-        idx_all = _batches(cfg.seed, replicate_range, cfg.steps, inst.n, 1)
+        idx_all = draw_batches(cfg.seed, replicate_range, cfg.steps, inst.n, 1)
         single_all = _coins(cfg.seed, replicate_range, cfg.steps, p)
 
         def kernel(t, x):
@@ -518,13 +534,13 @@ def write_empirical_csv(path, em: EmpiricalMoments) -> None:
     rows = (
         (
             str(t),
-            _fmt(em.mean_sq_perp[t]),
-            _fmt(em.mean_sq_par[t]),
-            _fmt(np.linalg.norm(em.mean_offset[t])),
-            _fmt(0.5 * em.mean_quad[t]),
+            fmt(em.mean_sq_perp[t]),
+            fmt(em.mean_sq_par[t]),
+            fmt(np.linalg.norm(em.mean_offset[t])),
+            fmt(0.5 * em.mean_quad[t]),
             str(em.replicates),
             str(em.diverged_count),
         )
         for t in range(em.mean_sq_perp.size)
     )
-    _write_csv(path, "t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate,replicates,diverged_count", rows)
+    write_csv(path, "t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate,replicates,diverged_count", rows)

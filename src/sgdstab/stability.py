@@ -17,14 +17,11 @@ mean-square stability threshold
 
     eta_var = 2 / lambda_max(pinv(C) D),
 
-computed here through the symmetric congruence
-(C^{1/2})^+ D (C^{1/2})^+, which has the same nonzero spectrum.  For PSD
-H_i, null(Hbar) lies inside every null(H_i), so C and D vanish on every
-index pair that touches null(Hbar).  range_basis keeps the r eigenpairs
-(lam, V_r) of Hbar that linalg.psd_range counts as nonzero: there C is
-diagonal with entries (lam_a + lam_b)/2, so (C^{1/2})^+ is an
-elementwise scaling, and every spectral solve runs matrix-free on r x r
-arguments.  The mean (first-moment) threshold is 2 / lambda_max(Hbar).
+computed on the symmetric congruence (C^{1/2})^+ D (C^{1/2})^+, which has
+the same nonzero spectrum, on Hbar's range block (module spectral).  The
+mean (first-moment) threshold is 2 / lambda_max(Hbar).  The dense Q, D and
+E live in kron_certify, as oracles; curvature_operators is the one caller
+here that forms them, and only for d <= kron_certify.DENSE_CAP.
 
 The verdict classifies each step size against eta_var alone and runs
 no spectral check of its own: the equivalence "the range-projected
@@ -32,84 +29,33 @@ transition (P kron P) Q has top eigenvalue below one exactly on
 0 < eta < eta_var" is checked by the tests and by the verify command.
 The thresholds and the verdict never form a d^2 x d^2 matrix.
 
-Q, D, E and the projected transition are all the mixture
-(1-p) A kron A + (p/n) sum_i M_i kron M_i, written once per representation:
-
-    _mixture_matrix   the dense d^2 x d^2 matrix (test oracles and verify);
-    _mixture_apply    its action on a d x d argument, vec'd by _mixture_operator;
-    _range_d          D on the r x r range block, X -> (1-p) Lam X Lam
-                      + (p/n) sum_i k_i X k_i.
-
-The last two share the sandwich kernel _sandwich_sum, at 4 n r^3 flops on
-the range block.  range_basis makes one batched eigh of the (n, d, d)
-Hessian stack per call.  Its eigenvalues classify the instance, by the
-rule classify applies, and its eigenpairs, under psd_range's rank rule
-per sample, give factors H_i = G_i G_i^T with G_i of shape d x q, q the
-largest per-sample rank.  When every H_i passes the PSD test and
-q (r + q) < r^2, one GEMM gives U_i^T = G_i^T V_r, and _range_d runs on
-them, _factored_sandwich_sum: sum_i U_i (U_i^T X U_i) U_i^T in
-4 n q r (r + q) flops.  Otherwise range_basis forms k_i = V_r^T H_i V_r
-for the dense sum.  Array shapes and the PSD test alone pick the kernel.
-curvature_operators picks _mixture_matrix for d <= DENSE_CAP and
-_mixture_operator above it.  _kron_square_sum builds every dense
-sum_k w_k (M_k kron M_k) (_mixture_matrix, the brute-force Q and
-kron_certify's Q) and raises ValueError above DENSE_CAP before anything
-of size d^4 is allocated.  _range_congruence writes the congruence
-S = (C^{1/2})^+ D (C^{1/2})^+ on the range block once: the threshold is
-2 / lambda_max(S), and the limit system of moments is I - (eta/2) S.
-The projected transition is affine in _range_d.  The Lanczos solves
-here run on operators built symmetric.  The threshold solve starts at
-the positive definite Y0 = diag(sqrt(lam)), which always sees the top
-mode (_range_sharpness says why).  One application of S at the same Y0
-bounds lambda_max(S) from above, _range_sharpness_bound: moments
-certifies eta < eta_var with it and runs the solve only when it cannot.
-
 The necessary bounds are cheap lower bounds on the generalized sharpness.
 The tightest, 2 / max_v f(v) over unit v in Hbar's range, comes from
 _rank_one_ascent: a Riemannian L-BFGS ascent on the unit sphere of R^r,
 in range coordinates v = V_r w, that advances every (batch size, start)
 pair of a call as one row of a single block.  Each iteration computes
 every k_i w and Lam w once, at the quasi-Newton trial point
-(_product_map): as U_i (U_i^T w) where the range basis kept factors,
-else by one GEMM with the block row [k_1, ..., k_n, Lam].  Armijo
-backtracking along the same geodesic reads f off quadratic forms and
-makes no products.  A lane stops on convergence, so the step budget is
-only a cap.  _sweep_bounds, behind both the sweep and stability_verdict
-(a sweep of one batch size), builds one range_basis, checks its
-classification and hands it to the sharpness, the threshold solve, the
-eigenvector bound and the ascent of every batch size;
-curvature_operators and variance_threshold build one per call.
+(spectral.product_map).  Armijo backtracking along the same geodesic
+reads f off quadratic forms and makes no products.  A lane stops on
+convergence, so the step budget is only a cap.  sweep_bounds, behind
+both the sweep and stability_verdict (a sweep of one batch size), builds
+one range_basis, checks its classification and hands it to the
+sharpness, the threshold solve, the eigenvector bound and the ascent of
+every batch size; curvature_operators and variance_threshold build one
+per call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .instances import (
-    MinimumClass, ProblemInstance, _minimum_class, _valid_class, check_mixture_weight, check_step_size, mixing_weight, stream
-)
-from .linalg import (
-    ConvergenceError,
-    _lanczos_solve,
-    kron,
-    kron_sum,
-    lapack_eigh,
-    psd_range,
-    sym_eig,
-    unvec,
-    vec,
-)
-
-# Above this dimension the d^2 x d^2 matrices are not formed densely.
-DENSE_CAP = 48
-
-# Enumeration budget for brute-force batch expectations.
-ENUM_CAP = 10_000
+from .instances import MinimumClass, ProblemInstance, check_step_size, mixing_weight, stream, valid_class
+from .linalg import ConvergenceError, kron_sum, sym_eig, unvec, vec
+from .spectral import RangeBasis, mixture_apply, product_map, range_basis, range_sharpness, threshold
 
 # Starts of the rank-one ascent per batch size: the top eigenvector of Hbar and
 # seeded random directions in its range.
@@ -141,16 +87,20 @@ def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = 
 
     C, D and E are d^2 x d^2 matrices when dense, else functions of a vec'd
     d x d argument.  dense defaults to d <= DENSE_CAP; above it a dense
-    request raises _kron_square_sum's ValueError.
+    request raises kron_certify's ValueError.
     """
+    # The dense branch is an oracle of kron_certify, imported here only; this function
+    # stays in stability because the benchmark's sandwich probe calls it.
+    from .kron_certify import DENSE_CAP, mixture_matrix
+
     basis = range_basis(inst)
-    _valid_class(basis.kind)
+    valid_class(basis.kind)
     d = inst.d
     p = mixing_weight(inst.n, batch)
     hbar = inst.mean_hessian()
     if dense is None:
         dense = d <= DENSE_CAP
-    mixture = _mixture_matrix if dense else _mixture_operator
+    mixture = mixture_matrix if dense else _mixture_operator
     sq, var = mixture(hbar, inst.hessians, p), mixture(hbar, inst.hessians - hbar, 1.0)
     if dense:
         c = 0.5 * kron_sum(hbar, hbar)
@@ -164,193 +114,15 @@ def curvature_operators(inst: ProblemInstance, batch: int, dense: bool | None = 
         curvature_sq=sq,
         curvature_var=var,
         sharpness=float(np.max(basis.lam, initial=0.0)),
-        generalized_sharpness=_range_sharpness(basis, p),
+        generalized_sharpness=range_sharpness(basis, p),
         p=p,
     )
 
 
-def _kron_square_sum(d: int, terms) -> np.ndarray:
-    """Dense sum_k w_k (M_k kron M_k) over the (w_k, M_k) pairs of terms, in order; ValueError above DENSE_CAP."""
-    if d > DENSE_CAP:
-        raise ValueError(f"dense d^2 x d^2 matrix requested for d={d} > cap {DENSE_CAP}")
-    out = np.zeros((d * d, d * d))
-    for w, m in terms:
-        out += w * kron(m, m)
-    return out
-
-
-def _mixture_matrix(a_bar: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray:
-    """Dense (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i), the d^2 x d^2 form of _mixture_apply."""
-    n = mats.shape[0]
-    return _kron_square_sum(a_bar.shape[0], [(1.0 - p, a_bar)] + [(p / n, m) for m in mats])
-
-
-@dataclass(frozen=True)
-class RangeBasis:
-    """What one analysis call needs of the Hessians: Hbar's range block and the H_i on it.
-
-    lam (r,) and v (d, r) are the eigenpairs of Hbar that psd_range keeps,
-    lam descending.  kind is the instance's class, from the eigenvalues of
-    the H_i by the rule classify applies.  Either ut holds factors, or k
-    holds the rotated Hessians:
-
-    - ut (n, q, r) stacks U_i^T = G_i^T V_r, where H_i = G_i G_i^T and q is
-      the largest rank of any H_i (a sample of smaller rank has zero rows),
-      so k_i = V_r^T H_i V_r = U_i U_i^T; k is None.
-    - k (n, r, r) stacks k_i = V_r^T H_i V_r; ut is None.
-
-    range_basis keeps the factors only where they make the sandwich sum
-    cheaper, and _range_d and the rank-one ascent then run on them.
-    """
-
-    lam: np.ndarray
-    v: np.ndarray
-    kind: MinimumClass
-    k: np.ndarray | None
-    ut: np.ndarray | None
-
-
-def range_basis(inst: ProblemInstance) -> RangeBasis:
-    """Decompose the H_i once (one batched eigh) and Hbar once; ValueError if Hbar is not PSD.
-
-    The eigenvalues of the H_i classify the instance (kind), which is not
-    rejected here: callers that need a valid minimum pass kind to
-    _valid_class.  When Hbar is not PSD, the ValueError of an invalid
-    instance starts with _valid_class's message.  Their eigenpairs give the factors G_i (_sample_factors),
-    and U_i^T = G_i^T V_r comes from one GEMM, so the range-block sandwich
-    sum costs 4 n q r (r + q) flops instead of 4 n r^3 when every H_i is PSD
-    and q (r + q) < r^2.  Otherwise k_i = V_r^T H_i V_r is formed instead.
-    """
-    # make_instance and load_instance leave every H_i exactly symmetric, so eigh's lower triangle is H_i.
-    values, vectors = lapack_eigh(inst.hessians)  # ascending per sample
-    kind = _minimum_class(inst, values)
-    eig = sym_eig(inst.mean_hessian())
-    try:
-        keep = psd_range(eig.values)
-    except ValueError as exc:
-        if kind is MinimumClass.INVALID:  # lead with the input error that the callers raise
-            raise ValueError(f"instance is not a regular or interpolating minimum; mean Hessian: {exc}") from exc
-        raise
-    lam, v, r = eig.values[keep], eig.vectors[:, keep], int(keep.sum())
-    gt = _sample_factors(values, vectors, r)
-    if gt is None:
-        return RangeBasis(lam=lam, v=v, kind=kind, k=v.T @ inst.hessians @ v, ut=None)
-    n, q, d = gt.shape
-    return RangeBasis(lam=lam, v=v, kind=kind, k=None, ut=(gt.reshape(n * q, d) @ v).reshape(n, q, r))
-
-
-def _sample_factors(values: np.ndarray, vectors: np.ndarray, r: int) -> np.ndarray | None:
-    """The stack of G_i^T, shape (n, q, d), with H_i = G_i G_i^T, or None.
-
-    values and vectors are the batched eigh of the H_i, ascending per sample.
-    psd_range's rank rule keeps each sample's nonzero eigenpairs, and G_i
-    holds them scaled by sqrt(lam), padded with zero columns to q, the
-    largest kept count.  None when r = 0, when some H_i fails psd_range's
-    PSD test (then dropping its negative eigenvalues would change the
-    operator) or when q (r + q) >= r^2 (then the dense _sandwich_sum takes no
-    more flops).
-    """
-    if r == 0:
-        return None
-    try:
-        kept = psd_range(values)
-    except ValueError:
-        return None
-    q = int(kept.sum(axis=1).max())
-    if q * (r + q) >= r * r:
-        return None
-    d = values.shape[1]
-    # Each sample's kept eigenvalues are its largest, so they sit in its last q columns.
-    scale = np.sqrt(np.where(kept, values, 0.0)[:, d - q :])
-    return np.ascontiguousarray((vectors[:, :, d - q :] * scale[:, None, :]).transpose(0, 2, 1))
-
-
-def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_i M_i m M_i over a stack of symmetric M_i: one batched matmul plus one GEMM."""
-    n, d, _ = mats.shape
-    # M_i is symmetric, so sum_i M_i m M_i = [M_1; ...; M_n]^T @ [m M_1; ...; m M_n].
-    return mats.reshape(n * d, d).T @ (m @ mats).reshape(n * d, d)
-
-
-def _factored_sandwich_sum(ut: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_i U_i (U_i^T m U_i) U_i^T from the stack ut of U_i^T, (n, q, r): 4 n q r (r + q) flops."""
-    n, q, r = ut.shape
-    # W = [U_1, ..., U_n] is the transpose of ut's (n q, r) rows, so the sum is W @ [T_1; ...; T_n]
-    # with T_i = (U_i^T m U_i) U_i^T.
-    w_t = ut.reshape(n * q, r)
-    core = (w_t @ m).reshape(n, q, r) @ ut.transpose(0, 2, 1)
-    return w_t.T @ (core @ ut).reshape(n * q, r)
-
-
-def _mixture_apply(a_bar: np.ndarray, mats: np.ndarray, p: float, m: np.ndarray) -> np.ndarray:
-    """(1-p) A m A + (p/n) sum_i M_i m M_i on a d x d argument m, A and M_i symmetric."""
-    return (1.0 - p) * (a_bar @ m @ a_bar) + (p / mats.shape[0]) * _sandwich_sum(mats, m)
-
-
 def _mixture_operator(a_bar: np.ndarray, mats: np.ndarray, p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i): _mixture_apply on vec'd arguments."""
+    """Matrix-free (1-p) (A kron A) + (p/n) sum_i (M_i kron M_i): mixture_apply on vec'd arguments."""
     d = a_bar.shape[0]
-    return lambda u: vec(_mixture_apply(a_bar, mats, p, unvec(u, d)))
-
-
-def _range_d(basis: RangeBasis, p: float):
-    """D on the r x r range block: the map X -> (1-p) Lam X Lam + (p/n) sum_i k_i X k_i,
-    the sum on the factors basis.ut when range_basis kept them."""
-    col, row = basis.lam[:, None], basis.lam[None, :]
-    kernel, mats = (_sandwich_sum, basis.k) if basis.ut is None else (_factored_sandwich_sum, basis.ut)
-    pn = p / mats.shape[0]
-    return lambda x: (1.0 - p) * (col * x * row) + pn * kernel(mats, x)
-
-
-def _range_congruence(basis: RangeBasis, p: float):
-    """(S, F): the congruence (C^{1/2})^+ D (C^{1/2})^+ on the r x r range block, and its pair factors.
-
-    S maps X to F o D_r(F o X), D_r = _range_d, F = ((lam_a + lam_b)/2)^{-1/2}
-    the (r, r) pair factors and o the elementwise product; S acts on X
-    flattened to length r^2.  The threshold is 2 / lambda_max(S), and the
-    limit system of moments is I - (eta/2) S after the scaling X = F o Y.
-    """
-    lam, r = basis.lam, basis.lam.size
-    factor = 1.0 / np.sqrt(0.5 * (lam[:, None] + lam[None, :]))
-    d_r = _range_d(basis, p)
-    return (lambda u: (factor * d_r(factor * u.reshape(r, r))).reshape(-1)), factor
-
-
-def _range_sharpness(basis: RangeBasis, p: float) -> float:
-    """lambda_max of the congruence S of _range_congruence by Lanczos on the r x r range block.
-
-    Zero when r = 0.  Lanczos starts at the positive definite Y0 = F^{-1} o I =
-    diag(sqrt(lam)): S maps PSD matrices to PSD matrices (D_r is a sum of
-    congruences X -> k X k, whatever the signs of the k_i, and F is a PSD
-    kernel), so by Perron-Frobenius for cone-preserving maps (Vandergraft,
-    SIAM J. Appl. Math. 16, 1968) its top eigenvalue has a PSD eigenvector
-    Z, and tr(Y0 Z) > 0.  The first Rayleigh quotient is tr(D_r(I)) /
-    tr(Lam) > 0, which is 2 / necessary_bound_trace when the H_i vanish
-    off the range, and no later Ritz value is smaller.
-    """
-    if basis.lam.size == 0:
-        return 0.0
-    s, _ = _range_congruence(basis, p)
-    return _lanczos_solve(s, np.diag(np.sqrt(basis.lam)).reshape(-1))
-
-
-def _range_sharpness_bound(basis: RangeBasis, p: float) -> float:
-    """An upper bound on _range_sharpness from one application of S: lambda_max(Y0^{-1/2} S(Y0) Y0^{-1/2}).
-
-    Zero when r = 0.  Y0 = diag(sqrt(lam)) is _range_sharpness's start.  S
-    maps PSD matrices to PSD matrices and Y0 is positive definite, so the
-    Collatz-Wielandt bound for positive maps (Berman and Plemmons,
-    Nonnegative Matrices in the Mathematical Sciences, 1994) puts
-    lambda_max(S) at or below it.  It is exact at B = n, where it equals
-    lambda_max(Hbar).  One r x r eigvalsh.
-    """
-    lam, r = basis.lam, basis.lam.size
-    if r == 0:
-        return 0.0
-    s, _ = _range_congruence(basis, p)
-    quarter = lam ** -0.25  # Y0^{-1/2} is diag(lam^{-1/4})
-    image = s(np.diag(np.sqrt(lam)).reshape(-1)).reshape(r, r)
-    return float(np.linalg.eigvalsh(quarter[:, None] * image * quarter[None, :])[-1])
+    return lambda u: vec(mixture_apply(a_bar, mats, p, unvec(u, d)))
 
 
 def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:
@@ -359,59 +131,20 @@ def generalized_sharpness(inst: ProblemInstance, batch: int) -> float:
     range_basis classifies the instance but does not reject an invalid one,
     so this also runs on indefinite H_i; variance_threshold rejects them.
     """
-    return _range_sharpness(range_basis(inst), mixing_weight(inst.n, batch))
-
-
-def mixture_transition(inst: ProblemInstance, eta: float, p: float) -> np.ndarray:
-    """E[A kron A] of the mixture process: single-sample step w.p. p,
-    full-batch step w.p. 1-p."""
-    check_mixture_weight(p)
-    check_step_size(eta)
-    eye = np.eye(inst.d)
-    return _mixture_matrix(eye - eta * inst.mean_hessian(), eye - eta * inst.hessians, p)
-
-
-def second_moment_transition(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
-    """The dense transition Q advancing vec(E[x x^T]) by one SGD step: the mixture
-    (1-p) (A kron A) + (p/n) sum_i (A_i kron A_i), A = I - eta*Hbar and
-    A_i = I - eta*H_i, that is mixture_transition at p = mixing_weight(n, B)."""
-    return mixture_transition(inst, eta, mixing_weight(inst.n, batch))
-
-
-def brute_force_transition(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
-    """Q by exhaustive enumeration of all C(n, B) <= ENUM_CAP equiprobable size-B batches."""
-    n, d = inst.n, inst.d
-    mixing_weight(n, batch)  # ValueError unless 1 <= batch <= n
-    check_step_size(eta)
-    count = math.comb(n, batch)
-    if count > ENUM_CAP:
-        raise ValueError(f"enumeration of C({n},{batch}) = {count} batches exceeds cap {ENUM_CAP}")
-    return _kron_square_sum(d, ((1.0, a) for a, _ in _enumerated_batches(inst, eta, batch))) / count
-
-
-def _enumerated_batches(inst: ProblemInstance, eta: float, batch: int):
-    """Yield (A_b, v_b) = (I - (eta/B) sum_{i in b} H_i, (eta/B) sum_{i in b} g_i) for every size-B batch b."""
-    eye = np.eye(inst.d)
-    for combo in itertools.combinations(range(inst.n), batch):
-        idx = list(combo)
-        yield eye - (eta / batch) * inst.hessians[idx].sum(axis=0), (eta / batch) * inst.gradients[idx].sum(axis=0)
+    return range_sharpness(range_basis(inst), mixing_weight(inst.n, batch))
 
 
 def mean_threshold(inst: ProblemInstance) -> float:
     """First-moment stability threshold 2 / lambda_max(Hbar)."""
-    return _threshold(sharpness(inst))
-
-
-def _threshold(gen_sharp: float) -> float:
-    return math.inf if gen_sharp <= 0 else 2.0 / gen_sharp
+    return threshold(sharpness(inst))
 
 
 def variance_threshold(inst: ProblemInstance, batch: int) -> float:
     """Exact mean-square stability threshold 2 / lambda_max(pinv(C) D); ValueError unless the
     instance is a regular or interpolating minimum."""
     basis = range_basis(inst)
-    _valid_class(basis.kind)
-    return _threshold(_range_sharpness(basis, mixing_weight(inst.n, batch)))
+    valid_class(basis.kind)
+    return threshold(range_sharpness(basis, mixing_weight(inst.n, batch)))
 
 
 def necessary_bound_eigvec(inst: ProblemInstance, batch: int) -> float:
@@ -454,37 +187,6 @@ _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search
 _HALVINGS = 30  # a failed trial arc is halved up to this many times
 _GRAD_RTOL = 1e-10  # a lane stops once |Riemannian grad f| <= _GRAD_RTOL * f ...
 _GAIN_RTOL = 4.0 * np.finfo(float).eps  # ... or once an accepted step raised f by at most this * f
-
-
-def _product_map(basis: RangeBasis):
-    """The map ws -> every k_i w and Lam w for the rows w of ws, as an (s, n+1, r) stack; entry n is Lam's.
-
-    k_i = V_r^T H_i V_r and Lam = diag(lam) are the H_i and Hbar on Hbar's
-    range block, in whose coordinates the rank-one ascent runs.  Without
-    factors in the basis (basis.ut is None) it is one GEMM with the
-    (r, (n+1) r) block row [k_1, ..., k_n, Lam], built here once; the blocks
-    are symmetric, so ws times the row gives every product.  With them,
-    k_i w = U_i (U_i^T w): one GEMM for every U_i^T w and one batched matmul
-    back, 4 s n q r flops in place of 2 s n r^2, and Lam w is a scaling.
-    """
-    lam, r = basis.lam, basis.lam.size
-    if basis.ut is None:
-        n = basis.k.shape[0]
-        row = np.concatenate([basis.k.transpose(1, 0, 2).reshape(r, n * r), np.diag(lam)], axis=1)
-        return lambda ws: (ws @ row).reshape(ws.shape[0], n + 1, r)
-    ut = basis.ut
-    n, q, _ = ut.shape
-    flat = ut.reshape(n * q, r).T
-
-    def apply(ws: np.ndarray) -> np.ndarray:
-        s = ws.shape[0]
-        out = np.empty((s, n + 1, r))
-        proj = (ws @ flat).reshape(s, n, q)
-        out[:, :n] = (proj.transpose(1, 0, 2) @ ut).transpose(1, 0, 2)
-        out[:, n] = ws * lam
-        return out
-
-    return apply
 
 
 def _forms(xs: np.ndarray, hy: np.ndarray) -> np.ndarray:
@@ -583,7 +285,7 @@ def _rank_one_ascent(
     over the unit sphere of Hbar's range by Riemannian L-BFGS.  It runs in
     range coordinates: v = V_r w for unit w in R^r, so v'H_i v = w'k_i w and
     v'Hbar v = w'Lam w, which is at least the smallest kept eigenvalue
-    (_product_map gives the products).  The starts are e_1, Hbar's top
+    (spectral.product_map gives the products).  The starts are e_1, Hbar's top
     eigenvector, and V_r^T z / |V_r^T z| for seeded Gaussian z in R^d, 8 in
     all.  Every (batch, start) lane advances in one (len(batches) * 8, r)
     block, row 8 j + s being start s of batches[j], and keeps its own few
@@ -614,7 +316,7 @@ def _rank_one_ascent(
         if nz > 1e-8:
             starts.append(z / nz)
     # Each lane is a row of every array below.
-    products = _product_map(basis)
+    products = product_map(basis)
     n_lanes = len(batches) * _N_STARTS
     m = _LBFGS_PAIRS
     # Per-lane state: lane index, p / n, iterate vs, its products hv and forms quads, f, its
@@ -702,7 +404,7 @@ def _rank_one_ascent(
     return results
 
 
-def _sweep_bounds(
+def sweep_bounds(
     inst: ProblemInstance, batches: list[int], steps: int, seed: int
 ) -> tuple[MinimumClass, float, list[tuple[float, float, float]]]:
     """The class, the sharpness and, per batch in the order given, (generalized
@@ -715,12 +417,12 @@ def _sweep_bounds(
     its batch sizes, stability_verdict on one.
     """
     basis = range_basis(inst)
-    kind = _valid_class(basis.kind)
+    kind = valid_class(basis.kind)
     ascents = _rank_one_ascent(inst, basis, batches, steps, seed)
     rows = []
     for b, (rank_one, _) in zip(batches, ascents):
         p = mixing_weight(inst.n, b)
-        rows.append((_range_sharpness(basis, p), rank_one, _eigvec_bound(inst, float(basis.lam[0]), basis.v[:, 0], p)))
+        rows.append((range_sharpness(basis, p), rank_one, _eigvec_bound(inst, float(basis.lam[0]), basis.v[:, 0], p)))
     return kind, float(basis.lam[0]), rows
 
 
@@ -750,15 +452,15 @@ def stability_verdict(inst: ProblemInstance, batch: int, eta_list) -> StabilityV
     Each step size (finite and nonnegative, else ValueError) is classified
     against the thresholds alone; no spectral check runs here.  The class,
     sharpness, generalized sharpness, rank-one value and eigenvector bound
-    are _sweep_bounds on [batch] with the default ascent cap and seed 0, so
+    are sweep_bounds on [batch] with the default ascent cap and seed 0, so
     analyze and sweep assemble them on one path; the Hessians and Hbar are
     each decomposed once.
     """
     etas = [check_step_size(float(eta)) for eta in eta_list]
-    kind, lam, [(gen_sharp, rank_one, b_eig)] = _sweep_bounds(inst, [batch], _RANK_ONE_STEPS, 0)
+    kind, lam, [(gen_sharp, rank_one, b_eig)] = sweep_bounds(inst, [batch], _RANK_ONE_STEPS, 0)
     p = mixing_weight(inst.n, batch)
-    eta_mean = _threshold(lam)
-    eta_var = _threshold(gen_sharp)
+    eta_mean = threshold(lam)
+    eta_var = threshold(gen_sharp)
     b_tr = necessary_bound_trace(inst, batch)
     b_r1 = 2.0 / rank_one
     if eta_var > eta_mean * (1.0 + 1e-9):

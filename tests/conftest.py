@@ -21,7 +21,7 @@ def matrix_operator(m):
 
 
 def gaussian_start(dim, seed):
-    """A seeded Gaussian start vector for _lanczos_solve on an operator with no known positive start."""
+    """A seeded Gaussian start vector for lanczos_solve on an operator with no known positive start."""
     return np.random.default_rng(seed).standard_normal(dim)
 
 

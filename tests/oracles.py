@@ -16,9 +16,10 @@ import numpy as np
 
 from conftest import gaussian_start
 from sgdstab.instances import Hyperparams, check_step_size, mixing_weight, stream
-from sgdstab.linalg import _lanczos_solve, kron, null_projectors, psd_range, sym_eig, symmetrize
+from sgdstab.kron_certify import mixture_matrix
+from sgdstab.linalg import kron, lanczos_solve, null_projectors, psd_range, sym_eig, symmetrize
 from sgdstab.montecarlo import classify_unstable, simulate_sgd
-from sgdstab.stability import _mixture_matrix, _range_d, range_basis
+from sgdstab.spectral import _range_d, range_basis
 
 
 def sqrt_pinv_psd(m):
@@ -57,7 +58,7 @@ def projected_transition_dense(inst, eta, batch):
     """
     hbar = inst.mean_hessian()
     _, p_range = null_projectors(hbar)
-    return _mixture_matrix(p_range - eta * hbar, p_range - eta * inst.hessians, mixing_weight(inst.n, batch))
+    return mixture_matrix(p_range - eta * hbar, p_range - eta * inst.hessians, mixing_weight(inst.n, batch))
 
 
 def projected_transition_lambda_max(inst, eta, batch):
@@ -85,7 +86,7 @@ def projected_transition_lambda_max(inst, eta, batch):
         x = u.reshape(r, r)
         return (x - eta * (pair * x) + (eta * eta) * d_r(x)).reshape(-1)
 
-    return _lanczos_solve(apply, gaussian_start(r * r, 7))
+    return lanczos_solve(apply, gaussian_start(r * r, 7))
 
 
 def reference_bisection(inst, batch, cfg, eta_lo, eta_hi, bisect_tol):

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import sgdstab.instances as instances
+import sgdstab.kron_certify as kron_certify
 import sgdstab.moments as moments
+import sgdstab.spectral as spectral
 import sgdstab.stability as stability
 from sgdstab import Hyperparams, gen_regular, load_instance, make_instance, save_instance, variance_threshold
 from sgdstab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from sgdstab.instances import _fmt
+from sgdstab.instances import fmt
 from sgdstab.montecarlo import SimConfig
 
 
@@ -84,8 +86,8 @@ class TestAnalyze:
         argv = ["sweep", str(path), "--batches", "2", "--eta-min", "0.1", "--eta-max", "0.1", "--eta-count", "1"]
         assert main(argv + ["--rank-one-steps", "0", "--out", str(out)]) == EXIT_OK
         swept = out.read_text(encoding="utf-8").splitlines()[1].split(",")[-1]
-        assert printed["sharpness"] == swept == _fmt(stability.sharpness(inst))
-        assert printed["sharpness"] != _fmt(2.0 / float(printed["mean_threshold"]))
+        assert printed["sharpness"] == swept == fmt(stability.sharpness(inst))
+        assert printed["sharpness"] != fmt(2.0 / float(printed["mean_threshold"]))
 
     def test_gd_regime_flag(self, scalar_pair_file, capsys):
         code = main(["analyze", scalar_pair_file, "--batch", "2"])
@@ -110,6 +112,17 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code = main(["analyze", "/nonexistent/inst.json", "--batch", "1"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("where", ["instance", "out"])
+    def test_directory_path_is_input_error(self, scalar_pair_file, tmp_path, capsys, where):
+        # A directory where a file belongs raises IsADirectoryError, an OSError as a missing file's is.
+        if where == "instance":
+            argv = ["analyze", str(tmp_path), "--batch", "1"]
+        else:
+            argv = ["analyze", scalar_pair_file, "--batch", "1", "--eta", "0.1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "hessians,message",
@@ -225,7 +238,7 @@ class TestSweep:
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         rows = []
-        true_map = stability._product_map
+        true_map = stability.product_map
 
         def counted(basis):
             products = true_map(basis)
@@ -236,7 +249,7 @@ class TestSweep:
 
             return apply
 
-        monkeypatch.setattr(stability, "_product_map", counted)
+        monkeypatch.setattr(stability, "product_map", counted)
         steps = 20
         argv = ["sweep", str(path), "--batches", *batches, "--eta-min", "0.1", "--eta-max", "0.5", "--eta-count", "2"]
         assert main(argv + ["--rank-one-steps", str(steps), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
@@ -273,7 +286,7 @@ class TestSweep:
             for eta in np.linspace(0.1, 0.5, 3):
                 cells = (eta, 2.0 / eta, stability.generalized_sharpness(inst, b), rank_one_value,
                          2.0 / stability.necessary_bound_eigvec(inst, b), stability.sharpness(inst))
-                lines.append(",".join([str(b)] + [_fmt(x) for x in cells]))
+                lines.append(",".join([str(b)] + [fmt(x) for x in cells]))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -285,7 +298,7 @@ def _sweep_argv(path, out, thr):
 class TestProductionPaths:
     """analyze and sweep decompose the Hessian stack once and form no d^2 x d^2 matrix."""
 
-    @pytest.mark.parametrize("d", [24, stability.DENSE_CAP])
+    @pytest.mark.parametrize("d", [24, kron_certify.DENSE_CAP])
     def test_no_dense_matrix(self, d, tmp_path, monkeypatch):
         inst = gen_regular(d, 6, 4, 1.0, False, d)
         r = min(d, 6 * 4)  # six rank-4 Hessians
@@ -298,16 +311,16 @@ class TestProductionPaths:
         def forbidden(*args):
             raise AssertionError("a d^2 x d^2 matrix was formed")
 
-        monkeypatch.setattr(stability, "kron", forbidden)
+        monkeypatch.setattr(kron_certify, "kron", forbidden)
         monkeypatch.setattr(stability, "kron_sum", forbidden)
         solves = []
-        true_lanczos = stability._lanczos_solve
+        true_lanczos = spectral.lanczos_solve
 
         def counted(op, start):
             solves.append(start.size)
             return true_lanczos(op, start)
 
-        monkeypatch.setattr(stability, "_lanczos_solve", counted)
+        monkeypatch.setattr(spectral, "lanczos_solve", counted)
         assert main(["analyze", str(path), "--batch", "2", "--eta", *etas, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
         # One threshold solve on the r x r range block, whatever the number of step sizes:
         # the verdict runs no spectral check.
@@ -534,15 +547,13 @@ class TestVerify:
         assert "PASS" in out and "FAIL" not in out
 
     def test_injected_sign_error_is_caught(self, capsys, monkeypatch):
-        import sgdstab.stability as stability
-
-        true_build = stability.second_moment_transition
+        true_build = kron_certify.second_moment_transition
 
         def broken(inst, eta, batch):
             q = true_build(inst, eta, batch)
             return q + 0.01 * eta * np.eye(q.shape[0])  # systematic offset
 
-        monkeypatch.setattr(stability, "second_moment_transition", broken)
+        monkeypatch.setattr(kron_certify, "second_moment_transition", broken)
         code = main(["verify", "--suite", "thresholds", "--trials", "2", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == EXIT_VERIFY
@@ -616,6 +627,52 @@ class TestOneDefinitionPerRule:
         # Hyperparams leaves the batch size to mixing_weight, which knows n.
         src = Path(__file__).resolve().parents[1] / "src" / "sgdstab"
         assert sum(p.read_text(encoding="utf-8").count("batch size must be") for p in src.glob("*.py")) == 0
+
+
+class TestModuleBoundaries:
+    """Modules call each other through public names, and only curvature_operators reaches the dense builders.
+
+    The package imports its own modules relatively: "from .m import x" or "from . import m".
+    """
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "sgdstab"
+
+    def _trees(self):
+        return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(self.SRC.glob("*.py"))}
+
+    def test_no_private_name_crosses_a_module(self):
+        crossings = []
+        for me, tree in self._trees().items():
+            imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+            crossings += [
+                f"{me}: from .{node.module} import {a.name}"
+                for node in imports
+                if node.module not in (None, me)
+                for a in node.names
+                if a.name.startswith("_")
+            ]
+            # "from . import m" binds a name to package module m.
+            aliases = {a.asname or a.name: a.name for node in imports if node.module is None for a in node.names}
+            crossings += [
+                f"{me}: {node.value.id}.{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and aliases.get(node.value.id, me) != me and node.attr.startswith("_")
+            ]
+        assert crossings == []
+
+    def test_only_curvature_operators_imports_the_dense_builders(self):
+        trees = self._trees()
+        importers = []
+        for me in ("stability", "spectral", "moments", "montecarlo"):
+            parents = {child: node for node in ast.walk(trees[me]) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(trees[me]):
+                if isinstance(node, ast.ImportFrom) and "kron_certify" in [node.module, *(a.name for a in node.names)]:
+                    scope = node
+                    while scope in parents and not isinstance(scope, ast.FunctionDef):
+                        scope = parents[scope]
+                    importers.append((me, getattr(scope, "name", None)))
+        assert importers == [("stability", "curvature_operators")]
 
 
 class TestBenchmarkContract:

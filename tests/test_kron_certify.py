@@ -5,8 +5,9 @@ import pytest
 
 from sgdstab import ConvergenceError, KronFamily, certify, gen_interpolating, kron_certify
 from sgdstab.cli import main
+from sgdstab.kron_certify import second_moment_transition
 from sgdstab.linalg import kron, vec
-from sgdstab.stability import second_moment_transition, sharpness
+from sgdstab.stability import sharpness
 
 RNG = np.random.default_rng(424242)
 
@@ -37,6 +38,14 @@ class TestCertifyExamples:
     def test_rejects_asymmetric_member(self):
         with pytest.raises(ValueError, match="not symmetric"):
             KronFamily.from_matrices([np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_member(self, bad):
+        # Without the check NaN passes the symmetry test and certify fails as a numerical error.
+        members = np.stack([np.eye(2), np.eye(2)])
+        members[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="member 1 has a non-finite entry"):
+            KronFamily.from_matrices(members)
 
 
 class TestCertifyProperties:
@@ -75,6 +84,11 @@ class TestWeightedFamilies:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             KronFamily.from_matrices([np.eye(2)], weights=[-1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            KronFamily.from_matrices([np.eye(2), np.eye(2)], weights=[1.0, bad])
 
     def test_batch_realizations_reproduce_transition(self):
         # One family member per batch, weighted by the batch probability,

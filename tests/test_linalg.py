@@ -7,16 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgdstab import instances, linalg, moments, stability
+from sgdstab import instances, kron_certify, linalg, moments, spectral, stability
 
 from conftest import gaussian_start, matrix_operator
 from oracles import sqrt_pinv_psd
 from sgdstab.linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
-    _lanczos_solve,
     kron,
     kron_sum,
+    lanczos_solve,
     not_psd,
     null_projectors,
     pinv_psd,
@@ -192,7 +192,7 @@ class TestRankRule:
         p_null, _ = null_projectors(np.diag([1.0, -1.0]))
         np.testing.assert_allclose(p_null, np.diag([0.0, 1.0]), atol=1e-15)
 
-    @pytest.mark.parametrize("module", [linalg, instances, stability, moments], ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("module", [linalg, instances, stability, moments, spectral, kron_certify], ids=lambda m: m.__name__)
     def test_no_caller_sets_the_rule(self, module):
         # The rank rule and the rank-one start count are constants, not parameters.
         for name, obj in vars(module).items():
@@ -272,40 +272,40 @@ class TestNullProjectors:
 
 
 class TestPowerIteration:
-    """_lanczos_solve, the top (signed) eigenvalue of a self-adjoint operator."""
+    """lanczos_solve, the top (signed) eigenvalue of a self-adjoint operator."""
 
     def test_diagonal(self):
         op = matrix_operator(np.diag([5.0, 1.0]))
-        assert _lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(5.0, abs=1e-8)
+        assert lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(5.0, abs=1e-8)
 
     def test_zero_operator(self):
         op = matrix_operator(np.zeros((3, 3)))
-        assert _lanczos_solve(op, gaussian_start(3, 7)) == pytest.approx(0.0, abs=1e-12)
+        assert lanczos_solve(op, gaussian_start(3, 7)) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_dominant_spectrum(self):
         # The dominant-in-magnitude eigenvalue is -5; the answer must be +1.
         op = matrix_operator(np.diag([-5.0, 1.0]))
-        assert _lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(1.0, abs=1e-8)
+        assert lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(1.0, abs=1e-8)
 
     def test_all_negative_spectrum(self):
         op = matrix_operator(np.diag([-5.0, -2.0]))
-        assert _lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(-2.0, abs=1e-7)
+        assert lanczos_solve(op, gaussian_start(2, 7)) == pytest.approx(-2.0, abs=1e-7)
 
     def test_exactly_paired_spectrum(self):
         # Eigenvalues +-3 tie in magnitude; the top of the spectrum is +3.
         op = matrix_operator(np.diag([3.0, -3.0, 1.0]))
-        assert _lanczos_solve(op, gaussian_start(3, 0)) == pytest.approx(3.0, abs=1e-8)
+        assert lanczos_solve(op, gaussian_start(3, 0)) == pytest.approx(3.0, abs=1e-8)
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         m = q @ np.diag([5.0, -5.0, 2.0, -1.0]) @ q.T
-        got = _lanczos_solve(matrix_operator(m), gaussian_start(4, 2))
+        got = lanczos_solve(matrix_operator(m), gaussian_start(4, 2))
         assert got == pytest.approx(5.0, abs=1e-8)
 
     def test_matches_dense_on_random_symmetric(self):
         for seed in range(5):
             m = random_symmetric(12, np.random.default_rng(seed))
             lam = float(np.max(np.linalg.eigvalsh(m)))
-            got = _lanczos_solve(matrix_operator(m), gaussian_start(12, seed))
+            got = lanczos_solve(matrix_operator(m), gaussian_start(12, seed))
             assert got == pytest.approx(lam, abs=max(1e-7, 1e-7 * abs(lam)))
 
     def test_max_iter_exhaustion(self, monkeypatch):
@@ -315,7 +315,7 @@ class TestPowerIteration:
         monkeypatch.setattr(linalg, "_LANCZOS_TOL", 1e-16)
         monkeypatch.setattr(linalg, "_LANCZOS_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match=cause):
-            _lanczos_solve(op, gaussian_start(50, 7))
+            lanczos_solve(op, gaussian_start(50, 7))
 
     def test_breakdown_on_repeated_eigenvalue(self, counting, monkeypatch):
         # Two distinct eigenvalues span a 2-dimensional Krylov space: with no
@@ -323,26 +323,26 @@ class TestPowerIteration:
         op, applied = counting(matrix_operator(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])))
         monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
         monkeypatch.setattr(linalg, "_LANCZOS_MAX_ITER", 3)
-        assert _lanczos_solve(op, gaussian_start(6, 7)) == pytest.approx(2.0, rel=1e-14)
+        assert lanczos_solve(op, gaussian_start(6, 7)) == pytest.approx(2.0, rel=1e-14)
         assert len(applied) == 2  # two Lanczos steps
 
     def test_dimension_below_budget(self, counting, monkeypatch):
         m = random_symmetric(5, np.random.default_rng(11))
         op, applied = counting(matrix_operator(m))
         monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
-        got = _lanczos_solve(op, gaussian_start(5, 7))
+        got = lanczos_solve(op, gaussian_start(5, 7))
         assert got == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
         assert len(applied) == 5
 
     def test_d1(self):
-        assert _lanczos_solve(matrix_operator([[-3.5]]), gaussian_start(1, 7)) == -3.5
+        assert lanczos_solve(matrix_operator([[-3.5]]), gaussian_start(1, 7)) == -3.5
 
     def test_tridiagonal_grows_past_a_chunk(self, counting, monkeypatch):
         # 60 steps at tolerance 0 grow the Krylov basis and T_k past one chunk of 32.
         m = random_symmetric(60, np.random.default_rng(5))
         op, applied = counting(matrix_operator(m))
         monkeypatch.setattr(linalg, "_LANCZOS_TOL", 0.0)
-        assert _lanczos_solve(op, gaussian_start(60, 7)) == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
+        assert lanczos_solve(op, gaussian_start(60, 7)) == pytest.approx(float(np.max(np.linalg.eigvalsh(m))), rel=1e-13)
         assert len(applied) == 60
 
     def test_operator_linearity_probes(self):

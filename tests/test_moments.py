@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sgdstab.kron_certify as kron_certify
 import sgdstab.moments as moments_module
 import sgdstab.stability as stability
 
@@ -27,7 +28,8 @@ import sgdstab.linalg as linalg_module
 from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, null_projectors, sym_eig, symmetrize, unvec, vec
 from sgdstab.montecarlo import SimConfig, initial_offset, simulate_sgd
 from sgdstab.moments import ENUM_CAP, ExactStepper, MomentState, null_walk_second_moment, write_trajectory_csv
-from sgdstab.stability import brute_force_transition, second_moment_transition, sharpness
+from sgdstab.kron_certify import brute_force_transition, second_moment_transition
+from sgdstab.stability import sharpness
 
 RNG = np.random.default_rng(31337)
 
@@ -105,6 +107,21 @@ class TestExactStep:
         inst = gen_regular(4, 6, 2, 1.0, False, 14)
         hp = Hyperparams(eta=0.3 / sharpness(inst), batch=2)
         np.testing.assert_array_equal(ExactStepper(inst, hp)._cross, cross_term(inst, hp.eta, hp.batch))
+
+    def test_zero_gradients_keep_no_coupling(self):
+        # The coupling of an all-zero gradient set is zero: the stepper holds no (d^2, d) matrix,
+        # and each step is bit for bit the step that applies the zero coupling.
+        inst = gen_interpolating(6, 5, 2, 4)
+        hp = Hyperparams(eta=0.5 * variance_threshold(inst, 2), batch=2)
+        stepper, coupled = ExactStepper(inst, hp), ExactStepper(inst, hp)
+        d = inst.d
+        assert not any(isinstance(v, np.ndarray) and v.shape == (d * d, d) for v in vars(stepper).values())
+        coupled._cross = moments_module._closed_cross_term(inst, hp.eta, coupled.p)
+        a = b = point_state(initial_offset(inst, SimConfig(steps=1, replicates=1, seed=3)))
+        for _ in range(20):
+            a, b = stepper.step(a), coupled.step(b)
+            assert a.mean.tobytes() == b.mean.tobytes()
+            assert a.second_moment.tobytes() == b.second_moment.tobytes()
 
     def test_mean_power_law_bitwise(self):
         inst = gen_interpolating(3, 4, 2, 3)
@@ -474,7 +491,7 @@ class TestLimitSolve:
     def test_above_threshold_with_guard_bypassed_raises(self, factor, monkeypatch):
         inst = gen_regular(6, 8, 4, 1.0, False, 3)
         hp = Hyperparams(eta=factor * variance_threshold(inst, 2), batch=2)
-        monkeypatch.setattr(moments_module, "_threshold", lambda gen_sharp: math.inf)
+        monkeypatch.setattr(moments_module, "threshold", lambda gen_sharp: math.inf)
         for solve in (covariance_limit, asymptotic_quantities):
             with pytest.raises(ConvergenceError, match="non-positive curvature"):
                 solve(inst, hp)
@@ -513,14 +530,14 @@ class TestLimitProductionPath:
         def forbidden(*args):
             raise AssertionError("a d^2 x d^2 matrix was formed")
 
-        for module, name in ((stability, "kron"), (stability, "kron_sum"), (stability, "_mixture_matrix"), (moments_module, "kron")):
+        for module, name in ((kron_certify, "kron"), (stability, "kron_sum"), (kron_certify, "mixture_matrix"), (moments_module, "kron")):
             monkeypatch.setattr(module, name, forbidden)
         for solve in (covariance_limit, asymptotic_quantities):
             cg_solves.clear()
             solve(inst, hp)
             assert len(cg_solves) == 1
             assert 0 < len(cg_solves[0]) <= 40
-        assert not hasattr(moments_module, "_mixture_matrix")
+        assert not hasattr(moments_module, "mixture_matrix")
 
     def test_near_threshold_application_budget(self, cg_solves):
         # CG on the scaled system I - (eta/2) S takes 35 applications here; on the unscaled
@@ -569,7 +586,7 @@ class TestLimitCertificate:
         def forbidden(*args):
             raise AssertionError("the threshold Lanczos ran")
 
-        monkeypatch.setattr(moments_module, "_range_sharpness", forbidden)
+        monkeypatch.setattr(moments_module, "range_sharpness", forbidden)
         for solve in (covariance_limit, asymptotic_quantities):
             cg_solves.clear()
             solve(inst, hp)
@@ -586,7 +603,7 @@ class TestLimitCertificate:
         for solve in (covariance_limit, asymptotic_quantities):
             got = _outcome(solve, inst, hp)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(moments_module, "_range_sharpness_bound", lambda basis, p: math.inf)
+                patch.setattr(moments_module, "range_sharpness_bound", lambda basis, p: math.inf)
                 want = _outcome(solve, inst, hp)
             if factor >= 1.0:
                 assert want.startswith(f"step size {hp.eta} outside the open stability interval (0, ")

@@ -23,7 +23,7 @@ from sgdstab import (
     variance_threshold,
 )
 from oracles import reference_bisection, splitmix64
-from sgdstab.instances import _splitmix64
+from sgdstab.instances import splitmix64 as vector_splitmix64
 from sgdstab.linalg import null_projectors
 from sgdstab.montecarlo import growth_window, initial_offset, write_empirical_csv
 from sgdstab.stability import mixing_weight, sharpness
@@ -430,10 +430,10 @@ def _ref_batch(seed, r, t, n, batch):
 class TestStreams:
     def test_vector_hash_matches_scalar_splitmix(self):
         x = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789], dtype=np.uint64)
-        assert [int(v) for v in _splitmix64(x)] == [splitmix64(int(v)) for v in x]
+        assert [int(v) for v in vector_splitmix64(x)] == [splitmix64(int(v)) for v in x]
 
     def test_draws_match_pure_python_reference(self):
-        batches = mc._batches(31, range(5, 9), 3, 11, 4)
+        batches = mc.draw_batches(31, range(5, 9), 3, 11, 4)
         coins = mc._coins(31, range(5, 9), 3, 0.4)
         for i, r in enumerate(range(5, 9)):
             for t in range(3):
@@ -443,7 +443,7 @@ class TestStreams:
 
     def test_pinned_draws(self):
         # A change to the stream changes these values; say so in CHANGES.md.
-        assert mc._batches(2024, range(3), 2, 10, 3).tolist() == [
+        assert mc.draw_batches(2024, range(3), 2, 10, 3).tolist() == [
             [[4, 3, 2], [7, 0, 6]],
             [[4, 6, 0], [1, 8, 7]],
             [[2, 6, 9], [4, 1, 0]],
@@ -452,7 +452,7 @@ class TestStreams:
 
     def test_subsets_are_uniform(self):
         n, batch = 6, 3
-        draws = mc._batches(8, range(20_000), 10, n, batch).reshape(-1, batch)
+        draws = mc.draw_batches(8, range(20_000), 10, n, batch).reshape(-1, batch)
         assert np.all((draws >= 0) & (draws < n))
         ordered = np.sort(draws, axis=1)
         assert np.all(np.diff(ordered, axis=1) > 0)
@@ -483,10 +483,10 @@ class TestStreams:
         assert abs(coins.mean() - p) <= 5.0 * se
 
     def test_chunked_draws_are_bitwise_equal(self):
-        whole_batches = mc._batches(12, range(50), 9, 7, 3)
+        whole_batches = mc.draw_batches(12, range(50), 9, 7, 3)
         whole_coins = mc._coins(12, range(50), 9, 0.6)
         chunks = [range(a, min(a + 7, 50)) for a in range(0, 50, 7)]
-        np.testing.assert_array_equal(whole_batches, np.concatenate([mc._batches(12, c, 9, 7, 3) for c in chunks]))
+        np.testing.assert_array_equal(whole_batches, np.concatenate([mc.draw_batches(12, c, 9, 7, 3) for c in chunks]))
         np.testing.assert_array_equal(whole_coins, np.concatenate([mc._coins(12, c, 9, 0.6) for c in chunks]))
 
     @pytest.mark.parametrize("replicates,steps", [(range(5, 16), 3), (range(3, 8), 10)], ids=["tiles-of-2-replicates", "steps-cut-7-3"])
@@ -495,7 +495,7 @@ class TestStreams:
         monkeypatch.setattr(mc, "_DRAW_BLOCK_LANES", 7)
         coins = mc._coins(41, replicates, steps, 0.4)
         for batch in (1, 3):
-            batches = mc._batches(41, replicates, steps, 9, batch)
+            batches = mc.draw_batches(41, replicates, steps, 9, batch)
             assert batches.shape == (len(replicates), steps, batch)
             for i, r in enumerate(replicates):
                 for t in range(steps):
@@ -508,7 +508,7 @@ class TestStreams:
     @pytest.mark.parametrize(
         "draw,out_bytes",
         [
-            (lambda: mc._batches(6, range(8192), 24, 8, 2), 8192 * 24 * 2 * 8),
+            (lambda: mc.draw_batches(6, range(8192), 24, 8, 2), 8192 * 24 * 2 * 8),
             (lambda: mc._coins(6, range(8192), 24, 0.4), 8192 * 24),
         ],
         ids=["batches", "coins"],
@@ -586,7 +586,7 @@ class TestKernel:
         g = rng.standard_normal((n, d, d))
         hessians = g + np.transpose(g, (0, 2, 1))
         x = rng.standard_normal((chunk, d))
-        idx = mc._batches(4, range(chunk), 1, n, batch)[:, 0]
+        idx = mc.draw_batches(4, range(chunk), 1, n, batch)[:, 0]
         old = np.einsum("cij,cj->ci", hessians[idx].sum(axis=1), x)
         new = mc._hessian_drift(hessians, idx, x)
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
@@ -606,7 +606,7 @@ class TestKernel:
         g = rng.standard_normal((n, d, d))
         hessians = g @ np.transpose(g, (0, 2, 1)) if psd else g + np.transpose(g, (0, 2, 1))
         x = rng.standard_normal((chunk, d))
-        idx = mc._batches(5, range(chunk), 1, n, batch)[:, 0]
+        idx = mc.draw_batches(5, range(chunk), 1, n, batch)[:, 0]
         gathered = np.einsum("csij,cj->ci", hessians[idx], x)
         new = mc._hessian_drift(hessians, idx, x)
         assert new.shape == (chunk, d)

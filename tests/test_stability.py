@@ -36,17 +36,14 @@ from sgdstab import (
 )
 from sgdstab.instances import stream
 from sgdstab.montecarlo import SimConfig
-from sgdstab.linalg import DEFAULT_RANK_RTOL, ConvergenceError, _lanczos_solve, kron, kron_sum, null_projectors, sym_eig, symmetrize
+from sgdstab.kron_certify import DENSE_CAP, mixture_matrix
+from sgdstab.linalg import DEFAULT_RANK_RTOL, ConvergenceError, kron, kron_sum, lanczos_solve, null_projectors, sym_eig, symmetrize
+from sgdstab.spectral import product_map, range_basis, range_sharpness_bound
 from sgdstab.stability import (
-    DENSE_CAP,
-    _mixture_matrix,
     _mixture_operator,
     _rank_one_ascent,
-    _product_map,
-    _range_sharpness_bound,
-    _sweep_bounds,
     generalized_sharpness,
-    range_basis,
+    sweep_bounds,
 )
 import oracles
 from conftest import gaussian_start
@@ -156,9 +153,10 @@ class TestCurvatureOperators:
             curvature_operators(inst, batch=1)
 
     def test_dense_request_above_cap_rejected(self, monkeypatch):
+        import sgdstab.kron_certify as kron_certify_module
         import sgdstab.stability as stability_module
 
-        monkeypatch.setattr(stability_module, "DENSE_CAP", 2)
+        monkeypatch.setattr(kron_certify_module, "DENSE_CAP", 2)
         inst = gen_interpolating(3, 4, 2, 1)
         with pytest.raises(ValueError, match="cap"):
             stability_module.curvature_operators(inst, batch=2, dense=True)
@@ -171,9 +169,9 @@ class TestDenseCap:
     """Every d^2 x d^2 matrix is refused above DENSE_CAP, before it is allocated."""
 
     def test_every_dense_transition_is_refused_above_the_cap(self, monkeypatch):
-        import sgdstab.stability as stability_module
+        import sgdstab.kron_certify as kron_certify_module
 
-        monkeypatch.setattr(stability_module, "DENSE_CAP", 2)
+        monkeypatch.setattr(kron_certify_module, "DENSE_CAP", 2)
         small, inst = gen_interpolating(2, 4, 2, 1), gen_interpolating(3, 4, 2, 1)
         builds = {
             "mixture_transition": lambda x: mixture_transition(x, 0.1, 0.5),
@@ -245,7 +243,7 @@ class TestTransition:
 
     def test_operator_path_matches_dense(self, scalar_pair):
         op = _transition_operator(scalar_pair, 0.5, 1)
-        lam_op = _lanczos_solve(op, gaussian_start(scalar_pair.d**2, 3))
+        lam_op = lanczos_solve(op, gaussian_start(scalar_pair.d**2, 3))
         dense = second_moment_transition(scalar_pair, 0.5, 1)
         lam_dense = float(np.max(np.linalg.eigvalsh(dense)))
         assert lam_op == pytest.approx(lam_dense, abs=1e-7)
@@ -708,7 +706,7 @@ class TestFactoredAscent:
         ws = np.random.default_rng(index).standard_normal((16, r))
         want = (ws @ row).reshape(16, n + 1, r)
         for branch in (basis, dataclasses.replace(basis, k=k, ut=None)):
-            got = _product_map(branch)(ws)
+            got = product_map(branch)(ws)
             assert got.shape == (16, n + 1, r)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -719,29 +717,29 @@ class TestFactoredAscent:
         inst = gen_regular(8, 6, 8, 1.0, False, 8)
         assert range_basis(inst).ut is None
         factored = []
-        true_map = stability_module._product_map
+        true_map = stability_module.product_map
 
         def recorded(basis):
             factored.append(basis.ut is not None)
             return true_map(basis)
 
-        monkeypatch.setattr(stability_module, "_product_map", recorded)
+        monkeypatch.setattr(stability_module, "product_map", recorded)
         rank_one_bound(inst, 2)
         assert factored == [False]
 
     def test_values_match_the_dense_path(self, monkeypatch):
         # The same ascent with range_basis made to keep no factors reaches the same maxima.
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
         insts = _factor_instances()
         factored = [rank_one_bound(inst, b)[0] for inst in insts for b in (1, 3)]
-        monkeypatch.setattr(stability_module, "_sample_factors", lambda *args: None)
+        monkeypatch.setattr(spectral_module, "_sample_factors", lambda *args: None)
         dense = [rank_one_bound(inst, b)[0] for inst in insts for b in (1, 3)]
         np.testing.assert_allclose(factored, dense, rtol=1e-10, atol=0.0)
 
 
 class TestSweepBounds:
-    """_sweep_bounds shares one range basis across its batch sizes and returns what the public functions do."""
+    """sweep_bounds shares one range basis across its batch sizes and returns what the public functions do."""
 
     CASES = {
         "interpolating": (lambda: gen_interpolating(12, 10, 2, 5), True),
@@ -759,7 +757,7 @@ class TestSweepBounds:
         inst = make()
         assert (range_basis(inst).ut is not None) is factored
         batches = list(range(1, inst.n + 1))
-        kind, lam, rows = _sweep_bounds(inst, batches, 20, 0)
+        kind, lam, rows = sweep_bounds(inst, batches, 20, 0)
         assert kind is classify(inst)
         assert lam == sharpness(inst)
         for b, (gen_sharp, _, eig_bound) in zip(batches, rows):
@@ -768,14 +766,14 @@ class TestSweepBounds:
 
     def test_top_mode_switch(self):
         inst = self.CASES["commuting-mode-switch"][0]()
-        _, _, rows = _sweep_bounds(inst, [1, 2], 20, 0)
+        _, _, rows = sweep_bounds(inst, [1, 2], 20, 0)
         assert [gen_sharp for gen_sharp, _, _ in rows] == [pytest.approx(4.0, rel=1e-12), pytest.approx(3.0, rel=1e-12)]
 
     def test_rejects_an_invalid_instance(self):
         inst = make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]])
         assert generalized_sharpness(inst, 1) > 0  # range_basis itself does not reject it
         with pytest.raises(ValueError, match="not a regular or interpolating minimum"):
-            _sweep_bounds(inst, [1, 2], 5, 0)
+            sweep_bounds(inst, [1, 2], 5, 0)
 
     def test_hbar_not_psd_gets_the_input_error(self):
         # Every caller of range_basis, also the unclassified generalized_sharpness, says first
@@ -783,7 +781,7 @@ class TestSweepBounds:
         inst = make_instance([[[-3.0]], [[1.0]]], [[0.0], [0.0]])
         hp = Hyperparams(eta=0.1, batch=1)
         for call in (
-            lambda: _sweep_bounds(inst, [1, 2], 5, 0),
+            lambda: sweep_bounds(inst, [1, 2], 5, 0),
             lambda: stability_verdict(inst, 1, [0.1]),
             lambda: variance_threshold(inst, 1),
             lambda: generalized_sharpness(inst, 1),
@@ -846,7 +844,7 @@ class TestRankOneBudget:
         import sgdstab.stability as stability_module
 
         rows = []
-        true_map = stability_module._product_map
+        true_map = stability_module.product_map
 
         def counted(basis):
             products = true_map(basis)
@@ -857,7 +855,7 @@ class TestRankOneBudget:
 
             return apply
 
-        monkeypatch.setattr(stability_module, "_product_map", counted)
+        monkeypatch.setattr(stability_module, "product_map", counted)
         inst = gen_regular(24, 16, 4, 1.0, False, 3)
         stability_verdict(inst, 4, [0.1])
         assert len(rows) <= 200, len(rows)
@@ -927,7 +925,7 @@ class TestDenseThresholdEigenbasis:
         hbar = inst.mean_hessian()
         for b in range(1, inst.n + 1):
             # _mixture_matrix is curvature_operators' dense D, built here without its class check.
-            want = generalized_sharpness_dense(hbar, _mixture_matrix(hbar, inst.hessians, mixing_weight(inst.n, b)))
+            want = generalized_sharpness_dense(hbar, mixture_matrix(hbar, inst.hessians, mixing_weight(inst.n, b)))
             assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_indefinite_case_is_indefinite(self):
@@ -938,33 +936,33 @@ class TestDenseThresholdEigenbasis:
     def test_first_rayleigh_quotient_is_the_trace_bound(self, case, monkeypatch):
         # From Y0 = diag(sqrt(lam)) the first Rayleigh quotient is tr(D_r(I)) / tr(Lam),
         # which is 2 / necessary_bound_trace when the H_i vanish off the range of Hbar.
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
         inst = self.LANCZOS_CASES[case]()
         quotients = []
 
         def recorded(op, start):
             quotients.append(float(start @ op(start)) / float(start @ start))
-            return _lanczos_solve(op, start)
+            return lanczos_solve(op, start)
 
-        monkeypatch.setattr(stability_module, "_lanczos_solve", recorded)
+        monkeypatch.setattr(spectral_module, "lanczos_solve", recorded)
         for b in sorted({1, 2, inst.n}):
             generalized_sharpness(inst, b)
             assert quotients[-1] == pytest.approx(2.0 / necessary_bound_trace(inst, b), rel=1e-12, abs=0.0)
 
     def test_lanczos_application_budget(self, counting, monkeypatch):
         # Counts repeat exactly; a slower solver behind variance_threshold would exceed them.
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
         applied_per_solve = []
 
         def counted_lanczos(op, start):
             wrapped, applied = counting(op)
-            value = _lanczos_solve(wrapped, start)
+            value = lanczos_solve(wrapped, start)
             applied_per_solve.append(len(applied))
             return value
 
-        monkeypatch.setattr(stability_module, "_lanczos_solve", counted_lanczos)
+        monkeypatch.setattr(spectral_module, "lanczos_solve", counted_lanczos)
         inst = gen_regular(24, 16, 4, 1.0, False, 3)
         for b in range(1, inst.n + 1):
             variance_threshold(inst, b)
@@ -1152,8 +1150,8 @@ class TestProjectedTransitionLanczos:
             return next(r for r in results if r.name == "threshold-spectrum-equivalence")
 
         assert spectral(run_suites("thresholds", 1, 2)).passed
-        true_solve = stability_module._range_sharpness
-        monkeypatch.setattr(stability_module, "_range_sharpness", lambda *a, **k: 1.05 * true_solve(*a, **k))
+        true_solve = stability_module.range_sharpness
+        monkeypatch.setattr(stability_module, "range_sharpness", lambda *a, **k: 1.05 * true_solve(*a, **k))
         result = spectral(run_suites("thresholds", 1, 2))
         assert result.failures == result.trials == 2
 
@@ -1223,15 +1221,15 @@ class TestRangeBasis:
             generalized_sharpness(inst, 1)
 
     def test_zero_hessians_have_an_empty_range(self, monkeypatch):
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
         def forbidden(op, start):
             raise AssertionError(f"Lanczos ran on a {start.size}-dimensional operator")
 
-        monkeypatch.setattr(stability_module, "_lanczos_solve", forbidden)
-        monkeypatch.setattr(oracles, "_lanczos_solve", forbidden)
+        monkeypatch.setattr(spectral_module, "lanczos_solve", forbidden)
+        monkeypatch.setattr(oracles, "lanczos_solve", forbidden)
         inst = make_instance(np.zeros((3, 4, 4)), np.zeros((3, 4)))
-        assert stability_module.range_basis(inst).lam.size == 0
+        assert spectral_module.range_basis(inst).lam.size == 0
         for b in (1, 2, 3):
             assert generalized_sharpness(inst, b) == 0.0
             assert variance_threshold(inst, b) == math.inf
@@ -1240,14 +1238,14 @@ class TestRangeBasis:
     def test_factored_kernel_matches_the_dense_sandwich(self):
         # Per-sample ranks 1, 2, 3, 0, 3, 2 inside a 9-dimensional subspace of R^12:
         # Hbar has rank 9 < d, H_3 is zero, and q = 3 gives 3 (9 + 3) < 81.
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
         inst = _factor_instances()[0]
-        basis = stability_module.range_basis(inst)
+        basis = spectral_module.range_basis(inst)
         assert basis.lam.size == 9 and basis.ut.shape == (6, 3, 9)
         assert basis.k is None
         assert np.all(basis.ut[3] == 0.0) and np.all(basis.ut[0, :2] == 0.0)
-        gt = stability_module._sample_factors(*np.linalg.eigh(inst.hessians), 9)  # the G_i^T behind ut
+        gt = spectral_module._sample_factors(*np.linalg.eigh(inst.hessians), 9)  # the G_i^T behind ut
         assert gt.shape == (6, 3, 12)
         assert np.all(gt[3] == 0.0) and np.all(gt[0, :2] == 0.0)
         scale = np.max(np.abs(inst.hessians))
@@ -1257,17 +1255,17 @@ class TestRangeBasis:
         dense = dataclasses.replace(basis, k=k, ut=None)
         x = np.random.default_rng(42).standard_normal((9, 9))  # Lanczos vectors need not be symmetric
         for p in (0.0, 0.5, 1.0):
-            want = stability_module._range_d(dense, p)(x)
-            got = stability_module._range_d(basis, p)(x)
+            want = spectral_module._range_d(dense, p)(x)
+            got = spectral_module._range_d(basis, p)(x)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("rank, factored", [(4, True), (5, False), (8, False)])
     def test_path_follows_the_flop_count(self, rank, factored):
         # r = d = 8: the factors take 4 n q r (r + q) flops, the dense sandwich 4 n r^3,
         # so they are kept exactly when q (8 + q) < 64, that is q <= 4.
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
-        basis = stability_module.range_basis(gen_interpolating(8, 6, rank, 3))
+        basis = spectral_module.range_basis(gen_interpolating(8, 6, rank, 3))
         assert basis.lam.size == 8
         assert (basis.ut is not None) is (basis.k is None) is factored
         if factored:
@@ -1278,10 +1276,10 @@ class TestRangeBasis:
     def test_factored_solves_match_the_dense_sandwich_above_cap(self, monkeypatch):
         # Rank-2 Hessians at d=96, n=24: r = 48 and q = 2.  The oracle is every solve
         # again on the dense sandwich sum, with range_basis made to keep no factors.
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
         inst = gen_regular(96, 24, 2, 1.0, False, 5)
-        assert stability_module.range_basis(inst).ut.shape == (24, 2, 48)
+        assert spectral_module.range_basis(inst).ut.shape == (24, 2, 48)
         batches, factors = (1, 4), (0.9, 1.1)
 
         def solves():
@@ -1291,8 +1289,8 @@ class TestRangeBasis:
             return thr, trans, [covariance_limit(inst, hp) for hp in hps], [asymptotic_quantities(inst, hp) for hp in hps]
 
         thr, trans, limits, quantities = solves()
-        monkeypatch.setattr(stability_module, "_sample_factors", lambda *args: None)
-        assert stability_module.range_basis(inst).ut is None
+        monkeypatch.setattr(spectral_module, "_sample_factors", lambda *args: None)
+        assert spectral_module.range_basis(inst).ut is None
         thr_d, trans_d, limits_d, quantities_d = solves()
         np.testing.assert_allclose(thr, thr_d, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(trans, trans_d, rtol=1e-12, atol=0.0)
@@ -1304,24 +1302,24 @@ class TestRangeBasis:
         # H_0 = (w_1 w_1^T - w_2 w_2^T) / 2 is indefinite, so the instance is invalid, yet
         # generalized_sharpness does not classify it.  Dropping H_0's negative eigenvalue
         # would change the value; the PSD test sends it to the dense sandwich sum instead.
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
         base = gen_interpolating(20, 30, 2, 8)
         w = np.random.default_rng(9).standard_normal((20, 2))
         hessians = base.hessians.copy()
         hessians[0] = 0.5 * (np.outer(w[:, 0], w[:, 0]) - np.outer(w[:, 1], w[:, 1]))
         inst = make_instance(hessians, np.zeros((30, 20)))
-        basis = stability_module.range_basis(inst)
+        basis = spectral_module.range_basis(inst)
         assert basis.ut is None and basis.k.shape == (30, 20, 20)
         assert basis.kind is MinimumClass.INVALID
         hbar = inst.mean_hessian()
         for b in (1, 3):
-            want = generalized_sharpness_dense(hbar, stability_module._mixture_matrix(hbar, inst.hessians, mixing_weight(30, b)))
+            want = generalized_sharpness_dense(hbar, mixture_matrix(hbar, inst.hessians, mixing_weight(30, b)))
             assert generalized_sharpness(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestRangeSharpnessBound:
-    """_range_sharpness_bound: lambda_max(Y0^{-1/2} S(Y0) Y0^{-1/2}) from one apply of S bounds lambda_max(S)."""
+    """range_sharpness_bound: lambda_max(Y0^{-1/2} S(Y0) Y0^{-1/2}) from one apply of S bounds lambda_max(S)."""
 
     CASES = {
         "interpolating": lambda: gen_interpolating(5, 7, 2, 77),
@@ -1336,7 +1334,7 @@ class TestRangeSharpnessBound:
 
     @staticmethod
     def _bound(inst, batch):
-        return _range_sharpness_bound(range_basis(inst), mixing_weight(inst.n, batch))
+        return range_sharpness_bound(range_basis(inst), mixing_weight(inst.n, batch))
 
     def test_cases_cover_their_names(self):
         inst = self.CASES["regular-null-gradients"]()
@@ -1358,7 +1356,7 @@ class TestRangeSharpnessBound:
         inst = self.CASES[case]()
         hbar = inst.mean_hessian()
         for b in range(1, inst.n + 1):
-            want = generalized_sharpness_dense(hbar, _mixture_matrix(hbar, inst.hessians, mixing_weight(inst.n, b)))
+            want = generalized_sharpness_dense(hbar, mixture_matrix(hbar, inst.hessians, mixing_weight(inst.n, b)))
             assert self._bound(inst, b) >= want * (1.0 - 1e-13), b
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1371,12 +1369,12 @@ class TestRangeSharpnessBound:
     def test_one_apply_brackets_the_sharpness(self, case, counting, monkeypatch):
         # With PSD H_i, 2 / necessary_bound_trace is the Rayleigh quotient at Y0: one apply
         # of S gives both ends of the bracket.
-        import sgdstab.stability as stability_module
+        import sgdstab.spectral as spectral_module
 
         inst = self.CASES[case]()
         batches = sorted({1, 2, inst.n})
         lanczos = [generalized_sharpness(inst, b) for b in batches]
-        true_congruence = stability_module._range_congruence
+        true_congruence = spectral_module.range_congruence
         applied = []
 
         def counted(basis, p):
@@ -1385,7 +1383,7 @@ class TestRangeSharpnessBound:
             applied.append(calls)
             return wrapped, factor
 
-        monkeypatch.setattr(stability_module, "_range_congruence", counted)
+        monkeypatch.setattr(spectral_module, "range_congruence", counted)
         for b, value in zip(batches, lanczos):
             hi = self._bound(inst, b)
             assert 2.0 / necessary_bound_trace(inst, b) <= value * (1.0 + 1e-12)
