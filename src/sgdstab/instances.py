@@ -14,9 +14,12 @@ The on-disk format is a single JSON document::
 
 Each payload holds the array's little-endian IEEE-754 doubles in
 row-major order, base64-encoded, so re-loading is bit-exact and parses
-no decimals.  Files that give ``hessians`` as ``[[d*d reals, row-major],
-...]`` and ``gradients`` as ``[[d reals], ...]`` still load (the form is
-convenient by hand), but nothing writes it.
+no decimals.  A missing label loads as ``""``; any other label must be a
+string.  save_instance streams each payload to the file in fixed slices,
+so a save holds no copy of the document, and its files are byte for byte
+those of earlier versions.  Files that give ``hessians`` as
+``[[d*d reals, row-major], ...]`` and ``gradients`` as ``[[d reals], ...]``
+still load (the form is convenient by hand), but nothing writes it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ MEAN_GRAD_RTOL = 1e-10
 
 # Element type of the binary payloads in instance files.
 _DTYPE = "<f8"
+# save_instance encodes each payload in slices of this many bytes.  A multiple
+# of 3, so the slices' base64 texts concatenate to the whole array's text.
+_SLICE_BYTES = 3 << 18
+# The text in front of each payload in the JSON skeleton that save_instance writes.
+_PAYLOAD_OPEN = b'"base64": "'
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 # splitmix64's constants, as np.uint64 so that a scalar call converts none of them.
@@ -312,25 +320,39 @@ def write_csv(path, header: str, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _payload(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype=_DTYPE)
-    return {"dtype": _DTYPE, "shape": list(a.shape), "base64": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
 def save_instance(inst: ProblemInstance, path) -> None:
     """Write the JSON instance format, each array as an exact binary payload.
 
-    The output depends only on the instance, so saving it twice gives the
-    same bytes.
+    ``json.dumps`` writes only the document's skeleton, with empty payload
+    strings; each array's bytes then go to the file as the base64 text of
+    consecutive ``_SLICE_BYTES`` slices, so no copy of the document or of a
+    whole payload is made.  Base64 text needs no JSON escaping, so the file
+    is byte for byte ``json.dumps(doc) + "\\n"`` of the whole document, as
+    earlier versions wrote it.  The output depends only on the instance, so
+    saving it twice gives the same bytes.  A label that is not a ``str``
+    raises ValueError before the file is opened.
     """
-    doc = {
+    if not isinstance(inst.label, str):
+        raise ValueError(f"label must be a string, got {type(inst.label).__name__}")
+    arrays = [np.ascontiguousarray(a, dtype=_DTYPE) for a in (inst.hessians, inst.gradients)]
+    skeleton = {
         "d": inst.d,
         "n": inst.n,
-        "hessians": _payload(inst.hessians),
-        "gradients": _payload(inst.gradients),
+        "hessians": {"dtype": _DTYPE, "shape": list(arrays[0].shape), "base64": ""},
+        "gradients": {"dtype": _DTYPE, "shape": list(arrays[1].shape), "base64": ""},
         "label": inst.label,
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    # The label comes last, so the first two separators open the two payloads
+    # (and inside a JSON string every quote is escaped anyway).
+    head, *rest = (json.dumps(skeleton) + "\n").encode("utf-8").split(_PAYLOAD_OPEN, len(arrays))
+    with open(path, "wb") as f:
+        f.write(head)
+        for a, piece in zip(arrays, rest):
+            f.write(_PAYLOAD_OPEN)
+            raw = memoryview(a).cast("B")
+            for start in range(0, len(raw), _SLICE_BYTES):
+                f.write(base64.b64encode(raw[start : start + _SLICE_BYTES]))
+            f.write(piece)
 
 
 def _decode_payload(key: str, value: dict, shape: tuple[int, ...]) -> np.ndarray:
@@ -386,14 +408,16 @@ def load_instance(path) -> ProblemInstance:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"malformed instance file: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("an instance file holds one JSON object")
     for key in ("d", "n", "hessians", "gradients"):
         if key not in doc:
             raise InstanceFormatError(f"missing field {key!r}")
-    d, n = doc["d"], doc["n"]
+    d, n, label = doc["d"], doc["n"], doc.get("label", "")
+    if not isinstance(label, str):
+        raise InstanceFormatError(f"label must be a string, got {type(label).__name__}")
     if not (type(d) is int and type(n) is int and d >= 1 and n >= 1):  # bool, an int subclass, is no size
         raise InstanceFormatError(f"d and n must be positive integers, got d={d!r}, n={n!r}")
     # Popping drops each field's text as soon as its array is built.
@@ -414,4 +438,4 @@ def load_instance(path) -> ProblemInstance:
     # such a stack is kept as read.
     if asym.any():
         hessians = symmetrize(hessians)
-    return ProblemInstance(d=d, n=n, hessians=hessians, gradients=gradients, label=str(doc.get("label", "")))
+    return ProblemInstance(d=d, n=n, hessians=hessians, gradients=gradients, label=label)

@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -25,6 +27,8 @@ from sgdstab import (
     variance_threshold,
 )
 from oracles import splitmix64
+from sgdstab import instances
+from sgdstab.cli import EXIT_OK, main
 from sgdstab.instances import ProblemInstance, StreamPool, stream
 from sgdstab.linalg import DEFAULT_RANK_RTOL, ConvergenceError, null_projectors, sym_eig
 
@@ -295,6 +299,24 @@ class TestSaveLoad:
         with pytest.raises(InstanceFormatError, match="malformed"):
             load_instance(path)
 
+    def test_non_utf8_file_is_malformed(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"d": 1, "n": 1, "hessians": [[1.0]], "gradients": [[0.0]]}')
+        with pytest.raises(InstanceFormatError, match="^malformed instance file: 'utf-8' codec"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("label", [None, 3, {"a": 1}, ["x"]])
+    def test_non_string_label_names_the_field(self, tmp_path, label):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d": 1, "n": 1, "hessians": [[1.0]], "gradients": [[0.0]], "label": label}), encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match="^label must be a string"):
+            load_instance(path)
+
+    def test_missing_label_loads_empty(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"d": 1, "n": 1, "hessians": [[1.0]], "gradients": [[0.0]]}', encoding="utf-8")
+        assert load_instance(path).label == ""
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"d": 1, "n": 1, "hessians": [[1.0]]}', encoding="utf-8")
@@ -423,6 +445,84 @@ class TestBinaryFormat:
             tracemalloc.stop()
         _assert_same_bits(loaded.hessians, inst.hessians)
         assert peak <= 5 * arrays, f"load_instance peaked at {peak / 1e6:.1f} MB for {arrays / 1e6:.2f} MB of arrays"
+
+
+def _dumps_save(inst, path):
+    """The whole-document writer of earlier versions: the oracle for save_instance's bytes."""
+
+    def payload(a):
+        a = np.ascontiguousarray(a, dtype="<f8")
+        return {"dtype": "<f8", "shape": list(a.shape), "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+    doc = {"d": inst.d, "n": inst.n, "hessians": payload(inst.hessians), "gradients": payload(inst.gradients), "label": inst.label}
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+
+
+def _assert_same_file(inst, tmp_path):
+    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
+    save_instance(inst, streamed)
+    _dumps_save(inst, whole)
+    assert streamed.read_bytes() == whole.read_bytes()
+
+
+_LABELS = {
+    "quotes": 'a "quoted" label',
+    "backslashes": "back\\slash \\n \\u0041",
+    "non-ascii": "na\u00efve \u2211 \U0001f600",
+    "control": "nul\x00 tab\t newline\n",
+    "payload-text": '"base64": ""',
+    "payload-open": '", "base64": "',
+}
+
+
+class TestStreamedSave:
+    @pytest.mark.parametrize("case", sorted(_ROUND_TRIP))
+    def test_files_match_the_whole_document_writer(self, tmp_path, case):
+        _assert_same_file(_ROUND_TRIP[case](), tmp_path)
+
+    @pytest.mark.parametrize("label", sorted(_LABELS))
+    def test_adversarial_labels(self, tmp_path, label):
+        inst = dataclasses.replace(gen_regular(3, 4, 2, 1.0, False, 5), label=_LABELS[label])
+        _assert_same_file(inst, tmp_path)
+        assert load_instance(tmp_path / "streamed.json").label == _LABELS[label]
+
+    @pytest.mark.parametrize("slice_bytes", [3, 6])
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (1, 1)])
+    def test_many_slices(self, tmp_path, monkeypatch, slice_bytes, d, n):
+        # (2, 5) leaves a ragged last slice in both payloads; (3, 4) none at 3 bytes.
+        monkeypatch.setattr(instances, "_SLICE_BYTES", slice_bytes)
+        inst = gen_regular(d, n, 1, 1.0, False, 9)
+        _assert_same_file(inst, tmp_path)
+        _assert_same_bits(load_instance(tmp_path / "streamed.json").hessians, inst.hessians)
+
+    def test_gen_output_matches(self, tmp_path):
+        out = tmp_path / "gen.json"
+        assert main(["gen", "--kind", "regular", "--d", "5", "--n", "7", "--rank", "2", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        whole = tmp_path / "whole.json"
+        _dumps_save(load_instance(out), whole)
+        assert out.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("label", [None, 3, b"bytes"])
+    def test_non_string_label_is_not_saved(self, tmp_path, label):
+        path = tmp_path / "inst.json"
+        inst = dataclasses.replace(gen_regular(2, 3, 1, 1.0, False, 1), label=label)
+        with pytest.raises(ValueError, match="label must be a string"):
+            save_instance(inst, path)
+        assert not path.exists()
+
+    def test_save_cost(self, tmp_path):
+        inst = gen_regular(96, 64, 24, 1.0, False, 4)
+        arrays = inst.hessians.nbytes + inst.gradients.nbytes
+        slice_text = 4 * instances._SLICE_BYTES // 3
+        path = tmp_path / "inst.json"
+        tracemalloc.start()
+        try:
+            save_instance(inst, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * slice_text < arrays / 2, f"save_instance peaked at {peak / 1e6:.2f} MB for {arrays / 1e6:.2f} MB of arrays"
+        _assert_same_bits(load_instance(path).hessians, inst.hessians)
 
 
 _NON_FINITE = {"nan": float("nan"), "+inf": float("inf"), "-inf": float("-inf")}
