@@ -21,9 +21,12 @@ chunking moves results only by roundoff.  Each step's Hessian drift
 groups the (slot, replicate) pairs by sample and applies every drawn H_i
 once, as one GEMM over the replicates that drew it.  The step's moment
 sums come from one d x d Gram matrix of the offsets.  Aggregation keeps
-all replicates; a replicate whose squared norm crosses
-divergence_factor * (1 + initial) is flagged and frozen at its last
-state so the aggregate arrays stay finite.
+all replicates.  One rule judges divergence, on the range of the mean
+Hessian Hbar, where mean-square stability lives: a replicate diverges
+when |x_perp|^2 > divergence_factor * (1 + |x0_perp|^2).  It is flagged
+and frozen at its last state so the aggregate arrays stay finite.  The
+null-space part, a drift-free random walk at a regular minimum, never
+counts.
 
 Empirical threshold estimation bisects on an instability classifier.
 Crossing a fixed factor alone cannot witness mean-square divergence for
@@ -62,6 +65,10 @@ _DRAW_BLOCK_LANES = 32_768
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A Monte-Carlo run: steps, replicates and seed; divergence_factor F sets the
+    divergence rule |x_perp|^2 > F * (1 + |x0_perp|^2) on Hbar's range; init_offset
+    is the start x0, or the norm of a random start in that range."""
+
     steps: int
     replicates: int
     seed: int
@@ -79,14 +86,21 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EmpiricalMoments:
+    """Ensemble moments per step.  divergence_step is the first step at which a
+    replicate met the divergence rule (None if none did); diverged_count is how
+    many replicates met it and were frozen."""
+
     replicates: int
     mean_offset: np.ndarray  # (T+1, d)
     mean_sq_par: np.ndarray  # (T+1,)
     mean_sq_perp: np.ndarray
     mean_quad: np.ndarray  # (T+1,) mean of x' Hbar x
-    diverged: bool
     divergence_step: int | None
     diverged_count: int
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_step is not None
 
 
 def initial_offset(inst: ProblemInstance, cfg: SimConfig) -> np.ndarray:
@@ -258,7 +272,7 @@ class _Accumulator:
         self.sum_quad = np.zeros(steps + 1)
 
     def add(self, t: int, x: np.ndarray) -> np.ndarray:
-        """Add the chunk's offsets x (chunk, d) at step t; returns each replicate's squared norm.
+        """Add the chunk's offsets x (chunk, d) at step t; returns each replicate's |x_perp|^2.
 
         sum_quad is <G, Hbar> with G = x^T x the Gram matrix.
         """
@@ -269,7 +283,7 @@ class _Accumulator:
         self.sum_quad[t] += np.vdot(gram, self.hbar)
         if self.p_null is None:
             # Full-rank mean Hessian: x_par = 0 and x_perp = x - 0 = x exactly.
-            sq = np.einsum("ij,ij->i", x, x)
+            sq_perp = np.einsum("ij,ij->i", x, x)
             self.sum_sq_perp[t] += np.trace(gram)
         else:
             # Split explicitly: on the null walk |x_par| >> |x_perp|, and
@@ -280,41 +294,21 @@ class _Accumulator:
             sq_perp = np.einsum("ij,ij->i", x_perp, x_perp)
             self.sum_sq_par[t] += sq_par.sum()
             self.sum_sq_perp[t] += sq_perp.sum()
-            sq = sq_par + sq_perp
-        return sq
-
-
-def _finalize(
-    acc: _Accumulator,
-    cfg: SimConfig,
-    diverged_count: int,
-    first_replicate_cross: int | None,
-) -> EmpiricalMoments:
-    r = cfg.replicates
-    mean_x = acc.sum_x / r
-    mean_sq_par = acc.sum_sq_par / r
-    mean_sq_perp = acc.sum_sq_perp / r
-    threshold = cfg.divergence_factor * (1.0 + mean_sq_perp[0])
-    crossed = np.nonzero(mean_sq_perp > threshold)[0]
-    agg_step = int(crossed[0]) if crossed.size else None
-    steps = [s for s in (agg_step, first_replicate_cross) if s is not None]
-    divergence_step = min(steps) if steps else None
-    return EmpiricalMoments(
-        replicates=r,
-        mean_offset=mean_x,
-        mean_sq_par=mean_sq_par,
-        mean_sq_perp=mean_sq_perp,
-        mean_quad=acc.sum_quad / r,
-        diverged=divergence_step is not None,
-        divergence_step=divergence_step,
-        diverged_count=diverged_count,
-    )
+        return sq_perp
 
 
 def _run(
     inst: ProblemInstance, cfg: SimConfig, kernel_builder, entries_per_replicate: int, verdict: bool = False
 ) -> EmpiricalMoments | bool:
     """Run every replicate in chunks; the EmpiricalMoments, or with verdict=True classify_unstable's answer.
+
+    The divergence rule is per replicate, on Hbar's range: a replicate
+    crosses when |x_perp|^2 > F * (1 + |x0_perp|^2), F the divergence
+    factor.  It is frozen at the state it crossed with, and divergence_step
+    is the first crossing.  No ensemble rule is needed: if the mean of
+    |x_perp|^2 over the replicates exceeds that bound at step t, so does
+    its largest term, and since a frozen replicate keeps the state it
+    crossed with, that replicate crossed at step t or earlier.
 
     A verdict run stops as soon as its answer is certain to be True: when
     a replicate crosses the divergence threshold, or at step hi of
@@ -329,7 +323,8 @@ def _run(
     hbar = inst.mean_hessian()
     p_null, _ = null_projectors(hbar)
     acc = _Accumulator(t_steps, d, p_null, hbar)
-    per_replicate_threshold = cfg.divergence_factor * (1.0 + float(x0 @ x0))
+    x0_perp = x0 - x0 @ p_null
+    bound = cfg.divergence_factor * (1.0 + float(x0_perp @ x0_perp))
     lo, hi = growth_window(cfg) if verdict else (0, 0)
 
     diverged_count = 0
@@ -349,7 +344,7 @@ def _run(
             x_new = kernel(t - 1, x)
             # Until a replicate of the chunk crosses, every one takes its step.
             x = np.where(alive[:, None], x_new, x) if crossed else x_new
-            crossing = alive & (acc.add(t, x) > per_replicate_threshold)
+            crossing = alive & (acc.add(t, x) > bound)
             if np.any(crossing):
                 if verdict:
                     return True
@@ -360,7 +355,16 @@ def _run(
                 return True
         diverged_count += size - int(np.count_nonzero(alive))
         start = stop
-    em = _finalize(acc, cfg, diverged_count, first_cross)
+    r = cfg.replicates
+    em = EmpiricalMoments(
+        replicates=r,
+        mean_offset=acc.sum_x / r,
+        mean_sq_par=acc.sum_sq_par / r,
+        mean_sq_perp=acc.sum_sq_perp / r,
+        mean_quad=acc.sum_quad / r,
+        divergence_step=first_cross,
+        diverged_count=diverged_count,
+    )
     return classify_unstable(em, cfg) if verdict else em
 
 
@@ -462,11 +466,12 @@ def _grows(mean_sq_perp: np.ndarray, lo: int, hi: int) -> bool:
 
 
 def classify_unstable(em: EmpiricalMoments, cfg: SimConfig) -> bool:
-    """True when the run shows mean-square instability: a divergence flag,
-    or positive growth of the ensemble perpendicular second moment over
-    the concentration window (_grows).  ValueError for steps < 3.  Gradient
-    noise makes that moment rise toward its stationary level at stable step
-    sizes too, so empirical_threshold classifies noise-free runs."""
+    """True when the run shows mean-square instability: a replicate met the
+    divergence rule on Hbar's range (em.diverged), or the ensemble
+    perpendicular second moment grows over the concentration window
+    (_grows).  ValueError for steps < 3.  Gradient noise makes that moment
+    rise toward its stationary level at stable step sizes too, so
+    empirical_threshold classifies noise-free runs."""
     lo, hi = growth_window(cfg)
     return em.diverged or _grows(em.mean_sq_perp, lo, hi)
 

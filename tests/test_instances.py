@@ -227,6 +227,10 @@ class TestGenerators:
         inst = gen_regular(3, 6, 3, 0.0, False, 1)
         assert classify(inst) is MinimumClass.INTERPOLATING
 
+    def test_null_grad_requires_two_dimensions(self):
+        with pytest.raises(ValueError, match="^null_grad requires d >= 2"):
+            gen_regular(1, 4, 1, 1.0, True, 0)
+
     def test_null_grad_requires_reduced_rank(self):
         with pytest.raises(ValueError):
             gen_regular(2, 4, 2, 1.0, True, 0)
@@ -254,6 +258,24 @@ class TestGenerators:
         inst = gen_interpolating(3, 5, 3, 11, unit_sharpness=True)
         lam = float(np.max(np.linalg.eigvalsh(inst.mean_hessian())))
         assert lam == pytest.approx(1.0, abs=1e-12)
+
+    def test_regular_unit_sharpness_rescaling(self):
+        inst = gen_regular(4, 6, 2, 1.0, True, 12, unit_sharpness=True)
+        assert float(np.max(np.linalg.eigvalsh(inst.mean_hessian()))) == pytest.approx(1.0, abs=1e-12)
+        assert classify(inst) is MinimumClass.REGULAR
+
+    @pytest.mark.parametrize(
+        "hessians, gradients, message",
+        [
+            (np.zeros((2, 2, 3)), np.zeros((2, 2)), r"^hessians must have shape \(n, d, d\), got \(2, 2, 3\)"),
+            (np.zeros((2, 2, 2)), np.zeros((2, 3)), r"^gradients must have shape \(2, 2\), got \(2, 3\)"),
+            (np.zeros((2, 2, 2)), np.ones((2, 2)), "^gradients do not sum to zero"),
+        ],
+        ids=["hessian-shape", "gradient-shape", "mean-gradient"],
+    )
+    def test_make_instance_rejects(self, hessians, gradients, message):
+        with pytest.raises(ValueError, match=message):
+            make_instance(hessians, gradients)
 
 
 class TestSaveLoad:
@@ -405,6 +427,7 @@ class TestBinaryFormat:
             pytest.param(lambda p: p.update(base64="\u00e9" + p["base64"][1:]), id="non-ascii"),
             pytest.param(lambda p: p.update(base64=p["base64"][:-4]), id="truncated"),
             pytest.param(lambda p: p.pop("dtype"), id="missing-key"),
+            pytest.param(lambda p: p.update(base64=7), id="base64-not-a-string"),
         ],
     )
     def test_bad_payload_names_the_field(self, tmp_path, field, edit):
@@ -414,6 +437,29 @@ class TestBinaryFormat:
         edit(doc[field])
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(InstanceFormatError, match=f"^{field}: "):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"hessians": [[1.0]]}, "^hessians/gradients length does not match n"),
+            ({"hessians": [[1.0], 3.0]}, "^hessian 1 is not a list of reals"),
+            ({"gradients": [[0.0], ["x"]]}, r"^gradients: entries must be reals"),
+            ({"gradients": "0 0"}, "^gradients must be a binary payload or a list of samples"),
+        ],
+        ids=["row-count", "row-not-a-list", "non-real-entries", "neither-payload-nor-list"],
+    )
+    def test_bad_list_form_names_the_problem(self, tmp_path, fields, message):
+        path = tmp_path / "bad.json"
+        doc = {"d": 1, "n": 2, "hessians": [[1.0], [3.0]], "gradients": [[0.0], [0.0]], **fields}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=message):
+            load_instance(path)
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match="^an instance file holds one JSON object"):
             load_instance(path)
 
     def test_boolean_sizes_rejected(self, tmp_path):

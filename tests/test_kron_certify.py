@@ -35,6 +35,11 @@ class TestCertifyExamples:
         assert report.lambda_max == pytest.approx(1.0, abs=1e-12)
         assert report.min_eig_of_top >= -1e-7
 
+    @pytest.mark.parametrize("members", [np.zeros((2, 2, 3)), np.zeros((2, 2))], ids=["non-square", "two-dimensional"])
+    def test_rejects_bad_member_shape(self, members):
+        with pytest.raises(ValueError, match=r"^members must have shape \(M, d, d\)"):
+            KronFamily.from_matrices(members)
+
     def test_rejects_asymmetric_member(self):
         with pytest.raises(ValueError, match="not symmetric"):
             KronFamily.from_matrices([np.array([[0.0, 1.0], [0.0, 0.0]])])
@@ -81,6 +86,10 @@ class TestCertifyProperties:
 
 
 class TestWeightedFamilies:
+    def test_bad_weights_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^weights must have shape \(2,\), got \(3,\)"):
+            KronFamily.from_matrices([np.eye(2), np.eye(2)], weights=[1.0, 1.0, 1.0])
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             KronFamily.from_matrices([np.eye(2)], weights=[-1.0])

@@ -89,6 +89,8 @@ class TestKronSum:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             kron_sum(np.zeros((2, 3)), np.eye(2))
+        with pytest.raises(ValueError, match=r"^kron_sum requires square matrices, got \(2, 3\)"):
+            kron_sum(np.eye(2), np.zeros((2, 3)))
 
 
 class TestVec:

@@ -92,6 +92,14 @@ class TestBasics:
         with pytest.raises(ValueError, match=message):
             SimConfig(steps=4, replicates=8, seed=0, **kwargs)
 
+    def test_initial_offset_rejects(self):
+        zero = make_instance(np.zeros((2, 2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"^init_offset must have shape \(2,\), got \(3,\)"):
+            initial_offset(zero, SimConfig(steps=3, replicates=2, seed=0, init_offset=np.ones(3)))
+        # A scalar start is drawn in the range of Hbar, which is {0} here.
+        with pytest.raises(ValueError, match="^could not draw an initial offset in the range of the mean Hessian"):
+            initial_offset(zero, SimConfig(steps=3, replicates=2, seed=0))
+
     def test_default_offset_in_range_of_hessian(self, rank_one_walk):
         cfg = SimConfig(steps=1, replicates=1, seed=12)
         x0 = initial_offset(rank_one_walk, cfg)
@@ -132,6 +140,51 @@ class TestConvergenceAndDivergence:
         assert em.diverged
         assert np.all(np.isfinite(em.mean_sq_perp))
         assert np.all(np.isfinite(em.mean_offset))
+
+
+class TestDivergenceRule:
+    """A replicate diverges when |x_perp|^2 > F * (1 + |x0_perp|^2); the null-space walk never counts."""
+
+    def test_null_walk_does_not_flag_a_stable_run(self):
+        # Hbar has rank 3 in R^4 and the gradients reach its null direction, so the
+        # null part is a drift-free random walk at half the threshold.  Judged on
+        # the full |x|^2, two replicates crossed at step 196 and froze.
+        inst = gen_regular(4, 8, 2, 1.0, True, 3)
+        hp = Hyperparams(eta=0.5 * variance_threshold(inst, 1), batch=1)
+        cfg = SimConfig(steps=400, replicates=64, seed=5, divergence_factor=30.0)
+        em = simulate_sgd(inst, hp, cfg)
+        assert not em.diverged and em.divergence_step is None and em.diverged_count == 0
+        assert not classify_unstable(em, cfg)
+        loose = simulate_sgd(inst, hp, dataclasses.replace(cfg, divergence_factor=1e6))
+        for name in ("mean_sq_perp", "mean_sq_par", "mean_offset"):
+            np.testing.assert_array_equal(getattr(em, name), getattr(loose, name))
+        assert em.mean_sq_par[-1] > em.mean_sq_par[0]
+
+    @pytest.mark.parametrize("factor", [1.5, 3.0, 30.0])
+    @pytest.mark.parametrize(
+        "make, batch",
+        [
+            (lambda: gen_regular(4, 8, 2, 1.0, True, 3), 1),  # null-gradient regular, rank 3 in R^4
+            (lambda: gen_regular(6, 12, 2, 1.0, True, 1), 2),  # null-gradient regular, rank 5 in R^6
+            (lambda: gen_interpolating(6, 2, 2, 4), 1),  # n * k = 4 < d = 6
+            (lambda: gen_interpolating(5, 3, 1, 7), 2),  # n * k = 3 < d = 5
+        ],
+        ids=["regular-d4", "regular-d6", "interpolating-d6", "interpolating-d5"],
+    )
+    def test_ensemble_never_crosses_before_a_replicate(self, make, batch, factor):
+        # The ensemble rule that the per-replicate rule makes redundant: the mean of
+        # |x_perp|^2 above F * (1 + its start) never comes before divergence_step.
+        inst = make()
+        thr = variance_threshold(inst, batch)
+        x0 = np.random.default_rng(inst.d).standard_normal(inst.d)  # with a null part
+        cfg = SimConfig(steps=60, replicates=256, seed=9, divergence_factor=factor, init_offset=x0)
+        for eta, unstable in ((0.5 * thr, False), (1.5 * thr, True)):
+            em = simulate_sgd(inst, Hyperparams(eta=eta, batch=batch), cfg)
+            crossed = np.flatnonzero(em.mean_sq_perp > factor * (1.0 + em.mean_sq_perp[0]))
+            if crossed.size:
+                assert em.divergence_step is not None and em.divergence_step <= crossed[0]
+            else:
+                assert not unstable
 
 
 class TestMomentAgreement:
@@ -256,6 +309,15 @@ class TestShortRuns:
             with pytest.raises(ValueError, match="steps >= 3"):
                 empirical_threshold(inst, 1, cfg, 0.5 * thr, 20.0 * thr, 0.1 * thr)
 
+    def test_growth_rule_on_a_series_that_is_not_positive(self):
+        # With every H_i zero the range of Hbar is {0}: the perpendicular moment is zero
+        # at every step, and the rule compares its ends instead of fitting a log slope.
+        zero = make_instance(np.zeros((2, 2, 2)), np.zeros((2, 2)))
+        cfg = SimConfig(steps=12, replicates=4, seed=0, init_offset=np.array([1.0, -2.0]))
+        em = simulate_sgd(zero, Hyperparams(eta=0.1, batch=1), cfg)
+        assert not np.any(em.mean_sq_perp) and not classify_unstable(em, cfg)
+        assert mc._grows(np.array([0.0, 0.5, 1.0]), 0, 2) and not mc._grows(np.array([1.0, 0.0, 1.0]), 0, 2)
+
     def test_three_steps_classify(self):
         inst = gen_interpolating(2, 4, 2, 1)
         thr = variance_threshold(inst, 1)
@@ -283,6 +345,15 @@ class TestEmpiricalThreshold:
         a = empirical_threshold(scalar_pair, 1, cfg, eta_lo=0.2, eta_hi=1.4, bisect_tol=0.05)
         b = empirical_threshold(scalar_pair, 1, cfg, eta_lo=0.2, eta_hi=1.4, bisect_tol=0.05)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol, message",
+        [(0.1, 1.0, 0.0, "^bisect_tol must be positive"), (1.0, 0.5, 0.1, r"^invalid bracket \[1.0, 0.5\]"), (-0.1, 1.0, 0.1, "^invalid bracket")],
+        ids=["tolerance", "reversed", "negative"],
+    )
+    def test_rejects_bad_bisection_settings(self, scalar_pair, lo, hi, tol, message):
+        with pytest.raises(ValueError, match=message):
+            empirical_threshold(scalar_pair, 1, SimConfig(steps=24, replicates=8, seed=0), lo, hi, tol)
 
     def test_invalid_bracket_both_stable(self, scalar_pair):
         cfg = SimConfig(steps=24, replicates=2048, seed=7)
@@ -547,7 +618,7 @@ def _direct_sums(x, p_null, hbar):
         "sum_sq_par": math.fsum(sq(xp) for xp in par),
         "sum_sq_perp": math.fsum(sq(xq) for xq in perp),
         "sum_quad": math.fsum(math.fsum((np.outer(xc, xc) * hbar).ravel()) for xc in x),
-        "sq_norm": np.array([sq(xc) for xc in x]),
+        "sq_perp": np.array([sq(xq) for xq in perp]),
     }
 
 
@@ -568,10 +639,10 @@ class TestAccumulator:
             hbar[:2, :] = hbar[:, :2] = 0.0
             x[:, :2] *= 1e6
         acc = mc._Accumulator(2, d, p_null, hbar)
-        sq_norm = acc.add(1, x)
+        sq_perp = acc.add(1, x)
         want = _direct_sums(x, p_null, hbar)
-        got = {name: getattr(acc, name)[1] for name in want if name != "sq_norm"}
-        got["sq_norm"] = sq_norm
+        got = {name: getattr(acc, name)[1] for name in want if name != "sq_perp"}
+        got["sq_perp"] = sq_perp
         scale = {"sum_x": math.fsum(np.abs(x).ravel()), "sum_quad": math.fsum((np.abs(hbar) * (np.abs(x).T @ np.abs(x))).ravel())}
         for name, value in want.items():
             bound = 1e-12 * scale.get(name, np.abs(value))

@@ -422,6 +422,15 @@ class TestNecessaryBounds:
                     variance_threshold(inst, b), rel=1e-9
                 )
 
+    def test_zero_mean_hessian_has_no_bound(self):
+        zero = make_instance(np.zeros((3, 2, 2)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="^mean Hessian has no positive eigenvalue"):
+            necessary_bound_eigvec(zero, 1)
+        with pytest.raises(ValueError, match="^mean Hessian has nonpositive trace"):
+            necessary_bound_trace(zero, 1)
+        with pytest.raises(ValueError, match="^mean Hessian has no positive eigenvalue"):
+            rank_one_bound(zero, 1)
+
     def test_trace_bound_allocates_no_stack_sized_temporary(self):
         # At d=96, n=64 squaring the whole Hessian stack peaked at 1.02 times its bytes.
         g = np.random.default_rng(96).standard_normal((64, 96, 4))
