@@ -14,6 +14,7 @@ failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from . import kron_certify, montecarlo, moments, stability
 from .instances import (
     Hyperparams, classify, fmt, gen_interpolating, gen_regular, load_instance, mixing_weight, save_instance, stream, write_csv,
 )
-from .linalg import ConvergenceError, null_projectors, unvec, vec
+from .linalg import ConvergenceError, lapack_eigh, null_projectors, unvec, vec
 from .montecarlo import SimConfig
 
 EXIT_OK = 0
@@ -52,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+@functools.cache  # built once per process: a build costs about ten parses
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sgdstab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,7 +303,7 @@ def _suite_thresholds(seed: int, trials: int) -> list[PropertyResult]:
         ok = True
         for factor in (0.2, 0.7, 0.99, 1.01, 1.5):
             eta = factor * thr
-            lam_q = float(np.max(np.abs(np.linalg.eigvalsh(kron_certify.second_moment_transition(inst, eta, b)))))
+            lam_q = float(np.max(np.abs(lapack_eigh(kron_certify.second_moment_transition(inst, eta, b), vectors=False))))
             ok &= (eta <= thr) == (lam_q <= 1.0 + 1e-9)
         res_spec.record(ok)
     return [res_oracle, res_gd, res_mono, res_chain, res_spec]
@@ -336,7 +338,7 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         dense = unvec(np.linalg.solve(np.eye(d * d) - q, vec(sigma_v)), d)
         step = moments.ExactStepper(inst, hp).step(moments.MomentState(mean=np.zeros(d), second_moment=limit))
         tol = 1e-6 * max(1.0, float(np.linalg.norm(limit)))
-        rho = float(np.max(np.abs(np.linalg.eigvalsh(q))))
+        rho = float(np.max(np.abs(lapack_eigh(q, vectors=False))))
         ok = not max(np.linalg.norm(dense - limit), np.linalg.norm(step.second_moment - limit)) > tol and rho < 1.0
         res_fix.record(ok, f"d={d}, n={n}, batch={b}, rho(Q)={rho}")
         dist_sq, loss_gap, grad_sq = moments.asymptotic_quantities(inst, hp)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import lapack_eigh, not_psd, null_projectors, sym_eig, symmetrize
+from .linalg import factor_stack, not_psd, null_projectors, sym_eig, symmetrize
 
 # A gradient is "zero" (interpolating sense) below this Euclidean norm.
 GRAD_ZERO_TOL = 1e-12
@@ -174,16 +174,16 @@ def _check_sizes(d: int, n: int, rank: int = 1) -> None:
 def classify(inst: ProblemInstance) -> MinimumClass:
     """Interpolating / regular / invalid per the PSD and gradient tests.
 
-    The PSD test takes the eigenvalues of all n Hessians in one batched
-    eigvalsh and applies minimum_class to them.  make_instance and
-    load_instance leave every H_i exactly symmetric, so the stack is passed
-    as it is, without a symmetrized copy.
+    The PSD test takes the eigenvalues of all n Hessians from one
+    linalg.factor_stack, without factors, and applies minimum_class to
+    them.  make_instance and load_instance leave every H_i exactly
+    symmetric, so the stack is passed as it is, without a symmetrized copy.
     """
-    return minimum_class(inst, lapack_eigh(inst.hessians, vectors=False))
+    return minimum_class(inst, factor_stack(inst.hessians, factors=False))
 
 
 def minimum_class(inst: ProblemInstance, values: np.ndarray) -> MinimumClass:
-    """The classification rule, given values, the (n, d) eigenvalues of the H_i.
+    """The classification rule, given values, the (n, d) eigenvalues of the H_i from linalg.factor_stack.
 
     Invalid when the mean gradient is nonzero or some H_i fails linalg.not_psd,
     the rule psd_range applies; else interpolating when every gradient is

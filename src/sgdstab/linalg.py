@@ -1,5 +1,7 @@
 """Dense linear algebra kit: Kronecker products and sums, vectorization,
-symmetric eigendecompositions, the package's one rank rule, the PSD
+symmetric eigendecompositions, the spectra and factors of a Hessian
+stack by certified pivoted Cholesky (factor_stack), the package's one
+rank rule, the PSD
 pseudoinverse, null-space projectors, and one matrix-free Lanczos
 recurrence for operators built self-adjoint.  Two readers consume it:
 lanczos_solve, the top eigenvalue, and spd_solve, the solution of a
@@ -24,6 +26,16 @@ import numpy as np
 # that cutoff.  Every null-space and PSD decision goes through zero_cutoff,
 # not_psd and psd_range; no caller sets its own tolerance.
 DEFAULT_RANK_RTOL = 1e-10
+
+# factor_stack's pivoted Cholesky stops a sample once its largest remaining pivot is at
+# most _PIVOT_STOP * eps * ||H_i||_F, and accepts the factor L_i only where the residual
+# ||H_i - L_i L_i^T||_F is at most _RESIDUAL_BOUND * eps * ||H_i||_F.
+_PIVOT_STOP = 10.0
+_RESIDUAL_BOUND = 100.0
+# factor_stack factors the stack in chunks of samples holding at most this many entries.
+_STACK_CHUNK_ENTRIES = 1 << 16
+# Below this ||H_i||_F^2 the squared residual could underflow, so only a zero sample is certified.
+_MIN_SQUARE = np.finfo(float).tiny / np.finfo(float).eps ** 2
 
 # Rows added to the Lanczos basis each time it fills up.
 _LANCZOS_CHUNK = 32
@@ -97,6 +109,125 @@ def lapack_eigh(m: np.ndarray, vectors: bool = True):
         return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+
+
+def factor_stack(stack: np.ndarray, factors: bool = True):
+    """The eigenvalues of each H_i of an exactly symmetric (n, d, d) stack, and factors H_i = G_i G_i^T.
+
+    Returns values, (n, d), or with factors (values, gt): gt (n, q, d)
+    stacks the G_i^T, where G_i (d x q) spans the eigenvalues of H_i that
+    psd_range keeps, so G_i G_i^T is H_i less those the rank rule zeroes,
+    q is the largest kept count and a sample of lower rank has zero rows
+    first.  gt is None where some H_i fails not_psd, or where q (d + q) >=
+    d^2: such factors save nothing on a d x d sandwich.
+
+    Where it can, it reads both off diagonal-pivoted Cholesky factors
+    H_i = L_i L_i^T (Higham, "Analysis of the Cholesky decomposition of a
+    semi-definite matrix", 1990), batched over the samples of chunks of
+    _STACK_CHUNK_ENTRIES entries.  Each step takes every sample's largest
+    remaining pivot, and a sample stops once that is at most _PIVOT_STOP
+    eps ||H_i||_F.  A factor is accepted only when the residual
+    ||H_i - L_i L_i^T||_F, formed entry by entry, is at most
+    _RESIDUAL_BOUND eps ||H_i||_F.  By Weyl's inequality the eigenvalues of
+    H_i then lie that close to those of the small Gram L_i^T L_i, and the
+    values are the Gram's (through lapack_eigh), after zeros.  G_i is L_i,
+    or L_i W_i over the Gram eigenvectors W_i of the kept values where
+    psd_range drops some: any G_i with G_i G_i^T = H_i will do.
+
+    The whole stack goes to one batched lapack_eigh instead, whose values
+    are returned bit for bit and whose kept eigenpairs, scaled by
+    sqrt(lambda), give G_i, where a sample needs q_i columns with
+    q_i (d + q_i) >= d^2 or fails the residual bound.  A Gram is PSD up to
+    rounding far below the rank rule's cut, so an invalid verdict always
+    comes from lapack_eigh.
+    """
+    n, d, _ = stack.shape
+    cap = max(q for q in range(d) if q * (d + q) < d * d)
+    m = max(1, _STACK_CHUNK_ENTRIES // (d * d))
+    parts = []
+    for lo in range(0, n, m):
+        part = _cholesky_factors(stack[lo : lo + m], cap, factors)
+        if part is None:
+            parts.clear()  # free the chunks' factors before the eigh allocates its own
+            return _eigh_factors(stack, cap, factors)
+        parts.append(part)
+    values = np.concatenate([part[0] for part in parts])
+    if not factors:
+        return values
+    q = max(part[1].shape[1] for part in parts)
+    gt = np.zeros((n, q, d))
+    for lo, (_, chunk) in zip(range(0, n, m), parts):
+        gt[lo : lo + m, q - chunk.shape[1] :] = chunk
+    return values, gt
+
+
+def _eigh_factors(stack: np.ndarray, cap: int, factors: bool):
+    """factor_stack by one batched lapack_eigh, with factors of at most cap columns."""
+    if not factors:
+        return lapack_eigh(stack, vectors=False)
+    values, vectors = lapack_eigh(stack)
+    try:
+        kept = psd_range(values)
+    except ValueError:
+        return values, None
+    q = int(kept.sum(axis=1).max())
+    if q > cap:
+        return values, None
+    d = values.shape[1]
+    # Each sample's kept eigenvalues are its largest, so they sit in its last q columns.
+    scale = np.sqrt(np.where(kept, values, 0.0)[:, d - q :])
+    return values, np.ascontiguousarray((vectors[:, :, d - q :] * scale[:, None, :]).transpose(0, 2, 1))
+
+
+def _cholesky_factors(h: np.ndarray, cap: int, factors: bool):
+    """factor_stack on one chunk h of the stack by pivoted Cholesky of at most cap columns:
+    (values, gt or None), or None where the stack must go to _eigh_factors."""
+    m, d, _ = h.shape
+    rows = np.arange(m)
+    eps = np.finfo(float).eps
+    sq = np.einsum("ijk,ijk->i", h, h)
+    small = sq < _MIN_SQUARE
+    if not np.all(np.isfinite(sq)) or (small.any() and h[small].any()):
+        return None
+    norms = np.sqrt(sq)
+    pivots = np.einsum("ijj->ij", h).copy()
+    lt = np.zeros((m, cap, d))  # lt[i, j] is column j of L_i
+    width = np.zeros(m, dtype=int)  # the columns of each L_i
+    for q in range(cap + 1):
+        piv = np.argmax(pivots, axis=1)
+        top = pivots[rows, piv]
+        live = top > _PIVOT_STOP * eps * norms
+        if not live.any():
+            break
+        if q == cap:
+            return None
+        # Row piv of H_i is its column, as H_i is symmetric.  A stopped sample divides by
+        # inf and gets a zero column, so its pivots stay as they are.
+        col = h[rows, piv] - (lt[rows, :q, piv][:, None, :] @ lt[:, :q])[:, 0]
+        col /= np.sqrt(np.where(live, top, np.inf))[:, None]
+        lt[:, q] = col
+        pivots -= col * col
+        pivots[rows[live], piv[live]] = 0.0
+        width += live
+    lt = lt[:, :q]
+    resid = lt.transpose(0, 2, 1) @ lt
+    resid -= h
+    if np.any(np.sqrt(np.einsum("ijk,ijk->i", resid, resid)) > _RESIDUAL_BOUND * eps * norms):
+        return None
+    del resid
+    gram = lt @ lt.transpose(0, 2, 1)
+    values = np.zeros((m, d))
+    values[:, d - q :] = lapack_eigh(gram, vectors=False)
+    if not factors:
+        return values, None
+    kept = psd_range(values)[:, d - q :]
+    count = kept.sum(axis=1)
+    gt = lt[:, ::-1].copy()  # reversed, each L_i^T has its zero rows first
+    cut = np.flatnonzero(count < width)  # samples with a Gram value that psd_range drops
+    if cut.size:
+        w = lapack_eigh(gram[cut])[1]
+        gt[cut] = np.where(kept[cut, :, None], w.transpose(0, 2, 1) @ lt[cut], 0.0)
+    return values, gt[:, q - count.max() :]
 
 
 def sym_eig(m: np.ndarray) -> EigDecomp:
@@ -224,7 +355,7 @@ def lanczos_solve(op: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> 
     breakdown = math.sqrt(dim) * np.finfo(float).eps
     estimate = resid = math.nan
     for k, _, tri, b in _lanczos(op, start):
-        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
+        theta, s = lapack_eigh(tri[: k + 1, : k + 1])
         estimate = float(theta[-1])
         scale = max(abs(float(theta[0])), abs(estimate))
         resid = b * abs(float(s[-1, -1]))

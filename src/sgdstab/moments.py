@@ -36,9 +36,9 @@ range_basis per call, shared with the check eta < eta_var (for PSD H_i
 the pseudoinverse acts there alone).  That check takes one application
 of S: eta * hi < 2, with hi = spectral.range_sharpness_bound >=
 lambda_max(S), certifies it, and only a step size that this leaves
-undecided runs the threshold's Lanczos solve.  The basis's one batched
-eigh of the H_i also classifies the instance, so a limit solve
-decomposes the Hessian stack once.  With D_r = spectral._range_d, the range-block form
+undecided runs the threshold's Lanczos solve.  The basis's one
+decomposition of the H_i (linalg.factor_stack) also classifies the
+instance, so a limit solve decomposes the Hessian stack once.  With D_r = spectral._range_d, the range-block form
 of the mixture kernel, it reads
 
     (lam_a + lam_b) o X - eta * D_r(X) = V^T Sigma_g V,

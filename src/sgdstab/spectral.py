@@ -16,14 +16,15 @@ matrix, and here
                    + (p/n) sum_i k_i X k_i.
 
 Both share the sandwich kernel _sandwich_sum, at 4 n r^3 flops on the
-range block.  range_basis makes one batched eigh of the (n, d, d) Hessian
-stack per call.  Its eigenvalues classify the instance, by the rule
-classify applies, and its eigenpairs, under psd_range's rank rule per
-sample, give factors H_i = G_i G_i^T with G_i of shape d x q, q the
-largest per-sample rank.  When every H_i passes the PSD test and
-q (r + q) < r^2, one GEMM gives U_i^T = G_i^T V_r, and _range_d runs on
-them, _factored_sandwich_sum: sum_i U_i (U_i^T X U_i) U_i^T in
-4 n q r (r + q) flops.  Otherwise range_basis forms k_i = V_r^T H_i V_r
+range block.  range_basis decomposes the (n, d, d) Hessian stack once per
+call, by linalg.factor_stack: certified pivoted Cholesky factors where
+every H_i is PSD of low enough rank, else one batched eigh.  The
+eigenvalues classify the instance, by the rule classify applies, and
+the factors H_i = G_i G_i^T, under psd_range's rank rule per sample,
+have G_i of shape d x q, q the largest per-sample rank.  When every H_i
+passes the PSD test and q (r + q) < r^2, one GEMM gives U_i^T = G_i^T V_r,
+and _range_d runs on them, _factored_sandwich_sum:
+sum_i U_i (U_i^T X U_i) U_i^T in 4 n q r (r + q) flops.  Otherwise range_basis forms k_i = V_r^T H_i V_r
 for the dense sum.  Array shapes and the PSD test alone pick the kernel.
 
 range_congruence writes the congruence S = (C^{1/2})^+ D (C^{1/2})^+ on
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import MinimumClass, ProblemInstance, minimum_class
-from .linalg import lanczos_solve, lapack_eigh, psd_range, sym_eig
+from .linalg import factor_stack, lanczos_solve, lapack_eigh, psd_range, sym_eig
 
 
 @dataclass(frozen=True)
@@ -76,18 +77,19 @@ class RangeBasis:
 
 
 def range_basis(inst: ProblemInstance) -> RangeBasis:
-    """Decompose the H_i once (one batched eigh) and Hbar once; ValueError if Hbar is not PSD.
+    """Decompose the H_i once (linalg.factor_stack) and Hbar once; ValueError if Hbar is not PSD.
 
     The eigenvalues of the H_i classify the instance (kind), which is not
     rejected here: callers that need a valid minimum pass kind to
     valid_class.  When Hbar is not PSD, the ValueError of an invalid
-    instance starts with valid_class's message.  Their eigenpairs give the factors G_i (_sample_factors),
-    and U_i^T = G_i^T V_r comes from one GEMM, so the range-block sandwich
-    sum costs 4 n q r (r + q) flops instead of 4 n r^3 when every H_i is PSD
-    and q (r + q) < r^2.  Otherwise k_i = V_r^T H_i V_r is formed instead.
+    instance starts with valid_class's message.  The factors G_i come with
+    the eigenvalues, and U_i^T = G_i^T V_r comes from one GEMM, so the
+    range-block sandwich sum costs 4 n q r (r + q) flops instead of
+    4 n r^3 when every H_i is PSD and q (r + q) < r^2 (_sample_factors).
+    Otherwise k_i = V_r^T H_i V_r is formed instead.
     """
-    # make_instance and load_instance leave every H_i exactly symmetric, so eigh's lower triangle is H_i.
-    values, vectors = lapack_eigh(inst.hessians)  # ascending per sample
+    # make_instance and load_instance leave every H_i exactly symmetric, as factor_stack needs.
+    values, gt = factor_stack(inst.hessians)
     kind = minimum_class(inst, values)
     eig = sym_eig(inst.mean_hessian())
     try:
@@ -97,37 +99,24 @@ def range_basis(inst: ProblemInstance) -> RangeBasis:
             raise ValueError(f"instance is not a regular or interpolating minimum; mean Hessian: {exc}") from exc
         raise
     lam, v, r = eig.values[keep], eig.vectors[:, keep], int(keep.sum())
-    gt = _sample_factors(values, vectors, r)
+    gt = _sample_factors(gt, r)
     if gt is None:
         return RangeBasis(lam=lam, v=v, kind=kind, k=v.T @ inst.hessians @ v, ut=None)
     n, q, d = gt.shape
     return RangeBasis(lam=lam, v=v, kind=kind, k=None, ut=(gt.reshape(n * q, d) @ v).reshape(n, q, r))
 
 
-def _sample_factors(values: np.ndarray, vectors: np.ndarray, r: int) -> np.ndarray | None:
-    """The stack of G_i^T, shape (n, q, d), with H_i = G_i G_i^T, or None.
+def _sample_factors(gt: np.ndarray | None, r: int) -> np.ndarray | None:
+    """The stack gt of G_i^T from factor_stack, (n, q, d), where it makes the sandwich sum cheaper, or None.
 
-    values and vectors are the batched eigh of the H_i, ascending per sample.
-    psd_range's rank rule keeps each sample's nonzero eigenpairs, and G_i
-    holds them scaled by sqrt(lam), padded with zero columns to q, the
-    largest kept count.  None when r = 0, when some H_i fails psd_range's
-    PSD test (then dropping its negative eigenvalues would change the
-    operator) or when q (r + q) >= r^2 (then the dense _sandwich_sum takes no
-    more flops).
+    None when r = 0, when factor_stack gave no factors (some H_i fails
+    the PSD test, and dropping its negative eigenvalues would change the
+    operator) or when q (r + q) >= r^2 (then the dense _sandwich_sum takes
+    no more flops).
     """
-    if r == 0:
+    if r == 0 or gt is None or gt.shape[1] * (r + gt.shape[1]) >= r * r:
         return None
-    try:
-        kept = psd_range(values)
-    except ValueError:
-        return None
-    q = int(kept.sum(axis=1).max())
-    if q * (r + q) >= r * r:
-        return None
-    d = values.shape[1]
-    # Each sample's kept eigenvalues are its largest, so they sit in its last q columns.
-    scale = np.sqrt(np.where(kept, values, 0.0)[:, d - q :])
-    return np.ascontiguousarray((vectors[:, :, d - q :] * scale[:, None, :]).transpose(0, 2, 1))
+    return gt
 
 
 def _sandwich_sum(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -209,7 +198,7 @@ def range_sharpness_bound(basis: RangeBasis, p: float) -> float:
     s, _ = range_congruence(basis, p)
     quarter = lam ** -0.25  # Y0^{-1/2} is diag(lam^{-1/4})
     image = s(np.diag(np.sqrt(lam)).reshape(-1)).reshape(r, r)
-    return float(np.linalg.eigvalsh(quarter[:, None] * image * quarter[None, :])[-1])
+    return float(lapack_eigh(quarter[:, None] * image * quarter[None, :], vectors=False)[-1])
 
 
 def threshold(gen_sharp: float) -> float:

@@ -187,6 +187,8 @@ _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search
 _HALVINGS = 30  # a failed trial arc is halved up to this many times
 _GRAD_RTOL = 1e-10  # a lane stops once |Riemannian grad f| <= _GRAD_RTOL * f ...
 _GAIN_RTOL = 4.0 * np.finfo(float).eps  # ... or once an accepted step raised f by at most this * f
+# Lanes whose best values lie within this many ulps of a batch's best tie; the smallest gradient wins.
+_TIE_ULPS = 4
 
 
 def _forms(xs: np.ndarray, hy: np.ndarray) -> np.ndarray:
@@ -296,9 +298,12 @@ def _rank_one_ascent(
     raised f by a few ulps only, or when no halving passes.  steps caps the
     iterations without entering them, so a larger cap never gives a smaller
     value.  The iteration is scale free, so rescaling all Hessians rescales
-    the values alike.  Returns (best value, maximizer V_r w) per batch, in
-    the order given: the first strict maximum over the starts in order.  Raises
-    ValueError when batches is empty, steps < 0 or Hbar is zero.
+    the values alike.  Returns (value, maximizer V_r w) per batch, in the
+    order given, of the lane with the smallest Riemannian gradient among
+    those whose best values lie within _TIE_ULPS ulps of the largest (an
+    exact tie goes to the earlier start), so which lane wins does not hang
+    on rounding.  Raises ValueError when batches is empty, steps < 0 or
+    Hbar is zero.
     """
     if not batches:
         raise ValueError("batches must be non-empty")
@@ -331,7 +336,7 @@ def _rank_one_ascent(
     rho, gamma = np.zeros((n_lanes, m)), np.full(n_lanes, 1.0 / lam)
     value = _rank_one_value(quads, pn)
     r = _rank_one_grad(vs, hv, quads, pn, value)
-    best_value, best_v = value.copy(), vs.copy()
+    best_value, best_v, best_grad = value.copy(), vs.copy(), np.sqrt(np.einsum("si,si->s", r, r))
     gain = np.full(lanes.size, math.inf)  # f's rise on each lane's last step
     for k in range(steps):
         # f > 0 on every live lane, so both stop rules are relative to f itself.
@@ -385,6 +390,7 @@ def _rank_one_ascent(
         # recomputed f ties the last value to rounding; the max keeps values monotone.
         best_value[lanes] = np.maximum(best_value[lanes], value)
         best_v[lanes] = vs
+        best_grad[lanes] = np.sqrt(np.einsum("si,si->s", r_new, r_new))
         # The new pair, and the kept ones transported by projection onto the new tangent space.
         s_new = theta[:, None] * (u - np.einsum("si,si->s", vs, u)[:, None] * vs)
         y_new = (r - np.einsum("si,si->s", vs, r)[:, None] * vs) - r_new
@@ -399,7 +405,10 @@ def _rank_one_ascent(
         r = r_new
     results = []
     for j in range(len(batches)):
-        best = j * _N_STARTS + int(np.argmax(best_value[j * _N_STARTS : (j + 1) * _N_STARTS]))
+        block = slice(j * _N_STARTS, (j + 1) * _N_STARTS)
+        top = np.max(best_value[block])
+        tied = top - best_value[block] <= _TIE_ULPS * np.spacing(top)
+        best = j * _N_STARTS + int(np.argmin(np.where(tied, best_grad[block], np.inf)))
         results.append((float(best_value[best]), basis.v @ best_v[best]))
     return results
 

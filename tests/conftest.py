@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sgdstab import make_instance
+from sgdstab import linalg, make_instance
 
 settings.register_profile(
     "ci",
@@ -70,18 +72,32 @@ def counting():
 
 @pytest.fixture
 def stack_decompositions(monkeypatch):
-    """Count the eigendecompositions of an instance's (n, d, d) Hessian stack.
+    """Count the decompositions of an instance's (n, d, d) Hessian stack.
 
-    Called with an instance, it patches np.linalg.eigh and eigvalsh and returns
-    a list that gets one entry per call on an array of that shape.
+    Called with an instance, it patches linalg.factor_stack wherever a
+    module of the package holds it, and np.linalg.eigh and eigvalsh, and
+    returns a list that gets one entry per call on an array of that shape:
+    "factor" for factor_stack, then "eigh" or "eigvalsh" for each batched
+    eigensolve of the whole stack, which runs only where it falls back.
     """
 
     def watch(inst):
         calls = []
+        shape = (inst.n, inst.d, inst.d)
+        true_factor = linalg.factor_stack
+
+        def factor(stack, *args, **kwargs):
+            if np.shape(stack) == shape:
+                calls.append("factor")
+            return true_factor(stack, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sgdstab") and getattr(module, "factor_stack", None) is true_factor:
+                monkeypatch.setattr(module, "factor_stack", factor)
         for name in ("eigh", "eigvalsh"):
 
             def counted(a, *args, _true=getattr(np.linalg, name), _name=name, **kwargs):
-                if np.shape(a) == (inst.n, inst.d, inst.d):
+                if np.shape(a) == shape:
                     calls.append(_name)
                 return _true(a, *args, **kwargs)
 

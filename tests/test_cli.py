@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgdstab.cli as cli
 import sgdstab.instances as instances
 import sgdstab.kron_certify as kron_certify
 import sgdstab.moments as moments
@@ -371,8 +372,9 @@ class TestProductionPaths:
         assert solve_dims == [r * r, r * r]
 
     def test_decomposes_the_hessian_stack_once(self, tmp_path, monkeypatch, capsys, stack_decompositions):
-        # One batched eigh of the H_i per call both classifies the instance and factors it;
-        # simulate, which builds no range basis, classifies once.
+        # One factor_stack of the H_i per call both classifies the instance and factors it,
+        # here by pivoted Cholesky with no batched eigensolve of the stack; simulate, which
+        # builds no range basis, classifies once.
         inst = gen_regular(6, 5, 3, 1.0, False, 9)
         path = tmp_path / "inst.json"
         save_instance(inst, path)
@@ -381,7 +383,7 @@ class TestProductionPaths:
         calls = stack_decompositions(inst)
         assert main(["analyze", str(path), "--batch", "2", "--eta", repr(0.5 * thr), repr(1.5 * thr)]) == EXIT_OK
         assert "classification: regular" in capsys.readouterr().out
-        assert calls == ["eigh"]
+        assert calls == ["factor"]
         for run in (
             lambda: main(_sweep_argv(path, tmp_path / "s.csv", thr)),
             lambda: moments.covariance_limit(inst, hp),
@@ -389,7 +391,7 @@ class TestProductionPaths:
         ):
             calls.clear()
             run()
-            assert calls == ["eigh"]
+            assert calls == ["factor"]
         classified = []
         true_classify = instances.classify
 
@@ -405,7 +407,7 @@ class TestProductionPaths:
             classified.clear()
             argv = ["simulate", str(path), "--eta", repr(0.5 * thr), "--batch", "2", "--steps", "3", *exact]
             assert main(argv + ["--out", str(tmp_path / "sim.csv")]) == EXIT_OK
-            assert calls == ["eigvalsh"] and len(classified) == 1
+            assert calls == ["factor"] and len(classified) == 1
 
     @pytest.mark.parametrize(
         "hessians",
@@ -609,6 +611,39 @@ class TestExitCodes:
     def test_no_command_is_usage_error(self):
         assert main([]) == EXIT_USAGE
 
+    def test_lanczos_eigensolver_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError is a ValueError; raised on the Lanczos tridiagonal, it must not read as an input error.
+        inst = gen_regular(5, 4, 2, 1.0, False, 3)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        true_eigh = np.linalg.eigh
+
+        def fail_off_the_instance(a, *args, **kwargs):
+            if np.ndim(a) == 2 and np.shape(a) != (inst.d, inst.d):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return true_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_off_the_instance)
+        assert main(["analyze", str(path), "--batch", "2"]) == EXIT_NUMERICAL
+        assert "numerical failure: eigendecomposition failed: Eigenvalues did not converge" in capsys.readouterr().err
+
+    def test_main_builds_one_parser(self, monkeypatch, scalar_pair_file):
+        built = []
+        true_init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            true_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        try:
+            assert main(["analyze", scalar_pair_file, "--batch", "1"]) == EXIT_OK
+            assert main(["analyze", scalar_pair_file, "--batch", "2"]) == EXIT_OK
+        finally:
+            cli._build_parser.cache_clear()
+        assert built.count("sgdstab") == 1
+
     def test_constants_are_distinct(self):
         assert len({EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_VERIFY, EXIT_NUMERICAL}) == 5
 
@@ -699,6 +734,23 @@ class TestModuleBoundaries:
                 and aliases.get(node.value.id, me) != me and node.attr.startswith("_")
             ]
         assert crossings == []
+
+    def test_eigensolvers_are_reached_only_through_lapack_eigh(self):
+        # lapack_eigh is where a LinAlgError becomes a ConvergenceError, so no other function names eigh or eigvalsh.
+        callers = []
+        for me, tree in self._trees().items():
+            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                named = (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")) or (
+                    isinstance(node, ast.ImportFrom) and node.module and "linalg" in node.module
+                    and any(a.name in ("eigh", "eigvalsh") for a in node.names)
+                )
+                if named:
+                    scope = node
+                    while scope in parents and not isinstance(scope, ast.FunctionDef):
+                        scope = parents[scope]
+                    callers.append((me, getattr(scope, "name", None)))
+        assert callers == [("linalg", "lapack_eigh"), ("linalg", "lapack_eigh")]
 
     def test_only_curvature_operators_imports_the_dense_builders(self):
         trees = self._trees()

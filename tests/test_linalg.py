@@ -14,6 +14,7 @@ from oracles import sqrt_pinv_psd
 from sgdstab.linalg import (
     DEFAULT_RANK_RTOL,
     ConvergenceError,
+    factor_stack,
     kron,
     kron_sum,
     lanczos_solve,
@@ -202,6 +203,201 @@ class TestRankRule:
                 continue
             if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, (Exception, enum.Enum))):
                 assert not {"rel_tol", "n_starts"} & set(inspect.signature(obj).parameters), name
+
+
+def _truncated(hessians):
+    """H_i from its batched eigh with the eigenvalues that psd_range drops set to zero."""
+    w, v = np.linalg.eigh(hessians)
+    return (v * np.where(psd_range(w), w, 0.0)[:, None, :]) @ v.transpose(0, 2, 1)
+
+
+def _eigh_gt(hessians):
+    """The G_i^T of the batched eigh: kept eigenvectors scaled by sqrt(lambda), in each sample's last q rows."""
+    w, v = np.linalg.eigh(hessians)
+    kept = psd_range(w)
+    d, q = w.shape[1], int(kept.sum(axis=1).max())
+    return (v[:, :, d - q :] * np.sqrt(np.where(kept, w, 0.0))[:, None, d - q :]).transpose(0, 2, 1)
+
+
+def _spectrum_stack(spectra, seed):
+    """H_i = Q_i diag(spectrum_i) Q_i^T with random orthogonal Q_i, made exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    spectra = np.asarray(spectra, dtype=float)
+    qs = np.linalg.qr(rng.standard_normal((len(spectra), spectra.shape[1], spectra.shape[1])))[0]
+    return symmetrize((qs * spectra[:, None, :]) @ qs.transpose(0, 2, 1))
+
+
+class TestFactorStack:
+    """factor_stack: pivoted Cholesky with a residual certificate where every H_i allows it, else the batched eigh."""
+
+    FAMILIES = {
+        "interpolating": lambda: instances.gen_interpolating(12, 10, 3, 1),
+        "interpolating-unit-sharpness": lambda: instances.gen_interpolating(20, 6, 5, 2, unit_sharpness=True),
+        "regular": lambda: instances.gen_regular(10, 8, 3, 1.0, False, 3),
+        "regular-null-gradients": lambda: instances.gen_regular(20, 4, 2, 1.0, True, 4),
+        "regular-unit-sharpness": lambda: instances.gen_regular(16, 12, 4, 2.0, False, 5, unit_sharpness=True),
+        "rank-one-d64": lambda: instances.gen_interpolating(64, 24, 1, 6),
+        "operator-d96": lambda: instances.gen_regular(96, 16, 24, 1.0, False, 7),
+        "full-rank": lambda: instances.gen_regular(6, 5, 6, 1.0, False, 8),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_factors_and_class_match_the_batched_eigh(self, family, stack_decompositions):
+        inst = self.FAMILIES[family]()
+        h, scale = inst.hessians, np.max(np.abs(inst.hessians))
+        calls = stack_decompositions(inst)
+        values, gt = factor_stack(h)
+        # Low-rank stacks are factored without a batched eigensolve; full-rank ones fall back to it.
+        assert calls == (["eigh"] if family == "full-rank" else [])
+        eigh_values = np.linalg.eigvalsh(h)
+        assert instances.minimum_class(inst, values) is instances.minimum_class(inst, eigh_values)
+        np.testing.assert_array_equal(psd_range(values).sum(axis=1), psd_range(eigh_values).sum(axis=1))
+        np.testing.assert_allclose(factor_stack(h, factors=False), values, rtol=0.0, atol=1e-13 * scale)
+        if family == "full-rank":
+            assert gt is None  # d columns save nothing
+        else:
+            np.testing.assert_allclose(gt.transpose(0, 2, 1) @ gt, h, rtol=0.0, atol=1e-13 * scale)
+
+    def test_zero_and_mixed_rank_samples(self):
+        rng = np.random.default_rng(3)
+        ranks = (0, 1, 4, 0, 2, 7)
+        factors = [rng.standard_normal((12, k)) for k in ranks]
+        h = np.stack([f @ f.T for f in factors])
+        values, gt = factor_stack(h)
+        assert gt.shape == (6, 7, 12)
+        np.testing.assert_array_equal(psd_range(values).sum(axis=1), ranks)
+        for i, k in enumerate(ranks):
+            assert np.all(gt[i, : 7 - k] == 0.0)  # zero rows first
+        assert np.all(values[[0, 3]] == 0.0)
+        np.testing.assert_allclose(gt.transpose(0, 2, 1) @ gt, h, rtol=0.0, atol=1e-13 * np.max(np.abs(h)))
+        # A zero stack needs no column at all.
+        values, gt = factor_stack(np.zeros((3, 4, 4)))
+        assert gt.shape == (3, 0, 4) and np.all(values == 0.0)
+
+    def test_chunks_of_different_ranks_align_their_rows_last(self, monkeypatch):
+        # One sample per chunk: each chunk's factor has its own width, padded in front to the widest.
+        rng = np.random.default_rng(4)
+        ranks = (3, 1, 0, 2)
+        h = np.stack([f @ f.T for f in (rng.standard_normal((8, k)) for k in ranks)])
+        whole_values, whole_gt = factor_stack(h)
+        monkeypatch.setattr(linalg, "_STACK_CHUNK_ENTRIES", 64)
+        values, gt = factor_stack(h)
+        assert gt.shape == whole_gt.shape == (4, 3, 8)
+        for i, k in enumerate(ranks):
+            assert np.all(gt[i, : 3 - k] == 0.0) and np.all(values[i, : 8 - k] == 0.0)
+        scale = np.max(np.abs(h))
+        np.testing.assert_allclose(values, whole_values, rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(gt.transpose(0, 2, 1) @ gt, h, rtol=0.0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_spectra_on_either_side_of_the_cut(self, sign, factor):
+        # Sample 1 has an eigenvalue just inside or just outside the rank rule's cut, of either
+        # sign; the kept counts, the PSD verdict and the truncated factors are the batched eigh's.
+        spectra = np.zeros((3, 10))
+        spectra[:, :3] = [[3.0, 2.0, 1.0], [3.0, 1.5, 0.0], [2.0, 0.5, 0.25]]
+        spectra[1, 2] = sign * factor * DEFAULT_RANK_RTOL * 3.0
+        h = _spectrum_stack(spectra, 5)
+        values, gt = factor_stack(h)
+        eigh_values = np.linalg.eigvalsh(h)
+        np.testing.assert_array_equal(not_psd(values), not_psd(eigh_values))
+        assert bool(not_psd(values)[1]) is (sign < 0 and factor > 1)
+        if not np.any(not_psd(values)):
+            np.testing.assert_array_equal(psd_range(values).sum(axis=1), psd_range(eigh_values).sum(axis=1))
+            np.testing.assert_allclose(gt.transpose(0, 2, 1) @ gt, _truncated(h), rtol=0.0, atol=1e-13 * np.max(np.abs(h)))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "rank-cap",  # one full-rank sample among rank-2 ones
+            "indefinite-positive-diagonal",  # [[1, 2], [2, 1]] in the top block: its residual is 3
+            "certificate-valid",  # a PSD sample up to the cut whose -1e-12 eigenvalue stays in the residual
+            # Without the scale check these two would pass a vacuous certificate: the tiny
+            # indefinite sample's squared residual underflows to 0, so it would read as PSD,
+            # and the huge stack's infinite norms stop every sample at once, with all values 0.
+            "tiny-indefinite",
+            "huge-entries",
+        ],
+    )
+    def test_fallback_is_the_batched_eigh_bit_for_bit(self, case):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((5, 6, 2))
+        h = g @ g.transpose(0, 2, 1)
+        if case == "rank-cap":
+            h[2] = random_psd(6, rng=rng)
+        elif case == "indefinite-positive-diagonal":
+            h[3] = 0.0
+            h[3, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+        elif case == "tiny-indefinite":
+            h = np.zeros_like(h)
+            h[3, :2, :2] = [[1e-170, 2e-170], [2e-170, 1e-170]]
+        elif case == "certificate-valid":
+            h = _spectrum_stack([[4.0, 1.0, -1e-12, 0.0, 0.0, 0.0]] + [[2.0, 1.0, 0.0, 0.0, 0.0, 0.0]] * 4, 7)
+        else:
+            h = h * 1e160
+        h = symmetrize(h)
+        values, gt = factor_stack(h)
+        np.testing.assert_array_equal(values, np.linalg.eigh(h)[0])
+        np.testing.assert_array_equal(factor_stack(h, factors=False), np.linalg.eigvalsh(h))
+        if case in ("rank-cap", "indefinite-positive-diagonal", "tiny-indefinite"):
+            assert gt is None  # 6 columns of 6 save nothing; an indefinite sample has no factor
+        else:
+            np.testing.assert_array_equal(gt, _eigh_gt(h))
+
+    @pytest.mark.parametrize("case", ["rank-cap", "certificate"])
+    def test_fallback_gives_the_batched_eigh_range_basis(self, case, monkeypatch, stack_decompositions):
+        base = instances.gen_regular(8, 6, 2, 1.0, False, 9)
+        h = base.hessians.copy()
+        if case == "rank-cap":
+            h[0] = h[0] + random_psd(8, rng=np.random.default_rng(10))
+        else:
+            w, v = np.linalg.eigh(h[0])
+            w[0] = -1e-12 * w[-1]  # PSD by the rank rule, but past the residual bound
+            h[0] = (v * w) @ v.T
+        inst = instances.make_instance(h, base.gradients)
+        calls = stack_decompositions(inst)
+        got = spectral.range_basis(inst)
+        assert calls == ["factor", "eigh"]
+        monkeypatch.setattr(linalg, "_cholesky_factors", lambda *args: None)
+        want = spectral.range_basis(inst)
+        assert got.kind is want.kind is instances.MinimumClass.REGULAR
+        for name in ("lam", "v", "k", "ut"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+
+    def test_classify_matches_eigh_on_indefinite_and_zero_samples(self):
+        h = np.zeros((4, 3, 3))
+        h[1] = random_psd(3, rank=1)
+        h[2, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+        inst = instances.make_instance(h, np.zeros((4, 3)))
+        assert instances.classify(inst) is instances.MinimumClass.INVALID
+        h[2] = 0.0
+        inst = instances.make_instance(h, np.zeros((4, 3)))
+        assert instances.classify(inst) is instances.MinimumClass.INTERPOLATING
+
+    def test_commuting_closed_form_above_dense_cap(self, stack_decompositions):
+        # H_i = Q diag(h_i) Q^T with 90 of each h_i's 200 entries zero: S is diagonal on the
+        # pairs E_ab, so 2 / threshold = max_ab [(1-p) lam_a lam_b + (p/n) sum_i h_ia h_ib] /
+        # ((lam_a + lam_b) / 2) over the pairs in Hbar's range, lam = mean_i h_i.
+        d, n = 200, 3
+        rng = np.random.default_rng(200)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        spectra = rng.uniform(0.1, 1.0, (n, d))
+        for row in spectra:
+            row[rng.permutation(d)[:90]] = 0.0
+        inst = instances.make_instance(np.einsum("ak,nk,bk->nab", q, spectra, q), np.zeros((n, d)))
+        assert d > kron_certify.DENSE_CAP
+        on = spectra.mean(axis=0) > 0
+        assert 0 < on.sum() < d  # Hbar is rank deficient
+        spectra = spectra[:, on]
+        lam = spectra.mean(axis=0)
+        calls = stack_decompositions(inst)
+        for b in (1, 2):
+            p = instances.mixing_weight(n, b)
+            num = (1.0 - p) * np.outer(lam, lam) + (p / n) * spectra.T @ spectra
+            want = 2.0 / np.max(num / (0.5 * (lam[:, None] + lam[None, :])))
+            assert stability.variance_threshold(inst, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert calls == ["factor", "factor"]
 
 
 class TestPinvPsd:

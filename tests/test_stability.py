@@ -37,7 +37,9 @@ from sgdstab import (
 from sgdstab.instances import stream
 from sgdstab.montecarlo import SimConfig
 from sgdstab.kron_certify import DENSE_CAP, mixture_matrix
-from sgdstab.linalg import DEFAULT_RANK_RTOL, ConvergenceError, kron, kron_sum, lanczos_solve, null_projectors, sym_eig, symmetrize
+from sgdstab.linalg import (
+    DEFAULT_RANK_RTOL, ConvergenceError, factor_stack, kron, kron_sum, lanczos_solve, null_projectors, sym_eig, symmetrize,
+)
 from sgdstab.spectral import product_map, range_basis, range_sharpness_bound
 from sgdstab.stability import (
     _mixture_operator,
@@ -1057,16 +1059,26 @@ class TestVerdict:
         assert lam_module == pytest.approx(lam_direct, abs=1e-10)
 
     def test_decomposes_the_hessian_stack_once(self, monkeypatch, stack_decompositions):
-        # The one batched eigh of the H_i in range_basis both classifies the instance and factors it.
-        inst = gen_regular(4, 5, 3, 1.0, False, 2)
+        # The one factor_stack of the H_i in range_basis both classifies the instance and factors it,
+        # here by pivoted Cholesky with no batched eigensolve of the stack.
+        inst = gen_regular(4, 5, 2, 1.0, False, 2)
         etas = [0.5 * variance_threshold(inst, 2), 1.5 * variance_threshold(inst, 2)]
         calls = stack_decompositions(inst)
         verdict = stability_verdict(inst, 2, etas)
-        assert len(calls) == 1
+        assert calls == ["factor"]
         assert verdict.classification is MinimumClass.REGULAR is classify(inst)
         invalid = make_instance([[[-1.0]], [[3.0]]], [[0.0], [0.0]])
         with pytest.raises(ValueError, match="not a regular or interpolating minimum"):
             stability_verdict(invalid, 1, [0.1])
+
+    def test_a_stack_that_falls_back_is_decomposed_once(self, stack_decompositions):
+        # At d=4 a rank-3 H_i needs q = 3 columns with q (d + q) >= d^2, so the stack goes to
+        # one batched eigh, inside the one factor_stack call.
+        inst = gen_regular(4, 5, 3, 1.0, False, 2)
+        etas = [0.5 * variance_threshold(inst, 2), 1.5 * variance_threshold(inst, 2)]
+        calls = stack_decompositions(inst)
+        assert stability_verdict(inst, 2, etas).classification is MinimumClass.REGULAR
+        assert calls == ["factor", "eigh"]
 
     def test_decomposes_hbar_once(self, monkeypatch):
         import sgdstab.linalg as linalg_module
@@ -1254,7 +1266,7 @@ class TestRangeBasis:
         assert basis.lam.size == 9 and basis.ut.shape == (6, 3, 9)
         assert basis.k is None
         assert np.all(basis.ut[3] == 0.0) and np.all(basis.ut[0, :2] == 0.0)
-        gt = spectral_module._sample_factors(*np.linalg.eigh(inst.hessians), 9)  # the G_i^T behind ut
+        gt = factor_stack(inst.hessians)[1]  # the G_i^T behind ut
         assert gt.shape == (6, 3, 12)
         assert np.all(gt[3] == 0.0) and np.all(gt[0, :2] == 0.0)
         scale = np.max(np.abs(inst.hessians))
