@@ -323,13 +323,14 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         b = int(rng.integers(1, n + 1))
         thr = stability.variance_threshold(inst, b)
         hp = Hyperparams(eta=0.5 * thr, batch=b)
-        for res, cap in ((res_cross, montecarlo.ENUM_CAP), (res_cross_mc, 0)):
-            try:
-                moments.cross_term(inst, hp.eta, b, enum_cap=cap)
-            except ConvergenceError:
-                res.record(False)
-            else:
-                res.record(True)
+        closed = moments.cross_term(inst, hp.eta, b)
+        ref = kron_certify.brute_force_cross_term(inst, hp.eta, b)
+        defect = float(np.max(np.abs(closed - ref)))
+        res_cross.record(not defect > 1e-10 * max(1.0, float(np.max(np.abs(ref)))), f"off batch enumeration by {defect:.3e}")
+        mean, se = kron_certify.sampled_cross_term(inst, hp.eta, b)
+        gap, band = np.abs(closed - mean), 5.0 * se
+        beyond = float(np.max(gap - band))
+        res_cross_mc.record(not np.any(gap > band + 1e-12), f"off the sampled mean by {beyond:.3e} beyond five standard errors")
         limit = moments.covariance_limit(inst, hp)
         # From x0 = 0 the mean stays 0 and Sigma' = Q Sigma + Sigma_v.  Every H_i has rank d, so
         # with rho(Q) < 1 the limit must be that map's unique, attracting fixed point.
@@ -339,8 +340,11 @@ def _suite_moments(seed: int, trials: int) -> list[PropertyResult]:
         step = moments.ExactStepper(inst, hp).step(moments.MomentState(mean=np.zeros(d), second_moment=limit))
         tol = 1e-6 * max(1.0, float(np.linalg.norm(limit)))
         rho = float(np.max(np.abs(lapack_eigh(q, vectors=False))))
+        values = lapack_eigh(limit, vectors=False)
+        psd = not values[0] < -1e-8 * max(float(values[-1]), 1e-300)
         ok = not max(np.linalg.norm(dense - limit), np.linalg.norm(step.second_moment - limit)) > tol and rho < 1.0
-        res_fix.record(ok, f"d={d}, n={n}, batch={b}, rho(Q)={rho}")
+        detail = f"d={d}, n={n}, batch={b}, rho(Q)={rho}"
+        res_fix.record(ok and psd, detail if psd else f"{detail}: limit not PSD (lambda_min = {values[0]:.3e})")
         dist_sq, loss_gap, grad_sq = moments.asymptotic_quantities(inst, hp)
         hbar = inst.mean_hessian()
         checks = (

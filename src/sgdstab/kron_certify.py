@@ -26,9 +26,13 @@ each built by _kron_square_sum: mixture_matrix, the dense form of the
 mixture (1-p) A kron A + (p/n) sum_i M_i kron M_i that spectral applies
 matrix-free; the SGD transition Q and the mixture process's transition
 built on it; and the brute-force Q, which averages A_b kron A_b over every
-size-B batch b from montecarlo.enumerated_batches.  They are oracles for
-the tests, for verify and for stability.curvature_operators' dense branch;
-no threshold, bound or limit solve forms them.
+size-B batch b from montecarlo.enumerated_batches.  Beside it are the two
+oracles of moments.cross_term's closed coupling E[v kron A]: the same
+enumeration (brute_force_cross_term), and the mean and standard error of
+CROSS_TERM_SAMPLES batches from montecarlo.draw_batches
+(sampled_cross_term).  They are oracles for the tests, for verify and for
+stability.curvature_operators' dense branch; no threshold, bound, limit
+solve or moment step forms them.
 """
 
 from __future__ import annotations
@@ -40,13 +44,17 @@ import numpy as np
 
 from .instances import ProblemInstance, check_mixture_weight, check_step_size, mixing_weight
 from .linalg import ConvergenceError, kron, sym_eig, symmetrize, unvec, vec
-from .montecarlo import ENUM_CAP, enumerated_batches
+from .montecarlo import ENUM_CAP, draw_batches, enumerated_batches
 
 # Above this dimension the d^2 x d^2 matrices are not formed densely.
 DENSE_CAP = 48
 
 # Largest relative negative eigenvalue of a PSD top eigenvector, and its largest relative residual.
 RESIDUAL_TOL = 1e-7
+
+# Batches drawn by sampled_cross_term, and its float entries per chunk (about 1 MB of temporaries).
+CROSS_TERM_SAMPLES = 100_000
+_SAMPLE_CHUNK_ENTRY_BUDGET = 131_072
 
 
 @dataclass(frozen=True)
@@ -122,15 +130,59 @@ def second_moment_transition(inst: ProblemInstance, eta: float, batch: int) -> n
     return mixture_transition(inst, eta, mixing_weight(inst.n, batch))
 
 
+def _batch_count(inst: ProblemInstance, eta: float, batch: int) -> int:
+    """C(n, B), the number of size-B batches; ValueError unless 1 <= B <= n, eta >= 0 and C(n, B) <= ENUM_CAP."""
+    mixing_weight(inst.n, batch)  # ValueError unless 1 <= batch <= n
+    check_step_size(eta)
+    count = math.comb(inst.n, batch)
+    if count > ENUM_CAP:
+        raise ValueError(f"enumeration of C({inst.n},{batch}) = {count} batches exceeds cap {ENUM_CAP}")
+    return count
+
+
 def brute_force_transition(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
     """Q by exhaustive enumeration of all C(n, B) <= ENUM_CAP equiprobable size-B batches."""
+    count = _batch_count(inst, eta, batch)
+    return _kron_square_sum(inst.d, ((1.0, a) for a, _ in enumerated_batches(inst, eta, batch))) / count
+
+
+def brute_force_cross_term(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
+    """E[v kron A], (d^2, d), by exhaustive enumeration of all C(n, B) <= ENUM_CAP equiprobable size-B batches."""
+    count = _batch_count(inst, eta, batch)
+    d = inst.d
+    ref = np.zeros((d * d, d))
+    for a, v in enumerated_batches(inst, eta, batch):
+        ref += kron(v[:, None], a)
+    return ref / count
+
+
+def sampled_cross_term(inst: ProblemInstance, eta: float, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error, each (d^2, d), of v kron A over CROSS_TERM_SAMPLES uniform size-B batches.
+
+    The batches come from montecarlo.draw_batches at seed 1234, sample k being
+    replicate k's first batch, in chunks sized to keep temporaries near 1 MB.
+    """
     n, d = inst.n, inst.d
     mixing_weight(n, batch)  # ValueError unless 1 <= batch <= n
-    check_step_size(eta)
-    count = math.comb(n, batch)
-    if count > ENUM_CAP:
-        raise ValueError(f"enumeration of C({n},{batch}) = {count} batches exceeds cap {ENUM_CAP}")
-    return _kron_square_sum(d, ((1.0, a) for a, _ in enumerated_batches(inst, eta, batch))) / count
+    flat_h, flat_eye = inst.hessians.reshape(n, d * d), np.eye(d).reshape(-1)
+    chunk = max(1, _SAMPLE_CHUNK_ENTRY_BUDGET // (n + 3 * d * d))
+    acc = np.zeros((d, d * d))
+    acc_sq = np.zeros((d, d * d))
+    for start in range(0, CROSS_TERM_SAMPLES, chunk):
+        idx = draw_batches(1234, range(start, min(start + chunk, CROSS_TERM_SAMPLES)), 1, n, batch)[:, 0]
+        h_sum = flat_h[idx[:, 0]]
+        g_sum = inst.gradients[idx[:, 0]]
+        for slot in range(1, batch):
+            h_sum += flat_h[idx[:, slot]]
+            g_sum += inst.gradients[idx[:, slot]]
+        a = flat_eye - (eta / batch) * h_sum
+        v = (eta / batch) * g_sum
+        # Entry (i*d + j, l) of sample k is v_k[i] * A_k[j, l]; the sums over k are GEMMs.
+        acc += v.T @ a
+        acc_sq += (v * v).T @ (a * a)
+    mean = acc.reshape(d * d, d) / CROSS_TERM_SAMPLES
+    var = np.maximum(acc_sq.reshape(d * d, d) / CROSS_TERM_SAMPLES - mean * mean, 0.0)
+    return mean, np.sqrt(var / CROSS_TERM_SAMPLES)
 
 
 def _assemble(fam: KronFamily) -> np.ndarray:

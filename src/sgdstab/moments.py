@@ -12,15 +12,13 @@ and the noise-contraction coupling has the closed form
 
     E[v kron A] = -eta^2 * p * (1/n) sum_i g_i kron H_i.
 
-cross_term checks that coupling against exhaustive batch enumeration,
-or, when enumeration is infeasible, against MC_VALIDATION_SAMPLES seeded
-batches from montecarlo's counter-based sampler, which must agree within
-five standard errors.  The tests and the verify command run that check;
-the stepper applies the closed form unchecked: it forms the (d^2, d)
-matrix once, by the helper that cross_term calls, and each step takes
-the coupling from one product with mu, d^3 flops whatever n is.  When
-every gradient is zero the coupling vanishes, and the stepper neither
-stores nor applies it.
+cross_term returns that closed form as a (d^2, d) matrix.  Its oracles,
+exhaustive batch enumeration and seeded Monte-Carlo batches, are
+kron_certify's brute_force_cross_term and sampled_cross_term, which the
+tests and the verify command compare it with.  The stepper forms the
+matrix once, by cross_term, and each step takes the coupling from one
+product with mu, d^3 flops whatever n is.  When every gradient is zero
+the coupling vanishes, and the stepper neither stores nor applies it.
 
 The rest of a step costs one batched matmul and one GEMM: the A_i are
 symmetric, so E[A Sigma A^T] is spectral.mixture_apply, the d x d form
@@ -52,27 +50,23 @@ spectral.range_congruence).  It is positive definite exactly for
 eta < eta_var = 2 / lambda_max(S).  linalg.spd_solve solves it on the
 Lanczos recurrence that the threshold also runs, started from the
 right-hand side; I - (eta/2) S and S share that Krylov basis.
+covariance_limit returns V_r X V_r^T, which the tests and verify hold PSD.
 The asymptotic squared distance, loss gap and squared gradient norm are
 the traces of X weighted by 1, lam/2 and lam^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instances import Hyperparams, ProblemInstance, fmt, mixing_weight, require_valid, valid_class, write_csv
-from .linalg import ConvergenceError, kron, null_projectors, spd_solve, sym_eig, symmetrize
-from .montecarlo import ENUM_CAP, draw_batches, enumerated_batches
+from .linalg import null_projectors, spd_solve, symmetrize
 from .spectral import mixture_apply, range_basis, range_congruence, range_sharpness, range_sharpness_bound, threshold
 
-MC_VALIDATION_SAMPLES = 100_000
 # Relative margin of the one-apply certificate eta * hi < 2, far above the rounding in hi.
 _CERTIFICATE_MARGIN = 1e-9
-# Float entries per Monte-Carlo validation chunk (about 1 MB of temporaries).
-_MC_CHUNK_ENTRY_BUDGET = 131_072
 
 
 @dataclass(frozen=True)
@@ -90,68 +84,15 @@ def point_state(x0, step: int = 0) -> MomentState:
     return MomentState(mean=x0.copy(), second_moment=np.outer(x0, x0), step=step)
 
 
-def _closed_cross_term(inst: ProblemInstance, eta: float, p: float) -> np.ndarray:
-    """The closed form of E[v kron A], (d^2, d): -eta^2 * p * (1/n) sum_i g_i kron H_i."""
-    n, d = inst.n, inst.d
-    # Row a*d + b, column c holds sum_i g_i[a] H_i[b, c].
-    closed = (inst.gradients.T @ inst.hessians.reshape(n, d * d)).reshape(d * d, d)
-    closed *= -(eta * eta) * p / n
-    return closed
+def cross_term(inst: ProblemInstance, eta: float, batch: int) -> np.ndarray:
+    """E[v kron A] as a (d^2, d) matrix: -eta^2 * p * (1/n) sum_i g_i kron H_i, p = mixing_weight(n, batch).
 
-
-def cross_term(
-    inst: ProblemInstance,
-    eta: float,
-    batch: int,
-    enum_cap: int = ENUM_CAP,
-) -> np.ndarray:
-    """E[v kron A] as a (d^2, d) matrix: -eta^2 * p * (1/n) sum_i g_i kron H_i.
-
-    The closed form is checked against exhaustive batch enumeration when
-    C(n, B) <= enum_cap.  Otherwise MC_VALIDATION_SAMPLES batches are
-    drawn by montecarlo.draw_batches at seed 1234, sample k being replicate k's
-    first batch, in chunks sized to keep temporaries near 1 MB, and every
-    entry must lie within five standard errors (plus 1e-12) of the sample
-    mean.  A mismatch raises ConvergenceError.
+    Row a*d + b, column c holds -eta^2 * p * (1/n) sum_i g_i[a] H_i[b, c].  The tests and verify check
+    it against kron_certify.brute_force_cross_term and sampled_cross_term.
     """
     n, d = inst.n, inst.d
-    closed = _closed_cross_term(inst, eta, mixing_weight(n, batch))
-    if np.all(inst.gradients == 0.0):
-        return closed
-    count = math.comb(n, batch)
-    if count <= enum_cap:
-        ref = np.zeros((d * d, d))
-        for a, v in enumerated_batches(inst, eta, batch):
-            ref += kron(v[:, None], a)
-        ref /= count
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        defect = float(np.max(np.abs(closed - ref)))
-        if defect > 1e-10 * scale:
-            raise ConvergenceError(f"cross term disagrees with batch enumeration by {defect:.3e}")
-        return closed
-    flat_h, flat_eye = inst.hessians.reshape(n, d * d), np.eye(d).reshape(-1)
-    chunk = max(1, _MC_CHUNK_ENTRY_BUDGET // (n + 3 * d * d))
-    acc = np.zeros((d, d * d))
-    acc_sq = np.zeros((d, d * d))
-    for start in range(0, MC_VALIDATION_SAMPLES, chunk):
-        idx = draw_batches(1234, range(start, min(start + chunk, MC_VALIDATION_SAMPLES)), 1, n, batch)[:, 0]
-        h_sum = flat_h[idx[:, 0]]
-        g_sum = inst.gradients[idx[:, 0]]
-        for slot in range(1, batch):
-            h_sum += flat_h[idx[:, slot]]
-            g_sum += inst.gradients[idx[:, slot]]
-        a = flat_eye - (eta / batch) * h_sum
-        v = (eta / batch) * g_sum
-        # Entry (i*d + j, l) of sample k is v_k[i] * A_k[j, l]; the sums over k are GEMMs.
-        acc += v.T @ a
-        acc_sq += (v * v).T @ (a * a)
-    mean = acc.reshape(d * d, d) / MC_VALIDATION_SAMPLES
-    var = np.maximum(acc_sq.reshape(d * d, d) / MC_VALIDATION_SAMPLES - mean * mean, 0.0)
-    se = np.sqrt(var / MC_VALIDATION_SAMPLES)
-    defect = np.abs(closed - mean)
-    if np.any(defect > 5.0 * se + 1e-12):
-        worst = float(np.max(defect - 5.0 * se))
-        raise ConvergenceError(f"cross term disagrees with Monte-Carlo estimate (excess {worst:.3e})")
+    closed = (inst.gradients.T @ inst.hessians.reshape(n, d * d)).reshape(d * d, d)
+    closed *= -(eta * eta) * mixing_weight(n, batch) / n
     return closed
 
 
@@ -169,7 +110,7 @@ class ExactStepper:
         self._a_all = np.eye(d)[None, :, :] - eta * inst.hessians
         self.sigma_v = eta * eta * self.p * inst.gradient_second_moment()
         # The coupling is zero when every gradient is: then no (d^2, d) matrix is kept.
-        self._cross = None if np.all(inst.gradients == 0.0) else _closed_cross_term(inst, eta, self.p)
+        self._cross = None if np.all(inst.gradients == 0.0) else cross_term(inst, eta, hp.batch)
 
     def step(self, state: MomentState) -> MomentState:
         d = self.inst.d
@@ -249,11 +190,7 @@ def _limit_solve(inst: ProblemInstance, hp: Hyperparams):
 def covariance_limit(inst: ProblemInstance, hp: Hyperparams) -> np.ndarray:
     """Limit of the range-projected second moment for 0 < eta < eta_var."""
     _, v_r, x = _limit_solve(inst, hp)
-    limit = symmetrize(v_r @ x @ v_r.T)
-    values = sym_eig(limit).values
-    if float(values[-1]) < -1e-8 * max(float(values[0]), 1e-300):
-        raise ConvergenceError(f"covariance limit is not PSD (lambda_min = {values[-1]:.3e})")
-    return limit
+    return symmetrize(v_r @ x @ v_r.T)
 
 
 def asymptotic_quantities(inst: ProblemInstance, hp: Hyperparams) -> tuple[float, float, float]:
@@ -267,15 +204,16 @@ def write_trajectory_csv(path, inst: ProblemInstance, states) -> None:
     """CSV columns: t, trace_sigma_perp, trace_sigma_par, mu_norm, loss_gap_estimate."""
     hbar = inst.mean_hessian()
     p_null, p_range = null_projectors(hbar)
-    # For a symmetric projector P, trace(P Sigma P) = <P, Sigma>; every trace is an inner product,
-    # of a PSD block of Sigma, so one that rounding leaves below zero is written as 0.
+    # For a symmetric projector P, trace(P Sigma P) = <P, Sigma>; every trace, like the loss gap
+    # 0.5 <Hbar, Sigma>, is an inner product of two PSD matrices, so one that rounding leaves
+    # below zero is written as 0.
     rows = (
         (
             str(state.step),
             fmt(max(np.vdot(p_range, state.second_moment), 0.0)),
             fmt(max(np.vdot(p_null, state.second_moment), 0.0)),
             fmt(np.linalg.norm(state.mean)),
-            fmt(0.5 * np.vdot(hbar, state.second_moment)),
+            fmt(max(0.5 * np.vdot(hbar, state.second_moment), 0.0)),
         )
         for state in states
     )

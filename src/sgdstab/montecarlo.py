@@ -316,7 +316,6 @@ def _run(
     complete) when _grows already holds.  It never stops early with False,
     so the answer is the full run's.
     """
-    require_valid(inst)
     d = inst.d
     t_steps = cfg.steps
     x0 = initial_offset(inst, cfg)
@@ -406,7 +405,8 @@ def _sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig, verdict: bool =
 
 
 def simulate_sgd(inst: ProblemInstance, hp: Hyperparams, cfg: SimConfig) -> EmpiricalMoments:
-    """Monte-Carlo moments of mini-batch SGD with uniform batches."""
+    """Monte-Carlo moments of mini-batch SGD with uniform batches; ValueError unless inst is a valid minimum."""
+    require_valid(inst)
     return _sgd(inst, hp, cfg)
 
 
@@ -424,6 +424,7 @@ def simulate_mixture(inst: ProblemInstance, eta: float, p: float, cfg: SimConfig
     """
     check_step_size(eta)
     check_mixture_weight(p)
+    require_valid(inst)
     full, single = _steps(inst, eta)
 
     def builder(replicate_range):
@@ -504,13 +505,14 @@ def empirical_threshold(
         raise ValueError("bisect_tol must be positive")
     if not 0 <= eta_lo < eta_hi:
         raise ValueError(f"invalid bracket [{eta_lo}, {eta_hi}]")
+    noise_free = replace(inst, gradients=np.zeros_like(inst.gradients))
+    require_valid(noise_free)  # once: every verdict run below takes this instance
     if isinstance(cfg.init_offset, np.ndarray):
         base_cfg = cfg
     else:
         top = sym_eig(inst.mean_hessian()).vectors[:, 0]
         base_cfg = replace(cfg, init_offset=float(cfg.init_offset) * top)
 
-    noise_free = replace(inst, gradients=np.zeros_like(inst.gradients))
     evaluations = 0
 
     def unstable_at(eta: float) -> bool:
@@ -535,14 +537,15 @@ def empirical_threshold(
 
 def write_empirical_csv(path, em: EmpiricalMoments) -> None:
     """CSV columns: t, trace_sigma_perp, trace_sigma_par, mu_norm,
-    loss_gap_estimate, replicates, diverged_count."""
+    loss_gap_estimate, replicates, diverged_count.  The loss gap, half the
+    mean of x' Hbar x, is written as 0 where rounding leaves it below zero."""
     rows = (
         (
             str(t),
             fmt(em.mean_sq_perp[t]),
             fmt(em.mean_sq_par[t]),
             fmt(np.linalg.norm(em.mean_offset[t])),
-            fmt(0.5 * em.mean_quad[t]),
+            fmt(max(0.5 * em.mean_quad[t], 0.0)),
             str(em.replicates),
             str(em.diverged_count),
         )

@@ -627,6 +627,30 @@ class TestExitCodes:
         assert main(["analyze", str(path), "--batch", "2"]) == EXIT_NUMERICAL
         assert "numerical failure: eigendecomposition failed: Eigenvalues did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "guard, message",
+        [
+            ("mean", "exceeds mean threshold"),
+            ("eigvec", "exceeds necessary bound eigvec = "),
+            ("trace", "exceeds necessary bound trace = "),
+            ("rank-one", "exceeds necessary bound rank-one = "),
+        ],
+    )
+    def test_threshold_above_a_bound_is_numerical(self, tmp_path, monkeypatch, capsys, guard, message):
+        # At B = 1 this instance orders its bounds rank-one < trace < eigvec < mean threshold, so a
+        # variance threshold placed between two of them trips exactly one of stability_verdict's guards.
+        inst = gen_regular(6, 5, 3, 1.0, False, 9)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        v = stability.stability_verdict(inst, 1, [])
+        bounds = [v.bound_rank_one, v.bound_trace, v.bound_eigvec, v.mean_threshold, 2.0 * v.mean_threshold]
+        assert bounds == sorted(bounds)
+        k = ["rank-one", "trace", "eigvec", "mean"].index(guard)
+        eta_var = 0.5 * (bounds[k] + bounds[k + 1])
+        monkeypatch.setattr(stability, "range_sharpness", lambda basis, p: 2.0 / eta_var)
+        assert main(["analyze", str(path), "--batch", "1"]) == EXIT_NUMERICAL
+        assert message in capsys.readouterr().err
+
     def test_main_builds_one_parser(self, monkeypatch, scalar_pair_file):
         built = []
         true_init = cli._Parser.__init__
@@ -751,6 +775,27 @@ class TestModuleBoundaries:
                         scope = parents[scope]
                     callers.append((me, getattr(scope, "name", None)))
         assert callers == [("linalg", "lapack_eigh"), ("linalg", "lapack_eigh")]
+
+    def test_only_the_oracles_and_the_cli_name_the_batch_samplers(self):
+        # Batches are sampled or enumerated by montecarlo, kron_certify's oracles and verify alone,
+        # so no production solve checks itself by sampling; moments imports nothing from montecarlo.
+        trees = self._trees()
+        namers = set()
+        for me, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = {a.name for a in node.names}
+                else:
+                    names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                if names & {"draw_batches", "enumerated_batches"}:
+                    namers.add(me)
+        assert namers <= {"montecarlo", "kron_certify", "cli"}
+        from_montecarlo = [
+            ast.dump(node)
+            for node in ast.walk(trees["moments"])
+            if isinstance(node, ast.ImportFrom) and "montecarlo" in [node.module, *(a.name for a in node.names)]
+        ]
+        assert from_montecarlo == []
 
     def test_only_curvature_operators_imports_the_dense_builders(self):
         trees = self._trees()

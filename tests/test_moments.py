@@ -26,9 +26,10 @@ from sgdstab import (
 )
 import sgdstab.linalg as linalg_module
 from sgdstab.linalg import DEFAULT_RANK_RTOL, kron, null_projectors, sym_eig, symmetrize, unvec, vec
-from sgdstab.montecarlo import SimConfig, initial_offset, simulate_sgd
-from sgdstab.moments import ENUM_CAP, ExactStepper, MomentState, null_walk_second_moment, write_trajectory_csv
-from sgdstab.kron_certify import brute_force_transition, second_moment_transition
+from sgdstab.montecarlo import ENUM_CAP, SimConfig, initial_offset, simulate_sgd
+from sgdstab.moments import ExactStepper, MomentState, null_walk_second_moment, write_trajectory_csv
+from sgdstab.cli import run_suites
+from sgdstab.kron_certify import brute_force_cross_term, brute_force_transition, sampled_cross_term, second_moment_transition
 from sgdstab.stability import sharpness
 
 RNG = np.random.default_rng(31337)
@@ -103,7 +104,7 @@ class TestExactStep:
         assert np.linalg.norm(inst.gradients @ p_null) > 0.1
 
     def test_coupling_is_cross_terms_closed_form(self):
-        # The stepper keeps cross_term's return value, bit for bit, for an instance whose check passes.
+        # The stepper keeps cross_term's return value, bit for bit.
         inst = gen_regular(4, 6, 2, 1.0, False, 14)
         hp = Hyperparams(eta=0.3 / sharpness(inst), batch=2)
         np.testing.assert_array_equal(ExactStepper(inst, hp)._cross, cross_term(inst, hp.eta, hp.batch))
@@ -116,7 +117,7 @@ class TestExactStep:
         stepper, coupled = ExactStepper(inst, hp), ExactStepper(inst, hp)
         d = inst.d
         assert not any(isinstance(v, np.ndarray) and v.shape == (d * d, d) for v in vars(stepper).values())
-        coupled._cross = moments_module._closed_cross_term(inst, hp.eta, coupled.p)
+        coupled._cross = cross_term(inst, hp.eta, hp.batch)
         a = b = point_state(initial_offset(inst, SimConfig(steps=1, replicates=1, seed=3)))
         for _ in range(20):
             a, b = stepper.step(a), coupled.step(b)
@@ -226,35 +227,32 @@ class TestCrossTerm:
             ref += kron(v[:, None], a)
         ref /= 3
         np.testing.assert_allclose(got, ref, atol=1e-12)
+        np.testing.assert_allclose(brute_force_cross_term(inst, eta, batch), ref, rtol=0, atol=1e-15)
 
-    def test_monte_carlo_validation_path(self, monkeypatch):
-        # Large C(n, B) forces the Monte-Carlo check; must pass quietly.
+    def test_within_five_standard_errors_of_the_sampled_mean(self, monkeypatch):
+        # C(24, 12) exceeds ENUM_CAP, so only the Monte-Carlo oracle reaches this instance.
         inst = gen_regular(2, 24, 2, 1.0, False, 31)
-        monkeypatch.setattr(moments_module, "MC_VALIDATION_SAMPLES", 20000)
-        cross_term(inst, 0.05, 12, enum_cap=100)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            brute_force_cross_term(inst, 0.05, 12)
+        monkeypatch.setattr(kron_certify, "CROSS_TERM_SAMPLES", 20000)
+        mean, se = sampled_cross_term(inst, 0.05, 12)
+        assert np.all(np.abs(cross_term(inst, 0.05, 12) - mean) <= 5.0 * se + 1e-12)
 
-    def test_detects_injected_formula_error(self, monkeypatch):
-        # A wrong mixing weight makes the closed form disagree with the
-        # enumeration oracle; the validation must catch it.
-        inst = gen_regular(2, 3, 2, 1.0, False, 14)
-        import sgdstab.moments as moments_module
-
+    @pytest.mark.parametrize(
+        "prop, defect",
+        [("cross-term-enumeration", "off batch enumeration by "), ("cross-term-monte-carlo", " beyond five standard errors")],
+        ids=["enumeration", "monte-carlo"],
+    )
+    def test_verify_fails_on_an_injected_formula_error(self, monkeypatch, prop, defect):
+        # A wrong mixing weight in moments makes the closed form disagree with both oracles, and
+        # verify's property names the defect.
         monkeypatch.setattr(moments_module, "mixing_weight", lambda n, b: 0.123)
-        with pytest.raises(ConvergenceError, match="cross term"):
-            moments_module.cross_term(inst, 0.7, 2)
+        [res] = [r for r in run_suites("moments", 0, 1) if r.name == prop]
+        assert (res.trials, res.failures) == (1, 1)
+        assert defect in res.detail
 
-    def test_monte_carlo_detects_injected_formula_error(self, monkeypatch):
-        # enum_cap=0 sends even a tiny instance down the Monte-Carlo branch;
-        # the wrong mixing weight must fall outside five standard errors.
-        inst = gen_regular(2, 3, 2, 1.0, False, 14)
-        import sgdstab.moments as moments_module
-
-        monkeypatch.setattr(moments_module, "mixing_weight", lambda n, b: 0.123)
-        with pytest.raises(ConvergenceError, match="cross term disagrees with Monte-Carlo"):
-            moments_module.cross_term(inst, 0.7, 2, enum_cap=0)
-
-    def test_monte_carlo_validation_passes_at_n256(self):
-        # C(256, 4) exceeds ENUM_CAP, so the default call validates by Monte Carlo.
+    def test_matches_the_sampled_mean_at_n256(self):
+        # C(256, 4) exceeds ENUM_CAP: the closed form is checked against the sampled mean.
         assert math.comb(256, 4) > ENUM_CAP
         inst = gen_regular(8, 256, 4, 1.0, False, 59)
         eta = 0.3 / sharpness(inst)
@@ -262,6 +260,8 @@ class TestCrossTerm:
         p = mixing_weight(256, 4)
         ref = sum(kron(inst.gradients[i][:, None], inst.hessians[i]) for i in range(256))
         np.testing.assert_allclose(got, -(eta**2) * p / 256 * ref, rtol=1e-12, atol=1e-15)
+        mean, se = sampled_cross_term(inst, eta, 4)
+        assert np.all(np.abs(got - mean) <= 5.0 * se + 1e-12)
 
 
 class TestNoiseInjection:
@@ -530,14 +530,14 @@ class TestLimitProductionPath:
         def forbidden(*args):
             raise AssertionError("a d^2 x d^2 matrix was formed")
 
-        for module, name in ((kron_certify, "kron"), (stability, "kron_sum"), (kron_certify, "mixture_matrix"), (moments_module, "kron")):
+        for module, name in ((kron_certify, "kron"), (stability, "kron_sum"), (kron_certify, "mixture_matrix")):
             monkeypatch.setattr(module, name, forbidden)
         for solve in (covariance_limit, asymptotic_quantities):
             cg_solves.clear()
             solve(inst, hp)
             assert len(cg_solves) == 1
             assert 0 < len(cg_solves[0]) <= 40
-        assert not hasattr(moments_module, "mixture_matrix")
+        assert not hasattr(moments_module, "mixture_matrix") and not hasattr(moments_module, "kron")
 
     def test_near_threshold_application_budget(self, cg_solves):
         # CG on the scaled system I - (eta/2) S takes 35 applications here; on the unscaled
@@ -673,25 +673,33 @@ class TestTrajectoryCsv:
         assert lines[2].startswith("1,1,")
 
     @pytest.mark.parametrize(
-        "make, eta, clamped",
+        "make, eta, start, steps, clamped",
         [
             # Interpolating with a null space: the recursion rounds trace_sigma_par, exactly 0,
             # below zero on many rows, down to about -5e-6.
-            (lambda: gen_interpolating(60, 10, 4, 5), 0.05, True),
+            (lambda: gen_interpolating(60, 10, 4, 5), lambda inst: 0.05, None, 100, True),
             # A null-space random walk: no trace rounds below zero, so every row is written as computed.
-            (lambda: gen_regular(6, 5, 2, 1.0, True, 5), None, False),
+            (lambda: gen_regular(6, 5, 2, 1.0, True, 5), lambda inst: 0.5 * variance_threshold(inst, 2), None, 100, False),
+            # Rank 12 of 30, started on Hbar's top eigenvector plus a null-space one: the loss gap
+            # 0.5 <Hbar, Sigma> rounds below zero on 76 of 401 rows, down to about -7.7e-16.
+            (lambda: gen_interpolating(30, 4, 3, 1), lambda inst: 0.9 * variance_threshold(inst, 2), "top-plus-null", 400, True),
         ],
-        ids=["interpolating-d60", "null-walk"],
+        ids=["interpolating-d60", "null-walk", "loss-gap-d30"],
     )
-    def test_traces_are_clamped_at_zero(self, tmp_path, make, eta, clamped):
+    def test_traces_are_clamped_at_zero(self, tmp_path, make, eta, start, steps, clamped):
         inst = make()
-        hp = Hyperparams(eta=eta or 0.5 * variance_threshold(inst, 2), batch=2)
-        x0 = initial_offset(inst, SimConfig(steps=100, replicates=1, seed=0))
-        path = iterate_moments(inst, hp, point_state(x0), 100, keep_path=True)
+        hp = Hyperparams(eta=eta(inst), batch=2)
+        if start is None:
+            x0 = initial_offset(inst, SimConfig(steps=steps, replicates=1, seed=0))
+        else:
+            vectors = sym_eig(inst.mean_hessian()).vectors
+            x0 = vectors[:, 0] + vectors[:, -1]
+        path = iterate_moments(inst, hp, point_state(x0), steps, keep_path=True)
         out = tmp_path / "t.csv"
         write_trajectory_csv(out, inst, path)
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        p_null, p_range = null_projectors(inst.mean_hessian())
-        raw = np.array([[np.vdot(p_range, s.second_moment), np.vdot(p_null, s.second_moment)] for s in path])
+        hbar = inst.mean_hessian()
+        p_null, p_range = null_projectors(hbar)
+        raw = np.array([[np.vdot(m, s.second_moment) for m in (p_range, p_null, 0.5 * hbar)] for s in path])
         assert bool(np.any(raw < 0.0)) is clamped
-        np.testing.assert_array_equal(rows[:, 1:3], np.maximum(raw, 0.0))
+        np.testing.assert_array_equal(rows[:, [1, 2, 4]], np.maximum(raw, 0.0))

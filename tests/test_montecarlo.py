@@ -24,7 +24,7 @@ from sgdstab import (
 )
 from oracles import reference_bisection, splitmix64
 from sgdstab.instances import splitmix64 as vector_splitmix64
-from sgdstab.linalg import null_projectors
+from sgdstab.linalg import null_projectors, sym_eig
 from sgdstab.montecarlo import growth_window, initial_offset, write_empirical_csv
 from sgdstab.stability import mixing_weight, sharpness
 
@@ -346,6 +346,22 @@ class TestEmpiricalThreshold:
         b = empirical_threshold(scalar_pair, 1, cfg, eta_lo=0.2, eta_hi=1.4, bisect_tol=0.05)
         assert a == b
 
+    def test_a_bisection_classifies_the_stack_once(self, monkeypatch, stack_decompositions):
+        inst = gen_interpolating(4, 8, 2, 3)
+        thr = variance_threshold(inst, 2)
+        runs = []
+        true_sgd = mc._sgd
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return true_sgd(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_sgd", counted)
+        calls = stack_decompositions(inst)
+        empirical_threshold(inst, 2, SimConfig(steps=24, replicates=4096, seed=6), 0.5 * thr, 1.5 * thr, 0.1 * thr)
+        assert len(runs) > 2
+        assert calls == ["factor"]
+
     @pytest.mark.parametrize(
         "lo, hi, tol, message",
         [(0.1, 1.0, 0.0, "^bisect_tol must be positive"), (1.0, 0.5, 0.1, r"^invalid bracket \[1.0, 0.5\]"), (-0.1, 1.0, 0.1, "^invalid bracket")],
@@ -463,6 +479,19 @@ class TestCsvExport:
         assert lines[0] == "t,trace_sigma_perp,trace_sigma_par,mu_norm,loss_gap_estimate,replicates,diverged_count"
         assert len(lines) == 7
         assert all(line.endswith(",32,0") for line in lines[1:])
+
+    def test_loss_gap_is_clamped_at_zero(self, tmp_path):
+        # Rank 12 of 30, started on Hbar's top eigenvector plus a null-space one: half the mean of
+        # x' Hbar x rounds below zero on 54 of 401 rows, down to about -5.8e-16.
+        inst = gen_interpolating(30, 4, 3, 1)
+        vectors = sym_eig(inst.mean_hessian()).vectors
+        cfg = SimConfig(steps=400, replicates=64, seed=1, init_offset=vectors[:, 0] + vectors[:, -1])
+        em = simulate_sgd(inst, Hyperparams(eta=0.9 * variance_threshold(inst, 2), batch=2), cfg)
+        write_empirical_csv(tmp_path / "mc.csv", em)
+        rows = np.loadtxt(tmp_path / "mc.csv", delimiter=",", skiprows=1)
+        raw = 0.5 * em.mean_quad
+        assert np.any(raw < 0.0)
+        np.testing.assert_array_equal(rows[:, 4], np.maximum(raw, 0.0))
 
     def test_growth_window_scales_with_replicates(self):
         cfg_small = SimConfig(steps=100, replicates=256, seed=0)
